@@ -16,15 +16,17 @@ the two boolean pair tables
 * ``lo_rows[i][j]  =  lo_i < hi_j``   (the fixpoint / overlap test)
 * ``hi_rows[i][j]  =  hi_i < hi_j``   (the Eq. (10) dominance test)
 
-Tables are recomputed lazily when a head changed — one batched numpy
-pass over the stacked bounds — and then materialized as nested Python
-lists, so the per-pair queries issued by the detection core are plain
-list indexing with no numpy dispatch at all.  Small tables (or many
-simultaneously changed heads) refresh with a single ``(k, k, n)``
-broadcast; large tables with few changed heads refresh only the dirty
-rows and columns.  The two tables invalidate independently: the
-dominance table is only consulted when a solution is found, so
-activations that never reach line 18 never pay for it.
+Tables are recomputed lazily when a head changed and kept as nested
+Python lists, so the per-pair queries issued by the detection core are
+plain list indexing with no numpy dispatch at all.  A refresh only ever
+touches the *used* rows (the queues that exist — never the spare
+capacity the bound arrays are allocated with), and only what a changed
+head can have changed: when few heads are dirty, the dirty head's row
+and column (two ``(k, n)`` passes; the common case is one offer landing
+on an empty queue); when many are, one ``(k, k, n)`` broadcast over the
+used rows.  The two tables invalidate independently: the dominance
+table is only consulted when a solution is found, so activations that
+never reach line 18 never pay for it.
 
 The detection core calls :meth:`set_head` / :meth:`clear_head` on every
 head transition and :meth:`add_key` / :meth:`remove_key` when the fault
@@ -42,11 +44,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 import numpy as np
 
 __all__ = ["HeadMatrix"]
-
-#: Tables at most this many rows always refresh with one full broadcast
-#: (the batched op is so small that per-row updates would cost more
-#: numpy dispatches than they save).
-_FULL_REFRESH_ROWS = 8
 
 
 class HeadMatrix:
@@ -67,7 +64,6 @@ class HeadMatrix:
         "_keys",
         "_order",
         "_free",
-        "_cap",
         "_used",
         "_n",
         "_los",
@@ -86,7 +82,8 @@ class HeadMatrix:
         #: (key, row) pairs in key-insertion order
         self._order: List[Tuple[Hashable, int]] = []
         self._free: List[int] = []
-        self._cap = 0
+        #: rows ever handed out; ``_pres`` and both tables are exactly
+        #: this size, the bound arrays at least this size
         self._used = 0
         self._n: Optional[int] = None
         self._los: Optional[np.ndarray] = None
@@ -104,30 +101,34 @@ class HeadMatrix:
     # ------------------------------------------------------------------
     # capacity management
     # ------------------------------------------------------------------
-    def _grow(self) -> None:
-        new_cap = max(8, self._cap * 2)
-        extra = new_cap - self._cap
-        self._pres.extend([False] * extra)
-        for row in self._lo_rows:
-            row.extend([False] * extra)
-        for row in self._hi_rows:
-            row.extend([False] * extra)
-        for _ in range(extra):
-            self._lo_rows.append([False] * new_cap)
-            self._hi_rows.append([False] * new_cap)
-        if self._los is not None:
-            los = np.zeros((new_cap, self._n), dtype=np.int64)
-            los[: self._cap] = self._los
-            self._los = los
-            his = np.zeros((new_cap, self._n), dtype=np.int64)
-            his[: self._cap] = self._his
-            self._his = his
-        self._cap = new_cap
+    def _new_row(self) -> int:
+        """Hand out a never-used row: one more entry in ``_pres`` and one
+        more row and column in both tables; the bound arrays double when
+        they run out (amortized, and invisible to refreshes, which slice
+        them to ``_used``)."""
+        row = self._used
+        self._used += 1
+        self._pres.append(False)
+        for table in (self._lo_rows, self._hi_rows):
+            for flags in table:
+                flags.append(False)
+            table.append([False] * self._used)
+        if self._los is not None and self._used > len(self._los):
+            self._los = self._doubled(self._los)
+            self._his = self._doubled(self._his)
+        return row
+
+    @staticmethod
+    def _doubled(bounds: np.ndarray) -> np.ndarray:
+        grown = np.zeros((2 * len(bounds), bounds.shape[1]), dtype=np.int64)
+        grown[: len(bounds)] = bounds
+        return grown
 
     def _init_bounds(self, n: int) -> None:
         self._n = n
-        self._los = np.zeros((self._cap, n), dtype=np.int64)
-        self._his = np.zeros((self._cap, n), dtype=np.int64)
+        capacity = max(8, self._used)
+        self._los = np.zeros((capacity, n), dtype=np.int64)
+        self._his = np.zeros((capacity, n), dtype=np.int64)
 
     # ------------------------------------------------------------------
     # key management (mirrors the core's queue dict)
@@ -142,14 +143,7 @@ class HeadMatrix:
         """Open a slot for *key* (initially no head)."""
         if key in self._keys:
             raise KeyError(f"key {key!r} already tracked")
-        if self._free:
-            row = self._free.pop()
-        else:
-            if self._used == self._cap:
-                self._grow()
-            row = self._used
-            self._used += 1
-        self._pres[row] = False
+        row = self._free.pop() if self._free else self._new_row()
         self._keys[key] = row
         self._order.append((key, row))
 
@@ -207,19 +201,25 @@ class HeadMatrix:
             return
         self.refreshes += 1
         self.refreshed_rows += len(live)
-        his = self._his
-        if self._used <= _FULL_REFRESH_ROWS or 2 * len(live) >= self._used:
-            # One broadcast over the whole table.
+        used = self._used
+        left = left[:used]
+        his = self._his[:used]
+        if 3 * len(live) < used:
+            # Few heads changed: only their rows and columns can have.
+            # (Row/column passes beat the broadcast while fewer than a third
+            # of the used rows are dirty — measured in docs/performance.md.)
+            for i in live:
+                mine, theirs = left[i], his[i]
+                row = (mine <= his).all(axis=1) & (mine < his).any(axis=1)
+                col = (left <= theirs).all(axis=1) & (left < theirs).any(axis=1)
+                rows[i] = row.tolist()
+                for flags, flag in zip(rows, col.tolist()):
+                    flags[i] = flag
+        else:
+            # One broadcast over the used rows.
             le = left[:, None, :] <= his[None, :, :]
             lt = left[:, None, :] < his[None, :, :]
             rows[:] = (le.all(axis=2) & lt.any(axis=2)).tolist()
-        else:
-            for i in live:
-                row = ((left[i] <= his).all(axis=1) & (left[i] < his).any(axis=1))
-                col = ((left <= his[i]).all(axis=1) & (left < his[i]).any(axis=1))
-                rows[i] = row.tolist()
-                for r, flag in enumerate(col.tolist()):
-                    rows[r][i] = flag
 
     # ------------------------------------------------------------------
     # queries

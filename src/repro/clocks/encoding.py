@@ -19,17 +19,26 @@ in integer entries, comparable with
 :func:`repro.sim.messages.payload_entries`; decoders invert exactly.
 The ablation bench measures realized savings on simulated report
 streams.
+
+Pricing never builds a payload: both pair encodings cost
+``1 + 2·#pairs`` and the pair count is one ``count_nonzero``
+(:func:`pair_cost`).  :func:`best_encoding`, the simulator's
+``WireCodec`` and the socket ``FrameCodec`` all price through it; only
+the scheme that won is then materialized, once, by :func:`pair_arrays`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .vector_clock import Timestamp, freeze
 
 __all__ = [
+    "pair_cost",
+    "pair_arrays",
+    "channel_reference",
     "encode_sparse",
     "decode_sparse",
     "encode_differential",
@@ -38,15 +47,53 @@ __all__ = [
 ]
 
 
+def _changed(ts: Timestamp, reference: Optional[Timestamp]) -> np.ndarray:
+    """What the pair encodings transmit: the non-zero components
+    (``reference is None``, sparse) or those differing from *reference*
+    (differential)."""
+    if reference is None:
+        return ts
+    if reference.shape != ts.shape:
+        raise ValueError("reference must have the same number of components")
+    return ts != reference
+
+
+def pair_cost(ts: Timestamp, reference: Optional[Timestamp] = None) -> int:
+    """Wire cost of the ``(index, value)`` pair encoding of *ts* against
+    *reference* (``None`` = all zeros, i.e. sparse): ``1 + 2·#pairs``
+    entries — one for the length-``n`` header so the decoder can rebuild
+    the vector, two per pair.  Counts; builds nothing."""
+    return 1 + 2 * int(np.count_nonzero(_changed(ts, reference)))
+
+
+def pair_arrays(
+    ts: Timestamp, reference: Optional[Timestamp] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The pair payload :func:`pair_cost` prices, as parallel
+    ``(indices, values)`` arrays."""
+    indices = np.flatnonzero(_changed(ts, reference))
+    return indices, ts[indices]
+
+
+def channel_reference(
+    previous: Optional[Timestamp], ts: Timestamp
+) -> Optional[Timestamp]:
+    """The differential reference a channel whose last timestamp was
+    *previous* offers for *ts*: a vector of another width (membership
+    changed) is no reference at all, so the chain restarts from
+    ``None``.  Every per-channel caller resolves its reference here, so
+    simulator pricing and socket encoding agree on width changes."""
+    if previous is not None and previous.shape != ts.shape:
+        return None
+    return previous
+
+
 def encode_sparse(ts: Timestamp) -> Tuple[list, int]:
     """``(index, value)`` pairs for non-zero components.
 
-    Wire cost: ``1 + 2·nnz`` entries (one for the length-``n`` header so
-    the decoder can rebuild the vector, two per pair).
+    Wire cost: ``1 + 2·nnz`` entries (see :func:`pair_cost`).
     """
-    indices = np.flatnonzero(ts)
-    payload = [(int(i), int(ts[i])) for i in indices]
-    return payload, 1 + 2 * len(payload)
+    return encode_differential(ts, None)
 
 
 def decode_sparse(payload: list, n: int) -> Timestamp:
@@ -65,12 +112,8 @@ def encode_differential(
     monotone stream only ever grow, so the decoder can apply changes on
     top of its copy of the reference.
     """
-    if reference is None:
-        return encode_sparse(ts)
-    if reference.shape != ts.shape:
-        raise ValueError("reference must have the same number of components")
-    changed = np.flatnonzero(ts != reference)
-    payload = [(int(i), int(ts[i])) for i in changed]
+    indices, values = pair_arrays(ts, reference)
+    payload = list(zip(indices.tolist(), values.tolist()))
     return payload, 1 + 2 * len(payload)
 
 
@@ -87,12 +130,14 @@ def decode_differential(
 
 def best_encoding(ts: Timestamp, reference: Optional[Timestamp]) -> Tuple[str, int]:
     """The cheapest of raw / sparse / differential for this timestamp,
-    as ``(name, entries)`` — what an adaptive sender would pick."""
-    n = int(ts.shape[0])
-    options = [("raw", n)]
-    _, sparse_cost = encode_sparse(ts)
-    options.append(("sparse", sparse_cost))
+    as ``(name, entries)`` — what an adaptive sender would pick.  Ties
+    go to the earlier scheme in that order."""
+    name, cost = "raw", int(ts.shape[0])
+    sparse = pair_cost(ts)
+    if sparse < cost:
+        name, cost = "sparse", sparse
     if reference is not None:
-        _, diff_cost = encode_differential(ts, reference)
-        options.append(("differential", diff_cost))
-    return min(options, key=lambda pair: pair[1])
+        differential = pair_cost(ts, reference)
+        if differential < cost:
+            name, cost = "differential", differential
+    return name, cost

@@ -294,13 +294,11 @@ class RepeatedDetectionCore:
 
     def _detect(self, updated: set) -> List[Solution]:
         start = self.stats.comparisons
-        try:
-            return self._detect_inner(updated)
-        finally:
-            if self.on_pair_tests is not None:
-                delta = self.stats.comparisons - start
-                if delta:
-                    self.on_pair_tests(delta)
+        found = self._detect_inner(updated)
+        delta = self.stats.comparisons - start
+        if delta and self.on_pair_tests is not None:
+            self.on_pair_tests(delta)
+        return found
 
     def _detect_inner(self, updated: set) -> List[Solution]:
         found: List[Solution] = []

@@ -83,10 +83,11 @@ import numpy as np
 
 from ..clocks.encoding import (
     best_encoding,
+    channel_reference,
     decode_differential,
     decode_sparse,
     encode_differential,
-    encode_sparse,
+    pair_arrays,
 )
 from ..sim.serialize import message_from_dict, message_to_dict
 from ..sim.wirepack import (
@@ -96,9 +97,9 @@ from ..sim.wirepack import (
     TAG_ACK,
     TAG_JSON,
     pack_message,
+    pack_pairs,
     read_uvarint,
     unpack_message,
-    write_svarint,
     write_uvarint,
 )
 
@@ -144,16 +145,6 @@ _SCHEME_BYTES = {
     "sparse": SCHEME_SPARSE,
     "differential": SCHEME_DIFFERENTIAL,
 }
-
-
-def _pack_pairs(pairs: list) -> bytes:
-    """``(index, value)`` pair list -> uvarint count + packed pairs."""
-    buf = bytearray()
-    write_uvarint(buf, len(pairs))
-    for index, value in pairs:
-        write_uvarint(buf, int(index))
-        write_svarint(buf, int(value))
-    return bytes(buf)
 
 
 class FrameCodec:
@@ -246,10 +237,7 @@ class FrameCodec:
                 tag, body = packed
                 flags = 0
                 if meta is not None:
-                    self._check_meta(meta)
-                    sidecar = json.dumps(meta, separators=(",", ":")).encode(
-                        "utf-8"
-                    )
+                    sidecar = self._dump_meta(meta)
                     trailer = bytearray()
                     write_uvarint(trailer, len(sidecar))
                     body = body + bytes(trailer) + sidecar
@@ -260,21 +248,24 @@ class FrameCodec:
             # compression here — the reference chain is owned by the
             # packed IntervalReport path.
             data = message_to_dict(message, include_parts=self.include_parts)
-            if meta is not None:
-                self._check_meta(meta)
-                data["_meta"] = meta
-            body = json.dumps(data, separators=(",", ":")).encode("utf-8")
-            return self._frame_packed(TAG_JSON, 0, body)
+            return self._frame_packed(TAG_JSON, 0, self._json_body(data, meta))
         data = message_to_dict(message, include_parts=self.include_parts)
         if self.compress and data["type"] == "IntervalReport":
             self._compress_interval(data["interval"])
-        if meta is not None:
-            self._check_meta(meta)
-            data["_meta"] = meta
-        return self._frame_json(data)
+        return self._frame_json(data, meta)
 
-    def _frame_json(self, data: dict) -> bytes:
+    def _json_body(self, data: dict, meta: Optional[dict] = None) -> bytes:
+        """*data* (never empty: it carries ``type``) as compact JSON,
+        with the sidecar as its last key ``_meta``.  The sidecar's bytes
+        are spliced in rather than dumped again inside *data*, so an
+        encode serializes (and measures) it exactly once."""
         body = json.dumps(data, separators=(",", ":")).encode("utf-8")
+        if meta is not None:
+            body = body[:-1] + b',"_meta":' + self._dump_meta(meta) + b"}"
+        return body
+
+    def _frame_json(self, data: dict, meta: Optional[dict] = None) -> bytes:
+        body = self._json_body(data, meta)
         if len(body) > self.max_frame:
             raise ValueError(
                 f"frame body of {len(body)} bytes exceeds max_frame "
@@ -290,46 +281,55 @@ class FrameCodec:
             )
         return _BIN_HEADER.pack(MAGIC_BINARY_V1, tag, flags, len(body)) + body
 
-    def _check_meta(self, meta) -> None:
-        """Validate a ``_meta`` sidecar on either side of the wire.
-
-        Only the *shape* (a JSON object) and *size* are checked — never
-        the keys, so newer peers may attach sidecar fields older peers
-        simply ignore."""
+    # -- ``_meta`` sidecar hygiene, either side of the wire -------------
+    # Only the *shape* (a JSON object) and *size* are checked — never the
+    # keys, so newer peers may attach sidecar fields older peers simply
+    # ignore.  The size is measured on bytes the caller already holds.
+    @staticmethod
+    def _require_meta_object(meta) -> None:
         if not isinstance(meta, dict):
             raise ValueError(
                 f"frame _meta sidecar must be a JSON object, got "
                 f"{type(meta).__name__}"
             )
-        size = len(json.dumps(meta, separators=(",", ":")).encode("utf-8"))
+
+    def _bound_meta(self, size: int) -> None:
         if size > self.max_meta:
             raise ValueError(
                 f"frame _meta sidecar of {size} bytes exceeds max_meta "
                 f"({self.max_meta})"
             )
 
+    def _dump_meta(self, meta) -> bytes:
+        """The validated sidecar bytes: the encoder's one dump."""
+        self._require_meta_object(meta)
+        sidecar = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+        self._bound_meta(len(sidecar))
+        return sidecar
+
     # -- timestamp channel state (shared by both wire formats) ---------
+    def _pick_scheme(
+        self, slot: int, ts: np.ndarray
+    ) -> Tuple[str, Optional[np.ndarray]]:
+        """Price *ts* against the channel reference (counting only — no
+        payload is built to choose) and advance the reference.  Returns
+        the winning scheme and what its pair payload is taken against:
+        the reference for differential, ``None`` (all zeros) otherwise."""
+        reference = channel_reference(self._enc_ref[slot], ts)
+        name, _ = best_encoding(ts, reference)
+        self.encodings[name] += 1
+        self._enc_ref[slot] = ts
+        return name, reference if name == "differential" else None
+
     def _encode_bound(self, slot: int, ts: np.ndarray) -> Tuple[int, bytes]:
         """Binary-path bounds hook: pick a scheme against the channel
         reference, advance it, emit packed bytes."""
         ts = np.asarray(ts, dtype=np.int64)
-        reference = self._enc_ref[slot]
-        if reference is not None and reference.shape != ts.shape:
-            reference = None
-        name = "raw"
-        if self.compress:
-            name, _ = best_encoding(ts, reference)
-        if name == "sparse":
-            pairs, _ = encode_sparse(ts)
-            payload = _pack_pairs(pairs)
-        elif name == "differential":
-            pairs, _ = encode_differential(ts, reference)
-            payload = _pack_pairs(pairs)
+        name, against = self._pick_scheme(slot, ts) if self.compress else ("raw", None)
+        if name == "raw":
+            payload = ts.astype(">i8").tobytes()
         else:
-            payload = np.ascontiguousarray(ts).astype(">i8").tobytes()
-        if self.compress:
-            self.encodings[name] += 1
-        self._enc_ref[slot] = ts
+            payload = pack_pairs(*pair_arrays(ts, against))
         return _SCHEME_BYTES[name], payload
 
     def _decode_bound(
@@ -358,19 +358,11 @@ class FrameCodec:
         data["n"] = len(data["lo"])
         for slot, bound in enumerate(("lo", "hi")):
             ts = np.asarray(data[bound], dtype=np.int64)
-            reference = self._enc_ref[slot]
-            if reference is not None and reference.shape != ts.shape:
-                reference = None
-            name, _ = best_encoding(ts, reference)
-            if name == "sparse":
-                payload, _ = encode_sparse(ts)
-            elif name == "differential":
-                payload, _ = encode_differential(ts, reference)
-            else:
-                payload = data[bound]
-            self.encodings[name] += 1
+            name, against = self._pick_scheme(slot, ts)
+            payload = data[bound]
+            if name != "raw":
+                payload, _ = encode_differential(ts, against)
             data[bound] = {"e": name, "p": payload}
-            self._enc_ref[slot] = ts
 
     # ------------------------------------------------------------------
     # decode
@@ -452,16 +444,12 @@ class FrameCodec:
         meta: Optional[dict] = None
         if flags & _FLAG_META:
             size, offset = read_uvarint(body, offset)
-            if size > self.max_meta:
-                raise ValueError(
-                    f"frame _meta sidecar of {size} bytes exceeds max_meta "
-                    f"({self.max_meta})"
-                )
+            self._bound_meta(size)
             end = offset + size
             if end > len(body):
                 raise ValueError("truncated _meta sidecar in packed frame")
             meta = json.loads(body[offset:end].decode("utf-8"))
-            self._check_meta(meta)
+            self._require_meta_object(meta)
             offset = end
         if offset != len(body):
             raise ValueError(
@@ -477,7 +465,12 @@ class FrameCodec:
             return data, None
         meta = data.pop("_meta", None)
         if meta is not None:
-            self._check_meta(meta)
+            self._require_meta_object(meta)
+            # The sidecar is a substring of the body in hand, so a body
+            # within max_meta cannot hold an oversized one; only a longer
+            # body needs the sidecar measured on its own.
+            if len(body) > self.max_meta:
+                self._bound_meta(len(json.dumps(meta, separators=(",", ":"))))
         if kind == "IntervalReport":
             self._decompress_interval(data["interval"])
         return message_from_dict(data), meta

@@ -1,7 +1,9 @@
 """Discrete-event simulation kernel.
 
-A minimal, deterministic DES: a binary heap of timed callbacks with a
-monotone tie-break counter.  Determinism is a first-class requirement
+A minimal, deterministic DES: a binary heap of ``(time, tie, event)``
+tuples — ``tie`` is a monotone counter, so the pair is a strict total
+order and every sift comparison is a C-level tuple compare that never
+reaches the event object.  Determinism is a first-class requirement
 (DESIGN.md §4): all randomness flows through named
 ``numpy.random.Generator`` streams forked from a single seed, so a
 ``(seed, workload, topology)`` triple reproduces the exact same trace,
@@ -13,7 +15,7 @@ from __future__ import annotations
 import heapq
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,15 +28,18 @@ __all__ = ["Simulator", "ScheduledEvent"]
 SimSeed = Union[int, np.random.SeedSequence]
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class ScheduledEvent:
+    """Cancel-handle for one scheduled callback.  Ordering lives in the
+    simulator's heap entries, not here."""
+
     time: float
     tie: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
+    action: Callable[[], None]
+    cancelled: bool = False
     #: owning simulator while the event sits in its heap; cleared on pop
     #: so late cancels of executed events don't skew the tombstone count
-    _sim: Optional["Simulator"] = field(compare=False, default=None, repr=False)
+    _sim: Optional["Simulator"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         if self.cancelled:
@@ -76,7 +81,7 @@ class Simulator:
         self._seedseq: Optional[np.random.SeedSequence] = (
             seed if isinstance(seed, np.random.SeedSequence) else None
         )
-        self._heap: list[ScheduledEvent] = []
+        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._tie = 0
         self._cancelled_in_heap = 0
         self.heap_compactions = 0
@@ -124,9 +129,10 @@ class Simulator:
     def schedule_at(self, time: float, action: Callable[[], None]) -> ScheduledEvent:
         if time < self.now:
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
-        event = ScheduledEvent(time=time, tie=self._tie, action=action, _sim=self)
-        self._tie += 1
-        heapq.heappush(self._heap, event)
+        tie = self._tie
+        self._tie = tie + 1
+        event = ScheduledEvent(time, tie, action, False, self)
+        heapq.heappush(self._heap, (time, tie, event))
         return event
 
     # ------------------------------------------------------------------
@@ -150,7 +156,7 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        self._heap = [e for e in self._heap if not e.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self.heap_compactions += 1
@@ -159,7 +165,7 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event; False when none remain."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             event._sim = None
             if event.cancelled:
                 self._cancelled_in_heap -= 1
@@ -176,7 +182,7 @@ class Simulator:
         while self._heap:
             if max_events is not None and executed >= max_events:
                 return
-            head = self._heap[0]
+            head = self._heap[0][2]
             if head.cancelled:
                 heapq.heappop(self._heap)
                 head._sim = None

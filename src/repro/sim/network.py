@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from ..clocks.encoding import best_encoding
+from ..clocks.encoding import best_encoding, channel_reference
 from .kernel import Simulator
 from .messages import IntervalReport, payload_entries
 
@@ -113,11 +113,13 @@ class WireCodec:
     reference advances).
 
     Only the *entries* accounting changes: the simulator still delivers
-    the original message object, so detection output is untouched.
-    Encoding is priced **once per report**: the memo (a small LRU keyed
-    by ``(origin, dest, transport_seq, interval.key())``) lets the
-    centralized baseline's hop-by-hop forwarding charge every hop
-    without re-encoding at each one.
+    the original message object, so detection output is untouched, and
+    pricing only counts components (:func:`~repro.clocks.encoding.pair_cost`)
+    — no payload is ever built.  A report is priced **once**: the memo
+    (a small LRU keyed by ``(origin, dest, transport_seq)``, holding the
+    interval it priced so a recycled sequence number after a
+    re-attachment can never hit) lets the centralized baseline's
+    hop-by-hop forwarding charge every hop without re-pricing at each.
     """
 
     __slots__ = ("_refs", "_memo", "_memo_capacity", "encoded_reports", "memo_hits")
@@ -132,20 +134,21 @@ class WireCodec:
     def entries(self, message: IntervalReport) -> int:
         """Wire cost of *message* in integer entries (bounds + 2 ids + seq)."""
         interval = message.interval
-        memo_key = (message.origin, message.dest, message.transport_seq, interval.key())
+        channel = (message.origin, message.dest)
+        memo_key = (*channel, message.transport_seq)
         memo = self._memo
         cached = memo.get(memo_key)
-        if cached is not None:
+        if cached is not None and cached[0] is interval:
             self.memo_hits += 1
             memo.move_to_end(memo_key)
-            return cached
-        channel = (message.origin, message.dest)
+            return cached[1]
+        lo, hi = interval.lo, interval.hi
         lo_ref, hi_ref = self._refs.get(channel, (None, None))
-        _, lo_cost = best_encoding(interval.lo, lo_ref)
-        _, hi_cost = best_encoding(interval.hi, hi_ref)
+        _, lo_cost = best_encoding(lo, channel_reference(lo_ref, lo))
+        _, hi_cost = best_encoding(hi, channel_reference(hi_ref, hi))
         entries = lo_cost + hi_cost + 3
-        self._refs[channel] = (interval.lo, interval.hi)
-        memo[memo_key] = entries
+        self._refs[channel] = (lo, hi)
+        memo[memo_key] = (interval, entries)
         if len(memo) > self._memo_capacity:
             memo.popitem(last=False)
         self.encoded_reports += 1

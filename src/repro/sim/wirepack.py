@@ -41,7 +41,7 @@ types unknown to the packer), so packed message tags start at 1.
 from __future__ import annotations
 
 import json
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +66,7 @@ __all__ = [
     "read_uvarint",
     "write_svarint",
     "read_svarint",
+    "pack_pairs",
     "pack_message",
     "unpack_message",
     "default_decode_bound",
@@ -164,11 +165,16 @@ def read_svarint(data: bytes, offset: int) -> Tuple[int, int]:
 # ----------------------------------------------------------------------
 # bounds (timestamp vectors)
 # ----------------------------------------------------------------------
-def _write_pairs(buf: bytearray, pairs: List[Tuple[int, int]]) -> None:
-    write_uvarint(buf, len(pairs))
-    for index, value in pairs:
-        write_uvarint(buf, int(index))
-        write_svarint(buf, int(value))
+def pack_pairs(indices: np.ndarray, values: np.ndarray) -> bytes:
+    """A sparse/differential payload — parallel index/value arrays, as
+    :func:`repro.clocks.encoding.pair_arrays` builds them — packed as
+    ``uvarint count`` + ``count`` × (``uvarint index, svarint value``)."""
+    buf = bytearray()
+    write_uvarint(buf, len(indices))
+    for index, value in zip(indices.tolist(), values.tolist()):
+        write_uvarint(buf, index)
+        write_svarint(buf, value)
+    return bytes(buf)
 
 
 def _pack_bound(

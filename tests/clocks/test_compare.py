@@ -190,3 +190,95 @@ class TestKeyManagement:
         mat.set_head("a", *bounds([0, 0], [1, 1]))
         with pytest.raises(ValueError):
             mat.set_head("a", freeze([0, 0, 0]), freeze([1, 1, 1]))
+
+
+class TestRandomizedEquivalence:
+    """Random add/remove/set/clear sequences against a ``vc_less`` model:
+    every query answers what per-pair recomputation from the raw bounds
+    answers, across capacity growth and row reuse, and tables are only
+    ever recomputed after a head changed."""
+
+    @staticmethod
+    def _check_queries(mat, model, order):
+        present = [k for k in order if model[k] is not None]
+        assert mat.present_keys() == present
+        for a in present:
+            lo_a, hi_a = model[a]
+            rest = [b for b in present if b != a]
+            others, x_lt, y_lt = mat.partners(a)
+            assert others == rest
+            assert x_lt == [vc_less(lo_a, model[b][1]) for b in rest]
+            assert y_lt == [vc_less(model[b][0], hi_a) for b in rest]
+            others, flags = mat.dominators(a)
+            assert others == rest
+            assert flags == [vc_less(model[b][1], hi_a) for b in rest]
+            for b in rest:
+                assert mat.lo_less_hi(a, b) == vc_less(lo_a, model[b][1])
+                assert mat.hi_less_hi(a, b) == vc_less(hi_a, model[b][1])
+
+    @pytest.mark.parametrize("n", [1, 7, 85])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sequences_match_vc_less(self, n, seed):
+        rng = np.random.default_rng([seed, n])
+        mat, model, order = HeadMatrix(), {}, []
+        next_key = 0
+        for step in range(400):
+            op = rng.integers(0, 10)
+            if (op == 0 and len(order) < 20) or not order:
+                mat.add_key(next_key)
+                model[next_key] = None
+                order.append(next_key)
+                next_key += 1
+                changed = False
+            elif op == 1 and len(order) > 1:
+                key = order.pop(int(rng.integers(0, len(order))))
+                mat.remove_key(key)
+                del model[key]
+                changed = False
+            elif op == 2:
+                key = order[int(rng.integers(0, len(order)))]
+                mat.clear_head(key)
+                model[key] = None
+                changed = False
+            else:
+                # Small values on purpose: equal and incomparable bounds
+                # are common, so strictness and both directions matter.
+                key = order[int(rng.integers(0, len(order)))]
+                lo = freeze(rng.integers(0, 3, n))
+                hi = freeze(np.asarray(lo) + rng.integers(0, 3, n))
+                mat.set_head(key, lo, hi)
+                model[key] = (lo, hi)
+                changed = True
+            before = mat.refreshes
+            self._check_queries(mat, model, order)
+            if not changed:
+                # add/remove/clear invalidate nothing that is still read
+                assert mat.refreshes == before
+            else:
+                assert mat.refreshes <= before + 2  # at most one per table
+            settled = mat.refreshes
+            self._check_queries(mat, model, order)
+            assert mat.refreshes == settled
+        assert next_key > 8  # the sequence crossed the initial capacity
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 9, 16, 20])
+    def test_single_and_bulk_changes_at_every_size(self, k, rng):
+        # One dirty head takes the row/column path on tables of four or
+        # more rows, many dirty heads the broadcast: both must agree with
+        # the model at every k, including right at the capacity edge.
+        n = 7
+        mat = HeadMatrix(range(k))
+        model = {}
+        for key in range(k):
+            lo = freeze(rng.integers(0, 4, n))
+            model[key] = (lo, freeze(np.asarray(lo) + rng.integers(0, 4, n)))
+            mat.set_head(key, *model[key])
+        self._check_queries(mat, model, list(range(k)))
+        for key in rng.permutation(k):
+            lo = freeze(rng.integers(0, 4, n))
+            model[int(key)] = (lo, freeze(np.asarray(lo) + rng.integers(0, 4, n)))
+            mat.set_head(int(key), *model[int(key)])
+            before_rows = mat.refreshed_rows
+            self._check_queries(mat, model, list(range(k)))
+            if k > 1:
+                assert mat.refreshed_rows == before_rows + 2  # this head, each table

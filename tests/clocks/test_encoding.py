@@ -1,6 +1,7 @@
 """Unit + property tests: timestamp compression."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from repro.clocks import (
     encode_sparse,
     freeze,
 )
+from repro.clocks.encoding import channel_reference, pair_arrays, pair_cost
 
 vectors = st.lists(st.integers(0, 50), min_size=1, max_size=16).map(freeze)
 
@@ -56,8 +58,6 @@ class TestDifferential:
         assert encode_differential(ts, None) == encode_sparse(ts)
 
     def test_shape_mismatch_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             encode_differential(freeze([1, 2]), freeze([1, 2, 3]))
 
@@ -178,3 +178,85 @@ class TestAdversarialRoundTrip:
             assert decoded.tolist() == clock.tolist()
             ref = freeze(decoded)
             clock = clock + (step % 2)  # alternate no-change / bump-all
+
+
+def _built_best_encoding(ts, reference):
+    """The pricing this module used before the count-only kernel: build
+    every candidate payload, read its length, first minimum wins."""
+    options = [("raw", len(ts)), ("sparse", encode_sparse(ts)[1])]
+    if reference is not None:
+        options.append(("differential", encode_differential(ts, reference)[1]))
+    return min(options, key=lambda pair: pair[1])
+
+
+class TestCostKernel:
+    """``pair_cost`` counts what the encoders build; ``best_encoding``
+    prices through it and must pick exactly what payload-building
+    pricing picked."""
+
+    @settings(max_examples=200)
+    @given(adversarial_vectors, st.data())
+    def test_cost_equals_built_entries(self, ref, data):
+        bumps = data.draw(
+            st.lists(
+                st.one_of(st.just(0), st.integers(0, 2), st.integers(2**40, 2**61)),
+                min_size=len(ref),
+                max_size=len(ref),
+            )
+        )
+        ts = freeze(np.asarray(ref, dtype=np.int64) + np.asarray(bumps, dtype=np.int64))
+        for against in (None, ref, ts):
+            payload, entries = encode_differential(ts, against)
+            assert pair_cost(ts, against) == entries == 1 + 2 * len(payload)
+            indices, values = pair_arrays(ts, against)
+            assert list(zip(indices.tolist(), values.tolist())) == payload
+        assert pair_cost(ts) == encode_sparse(ts)[1]
+        assert best_encoding(ts, None) == _built_best_encoding(ts, None)
+        assert best_encoding(ts, ref) == _built_best_encoding(ts, ref)
+
+    @settings(max_examples=100)
+    @given(adversarial_vectors)
+    def test_choice_unchanged_along_a_reference_chain(self, ts):
+        ref = None
+        clock = np.array(ts, dtype=np.int64)
+        for step, bump in enumerate((0, 1, 0, 2**40, 1)):  # no-change, tick, jump
+            frozen = freeze(clock)
+            assert best_encoding(frozen, ref) == _built_best_encoding(frozen, ref)
+            ref = frozen
+            clock = clock.copy()
+            clock[step % len(clock)] += bump
+
+    @pytest.mark.parametrize(
+        "ts, ref, expected",
+        [
+            ([0] * 12, None, ("sparse", 1)),  # all zeros
+            ([0] * 12, [0] * 12, ("sparse", 1)),  # sparse/differential tie -> sparse
+            ([41], None, ("raw", 1)),  # single entry: raw/sparse-beats nothing
+            ([41], [41], ("raw", 1)),  # raw/differential tie at 1 -> raw
+            ([0], [0], ("raw", 1)),  # three-way tie -> raw
+            ([1, 1, 0], None, ("raw", 3)),  # sparse would cost 5
+            ([1, 0, 0], None, ("raw", 3)),  # raw/sparse tie at 3 -> raw
+            ([1, 0, 0, 0], [0, 0, 0, 0], ("sparse", 3)),  # sparse/differential tie
+            ([5, 5, 5, 6], [5, 5, 5, 5], ("differential", 3)),
+            ([1, 2**62, 1, 1], [1, 1, 1, 1], ("differential", 3)),  # 2**62 delta
+        ],
+    )
+    def test_ties_go_raw_then_sparse_then_differential(self, ts, ref, expected):
+        ts = freeze(ts)
+        ref = None if ref is None else freeze(ref)
+        assert best_encoding(ts, ref) == expected == _built_best_encoding(ts, ref)
+
+    def test_shape_mismatch_is_the_same_error_everywhere(self):
+        ts, wide = freeze([1, 2]), freeze([1, 2, 3])
+        for price in (pair_cost, pair_arrays, best_encoding, encode_differential):
+            with pytest.raises(ValueError, match="same number of components"):
+                price(ts, wide)
+
+    def test_channel_reference_restarts_on_width_change(self):
+        previous, ts = freeze([1, 2]), freeze([1, 2, 3])
+        assert channel_reference(None, ts) is None
+        assert channel_reference(previous, previous) is previous
+        assert channel_reference(previous, ts) is None
+        # ...which is what makes the next price a from-scratch one
+        restarted = channel_reference(previous, ts)
+        assert best_encoding(ts, restarted) == best_encoding(ts, None)

@@ -494,3 +494,99 @@ class TestBinaryMeta:
     def test_meta_frames_reject_meta(self):
         with pytest.raises(ValueError):
             _binary().encode({"type": ACK_TYPE, "n": 1}, meta={"span": [0, 0]})
+
+
+def _golden_stream(count=50, n=12):
+    """A fixed report stream on one channel that visits every scheme:
+    sparse early (mostly-zero clocks), differential while one or two
+    components tick, raw after a burst touches every component, a
+    2**62 component, a vector-width change mid-stream, provenance on
+    every third report and a ``_meta`` sidecar on every fifth."""
+    rng = np.random.default_rng(20130520)
+    lo = np.zeros(n, dtype=np.int64)
+    stream = []
+    for seq in range(count):
+        if seq == 30:
+            n += 3  # membership grew: the reference chain must reset
+            lo = np.concatenate([lo, np.zeros(3, dtype=np.int64)])
+        if seq % 10 == 9:
+            lo = lo + rng.integers(1, 4, size=n)  # burst: everything moved
+        else:
+            lo = lo.copy()
+            lo[rng.integers(0, n, size=int(rng.integers(0, 3)))] += 1
+        if seq == 40:
+            lo[2] = 2**62
+        hi = lo.copy()
+        hi[rng.integers(0, n, size=2)] += 1
+        parts = ()
+        if seq % 3 == 0:
+            parts = (
+                _interval(owner=7, seq=seq, lo=lo, hi=lo),
+                _interval(owner=8, seq=seq, lo=hi, hi=hi),
+            )
+        interval = _interval(
+            owner=3, seq=seq, lo=lo, hi=hi, members=frozenset({3, 7, 8}), parts=parts
+        )
+        report = IntervalReport(origin=3, dest=1, interval=interval, transport_seq=seq)
+        meta = {"span": seq, "epochs": [seq, seq + 1]} if seq % 5 == 0 else None
+        stream.append((report, meta))
+    return stream
+
+
+class TestGoldenFrames:
+    """The wire format did not move: sha256 over the concatenated frames
+    of :func:`_golden_stream`, recorded before the count-only cost
+    kernel replaced the payload-building one."""
+
+    GOLDEN = {
+        ("binary", True, True): (
+            10856,
+            "bc4eb77842af14e568de772250735c7f276a7037918b19f87c042c13e22af5e6",
+        ),
+        ("binary", True, False): (
+            3384,
+            "354113a852f192b10369d881ae01379faa1191cdfc9cb4f1c5eb60cf9a58734a",
+        ),
+        ("binary", False, True): (
+            19316,
+            "b8aba5a8ab58f4630629ab742a2fd6ee39308d833650a7ddde0fd4f68fea914c",
+        ),
+        ("binary", False, False): (
+            11844,
+            "afe2d7ecf8383cf7e12114a3bf21423341abda9e591f79a045b43083369b9d48",
+        ),
+        ("json", True, True): (
+            15457,
+            "de5c728db769bdebffbfe621876f2a07f405ab380d31aabb8360d05ba7320dcb",
+        ),
+        ("json", True, False): (
+            11423,
+            "dcfd93c167c929536cb6ce8169afe00cd53a77ad87fdfc7b3677f3639e49f4c1",
+        ),
+        ("json", False, True): (
+            14251,
+            "6ef219102c0585eca0017ad0b5418d2f543769db5d1c0e6c01ee12b87fc71f29",
+        ),
+        ("json", False, False): (
+            10217,
+            "aedca34f70499a1239476477850d339b3fddcd09419a263490a1bd15722b6754",
+        ),
+    }
+
+    @pytest.mark.parametrize("wire", ["binary", "json"])
+    @pytest.mark.parametrize("compress", [True, False])
+    @pytest.mark.parametrize("include_parts", [True, False])
+    def test_frames_are_byte_identical(self, wire, compress, include_parts):
+        import hashlib
+
+        enc = FrameCodec(wire=wire, compress=compress, include_parts=include_parts)
+        frames = b"".join(enc.encode(report, meta) for report, meta in _golden_stream())
+        digest = hashlib.sha256(frames).hexdigest()
+        assert (len(frames), digest) == self.GOLDEN[wire, compress, include_parts]
+        if compress:
+            assert set(enc.encodings) == {"raw", "sparse", "differential"}
+        dec = FrameCodec(wire=wire, compress=compress, include_parts=include_parts)
+        decoded = dec.feed_meta(frames)
+        assert [m for _, m in decoded] == [m for _, m in _golden_stream()]
+        for (got, _), (sent, _) in zip(decoded, _golden_stream()):
+            assert got.interval.key() == sent.interval.key()

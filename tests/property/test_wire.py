@@ -10,10 +10,13 @@ reconnect)."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clocks.encoding import channel_reference
 from repro.intervals import Interval
 from repro.net import FrameCodec
 from repro.sim.messages import (
@@ -32,6 +35,8 @@ from repro.sim.wirepack import (
     write_svarint,
     write_uvarint,
 )
+
+from ..clocks.test_encoding import _built_best_encoding
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -275,3 +280,31 @@ class TestReferenceChains:
         enc, dec = FrameCodec(wire=wire), FrameCodec()  # reconnect
         for report in reports[cut:]:
             assert_messages_equal(report, dec.decode(enc.encode(report)))
+
+
+class TestCountOnlyPricing:
+    """Codec and simulator price a chained report stream through the
+    same count-only kernel: per bound, the scheme and the entry count
+    are exactly what building both payloads and reading their lengths
+    gave, and the simulator charges what the codec's choices cost."""
+
+    @SETTINGS
+    @given(report_streams(), st.sampled_from(["json", "binary"]))
+    def test_codec_and_simulator_agree_with_built_payloads(self, reports, wire):
+        from repro.sim.network import WireCodec
+
+        enc, priced = FrameCodec(wire=wire), WireCodec()
+        refs = [None, None]
+        for report in reports:
+            before = dict(enc.encodings)
+            enc.encode(report)
+            bounds = (report.interval.lo, report.interval.hi)
+            picks = [
+                _built_best_encoding(ts, channel_reference(ref, ts))
+                for ts, ref in zip(bounds, refs)
+            ]
+            refs = list(bounds)
+            chosen = Counter(enc.encodings)
+            chosen.subtract(before)
+            assert +chosen == Counter(name for name, _ in picks)
+            assert priced.entries(report) == sum(cost for _, cost in picks) + 3

@@ -219,3 +219,84 @@ class TestSeedDerivation:
         b = Simulator(seed=parent).rng("net").random(3)
         assert not (a == b).all()
         assert np.allclose(a, [0.2444005, 0.07503477, 0.22662143])
+
+
+class TestTupleHeap:
+    """The heap orders ``(time, tie, event)`` tuples: ``(time, tie)`` is
+    a strict total order, so the event object is never compared."""
+
+    def test_equal_times_never_compare_events_or_actions(self):
+        # Handles carry no ordering of their own; with equal times the
+        # tie counter alone decides, for any kind of callable.
+        sim = Simulator()
+        fired = []
+
+        class Action:
+            def __init__(self, name):
+                self.name = name
+
+            def __call__(self):
+                fired.append(self.name)
+
+        handles = [sim.schedule_at(2.0, Action(i)) for i in range(64)]
+        with pytest.raises(TypeError):
+            handles[0] < handles[1]
+        sim.run()
+        assert fired == list(range(64))
+
+    def test_equal_time_events_scheduled_while_running_go_last(self):
+        sim = Simulator()
+        fired = []
+
+        def first():
+            fired.append("first")
+            sim.schedule(0.0, lambda: fired.append("child"))
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, lambda: fired.append("second"))
+        sim.run()
+        assert fired == ["first", "second", "child"]
+
+    def test_cancel_then_compact_keeps_entries_and_order(self):
+        sim = Simulator()
+        fired = []
+        handles = [
+            sim.schedule(float(i % 5), lambda i=i: fired.append(i)) for i in range(400)
+        ]
+        for i, handle in enumerate(handles):
+            if i % 4:
+                handle.cancel()
+        assert sim.heap_compactions >= 1
+        assert all(
+            entry[:2] == (entry[2].time, entry[2].tie) for entry in sim._heap
+        )
+        assert sim.pending == 100
+        # Cancelling after a compaction still counts against the rebuilt heap.
+        handles[0].cancel()
+        assert sim.pending == 99
+        sim.run()
+        assert fired == sorted(range(4, 400, 4), key=lambda i: (i % 5, i))
+        assert sim.pending == 0 and not sim._heap
+
+    def test_int_seed_delivery_order_is_pinned(self):
+        # A whole run, not just a stream prefix: delays drawn from the
+        # legacy int-seed "net" stream, events at colliding and distinct
+        # times, a third of them cancelled.  Recorded on the dataclass
+        # heap this kernel replaced.
+        import hashlib
+
+        sim = Simulator(seed=3)
+        rng = sim.rng("net")
+        fired = []
+        handles = []
+        for i in range(300):
+            delay = round(float(rng.uniform(0.5, 1.5)), 1)
+            handles.append(sim.schedule(delay, lambda i=i: fired.append(i)))
+        for handle in handles[::3]:
+            handle.cancel()
+        sim.run()
+        assert len(fired) == 200 and sim.events_executed == 200
+        digest = hashlib.sha256(",".join(map(str, fired)).encode()).hexdigest()
+        assert digest == (
+            "05bae05d5e4d978e08d0d09a6bed33aec6afd027c2276eeeb246107788592dd8"
+        )

@@ -188,6 +188,44 @@ class TestWireEncoding:
         net.send(1, 2, self._report(1, 2, 0, [5] * 4, [6] * 4), plane="control")
         assert net.bandwidth_entries("control") == 2 * dense_first
 
+    def test_repricing_after_vector_width_change(self):
+        # Membership grew between two reports on one channel: the old
+        # bounds are no reference for the wider vectors (the frame codec
+        # restarts its chain there), so the report prices from scratch
+        # instead of failing on a shape mismatch.
+        from repro.net import FrameCodec
+
+        sim = Simulator(seed=0)
+        net = Network(sim, line_graph(), uniform_delay(), wire_encoding=True)
+        frames = FrameCodec(wire="binary")
+        narrow = self._report(0, 1, 0, [3, 0, 0, 0], [4, 0, 0, 0])
+        wide = self._report(0, 1, 1, [3, 0, 0, 0, 0, 0], [4, 0, 0, 0, 0, 0])
+        again = self._report(0, 1, 2, [3, 0, 0, 0, 0, 1], [4, 0, 0, 0, 0, 1])
+        costs = []
+        for report in (narrow, wide, again):
+            before = net.bandwidth_entries("control")
+            net.send(0, 1, report, plane="control")
+            frames.encode(report)
+            costs.append(net.bandwidth_entries("control") - before)
+        fresh = Network(
+            Simulator(seed=0), line_graph(), uniform_delay(), wire_encoding=True
+        )
+        fresh.send(0, 1, wide, plane="control")
+        assert costs[1] == fresh.bandwidth_entries("control") == (1 + 2) * 2 + 3
+        # ...and the chain resumes at the new width: one changed component.
+        assert costs[2] == (1 + 2) * 2 + 3
+        assert frames.encodings == {"sparse": 4, "differential": 2}
+
+    def test_recycled_transport_seq_is_never_a_memo_hit(self):
+        # transport_seq restarts at 0 on a re-attachment; the memo holds
+        # the interval it priced, so the recycled key reprices.
+        sim = Simulator(seed=0)
+        net = Network(sim, line_graph(), uniform_delay(), wire_encoding=True)
+        net.send(0, 1, self._report(0, 1, 0, [5] * 4, [6] * 4), plane="control")
+        recycled = self._report(0, 1, 0, [7, 0, 0, 0], [8, 0, 0, 0], iv_seq=9)
+        net.send(0, 1, recycled, plane="control")
+        assert net.codec.encoded_reports == 2 and net.codec.memo_hits == 0
+
     def test_delivery_payload_untouched(self):
         sim = Simulator(seed=0)
         net = Network(sim, line_graph(), uniform_delay(), wire_encoding=True)

@@ -211,6 +211,10 @@ class HierarchicalRole:
     def on_local_interval(self, interval: Interval) -> None:
         self._handle(self.core.offer_local(interval))
 
+    def has_child(self, pid: int) -> bool:
+        """Whether reports from *pid* are currently accepted."""
+        return pid in self._buffers
+
     def on_control_message(self, src: int, message: object) -> None:
         if isinstance(message, IntervalReport):
             buffer = self._buffers.get(src)

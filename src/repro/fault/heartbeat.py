@@ -15,6 +15,14 @@ The timeout must exceed ``period + max one-hop delay`` or live peers
 get falsely suspected; the defaults leave a generous margin.  (With
 crash-stop failures and reliable channels a suspicion is always
 accurate once that bound holds.)
+
+Silence is the only signal the simulator has, but a host with real
+connections can hold *evidence*: a peer it had a session with now
+refuses the redial.  :meth:`HeartbeatMonitor.peer_down` takes that
+report and declares the peer suspected through the same code the tick
+uses — under crash-stop it is accurate and needs no synchrony bound, so
+it can only be earlier than the timeout, never different from it.  The
+``suspect`` event's ``cause`` says which of the two fired.
 """
 
 from __future__ import annotations
@@ -96,6 +104,28 @@ class HeartbeatMonitor:
     def stop(self) -> None:
         self._running = False
 
+    def peer_down(self, peer: int) -> None:
+        """The host's transport holds evidence that *peer* is gone (a
+        refused redial on an established link).  Ignored unless *peer*
+        is a watched neighbour this running monitor has not suspected
+        yet — the same conditions the timeout path checks."""
+        if self._running and peer in self._last_seen:
+            self._suspect(peer, self._last_seen[peer], "refused")
+
+    def _suspect(self, peer: int, last_seen: float, cause: str) -> None:
+        if peer in self._suspected:
+            return
+        self._suspected.add(peer)
+        self._c_suspicions[self.owner] += 1
+        self.sim.emit(
+            "suspect",
+            node=self.owner,
+            peer=peer,
+            last_seen=round(last_seen, 3),
+            cause=cause,
+        )
+        self._on_suspect(peer)
+
     def _tick(self) -> None:
         if not self._running:
             return
@@ -106,11 +136,6 @@ class HeartbeatMonitor:
         self._c_beats[self.owner] += len(peers)
         deadline = self.sim.now - self.timeout
         for peer, last in list(self._last_seen.items()):
-            if last < deadline and peer not in self._suspected:
-                self._suspected.add(peer)
-                self._c_suspicions[self.owner] += 1
-                self.sim.emit(
-                    "suspect", node=self.owner, peer=peer, last_seen=round(last, 3)
-                )
-                self._on_suspect(peer)
+            if last < deadline:
+                self._suspect(peer, last, "timeout")
         self.sim.schedule(self.period, self._tick)

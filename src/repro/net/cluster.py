@@ -20,9 +20,12 @@ trees, same intervals, and (by the detection core's interleaving
 confluence) the same solutions.
 
 Fault tolerance is exercised for real: :meth:`kill_node` stops a node's
-role and sockets mid-run; surviving peers notice via missed socket
-heartbeats, their :class:`~repro.fault.HeartbeatMonitor` reports the
-suspicion, and the stock repair machinery
+role and sockets mid-run; surviving neighbours' transports see their
+redial refused (evidence — milliseconds) or, for a failure that leaves
+the listener up, their heartbeats go unanswered (silence — the
+``heartbeat`` timeout); either way the
+:class:`~repro.fault.HeartbeatMonitor` reports the suspicion, and the
+stock repair machinery
 (:func:`repro.topology.repair.apply_repair`) rewires the tree.  The only
 network-specific twist is :class:`_ClusterCoordinator`: on a wall clock
 a loaded machine can stall past a heartbeat timeout, so a suspicion
@@ -90,8 +93,11 @@ class ClusterSpec:
     seed: int = 1
     transport: str = "tcp"  # "tcp" | "loopback"
     host: str = "127.0.0.1"
-    #: wall-clock heartbeat timing; the default suspects a dead peer
-    #: within ~2 s while tolerating multi-hundred-ms scheduler stalls
+    #: wall-clock heartbeat timing; the default suspects a *silent*
+    #: peer (partition, hung process, dead host) within ~2 s while
+    #: tolerating multi-hundred-ms scheduler stalls.  A crash that
+    #: closes the peer's listener does not wait for it: the refused
+    #: redial is reported at once (see :mod:`repro.net.transport`).
     heartbeat: HeartbeatSpec = field(
         default_factory=lambda: HeartbeatSpec(period=0.25, loss_tolerance=7)
     )
@@ -185,6 +191,9 @@ class _ClusterCoordinator(RepairCoordinator):
     * a suspicion against a live node is *forgiven* (event
       ``false_suspicion``) instead of raising — on real machines a GC
       pause or CI stall can outlast any sane heartbeat timeout;
+    * a plan still waiting out its repair latency when
+      :meth:`LocalCluster.stop` is called is abandoned with the nodes
+      it would have rewired;
     * once a plan is applied, survivors drop the dead peer's transport
       link so writer tasks stop redialling a closed listener;
     * repair milestones feed the observability plane: each plan's
@@ -209,6 +218,8 @@ class _ClusterCoordinator(RepairCoordinator):
         super().report_failure(failed, reporter)
 
     def _apply(self, plan) -> None:
+        if self.cluster._stopped:
+            return
         super()._apply(plan)
         self.cluster._disconnect(plan.failed)
         duration = self.sim.now - self._planned_at.get(plan.failed, self.sim.now)
@@ -252,6 +263,9 @@ class LocalCluster:
         self._hub = LoopbackHub() if spec.transport == "loopback" else None
         self._admin_server: Optional[asyncio.AbstractServer] = None
         self._offer_handles: List[object] = []
+        #: transport teardowns started by :meth:`kill_node`, per victim;
+        #: awaited (and their exceptions raised) by :meth:`stop`
+        self._kill_tasks: Dict[int, asyncio.Task] = {}
         self._started = False
         self._stopped = False
         self.scopes: Dict[int, ClockScope] = {}
@@ -410,7 +424,7 @@ class LocalCluster:
             self._start_flight_recorders()
         if self.spec.slo is not None and self.spec.slo.enabled:
             self._slo_handle = self.clock.schedule(
-                self.spec.slo_check_interval, self._check_slo
+                self.spec.slo_check_interval, self._slo_tick
             )
         self.clock.emit("cluster_started", nodes=self.tree.n)
 
@@ -567,7 +581,9 @@ class LocalCluster:
         if not runtime.alive:
             return
         runtime.kill()
-        asyncio.get_running_loop().create_task(runtime.transport.stop())
+        self._kill_tasks[pid] = asyncio.get_running_loop().create_task(
+            runtime.transport.stop()
+        )
 
     def _disconnect(self, failed: int) -> None:
         """Post-repair: survivors forget the dead peer's address."""
@@ -579,18 +595,13 @@ class LocalCluster:
         if self._stopped:
             return
         self._stopped = True
+        # Every role stops before any transport closes: a survivor whose
+        # monitor still ran would take each closing listener for a crash
+        # and re-plan the tree around the teardown.
+        for runtime in self.runtimes.values():
+            runtime.kill(reason="node_stopped")
         if self.load_session is not None:
             self.load_session.stop()
-        if self._stranding_watchdog is not None:
-            # Strandings often resolve exactly at drain (the pending
-            # sweep reaping a shed-broken epoch's survivors) — after
-            # the last periodic check ran. One final look, while the
-            # flight recorders are still open to snapshot the breach.
-            breach = self._stranding_watchdog.check()
-            if breach is not None:
-                self._breach(
-                    "stranded_epoch_rate", breach["value"], breach["threshold"]
-                )
         for unsubscribe in self._congestion_unsubs:
             unsubscribe()
         self._congestion_unsubs = []
@@ -599,18 +610,31 @@ class LocalCluster:
         if self._slo_handle is not None:
             self._slo_handle.cancel()
             self._slo_handle = None
+            # One final look, while the flight recorders are still open
+            # to snapshot a breach: strandings often resolve exactly at
+            # drain (the pending sweep reaping a shed-broken epoch's
+            # survivors), and a run shorter than one check interval
+            # would otherwise never be checked at all.
+            self._check_slo()
         if self._admin_server is not None:
             self._admin_server.close()
             await self._admin_server.wait_closed()
             self._admin_server = None
         if self.profiler is not None:
             self.profiler.stop()
-        for runtime in self.runtimes.values():
-            await runtime.shutdown()
+        killed = await asyncio.gather(
+            *self._kill_tasks.values(), return_exceptions=True
+        )
+        for pid, runtime in self.runtimes.items():
+            if pid not in self._kill_tasks:
+                await runtime.transport.stop()
         self.clock.emit("cluster_stopped", detections=len(self.detections))
         for recorder in self.flight_recorders.values():
             recorder.snapshot("shutdown")
             recorder.close()
+        for outcome in killed:
+            if isinstance(outcome, BaseException):
+                raise outcome
 
     # ------------------------------------------------------------------
     # SLO watchdog
@@ -630,9 +654,15 @@ class LocalCluster:
             threshold=threshold,
         )
 
-    def _check_slo(self) -> None:
+    def _slo_tick(self) -> None:
         if self._stopped:
             return
+        self._check_slo()
+        self._slo_handle = self.clock.schedule(
+            self.spec.slo_check_interval, self._slo_tick
+        )
+
+    def _check_slo(self) -> None:
         slo = self.spec.slo
         if slo.detection_latency_p99 is not None:
             for pid, scope in self.scopes.items():
@@ -665,9 +695,6 @@ class LocalCluster:
                 self._breach(
                     "stranded_epoch_rate", breach["value"], breach["threshold"]
                 )
-        self._slo_handle = self.clock.schedule(
-            self.spec.slo_check_interval, self._check_slo
-        )
 
     # ------------------------------------------------------------------
     # introspection / admin

@@ -39,6 +39,14 @@ the receiver.  The runtime repairs this at the transport boundary:
   (:mod:`repro.obs.cluster`) later re-parents the sender's report span
   beneath the hop — reconnecting the trace across process boundaries.
 
+Peer-death evidence
+-------------------
+The transport reports a peer it holds proof is gone (a refused redial,
+a hub detach — see :mod:`repro.net.transport`); the runtime hands that
+to the role's :class:`~repro.fault.HeartbeatMonitor`, which suspects
+the peer through the same path a heartbeat timeout takes.  A killed
+node ignores the reports, exactly as it ignores inbound frames.
+
 With a shared tracker the key is already registered, so no hop spans
 appear and behavior is byte-identical to the pre-scope runtime.
 """
@@ -106,8 +114,9 @@ class NodeRuntime:
         )
         self._count_stale = clock.telemetry.registry.counter_handle(
             "repro_net_stale_frames_total",
-            "Redelivered (stale/duplicate) frames rejected by reorder "
-            "buffers after reconnects.",
+            "Frames dropped as stale: duplicates rejected by reorder "
+            "buffers after reconnects, and reports from a node that is "
+            "no longer a child.",
             ("node",),
             key=node_id,
         )
@@ -122,6 +131,7 @@ class NodeRuntime:
         )
         self.role.bind(self)
         transport.set_receiver(self._on_message)
+        transport.set_peer_down_handler(self._on_peer_down)
 
     # ------------------------------------------------------------------
     # the MonitoredProcess surface the role needs
@@ -224,8 +234,17 @@ class NodeRuntime:
     # ------------------------------------------------------------------
     # inbound dispatch
     # ------------------------------------------------------------------
+    def _on_peer_down(self, peer: int) -> None:
+        if self.alive and self.role.monitor is not None:
+            self.role.monitor.peer_down(peer)
+
     def _on_message(self, src: int, message: object, meta: Optional[dict] = None) -> None:
         if not self.alive:
+            return
+        if isinstance(message, IntervalReport) and not self.role.has_child(src):
+            # Decoded after repair removed the sender's queue (a dead
+            # child's last frames can outlive it in a socket buffer).
+            self._stale(src, f"report from {src}, which is not a child")
             return
         if meta is not None:
             self._record_hop(src, message, meta)
@@ -234,10 +253,11 @@ class NodeRuntime:
         except ValueError as exc:
             # Reorder buffers reject replayed transport_seqs after a
             # reconnect — that's the at-least-once tax, not a fault.
-            self._count_stale()
-            self.sim.emit(
-                "net_stale_frame", node=self.pid, src=src, error=str(exc)
-            )
+            self._stale(src, str(exc))
+
+    def _stale(self, src: int, error: str) -> None:
+        self._count_stale()
+        self.sim.emit("net_stale_frame", node=self.pid, src=src, error=error)
 
     def _record_hop(self, src: int, message: object, meta: dict) -> None:
         """Register the received aggregate under its span key as a

@@ -23,6 +23,15 @@ retransmission at the role layer's reorder semantics, and because a
 drop here models exactly the lossy-channel case the paper's detector
 already survives.
 
+Peer-death evidence is part of the contract: a transport that holds
+*proof* a peer is gone — not silence, which only a timeout can judge —
+reports it through the handler installed with
+:meth:`Transport.set_peer_down_handler`.  For TCP the proof is a
+refused redial on a link that had completed its hello (the listener we
+once had a session with no longer exists); EOF alone is not, because a
+connection can flap while the peer lives.  For loopback it is the
+peer's detach from the hub.  Each episode is reported once.
+
 The sim :class:`~repro.sim.network.Network` registers
 ``repro_net_sent_total`` etc. with different labels, so the socket
 metrics use their own distinct names (``repro_net_bytes_sent_total``,
@@ -86,6 +95,11 @@ class Transport(Protocol):
 
     def set_receiver(self, receiver: Receiver) -> None:
         """Install the inbound dispatch callback ``(src, message[, meta])``."""
+
+    def set_peer_down_handler(self, handler: Callable[[int], None]) -> None:
+        """Install the peer-death callback ``(peer)``: called once per
+        episode when the transport holds evidence (see module docstring)
+        that a peer it had a session with is gone."""
 
     def send(self, dst: int, message: object, meta: Optional[dict] = None) -> None:
         """Enqueue *message* for *dst* (non-blocking, fire-and-forget).
@@ -219,7 +233,13 @@ class LoopbackHub:
         self.transports[transport.node_id] = transport
 
     def detach(self, node_id: int) -> None:
-        self.transports.pop(node_id, None)
+        """Remove *node_id* from the wire; every transport still
+        attached learns its peer is gone (the loopback analogue of a
+        refused redial)."""
+        if self.transports.pop(node_id, None) is None:
+            return
+        for transport in list(self.transports.values()):
+            transport._peer_down(node_id)
 
 
 class LoopbackTransport:
@@ -260,6 +280,7 @@ class LoopbackTransport:
         self.low_water = low_water
         self.instruments = _Instruments(clock)
         self.receiver: Optional[Receiver] = None
+        self.peer_down_handler: Optional[Callable[[int], None]] = None
         self._encoders: Dict[int, FrameCodec] = {}
         self._decoders: Dict[int, FrameCodec] = {}
         self._outbufs: Dict[int, bytearray] = {}
@@ -270,6 +291,13 @@ class LoopbackTransport:
 
     def set_receiver(self, receiver: Receiver) -> None:
         self.receiver = _adapt_receiver(receiver)
+
+    def set_peer_down_handler(self, handler: Callable[[int], None]) -> None:
+        self.peer_down_handler = handler
+
+    def _peer_down(self, peer: int) -> None:
+        if self._running and self.peer_down_handler is not None:
+            self.peer_down_handler(peer)
 
     async def start(self) -> None:
         self.hub.attach(self)
@@ -395,6 +423,10 @@ class _PeerLink:
         self._congested_since: Optional[float] = None
         self.task: Optional[asyncio.Task] = None
         self.closing = False
+        #: True from a completed hello until the peer's death has been
+        #: reported: a refusal is evidence only against a listener we
+        #: once had a session with, and one episode is reported once.
+        self.session = False
         # Per-connection state: pending[:_sent] is written-but-unacked.
         self._sent = 0
         self._acked = 0
@@ -443,7 +475,10 @@ class _PeerLink:
         while not self.closing:
             try:
                 reader, writer = await asyncio.open_connection(*self.address)
-            except OSError:
+            except OSError as exc:
+                if self.session and isinstance(exc, ConnectionRefusedError):
+                    self.session = False
+                    owner._peer_down(self.peer)
                 await asyncio.sleep(backoff * (1.0 + float(rng.random())))
                 backoff = min(backoff * 2.0, owner.backoff_cap)
                 continue
@@ -465,6 +500,7 @@ class _PeerLink:
                     )
                 )
                 await writer.drain()
+                self.session = True
                 # The pump writes, the ack loop confirms (and doubles as
                 # the connection-death detector via read EOF).  Either
                 # one finishing means this connection is over.
@@ -612,6 +648,7 @@ class TcpTransport:
         self.negotiated: Dict[int, Dict[str, object]] = {}
         self.instruments = _Instruments(clock)
         self.receiver: Optional[Receiver] = None
+        self.peer_down_handler: Optional[Callable[[int], None]] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._links: Dict[int, _PeerLink] = {}
         self._inbound: List[asyncio.Task] = []
@@ -620,6 +657,13 @@ class TcpTransport:
     # ------------------------------------------------------------------
     def set_receiver(self, receiver: Receiver) -> None:
         self.receiver = _adapt_receiver(receiver)
+
+    def set_peer_down_handler(self, handler: Callable[[int], None]) -> None:
+        self.peer_down_handler = handler
+
+    def _peer_down(self, peer: int) -> None:
+        if self._running and self.peer_down_handler is not None:
+            self.peer_down_handler(peer)
 
     @property
     def address(self) -> Tuple[str, int]:

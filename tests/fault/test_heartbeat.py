@@ -89,3 +89,53 @@ class TestHeartbeats:
         monitors[0].stop()
         sim.run(until=60.0)
         assert suspects[0] == []
+
+
+class TestPeerDownEvidence:
+    """``peer_down`` is one more caller of the suspicion the tick
+    declares: same callback, same counter, same event — only earlier,
+    and only for a watched, not-yet-suspected peer of a running
+    monitor."""
+
+    def _suspicions(self, sim):
+        return [(r.node, r.get("peer"), r.get("cause")) for r in sim.log.of_kind("suspect")]
+
+    def test_evidence_suspects_a_watched_peer_at_once(self):
+        sim, net, monitors, suspects = make_monitors()
+        monitors[0].add_peer(1)
+        monitors[0].start()
+        monitors[0].peer_down(1)
+        assert suspects[0] == [1] and monitors[0].is_suspected(1)
+        assert self._suspicions(sim) == [(0, 1, "refused")]
+        assert sim.telemetry.registry.get("repro_suspicions_total")[0] == 1
+        # The timeout reaches the same peer later and adds nothing.
+        sim.run(until=60.0)
+        assert suspects[0] == [1]
+        assert sim.telemetry.registry.get("repro_suspicions_total")[0] == 1
+
+    def test_timeout_suspicion_names_its_cause(self):
+        sim, net, monitors, suspects = make_monitors()
+        monitors[0].add_peer(1)
+        monitors[0].start()  # peer 1 never answers
+        sim.run(until=60.0)
+        assert self._suspicions(sim) == [(0, 1, "timeout")]
+        monitors[0].peer_down(1)  # already suspected: ignored
+        assert suspects[0] == [1]
+
+    def test_evidence_about_a_non_neighbour_is_ignored(self):
+        sim, net, monitors, suspects = make_monitors(n=3)
+        monitors[0].add_peer(1)
+        monitors[0].start()
+        monitors[0].peer_down(2)
+        monitors[0].remove_peer(1)
+        monitors[0].peer_down(1)  # no longer a neighbour
+        assert suspects[0] == [] and not sim.log.of_kind("suspect")
+
+    def test_evidence_to_a_stopped_monitor_is_ignored(self):
+        sim, net, monitors, suspects = make_monitors()
+        monitors[0].add_peer(1)
+        monitors[0].peer_down(1)  # never started
+        monitors[0].start()
+        monitors[0].stop()
+        monitors[0].peer_down(1)
+        assert suspects[0] == [] and not sim.log.of_kind("suspect")

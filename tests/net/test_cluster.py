@@ -6,8 +6,9 @@ The headline claims of the ``repro.net`` subsystem:
   cluster yields the *identical ordered solution set* (the detection
   core is confluent over per-source-ordered interleavings, so any
   divergence would be a networking bug);
-* killing a node mid-run triggers real heartbeat-driven repair, and
-  detection continues over the survivors (the paper's fault-tolerance
+* killing a node mid-run triggers real repair (suspicion on the
+  transport's evidence, or on heartbeat silence), and detection
+  continues over the survivors (the paper's fault-tolerance
   property, on actual transports).
 
 Loopback transports keep these tests free of port races; the TCP path
@@ -131,15 +132,27 @@ class TestKill:
             cluster = LocalCluster(spec)
             await cluster.start()
             cluster.kill_node(6)
-            await asyncio.sleep(0.05)
-            status = cluster.status()
+            # Read in the same loop step as the kill: no repair can
+            # have run yet, however fast suspicion is.
+            killed = cluster.status()
+            deadline = cluster.clock.now + 60
+            while 6 not in cluster.status()["repairs"]:
+                assert cluster.clock.now < deadline, "no repair planned"
+                await asyncio.sleep(0.01)
+            while 6 in cluster.tree.nodes:
+                assert cluster.clock.now < deadline, "repair never applied"
+                await asyncio.sleep(0.01)
+            repaired = cluster.status()
             await cluster.stop()
-            return status
+            return killed, repaired
 
-        status = run(scenario())
-        assert status["nodes"] == 7
-        assert 6 not in status["alive"]
-        assert set(status["alive"]) == {0, 1, 2, 3, 4, 5}
+        killed, repaired = run(scenario())
+        assert killed["nodes"] == 7 and killed["repairs"] == []
+        assert set(killed["alive"]) == {0, 1, 2, 3, 4, 5}
+        # Once the repair applied, the victim has left the tree too.
+        assert repaired["nodes"] == 6 and repaired["repairs"] == [6]
+        assert set(repaired["alive"]) == {0, 1, 2, 3, 4, 5}
+        assert repaired["false_suspicions"] == 0
 
 
 class TestTcpSmall:

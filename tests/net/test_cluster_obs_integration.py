@@ -27,10 +27,11 @@ def _spec(tmp_path) -> ClusterSpec:
         degree=2,
         seed=1,
         transport="tcp",
-        # The offer stream must outlive the kill -> repair window
-        # (~0.5 s): survivors keep producing fresh intervals after the
-        # repair applies, so a post-repair detection is guaranteed
-        # rather than racing the victim's final report flush.
+        # The offer stream must outlive the kill -> repair window (tens
+        # of ms on the evidence path, ~0.3 s had only the heartbeat
+        # timeout fired): survivors keep producing fresh intervals
+        # after the repair applies, so a post-repair detection is
+        # guaranteed rather than racing the victim's final report flush.
         interval_spacing=0.05,
         start_delay=0.05,
         repair_latency=0.02,
@@ -63,6 +64,13 @@ async def _scenario(tmp_path):
         VICTIM not in d.members for d in cluster.detections[before:]
     ):
         assert cluster.clock.now < deadline, "no post-kill detection"
+        await asyncio.sleep(0.01)
+
+    # Kill -> repair -> recovery can finish inside one
+    # slo_check_interval; the watchdog's breach must be on the log
+    # before the live scrape below can be expected to carry it.
+    while not cluster.log.of_kind("slo_breach"):
+        assert cluster.clock.now < deadline, "SLO watchdog never breached"
         await asyncio.sleep(0.01)
 
     # Scrape over the real admin TCP endpoint while the cluster runs.

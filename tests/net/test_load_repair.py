@@ -1,8 +1,9 @@
 """Integration: traffic keeps flowing through a mid-run crash + repair.
 
 The load plane's fault-tolerance story on a real transport: a 7-node TCP
-cluster under open-loop traffic loses a leaf mid-run.  Heartbeats detect
-it, the tree repairs, dispatch drops the dead target immediately, the
+cluster under open-loop traffic loses a leaf mid-run.  Its parent's
+transport sees the redial refused, the monitor suspects it, the tree
+repairs, dispatch drops the dead target immediately, the
 admission gate sheds (never deadlocks) while the victim's pending offers
 clog the window, the pending sweep reaps them as ``dead-target``, and
 the epoch ledger books the waste with that cause.  Detection on the
@@ -85,7 +86,7 @@ class TestLoadThroughRepair:
                 ), "victim never received admitted work"
                 await asyncio.sleep(0.002)
 
-            # Real heartbeat-driven repair must fire.
+            # Real suspicion-driven repair must fire.
             while VICTIM not in cluster.coordinator.plans:
                 assert (
                     asyncio.get_running_loop().time() < deadline

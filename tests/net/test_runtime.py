@@ -147,6 +147,70 @@ class TestNodeRuntime:
         assert stale[0] == 1
         assert len(clock.log.of_kind("net_stale_frame")) == 1
 
+    def test_report_after_child_removed_is_dropped_and_counted(self):
+        async def scenario():
+            clock = AsyncClock()
+            hub = LoopbackHub()
+            detections = []
+            runtimes = _three_node_cluster(clock, hub, detections.append)
+            for runtime in runtimes.values():
+                await runtime.transport.start()
+                runtime.activate()
+            root = runtimes[0]
+            root.role.child_failed(1)  # what a repair does to a dead child
+            # The dead child's last report surfaces from a socket buffer
+            # only now, its queue and reorder buffer already gone.
+            late = IntervalReport(
+                origin=1, dest=0, interval=_interval(1, 0, 1, 2), transport_seq=0
+            )
+            root._on_message(1, late, {"span": [1, 1]})
+            hops = [s for s in clock.telemetry.spans.spans if s.name == "hop"]
+            for runtime in runtimes.values():
+                await runtime.shutdown()
+            return clock, detections, hops
+
+        clock, detections, hops = run(scenario())
+        assert detections == [] and hops == []
+        stale = clock.telemetry.registry.get("repro_net_stale_frames_total")
+        assert stale[0] == 1
+        (event,) = clock.log.of_kind("net_stale_frame")
+        assert event.node == 0 and event.get("src") == 1
+
+    def test_peer_down_reaches_the_monitor_unless_killed(self):
+        from repro.monitor import HeartbeatSpec
+
+        async def scenario():
+            clock = AsyncClock()
+            hub = LoopbackHub()
+            runtimes = {}
+            for pid, (parent, children) in {0: (None, [1]), 1: (0, [])}.items():
+                runtimes[pid] = NodeRuntime(
+                    pid,
+                    LoopbackTransport(pid, hub, clock),
+                    clock,
+                    parent=parent,
+                    children=children,
+                    heartbeat=HeartbeatSpec(period=5.0, loss_tolerance=3),
+                )
+            for runtime in runtimes.values():
+                await runtime.transport.start()
+                runtime.activate()
+            root, leaf = runtimes[0], runtimes[1]
+            # A dead node takes no evidence, like it takes no frames.
+            leaf.kill()
+            leaf.transport._peer_down(0)
+            assert not leaf.role.monitor.is_suspected(0)
+            # A live one suspects its neighbour when the hub loses it.
+            await leaf.transport.stop()
+            dropped = not root.role.has_child(1)  # standalone handling ran
+            await root.shutdown()
+            return clock, dropped
+
+        clock, dropped = run(scenario())
+        assert dropped
+        (event,) = clock.log.of_kind("suspect")
+        assert (event.node, event.get("peer"), event.get("cause")) == (0, 1, "refused")
+
     def test_killed_runtime_ignores_everything(self):
         async def scenario():
             clock = AsyncClock()

@@ -377,3 +377,151 @@ class TestNegotiation:
         by_type = clock.telemetry.registry.get("repro_net_bytes_total")
         assert by_type[(0, "Heartbeat")] > 0  # sender side, per message type
         assert by_type[(1, "__ack__")] > 0  # receiver side ack traffic
+
+
+class TestPeerDownEvidence:
+    """A transport reports a peer as down only on proof: a refused
+    redial on a link that completed its hello (TCP), a hub detach
+    (loopback) — once per episode, never on EOF alone, never for a peer
+    it has not had a session with."""
+
+    @staticmethod
+    async def _until(condition, what):
+        deadline = asyncio.get_running_loop().time() + 10
+        while not condition():
+            assert asyncio.get_running_loop().time() < deadline, what
+            await asyncio.sleep(0.005)
+
+    def test_refused_redial_after_a_session_is_reported_once_per_episode(self):
+        async def scenario():
+            clock = AsyncClock()
+            a = TcpTransport(0, clock, backoff_base=0.01, backoff_cap=0.02)
+            b = TcpTransport(1, clock)
+            down, got = [], []
+            a.set_peer_down_handler(down.append)
+            b.set_receiver(lambda src, msg: got.append(msg))
+            await a.start()
+            await b.start()
+            address = b.address
+            a.set_peers({1: address})
+            a.send(1, Heartbeat(sender=0))
+            await self._until(lambda: got, "no session established")
+
+            await b.stop()
+            await self._until(lambda: down, "refusal never reported")
+            # Several more refused redials of the same episode: silent.
+            await asyncio.sleep(0.15)
+            first_episode = list(down)
+
+            # The peer returns on the same port, a new session forms and
+            # dies again: that is a new episode, reported again.
+            b2 = TcpTransport(1, clock, port=address[1])
+            b2.set_receiver(lambda src, msg: got.append(msg))
+            await b2.start()
+            a.send(1, Heartbeat(sender=0))
+            await self._until(lambda: len(got) >= 2, "no second session")
+            await b2.stop()
+            await self._until(lambda: len(down) >= 2, "second episode unreported")
+            await asyncio.sleep(0.1)
+            await a.stop()
+            return first_episode, down
+
+        first_episode, down = run(scenario())
+        assert first_episode == [1]
+        assert down == [1, 1]
+
+    def test_connection_flap_with_listener_alive_is_not_evidence(self):
+        async def scenario():
+            clock = AsyncClock()
+            a = TcpTransport(0, clock, backoff_base=0.01)
+            b = TcpTransport(1, clock)
+            down, got = [], []
+            a.set_peer_down_handler(down.append)
+            b.set_receiver(lambda src, msg: got.append(msg))
+            await a.start()
+            await b.start()
+            a.set_peers({1: b.address})
+            a.send(1, Heartbeat(sender=0))
+            await self._until(lambda: got, "no session established")
+
+            # Reset the connection from the far side, listener still up:
+            # the link reads EOF, redials, and the redial succeeds.
+            for task in list(b._inbound):
+                task.cancel()
+            await self._until(
+                lambda: clock.log.of_kind("net_connection_lost"), "no EOF seen"
+            )
+            a.send(1, Heartbeat(sender=0))
+            await self._until(lambda: len(got) >= 2, "redial never delivered")
+            await a.stop()
+            await b.stop()
+            return clock, down
+
+        clock, down = run(scenario())
+        assert down == []
+        assert clock.telemetry.registry.get("repro_net_reconnects_total")[0] >= 2
+
+    def test_refusal_before_any_session_is_not_evidence(self):
+        async def scenario():
+            clock = AsyncClock()
+            a = TcpTransport(0, clock, backoff_base=0.01, backoff_cap=0.02)
+            b = TcpTransport(1, clock)
+            await b.start()
+            address = b.address
+            await b.stop()  # start-up ordering: the peer is not up yet
+            down, got = [], []
+            a.set_peer_down_handler(down.append)
+            await a.start()
+            a.set_peers({1: address})
+            a.send(1, Heartbeat(sender=0))
+            await asyncio.sleep(0.15)  # a handful of refused dials
+            b2 = TcpTransport(1, clock, port=address[1])
+            b2.set_receiver(lambda src, msg: got.append(msg))
+            await b2.start()
+            await self._until(lambda: got, "late peer never reached")
+            await a.stop()
+            await b2.stop()
+            return down
+
+        assert run(scenario()) == []
+
+    def test_own_stop_reports_nothing(self):
+        async def scenario():
+            clock = AsyncClock()
+            a = TcpTransport(0, clock, backoff_base=0.01)
+            b = TcpTransport(1, clock)
+            down, got = [], []
+            a.set_peer_down_handler(down.append)
+            b.set_receiver(lambda src, msg: got.append(msg))
+            await a.start()
+            await b.start()
+            a.set_peers({1: b.address})
+            a.send(1, Heartbeat(sender=0))
+            await self._until(lambda: got, "no session established")
+            await a.stop()
+            await b.stop()
+            await asyncio.sleep(0.05)
+            return down
+
+        assert run(scenario()) == []
+
+    def test_loopback_detach_is_reported_to_attached_peers_once(self):
+        async def scenario():
+            clock = AsyncClock()
+            hub = LoopbackHub()
+            transports = [LoopbackTransport(pid, hub, clock) for pid in range(3)]
+            down = {pid: [] for pid in range(3)}
+            for transport in transports:
+                transport.set_peer_down_handler(down[transport.node_id].append)
+                await transport.start()
+            await transports[2].stop()
+            await transports[2].stop()  # already detached: no second report
+            hub.detach(7)  # never attached: nothing to report
+            await transports[1].stop()
+            await transports[0].stop()
+            return down
+
+        down = run(scenario())
+        # 2 left while 0 and 1 were attached; 1 left while only 0 was;
+        # nobody hears of its own departure.
+        assert down == {0: [2, 1], 1: [2], 2: []}

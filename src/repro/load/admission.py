@@ -64,6 +64,11 @@ class AdmissionController:
         self.max_defers = max_defers
         self._probe = congestion_probe
         self.saturated = False
+        #: why the latest :meth:`decide` shed, as the session books it
+        #: (``None`` unless it returned ``"shed"``): the target's
+        #: congestion outranks the global gate here, whereas
+        #: ``repro_load_shed_total`` names the gate that fired first
+        self.shed_reason: Optional[str] = None
         self._congested: Set[int] = set()
 
         self.offered = registry.counter_vec(
@@ -115,29 +120,32 @@ class AdmissionController:
         never leads reality.
         """
         self.offered[target] += 1
+        self.shed_reason = None
         congested = self.target_congested(target)
         if self.saturated:
             if outstanding <= self.resume_outstanding and not congested:
                 self.saturated = False
                 self.clock.emit("load_shed_released", outstanding=outstanding)
             else:
-                return self._reject(offer, "saturated")
+                return self._reject(offer, "saturated", congested)
         if outstanding >= self.max_outstanding:
             self.saturated = True
             self.clock.emit(
                 "load_shed_engaged", outstanding=outstanding, reason="outstanding"
             )
-            return self._reject(offer, "saturated")
+            return self._reject(offer, "saturated", congested)
         if congested:
-            return self._reject(offer, "congested")
+            return self._reject(offer, "congested", congested)
         return "admit"
 
-    def _reject(self, offer, reason: str) -> str:
+    def _reject(self, offer, reason: str, congested: bool) -> str:
         if self.policy == "defer" and offer.attempts < self.max_defers:
             self.deferred.inc()
             return "defer"
         if self.policy == "defer":
-            reason = "defer-exhausted"
+            reason = self.shed_reason = "defer-exhausted"
+        else:
+            self.shed_reason = "congested" if congested else "saturated"
         self.shed[reason] += 1
         return "shed"
 

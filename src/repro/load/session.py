@@ -377,11 +377,7 @@ class LoadSession:
             self._deferred_in_flight += 1
             self.clock.schedule(self.load.defer_delay, lambda o=offer: self._retry(o))
         else:
-            reason = (
-                "defer-exhausted"
-                if self.load.policy == "defer" and offer.attempts >= self.load.max_defers
-                else ("congested" if self.admission.target_congested(target) else "saturated")
-            )
+            reason = self.admission.shed_reason
             self._count_shed(reason)
             self.epochs.note_shed(
                 epoch, offer.index, reason, self.clock.now, target=target

@@ -266,6 +266,9 @@ class LocalCluster:
         #: transport teardowns started by :meth:`kill_node`, per victim;
         #: awaited (and their exceptions raised) by :meth:`stop`
         self._kill_tasks: Dict[int, asyncio.Task] = {}
+        #: the teardown an admin ``stop`` command started; awaited (and
+        #: its exception raised) by every later :meth:`stop`
+        self._stop_task: Optional[asyncio.Task] = None
         self._started = False
         self._stopped = False
         self.scopes: Dict[int, ClockScope] = {}
@@ -593,6 +596,11 @@ class LocalCluster:
 
     async def stop(self) -> None:
         if self._stopped:
+            # An admin-started teardown may still be closing sockets:
+            # the caller must not return (and let the loop close) first.
+            task = self._stop_task
+            if task is not None and task is not asyncio.current_task():
+                await task
             return
         self._stopped = True
         # Every role stops before any transport closes: a survivor whose
@@ -826,6 +834,9 @@ class LocalCluster:
             self.kill_node(pid)
             return {"ok": True, "killed": pid}
         if cmd == "stop":
-            asyncio.get_running_loop().create_task(self.stop())
+            if self._stop_task is None:
+                self._stop_task = asyncio.get_running_loop().create_task(
+                    self.stop()
+                )
             return {"ok": True, "stopping": True}
         return {"ok": False, "error": f"unknown cmd {cmd!r}"}

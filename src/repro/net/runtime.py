@@ -32,7 +32,8 @@ the receiver.  The runtime repairs this at the transport boundary:
 
 * outbound ``IntervalReport`` frames carry the sender's report-span id
   in the frame's ``_meta`` sidecar (``{"span": [node, sid]}``);
-* on receipt, if the aggregate's span key is unknown locally, a ``hop``
+* on receipt, if the aggregate's span key is unknown locally (or names
+  a hop for another sender span — a dead incarnation's), a ``hop``
   placeholder span is recorded under that key, holding the remote
   ``(node, sid)`` coordinates.  The receiving role's ordinary adoption
   then parents the *hop* span, and the cluster aggregator
@@ -263,15 +264,25 @@ class NodeRuntime:
         """Register the received aggregate under its span key as a
         ``hop`` placeholder carrying the sender's span coordinates.
 
-        No-op when the key is already known — either the tracker is
-        shared (the sender's report span is right there) or this is an
-        at-least-once redelivery of a frame we already hopped."""
+        No-op when the key already names this artifact — either the
+        tracker is shared (the sender's report span is right there) or
+        this is an at-least-once redelivery of a frame we already
+        hopped.  A hop under the same key for a *different* sender span
+        is a dead incarnation's: a reborn detector numbers its
+        aggregates from 0 again, so the sender's span coordinates, not
+        the key, tell the two apart, and the new hop takes the key."""
         remote = meta.get("span")
         if not (isinstance(message, IntervalReport) and isinstance(remote, list)):
             return
+        remote_node, remote_sid = int(remote[0]), int(remote[1])
         spans = self.sim.telemetry.spans
         key = interval_key(message.interval)
-        if spans.get(key) is not None:
+        known = spans.get(key)
+        if known is not None and (
+            known.name != "hop"
+            or (known.attrs["remote_node"], known.attrs["remote_sid"])
+            == (remote_node, remote_sid)
+        ):
             return
         now = self.sim.now
         sampled = meta.get("sampled")
@@ -290,8 +301,8 @@ class NodeRuntime:
             key=key,
             sampled=None if sampled is None else bool(sampled),
             src=src,
-            remote_node=int(remote[0]),
-            remote_sid=int(remote[1]),
+            remote_node=remote_node,
+            remote_sid=remote_sid,
             seq=message.interval.seq,
             **attrs,
         )

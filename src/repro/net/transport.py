@@ -515,11 +515,14 @@ class _PeerLink:
                 for task in (pump, ack_loop):
                     if task is not None:
                         task.cancel()
+                # Closed before the first await: a cancellation landing
+                # in this block (our own stop() racing the peer's EOF)
+                # must not leave the socket open.
+                writer.close()
                 await asyncio.gather(
                     *(t for t in (pump, ack_loop) if t is not None),
                     return_exceptions=True,
                 )
-                writer.close()
                 try:
                     await writer.wait_closed()
                 except (ConnectionError, OSError, asyncio.CancelledError):

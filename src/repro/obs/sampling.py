@@ -83,11 +83,12 @@ class TraceSampler:
         """Head decision for the trace root identified by *key*.
 
         *key* is a span-registry key: for concrete intervals the
-        normalized ``(owner, seq, lo, hi)`` tuple, whose leading two
-        integers drive the fast path.  Any other hashable key falls
-        back to CRC-32 of its ``repr`` — slower but equally
-        deterministic across processes.  ``None`` (an unkeyed span)
-        cannot be decided reproducibly and is always kept.
+        ``(owner, seq)`` identity, whose two integers drive the fast
+        path (any longer tuple led by two integers decides the same).
+        Any other hashable key falls back to CRC-32 of its ``repr`` —
+        slower but equally deterministic across processes.  ``None``
+        (an unkeyed span) cannot be decided reproducibly and is always
+        kept.
         """
         threshold = self._threshold
         if threshold >= _SPACE:
@@ -111,7 +112,7 @@ class TraceSampler:
 
     def keep_interval(self, interval) -> bool:
         """Convenience: decision for a concrete/aggregated interval."""
-        return self.keep(interval.key())
+        return self.keep((interval.owner, interval.seq))
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

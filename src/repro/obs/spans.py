@@ -36,6 +36,10 @@ near-zero work:
   intervals completed) are derived from the queued lifecycle entries in
   one batched pass instead of two dict updates per core event, so the
   observer callback does no metric work at all;
+* a row is registered under its artifact's identity
+  (:func:`interval_key`: owner and sequence number, never the bounds),
+  so naming a span copies no timestamp and costs the same at any
+  system size;
 * marks fold as raw ``(time, event, node)`` tuples and are only
   formatted to ``"event@Pnode"`` labels when someone reads them;
 * :class:`Span` is a lazy **view** over a row, materialized on demand
@@ -64,13 +68,21 @@ __all__ = ["Span", "SpanTracker", "interval_key"]
 
 
 def interval_key(interval) -> tuple:
-    """Span-registry key for a (possibly aggregated) interval.
+    """Span-registry key for a (possibly aggregated) interval: its
+    identity ``(owner, seq)``, ``"agg"``-prefixed for an aggregate.
 
-    Namespaced by artifact type: a leaf's singleton aggregate has the
-    same bounds and sequence number as the concrete interval it wraps,
-    so ``Interval.key()`` alone would collide."""
-    kind = "agg" if getattr(interval, "is_aggregated", False) else "ivl"
-    return (kind, *interval.key())
+    The prefix is the artifact kind: a leaf's first aggregate and the
+    concrete interval it wraps are both ``(owner, 0)``.  The key never
+    touches the bounds, so registering a span costs the same at any
+    system size and keeps no timestamp alive.
+
+    Concrete sequence numbers never repeat (a revived process keeps its
+    numbering); a reborn detector restarts its aggregate numbering at 0,
+    and the registry is latest-wins, so lookups resolve to the live
+    incarnation's span."""
+    if interval.parts:
+        return ("agg", interval.owner, interval.seq)
+    return (interval.owner, interval.seq)
 
 
 # Row slots.  A row is one fixed-shape list — cheap to allocate, cheap
@@ -177,9 +189,9 @@ class Span:
         if attrs is None:
             attrs = {}
             key = row[_KEY]
-            if row[_NAME] == "interval" and type(key) is tuple and len(key) == 4:
+            if row[_NAME] == "interval" and type(key) is tuple and len(key) == 2:
                 # Fast-path interval rows skip the attrs dict at record
-                # time; owner/seq are recoverable from the identity key.
+                # time; the identity key *is* (owner, seq).
                 attrs = {"owner": key[0], "seq": key[1]}
             row[_ATTRS] = attrs
         return attrs
@@ -374,8 +386,6 @@ class SpanTracker:
             self.flush()
         sid = self._next_sid
         self._next_sid = sid + 1
-        if key is not None:
-            key = self._norm(key)
         row = [sid, name, node, start, None, None, attrs or None, None, key, sampled, None]
         self._rows.append(row)
         if key is not None:
@@ -455,13 +465,7 @@ class SpanTracker:
         )
         for interval, t0, tail, node in queue:
             if type(tail) is str:
-                # Lifecycle mark.  Aggregated intervals registered under
-                # a prefixed key (see _norm); the type check is explicit
-                # because concrete and aggregated keys share one shape.
-                key = interval.key()
-                if interval.parts:
-                    key = ("agg",) + key
-                row = by_key.get(key)
+                row = by_key.get(interval_key(interval))
                 if row is not None:
                     marks = row[_MARKS]
                     if marks is None:
@@ -469,7 +473,7 @@ class SpanTracker:
                     marks.append((t0, tail, node))
                 event = tail
             else:
-                key = interval.key()
+                key = interval_key(interval)
                 row = [sid, "interval", node, t0, tail, None, None, None, key, None, None]
                 sid += 1
                 rows.append(row)
@@ -505,21 +509,10 @@ class SpanTracker:
     # ------------------------------------------------------------------
     # lookup & parentage
     # ------------------------------------------------------------------
-    @staticmethod
-    def _norm(key: tuple):
-        """Interval keys store un-prefixed: ``interval_key`` output for a
-        concrete interval collapses to the cached ``Interval.key()``
-        tuple, so the hot path never builds a prefixed copy.  Aggregated
-        (``"agg"``-prefixed) and ad-hoc keys store verbatim — the two
-        namespaces cannot collide because their shapes differ."""
-        if type(key) is tuple and len(key) == 5 and key[0] == "ivl":
-            return key[1:]
-        return key
-
     def get(self, key: tuple) -> Optional[Span]:
         if self._queue:
             self.flush()
-        row = self._by_key.get(self._norm(key))
+        row = self._by_key.get(key)
         return None if row is None else self._view(row)
 
     def head_decision(self, key: tuple) -> bool:
@@ -528,7 +521,7 @@ class SpanTracker:
         sampler = self.sampler
         if sampler is None:
             return True
-        return sampler.keep(self._norm(key))
+        return sampler.keep(key)
 
     def adopt(self, parent: Span, child_key: tuple) -> bool:
         """Parent the span registered under *child_key* beneath *parent*
@@ -537,7 +530,7 @@ class SpanTracker:
         created."""
         if self._queue:
             self.flush()
-        child = self._by_key.get(self._norm(child_key))
+        child = self._by_key.get(child_key)
         if child is None or child[_PARENT] is not None or child is parent._row:
             return False
         child[_PARENT] = parent._row[_SID]

@@ -96,6 +96,43 @@ class TestDeferPolicy:
         assert shed["defer-exhausted"] == 1
 
 
+class TestShedReason:
+    """``decide`` names the shed reason the session books, from the one
+    congestion probe it made: congestion outranks the global gate
+    there, while ``repro_load_shed_total`` keeps the gate that fired."""
+
+    def test_reason_follows_the_single_probe(self):
+        probes = []
+        backed_up = set()
+
+        def probe(pid):
+            probes.append(pid)
+            return pid in backed_up
+
+        ctrl, sim = controller(congestion_probe=probe)
+        assert ctrl.decide(offer(), 1, outstanding=0) == "admit"
+        assert ctrl.shed_reason is None
+        backed_up.add(1)
+        assert ctrl.decide(offer(), 1, outstanding=0) == "shed"
+        assert ctrl.shed_reason == "congested"
+        assert ctrl.decide(offer(), 0, outstanding=8) == "shed"
+        assert ctrl.shed_reason == "saturated"
+        # gate latched *and* the target backed up: the session says
+        # congested, the controller's own counter says saturated
+        assert ctrl.decide(offer(), 1, outstanding=8) == "shed"
+        assert ctrl.shed_reason == "congested"
+        shed = sim.telemetry.registry.get("repro_load_shed_total")
+        assert dict(shed) == {"congested": 1, "saturated": 2}
+        assert probes == [1, 1, 0, 1]  # one probe per decision
+
+    def test_defer_policy_reasons(self):
+        ctrl, _ = controller(policy="defer", max_defers=1)
+        assert ctrl.decide(offer(attempts=0), 0, outstanding=8) == "defer"
+        assert ctrl.shed_reason is None
+        assert ctrl.decide(offer(attempts=1), 0, outstanding=8) == "shed"
+        assert ctrl.shed_reason == "defer-exhausted"
+
+
 class TestMetrics:
     def test_decision_counters(self):
         ctrl, sim = controller()

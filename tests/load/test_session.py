@@ -135,6 +135,34 @@ class TestAccounting:
         assert epochs["expired"] == epochs["offered_epochs"]
         assert epochs["in_flight"] == 0
 
+    def test_shed_reason_costs_one_congestion_probe_per_offer(self):
+        # node 1's uplink is backed up throughout: its offers shed as
+        # "congested", and intake asks the probe once per routed offer
+        streams = small_streams()
+        sim = Simulator(seed=1)
+        probes = []
+
+        def probe(pid):
+            probes.append(pid)
+            return pid == 1
+
+        session = LoadSession(
+            sim,
+            LoadSpec(rate=500.0, total_offers=30, start_delay=0.0),
+            streams,
+            lambda pid, iv: None,
+            registry=sim.telemetry.registry,
+            congestion_probe=probe,
+        )
+        session.start()
+        while sim.now < 1.0 and sim.step():
+            pass
+        session.stop()
+        summary = session.summary()
+        assert summary["offered"] == 30 == len(probes)
+        assert summary["shed_by_reason"] == {"congested": probes.count(1)}
+        assert summary["shed"] == probes.count(1) > 0
+
 
 class TestLiveCluster:
     def _spec(self, **load_overrides):

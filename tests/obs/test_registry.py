@@ -348,11 +348,7 @@ class TestFlushHooks:
         telemetry.spans.record("interval", 0.0, 1.0, node=0)
 
         class _Ivl:
-            parts = ()
-
-            @staticmethod
-            def key():
-                return (0, 1, b"lo", b"hi")
+            owner, seq, parts = 0, 1, ()
 
         telemetry.spans.record_interval(_Ivl, 0.0, 1.0, 0)
         # A registry read alone must fold the span queue.

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from repro.obs import DEFAULT_SAMPLE_RATE, SpanTracker, TraceSampler
+from repro.obs import DEFAULT_SAMPLE_RATE, SpanTracker, TraceSampler, interval_key
 
 
 def _interval_keys(count, owner=3):
@@ -97,11 +97,11 @@ class TestDecision:
 
     def test_keep_interval_uses_identity_key(self):
         class Fake:
-            def key(self):
-                return (2, 11, b"lo", b"hi")
+            owner, seq = 2, 11
 
-        sampler = TraceSampler(0.5, seed=3)
-        assert sampler.keep_interval(Fake()) == sampler.keep((2, 11, b"lo", b"hi"))
+        for seed in range(8):
+            sampler = TraceSampler(0.5, seed=seed)
+            assert sampler.keep_interval(Fake()) == sampler.keep((2, 11))
 
     def test_decisions_stable_across_hash_randomization(self):
         """Keep/drop must not depend on ``PYTHONHASHSEED`` — shard
@@ -150,13 +150,10 @@ class TestTrackerRetention:
         class Fake:
             parts = ()
 
-            def __init__(self, key):
-                self._key = key
+            def __init__(self, owner, seq):
+                self.owner, self.seq = owner, seq
 
-            def key(self):
-                return self._key
-
-        return Fake((owner, seq, b"lo", b"hi"))
+        return Fake(owner, seq)
 
     def test_unpromoted_intervals_drop_at_rate_zero(self):
         tracker = SpanTracker(sampler=TraceSampler(0.0))
@@ -175,7 +172,7 @@ class TestTrackerRetention:
         tracker.record_interval(adopted, 0.0, 1.0, 1)
         tracker.record_interval(bystander, 0.0, 1.0, 1)
         alarm = tracker.record("alarm", 2.0, 2.0, node=0)
-        assert tracker.adopt(alarm, adopted.key())
+        assert tracker.adopt(alarm, interval_key(adopted))
         names = [(s.name, s.parent) for s in tracker.spans]
         assert ("alarm", None) in names
         assert ("interval", alarm.sid) in names

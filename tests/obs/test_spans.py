@@ -50,28 +50,24 @@ class TestSpanTracker:
         assert "enqueued@P0" in tracker.render_tree(root)
 
     def test_interval_key_namespaces_by_aggregation(self):
-        class Fake:
-            def __init__(self, aggregated):
-                self.is_aggregated = aggregated
-
-            def key(self):
-                return (0, 1, b"lo", b"hi")
-
-        assert interval_key(Fake(False))[0] == "ivl"
-        assert interval_key(Fake(True))[0] == "agg"
-        assert interval_key(Fake(False)) != interval_key(Fake(True))
+        # A leaf's first aggregate wraps concrete interval (owner, 0):
+        # same owner, same seq, distinct keys — and the concrete key's
+        # two leading ints are what the head sampler mixes.
+        concrete = _FakeInterval(0, 1)
+        aggregate = _FakeInterval(0, 1, parts=(concrete,))
+        assert interval_key(concrete) == (0, 1)
+        assert interval_key(aggregate) == ("agg", 0, 1)
 
 
 class _FakeInterval:
-    """Minimal interval surface for queue tests: identity + parts."""
+    """Minimal interval surface for queue tests: identity + parts.
+    It has no ``key`` method: the telemetry plane must name an interval
+    without the one that copies both timestamps."""
 
     def __init__(self, owner, seq, parts=()):
         self.owner = owner
         self.seq = seq
         self.parts = parts
-
-    def key(self):
-        return (self.owner, self.seq, b"lo", b"hi")
 
 
 class TestQueueFold:
@@ -87,7 +83,7 @@ class TestQueueFold:
         spans = tracker.spans
         assert [s.name for s in spans] == ["interval"]
         assert spans[0].marks == [(0.5, "enqueued@P1")]
-        assert tracker.get(ivl.key()) is spans[0]
+        assert tracker.get(interval_key(ivl)) is spans[0]
 
     def test_begin_folds_first_so_sids_stay_chronological(self):
         tracker = SpanTracker()
@@ -96,13 +92,13 @@ class TestQueueFold:
         # The queued interval was recorded earlier, so it folds to the
         # lower sid — and is adoptable by the report right away.
         assert report.sid == 1
-        assert tracker.adopt(report, _FakeInterval(1, 0).key())
+        assert tracker.adopt(report, interval_key(_FakeInterval(1, 0)))
         assert tracker.spans[0].parent == report.sid
 
     def test_marks_on_aggregated_intervals_use_prefixed_key(self):
         tracker = SpanTracker()
         agg = _FakeInterval(0, 3, parts=(1, 2))
-        span = tracker.record("report", 0.0, 0.0, key=("agg",) + agg.key())
+        span = tracker.record("report", 0.0, 0.0, key=interval_key(agg))
         tracker.mark_interval(agg, 1.0, "enqueued", 0)
         assert tracker.spans  # fold
         assert span.marks == [(1.0, "enqueued@P0")]
@@ -152,7 +148,7 @@ class TestQueueFold:
         assert stats["recorded"] == 64
         assert stats["retained_rows"] <= 4 + 32  # capacity + chunk slack
         assert stats["evicted"] >= 1
-        assert tracker.get(_FakeInterval(1, 0).key()) is None
+        assert tracker.get(interval_key(_FakeInterval(1, 0))) is None
         # A late mark for an evicted interval is a no-op, not a crash.
         tracker.mark_interval(_FakeInterval(1, 0), 2.0, "enqueued", 1)
         tracker.flush()

@@ -52,8 +52,8 @@ class HeadMatrix:
     Keys are arbitrary hashables (the detection core's queue keys) and
     keep their insertion order, so partner enumeration matches the
     core's ``queues.items()`` iteration exactly — a requirement for
-    byte-identical prune streams between the scalar and vectorized
-    engines.
+    prune streams byte-identical to the per-pair oracle's
+    (:class:`~repro.detect.offline.ScalarReferenceCore`).
 
     ``refreshes`` / ``refreshed_rows`` count lazy recomputations; tests
     use them to assert the memoization/invalidation contract (a query

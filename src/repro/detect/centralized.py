@@ -75,13 +75,6 @@ class CentralizedSinkCore:
         order) and return any solutions it unlocks."""
         return self._core.offer(process_id, interval)
 
-    def offer_batch(self, items) -> List[Solution]:
-        """Deliver ``(process_id, interval)`` pairs in order through the
-        batched ingestion path (byte-identical to a loop of
-        :meth:`offer`; see
-        :meth:`~repro.detect.core.RepeatedDetectionCore.offer_batch`)."""
-        return self._core.offer_batch(items)
-
     def remove_process(self, process_id: int) -> List[Solution]:
         """Drop a failed process's queue.
 

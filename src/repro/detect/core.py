@@ -38,58 +38,35 @@ short-circuit, which misses the (vector-equality) boundary case; see
 DESIGN.md.  Both agree on all executions where ``max`` timestamps are
 distinct, which property tests confirm.
 
-Engines
--------
-The pair tests themselves run on one of two interchangeable engines:
+Pair tests
+----------
+The pair tests themselves are answered by a
+:class:`~repro.clocks.compare.HeadMatrix`: it keeps the current heads'
+bounds stacked and memoizes every pair result until a head changes, so
+an activation costs one batched numpy refresh per changed head plus
+cache lookups.  The core tells it about every head transition
+(``set_head`` / ``clear_head``) and every queue it gains or loses
+(``add_key`` / ``remove_key``) and reads ``partners`` / ``dominators``
+back — those six calls are the whole interface.
 
-* ``"matrix"`` (default) — a :class:`~repro.clocks.compare.HeadMatrix`
-  keeps the current heads' bounds stacked and memoizes every pair
-  result until a head changes, so an activation costs one batched
-  numpy refresh per changed head plus cache lookups;
-* ``"scalar"`` — the original per-pair :func:`~repro.clocks.vc_less`
-  calls, kept as the reference implementation the benchmarks and the
-  determinism suite compare against.
-
-Both engines produce byte-identical solutions, prune-event streams and
-``stats.comparisons`` counts: ``comparisons`` counts *logical* pair
-tests (each ``≮`` the algorithm consults, cached or not), which is the
-unit of the paper's time analysis.
+``stats.comparisons`` counts *logical* pair tests (each ``≮`` the
+algorithm consults, cached or not), which is the unit of the paper's
+time analysis.  The listing's literal reading — one
+:func:`~repro.clocks.vc_less` per test on the live heads — is kept as a
+test oracle, :class:`~repro.detect.offline.ScalarReferenceCore`, which
+must produce byte-identical solutions, prune-event streams and
+``comparisons`` counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional
+from typing import Dict, Hashable, Iterable, List
 
-from ..clocks import vc_less
 from ..clocks.compare import HeadMatrix
 from ..intervals import Interval, IntervalQueue
 from .base import CoreStats, Solution
 
-__all__ = [
-    "RepeatedDetectionCore",
-    "get_default_engine",
-    "set_default_engine",
-]
-
-_ENGINES = ("matrix", "scalar")
-_default_engine = "matrix"
-
-
-def get_default_engine() -> str:
-    """The engine cores use when constructed without an explicit one."""
-    return _default_engine
-
-
-def set_default_engine(name: str) -> None:
-    """Select the process-wide default comparison engine.
-
-    The benchmarks flip this to time the scalar reference path against
-    the vectorized one over identical workloads.
-    """
-    global _default_engine
-    if name not in _ENGINES:
-        raise ValueError(f"unknown engine {name!r}, expected one of {_ENGINES}")
-    _default_engine = name
+__all__ = ["RepeatedDetectionCore"]
 
 
 class RepeatedDetectionCore:
@@ -114,10 +91,6 @@ class RepeatedDetectionCore:
         ``"prune_solution"`` — the hook the telemetry layer
         (:mod:`repro.obs`) uses to mark spans without making the core
         impure (no I/O, no clock: the observer supplies its own).
-    engine:
-        ``"matrix"`` (memoized vectorized pair tests, the default) or
-        ``"scalar"`` (per-pair ``vc_less``).  ``None`` picks the
-        process default (:func:`get_default_engine`).
     on_pair_tests:
         Optional ``callback(count)`` invoked once per activation with
         the number of logical pair tests it performed — how the
@@ -132,7 +105,6 @@ class RepeatedDetectionCore:
         *,
         repeated: bool = True,
         observer=None,
-        engine: Optional[str] = None,
         on_pair_tests=None,
     ) -> None:
         self.queues: Dict[Hashable, IntervalQueue] = {
@@ -140,16 +112,11 @@ class RepeatedDetectionCore:
         }
         if not self.queues:
             raise ValueError("a detection core needs at least one queue")
-        if engine is None:
-            engine = _default_engine
-        elif engine not in _ENGINES:
-            raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
         self.detector_id = detector_id
         self.repeated = repeated
         self.observer = observer
-        self.engine = engine
         self.on_pair_tests = on_pair_tests
-        self._matrix = HeadMatrix(self.queues) if engine == "matrix" else None
+        self._matrix = HeadMatrix(self.queues)
         self.stats = CoreStats()
         self.solutions: List[Solution] = []
         self._halted = False
@@ -181,8 +148,7 @@ class RepeatedDetectionCore:
         if key in self.queues:
             raise KeyError(f"queue {key!r} already exists")
         self.queues[key] = IntervalQueue()
-        if self._matrix is not None:
-            self._matrix.add_key(key)
+        self._matrix.add_key(key)
 
     def remove_queue(self, key: Hashable) -> List[Solution]:
         """Drop a queue (child failed / detached).
@@ -192,8 +158,7 @@ class RepeatedDetectionCore:
         child.  We therefore re-run detection over all non-empty queues.
         """
         del self.queues[key]
-        if self._matrix is not None:
-            self._matrix.remove_key(key)
+        self._matrix.remove_key(key)
         if self._halted or not self.queues:
             return []
         updated = {k for k, q in self.queues.items() if q}
@@ -222,74 +187,19 @@ class RepeatedDetectionCore:
         # Line 2: only a fresh head can change the outcome of detection.
         if len(queue) != 1:
             return []
-        if self._matrix is not None:
-            self._matrix.set_head(key, interval.lo, interval.hi)
+        self._matrix.set_head(key, interval.lo, interval.hi)
         return self._detect({key})
-
-    def offer_batch(self, items) -> List[Solution]:
-        """Deliver many ``(key, interval)`` offers in one call.
-
-        Byte-identical to looping :meth:`offer` over *items* — same
-        solutions, same prune-event stream, same logical comparison
-        counts, same halting behaviour — but ingestion is batched:
-        consecutive offers that deepen an already non-empty queue never
-        activate detection (Algorithm 1 line 2), so whole runs of them
-        are bulk-enqueued through :meth:`IntervalQueue.extend
-        <repro.intervals.IntervalQueue.extend>` with no per-offer
-        Python dispatch and no :class:`~repro.clocks.compare.HeadMatrix`
-        traffic.  Only offers that expose a fresh head go through the
-        full detection path, so the matrix refreshes once per head
-        transition rather than being consulted per offer.
-
-        *items* must be an indexable sequence (a list of pairs); a
-        generator should be materialized by the caller.
-        """
-        found: List[Solution] = []
-        queues = self.queues
-        observer = self.observer
-        stats = self.stats
-        i, count = 0, len(items)
-        while i < count:
-            if self._halted:
-                # offer() drops input entirely once halted (one-shot
-                # cores "hang after the initial detection").
-                return found
-            key, interval = items[i]
-            queue = queues[key]
-            if not queue:
-                found.extend(self.offer(key, interval))
-                i += 1
-                continue
-            # Run of consecutive same-key offers onto a non-empty queue:
-            # none of them can change a head, so none can change the
-            # outcome of detection (line 2) — ingest the run wholesale.
-            j = i + 1
-            while j < count and items[j][0] == key:
-                j += 1
-            run = [pair[1] for pair in items[i:j]]
-            queue.extend(run)
-            stats.offers += len(run)
-            if observer is not None:
-                for pending in run:
-                    observer("enqueue", key, pending)
-            i = j
-        return found
-
-    def _vc_less(self, u, v) -> bool:
-        self.stats.comparisons += 1
-        return vc_less(u, v)
 
     def _dequeue(self, key: Hashable) -> Interval:
         """Pop *key*'s head, keeping the comparison cache in sync with
         the exposed successor (or the queue's emptiness)."""
         queue = self.queues[key]
         pruned = queue.dequeue()
-        if self._matrix is not None:
-            if queue:
-                head = queue.head
-                self._matrix.set_head(key, head.lo, head.hi)
-            else:
-                self._matrix.clear_head(key)
+        if queue:
+            head = queue.head
+            self._matrix.set_head(key, head.lo, head.hi)
+        else:
+            self._matrix.clear_head(key)
         return pruned
 
     def _detect(self, updated: set) -> List[Solution]:
@@ -312,23 +222,12 @@ class RepeatedDetectionCore:
                     queue_a = queues.get(a)
                     if not queue_a:
                         continue
-                    if matrix is not None:
-                        others, x_lt, y_lt = matrix.partners(a)
-                        self.stats.comparisons += 2 * len(others)
-                        for b, x_lt_b, b_lt_x in zip(others, x_lt, y_lt):
-                            if not x_lt_b:
-                                new_updated.add(b)
-                            if not b_lt_x:
-                                new_updated.add(a)
-                        continue
-                    x = queue_a.head
-                    for b, queue_b in queues.items():
-                        if b == a or not queue_b:
-                            continue
-                        y = queue_b.head
-                        if not self._vc_less(x.lo, y.hi):
+                    others, x_lt, y_lt = matrix.partners(a)
+                    self.stats.comparisons += 2 * len(others)
+                    for b, x_lt_b, b_lt_x in zip(others, x_lt, y_lt):
+                        if not x_lt_b:
                             new_updated.add(b)
-                        if not self._vc_less(y.lo, x.hi):
+                        if not b_lt_x:
                             new_updated.add(a)
                 for c in new_updated:
                     if queues[c]:
@@ -367,33 +266,23 @@ class RepeatedDetectionCore:
         ``∀ b≠a: max(x_b) ≮ max(x_a)`` — i.e. heads whose ``max`` is
         minimal under the strict vector order among all heads.
 
-        Both engines preserve the scalar path's short-circuit
-        accounting: tests after the first dominating ``b`` were never
-        performed, so they are not counted.
+        Accounting follows the listing's short-circuit: tests after the
+        first dominating ``b`` are never needed, so they are not
+        counted.
         """
         matrix = self._matrix
-        if matrix is not None:
-            removable = set()
-            for a in heads:
-                _, flags = matrix.dominators(a)
-                tested = 0
-                dominated = False
-                for flag in flags:
-                    tested += 1
-                    if flag:
-                        dominated = True
-                        break
-                self.stats.comparisons += tested
-                if not dominated:
-                    removable.add(a)
-            return removable
-        keys = list(heads)
         removable = set()
-        for a in keys:
-            hi_a = heads[a].hi
-            if all(
-                not self._vc_less(heads[b].hi, hi_a) for b in keys if b != a
-            ):
+        for a in heads:
+            _, flags = matrix.dominators(a)
+            tested = 0
+            dominated = False
+            for flag in flags:
+                tested += 1
+                if flag:
+                    dominated = True
+                    break
+            self.stats.comparisons += tested
+            if not dominated:
                 removable.add(a)
         return removable
 

@@ -59,8 +59,3 @@ class OneShotDefinitelyCore:
 
     def offer(self, process_id: int, interval: Interval) -> List[Solution]:
         return self._core.offer(process_id, interval)
-
-    def offer_batch(self, items) -> List[Solution]:
-        """Batched :meth:`offer`; intervals past the first detection are
-        dropped exactly as the scalar path drops them."""
-        return self._core.offer_batch(items)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, List, Optional
+from typing import Iterable, List
 
 from ..intervals import Interval, aggregate
 from .base import CoreStats, Solution
@@ -62,10 +62,10 @@ class HierarchicalNodeCore:
         Optional lifecycle callback forwarded to the underlying
         :class:`~repro.detect.core.RepeatedDetectionCore` (see its
         docstring) — how span tracing observes enqueues and prunes.
-    engine, on_pair_tests:
-        Forwarded to the underlying core: comparison engine selection
-        and the per-activation logical pair-test callback backing the
-        ``repro_core_pair_tests_total`` metric.
+    on_pair_tests:
+        Forwarded to the underlying core: the per-activation logical
+        pair-test callback backing the ``repro_core_pair_tests_total``
+        metric.
     """
 
     def __init__(
@@ -75,7 +75,6 @@ class HierarchicalNodeCore:
         *,
         is_root: bool = False,
         observer=None,
-        engine: Optional[str] = None,
         on_pair_tests=None,
     ) -> None:
         self.node_id = node_id
@@ -87,7 +86,6 @@ class HierarchicalNodeCore:
             keys,
             detector_id=node_id,
             observer=observer,
-            engine=engine,
             on_pair_tests=on_pair_tests,
         )
         self._next_agg_seq = 0

@@ -1,7 +1,6 @@
 """Offline ground truth for ``Definitely(Φ)``.
 
-Three independent oracles used by the test-suite to validate the online
-detectors:
+Four oracles used by the test-suite to validate the online detectors:
 
 1. :func:`enumerate_solution_sets` / :func:`holds_definitely` — brute
    force over all combinations of one interval per process, testing the
@@ -31,6 +30,10 @@ detectors:
    algorithm [12] replayed over a recorded trace with deterministic
    delivery order; its solution sequence is the reference the
    hierarchical algorithm's root detections are compared against.
+4. :class:`ScalarReferenceCore` — Algorithm 1 with every pair test
+   answered by a per-pair :func:`~repro.clocks.vc_less` on the live
+   queue heads, as the listing reads; the referee for the production
+   core's memoized :class:`~repro.clocks.compare.HeadMatrix`.
 """
 
 from __future__ import annotations
@@ -40,12 +43,15 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from ..clocks import vc_less
 from ..intervals import Interval, overlap
 from ..sim.trace import ExecutionTrace
 from .base import Solution
 from .centralized import CentralizedSinkCore
+from .core import RepeatedDetectionCore
 
 __all__ = [
+    "ScalarReferenceCore",
     "enumerate_solution_sets",
     "holds_definitely",
     "lattice_definitely",
@@ -196,3 +202,68 @@ def replay_centralized(trace: ExecutionTrace, sink: int = 0) -> List[Solution]:
     for interval in trace.intervals_in_completion_order():
         out.extend(core.offer(interval.owner, interval))
     return out
+
+
+# ----------------------------------------------------------------------
+# per-pair reference for the detection core
+# ----------------------------------------------------------------------
+class ScalarHeads:
+    """Answers the core's pair queries with one ``vc_less`` per test on
+    the *live* queue heads.
+
+    It stands where the core keeps its
+    :class:`~repro.clocks.compare.HeadMatrix` and takes the same six
+    calls, but remembers nothing: head transitions and queue changes are
+    ignored and every answer is computed from the queues as they are at
+    the moment of the question.  It therefore cannot go stale, which is
+    what the matrix's invalidation contract is checked against.
+
+    ``tests`` counts the ``vc_less`` calls actually made — the number
+    ``stats.comparisons`` claims to be.
+    """
+
+    def __init__(self, queues) -> None:
+        self._queues = queues  # the core's own dict: always current
+        self.tests = 0
+
+    def _ignore(self, *args) -> None:
+        pass
+
+    set_head = clear_head = add_key = remove_key = _ignore
+
+    def _less(self, u, v) -> bool:
+        self.tests += 1
+        return vc_less(u, v)
+
+    def _other_heads(self, key):
+        return [(b, q.head) for b, q in self._queues.items() if b != key and q]
+
+    def partners(self, key):
+        """Lines 12/14 for *key* against every other head, in queue order."""
+        x = self._queues[key].head
+        others = self._other_heads(key)
+        return (
+            [b for b, _ in others],
+            [self._less(x.lo, y.hi) for _, y in others],
+            [self._less(y.lo, x.hi) for _, y in others],
+        )
+
+    def dominators(self, key):
+        """Eq. (10) for *key*; the flags are computed as they are read,
+        so a caller that stops at the first dominator makes no further
+        test."""
+        hi = self._queues[key].head.hi
+        others = self._other_heads(key)
+        return [b for b, _ in others], (self._less(y.hi, hi) for _, y in others)
+
+
+class ScalarReferenceCore(RepeatedDetectionCore):
+    """:class:`~repro.detect.core.RepeatedDetectionCore` reading the
+    listing literally: same queues, same control flow, same accounting,
+    every ``≮`` a fresh per-pair test (:class:`ScalarHeads`).  Must
+    produce byte-identical solutions, prune events and
+    ``stats.comparisons``; constructed by tests only."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._matrix = ScalarHeads(self.queues)

@@ -145,7 +145,7 @@ class HierarchicalRole:
             "repro_core_pair_tests_total",
             "Logical head-pair comparisons performed by detection cores, "
             "per spanning-tree level (the unit of the paper's time "
-            "analysis; engine-independent).",
+            "analysis; counted whether answered from cache or not).",
             ("level",),
         )
         # Bound increment handles: label keys resolve once here instead

@@ -133,13 +133,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "ablation, all); results are identical for any value",
     )
     parser.add_argument(
-        "--batch",
-        type=int,
-        default=0,
-        help="for 'validate': also replay through offer_batch() in "
-        "chunks of this size and cross-check against scalar offers",
-    )
-    parser.add_argument(
         "--out", default=None, help="for 'all': also write the report to this file"
     )
     args = parser.parse_args(argv)
@@ -169,7 +162,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.experiment == "validate":
         from .validation import run_validation
 
-        report = run_validation(trials=50, seed=args.seed, batch=args.batch)
+        report = run_validation(trials=50, seed=args.seed)
         print(report.render())
         return 0 if report.ok else 1
     elif args.experiment == "all":

@@ -86,13 +86,7 @@ def _random_tree(n: int, rng: np.random.Generator) -> SpanningTree:
     return SpanningTree(0, parent)
 
 
-def run_validation(
-    *, trials: int = 50, seed: int = 0, batch: int = 0
-) -> ValidationReport:
-    """``batch > 0`` replays the one-shot baseline through
-    :meth:`~repro.detect.core.RepeatedDetectionCore.offer_batch` in
-    chunks of that size and cross-checks it against the scalar replay —
-    exercising the batched ingestion path inside the battery."""
+def run_validation(*, trials: int = 50, seed: int = 0) -> ValidationReport:
     rng = np.random.default_rng(seed)
     report = ValidationReport(trials=trials)
 
@@ -154,15 +148,4 @@ def run_validation(
             key(one_shot.detection) == key(token.detection),
             context,
         )
-
-        if batch > 0:
-            batched = OneShotDefinitelyCore(0, range(n))
-            stream = [(iv.owner, iv) for iv in ordered]
-            for start in range(0, len(stream), batch):
-                batched.offer_batch(stream[start : start + batch])
-            check(
-                "batched offer == scalar offer",
-                key(batched.detection) == key(one_shot.detection),
-                context,
-            )
     return report

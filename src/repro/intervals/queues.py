@@ -15,7 +15,7 @@ per-source order before intervals reach a queue.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Iterator, Optional
 
 from .interval import Interval
 
@@ -55,33 +55,6 @@ class IntervalQueue:
         self._last_seq = interval.seq
         self._items.append(interval)
         self.total_enqueued += 1
-        if len(self._items) > self.peak_size:
-            self.peak_size = len(self._items)
-
-    def extend(self, intervals: Sequence[Interval]) -> None:
-        """Enqueue a whole run of intervals in one call.
-
-        Equivalent to calling :meth:`enqueue` per interval — same seq
-        validation, same final ``peak_size`` (intermediate sizes during
-        a run are monotonically increasing, so one check at the end sees
-        the run's maximum) — but the deque grows through a single C-level
-        ``extend`` instead of one Python call per interval.  This is the
-        ingestion primitive behind
-        :meth:`~repro.detect.RepeatedDetectionCore.offer_batch`.
-        """
-        last = self._last_seq
-        for interval in intervals:
-            if last is not None and interval.seq <= last:
-                raise ValueError(
-                    f"out-of-order enqueue: seq {interval.seq} after "
-                    f"{last} (reports must be reordered upstream)"
-                )
-            last = interval.seq
-        if last is None:
-            return
-        self._last_seq = last
-        self._items.extend(intervals)
-        self.total_enqueued += len(intervals)
         if len(self._items) > self.peak_size:
             self.peak_size = len(self._items)
 

@@ -7,7 +7,8 @@ accounted through ``repro_load_*`` metrics.  One
 :class:`~repro.load.session.LoadSession` implementation runs against
 both the live socket cluster (:mod:`repro.net.cluster` wires it) and the
 virtual-time simulator (:mod:`repro.load.simload`), which is what makes
-the BENCH_load saturation sweep deterministic and cheap.
+a saturation sweep deterministic and cheap (``tests/load/test_simload.py``);
+the live plane past saturation is the benchmark's ``tcp7_overload``.
 
 This package deliberately imports nothing from :mod:`repro.net` at
 module scope; the net package imports *us* (cluster wiring), and the one

@@ -21,8 +21,9 @@ Note the interplay with the detector: a ``Definitely(Φ)`` solution needs
 one interval from *every* process, so skewed routing (``affinity`` under
 a steep Zipf, or lopsided ``weighted`` tables) starves conjunctions —
 hot nodes race ahead through their interval supply while cold nodes lag,
-and sojourn latency is set by the *coldest* target.  ``docs/load.md``
-discusses how to read that in BENCH_load.
+and sojourn latency is set by the *coldest* target (``docs/load.md``,
+"Popularity and dispatch"; ``tests/load/test_popularity.py`` pins the
+skew itself).
 """
 
 from __future__ import annotations

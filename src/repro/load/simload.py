@@ -10,9 +10,10 @@ watermarks engage at realistic offered loads.
 
 Because everything — arrivals, think times, service, sweeps — runs in
 virtual time from named rng streams, a ``(seed, spec)`` pair reproduces
-the run byte-for-byte.  That makes this module the determinism anchor of
-``BENCH_load`` (run twice, compare counts) and the cheap way to sweep
-offered load offline: :func:`traffic_specs` emits module-level
+the run byte-for-byte
+(``tests/load/test_simload.py::TestRunTraffic::test_same_seed_is_byte_identical``
+runs it twice and compares).  That also makes this module the cheap way
+to sweep offered load offline: :func:`traffic_specs` emits module-level
 :class:`~repro.experiments.parallel.RunSpec` units a
 :class:`~repro.experiments.parallel.ShardedRunner` can fan out across
 worker processes.

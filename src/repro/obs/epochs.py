@@ -35,10 +35,10 @@ Terminal states
 * **expired** — every member was shed; nothing was invested, nothing
   was wasted.
 
-The accounting identity the BENCH_load gate checks falls out by
-construction: at drain, ``admitted_epochs == solved + stranded +
-in_flight`` (with ``in_flight == 0``), next to the per-offer identity
-``offered == admitted + shed``.
+The accounting identity ``tests/load/test_simload.py::TestEpochLedger``
+checks falls out by construction: at drain, ``admitted_epochs == solved
++ stranded + in_flight`` (with ``in_flight == 0``), next to the
+per-offer identity ``offered == admitted + shed``.
 
 :class:`StrandingWatchdog` turns the ledger into an SLO check: when the
 stranded fraction of admitted epochs crosses a

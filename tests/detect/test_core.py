@@ -22,7 +22,7 @@ class TestSingleQueue:
             sols = core.offer(0, make_interval(0, seq, [3 * seq + 1], [3 * seq + 2]))
             assert len(sols) == 1
             assert sols[0].heads[0].seq == seq
-        assert core.stats.detections == 3
+        assert core.stats.detections == core.stats.offers == 3
         # Pruning after each solution empties the queue again.
         assert core.queue_sizes() == {0: 0}
 

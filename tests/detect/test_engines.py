@@ -1,11 +1,13 @@
-"""Scalar vs matrix engine equivalence, and comparison-cache
-invalidation across the tree-repair paths (add_queue / remove_queue)."""
+"""The detection core against its per-pair oracle
+(``ScalarReferenceCore``): byte-identical solutions, prune events and
+comparison counts, and comparison-cache invalidation across the
+tree-repair paths (add_queue / remove_queue)."""
 
 import numpy as np
 import pytest
 
 from repro.detect import RepeatedDetectionCore
-from repro.detect.core import get_default_engine, set_default_engine
+from repro.detect.offline import ScalarReferenceCore
 from repro.intervals import Interval
 
 from ..conftest import make_interval
@@ -45,50 +47,91 @@ def random_stream(rng, k=4, n=6, count=300):
     return stream
 
 
-class TestEngineSelection:
-    def test_default_engine_is_matrix(self):
-        assert get_default_engine() == "matrix"
-        assert RepeatedDetectionCore([0]).engine == "matrix"
+def burst_stream(seed, *, k=8, n=64, offers=2000, depth=6, skew_prob=0.08):
+    """Deep queues, then a cascade: per epoch, queues ``0 .. k-2`` each
+    receive ``depth`` intervals whose bounds advance in lock-step
+    windows (overlap within a window, incompatibility across windows);
+    queue ``k-1``'s batch arrives last and unblocks a burst of ``depth``
+    solutions.  ``skew_prob`` replaces an interval with a jittered one
+    to keep incompatibility pruning exercised.  ``random_stream`` never
+    gets queues this deep."""
+    rng = np.random.default_rng(seed)
+    seqs = [0] * k
+    out = []
+    base = np.zeros(n, dtype=np.int64)
+    while len(out) < offers:
+        windows = [base + 10 * d for d in range(depth)]
+        for q in range(k):
+            for d in range(depth):
+                w = windows[d]
+                if rng.random() < skew_prob:
+                    lo = w + rng.integers(0, 8, n)
+                    hi = lo + rng.integers(0, 8, n)
+                else:
+                    lo = w + rng.integers(0, 3, n)
+                    hi = w + 5 + rng.integers(0, 3, n)
+                out.append((q, Interval(owner=q, seq=seqs[q], lo=lo, hi=hi)))
+                seqs[q] += 1
+        base = base + 10 * depth
+    return out[:offers]
 
-    def test_set_default_engine(self):
-        set_default_engine("scalar")
-        try:
-            assert RepeatedDetectionCore([0]).engine == "scalar"
-        finally:
-            set_default_engine("matrix")
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_engine("simd")
-        with pytest.raises(ValueError):
-            RepeatedDetectionCore([0], engine="simd")
+def observed_run(cls, keys, stream):
+    events = []
+    core = cls(keys, observer=lambda ev, key, iv: events.append((ev, key, iv.key())))
+    solutions = record_all(core, stream)
+    return core, (solution_sig(solutions), events, core.stats.comparisons)
+
+
+def assert_byte_identical(k, stream):
+    oracle, expected = observed_run(ScalarReferenceCore, range(k), stream)
+    core, got = observed_run(RepeatedDetectionCore, range(k), stream)
+    assert got == expected
+    assert core.stats.detections > 0 and core.stats.pruned_incompatible > 0
+    # "logical pair tests" is what the per-pair reading really performs:
+    # two per partner in the fixpoint, Eq. 10 stopping at the first dominator
+    assert oracle._matrix.tests == core.stats.comparisons
+    # watching a core does not change what it detects
+    bare = record_all(RepeatedDetectionCore(range(k)), stream)
+    assert solution_sig(bare) == got[0]
 
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_random_streams_byte_identical(self, seed):
-        stream = random_stream(np.random.default_rng(seed))
-        results = {}
-        for engine in ("scalar", "matrix"):
-            events = []
-            core = RepeatedDetectionCore(
-                range(4),
-                engine=engine,
-                observer=lambda ev, key, iv: events.append((ev, key, iv.key())),
+        assert_byte_identical(4, random_stream(np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_burst_streams_byte_identical(self, seed):
+        assert_byte_identical(8, burst_stream(seed))
+
+    def test_hierarchical_run_identical_under_oracle(self, monkeypatch):
+        """A whole simulation — tree, network, workload — with every
+        node's core swapped for the oracle comes out the same."""
+        from repro.detect import hierarchical
+        from repro.experiments.harness import run_hierarchical
+        from repro.topology import SpanningTree
+        from repro.workload.generator import EpochConfig
+
+        def outcome(core_class=RepeatedDetectionCore):
+            result = run_hierarchical(
+                SpanningTree.regular(3, 2), seed=1, config=EpochConfig(epochs=4)
             )
-            solutions = record_all(core, stream)
-            results[engine] = (
-                solution_sig(solutions),
-                events,
-                core.stats.comparisons,
-            )
-        assert results["scalar"] == results["matrix"]
+            assert all(type(r.core._core) is core_class for r in result.roles.values())
+            return {
+                "detection_times": [d.time for d in result.detections],
+                "control_messages": result.metrics.control_messages,
+                "comparisons": [n.comparisons for n in result.metrics.per_node],
+            }
+
+        expected = outcome()
+        assert expected["detection_times"] and sum(expected["comparisons"]) > 0
+        monkeypatch.setattr(hierarchical, "RepeatedDetectionCore", ScalarReferenceCore)
+        assert outcome(ScalarReferenceCore) == expected
 
     def test_pair_test_callback_totals_match_stats(self):
         counts = []
-        core = RepeatedDetectionCore(
-            range(3), engine="matrix", on_pair_tests=counts.append
-        )
+        core = RepeatedDetectionCore(range(3), on_pair_tests=counts.append)
         stream = random_stream(np.random.default_rng(3), k=3, count=120)
         record_all(core, stream)
         assert core.stats.comparisons > 0
@@ -100,8 +143,8 @@ class TestRepairInvalidation:
     follow (docs/performance.md's invalidation contract)."""
 
     def test_removal_unblocks_solution_cascade(self):
-        for engine in ("scalar", "matrix"):
-            core = RepeatedDetectionCore([0, 1, 2], engine=engine)
+        for cls in (ScalarReferenceCore, RepeatedDetectionCore):
+            core = cls([0, 1, 2])
             core.offer(0, make_interval(0, 0, [0, 0], [10, 10]))
             core.offer(0, make_interval(0, 1, [11, 11], [20, 20]))
             core.offer(1, make_interval(1, 0, [1, 1], [9, 9]))
@@ -112,7 +155,7 @@ class TestRepairInvalidation:
             assert core.stats.detections == 2
 
     def test_add_queue_blocks_then_new_queue_participates(self):
-        core = RepeatedDetectionCore([0, 1], engine="matrix")
+        core = RepeatedDetectionCore([0, 1])
         core.offer(0, make_interval(0, 0, [0, 0], [10, 10]))
         core.add_queue(2)
         # The fresh queue is empty, so nothing can be detected ...
@@ -125,13 +168,12 @@ class TestRepairInvalidation:
 
     def test_add_remove_interleaved_matches_scalar(self):
         """A repair-like schedule: offers interleaved with queue churn
-        must leave both engines in byte-identical states."""
+        must leave the core and its oracle in byte-identical states."""
 
-        def run(engine):
+        def run(cls):
             events = []
-            core = RepeatedDetectionCore(
+            core = cls(
                 [0, 1],
-                engine=engine,
                 observer=lambda ev, key, iv: events.append((ev, key, iv.key())),
             )
             sols = []
@@ -145,10 +187,10 @@ class TestRepairInvalidation:
             sols += core.offer(0, make_interval(0, 2, [15, 15], [19, 19]))
             return solution_sig(sols), events, core.stats.comparisons
 
-        assert run("scalar") == run("matrix")
+        assert run(ScalarReferenceCore) == run(RepeatedDetectionCore)
 
     def test_removed_queue_rejoins_with_fresh_state(self):
-        core = RepeatedDetectionCore([0, 1], engine="matrix")
+        core = RepeatedDetectionCore([0, 1])
         core.offer(1, make_interval(1, 0, [0, 0], [4, 4]))
         core.remove_queue(1)
         core.add_queue(1)

@@ -107,6 +107,7 @@ class TestOracleAgreement:
             ex = random_execution(n, int(rng.integers(4, 30)), rng)
             tree = SpanningTree(0, random_parent_map(n, rng))
             emissions = replay_hierarchical(ex.trace, tree)
+            assert set(emissions) == set(range(n))  # one entry per tree node
             root_detections = emissions[0]
             assert len(root_detections) == len(replay_centralized(ex.trace, sink=0))
             # Safety: every detection's concrete set satisfies Eq. (2).

@@ -19,6 +19,9 @@ class TestCompressionAblation:
         result = compression_ablation(d=2, h=4, p=12, seed=19, workload="local")
         assert result.savings > 0.2
         assert result.picks["differential"] > 0
+        # ... and better than the synchronized epochs on the same tree.
+        epoch = compression_ablation(d=2, h=4, p=12, sync_prob=1.0, seed=19)
+        assert result.savings > epoch.savings
 
     def test_savings_grow_with_system_size_on_local_traffic(self):
         small = compression_ablation(d=2, h=3, p=10, seed=19, workload="local")

@@ -61,7 +61,7 @@ class TestRunCentralized:
         config = EpochConfig(epochs=6, sync_prob=0.7)
         hier = run_hierarchical(SpanningTree.regular(2, 3), seed=3, config=config)
         cent = run_centralized(SpanningTree.regular(2, 3), seed=3, config=config)
-        assert hier.metrics.root_detections == len(cent.detections)
+        assert hier.metrics.root_detections == len(cent.detections) > 0
 
     def test_hierarchical_sends_fewer_messages(self):
         config = EpochConfig(epochs=8, sync_prob=0.6)

@@ -21,6 +21,7 @@ class TestEquations5And6:
         agg = aggregate([x, y], owner=7, seq=0, check=True)
         assert agg.lo.tolist() == [1, 1, 2]
         assert agg.hi.tolist() == [3, 1, 3]
+        assert agg.members == frozenset({0, 1})
 
     def test_singleton_aggregation_preserves_bounds(self):
         x = make_interval(2, 3, [1, 0, 5], [2, 0, 9])

@@ -54,34 +54,6 @@ class TestIntervalQueue:
         assert q
         assert [x.seq for x in q] == [0]
 
-    def test_extend_matches_enqueue_loop(self):
-        loop, bulk = IntervalQueue(), IntervalQueue()
-        batch = [iv(0), iv(1), iv(4)]
-        for interval in batch:
-            loop.enqueue(interval)
-        bulk.extend(batch)
-        assert [x.seq for x in bulk] == [x.seq for x in loop]
-        assert bulk.total_enqueued == loop.total_enqueued
-        assert bulk.peak_size == loop.peak_size
-
-    def test_extend_validates_against_last_seq(self):
-        q = IntervalQueue()
-        q.enqueue(iv(3))
-        with pytest.raises(ValueError):
-            q.extend([iv(4), iv(4)])  # duplicate inside batch
-        with pytest.raises(ValueError):
-            q.extend([iv(2)])  # stale vs queue tail
-        # a failed extend must not have mutated the queue
-        assert [x.seq for x in q] == [3]
-        assert q.total_enqueued == 1
-        q.extend([iv(4), iv(9)])
-        assert [x.seq for x in q] == [3, 4, 9]
-
-    def test_extend_empty_is_noop(self):
-        q = IntervalQueue()
-        q.extend([])
-        assert not q and q.total_enqueued == 0
-
 
 class TestReorderBuffer:
     def test_in_order_passthrough(self):

@@ -44,21 +44,25 @@ class TestRunTraffic:
         assert result["reference_match"]
 
     def test_same_seed_is_byte_identical(self):
-        kwargs = dict(
-            seed=5,
-            rate=1500.0,
-            total_offers=80,
-            max_outstanding=12,
-            resume_outstanding=6,
-            pending_timeout=1.0,
-            start_delay=0.0,
-        )
-        a = run_traffic(**kwargs)
-        b = run_traffic(**kwargs)
-        assert a["summary"] == b["summary"]
-        assert a["admitted_by_target"] == b["admitted_by_target"]
-        assert a["virtual_duration"] == b["virtual_duration"]
-        assert a["events"] == b["events"]
+        for model in (
+            dict(mode="open", rate=1500.0),
+            dict(mode="closed", users=32, think_time=0.002),
+        ):
+            kwargs = dict(
+                seed=5,
+                total_offers=80,
+                max_outstanding=12,
+                resume_outstanding=6,
+                pending_timeout=1.0,
+                start_delay=0.0,
+                **model,
+            )
+            a = run_traffic(**kwargs)
+            b = run_traffic(**kwargs)
+            assert a["summary"] == b["summary"]
+            assert a["admitted_by_target"] == b["admitted_by_target"]
+            assert a["virtual_duration"] == b["virtual_duration"]
+            assert a["events"] == b["events"]
 
     def test_different_seed_differs(self):
         kwargs = dict(rate=1500.0, total_offers=80, max_outstanding=12,
@@ -108,9 +112,8 @@ class TestRunTraffic:
 
 class TestEpochLedger:
     def test_light_load_solves_every_epoch(self):
-        # The BENCH_load quick sweep's below-knee point: 7 processes,
-        # offered rate well under capacity — nothing sheds, so nothing
-        # can strand.
+        # Below the saturation knee: 7 processes, offered rate well
+        # under capacity — nothing sheds, so nothing can strand.
         result = run_traffic(
             seed=1,
             degree=2,

@@ -39,6 +39,7 @@ class TestBasicMonitoring:
         monitor.enable_gossip(rate=1.0, until=90.0)
         monitor.run(until=160.0)
         assert len(monitor.alarms) == 2
+        assert all(alarm.members == frozenset(range(4)) for alarm in monitor.alarms)
 
     def test_no_alarm_when_one_process_stays_cold(self):
         graph = nx.path_graph(3)

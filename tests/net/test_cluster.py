@@ -94,7 +94,10 @@ class TestKill:
     def test_leaf_kill_repairs_and_detection_continues(self):
         # Explicitly pinned to the binary wire: repair and partial
         # detection must survive a crash on the packed protocol too.
-        spec = _spec(epochs=8, wire="binary")
+        # 50 ms between epochs: at the default 5 ms all eight are offered
+        # within 40 ms of the first, and one stall between the first
+        # detection and the kill left nothing for the survivors to detect.
+        spec = _spec(epochs=8, wire="binary", interval_spacing=0.05)
         victim = 5  # a leaf of the 7-node binary tree
 
         async def scenario():

@@ -1,0 +1,113 @@
+"""The docs agree with the tree: every path, test id and console script
+they name exists, and the metric catalogue lists exactly the metrics
+``src/repro`` registers."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = [
+    path.relative_to(ROOT).as_posix()
+    for path in [ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "DESIGN.md"]
+    + sorted((ROOT / "docs").glob("*.md"))
+]
+
+#: a repo-relative path as the docs write one: under a top-level source
+#: directory, or one of the upper-case ``*.json`` / ``*.md`` files at the root
+PATH = re.compile(
+    r"(?:benchmarks|docs|examples|tests|src)/[\w./-]*\w|[A-Z][A-Z_]*\.(?:json|md)"
+)
+#: what a run writes; named in instructions, absent from a checkout
+GENERATED = ("benchmarks/e2e/out/",)
+
+
+def _named_paths(text):
+    """``(path, test-id parts)`` for every backticked path in *text*."""
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for token in span.split():
+            path, *parts = token.split("::")
+            if PATH.fullmatch(path) and not path.startswith(GENERATED):
+                yield path, [part.split("[")[0] for part in parts]
+
+
+def _link_targets(text):
+    for target in re.findall(r"\]\(([^)\s]+)\)", text):
+        if not re.match(r"[a-z]+:|#", target):
+            yield target.split("#")[0]
+
+
+def _console_scripts():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    section = pyproject.split("[project.scripts]")[1].split("\n[")[0]
+    return set(re.findall(r"^([\w-]+)\s*=", section, flags=re.M))
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_everything_a_doc_names_exists(doc):
+    text = (ROOT / doc).read_text()
+    missing = []
+    for path, parts in _named_paths(text):
+        if not (ROOT / path).exists():
+            missing.append(path)
+        elif parts:
+            defined = set(
+                re.findall(r"^\s*(?:def|class) (\w+)", (ROOT / path).read_text(), flags=re.M)
+            )
+            missing += [f"{path}::{part}" for part in parts if part not in defined]
+    for target in _link_targets(text):
+        if not ((ROOT / doc).parent / target).exists():
+            missing.append(f"link {target}")
+    scripts = _console_scripts()
+    missing += [
+        f"console script {name}"
+        for name in set(re.findall(r"\brepro-[a-z]+\b", text))
+        if name not in scripts
+    ]
+    assert not missing, f"{doc} names things that do not exist: {sorted(set(missing))}"
+
+
+# ----------------------------------------------------------------------
+# metric catalogue drift
+# ----------------------------------------------------------------------
+def _registered_metrics():
+    """Metric names written out under ``src/repro``: every string
+    constant that is a whole ``repro_*`` name, plus — as ``prefix_<…>``
+    — every f-string that starts with one (a family whose last part is
+    filled in at registration)."""
+    names = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.JoinedStr):
+                text, pattern, suffix = node.values[0], r"repro_[a-z0-9_]*_", "<…>"
+            else:
+                text, pattern, suffix = node, r"repro_[a-z0-9_]*[a-z0-9]", ""
+            if (
+                isinstance(text, ast.Constant)
+                and isinstance(text.value, str)
+                and re.fullmatch(pattern, text.value)
+            ):
+                names.add(text.value + suffix)
+    return names
+
+
+def _catalogued_metrics():
+    """First column of every metric table row in ``docs/*.md``."""
+    names = set()
+    for path in (ROOT / "docs").glob("*.md"):
+        for name, family in re.findall(
+            r"^\| `(repro_[a-z0-9_]+)(<[a-z]+>)?` \|", path.read_text(), flags=re.M
+        ):
+            names.add(name + ("<…>" if family else ""))
+    return names
+
+
+REGISTERED, CATALOGUED = _registered_metrics(), _catalogued_metrics()
+
+
+@pytest.mark.parametrize("metric", sorted(REGISTERED | CATALOGUED))
+def test_metric_is_registered_and_catalogued(metric):
+    assert metric in CATALOGUED, f"{metric}: named under src/repro, in no docs/*.md table"
+    assert metric in REGISTERED, f"{metric}: catalogued, but nothing under src/repro names it"

@@ -96,11 +96,20 @@ def encode_sparse(ts: Timestamp) -> Tuple[list, int]:
     return encode_differential(ts, None)
 
 
-def decode_sparse(payload: list, n: int) -> Timestamp:
-    out = np.zeros(n, dtype=np.int64)
+def _scatter(out: np.ndarray, payload: list) -> Timestamp:
+    """Write the ``(index, value)`` pairs into *out*.  An index outside
+    ``[0, n)`` is a corrupt payload (a negative one would wrap around
+    silently), so it raises :class:`ValueError` like any other."""
+    n = out.shape[0]
     for index, value in payload:
+        if not 0 <= index < n:
+            raise ValueError(f"pair index {index} outside [0, {n})")
         out[index] = value
     return freeze(out)
+
+
+def decode_sparse(payload: list, n: int) -> Timestamp:
+    return _scatter(np.zeros(n, dtype=np.int64), payload)
 
 
 def encode_differential(
@@ -122,10 +131,7 @@ def decode_differential(
 ) -> Timestamp:
     if reference is None:
         return decode_sparse(payload, n)
-    out = np.array(reference, dtype=np.int64, copy=True)
-    for index, value in payload:
-        out[index] = value
-    return freeze(out)
+    return _scatter(np.array(reference, dtype=np.int64, copy=True), payload)
 
 
 def best_encoding(ts: Timestamp, reference: Optional[Timestamp]) -> Tuple[str, int]:

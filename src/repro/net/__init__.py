@@ -13,8 +13,10 @@ length-prefixed TCP frames instead of the discrete-event simulator:
 * :class:`FrameCodec` — the wire protocol: versioned binary frames
   (struct header + varint-packed bodies from
   :mod:`repro.sim.wirepack`, with a legacy length-prefixed JSON wire
-  and a per-frame JSON escape hatch), per-channel timestamp
-  compression via :func:`repro.clocks.encoding.best_encoding`;
+  and a per-frame JSON escape hatch); a report's timestamps travel in
+  one per-frame bounds block on the binary wire, through per-channel
+  :func:`repro.clocks.encoding.best_encoding` compression on the JSON
+  one;
 * :class:`TcpTransport` / :class:`LoopbackTransport` — the
   :class:`Transport` implementations (sockets, and an in-process hub so
   unit tests need no ports);

@@ -1,5 +1,4 @@
-"""The wire protocol: versioned binary frames with a JSON escape hatch
-and per-channel timestamp compression.
+"""The wire protocol: versioned binary frames with a JSON escape hatch.
 
 Binary frame layout (``wire="binary"``, one frame per control message)::
 
@@ -10,13 +9,15 @@ Binary frame layout (``wire="binary"``, one frame per control message)::
     | version| type   | _meta  | big-endian     |  when flags&1)   |
     +--------+--------+--------+----------------+------------------+
 
-The first byte doubles as magic and version: ``0xB1`` is binary
-protocol v1.  Because legacy JSON frames start with a 4-byte big-endian
-body length — and body lengths are bounded by ``max_frame``, far below
-2**31 — a legacy frame's first byte never has the high bit set.  The
-decoder uses exactly that: high bit set means a binary header (any
-value other than ``0xB1`` is an unsupported version and poisons the
-stream); high bit clear means legacy JSON framing::
+The first byte doubles as magic and framing version: ``0xB1`` is the
+binary envelope above (body layouts are versioned by their tags and by
+:data:`CODEC_VERSION`, not by this byte).  Because legacy JSON frames
+start with a 4-byte big-endian body length — and body lengths are
+bounded by ``max_frame``, far below 2**31 — a legacy frame's first
+byte never has the high bit set.  The decoder uses exactly that: high
+bit set means a binary header (any value other than ``0xB1`` is an
+unsupported version and poisons the stream); high bit clear means
+legacy JSON framing::
 
     +-------------------+----------------------------------------+
     | 4 bytes, big-end. | UTF-8 JSON body, ``length`` bytes      |
@@ -33,14 +34,19 @@ Type tags (see :mod:`repro.sim.wirepack` for body layouts):
 tag   body                notes
 ====  ==================  =============================================
 0     JSON escape hatch   UTF-8 JSON object; message types the packer
-                          does not know keep working on a binary wire
-1     IntervalReport      varint ids/seq + scheme-tagged bounds
+                          does not know, and reports whose provenance
+                          mixes vector widths, keep working on a binary
+                          wire
+1     *retired*           codec v1's IntervalReport (one scheme-tagged
+                          payload per bound); rejected, never reused
 2     Heartbeat           svarint sender
 3     AppMessage          JSON payload + svarint piggyback vector
 4     AttachRequest       svarint child + svarint member list
 5     AttachAccept        svarint parent
 6     DetachNotice        svarint child
 7     __ack__             uvarint cumulative frame count
+8     IntervalReport      varint ids/seq/members for the head and its
+                          provenance + one bounds block for all of them
 ====  ==================  =============================================
 
 Meta frames (``type`` starts with ``__``) stay plain dicts consumed by
@@ -54,22 +60,29 @@ wire.
 Timestamp compression
 ---------------------
 ``IntervalReport`` bodies dominate wire volume, and their cost is the
-two length-``n`` vector timestamps — the O(n) factor of the paper's
-Section IV accounting.  A codec instance therefore carries per-channel
-reference state: for each of ``lo``/``hi`` it remembers the previous
-timestamp sent (or received) on this channel and lets
-:func:`repro.clocks.encoding.best_encoding` pick the cheapest of
-raw / sparse / differential for the next one.  The chosen scheme is
-tagged on the wire — a one-byte scheme tag followed by packed varint
-pairs on the binary path, a ``{"e": "sparse", "p": [[i, v], …]}``
-envelope on the JSON path — so the decoder, whose reference state
-advances in lockstep frame by frame, inverts it exactly.
+length-``n`` vector timestamps — the O(n) factor of the paper's
+Section IV accounting — two for the head interval and two more for
+every interval of ``⊓`` provenance it carries.
 
-Because the references advance per frame, a codec pair is only coherent
-over an *ordered, gap-free* frame stream: exactly what one TCP
-connection provides.  Transports create a fresh codec per connection
-(and re-encode any retransmitted message with the new codec), so a
-reconnect can never desynchronize the references.
+*Binary wire.*  All of a report's timestamps travel in one bounds
+block: narrow unsigned offsets from a per-frame base row, written and
+read in one numpy pass (:func:`repro.sim.wirepack._pack_report`).  The
+block refers to nothing outside its frame, so binary frames are
+**stateless**: any frame decodes on its own, with any decoder, in any
+order.  ``compress`` does not apply.
+
+*JSON wire.*  A codec instance carries per-channel reference state: for
+each of the head's ``lo``/``hi`` it remembers the previous timestamp
+sent (or received) on this channel and lets
+:func:`repro.clocks.encoding.best_encoding` pick the cheapest of
+raw / sparse / differential for the next one, tagged on the wire as a
+``{"e": "sparse", "p": [[i, v], …]}`` envelope, so the decoder, whose
+reference state advances in lockstep frame by frame, inverts it
+exactly.  Because the references advance per frame, a JSON codec pair
+is only coherent over an *ordered, gap-free* frame stream: exactly what
+one TCP connection provides.  Transports create a fresh codec per
+connection (and re-encode any retransmitted message with the new
+codec), so a reconnect can never desynchronize the references.
 """
 
 from __future__ import annotations
@@ -87,17 +100,12 @@ from ..clocks.encoding import (
     decode_differential,
     decode_sparse,
     encode_differential,
-    pair_arrays,
 )
 from ..sim.serialize import message_from_dict, message_to_dict
 from ..sim.wirepack import (
-    SCHEME_DIFFERENTIAL,
-    SCHEME_RAW,
-    SCHEME_SPARSE,
     TAG_ACK,
     TAG_JSON,
     pack_message,
-    pack_pairs,
     read_uvarint,
     unpack_message,
     write_uvarint,
@@ -122,13 +130,14 @@ HELLO_TYPE = "__hello__"
 #: cumulative count of message frames received on that connection.
 ACK_TYPE = "__ack__"
 
-#: First byte of a binary v1 frame.  High bit deliberately set so the
+#: First byte of a binary frame.  High bit deliberately set so the
 #: byte can never be confused with the leading length byte of a legacy
-#: JSON frame; future versions claim 0xB2, 0xB3, …
+#: JSON frame; a different envelope would claim 0xB2, 0xB3, …
 MAGIC_BINARY_V1 = 0xB1
 
-#: Negotiated protocol version advertised in ``__hello__``.
-CODEC_VERSION = 1
+#: Protocol version advertised in ``__hello__``.  2: ``IntervalReport``
+#: bodies are tag 8 (one bounds block per frame); tag 1 is retired.
+CODEC_VERSION = 2
 
 WIRE_FORMATS = ("json", "binary")
 
@@ -138,13 +147,6 @@ _BIN_HEADER = struct.Struct(">BBBI")
 #: flags bit 0: a ``_meta`` sidecar (uvarint length + JSON bytes)
 #: follows the packed body.
 _FLAG_META = 0x01
-
-#: best_encoding name -> wire scheme byte.
-_SCHEME_BYTES = {
-    "raw": SCHEME_RAW,
-    "sparse": SCHEME_SPARSE,
-    "differential": SCHEME_DIFFERENTIAL,
-}
 
 
 class FrameCodec:
@@ -164,9 +166,10 @@ class FrameCodec:
         parents alarms over reports.  ``False`` is the paper-faithful
         lean wire (bounds only; see ``payload_entries``).
     compress:
-        Apply per-channel timestamp compression to ``IntervalReport``
-        bounds.  Both ends of a channel must agree (transports build
-        both codecs from one factory).
+        JSON wire only: apply per-channel timestamp compression to
+        ``IntervalReport`` bounds.  Both ends of a channel must agree
+        (transports build both codecs from one factory).  The binary
+        wire packs every report the same, stateless way and ignores it.
     max_frame:
         Hard bound on body size; oversized frames fail loudly on encode
         and poison the stream on decode (the transport drops the
@@ -196,7 +199,7 @@ class FrameCodec:
         self.compress = compress
         self.max_frame = max_frame
         self.max_meta = max_meta
-        #: chosen-scheme counts (encoder side), for tests and benches
+        #: chosen-scheme counts (JSON encoder side), for tests
         self.encodings: Counter = Counter()
         self._enc_ref: List[Optional[np.ndarray]] = [None, None]  # lo, hi
         self._dec_ref: List[Optional[np.ndarray]] = [None, None]
@@ -228,11 +231,7 @@ class FrameCodec:
             # peer — whatever its wire format — can read the handshake.
             return self._frame_json(message)
         if self.wire == "binary":
-            packed = pack_message(
-                message,
-                include_parts=self.include_parts,
-                bounds=self._encode_bound,
-            )
+            packed = pack_message(message, include_parts=self.include_parts)
             if packed is not None:
                 tag, body = packed
                 flags = 0
@@ -243,10 +242,9 @@ class FrameCodec:
                     body = body + bytes(trailer) + sidecar
                     flags |= _FLAG_META
                 return self._frame_packed(tag, flags, body)
-            # Escape hatch: a message type the packer does not know
-            # rides as JSON behind a binary header.  No timestamp
-            # compression here — the reference chain is owned by the
-            # packed IntervalReport path.
+            # Escape hatch: a message the packer has no packed form for
+            # rides as JSON behind a binary header — uncompressed, so it
+            # stays as stateless as every other binary frame.
             data = message_to_dict(message, include_parts=self.include_parts)
             return self._frame_packed(TAG_JSON, 0, self._json_body(data, meta))
         data = message_to_dict(message, include_parts=self.include_parts)
@@ -307,7 +305,7 @@ class FrameCodec:
         self._bound_meta(len(sidecar))
         return sidecar
 
-    # -- timestamp channel state (shared by both wire formats) ---------
+    # -- timestamp channel state (JSON wire) ----------------------------
     def _pick_scheme(
         self, slot: int, ts: np.ndarray
     ) -> Tuple[str, Optional[np.ndarray]]:
@@ -320,34 +318,6 @@ class FrameCodec:
         self.encodings[name] += 1
         self._enc_ref[slot] = ts
         return name, reference if name == "differential" else None
-
-    def _encode_bound(self, slot: int, ts: np.ndarray) -> Tuple[int, bytes]:
-        """Binary-path bounds hook: pick a scheme against the channel
-        reference, advance it, emit packed bytes."""
-        ts = np.asarray(ts, dtype=np.int64)
-        name, against = self._pick_scheme(slot, ts) if self.compress else ("raw", None)
-        if name == "raw":
-            payload = ts.astype(">i8").tobytes()
-        else:
-            payload = pack_pairs(*pair_arrays(ts, against))
-        return _SCHEME_BYTES[name], payload
-
-    def _decode_bound(
-        self, slot: int, scheme: int, payload: object, n: int
-    ) -> np.ndarray:
-        """Binary-path bounds hook: invert the scheme, advance the
-        decoder reference in lockstep with the encoder's."""
-        if scheme == SCHEME_RAW:
-            ts = np.asarray(payload, dtype=np.int64)
-        elif scheme == SCHEME_SPARSE:
-            ts = np.asarray(decode_sparse(payload, n), dtype=np.int64)
-        else:
-            ts = np.asarray(
-                decode_differential(payload, self._dec_ref[slot], n),
-                dtype=np.int64,
-            )
-        self._dec_ref[slot] = ts
-        return ts
 
     def _compress_interval(self, data: dict) -> None:
         """JSON path: replace the top-level ``lo``/``hi`` lists with
@@ -438,9 +408,7 @@ class FrameCodec:
             return {"type": ACK_TYPE, "n": n}, None
         if tag == TAG_JSON:
             return self._decode_body(body)
-        message, offset = unpack_message(
-            tag, body, bounds=self._decode_bound
-        )
+        message, offset = unpack_message(tag, body)
         meta: Optional[dict] = None
         if flags & _FLAG_META:
             size, offset = read_uvarint(body, offset)
@@ -460,6 +428,10 @@ class FrameCodec:
 
     def _decode_body(self, body: bytes) -> Tuple[object, Optional[dict]]:
         data = json.loads(body.decode("utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"frame body must be a JSON object, got {type(data).__name__}"
+            )
         kind = str(data.get("type", ""))
         if kind.startswith("__"):
             return data, None
@@ -471,9 +443,15 @@ class FrameCodec:
             # body needs the sidecar measured on its own.
             if len(body) > self.max_meta:
                 self._bound_meta(len(json.dumps(meta, separators=(",", ":"))))
-        if kind == "IntervalReport":
-            self._decompress_interval(data["interval"])
-        return message_from_dict(data), meta
+        # The body is schemaless JSON from outside: a missing key or a
+        # value of the wrong shape is a corrupt stream like any other,
+        # and must reach the transport as the one error it closes on.
+        try:
+            if kind == "IntervalReport":
+                self._decompress_interval(data["interval"])
+            return message_from_dict(data), meta
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+            raise ValueError(f"malformed {kind} frame body: {exc!r}") from exc
 
     def _decompress_interval(self, data: dict) -> None:
         for slot, bound in enumerate(("lo", "hi")):
@@ -481,6 +459,14 @@ class FrameCodec:
             if not isinstance(obj, dict):
                 continue  # uncompressed peer
             n = int(data["n"])
+            # A pair payload of a few bytes may declare any width, and
+            # decoding allocates it: refuse one whose raw form (at least
+            # two bytes a component) no frame could carry.
+            if 2 * n > self.max_frame:
+                raise ValueError(
+                    f"declared timestamp width {n} exceeds what max_frame "
+                    f"({self.max_frame}) can carry; stream is corrupt"
+                )
             scheme, payload = obj["e"], obj["p"]
             if scheme == "sparse":
                 ts = decode_sparse(payload, n)

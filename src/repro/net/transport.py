@@ -246,8 +246,9 @@ class LoopbackTransport:
     """In-process transport: full codec path, zero sockets.
 
     Each directed pair keeps its own encoder/decoder codec (mirroring
-    one TCP connection per direction), so differential-timestamp
-    references behave exactly as they would on the wire.
+    one TCP connection per direction), so the JSON wire's
+    differential-timestamp references behave exactly as they would on
+    a socket.
     """
 
     def __init__(
@@ -806,7 +807,14 @@ class TcpTransport:
                     await writer.drain()
                 elif received > acked and ack_timer is None:
                     ack_timer = loop.call_later(self.ack_delay, flush_ack)
-        except (ConnectionError, OSError, ValueError, asyncio.CancelledError):
+        except ValueError as exc:
+            # The decoder refused a frame: nothing after it on this
+            # stream can be trusted, so the connection closes and the
+            # sender redials and retransmits what was not acked.
+            self.clock.emit(
+                "net_stream_poisoned", node=self.node_id, src=src, error=repr(exc)
+            )
+        except (ConnectionError, OSError, asyncio.CancelledError):
             pass
         finally:
             if ack_timer is not None:

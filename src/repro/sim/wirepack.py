@@ -15,67 +15,60 @@ Layout conventions
   numbers and vector sizes.
 * **svarint** — zigzag-mapped uvarint (``(v << 1) ^ (v >> 63)`` in the
   signed sense, but unbounded — Python ints never truncate).  Used for
-  every value field that could conceivably be negative, and for
-  timestamp components in sparse/differential payloads: a ``2**62``
-  component costs 9 bytes instead of 19 JSON digits.
-* **bounds** — an interval's ``lo``/``hi`` vectors are each a one-byte
-  scheme tag (:data:`SCHEME_RAW` / :data:`SCHEME_SPARSE` /
-  :data:`SCHEME_DIFFERENTIAL`) followed by the scheme payload:
-
-  - raw: ``n`` big-endian int64s (``8*n`` bytes, bulk-copied via numpy);
-  - sparse / differential: ``uvarint count`` then ``count`` pairs of
-    ``uvarint index, svarint value`` (the :mod:`repro.clocks.encoding`
-    pair lists, packed).
-
-  The *choice* of scheme and the per-channel reference chains live in
-  the frame codec, injected through the ``bounds`` hooks below; the
-  default hooks (used for nested aggregation provenance, which never
-  compresses) handle raw and reference-free sparse payloads.
+  every id field that could conceivably be negative (owners, members,
+  origin/dest) and for ``AppMessage`` piggyback components.
+* **bounds block** — every timestamp an ``IntervalReport`` carries
+  (the head interval's ``lo``/``hi`` and those of all its ``⊓``
+  provenance) travels in one block at the end of the body, written and
+  read in a single numpy pass; see :func:`_pack_report`.
 
 Message tags are part of the stable wire schema, mirroring the JSON
 ``type`` strings one-to-one (:data:`MESSAGE_TAGS`).  Tag 0 is reserved
-by the frame layer for the JSON escape hatch (meta frames and message
-types unknown to the packer), so packed message tags start at 1.
+by the frame layer for the JSON escape hatch (meta frames, message
+types unknown to the packer, and reports whose provenance mixes vector
+widths).  Tag 1 was the per-bound scheme-tagged ``IntervalReport`` body
+of codec version 1; it is retired — nothing emits it and the decoder
+rejects it — and never reused.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..clocks.encoding import decode_differential, decode_sparse
 from ..intervals import Interval
+from .messages import (
+    AppMessage,
+    AttachAccept,
+    AttachRequest,
+    DetachNotice,
+    Heartbeat,
+    IntervalReport,
+)
 
 __all__ = [
     "TAG_JSON",
-    "TAG_INTERVAL_REPORT",
     "TAG_HEARTBEAT",
     "TAG_APP_MESSAGE",
     "TAG_ATTACH_REQUEST",
     "TAG_ATTACH_ACCEPT",
     "TAG_DETACH_NOTICE",
     "TAG_ACK",
+    "TAG_INTERVAL_REPORT_BLOCK",
     "MESSAGE_TAGS",
-    "SCHEME_RAW",
-    "SCHEME_SPARSE",
-    "SCHEME_DIFFERENTIAL",
-    "SCHEME_NAMES",
     "write_uvarint",
     "read_uvarint",
     "write_svarint",
     "read_svarint",
-    "pack_pairs",
     "pack_message",
     "unpack_message",
-    "default_decode_bound",
 ]
 
 #: Frame-layer escape hatch: the body is a JSON object (a ``__``-meta
-#: frame, or a message type this packer does not know).
+#: frame, or a message this packer has no packed form for).
 TAG_JSON = 0
-TAG_INTERVAL_REPORT = 1
 TAG_HEARTBEAT = 2
 TAG_APP_MESSAGE = 3
 TAG_ATTACH_REQUEST = 4
@@ -85,10 +78,12 @@ TAG_DETACH_NOTICE = 6
 #: by the frame codec itself (a single uvarint body), listed here so the
 #: tag space has one home.
 TAG_ACK = 7
+#: ``IntervalReport`` with all its timestamps in one bounds block.
+TAG_INTERVAL_REPORT_BLOCK = 8
 
 #: JSON ``type`` string -> packed tag, one-to-one.
 MESSAGE_TAGS = {
-    "IntervalReport": TAG_INTERVAL_REPORT,
+    "IntervalReport": TAG_INTERVAL_REPORT_BLOCK,
     "Heartbeat": TAG_HEARTBEAT,
     "AppMessage": TAG_APP_MESSAGE,
     "AttachRequest": TAG_ATTACH_REQUEST,
@@ -96,27 +91,22 @@ MESSAGE_TAGS = {
     "DetachNotice": TAG_DETACH_NOTICE,
 }
 
-SCHEME_RAW = 0
-SCHEME_SPARSE = 1
-SCHEME_DIFFERENTIAL = 2
-#: scheme byte -> the :func:`repro.clocks.encoding.best_encoding` name.
-SCHEME_NAMES = {
-    SCHEME_RAW: "raw",
-    SCHEME_SPARSE: "sparse",
-    SCHEME_DIFFERENTIAL: "differential",
-}
-
 #: Hard cap on varint length: 10 bytes covers 70 bits, enough for any
 #: zigzagged int64.  Longer runs indicate a corrupt or hostile stream.
 _MAX_VARINT_BYTES = 10
 
-#: Encode hook signature: ``(slot, timestamp) -> (scheme, payload bytes)``
-#: where ``slot`` is 0 for ``lo`` and 1 for ``hi``.
-EncodeBound = Callable[[int, np.ndarray], Tuple[int, bytes]]
-#: Decode hook signature: ``(slot, scheme, payload, n) -> timestamp``
-#: where ``payload`` is an int64 array (raw) or an ``(index, value)``
-#: pair list (sparse/differential).
-DecodeBound = Callable[[int, int, object, int], np.ndarray]
+#: Bounds-block width code (= bytes per component) -> unsigned
+#: big-endian dtype.
+_WIDTHS = {
+    1: np.dtype("u1"),
+    2: np.dtype(">u2"),
+    4: np.dtype(">u4"),
+    8: np.dtype(">u8"),
+}
+#: Base width code of a block whose rows are plain signed 8-byte
+#: components with no base row (some component is negative).
+_NO_BASE = 0
+_SIGNED = np.dtype(">i8")
 
 
 # ----------------------------------------------------------------------
@@ -163,165 +153,185 @@ def read_svarint(data: bytes, offset: int) -> Tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# bounds (timestamp vectors)
+# interval reports
 # ----------------------------------------------------------------------
-def pack_pairs(indices: np.ndarray, values: np.ndarray) -> bytes:
-    """A sparse/differential payload — parallel index/value arrays, as
-    :func:`repro.clocks.encoding.pair_arrays` builds them — packed as
-    ``uvarint count`` + ``count`` × (``uvarint index, svarint value``)."""
+def _width(peak: int) -> int:
+    """The narrowest width code whose unsigned range holds *peak*."""
+    if peak < 1 << 8:
+        return 1
+    if peak < 1 << 16:
+        return 2
+    if peak < 1 << 32:
+        return 4
+    return 8
+
+
+def _pack_report(message, include_parts: bool) -> Optional[bytes]:
+    """The :data:`TAG_INTERVAL_REPORT_BLOCK` body::
+
+        svarint origin, dest · uvarint transport_seq · uvarint n · uvarint m
+        m × (svarint owner · uvarint seq · uvarint #members · svarint member…
+             · uvarint #parts)
+        bounds block
+
+    ``m`` counts the intervals in the frame: the head first, then its
+    provenance in pre-order (``#parts`` is what rebuilds the tree).  The
+    bounds block is the ``(2m, n)`` array of their rows ``lo₀ hi₀ lo₁
+    hi₁ …`` written as narrow offsets from a per-frame base row: two
+    width codes (bytes per component, each one of 1/2/4/8), the base row
+    ``block.min(axis=0)`` at the first width, then ``block - base`` at
+    the second, both unsigned big-endian.  Clocks that sit near each
+    other — a head and the intervals it aggregates always do — therefore
+    cost one or two bytes per component whatever their magnitude.  A
+    block with a negative component has no base (code :data:`_NO_BASE`)
+    and carries plain signed 8-byte rows, so the whole int64 range
+    round-trips.  Nothing refers to an earlier frame.
+
+    Returns ``None`` when the provenance mixes vector widths (no single
+    ``n``): the caller sends such a report through the JSON escape
+    hatch."""
+    head = message.interval
+    n = head.n
+    tree = bytearray()
+    rows: List[np.ndarray] = []
+    pending = [head]
+    while pending:
+        interval = pending.pop()
+        if interval.n != n:
+            return None
+        write_svarint(tree, interval.owner)
+        write_uvarint(tree, interval.seq)
+        members = sorted(interval.members)
+        write_uvarint(tree, len(members))
+        for member in members:
+            write_svarint(tree, int(member))
+        parts = interval.parts if include_parts else ()
+        write_uvarint(tree, len(parts))
+        pending.extend(reversed(parts))
+        rows += (interval.lo, interval.hi)
     buf = bytearray()
-    write_uvarint(buf, len(indices))
-    for index, value in zip(indices.tolist(), values.tolist()):
-        write_uvarint(buf, index)
-        write_svarint(buf, value)
+    write_svarint(buf, message.origin)
+    write_svarint(buf, message.dest)
+    write_uvarint(buf, message.transport_seq)
+    write_uvarint(buf, n)
+    write_uvarint(buf, len(rows) // 2)
+    buf += tree
+    block = np.concatenate(rows).reshape(len(rows), n)
+    base = block.min(axis=0)
+    if base.min(initial=0) < 0:
+        buf.append(_NO_BASE)
+        buf.append(8)
+        buf += block.astype(_SIGNED).tobytes()
+    else:
+        off = block - base
+        base_width = _width(int(base.max(initial=0)))
+        off_width = _width(int(off.max(initial=0)))
+        buf.append(base_width)
+        buf.append(off_width)
+        buf += base.astype(_WIDTHS[base_width]).tobytes()
+        buf += off.astype(_WIDTHS[off_width]).tobytes()
     return bytes(buf)
 
 
-def _pack_bound(
-    buf: bytearray, ts: np.ndarray, slot: int, bounds: Optional[EncodeBound]
-) -> None:
-    if bounds is None:
-        buf.append(SCHEME_RAW)
-        buf += np.ascontiguousarray(ts, dtype=np.int64).astype(">i8").tobytes()
-        return
-    scheme, payload = bounds(slot, ts)
-    buf.append(scheme)
-    buf += payload
-
-
-def _unpack_bound(
-    data: bytes,
-    offset: int,
-    n: int,
-    slot: int,
-    bounds: Optional[DecodeBound],
-) -> Tuple[np.ndarray, int]:
-    if offset >= len(data):
-        raise ValueError("truncated interval bounds in packed frame body")
-    scheme = data[offset]
-    offset += 1
-    if scheme == SCHEME_RAW:
-        end = offset + 8 * n
-        if end > len(data):
-            raise ValueError("truncated raw timestamp in packed frame body")
-        payload: object = np.frombuffer(data, dtype=">i8", count=n, offset=offset).astype(
-            np.int64
-        )
-        offset = end
-    elif scheme in (SCHEME_SPARSE, SCHEME_DIFFERENTIAL):
-        count, offset = read_uvarint(data, offset)
-        pairs = []
-        for _ in range(count):
-            index, offset = read_uvarint(data, offset)
-            value, offset = read_svarint(data, offset)
-            pairs.append((index, value))
-        payload = pairs
-    else:
-        raise ValueError(f"unknown timestamp scheme byte {scheme}")
-    decode = bounds if bounds is not None else default_decode_bound
-    return decode(slot, scheme, payload, n), offset
-
-
-def default_decode_bound(slot: int, scheme: int, payload: object, n: int) -> np.ndarray:
-    """Reference-free bound decoding (nested provenance, tests): raw
-    arrays pass through, pair lists decode as sparse (a differential
-    payload with no reference *is* sparse, per
-    :func:`repro.clocks.encoding.decode_differential`)."""
-    if scheme == SCHEME_RAW:
-        return np.asarray(payload, dtype=np.int64)
-    if scheme == SCHEME_SPARSE:
-        return np.asarray(decode_sparse(payload, n), dtype=np.int64)
-    return np.asarray(decode_differential(payload, None, n), dtype=np.int64)
-
-
-# ----------------------------------------------------------------------
-# intervals
-# ----------------------------------------------------------------------
-def _pack_interval(
-    buf: bytearray,
-    interval: Interval,
-    *,
-    include_parts: bool,
-    bounds: Optional[EncodeBound],
-) -> None:
-    write_svarint(buf, interval.owner)
-    write_uvarint(buf, interval.seq)
-    write_uvarint(buf, interval.n)
-    _pack_bound(buf, interval.lo, 0, bounds)
-    _pack_bound(buf, interval.hi, 1, bounds)
-    members = sorted(interval.members)
-    write_uvarint(buf, len(members))
-    for member in members:
-        write_svarint(buf, int(member))
-    parts = interval.parts if include_parts else ()
-    write_uvarint(buf, len(parts))
-    for part in parts:
-        # Provenance bounds stay raw and reference-free, exactly like
-        # the JSON path: the compression chain is tied to the *head*
-        # timestamps only, keeping both ends' state trivially in
-        # lockstep (see FrameCodec._compress_interval).
-        _pack_interval(buf, part, include_parts=include_parts, bounds=None)
-
-
-def _unpack_interval(
-    data: bytes, offset: int, *, bounds: Optional[DecodeBound]
-) -> Tuple[Interval, int]:
-    owner, offset = read_svarint(data, offset)
-    seq, offset = read_uvarint(data, offset)
+def _unpack_report(data: bytes, offset: int) -> Tuple[object, int]:
+    """Invert :func:`_pack_report`.  Everything a hostile frame could
+    inflate — the block's size, the provenance tree's shape — is checked
+    against the bytes actually present before it is acted on."""
+    origin, offset = read_svarint(data, offset)
+    dest, offset = read_svarint(data, offset)
+    transport_seq, offset = read_uvarint(data, offset)
     n, offset = read_uvarint(data, offset)
-    lo, offset = _unpack_bound(data, offset, n, 0, bounds)
-    hi, offset = _unpack_bound(data, offset, n, 1, bounds)
-    count, offset = read_uvarint(data, offset)
-    members = []
-    for _ in range(count):
-        member, offset = read_svarint(data, offset)
-        members.append(member)
-    count, offset = read_uvarint(data, offset)
-    parts = []
-    for _ in range(count):
-        part, offset = _unpack_interval(data, offset, bounds=None)
-        parts.append(part)
-    interval = Interval(
-        owner=owner,
-        seq=seq,
-        lo=np.asarray(lo, dtype=np.int64),
-        hi=np.asarray(hi, dtype=np.int64),
-        members=frozenset(members),
-        parts=tuple(parts),
+    m, offset = read_uvarint(data, offset)
+    tree = []
+    for _ in range(m):
+        owner, offset = read_svarint(data, offset)
+        seq, offset = read_uvarint(data, offset)
+        count, offset = read_uvarint(data, offset)
+        members = []
+        for _ in range(count):
+            member, offset = read_svarint(data, offset)
+            members.append(member)
+        nparts, offset = read_uvarint(data, offset)
+        tree.append((owner, seq, frozenset(members), nparts))
+
+    if offset + 2 > len(data):
+        raise ValueError("truncated bounds block in packed frame body")
+    base_width, off_width = data[offset], data[offset + 1]
+    offset += 2
+    based = base_width != _NO_BASE
+    known = base_width in _WIDTHS if based else off_width == 8
+    if not known or off_width not in _WIDTHS:
+        raise ValueError(
+            f"unknown bounds block width codes ({base_width}, {off_width})"
+        )
+    cells = 2 * m * n
+    start = offset + base_width * n
+    end = start + off_width * cells
+    if end > len(data):
+        raise ValueError(
+            f"bounds block of {end - offset} bytes overruns the "
+            f"{len(data) - offset} present in packed frame body"
+        )
+    block = (
+        np.frombuffer(data, _WIDTHS[off_width] if based else _SIGNED, cells, start)
+        .astype(np.int64)
+        .reshape(2 * m, n)
     )
-    return interval, offset
+    if based:
+        base = np.frombuffer(data, _WIDTHS[base_width], n, offset).astype(np.int64)
+        off, block = block, block + base
+        # Only 8-byte components can leave the non-negative int64 range
+        # (wrapping on the cast or on the sum); no encoder writes those.
+        if 8 in (base_width, off_width) and (
+            min(base.min(initial=0), off.min(initial=0), block.min(initial=0)) < 0
+        ):
+            raise ValueError("bounds block overflows int64")
+
+    # Pre-order, read backwards: when interval i is reached every later
+    # subtree is finished, and its parts are the #parts most recent
+    # ones.  Iterative, so a deep chain cannot exhaust the stack.
+    done: List[Interval] = []
+    for i in range(m - 1, -1, -1):
+        owner, seq, members, nparts = tree[i]
+        cut = len(done) - nparts
+        if cut < 0:
+            raise ValueError("provenance tree overruns the frame's intervals")
+        parts = tuple(reversed(done[cut:]))
+        del done[cut:]
+        # Row views: the constructor's ``freeze`` copies each into an
+        # owned array, so no interval pins the block.
+        done.append(
+            Interval(
+                owner=owner,
+                seq=seq,
+                lo=block[2 * i],
+                hi=block[2 * i + 1],
+                members=members,
+                parts=parts,
+            )
+        )
+    if len(done) != 1:
+        raise ValueError("provenance tree does not use the frame's intervals")
+    report = IntervalReport(
+        origin=origin, dest=dest, interval=done[0], transport_seq=transport_seq
+    )
+    return report, end
 
 
 # ----------------------------------------------------------------------
 # messages
 # ----------------------------------------------------------------------
 def pack_message(
-    message: object,
-    *,
-    include_parts: bool = True,
-    bounds: Optional[EncodeBound] = None,
+    message: object, *, include_parts: bool = True
 ) -> Optional[Tuple[int, bytes]]:
-    """One dataclass -> ``(tag, packed body)``, or ``None`` when the
-    type has no packed form (the caller falls back to the JSON escape
-    hatch, so unknown/cold types keep working on a binary wire)."""
-    from .messages import (
-        AppMessage,
-        AttachAccept,
-        AttachRequest,
-        DetachNotice,
-        Heartbeat,
-        IntervalReport,
-    )
-
-    buf = bytearray()
+    """One dataclass -> ``(tag, packed body)``, or ``None`` when it has
+    no packed form — an unknown type, or a report whose provenance mixes
+    vector widths (the caller falls back to the JSON escape hatch, so
+    those keep working on a binary wire)."""
     if isinstance(message, IntervalReport):
-        write_svarint(buf, message.origin)
-        write_svarint(buf, message.dest)
-        write_uvarint(buf, message.transport_seq)
-        _pack_interval(
-            buf, message.interval, include_parts=include_parts, bounds=bounds
-        )
-        return TAG_INTERVAL_REPORT, bytes(buf)
+        body = _pack_report(message, include_parts)
+        return None if body is None else (TAG_INTERVAL_REPORT_BLOCK, body)
+    buf = bytearray()
     if isinstance(message, Heartbeat):
         write_svarint(buf, message.sender)
         return TAG_HEARTBEAT, bytes(buf)
@@ -350,40 +360,13 @@ def pack_message(
     return None
 
 
-def unpack_message(
-    tag: int,
-    data: bytes,
-    offset: int = 0,
-    *,
-    bounds: Optional[DecodeBound] = None,
-) -> Tuple[object, int]:
+def unpack_message(tag: int, data: bytes, offset: int = 0) -> Tuple[object, int]:
     """Invert :func:`pack_message`; returns ``(message, new_offset)`` so
-    the frame layer can read a trailing sidecar.  Unknown tags and any
-    structural damage (truncation, bad scheme bytes) raise
-    :class:`ValueError`."""
-    from .messages import (
-        AppMessage,
-        AttachAccept,
-        AttachRequest,
-        DetachNotice,
-        Heartbeat,
-        IntervalReport,
-    )
-
-    if tag == TAG_INTERVAL_REPORT:
-        origin, offset = read_svarint(data, offset)
-        dest, offset = read_svarint(data, offset)
-        transport_seq, offset = read_uvarint(data, offset)
-        interval, offset = _unpack_interval(data, offset, bounds=bounds)
-        return (
-            IntervalReport(
-                origin=origin,
-                dest=dest,
-                interval=interval,
-                transport_seq=transport_seq,
-            ),
-            offset,
-        )
+    the frame layer can read a trailing sidecar.  Unknown tags (the
+    retired tag 1 among them) and any structural damage (truncation, bad
+    width codes, a malformed provenance tree) raise :class:`ValueError`."""
+    if tag == TAG_INTERVAL_REPORT_BLOCK:
+        return _unpack_report(data, offset)
     if tag == TAG_HEARTBEAT:
         sender, offset = read_svarint(data, offset)
         return Heartbeat(sender=sender), offset
@@ -399,7 +382,10 @@ def unpack_message(
         for _ in range(n):
             component, offset = read_svarint(data, offset)
             components.append(component)
-        piggyback = np.asarray(components, dtype=np.int64)
+        try:
+            piggyback = np.asarray(components, dtype=np.int64)
+        except OverflowError as exc:  # a varint carries up to 70 bits
+            raise ValueError("AppMessage piggyback component outside int64") from exc
         return AppMessage(payload=payload, piggyback=piggyback), offset
     if tag == TAG_ATTACH_REQUEST:
         child, offset = read_svarint(data, offset)

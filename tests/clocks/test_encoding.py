@@ -61,6 +61,15 @@ class TestDifferential:
         with pytest.raises(ValueError):
             encode_differential(freeze([1, 2]), freeze([1, 2, 3]))
 
+    @pytest.mark.parametrize("index", [3, 2**40, -1, -3])
+    def test_pair_index_outside_the_vector_rejected(self, index):
+        # A payload comes off the wire: past the end is no IndexError,
+        # and a negative index never wraps around to component n + index.
+        with pytest.raises(ValueError, match="pair index"):
+            decode_sparse([(index, 5)], 3)
+        with pytest.raises(ValueError, match="pair index"):
+            decode_differential([(0, 1), (index, 5)], freeze([1, 2, 3]), 3)
+
     @settings(max_examples=150)
     @given(vectors, st.data())
     def test_round_trip_property(self, ref, data):

@@ -274,9 +274,9 @@ class TestBinaryWire:
             assert out == message
 
     def test_binary_stream_is_smaller_than_json(self):
-        # A cold raw frame can lose to JSON digits (8 bytes per int64
-        # vs a few characters), but over a report stream the varint
-        # pair schemes chain and the packed wire wins overall.
+        # One byte per component (offsets from the frame's base row)
+        # against JSON digits and punctuation, even with the JSON
+        # wire's reference chain doing its best on a slow clock.
         bin_codec, json_codec = _binary(), FrameCodec()
         packed = plain = 0
         clock = np.zeros(32, dtype=np.int64)
@@ -406,7 +406,7 @@ class TestBinaryWire:
             out = dec.decode(enc.encode(report))
             assert out.interval.lo.tolist() == report.interval.lo.tolist()
             assert out.interval.hi.tolist() == report.interval.hi.tolist()
-        assert enc.encodings["differential"] + enc.encodings["sparse"] > 0
+        assert not enc.encodings  # no scheme is chosen: there is no chain
 
     def test_shape_change_resets_reference(self):
         enc, dec = _binary(), _binary()
@@ -496,6 +496,220 @@ class TestBinaryMeta:
             _binary().encode({"type": ACK_TYPE, "n": 1}, meta={"span": [0, 0]})
 
 
+def _frame(tag, body, flags=0):
+    import struct
+
+    return struct.pack(">BBBI", 0xB1, tag, flags, len(body)) + bytes(body)
+
+
+def _block_body(n, tree, widths, payload, m=None):
+    """A hand-built tag-8 body.  *tree* is ``[(owner, seq, nparts)]`` in
+    pre-order (no explicit members), *widths* the two width codes and
+    *payload* the raw bytes that follow them."""
+    from repro.sim.wirepack import write_svarint, write_uvarint
+
+    body = bytearray()
+    write_svarint(body, 1)  # origin
+    write_svarint(body, 0)  # dest
+    write_uvarint(body, 0)  # transport_seq
+    write_uvarint(body, n)
+    write_uvarint(body, len(tree) if m is None else m)
+    for owner, seq, nparts in tree:
+        write_svarint(body, owner)
+        write_uvarint(body, seq)
+        write_uvarint(body, 0)
+        write_uvarint(body, nparts)
+    body += bytes(widths) + payload
+    return body
+
+
+class TestBoundsBlock:
+    """The one ``IntervalReport`` body of the binary wire (tag 8): every
+    timestamp of the frame in one block of narrow offsets from a base
+    row, and a decoder that believes nothing the bytes do not back."""
+
+    def test_reports_are_tag_8_and_tag_1_is_retired(self):
+        frame = _binary().encode(_report())
+        assert frame[1] == 8
+        with pytest.raises(ValueError, match="unknown packed message tag 1"):
+            _binary().feed(_frame(1, frame[7:]))
+
+    def test_decoded_bounds_are_frozen_owned_int64(self):
+        part = _interval(owner=2, seq=4, lo=(300, 0, 7), hi=(300, 2, 7))
+        head = _interval(
+            owner=1, seq=9, lo=(300, 1, 7), hi=(300, 2, 7),
+            members=frozenset({1, 2}), parts=(part,),
+        )
+        sent = IntervalReport(origin=1, dest=0, interval=head, transport_seq=3)
+        got = _binary().decode(_binary().encode(sent))
+        for mine, theirs in ((got.interval, head), (got.interval.parts[0], part)):
+            assert mine.key() == theirs.key()  # same bytes as the sender's
+            for bound in (mine.lo, mine.hi):
+                assert bound.dtype == np.int64
+                assert bound.base is None and not bound.flags.writeable
+
+    @pytest.mark.parametrize(
+        "value, base_width",
+        [(0, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4),
+         (2**32 - 1, 4), (2**32, 8), (2**62, 8)],
+    )
+    def test_base_row_takes_the_narrowest_width_that_fits(self, value, base_width):
+        n = 5
+        report = _report(lo=[value] * n, hi=[value + 1] * n)
+        frame = _binary().encode(report)
+        lean = _binary().encode(_report(lo=[0] * n, hi=[1] * n))
+        # Same frame but for the base row: offsets stay one byte wide
+        # however large the clock.
+        assert len(frame) - len(lean) == (base_width - 1) * n
+        got = _binary().decode(frame)
+        assert got.interval.lo.tolist() == [value] * n
+        assert got.interval.hi.tolist() == [value + 1] * n
+
+    @pytest.mark.parametrize(
+        "span, off_width", [(255, 1), (256, 2), (65_536, 4), (2**32, 8)]
+    )
+    def test_offsets_take_the_narrowest_width_that_fits(self, span, off_width):
+        n = 3
+        frame = _binary().encode(_report(lo=[10] * n, hi=[10 + span] * n))
+        lean = _binary().encode(_report(lo=[10] * n, hi=[11] * n))
+        assert len(frame) - len(lean) == (off_width - 1) * 2 * n
+        assert _binary().decode(frame).interval.hi.tolist() == [10 + span] * n
+
+    def test_negative_component_falls_back_to_signed_rows(self):
+        lo, hi = [-(2**63), -1, 5], [2**63 - 1, -1, 5]
+        frame = _binary().encode(_report(lo=lo, hi=hi))
+        assert frame[1] == 8 and frame[-2 * 3 * 8 - 2 : -2 * 3 * 8] == b"\x00\x08"
+        got = _binary().decode(frame)
+        assert got.interval.lo.tolist() == lo and got.interval.hi.tolist() == hi
+
+    def test_mixed_widths_ride_the_json_escape_hatch(self):
+        part = _interval(owner=2, seq=0, lo=(1, 0), hi=(2, 0))
+        head = _interval(owner=1, seq=0, members=frozenset({1, 2}), parts=(part,))
+        sent = IntervalReport(origin=1, dest=0, interval=head)
+        frame = _binary().encode(sent, meta={"span": [1, 2]})
+        assert frame[0] == 0xB1 and frame[1] == 0  # TAG_JSON
+        ((got, meta),) = _binary().feed_meta(frame)
+        assert got.interval.key() == head.key()
+        assert got.interval.parts[0].key() == part.key()
+        assert meta == {"span": [1, 2]}
+        # Lean frames drop the odd part and pack as usual.
+        assert FrameCodec(wire="binary", include_parts=False).encode(sent)[1] == 8
+
+    def test_deep_provenance_needs_no_recursion(self):
+        depth = 3000  # past the interpreter's default recursion limit
+        interval = _interval(owner=0, seq=0)
+        for level in range(1, depth):
+            interval = _interval(owner=level, seq=0, parts=(interval,))
+        frame = _binary().encode(IntervalReport(origin=1, dest=0, interval=interval))
+        got = _binary().decode(frame).interval
+        for level in range(depth - 1, 0, -1):
+            assert got.owner == level and len(got.parts) == 1
+            (got,) = got.parts
+        assert got.owner == 0 and got.parts == ()
+
+    def test_block_the_frame_cannot_hold_is_refused_before_allocation(self):
+        import tracemalloc
+
+        # 22 bytes declaring a 2 x 2**40 block (16 TiB of int64).
+        body = _block_body(2**40, [(1, 0, 0)], (1, 1), b"\x00" * 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="overruns"):
+                _binary().feed(_frame(8, body))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "widths", [(3, 1), (1, 3), (1, 0), (0, 4), (16, 1), (1, 255)]
+    )
+    def test_unknown_width_codes_poison_stream(self, widths):
+        body = _block_body(1, [(1, 0, 0)], widths, b"\x00" * 24)
+        with pytest.raises(ValueError, match="width codes"):
+            _binary().feed(_frame(8, body))
+
+    @pytest.mark.parametrize(
+        "tree, complaint",
+        [
+            ([(1, 0, 1)], "overruns"),  # claims a part the frame lacks
+            ([(1, 0, 2), (2, 0, 0)], "overruns"),
+            ([(1, 0, 0), (2, 0, 0)], "does not use"),  # an orphan interval
+            ([], "does not use"),  # no head at all
+        ],
+    )
+    def test_provenance_tree_must_use_exactly_its_intervals(self, tree, complaint):
+        body = _block_body(1, tree, (1, 1), b"\x00" * (1 + 2 * len(tree)))
+        with pytest.raises(ValueError, match=complaint):
+            _binary().feed(_frame(8, body))
+
+    def test_trailing_bytes_after_the_block_poison_stream(self):
+        body = _block_body(1, [(1, 0, 0)], (1, 1), b"\x00" * 3)
+        assert _binary().decode(_frame(8, body)).interval.lo.tolist() == [0]
+        with pytest.raises(ValueError, match="trailing"):
+            _binary().feed(_frame(8, body + b"\x00"))
+
+    @pytest.mark.parametrize(
+        "widths, payload",
+        [
+            # base 2**63 reads back negative
+            ((8, 1), b"\x80" + b"\x00" * 7 + b"\x00\x00"),
+            # an offset of 2**63 likewise
+            ((1, 8), b"\x00" + (b"\x80" + b"\x00" * 7) * 2),
+            # base + offset passes 2**63 - 1
+            ((8, 8), (b"\x7f" + b"\xff" * 7) * 3),
+        ],
+    )
+    def test_eight_byte_components_cannot_wrap(self, widths, payload):
+        body = _block_body(1, [(1, 0, 0)], widths, payload)
+        with pytest.raises(ValueError, match="overflows int64"):
+            _binary().feed(_frame(8, body))
+
+
+class TestCompressedJsonBounds:
+    """The JSON wire's pair payloads name their own indices and width:
+    both are checked before they are used."""
+
+    @staticmethod
+    def _report_frame(lo, n):
+        import json
+        import struct
+
+        body = json.dumps(
+            {
+                "type": "IntervalReport", "origin": 1, "dest": 0,
+                "transport_seq": 0,
+                "interval": {
+                    "owner": 1, "seq": 0, "members": [1], "n": n,
+                    "lo": lo, "hi": {"e": "raw", "p": [9] * min(n, 3)},
+                },
+            },
+            separators=(",", ":"),
+        ).encode()
+        return struct.pack(">I", len(body)) + body
+
+    def test_well_formed_frame_decodes(self):
+        out = FrameCodec().decode(self._report_frame({"e": "sparse", "p": [[2, 5]]}, 3))
+        assert out.interval.lo.tolist() == [0, 0, 5]
+
+    @pytest.mark.parametrize("scheme", ["sparse", "differential"])
+    @pytest.mark.parametrize("index", [3, 2**40, -1, -3])
+    def test_pair_index_outside_the_vector_poisons_stream(self, scheme, index):
+        # -1 used to wrap around to component n-1 and decode "fine".
+        dec = FrameCodec()
+        dec.decode(self._report_frame({"e": "sparse", "p": []}, 3))  # a reference
+        with pytest.raises(ValueError, match="pair index"):
+            dec.feed(self._report_frame({"e": scheme, "p": [[index, 5]]}, 3))
+
+    def test_declared_width_no_frame_could_carry_is_refused(self):
+        # 2**40 components would be an 8 TiB allocation.
+        with pytest.raises(ValueError, match="max_frame"):
+            FrameCodec().feed(self._report_frame({"e": "sparse", "p": []}, 2**40))
+        small = FrameCodec(max_frame=256)
+        with pytest.raises(ValueError, match="max_frame"):
+            small.feed(self._report_frame({"e": "sparse", "p": []}, 129))
+
+
 def _golden_stream(count=50, n=12):
     """A fixed report stream on one channel that visits every scheme:
     sparse early (mostly-zero clocks), differential while one or two
@@ -535,25 +749,36 @@ def _golden_stream(count=50, n=12):
 
 class TestGoldenFrames:
     """The wire format did not move: sha256 over the concatenated frames
-    of :func:`_golden_stream`, recorded before the count-only cost
-    kernel replaced the payload-building one."""
+    of :func:`_golden_stream`.  The ``json`` rows were recorded before
+    the count-only cost kernel replaced the payload-building one and
+    have not changed since; the ``binary`` rows were re-recorded when
+    the tag-8 bounds block replaced the per-bound scheme payloads
+    (``compress`` is JSON-only, so both of its values give one stream)."""
+
+    #: include_parts -> total bytes of the binary golden stream at the
+    #: parent of the bounds block, whose tag-1 bodies priced each bound
+    #: on its own: (with the per-channel chain — the default; with it
+    #: off, all raw — what the chain chose for all but 4 of 6,576 head
+    #: bounds on benchmark traffic, and always for provenance).  The
+    #: block's own totals are the ``binary`` rows of :attr:`GOLDEN`.
+    PARENT_BINARY_BYTES = {True: (10856, 19316), False: (3384, 11844)}
 
     GOLDEN = {
         ("binary", True, True): (
-            10856,
-            "bc4eb77842af14e568de772250735c7f276a7037918b19f87c042c13e22af5e6",
+            5434,
+            "23df8ffe7e2eb074fe8e567a6cfb2dbd6d44c30aadcbbed818110f3ee230b516",
         ),
         ("binary", True, False): (
-            3384,
-            "354113a852f192b10369d881ae01379faa1191cdfc9cb4f1c5eb60cf9a58734a",
+            4364,
+            "79e12833e11ea84e04e40d0d2b5e99d68492b3597929df349392c13e16e8f207",
         ),
         ("binary", False, True): (
-            19316,
-            "b8aba5a8ab58f4630629ab742a2fd6ee39308d833650a7ddde0fd4f68fea914c",
+            5434,
+            "23df8ffe7e2eb074fe8e567a6cfb2dbd6d44c30aadcbbed818110f3ee230b516",
         ),
         ("binary", False, False): (
-            11844,
-            "afe2d7ecf8383cf7e12114a3bf21423341abda9e591f79a045b43083369b9d48",
+            4364,
+            "79e12833e11ea84e04e40d0d2b5e99d68492b3597929df349392c13e16e8f207",
         ),
         ("json", True, True): (
             15457,
@@ -583,10 +808,29 @@ class TestGoldenFrames:
         frames = b"".join(enc.encode(report, meta) for report, meta in _golden_stream())
         digest = hashlib.sha256(frames).hexdigest()
         assert (len(frames), digest) == self.GOLDEN[wire, compress, include_parts]
-        if compress:
+        if wire == "binary":
+            assert not enc.encodings
+        elif compress:
             assert set(enc.encodings) == {"raw", "sparse", "differential"}
         dec = FrameCodec(wire=wire, compress=compress, include_parts=include_parts)
         decoded = dec.feed_meta(frames)
         assert [m for _, m in decoded] == [m for _, m in _golden_stream()]
         for (got, _), (sent, _) in zip(decoded, _golden_stream()):
             assert got.interval.key() == sent.interval.key()
+
+    def test_block_keeps_its_byte_budget(self):
+        # So a later change cannot quietly give the bytes back.  With
+        # provenance on (the shipped default) the block is 0.28x the
+        # parent's raw stream and 0.50x its chained one — this stream
+        # was built to walk the chain through sparse and differential,
+        # and ten of its frames pay an 8-byte base row for one 2**62
+        # component; lean, the chain's own regime, the chain was smaller.
+        def total(include_parts):
+            enc = FrameCodec(wire="binary", include_parts=include_parts)
+            return sum(len(enc.encode(r, meta)) for r, meta in _golden_stream())
+
+        chained, raw = self.PARENT_BINARY_BYTES[True]
+        assert total(True) <= 0.45 * raw
+        assert total(True) <= 0.51 * chained
+        _, raw = self.PARENT_BINARY_BYTES[False]
+        assert total(False) <= 0.45 * raw

@@ -104,9 +104,16 @@ class TestLoadThroughRepair:
             ]
             prefix_ok = session.reference_match(full, allow_prefix=True)
             await cluster.stop()
-            return summary, admitted_at_kill[0], admitted_after, prefix_ok
+            poisoned = cluster.log.of_kind("net_stream_poisoned")
+            return summary, admitted_at_kill[0], admitted_after, prefix_ok, poisoned
 
-        summary, admitted_at_kill, admitted_after, prefix_ok = run(scenario())
+        summary, admitted_at_kill, admitted_after, prefix_ok, poisoned = run(
+            scenario()
+        )
+
+        # A kill closes connections; it never makes a decoder refuse a
+        # frame (reconnect churn from a codec bug would show here).
+        assert not poisoned
 
         # Dispatch dropped the dead target the instant it died.
         assert admitted_after == admitted_at_kill

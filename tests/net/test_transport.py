@@ -115,6 +115,78 @@ class TestTcp:
         assert len(got) == 4
         assert clock.telemetry.registry.get("repro_net_reconnects_total")[0] >= 2
 
+    def test_corrupt_frame_poisons_the_stream_loudly_and_is_retransmitted(self):
+        from repro.net import FrameCodec
+        from repro.sim.messages import IntervalReport
+
+        class CorruptsItsFirstReport(FrameCodec):
+            """Well-framed, malformed: the first report's bounds block
+            claims a width code no encoder writes."""
+
+            armed = True
+
+            def encode(self, message, meta=None):
+                frame = super().encode(message, meta)
+                if isinstance(message, IntervalReport) and type(self).armed:
+                    type(self).armed = False
+                    # n = 2 at one byte a component: the frame ends with
+                    # two width codes, a base row and two offset rows.
+                    at = len(frame) - 8
+                    assert frame[at : at + 2] == b"\x01\x01"
+                    return frame[:at] + b"\x03" + frame[at + 1 :]
+                return frame
+
+        async def scenario():
+            import numpy as np
+
+            from repro.intervals import Interval
+
+            clock = AsyncClock()
+            a = TcpTransport(
+                0,
+                clock,
+                backoff_base=0.01,
+                codec_factory=lambda: CorruptsItsFirstReport(wire="binary"),
+            )
+            b = TcpTransport(1, clock)
+            got = []
+            b.set_receiver(lambda src, msg: got.append(msg))
+            await a.start()
+            await b.start()
+            a.set_peers({1: b.address})
+            a.send(1, Heartbeat(sender=0))
+            clock_row = np.array([3, 1], dtype=np.int64)
+            report = IntervalReport(
+                origin=0,
+                dest=1,
+                interval=Interval(owner=0, seq=0, lo=clock_row, hi=clock_row + 1),
+            )
+            deadline = asyncio.get_running_loop().time() + 10
+
+            async def delivered(count):
+                while len(got) < count:
+                    assert asyncio.get_running_loop().time() < deadline, got
+                    await asyncio.sleep(0.005)
+
+            await delivered(1)  # the session is up before it is poisoned
+            a.send(1, report)
+            await delivered(2)
+            await a.stop()
+            await b.stop()
+            return clock, got, report
+
+        clock, got, report = run(scenario())
+        # The receiver said why it hung up ...
+        (poisoned,) = clock.log.of_kind("net_stream_poisoned")
+        assert poisoned.node == 1 and poisoned.get("src") == 0
+        assert "width codes" in poisoned.get("error")
+        # ... the sender saw the close, redialled with a fresh codec and
+        # sent the unacked report again: delivered once, intact.
+        assert clock.log.of_kind("net_connection_lost")
+        assert clock.telemetry.registry.get("repro_net_reconnects_total")[0] == 2
+        assert [type(m).__name__ for m in got] == ["Heartbeat", "IntervalReport"]
+        assert got[1].interval.key() == report.interval.key()
+
     def test_outbox_hard_cap_drops_and_counts(self):
         async def scenario():
             clock = AsyncClock()

@@ -2,11 +2,14 @@
 
 :mod:`repro.sim.wirepack` and :class:`repro.net.FrameCodec` promise the
 same thing the JSON layer promises: every control-plane dataclass comes
-back identical, for any field values the runtime can produce — 2**62
-timestamp components, empty and all-zero vectors, negative ids,
-aggregation provenance, and per-channel compression reference chains
-(including the fresh-codec re-encode a transport performs on
-reconnect)."""
+back identical, for any field values the runtime can produce — int64
+timestamp components on either side of every bounds-block width, empty
+and all-zero vectors, negative ids, aggregation provenance nested as
+deep as the paper's h=4 tree nests it, and the JSON wire's per-channel
+compression reference chains (including the fresh-codec re-encode a
+transport performs on reconnect).  Binary frames promise two things
+more: each decodes on its own, and a damaged one raises
+:class:`ValueError` and nothing else."""
 
 from __future__ import annotations
 
@@ -41,46 +44,67 @@ from ..clocks.test_encoding import _built_best_encoding
 SETTINGS = settings(max_examples=80, deadline=None)
 
 #: Vector-clock components up to 2**62: far past int32, still inside
-#: the svarint/int64 envelope the schemes promise to carry.
+#: the svarint/int64 envelope the wire promises to carry.
 COMPONENT = st.integers(0, 2**62)
 PROCESS_ID = st.integers(-(2**31), 2**31)
+
+#: The largest values the bounds block's 1/2/4-byte widths hold, and the
+#: suite's ceiling: clocks are drawn around one of them so that every
+#: width, and both sides of every boundary, is met often.
+WIDTH_EDGES = (255, 65_535, 2**32 - 1, 2**62)
+
+
+def _components(n, edges):
+    """n components below or right around one width edge."""
+    return st.sampled_from(edges).flatmap(
+        lambda edge: st.lists(
+            st.one_of(st.integers(0, edge + 2), st.integers(edge - 2, edge + 2)),
+            min_size=n,
+            max_size=n,
+        )
+    )
 
 
 @st.composite
 def timestamp_pairs(draw, n):
-    """(lo, hi) with vc_le(lo, hi) by construction; n may be zero."""
-    lo = np.array(draw(st.lists(COMPONENT, min_size=n, max_size=n)), dtype=np.int64)
-    span = np.array(
-        draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)),
-        dtype=np.int64,
+    """(lo, hi) with vc_le(lo, hi) by construction; n may be zero.  One
+    draw in five shifts lo down so some component is negative (the
+    block's signed 8-byte fallback), as far as the int64 floor."""
+    shift = draw(st.sampled_from([0, 0, 0, 0, 2**63]))
+    lo = np.array(
+        [v - shift for v in draw(_components(n, WIDTH_EDGES))], dtype=np.int64
     )
+    span = np.array(draw(_components(n, WIDTH_EDGES[:3])), dtype=np.int64)
     return lo, lo + span
 
 
 @st.composite
-def intervals(draw, with_parts=True):
-    n = draw(st.integers(0, 8))
+def intervals(draw, n=None, depth=3):
+    """An interval carrying up to *depth* further levels of provenance
+    (3: head -> part -> part -> part, the nesting a level-1 report of the
+    paper's h=4 tree carries).  One part in sixteen has a vector width
+    of its own — a report the packer hands to the JSON escape
+    hatch."""
+    if n is None:
+        n = draw(st.integers(0, 8))
     lo, hi = draw(timestamp_pairs(n))
-    members = frozenset(draw(st.sets(PROCESS_ID, max_size=4)))
-    parts = ()
-    if with_parts and draw(st.booleans()):
-        part_lo, part_hi = draw(timestamp_pairs(n))
-        parts = (
-            Interval(
-                owner=draw(PROCESS_ID),
-                seq=draw(st.integers(0, 2**32)),
-                lo=part_lo,
-                hi=part_hi,
-            ),
-        )
+    parts = []
+    if depth:
+        for _ in range(draw(st.integers(0, 2))):
+            own_width = draw(st.integers(0, 15)) == 0
+            parts.append(draw(intervals(None if own_width else n, depth - 1)))
     return Interval(
         owner=draw(PROCESS_ID),
         seq=draw(st.integers(0, 2**32)),
         lo=lo,
         hi=hi,
-        members=members,
-        parts=parts,
+        members=frozenset(draw(st.sets(PROCESS_ID, max_size=4))),
+        parts=tuple(parts),
     )
+
+
+def vector_widths(interval: Interval) -> set:
+    return {interval.n}.union(*(vector_widths(part) for part in interval.parts))
 
 
 @st.composite
@@ -122,6 +146,16 @@ MESSAGES = st.one_of(
     ),
     st.builds(AttachAccept, parent=PROCESS_ID),
     st.builds(DetachNotice, child=PROCESS_ID),
+)
+
+
+MESSAGE_TYPES = (
+    IntervalReport,
+    AppMessage,
+    Heartbeat,
+    AttachRequest,
+    AttachAccept,
+    DetachNotice,
 )
 
 
@@ -186,7 +220,11 @@ class TestPackedBodies:
     @SETTINGS
     @given(MESSAGES)
     def test_every_message_round_trips(self, message):
-        tag, body = pack_message(message)
+        packed = pack_message(message)
+        if packed is None:  # no packed form: only ever mixed vector widths
+            assert len(vector_widths(message.interval)) > 1
+            return
+        tag, body = packed
         out, offset = unpack_message(tag, body)
         assert offset == len(body)
         assert_messages_equal(message, out)
@@ -282,18 +320,104 @@ class TestReferenceChains:
             assert_messages_equal(report, dec.decode(enc.encode(report)))
 
 
+class TestStatelessBinaryFrames:
+    """Nothing in a binary frame refers to an earlier one, so any frame
+    decodes on its own — with any decoder, after any loss."""
+
+    @SETTINGS
+    @given(report_streams(), st.integers(0, 9))
+    def test_any_suffix_of_a_stream_decodes_alone(self, reports, cut_raw):
+        enc = FrameCodec(wire="binary")
+        frames = [enc.encode(report) for report in reports]
+        cut = cut_raw % len(reports)
+        got = FrameCodec().feed(b"".join(frames[cut:]))
+        assert len(got) == len(reports) - cut
+        for report, out in zip(reports[cut:], got):
+            assert_messages_equal(report, out)
+
+    @SETTINGS
+    @given(report_streams())
+    def test_every_frame_decodes_with_a_fresh_decoder(self, reports):
+        enc = FrameCodec(wire="binary")
+        for frame, report in [(enc.encode(r), r) for r in reports]:
+            assert_messages_equal(report, FrameCodec().decode(frame))
+
+
+class TestDamagedBinaryFrames:
+    """Malformed but well-framed input poisons the stream and does
+    nothing else: the decoder raises :class:`ValueError` — never another
+    exception, which the transport's reader would not catch — and never
+    allocates on the say-so of a count it has not checked."""
+
+    #: tracemalloc peak allowed across all decodes of one example; the
+    #: frames themselves are a few hundred bytes.
+    MEMORY_CAP = 4 << 20
+
+    @staticmethod
+    def _decodes_or_raises_value_error(frame: bytes) -> None:
+        try:
+            out = FrameCodec().feed_meta(frame)
+        except ValueError:
+            return
+        # Damage the decoder cannot see still yields whole messages (or
+        # none yet: a corrupted length field waits for more bytes).
+        for message, meta in out:
+            assert isinstance(message, (dict,) + MESSAGE_TYPES)
+            assert meta is None or isinstance(meta, dict)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        MESSAGES,
+        st.sampled_from(["binary", "json"]),
+        st.booleans(),
+        st.sampled_from([None, {"span": [1, 5], "sampled": True, "epochs": [3, 4]}]),
+        st.randoms(use_true_random=False),
+    )
+    def test_truncation_and_corruption_raise_only_value_error(
+        self, message, wire, include_parts, meta, rng
+    ):
+        import tracemalloc
+
+        frame = FrameCodec(wire=wire, include_parts=include_parts).encode(
+            message, meta
+        )
+        # Legacy JSON framing is a bare 4-byte length; the binary header
+        # puts magic, tag and flags in front of it.
+        lead = frame[:3] if frame[0] & 0x80 else b""
+        body = frame[len(lead) + 4 :]
+        damaged = [
+            # every truncation point, re-framed at the shorter length
+            lead + len(body[:cut]).to_bytes(4, "big") + body[:cut]
+            for cut in range(len(body))
+        ]
+        for _ in range(200):  # random single-byte corruptions
+            at = rng.randrange(len(frame))
+            damaged.append(
+                frame[:at] + bytes([rng.randrange(256)]) + frame[at + 1 :]
+            )
+        tracemalloc.start()
+        try:
+            for bad in damaged:
+                self._decodes_or_raises_value_error(bad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.MEMORY_CAP
+
+
 class TestCountOnlyPricing:
-    """Codec and simulator price a chained report stream through the
-    same count-only kernel: per bound, the scheme and the entry count
+    """JSON codec (the socket-side owner of a reference chain) and
+    simulator price a chained report stream through the same count-only
+    kernel: per bound, the scheme and the entry count
     are exactly what building both payloads and reading their lengths
     gave, and the simulator charges what the codec's choices cost."""
 
     @SETTINGS
-    @given(report_streams(), st.sampled_from(["json", "binary"]))
-    def test_codec_and_simulator_agree_with_built_payloads(self, reports, wire):
+    @given(report_streams())
+    def test_codec_and_simulator_agree_with_built_payloads(self, reports):
         from repro.sim.network import WireCodec
 
-        enc, priced = FrameCodec(wire=wire), WireCodec()
+        enc, priced = FrameCodec(wire="json"), WireCodec()
         refs = [None, None]
         for report in reports:
             before = dict(enc.encodings)

@@ -190,14 +190,15 @@ class TestWireEncoding:
 
     def test_repricing_after_vector_width_change(self):
         # Membership grew between two reports on one channel: the old
-        # bounds are no reference for the wider vectors (the frame codec
-        # restarts its chain there), so the report prices from scratch
-        # instead of failing on a shape mismatch.
+        # bounds are no reference for the wider vectors (the JSON frame
+        # codec, the socket-side owner of such a chain, restarts there),
+        # so the report prices from scratch instead of failing on a
+        # shape mismatch.
         from repro.net import FrameCodec
 
         sim = Simulator(seed=0)
         net = Network(sim, line_graph(), uniform_delay(), wire_encoding=True)
-        frames = FrameCodec(wire="binary")
+        frames = FrameCodec(wire="json")
         narrow = self._report(0, 1, 0, [3, 0, 0, 0], [4, 0, 0, 0])
         wide = self._report(0, 1, 1, [3, 0, 0, 0, 0, 0], [4, 0, 0, 0, 0, 0])
         again = self._report(0, 1, 2, [3, 0, 0, 0, 0, 1], [4, 0, 0, 0, 0, 1])

@@ -9,6 +9,21 @@ Binary frame layout (``wire="binary"``, one frame per control message)::
     | version| type   | _meta  | big-endian     |  when flags&1)   |
     +--------+--------+--------+----------------+------------------+
 
+The sidecar is a uvarint length followed by that many bytes::
+
+    uvarint field bits     bit 0 span · bit 1 sampled present
+                           bit 2 sampled value · bit 3 epochs
+                           bit 4 JSON tail (any other bit: corrupt)
+    [svarint node · uvarint sid]                  when bit 0
+    [uvarint count · count × uvarint gap]         when bit 3; a strictly
+                           increasing list, gap = e - previous - 1 from -1
+    [UTF-8 JSON object of every other key]        when bit 4, to the end
+
+A known key whose value has another shape (a negative sid, unsorted
+epochs, a non-bool ``sampled``) travels in the JSON tail unchanged, so
+any JSON-object sidecar round-trips and unknown keys still reach the
+peer; only a sidecar with such keys costs a ``json.dumps``.
+
 The first byte doubles as magic and framing version: ``0xB1`` is the
 binary envelope above (body layouts are versioned by their tags and by
 :data:`CODEC_VERSION`, not by this byte).  Because legacy JSON frames
@@ -54,8 +69,7 @@ the transport before messages reach a role.  The ``__hello__``
 handshake is *always* sent in legacy JSON framing — it is the
 negotiation vehicle (it carries the sender's ``wire`` and ``codec``
 version), so it must be readable by any peer regardless of wire
-format.  Acks are hot (one per read batch) and go packed on a binary
-wire.
+format.  Acks go packed on a binary wire.
 
 Timestamp compression
 ---------------------
@@ -106,8 +120,10 @@ from ..sim.wirepack import (
     TAG_ACK,
     TAG_JSON,
     pack_message,
+    read_svarint,
     read_uvarint,
     unpack_message,
+    write_svarint,
     write_uvarint,
 )
 
@@ -137,16 +153,51 @@ MAGIC_BINARY_V1 = 0xB1
 
 #: Protocol version advertised in ``__hello__``.  2: ``IntervalReport``
 #: bodies are tag 8 (one bounds block per frame); tag 1 is retired.
-CODEC_VERSION = 2
+#: 3: the binary ``_meta`` sidecar is packed (field bits + varints +
+#: an optional JSON tail) instead of a JSON object.
+CODEC_VERSION = 3
 
 WIRE_FORMATS = ("json", "binary")
 
 _HEADER = struct.Struct(">I")
 #: magic/version, type tag, flags, body length.
 _BIN_HEADER = struct.Struct(">BBBI")
-#: flags bit 0: a ``_meta`` sidecar (uvarint length + JSON bytes)
+#: flags bit 0: a ``_meta`` sidecar (uvarint length + packed sidecar)
 #: follows the packed body.
 _FLAG_META = 0x01
+
+#: Packed sidecar field bits (see the module docstring).
+_META_SPAN = 0x01
+_META_SAMPLED = 0x02
+_META_SAMPLED_TRUE = 0x04
+_META_EPOCHS = 0x08
+_META_TAIL = 0x10
+_META_FIELDS = 0x1F
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _packable_span(value) -> bool:
+    """``[node, sid]``: two ints, node in int64, sid in ``[0, 2**63)``."""
+    return (
+        value.__class__ is list
+        and len(value) == 2
+        and value[0].__class__ is int
+        and value[1].__class__ is int
+        and _INT64_MIN <= value[0] <= _INT64_MAX
+        and 0 <= value[1] <= _INT64_MAX
+    )
+
+
+def _packable_epochs(value) -> bool:
+    """A list of ints, strictly increasing, inside ``[0, 2**63)``."""
+    if value.__class__ is not list:
+        return False
+    previous = -1
+    for epoch in value:
+        if epoch.__class__ is not int or not previous < epoch <= _INT64_MAX:
+            return False
+        previous = epoch
+    return True
 
 
 class FrameCodec:
@@ -175,12 +226,13 @@ class FrameCodec:
         and poison the stream on decode (the transport drops the
         connection).  Enforced identically on both wire formats.
     max_meta:
-        Hard bound on the serialized ``_meta`` sidecar.  The sidecar is
-        a forward-compatible extension point — decoders tolerate keys
-        they do not understand — so its size must be bounded
-        independently of the body: an oversized (or non-object) sidecar
-        poisons the frame exactly like an oversized body, on either
-        wire format.
+        Hard bound on the serialized ``_meta`` sidecar (its JSON bytes
+        on the JSON wire, its packed bytes on the binary wire).  The
+        sidecar is a forward-compatible extension point — decoders
+        tolerate keys they do not understand — so its size must be
+        bounded independently of the body: an oversized (or non-object)
+        sidecar poisons the frame exactly like an oversized body, on
+        either wire format.
     """
 
     def __init__(
@@ -234,14 +286,13 @@ class FrameCodec:
             packed = pack_message(message, include_parts=self.include_parts)
             if packed is not None:
                 tag, body = packed
-                flags = 0
-                if meta is not None:
-                    sidecar = self._dump_meta(meta)
-                    trailer = bytearray()
-                    write_uvarint(trailer, len(sidecar))
-                    body = body + bytes(trailer) + sidecar
-                    flags |= _FLAG_META
-                return self._frame_packed(tag, flags, body)
+                if meta is None:
+                    return self._frame_packed(tag, 0, body)
+                sidecar = self._pack_meta(meta)
+                framed = bytearray(body)
+                write_uvarint(framed, len(sidecar))
+                framed += sidecar
+                return self._frame_packed(tag, _FLAG_META, framed)
             # Escape hatch: a message the packer has no packed form for
             # rides as JSON behind a binary header — uncompressed, so it
             # stays as stateless as every other binary frame.
@@ -299,11 +350,90 @@ class FrameCodec:
             )
 
     def _dump_meta(self, meta) -> bytes:
-        """The validated sidecar bytes: the encoder's one dump."""
+        """The validated JSON sidecar bytes: the JSON wire's one dump."""
         self._require_meta_object(meta)
         sidecar = json.dumps(meta, separators=(",", ":")).encode("utf-8")
         self._bound_meta(len(sidecar))
         return sidecar
+
+    def _pack_meta(self, meta) -> bytes:
+        """The validated binary sidecar bytes (layout in the module
+        docstring); ``max_meta`` bounds the packed size."""
+        self._require_meta_object(meta)
+        bits = 0
+        span = epochs = tail = None
+        for key, value in meta.items():
+            if key == "span" and _packable_span(value):
+                bits |= _META_SPAN
+                span = value
+            elif key == "sampled" and value.__class__ is bool:
+                bits |= _META_SAMPLED | (_META_SAMPLED_TRUE if value else 0)
+            elif key == "epochs" and _packable_epochs(value):
+                bits |= _META_EPOCHS
+                epochs = value
+            else:
+                if tail is None:
+                    tail = {}
+                    bits |= _META_TAIL
+                tail[key] = value
+        sidecar = bytearray((bits,))
+        if span is not None:
+            write_svarint(sidecar, span[0])
+            write_uvarint(sidecar, span[1])
+        if epochs is not None:
+            write_uvarint(sidecar, len(epochs))
+            previous = -1
+            for epoch in epochs:
+                write_uvarint(sidecar, epoch - previous - 1)
+                previous = epoch
+        if tail is not None:
+            sidecar += json.dumps(tail, separators=(",", ":")).encode("utf-8")
+        self._bound_meta(len(sidecar))
+        return bytes(sidecar)
+
+    def _unpack_meta(self, data: bytes) -> dict:
+        """Inverse of :meth:`_pack_meta`; anything it would not have
+        written raises ``ValueError``."""
+        bits, offset = read_uvarint(data, 0)
+        if bits & ~_META_FIELDS or (
+            bits & _META_SAMPLED_TRUE and not bits & _META_SAMPLED
+        ):
+            raise ValueError(
+                f"unknown _meta sidecar field bits 0x{bits:x}; stream is corrupt"
+            )
+        meta: dict = {}
+        if bits & _META_SPAN:
+            node, offset = read_svarint(data, offset)
+            sid, offset = read_uvarint(data, offset)
+            meta["span"] = [node, sid]
+        if bits & _META_SAMPLED:
+            meta["sampled"] = bool(bits & _META_SAMPLED_TRUE)
+        if bits & _META_EPOCHS:
+            count, offset = read_uvarint(data, offset)
+            if count > len(data) - offset:  # at least one byte per gap
+                raise ValueError("truncated epoch list in _meta sidecar")
+            epochs = []
+            previous = -1
+            for _ in range(count):
+                gap, offset = read_uvarint(data, offset)
+                previous += gap + 1
+                epochs.append(previous)
+            meta["epochs"] = epochs
+        if bits & _META_TAIL:
+            tail = json.loads(data[offset:].decode("utf-8"))
+            self._require_meta_object(tail)
+            if not tail or not meta.keys().isdisjoint(tail):
+                raise ValueError(
+                    "_meta sidecar tail is empty or repeats a packed key; "
+                    "stream is corrupt"
+                )
+            meta.update(tail)
+        elif offset != len(data):
+            raise ValueError(
+                f"{len(data) - offset} trailing bytes in _meta sidecar; "
+                f"stream is corrupt"
+            )
+        return meta
 
     # -- timestamp channel state (JSON wire) ----------------------------
     def _pick_scheme(
@@ -416,8 +546,7 @@ class FrameCodec:
             end = offset + size
             if end > len(body):
                 raise ValueError("truncated _meta sidecar in packed frame")
-            meta = json.loads(body[offset:end].decode("utf-8"))
-            self._require_meta_object(meta)
+            meta = self._unpack_meta(body[offset:end])
             offset = end
         if offset != len(body):
             raise ValueError(

@@ -87,6 +87,20 @@ def _adapt_receiver(receiver: Receiver) -> Callable[[int, object, Optional[dict]
     return lambda src, message, meta=None: receiver(src, message)
 
 
+def _negotiated(hello: dict) -> Dict[str, object]:
+    """The :attr:`TcpTransport.negotiated` record a ``__hello__``
+    announces.  A hello without an integer ``node`` (or with a
+    non-integer ``codec``) raises ``ValueError`` — a corrupt stream,
+    which the inbound handler poisons like any other."""
+    node, codec = hello.get("node"), hello.get("codec", 0)
+    if node.__class__ is not int or codec.__class__ is not int:
+        raise ValueError(
+            f"__hello__ needs an integer node and codec, got "
+            f"{type(node).__name__} and {type(codec).__name__}"
+        )
+    return {"node": node, "wire": str(hello.get("wire", "json")), "codec": codec}
+
+
 class Transport(Protocol):
     """What a :class:`~repro.net.runtime.NodeRuntime` needs from its
     message plane."""
@@ -160,7 +174,8 @@ class _Instruments:
         )
         self.send_latency = registry.histogram(
             "repro_net_send_latency_seconds",
-            "Wall seconds from enqueue to successful socket write.",
+            "Wall seconds from enqueue to the first successful socket "
+            "write (once per message; retransmissions do not observe).",
             SEND_LATENCY_BUCKETS,
         )
         self.bytes_by_type = registry.counter_vec(
@@ -418,7 +433,9 @@ class _PeerLink:
         self.owner = owner
         self.peer = peer
         self.address = address
-        self.pending: List[Tuple[float, object, Optional[dict]]] = []
+        #: ``[enqueued_at, message, meta]``; ``enqueued_at`` becomes
+        #: ``None`` once the entry's send latency has been observed.
+        self.pending: List[list] = []
         self.wake = asyncio.Event()
         self.congested = False
         self._congested_since: Optional[float] = None
@@ -438,7 +455,7 @@ class _PeerLink:
         if len(self.pending) >= owner.max_outbox:
             owner.instruments.dropped[(owner.node_id, "outbox-full")] += 1
             return
-        self.pending.append((owner.clock.now, message, meta))
+        self.pending.append([owner.clock.now, message, meta])
         depth = len(self.pending)
         owner.instruments.outbox_depth[(owner.node_id, self.peer)] = depth
         if depth >= owner.high_water and not self.congested:
@@ -537,7 +554,11 @@ class _PeerLink:
         """Encode pending messages in batches and flush each batch with
         a single write + drain: per-frame syscall cost amortizes over up
         to ``flush_frames`` frames (or ``flush_bytes`` bytes) without
-        changing the ordered stream the codec references require."""
+        changing the ordered stream the codec references require.
+
+        A message's send latency is observed here, once the batch that
+        first carried it has drained into the socket — not when its ack
+        arrives, which would measure the peer's ``ack_delay``."""
         owner = self.owner
         while not self.closing:
             if self._sent >= len(self.pending):
@@ -547,27 +568,30 @@ class _PeerLink:
                 await self.wake.wait()
                 continue
             batch: List[bytes] = []
-            messages: List[object] = []
+            entries: List[list] = []
             size = 0
             while (
                 self._sent + len(batch) < len(self.pending)
                 and len(batch) < owner.flush_frames
                 and size < owner.flush_bytes
             ):
-                _, message, meta = self.pending[self._sent + len(batch)]
-                frame = codec.encode(message, meta)
+                entry = self.pending[self._sent + len(batch)]
+                frame = codec.encode(entry[1], entry[2])
                 batch.append(frame)
-                messages.append(message)
+                entries.append(entry)
                 size += len(frame)
             writer.write(b"".join(batch))
             await writer.drain()
             self._sent += len(batch)
-            for message, frame in zip(messages, batch):
-                owner.instruments.sent(owner.node_id, message, len(frame))
+            now = owner.clock.now
+            for entry, frame in zip(entries, batch):
+                owner.instruments.sent(owner.node_id, entry[1], len(frame))
+                if entry[0] is not None:
+                    owner.instruments.send_latency.observe(now - entry[0])
+                    entry[0] = None
 
     async def _read_acks(self, reader: asyncio.StreamReader) -> None:
-        owner = self.owner
-        codec = owner.codec_factory()
+        codec = self.owner.codec_factory()
         while not self.closing:
             data = await reader.read(65536)
             if not data:
@@ -575,14 +599,13 @@ class _PeerLink:
             for meta in codec.feed(data):
                 if not (isinstance(meta, dict) and meta.get("type") == ACK_TYPE):
                     continue
-                target = int(meta["n"])
-                while self._acked < target and self._sent > 0 and self.pending:
-                    enqueued_at, _, _ = self.pending.pop(0)
-                    self._acked += 1
-                    self._sent -= 1
-                    owner.instruments.send_latency.observe(
-                        owner.clock.now - enqueued_at
-                    )
+                covered = min(
+                    int(meta["n"]) - self._acked, self._sent, len(self.pending)
+                )
+                if covered > 0:
+                    del self.pending[:covered]
+                    self._acked += covered
+                    self._sent -= covered
                     self._after_pop()
 
     def close(self) -> None:
@@ -616,7 +639,7 @@ class TcpTransport:
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         ack_every: int = 64,
-        ack_delay: float = 0.002,
+        ack_delay: float = 0.05,
         flush_frames: int = 128,
         flush_bytes: int = 64 * 1024,
     ) -> None:
@@ -640,6 +663,10 @@ class TcpTransport:
         #: ``ack_every`` message frames, or ``ack_delay`` seconds after
         #: the first unacked frame, whichever comes first (plus a final
         #: ack at connection teardown) — instead of one ack per read.
+        #: An ack only lets the sender forget a message it may have to
+        #: retransmit, so nothing waits on it but outbox memory: 50 ms
+        #: (a fifth of the default heartbeat period) lets an ack cover
+        #: every frame a leaf link sends in that time, not just one.
         self.ack_every = ack_every
         self.ack_delay = ack_delay
         #: Writer flush batching: cap on frames / bytes coalesced into a
@@ -710,6 +737,8 @@ class TcpTransport:
             self._server = None
 
     async def drain(self, *, poll: float = 0.005) -> None:
+        """Wait until every outbox entry is acknowledged — up to the
+        peer's ``ack_delay`` after the last send."""
         while any(link.pending for link in self._links.values()):
             await asyncio.sleep(poll)
 
@@ -776,12 +805,9 @@ class TcpTransport:
                 for message, meta in codec.feed_meta(chunk):
                     if isinstance(message, dict):
                         if message.get("type") == HELLO_TYPE:
-                            src = int(message["node"])
-                            self.negotiated[src] = {
-                                "node": src,
-                                "wire": str(message.get("wire", "json")),
-                                "codec": int(message.get("codec", 0)),
-                            }
+                            peer = _negotiated(message)
+                            src = peer["node"]
+                            self.negotiated[src] = peer
                         continue
                     if src is None:
                         # Peer skipped the handshake; nothing sane to do.

@@ -182,7 +182,7 @@ class TestTcpSmall:
         assert sum(registry.get("repro_net_bytes_sent_total").values()) > 0
         # Every peer hello negotiated the packed wire, and the byte
         # accounting saw the hot message type.
-        assert summary["wire"] == "binary" and summary["codec_version"] == 2
+        assert summary["wire"] == "binary" and summary["codec_version"] == 3
         assert summary["negotiated"]
         assert all(h["wire"] == "binary" for h in summary["negotiated"].values())
         assert summary["bytes_by_type"].get("IntervalReport", 0) > 0

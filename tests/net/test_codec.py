@@ -443,7 +443,7 @@ class TestBinaryWire:
 
 class TestBinaryMeta:
     """The ``_meta`` sidecar on the packed path: a flag bit plus a
-    length-prefixed JSON trailer, bounded exactly like the JSON path."""
+    length-prefixed packed sidecar, bounded exactly like the JSON path."""
 
     def test_meta_round_trips(self):
         tx, rx = _binary(), _binary()
@@ -494,6 +494,119 @@ class TestBinaryMeta:
     def test_meta_frames_reject_meta(self):
         with pytest.raises(ValueError):
             _binary().encode({"type": ACK_TYPE, "n": 1}, meta={"span": [0, 0]})
+
+
+def _with_sidecar(sidecar: bytes, message=None):
+    """A binary frame of *message* (a report by default) carrying
+    *sidecar* verbatim behind the flags-bit-0 length prefix."""
+    from repro.sim.wirepack import write_uvarint
+
+    frame = _binary().encode(_report() if message is None else message)
+    body = bytearray(frame[7:])
+    write_uvarint(body, len(sidecar))
+    return _frame(frame[1], body + sidecar, flags=0x01)
+
+
+class TestPackedSidecar:
+    """Codec 3: the binary sidecar is field bits, varints for the three
+    keys the runtime writes, and a JSON tail for everything else."""
+
+    RUNTIME_META = {"span": [3, 1], "sampled": True, "epochs": [0]}
+
+    def test_runtime_sidecar_is_a_few_bytes(self):
+        lean = len(_binary().encode(_report()))
+        frame = _binary().encode(_report(), meta=self.RUNTIME_META)
+        # length byte + field bits + node + sid + count + one gap
+        assert len(frame) - lean == 1 + 5
+        assert frame[lean:] == bytes([5, 0x0F, 6, 1, 1, 0])
+        ((_, meta),) = _binary().feed_meta(frame)
+        assert meta == self.RUNTIME_META
+        assert type(meta["span"]) is list and type(meta["sampled"]) is bool
+
+    def test_known_keys_never_touch_json(self, monkeypatch):
+        import repro.net.codec as codec_mod
+
+        class NoJson:
+            def __getattr__(self, name):
+                raise AssertionError(f"json.{name} on the binary report path")
+
+        monkeypatch.setattr(codec_mod, "json", NoJson())
+        meta = {"span": [-4, 2**40], "sampled": False, "epochs": [7, 9, 2**62]}
+        ((_, got),) = _binary().feed_meta(_binary().encode(_report(), meta=meta))
+        assert got == meta
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            {"span": [1, -1]},  # negative sid
+            {"span": [1, 2, 3]},
+            {"span": (1, 2)},  # a tuple goes out as JSON, as it always did
+            {"span": [True, 2]},
+            {"span": [2**63, 0]},
+            {"sampled": None},
+            {"sampled": 1},
+            {"epochs": [3, 1]},  # unsorted
+            {"epochs": [1, 1]},  # duplicated
+            {"epochs": [-1, 2]},
+            {"epochs": [2**63]},
+            {"epochs": "0-3"},
+            {"future_field": {"x": 1}, "span": [1, 5], "sampled": True},
+        ],
+        ids=repr,
+    )
+    def test_other_shapes_ride_the_json_tail(self, meta):
+        import json
+
+        frame = _binary().encode(_report(), meta=meta)
+        assert frame[2] & 0x01
+        ((_, got),) = _binary().feed_meta(frame)
+        assert got == json.loads(json.dumps(meta))
+
+    def test_codec_2_json_sidecar_is_refused(self):
+        # The v2 sidecar was the bare JSON object: '{' = 0x7B sets field
+        # bits no codec-3 encoder writes.
+        with pytest.raises(ValueError, match="field bits"):
+            _binary().feed_meta(_with_sidecar(b'{"span":[1,5]}'))
+
+    @pytest.mark.parametrize(
+        "sidecar, complaint",
+        [
+            (b"\x20", "field bits"),  # bit 5
+            (b"\x80\x01", "field bits"),  # bit 7, two-byte varint
+            (b"\x04", "field bits"),  # a sampled value without its presence bit
+            (b"\x01\x02", "truncated varint"),  # span without its sid
+            (b"\x08\x03\x00\x00", "truncated epoch list"),
+            (b"\x00\x00", "trailing bytes"),
+            (b"\x10{}", "empty or repeats"),
+            (b'\x11\x02\x01{"span":[1,1]}', "empty or repeats"),
+            (b"\x10[1]", "JSON object"),
+            (b"\x10{", "Expecting"),
+        ],
+    )
+    def test_malformed_sidecar_poisons_the_frame(self, sidecar, complaint):
+        with pytest.raises(ValueError, match=complaint):
+            _binary().feed_meta(_with_sidecar(sidecar))
+
+    def test_max_meta_bounds_the_packed_bytes_on_both_ends(self):
+        import json
+
+        meta = {"span": [1, 5], "sampled": True, "epochs": list(range(20))}
+        packed = len(_binary()._pack_meta(meta))
+        assert packed == 1 + 2 + 1 + 20 < len(json.dumps(meta))
+        at_bound = FrameCodec(wire="binary", max_meta=packed)
+        frame = at_bound.encode(_report(), meta=meta)  # JSON would not fit
+        ((_, got),) = FrameCodec(max_meta=packed).feed_meta(frame)
+        assert got == meta
+        with pytest.raises(ValueError, match="max_meta"):
+            FrameCodec(wire="binary", max_meta=packed - 1).encode(_report(), meta=meta)
+        with pytest.raises(ValueError, match="max_meta"):
+            FrameCodec(max_meta=packed - 1).feed_meta(frame)
+
+    def test_json_wire_sidecar_bytes_are_unchanged(self):
+        frame = FrameCodec().encode(_report(), meta=self.RUNTIME_META)
+        assert frame.endswith(b',"_meta":{"span":[3,1],"sampled":true,"epochs":[0]}}')
+        ((_, got),) = _binary().feed_meta(frame)
+        assert got == self.RUNTIME_META
 
 
 def _frame(tag, body, flags=0):
@@ -753,7 +866,8 @@ class TestGoldenFrames:
     the count-only cost kernel replaced the payload-building one and
     have not changed since; the ``binary`` rows were re-recorded when
     the tag-8 bounds block replaced the per-bound scheme payloads
-    (``compress`` is JSON-only, so both of its values give one stream)."""
+    (``compress`` is JSON-only, so both of its values give one stream)
+    and again when codec 3 packed the sidecar."""
 
     #: include_parts -> total bytes of the binary golden stream at the
     #: parent of the bounds block, whose tag-1 bodies priced each bound
@@ -763,22 +877,26 @@ class TestGoldenFrames:
     #: block's own totals are the ``binary`` rows of :attr:`GOLDEN`.
     PARENT_BINARY_BYTES = {True: (10856, 19316), False: (3384, 11844)}
 
+    #: include_parts -> total bytes of the binary golden stream under
+    #: codec 2 (bounds block, JSON sidecar); codec 3 is 126 bytes less.
+    CODEC_2_BINARY_BYTES = {True: 5434, False: 4364}
+
     GOLDEN = {
         ("binary", True, True): (
-            5434,
-            "23df8ffe7e2eb074fe8e567a6cfb2dbd6d44c30aadcbbed818110f3ee230b516",
+            5308,  # codec 2: 5434
+            "62754db51d98c33f472661f113719ce48a1d703fe44dfe0bfc79ef7718405380",
         ),
         ("binary", True, False): (
-            4364,
-            "79e12833e11ea84e04e40d0d2b5e99d68492b3597929df349392c13e16e8f207",
+            4238,  # codec 2: 4364
+            "3c58d7de434da04e8242e176fe29aa726321e5e8013b644181145033b4e8dbcd",
         ),
         ("binary", False, True): (
-            5434,
-            "23df8ffe7e2eb074fe8e567a6cfb2dbd6d44c30aadcbbed818110f3ee230b516",
+            5308,  # codec 2: 5434
+            "62754db51d98c33f472661f113719ce48a1d703fe44dfe0bfc79ef7718405380",
         ),
         ("binary", False, False): (
-            4364,
-            "79e12833e11ea84e04e40d0d2b5e99d68492b3597929df349392c13e16e8f207",
+            4238,  # codec 2: 4364
+            "3c58d7de434da04e8242e176fe29aa726321e5e8013b644181145033b4e8dbcd",
         ),
         ("json", True, True): (
             15457,
@@ -834,3 +952,37 @@ class TestGoldenFrames:
         assert total(True) <= 0.51 * chained
         _, raw = self.PARENT_BINARY_BYTES[False]
         assert total(False) <= 0.45 * raw
+
+    def test_packed_sidecar_keeps_its_byte_budget(self):
+        import json
+
+        def sized(stream, include_parts):
+            """(codec 3 bytes, codec 2 bytes) of *stream*: codec 2 wrote
+            the sidecar as a length byte plus its compact JSON."""
+            enc = FrameCodec(wire="binary", include_parts=include_parts)
+            new = old = 0
+            for report, meta in stream:
+                new += len(enc.encode(report, meta))
+                old += len(enc.encode(report))
+                if meta is not None:
+                    old += 1 + len(json.dumps(meta, separators=(",", ":")))
+            return new, old
+
+        golden = _golden_stream()
+        with_meta = sum(meta is not None for _, meta in golden)
+        # The golden sidecars carry ``span`` as a bare int, not the
+        # runtime's ``[node, sid]``, so it rides the JSON tail: only the
+        # epochs are packed there.
+        for include_parts in (True, False):
+            new, old = sized(golden, include_parts)
+            assert old == self.CODEC_2_BINARY_BYTES[include_parts]
+            assert new <= old - 12 * with_meta
+        # The sidecar the runtime writes, on the same reports.
+        shipped = [
+            (r, None if m is None else {"span": [3, 1000 + r.interval.seq],
+                                        "sampled": True, "epochs": m["epochs"]})
+            for r, m in golden
+        ]
+        for include_parts in (True, False):
+            new, old = sized(shipped, include_parts)
+            assert new <= old - 30 * with_meta

@@ -186,6 +186,49 @@ class TestTcp:
         assert clock.telemetry.registry.get("repro_net_reconnects_total")[0] == 2
         assert [type(m).__name__ for m in got] == ["Heartbeat", "IntervalReport"]
         assert got[1].interval.key() == report.interval.key()
+        # Send latency is observed once per message: the retransmission
+        # of the report on the second connection does not count again.
+        latency = clock.telemetry.registry.get("repro_net_send_latency_seconds")
+        assert latency.count == 2
+
+    @pytest.mark.parametrize(
+        "hello",
+        [
+            {"type": "__hello__", "wire": "binary", "codec": 3},
+            {"type": "__hello__", "node": None, "wire": "binary", "codec": 3},
+            {"type": "__hello__", "node": "0", "wire": "binary", "codec": 3},
+        ],
+        ids=["missing-node", "none-node", "string-node"],
+    )
+    def test_bad_hello_poisons_the_stream(self, hello):
+        from repro.net import FrameCodec
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _, context: unhandled.append(context))
+            clock = AsyncClock()
+            b = TcpTransport(1, clock)
+            got = []
+            b.set_receiver(lambda src, msg: got.append(msg))
+            await b.start()
+            reader, writer = await asyncio.open_connection(*b.address)
+            codec = FrameCodec(wire="binary")
+            writer.write(codec.encode(hello) + codec.encode(Heartbeat(sender=0)))
+            await writer.drain()
+            # The handler hangs up: EOF, and no ack for the heartbeat.
+            tail = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            await writer.wait_closed()
+            await b.stop()
+            return clock, got, tail, unhandled
+
+        clock, got, tail, unhandled = run(scenario())
+        (poisoned,) = clock.log.of_kind("net_stream_poisoned")
+        assert poisoned.node == 1 and poisoned.get("src") is None
+        assert "__hello__ needs an integer node" in poisoned.get("error")
+        assert got == [] and tail == b""
+        assert unhandled == []
 
     def test_outbox_hard_cap_drops_and_counts(self):
         async def scenario():
@@ -281,6 +324,47 @@ class TestAckCoalescing:
         registry = clock.telemetry.registry
         assert registry.get("repro_net_acks_total")[1] >= 1
         assert registry.get("repro_net_send_latency_seconds").count == 3
+
+    def test_paced_stream_shares_acks_at_default_delay(self):
+        # A leaf link's cadence: one frame every few ms.  At the default
+        # ack_delay one ack covers every frame of its window, not one.
+        frames, gap = 40, 0.005
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            clock = AsyncClock()
+            a = TcpTransport(0, clock)
+            b = TcpTransport(1, clock)
+            got = []
+            b.set_receiver(lambda src, msg: got.append(msg))
+            await a.start()
+            await b.start()
+            a.set_peers({1: b.address})
+            a.send(1, Heartbeat(sender=0))
+            while not got:  # connected: the dial is not part of the pacing
+                await asyncio.sleep(0.001)
+            first = loop.time()
+            for _ in range(frames - 1):
+                await asyncio.sleep(gap)
+                a.send(1, Heartbeat(sender=0))
+            last = loop.time()
+            await a.drain()
+            drained_after = loop.time() - last
+            unacked = sum(len(link.pending) for link in a._links.values())
+            await a.stop()
+            await b.stop()
+            return clock, got, last - first, drained_after, unacked, b.ack_delay
+
+        clock, got, span, drained_after, unacked, ack_delay = run(scenario())
+        assert ack_delay == 0.05  # the default
+        assert len(got) == frames and unacked == 0
+        registry = clock.telemetry.registry
+        # One timer per ack_delay of stream (the loop may stretch the
+        # pacing on a busy machine; never more acks than its real span).
+        bound = max(frames * gap, span) / ack_delay + 2
+        assert 1 <= registry.get("repro_net_acks_total")[1] <= bound
+        assert registry.get("repro_net_send_latency_seconds").count == frames
+        assert drained_after <= ack_delay + 0.2
 
     def test_knob_validation(self):
         clock = AsyncClock()

@@ -7,8 +7,9 @@ timestamp components on either side of every bounds-block width, empty
 and all-zero vectors, negative ids, aggregation provenance nested as
 deep as the paper's h=4 tree nests it, and the JSON wire's per-channel
 compression reference chains (including the fresh-codec re-encode a
-transport performs on reconnect).  Binary frames promise two things
-more: each decodes on its own, and a damaged one raises
+transport performs on reconnect) — and every JSON-object ``_meta``
+sidecar, packed or not.  Binary frames promise two things more: each
+decodes on its own, and a damaged one (sidecar included) raises
 :class:`ValueError` and nothing else."""
 
 from __future__ import annotations
@@ -343,6 +344,72 @@ class TestStatelessBinaryFrames:
             assert_messages_equal(report, FrameCodec().decode(frame))
 
 
+_KNOWN_META_KEYS = ("span", "sampled", "epochs")
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.text(max_size=8)
+)
+#: Around every edge of the packed forms: int64 for node and epochs,
+#: non-negative for sid and epochs.
+_EDGY_INTS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**63 - 2, 2**63 + 1),
+    st.integers(-(2**63) - 1, -(2**63) + 1),
+    st.integers(-(2**70), 2**70),
+)
+SPANS = st.one_of(
+    st.tuples(st.integers(-(2**63), 2**63 - 1), st.integers(0, 2**63 - 1)).map(list),
+    st.tuples(st.integers(-5, 5), st.integers(-(2**63), -1)).map(list),  # bad sid
+    st.lists(_EDGY_INTS, max_size=3),
+    _JSON_LEAVES,
+)
+EPOCHS = st.one_of(
+    st.lists(st.integers(0, 2**63 - 1), max_size=8, unique=True).map(sorted),
+    st.lists(_EDGY_INTS, max_size=8),  # unsorted, duplicated, negative, >= 2**63
+    st.lists(st.integers(0, 4), min_size=2, max_size=5),  # duplicates likely
+    _JSON_LEAVES,
+)
+#: Every JSON-object sidecar: the three keys the runtime writes, in and
+#: out of the shapes the binary wire packs, plus keys nobody knows yet.
+SIDECARS = st.fixed_dictionaries(
+    {},
+    optional={
+        "span": SPANS,
+        "sampled": st.sampled_from([True, False, None, 1]),
+        "epochs": EPOCHS,
+    },
+).flatmap(
+    lambda known: st.dictionaries(
+        st.text(max_size=8).filter(lambda key: key not in _KNOWN_META_KEYS),
+        st.one_of(_JSON_LEAVES, st.lists(_JSON_LEAVES, max_size=3)),
+        max_size=3,
+    ).map(lambda extra: {**known, **extra})
+)
+
+
+def _sidecar_report() -> IntervalReport:
+    clock = np.array([3, 1, 4], dtype=np.int64)
+    return IntervalReport(
+        origin=1, dest=0, interval=Interval(owner=1, seq=0, lo=clock, hi=clock + 1)
+    )
+
+
+class TestSidecars:
+    """Whatever JSON object rides as a frame's ``_meta``, the peer gets
+    the same object back — on both wires, through the packed form or its
+    JSON tail."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(SIDECARS, st.sampled_from(["binary", "json"]))
+    def test_every_json_object_sidecar_round_trips(self, meta, wire):
+        import json
+
+        frame = FrameCodec(wire=wire).encode(_sidecar_report(), meta)
+        ((_, got),) = FrameCodec().feed_meta(frame)
+        assert got == meta
+        # == cannot tell True from 1; the JSON text can.
+        assert json.dumps(got, sort_keys=True) == json.dumps(meta, sort_keys=True)
+
+
 class TestDamagedBinaryFrames:
     """Malformed but well-framed input poisons the stream and does
     nothing else: the decoder raises :class:`ValueError` — never another
@@ -352,6 +419,31 @@ class TestDamagedBinaryFrames:
     #: tracemalloc peak allowed across all decodes of one example; the
     #: frames themselves are a few hundred bytes.
     MEMORY_CAP = 4 << 20
+
+    @settings(max_examples=40, deadline=None)
+    @given(SIDECARS, st.randoms(use_true_random=False))
+    def test_damaged_sidecar_raises_only_value_error(self, meta, rng):
+        report = _sidecar_report()
+        enc = FrameCodec(wire="binary")
+        body = enc.encode(report)[7:]
+        framed = enc.encode(report, meta)[7:]
+        size, start = read_uvarint(framed, len(body))
+        sidecar = framed[start:]
+        assert len(sidecar) == size
+
+        def reframed(damaged: bytes) -> bytes:
+            trailer = bytearray(body)
+            write_uvarint(trailer, len(damaged))
+            trailer += damaged
+            return bytes([0xB1, 8, 0x01]) + len(trailer).to_bytes(4, "big") + trailer
+
+        damaged = [sidecar[:cut] for cut in range(len(sidecar))]
+        for at in range(len(sidecar)):
+            for value in (0x00, 0xFF, sidecar[at] ^ 0x80, sidecar[at] ^ 0x01,
+                          rng.randrange(256)):
+                damaged.append(sidecar[:at] + bytes([value]) + sidecar[at + 1 :])
+        for bad in damaged:
+            self._decodes_or_raises_value_error(reframed(bad))
 
     @staticmethod
     def _decodes_or_raises_value_error(frame: bytes) -> None:
@@ -370,7 +462,13 @@ class TestDamagedBinaryFrames:
         MESSAGES,
         st.sampled_from(["binary", "json"]),
         st.booleans(),
-        st.sampled_from([None, {"span": [1, 5], "sampled": True, "epochs": [3, 4]}]),
+        st.sampled_from(
+            [
+                None,
+                {"span": [1, 5], "sampled": True, "epochs": [3, 4]},
+                {"span": [1, 5], "sampled": None, "epochs": [4, 3], "x": ["y", 1]},
+            ]
+        ),
         st.randoms(use_true_random=False),
     )
     def test_truncation_and_corruption_raise_only_value_error(

@@ -22,9 +22,9 @@ streams.
 
 Pricing never builds a payload: both pair encodings cost
 ``1 + 2·#pairs`` and the pair count is one ``count_nonzero``
-(:func:`pair_cost`).  :func:`best_encoding`, the simulator's
-``WireCodec`` and the socket ``FrameCodec`` all price through it; only
-the scheme that won is then materialized, once, by :func:`pair_arrays`.
+(:func:`pair_cost`).  :func:`best_encoding` and the simulator's
+``WireCodec`` price through it; only the scheme that won is then
+materialized, once, by :func:`pair_arrays`.
 """
 
 from __future__ import annotations

@@ -5,18 +5,15 @@ Everything below :mod:`repro.detect` is transport-agnostic: a
 ``pid``, ``send_control`` and a ``sim``-shaped clock/telemetry handle.
 This package supplies real-network implementations of those surfaces,
 so the *unmodified* detection, fault and repair machinery runs over
-length-prefixed TCP frames instead of the discrete-event simulator:
+TCP frames instead of the discrete-event simulator:
 
 * :class:`AsyncClock` — wall-clock stand-in for the
   :class:`~repro.sim.Simulator` surface (``now`` / ``schedule`` /
   ``rng`` / ``emit`` / ``telemetry``) backed by the asyncio loop;
-* :class:`FrameCodec` — the wire protocol: versioned binary frames
+* :class:`FrameCodec` — the wire protocol: stateless binary frames
   (struct header + varint-packed bodies from
-  :mod:`repro.sim.wirepack`, with a legacy length-prefixed JSON wire
-  and a per-frame JSON escape hatch); a report's timestamps travel in
-  one per-frame bounds block on the binary wire, through per-channel
-  :func:`repro.clocks.encoding.best_encoding` compression on the JSON
-  one;
+  :mod:`repro.sim.wirepack`, with a per-frame JSON escape hatch); a
+  report's timestamps travel in one per-frame bounds block;
 * :class:`TcpTransport` / :class:`LoopbackTransport` — the
   :class:`Transport` implementations (sockets, and an in-process hub so
   unit tests need no ports);
@@ -29,7 +26,7 @@ See ``docs/networking.md`` for the architecture and wire format.
 """
 
 from .clock import AsyncClock, ClockScope
-from .codec import ACK_TYPE, CODEC_VERSION, HELLO_TYPE, WIRE_FORMATS, FrameCodec
+from .codec import ACK_TYPE, CODEC_VERSION, HELLO_TYPE, FrameCodec
 from .transport import LoopbackHub, LoopbackTransport, TcpTransport, Transport
 from .runtime import NodeRuntime
 from .cluster import ClusterSpec, LocalCluster
@@ -42,7 +39,6 @@ __all__ = [
     "ACK_TYPE",
     "HELLO_TYPE",
     "CODEC_VERSION",
-    "WIRE_FORMATS",
     "Transport",
     "TcpTransport",
     "LoopbackTransport",

@@ -64,12 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="real sockets, or the in-process loopback hub",
     )
     shape.add_argument(
-        "--wire",
-        choices=("binary", "json"),
-        default="binary",
-        help="frame encoding: packed binary (default) or the legacy JSON wire",
-    )
-    shape.add_argument(
         "--epochs", type=int, default=4, help="reference-workload epochs (default 4)"
     )
     shape.add_argument(
@@ -353,7 +347,6 @@ async def _run_cluster(args) -> dict:
         degree=args.degree,
         seed=args.seed,
         transport=args.transport,
-        wire=args.wire,
         epochs=args.epochs,
         sync_prob=args.sync_prob,
         interval_spacing=args.interval_spacing,
@@ -369,8 +362,7 @@ async def _run_cluster(args) -> dict:
     )
     cluster = LocalCluster(spec)
     summary: dict = {"spec": {"nodes": spec.nodes, "degree": spec.degree,
-                              "seed": spec.seed, "transport": spec.transport,
-                              "wire": spec.wire}}
+                              "seed": spec.seed, "transport": spec.transport}}
     try:
         await cluster.start()
         await cluster.run(

@@ -71,7 +71,7 @@ from ..obs.profile import SamplingProfiler
 from ..obs.sampling import TraceSampler
 from ..topology.spanning_tree import SpanningTree
 from .clock import AsyncClock, ClockScope
-from .codec import CODEC_VERSION, WIRE_FORMATS, FrameCodec
+from .codec import CODEC_VERSION, FrameCodec
 from .runtime import NodeRuntime
 from .script import IntervalScript, simulation_script
 from .transport import LoopbackHub, LoopbackTransport, TcpTransport
@@ -103,10 +103,9 @@ class ClusterSpec:
     )
     repair_latency: float = 0.05
     include_parts: bool = True
-    #: frame encoding — ``"binary"`` (packed, the default) or
-    #: ``"json"`` (the legacy wire).  Decoding always accepts both, so
-    #: mixed-wire clusters interoperate; this picks what *this*
-    #: cluster's nodes emit.
+    #: frame encoding.  ``"binary"`` is the only wire there is; the
+    #: field stays because callers still pass it
+    #: (``benchmarks/e2e/live.py`` among them).
     wire: str = "binary"
     #: reference-workload epochs (per-node interval count driver)
     epochs: int = 4
@@ -155,8 +154,8 @@ class ClusterSpec:
             raise ValueError("tree degree must be >= 1")
         if self.transport not in ("tcp", "loopback"):
             raise ValueError(f"unknown transport {self.transport!r}")
-        if self.wire not in WIRE_FORMATS:
-            raise ValueError(f"wire must be one of {WIRE_FORMATS}, got {self.wire!r}")
+        if self.wire != "binary":
+            raise ValueError(f"wire must be 'binary', got {self.wire!r}")
         if self.flight_capacity < 1:
             raise ValueError("flight_capacity must be >= 1")
         if self.slo_check_interval <= 0:
@@ -316,12 +315,10 @@ class LocalCluster:
         return runtime is not None and runtime.alive
 
     def _codec_factory(self) -> FrameCodec:
-        return FrameCodec(
-            wire=self.spec.wire, include_parts=self.spec.include_parts
-        )
+        return FrameCodec(include_parts=self.spec.include_parts)
 
     def wire_summary(self) -> dict:
-        """What actually moved on the wire: the configured format, the
+        """What actually moved on the wire: the codec version, the
         per-peer negotiated hellos (TCP only — loopback has no
         handshake) and the bytes-by-frame-type breakdown aggregated
         from every node's ``repro_net_bytes_total``."""
@@ -330,10 +327,7 @@ class LocalCluster:
             for peer, hello in getattr(
                 runtime.transport, "negotiated", {}
             ).items():
-                negotiated[str(peer)] = {
-                    "wire": hello["wire"],
-                    "codec": hello["codec"],
-                }
+                negotiated[str(peer)] = {"codec": hello["codec"]}
         bytes_by_type: Dict[str, int] = {}
         for scope in self.scopes.values():
             vec = scope.telemetry.registry.get("repro_net_bytes_total")
@@ -341,7 +335,6 @@ class LocalCluster:
                 kind = key[1] if isinstance(key, tuple) else str(key)
                 bytes_by_type[kind] = bytes_by_type.get(kind, 0) + int(value)
         return {
-            "wire": self.spec.wire,
             "codec_version": CODEC_VERSION,
             "negotiated": dict(sorted(negotiated.items())),
             "bytes_by_type": dict(sorted(bytes_by_type.items())),

@@ -1,6 +1,6 @@
 """The wire protocol: versioned binary frames with a JSON escape hatch.
 
-Binary frame layout (``wire="binary"``, one frame per control message)::
+Every frame on every connection has one layout::
 
      0        1        2        3      4..6        7
     +--------+--------+--------+----------------+------------------+
@@ -22,36 +22,23 @@ The sidecar is a uvarint length followed by that many bytes::
 A known key whose value has another shape (a negative sid, unsorted
 epochs, a non-bool ``sampled``) travels in the JSON tail unchanged, so
 any JSON-object sidecar round-trips and unknown keys still reach the
-peer; only a sidecar with such keys costs a ``json.dumps``.
+peer; only a sidecar with such keys costs a ``json.dumps``.  Flags bit 0
+is legal on message tags only.
 
-The first byte doubles as magic and framing version: ``0xB1`` is the
-binary envelope above (body layouts are versioned by their tags and by
-:data:`CODEC_VERSION`, not by this byte).  Because legacy JSON frames
-start with a 4-byte big-endian body length — and body lengths are
-bounded by ``max_frame``, far below 2**31 — a legacy frame's first
-byte never has the high bit set.  The decoder uses exactly that: high
-bit set means a binary header (any value other than ``0xB1`` is an
-unsupported version and poisons the stream); high bit clear means
-legacy JSON framing::
-
-    +-------------------+----------------------------------------+
-    | 4 bytes, big-end. | UTF-8 JSON body, ``length`` bytes      |
-    | unsigned length   | (repro.sim.serialize.message_to_dict)  |
-    +-------------------+----------------------------------------+
-
-Each frame is therefore self-describing, so a decoder needs no
-configuration: json→binary and binary→json peers interoperate frame by
-frame, and the ``wire=`` knob governs *encoding* only.
+The first byte doubles as magic and envelope version: a frame starts
+with ``0xB1``, and the decoder refuses any other first byte as a
+corrupt stream (a different envelope would claim 0xB2, 0xB3, …; body
+layouts are versioned by their tags and by :data:`CODEC_VERSION`).
 
 Type tags (see :mod:`repro.sim.wirepack` for body layouts):
 
 ====  ==================  =============================================
 tag   body                notes
 ====  ==================  =============================================
-0     JSON escape hatch   UTF-8 JSON object; message types the packer
-                          does not know, and reports whose provenance
-                          mixes vector widths, keep working on a binary
-                          wire
+0     JSON escape hatch   UTF-8 JSON object: the ``__hello__``, message
+                          types the packer does not know, and reports
+                          whose provenance mixes vector widths (their
+                          sidecar is the body's ``_meta`` key)
 1     *retired*           codec v1's IntervalReport (one scheme-tagged
                           payload per bound); rejected, never reused
 2     Heartbeat           svarint sender
@@ -65,56 +52,32 @@ tag   body                notes
 ====  ==================  =============================================
 
 Meta frames (``type`` starts with ``__``) stay plain dicts consumed by
-the transport before messages reach a role.  The ``__hello__``
-handshake is *always* sent in legacy JSON framing — it is the
-negotiation vehicle (it carries the sender's ``wire`` and ``codec``
-version), so it must be readable by any peer regardless of wire
-format.  Acks go packed on a binary wire.
+the transport before messages reach a role.  There are two: the
+``__hello__`` that opens every dialed connection (a tag-0 frame
+carrying the sender's ``node`` and ``codec`` version) and the
+``__ack__`` (tag 7).  A tag-0 frame holding any other ``__`` type is
+corrupt.
 
 Timestamp compression
 ---------------------
 ``IntervalReport`` bodies dominate wire volume, and their cost is the
 length-``n`` vector timestamps — the O(n) factor of the paper's
 Section IV accounting — two for the head interval and two more for
-every interval of ``⊓`` provenance it carries.
-
-*Binary wire.*  All of a report's timestamps travel in one bounds
-block: narrow unsigned offsets from a per-frame base row, written and
-read in one numpy pass (:func:`repro.sim.wirepack._pack_report`).  The
-block refers to nothing outside its frame, so binary frames are
-**stateless**: any frame decodes on its own, with any decoder, in any
-order.  ``compress`` does not apply.
-
-*JSON wire.*  A codec instance carries per-channel reference state: for
-each of the head's ``lo``/``hi`` it remembers the previous timestamp
-sent (or received) on this channel and lets
-:func:`repro.clocks.encoding.best_encoding` pick the cheapest of
-raw / sparse / differential for the next one, tagged on the wire as a
-``{"e": "sparse", "p": [[i, v], …]}`` envelope, so the decoder, whose
-reference state advances in lockstep frame by frame, inverts it
-exactly.  Because the references advance per frame, a JSON codec pair
-is only coherent over an *ordered, gap-free* frame stream: exactly what
-one TCP connection provides.  Transports create a fresh codec per
-connection (and re-encode any retransmitted message with the new
-codec), so a reconnect can never desynchronize the references.
+every interval of ``⊓`` provenance it carries.  All of a report's
+timestamps travel in one bounds block: narrow unsigned offsets from a
+per-frame base row, written and read in one numpy pass
+(:func:`repro.sim.wirepack._pack_report`).  The block refers to nothing
+outside its frame, so frames are **stateless**: any frame decodes on
+its own, with any decoder, in any order, and an encoder holds no state
+at all.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from collections import Counter
 from typing import List, Optional, Tuple, Union
 
-import numpy as np
-
-from ..clocks.encoding import (
-    best_encoding,
-    channel_reference,
-    decode_differential,
-    decode_sparse,
-    encode_differential,
-)
 from ..sim.serialize import message_from_dict, message_to_dict
 from ..sim.wirepack import (
     TAG_ACK,
@@ -133,35 +96,31 @@ __all__ = [
     "ACK_TYPE",
     "MAGIC_BINARY_V1",
     "CODEC_VERSION",
-    "WIRE_FORMATS",
 ]
 
 #: Meta-frame type sent first on every outbound connection so the
 #: receiver learns which node is talking (listeners see only an
-#: ephemeral source port otherwise).  Always legacy-JSON-framed; it
-#: carries the sender's ``wire`` format and ``codec`` version.
+#: ephemeral source port otherwise).  A tag-0 frame carrying the
+#: sender's ``node`` and ``codec`` version.
 HELLO_TYPE = "__hello__"
 
 #: Meta frame flowing back on an inbound connection: ``n`` is the
 #: cumulative count of message frames received on that connection.
 ACK_TYPE = "__ack__"
 
-#: First byte of a binary frame.  High bit deliberately set so the
-#: byte can never be confused with the leading length byte of a legacy
-#: JSON frame; a different envelope would claim 0xB2, 0xB3, …
+#: First byte of every frame; a different envelope would claim 0xB2, …
 MAGIC_BINARY_V1 = 0xB1
 
 #: Protocol version advertised in ``__hello__``.  2: ``IntervalReport``
 #: bodies are tag 8 (one bounds block per frame); tag 1 is retired.
-#: 3: the binary ``_meta`` sidecar is packed (field bits + varints +
-#: an optional JSON tail) instead of a JSON object.
-CODEC_VERSION = 3
+#: 3: the ``_meta`` sidecar is packed (field bits + varints + an
+#: optional JSON tail) instead of a JSON object.  4: one framing — the
+#: hello is a tag-0 frame, and a legacy length-prefixed JSON frame
+#: (which codec 3 and earlier sent the hello in) is refused.
+CODEC_VERSION = 4
 
-WIRE_FORMATS = ("json", "binary")
-
-_HEADER = struct.Struct(">I")
 #: magic/version, type tag, flags, body length.
-_BIN_HEADER = struct.Struct(">BBBI")
+_HEADER = struct.Struct(">BBBI")
 #: flags bit 0: a ``_meta`` sidecar (uvarint length + packed sidecar)
 #: follows the packed body.
 _FLAG_META = 0x01
@@ -201,14 +160,14 @@ def _packable_epochs(value) -> bool:
 
 
 class FrameCodec:
-    """Encoder/decoder for one direction of one connection.
+    """Frame encoder and decoder.
+
+    Encoding is stateless, so one instance may encode for any number of
+    connections.  Decoding buffers a partial frame, so each inbound
+    byte stream needs an instance of its own.
 
     Parameters
     ----------
-    wire:
-        ``"json"`` (default) or ``"binary"`` — the *encode* format.
-        Decoding is wire-agnostic (frames are self-describing), so the
-        two formats interoperate in either direction.
     include_parts:
         Ship aggregation provenance (``parts``) inside interval bodies.
         ``True`` (default) makes the socket runtime deliver exactly what
@@ -216,45 +175,29 @@ class FrameCodec:
         unfold solutions down to concrete intervals and the span tracer
         parents alarms over reports.  ``False`` is the paper-faithful
         lean wire (bounds only; see ``payload_entries``).
-    compress:
-        JSON wire only: apply per-channel timestamp compression to
-        ``IntervalReport`` bounds.  Both ends of a channel must agree
-        (transports build both codecs from one factory).  The binary
-        wire packs every report the same, stateless way and ignores it.
     max_frame:
         Hard bound on body size; oversized frames fail loudly on encode
         and poison the stream on decode (the transport drops the
-        connection).  Enforced identically on both wire formats.
+        connection).
     max_meta:
-        Hard bound on the serialized ``_meta`` sidecar (its JSON bytes
-        on the JSON wire, its packed bytes on the binary wire).  The
-        sidecar is a forward-compatible extension point — decoders
-        tolerate keys they do not understand — so its size must be
-        bounded independently of the body: an oversized (or non-object)
-        sidecar poisons the frame exactly like an oversized body, on
-        either wire format.
+        Hard bound on the serialized ``_meta`` sidecar (its packed
+        bytes; in a tag-0 body, its JSON bytes).  The sidecar is a
+        forward-compatible extension point — decoders tolerate keys
+        they do not understand — so its size must be bounded
+        independently of the body: an oversized (or non-object) sidecar
+        poisons the frame exactly like an oversized body.
     """
 
     def __init__(
         self,
         *,
-        wire: str = "json",
         include_parts: bool = True,
-        compress: bool = True,
         max_frame: int = 8 * 1024 * 1024,
         max_meta: int = 64 * 1024,
     ) -> None:
-        if wire not in WIRE_FORMATS:
-            raise ValueError(f"wire must be one of {WIRE_FORMATS}, got {wire!r}")
-        self.wire = wire
         self.include_parts = include_parts
-        self.compress = compress
         self.max_frame = max_frame
         self.max_meta = max_meta
-        #: chosen-scheme counts (JSON encoder side), for tests
-        self.encodings: Counter = Counter()
-        self._enc_ref: List[Optional[np.ndarray]] = [None, None]  # lo, hi
-        self._dec_ref: List[Optional[np.ndarray]] = [None, None]
         self._buffer = bytearray()
 
     # ------------------------------------------------------------------
@@ -271,37 +214,33 @@ class FrameCodec:
         dataclass itself.  The decoder hands it back via
         :meth:`feed_meta`."""
         if isinstance(message, dict):
-            if not str(message.get("type", "")).startswith("__"):
-                raise ValueError("dict frames are reserved for __meta__ types")
+            kind = message.get("type")
+            if kind not in (HELLO_TYPE, ACK_TYPE):
+                raise ValueError(
+                    f"dict frames are reserved for {HELLO_TYPE} and "
+                    f"{ACK_TYPE}, got {kind!r}"
+                )
             if meta is not None:
                 raise ValueError("meta frames cannot carry a _meta sidecar")
-            if self.wire == "binary" and message.get("type") == ACK_TYPE:
+            if kind == ACK_TYPE:
                 body = bytearray()
                 write_uvarint(body, int(message["n"]))
-                return self._frame_packed(TAG_ACK, 0, bytes(body))
-            # Hello and any other meta frame stays legacy JSON so every
-            # peer — whatever its wire format — can read the handshake.
-            return self._frame_json(message)
-        if self.wire == "binary":
-            packed = pack_message(message, include_parts=self.include_parts)
-            if packed is not None:
-                tag, body = packed
-                if meta is None:
-                    return self._frame_packed(tag, 0, body)
-                sidecar = self._pack_meta(meta)
-                framed = bytearray(body)
-                write_uvarint(framed, len(sidecar))
-                framed += sidecar
-                return self._frame_packed(tag, _FLAG_META, framed)
+                return self._frame(TAG_ACK, 0, bytes(body))
+            return self._frame(TAG_JSON, 0, self._json_body(message))
+        packed = pack_message(message, include_parts=self.include_parts)
+        if packed is None:
             # Escape hatch: a message the packer has no packed form for
-            # rides as JSON behind a binary header — uncompressed, so it
-            # stays as stateless as every other binary frame.
+            # rides as JSON behind the same header.
             data = message_to_dict(message, include_parts=self.include_parts)
-            return self._frame_packed(TAG_JSON, 0, self._json_body(data, meta))
-        data = message_to_dict(message, include_parts=self.include_parts)
-        if self.compress and data["type"] == "IntervalReport":
-            self._compress_interval(data["interval"])
-        return self._frame_json(data, meta)
+            return self._frame(TAG_JSON, 0, self._json_body(data, meta))
+        tag, body = packed
+        if meta is None:
+            return self._frame(tag, 0, body)
+        sidecar = self._pack_meta(meta)
+        framed = bytearray(body)
+        write_uvarint(framed, len(sidecar))
+        framed += sidecar
+        return self._frame(tag, _FLAG_META, framed)
 
     def _json_body(self, data: dict, meta: Optional[dict] = None) -> bytes:
         """*data* (never empty: it carries ``type``) as compact JSON,
@@ -310,25 +249,19 @@ class FrameCodec:
         encode serializes (and measures) it exactly once."""
         body = json.dumps(data, separators=(",", ":")).encode("utf-8")
         if meta is not None:
-            body = body[:-1] + b',"_meta":' + self._dump_meta(meta) + b"}"
+            self._require_meta_object(meta)
+            sidecar = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+            self._bound_meta(len(sidecar))
+            body = body[:-1] + b',"_meta":' + sidecar + b"}"
         return body
 
-    def _frame_json(self, data: dict, meta: Optional[dict] = None) -> bytes:
-        body = self._json_body(data, meta)
+    def _frame(self, tag: int, flags: int, body: bytes) -> bytes:
         if len(body) > self.max_frame:
             raise ValueError(
                 f"frame body of {len(body)} bytes exceeds max_frame "
                 f"({self.max_frame})"
             )
-        return _HEADER.pack(len(body)) + body
-
-    def _frame_packed(self, tag: int, flags: int, body: bytes) -> bytes:
-        if len(body) > self.max_frame:
-            raise ValueError(
-                f"frame body of {len(body)} bytes exceeds max_frame "
-                f"({self.max_frame})"
-            )
-        return _BIN_HEADER.pack(MAGIC_BINARY_V1, tag, flags, len(body)) + body
+        return _HEADER.pack(MAGIC_BINARY_V1, tag, flags, len(body)) + body
 
     # -- ``_meta`` sidecar hygiene, either side of the wire -------------
     # Only the *shape* (a JSON object) and *size* are checked — never the
@@ -349,15 +282,8 @@ class FrameCodec:
                 f"({self.max_meta})"
             )
 
-    def _dump_meta(self, meta) -> bytes:
-        """The validated JSON sidecar bytes: the JSON wire's one dump."""
-        self._require_meta_object(meta)
-        sidecar = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-        self._bound_meta(len(sidecar))
-        return sidecar
-
     def _pack_meta(self, meta) -> bytes:
-        """The validated binary sidecar bytes (layout in the module
+        """The validated packed sidecar bytes (layout in the module
         docstring); ``max_meta`` bounds the packed size."""
         self._require_meta_object(meta)
         bits = 0
@@ -435,35 +361,6 @@ class FrameCodec:
             )
         return meta
 
-    # -- timestamp channel state (JSON wire) ----------------------------
-    def _pick_scheme(
-        self, slot: int, ts: np.ndarray
-    ) -> Tuple[str, Optional[np.ndarray]]:
-        """Price *ts* against the channel reference (counting only — no
-        payload is built to choose) and advance the reference.  Returns
-        the winning scheme and what its pair payload is taken against:
-        the reference for differential, ``None`` (all zeros) otherwise."""
-        reference = channel_reference(self._enc_ref[slot], ts)
-        name, _ = best_encoding(ts, reference)
-        self.encodings[name] += 1
-        self._enc_ref[slot] = ts
-        return name, reference if name == "differential" else None
-
-    def _compress_interval(self, data: dict) -> None:
-        """JSON path: replace the top-level ``lo``/``hi`` lists with
-        tagged encoded payloads, advancing the encoder references.
-        Nested ``parts`` stay raw: provenance is bulky but rare, and
-        keeping the reference chain tied to the head timestamps keeps
-        both ends' state trivially in lockstep."""
-        data["n"] = len(data["lo"])
-        for slot, bound in enumerate(("lo", "hi")):
-            ts = np.asarray(data[bound], dtype=np.int64)
-            name, against = self._pick_scheme(slot, ts)
-            payload = data[bound]
-            if name != "raw":
-                payload, _ = encode_differential(ts, against)
-            data[bound] = {"e": name, "p": payload}
-
     # ------------------------------------------------------------------
     # decode
     # ------------------------------------------------------------------
@@ -475,46 +372,40 @@ class FrameCodec:
 
     def feed_meta(self, data: bytes) -> List[Tuple[object, Optional[dict]]]:
         """Like :meth:`feed`, but each message comes back with the frame
-        ``_meta`` sidecar (or ``None``) it was encoded with.  Both wire
-        formats are accepted, frame by frame."""
+        ``_meta`` sidecar (or ``None``) it was encoded with."""
         self._buffer.extend(data)
         out: List[Tuple[object, Optional[dict]]] = []
         while self._buffer:
             first = self._buffer[0]
-            if first & 0x80:
-                if first != MAGIC_BINARY_V1:
-                    raise ValueError(
-                        f"unsupported binary wire version byte 0x{first:02x}; "
-                        f"stream is corrupt"
-                    )
-                if len(self._buffer) < _BIN_HEADER.size:
-                    break
-                _, tag, flags, length = _BIN_HEADER.unpack_from(self._buffer)
-                if length > self.max_frame:
-                    raise ValueError(
-                        f"declared frame length {length} exceeds max_frame "
-                        f"({self.max_frame}); stream is corrupt"
-                    )
-                total = _BIN_HEADER.size + length
-                if len(self._buffer) < total:
-                    break
-                body = bytes(self._buffer[_BIN_HEADER.size : total])
-                del self._buffer[:total]
-                out.append(self._decode_packed(tag, flags, body))
-                continue
+            if first != MAGIC_BINARY_V1:
+                raise ValueError(
+                    f"unsupported wire version byte 0x{first:02x} (expected "
+                    f"0x{MAGIC_BINARY_V1:02X}); stream is corrupt"
+                )
             if len(self._buffer) < _HEADER.size:
                 break
-            (length,) = _HEADER.unpack_from(self._buffer)
+            _, tag, flags, length = _HEADER.unpack_from(self._buffer)
             if length > self.max_frame:
                 raise ValueError(
                     f"declared frame length {length} exceeds max_frame "
                     f"({self.max_frame}); stream is corrupt"
                 )
-            if len(self._buffer) < _HEADER.size + length:
+            total = _HEADER.size + length
+            if len(self._buffer) < total:
                 break
-            body = bytes(self._buffer[_HEADER.size : _HEADER.size + length])
-            del self._buffer[: _HEADER.size + length]
-            out.append(self._decode_body(body))
+            body = bytes(self._buffer[_HEADER.size : total])
+            del self._buffer[:total]
+            try:
+                out.append(self._decode_frame(tag, flags, body))
+            except RecursionError as exc:
+                # JSON in a frame (a tag-0 body, a sidecar tail, an
+                # AppMessage payload) nested past the interpreter's
+                # stack: corrupt like any other malformed frame, and it
+                # must reach the transport as the one error it closes on.
+                raise ValueError(
+                    f"tag-{tag} frame nests too deeply to decode; "
+                    f"stream is corrupt"
+                ) from exc
         return out
 
     def decode(self, frame: bytes) -> object:
@@ -524,12 +415,12 @@ class FrameCodec:
             raise ValueError("decode() expects exactly one complete frame")
         return messages[0]
 
-    def _decode_packed(
+    def _decode_frame(
         self, tag: int, flags: int, body: bytes
     ) -> Tuple[object, Optional[dict]]:
-        if flags & ~_FLAG_META:
+        if flags & ~_FLAG_META or (flags and tag in (TAG_ACK, TAG_JSON)):
             raise ValueError(
-                f"unknown frame flags 0x{flags:02x}; stream is corrupt"
+                f"frame flags 0x{flags:02x} on tag {tag}; stream is corrupt"
             )
         if tag == TAG_ACK:
             n, offset = read_uvarint(body, 0)
@@ -537,7 +428,7 @@ class FrameCodec:
                 raise ValueError("trailing bytes after packed ack frame")
             return {"type": ACK_TYPE, "n": n}, None
         if tag == TAG_JSON:
-            return self._decode_body(body)
+            return self._decode_json(body)
         message, offset = unpack_message(tag, body)
         meta: Optional[dict] = None
         if flags & _FLAG_META:
@@ -555,15 +446,17 @@ class FrameCodec:
             )
         return message, meta
 
-    def _decode_body(self, body: bytes) -> Tuple[object, Optional[dict]]:
+    def _decode_json(self, body: bytes) -> Tuple[object, Optional[dict]]:
         data = json.loads(body.decode("utf-8"))
         if not isinstance(data, dict):
             raise ValueError(
                 f"frame body must be a JSON object, got {type(data).__name__}"
             )
-        kind = str(data.get("type", ""))
-        if kind.startswith("__"):
+        kind = data.get("type")
+        if kind == HELLO_TYPE:
             return data, None
+        if str(kind).startswith("__"):
+            raise ValueError(f"meta type {kind!r} in a tag-0 frame; stream is corrupt")
         meta = data.pop("_meta", None)
         if meta is not None:
             self._require_meta_object(meta)
@@ -576,36 +469,9 @@ class FrameCodec:
         # value of the wrong shape is a corrupt stream like any other,
         # and must reach the transport as the one error it closes on.
         try:
-            if kind == "IntervalReport":
-                self._decompress_interval(data["interval"])
             return message_from_dict(data), meta
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed {kind} frame body: {exc!r}") from exc
-
-    def _decompress_interval(self, data: dict) -> None:
-        for slot, bound in enumerate(("lo", "hi")):
-            obj = data[bound]
-            if not isinstance(obj, dict):
-                continue  # uncompressed peer
-            n = int(data["n"])
-            # A pair payload of a few bytes may declare any width, and
-            # decoding allocates it: refuse one whose raw form (at least
-            # two bytes a component) no frame could carry.
-            if 2 * n > self.max_frame:
-                raise ValueError(
-                    f"declared timestamp width {n} exceeds what max_frame "
-                    f"({self.max_frame}) can carry; stream is corrupt"
-                )
-            scheme, payload = obj["e"], obj["p"]
-            if scheme == "sparse":
-                ts = decode_sparse(payload, n)
-            elif scheme == "differential":
-                ts = decode_differential(payload, self._dec_ref[slot], n)
-            else:
-                ts = np.asarray(payload, dtype=np.int64)
-            self._dec_ref[slot] = np.asarray(ts, dtype=np.int64)
-            data[bound] = [int(v) for v in ts]
-        data.pop("n", None)
 
     # ------------------------------------------------------------------
     @property

@@ -89,16 +89,16 @@ def _adapt_receiver(receiver: Receiver) -> Callable[[int, object, Optional[dict]
 
 def _negotiated(hello: dict) -> Dict[str, object]:
     """The :attr:`TcpTransport.negotiated` record a ``__hello__``
-    announces.  A hello without an integer ``node`` (or with a
-    non-integer ``codec``) raises ``ValueError`` — a corrupt stream,
-    which the inbound handler poisons like any other."""
-    node, codec = hello.get("node"), hello.get("codec", 0)
+    announces.  A hello without an integer ``node`` and ``codec``
+    raises ``ValueError`` — a corrupt stream, which the inbound handler
+    poisons like any other."""
+    node, codec = hello.get("node"), hello.get("codec")
     if node.__class__ is not int or codec.__class__ is not int:
         raise ValueError(
             f"__hello__ needs an integer node and codec, got "
             f"{type(node).__name__} and {type(codec).__name__}"
         )
-    return {"node": node, "wire": str(hello.get("wire", "json")), "codec": codec}
+    return {"node": node, "codec": codec}
 
 
 class Transport(Protocol):
@@ -260,10 +260,9 @@ class LoopbackHub:
 class LoopbackTransport:
     """In-process transport: full codec path, zero sockets.
 
-    Each directed pair keeps its own encoder/decoder codec (mirroring
-    one TCP connection per direction), so the JSON wire's
-    differential-timestamp references behave exactly as they would on
-    a socket.
+    One encoder serves every destination (frames are stateless); each
+    source gets a decoder of its own, as each inbound TCP connection
+    does.
     """
 
     def __init__(
@@ -297,7 +296,7 @@ class LoopbackTransport:
         self.instruments = _Instruments(clock)
         self.receiver: Optional[Receiver] = None
         self.peer_down_handler: Optional[Callable[[int], None]] = None
-        self._encoders: Dict[int, FrameCodec] = {}
+        self._encoder = codec_factory()
         self._decoders: Dict[int, FrameCodec] = {}
         self._outbufs: Dict[int, bytearray] = {}
         self._depths: Dict[int, int] = {}
@@ -332,7 +331,6 @@ class LoopbackTransport:
         await asyncio.sleep(0)
 
     def drop_peer(self, peer: int) -> None:
-        self._encoders.pop(peer, None)
         self._decoders.pop(peer, None)
         self._outbufs.pop(peer, None)
         self._depths.pop(peer, None)
@@ -361,10 +359,7 @@ class LoopbackTransport:
         if depth >= self.max_outbox:
             self.instruments.dropped[(self.node_id, "outbox-full")] += 1
             return
-        codec = self._encoders.get(dst)
-        if codec is None:
-            codec = self._encoders[dst] = self.codec_factory()
-        frame = codec.encode(message, meta)
+        frame = self._encoder.encode(message, meta)
         self.instruments.sent(self.node_id, message, len(frame))
         # Mirror the TCP writer's flush batching: frames accumulate per
         # destination and one callback per loop tick delivers the whole
@@ -420,13 +415,15 @@ class _PeerLink:
     The writer dials with capped exponential backoff (jittered from the
     owning node's deterministic rng stream), sends a hello meta-frame,
     then drains the outbox.  Messages are *encoded at write time* with
-    the connection's fresh codec and removed from the outbox only when
-    the receiver's cumulative ack covers them — a TCP write can succeed
+    the owner's encoder and removed from the outbox only when the
+    receiver's cumulative ack covers them — a TCP write can succeed
     into the kernel buffer of an already-dead connection, so
     pop-on-write would silently lose the frame.  Everything unacked when
-    a connection dies is re-encoded and retransmitted on the next one
+    a connection dies is encoded again and retransmitted on the next one
     (at-least-once; the receiver's reorder buffer drops duplicates by
-    ``transport_seq``).
+    ``transport_seq``).  A corrupt ack stream poisons the connection
+    just as a corrupt inbound stream does: ``net_stream_poisoned``,
+    then a hang-up and a redial.
     """
 
     def __init__(self, owner: "TcpTransport", peer: int, address: Tuple[str, int]):
@@ -502,17 +499,15 @@ class _PeerLink:
                 continue
             backoff = owner.backoff_base
             owner.instruments.reconnects[owner.node_id] += 1
-            codec = owner.codec_factory()
             self._sent = 0
             self._acked = 0
             pump = ack_loop = None
             try:
                 writer.write(
-                    codec.encode(
+                    owner._encoder.encode(
                         {
                             "type": HELLO_TYPE,
                             "node": owner.node_id,
-                            "wire": codec.wire,
                             "codec": CODEC_VERSION,
                         }
                     )
@@ -522,7 +517,7 @@ class _PeerLink:
                 # The pump writes, the ack loop confirms (and doubles as
                 # the connection-death detector via read EOF).  Either
                 # one finishing means this connection is over.
-                pump = asyncio.ensure_future(self._pump(writer, codec))
+                pump = asyncio.ensure_future(self._pump(writer))
                 ack_loop = asyncio.ensure_future(self._read_acks(reader))
                 await asyncio.wait(
                     {pump, ack_loop}, return_when=asyncio.FIRST_COMPLETED
@@ -550,11 +545,12 @@ class _PeerLink:
                     "net_connection_lost", node=owner.node_id, peer=self.peer
                 )
 
-    async def _pump(self, writer: asyncio.StreamWriter, codec: FrameCodec) -> None:
+    async def _pump(self, writer: asyncio.StreamWriter) -> None:
         """Encode pending messages in batches and flush each batch with
         a single write + drain: per-frame syscall cost amortizes over up
-        to ``flush_frames`` frames (or ``flush_bytes`` bytes) without
-        changing the ordered stream the codec references require.
+        to ``flush_frames`` frames (or ``flush_bytes`` bytes), and the
+        stream keeps the outbox's order, which the cumulative ack count
+        relies on.
 
         A message's send latency is observed here, once the batch that
         first carried it has drained into the socket — not when its ack
@@ -576,7 +572,7 @@ class _PeerLink:
                 and size < owner.flush_bytes
             ):
                 entry = self.pending[self._sent + len(batch)]
-                frame = codec.encode(entry[1], entry[2])
+                frame = owner._encoder.encode(entry[1], entry[2])
                 batch.append(frame)
                 entries.append(entry)
                 size += len(frame)
@@ -591,12 +587,24 @@ class _PeerLink:
                     entry[0] = None
 
     async def _read_acks(self, reader: asyncio.StreamReader) -> None:
-        codec = self.owner.codec_factory()
+        owner = self.owner
+        codec = owner.codec_factory()
         while not self.closing:
             data = await reader.read(65536)
             if not data:
                 return  # EOF: the peer (or its listener) went away
-            for meta in codec.feed(data):
+            try:
+                frames = codec.feed(data)
+            except ValueError as exc:
+                # Returning ends the connection: run() hangs up and redials.
+                owner.clock.emit(
+                    "net_stream_poisoned",
+                    node=owner.node_id,
+                    src=self.peer,
+                    error=repr(exc),
+                )
+                return
+            for meta in frames:
                 if not (isinstance(meta, dict) and meta.get("type") == ACK_TYPE):
                     continue
                 covered = min(
@@ -654,6 +662,9 @@ class TcpTransport:
         self.host = host
         self.port = port
         self.codec_factory = codec_factory
+        #: Frames are stateless, so one encoder serves every link and
+        #: every ack; decoders are per inbound stream (their buffers).
+        self._encoder = codec_factory()
         self.max_outbox = max_outbox
         self.high_water = high_water
         self.low_water = low_water
@@ -673,9 +684,8 @@ class TcpTransport:
         #: single socket write.
         self.flush_frames = flush_frames
         self.flush_bytes = flush_bytes
-        #: Peer node id -> ``{"node", "wire", "codec"}`` from the last
-        #: ``__hello__`` received on an inbound connection (older peers
-        #: that do not advertise default to the legacy JSON wire).
+        #: Peer node id -> ``{"node", "codec"}`` from the last
+        #: ``__hello__`` received on an inbound connection.
         self.negotiated: Dict[int, Dict[str, object]] = {}
         self.instruments = _Instruments(clock)
         self.receiver: Optional[Receiver] = None
@@ -773,7 +783,6 @@ class TcpTransport:
         if task is not None:
             self._inbound.append(task)
         codec = self.codec_factory()
-        ack_codec = self.codec_factory()
         src: Optional[int] = None
         received = 0  # message frames on this connection, acked cumulatively
         acked = 0  # highest cumulative count already acked
@@ -790,7 +799,7 @@ class TcpTransport:
                 ack_timer = None
             if received <= acked or writer.is_closing():
                 return
-            frame = ack_codec.encode({"type": ACK_TYPE, "n": received})
+            frame = self._encoder.encode({"type": ACK_TYPE, "n": received})
             writer.write(frame)
             acked = received
             self.instruments.acks[self.node_id] += 1

@@ -2,11 +2,11 @@
 
 :mod:`repro.sim.serialize` defines the canonical *JSON* forms of every
 :mod:`repro.sim.messages` dataclass; this module defines the equivalent
-*packed* forms — the payload layer of the binary wire protocol
-(:class:`repro.net.FrameCodec` with ``wire="binary"``).  Both layers
-serialize exactly the same information, so the round-trip contract is
-shared: ``unpack_message(*pack_message(m)) == m`` for every message
-type, pinned by the property suite in ``tests/property/test_wire.py``.
+*packed* forms — the payload layer of the wire protocol
+(:class:`repro.net.FrameCodec`).  Both layers serialize exactly the
+same information, so the round-trip contract is shared:
+``unpack_message(*pack_message(m)) == m`` for every message type,
+pinned by the property suite in ``tests/property/test_wire.py``.
 
 Layout conventions
 ------------------

@@ -49,9 +49,8 @@ def _spec(**overrides) -> ClusterSpec:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("wire", ["binary", "json"])
-    def test_socket_solutions_identical_to_simulator(self, wire):
-        spec = _spec(wire=wire)
+    def test_socket_solutions_identical_to_simulator(self):
+        spec = _spec()
         script = simulation_script(spec.tree(), seed=spec.seed, epochs=spec.epochs)
         assert script.reference, "reference run produced no detections"
 
@@ -92,12 +91,10 @@ class TestEquivalence:
 
 class TestKill:
     def test_leaf_kill_repairs_and_detection_continues(self):
-        # Explicitly pinned to the binary wire: repair and partial
-        # detection must survive a crash on the packed protocol too.
         # 50 ms between epochs: at the default 5 ms all eight are offered
         # within 40 ms of the first, and one stall between the first
         # detection and the kill left nothing for the survivors to detect.
-        spec = _spec(epochs=8, wire="binary", interval_spacing=0.05)
+        spec = _spec(epochs=8, interval_spacing=0.05)
         victim = 5  # a leaf of the 7-node binary tree
 
         async def scenario():
@@ -160,7 +157,7 @@ class TestKill:
 
 class TestTcpSmall:
     def test_three_node_tcp_cluster_detects(self):
-        spec = _spec(nodes=3, transport="tcp", epochs=2, wire="binary")
+        spec = _spec(nodes=3, transport="tcp", epochs=2)
         script = simulation_script(spec.tree(), seed=spec.seed, epochs=spec.epochs)
         assert script.reference
 
@@ -180,11 +177,11 @@ class TestTcpSmall:
         registry = cluster.telemetry.registry
         assert sum(registry.get("repro_net_frames_total").values()) > 0
         assert sum(registry.get("repro_net_bytes_sent_total").values()) > 0
-        # Every peer hello negotiated the packed wire, and the byte
-        # accounting saw the hot message type.
-        assert summary["wire"] == "binary" and summary["codec_version"] == 3
+        # Every peer hello announced this codec, and the byte accounting
+        # saw the hot message type.
+        assert summary["codec_version"] == 4
         assert summary["negotiated"]
-        assert all(h["wire"] == "binary" for h in summary["negotiated"].values())
+        assert all(h == {"codec": 4} for h in summary["negotiated"].values())
         assert summary["bytes_by_type"].get("IntervalReport", 0) > 0
         # A healthy run never has a decoder hang up on its peer.
         assert not cluster.log.of_kind("net_stream_poisoned")
@@ -200,5 +197,6 @@ class TestSpecValidation:
             ClusterSpec(transport="carrier-pigeon")
 
     def test_bad_wire_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterSpec(wire="telepathy")
+        for wire in ("telepathy", "json"):
+            with pytest.raises(ValueError, match="binary"):
+                ClusterSpec(wire=wire)

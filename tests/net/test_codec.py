@@ -1,5 +1,4 @@
-"""Unit tests: the length-prefixed frame codec and its timestamp
-compression."""
+"""Unit tests: the frame codec."""
 
 import numpy as np
 import pytest
@@ -73,76 +72,17 @@ class TestFraming:
         assert out == {"type": HELLO_TYPE, "node": 3}
 
     def test_non_meta_dict_rejected(self):
-        with pytest.raises(ValueError):
-            FrameCodec().encode({"type": "IntervalReport"})
+        # Dict frames are the hello and the ack; nothing else is decodable.
+        for kind in ("IntervalReport", "__bye__"):
+            with pytest.raises(ValueError):
+                FrameCodec().encode({"type": kind})
 
     def test_oversized_declared_length_poisons_stream(self):
+        # Refused at the header, one byte past the bound, before any of
+        # the body has arrived.
         dec = FrameCodec(max_frame=64)
-        with pytest.raises(ValueError):
-            dec.feed(b"\x7f\xff\xff\xff" + b"x" * 8)
-
-
-class TestCompression:
-    def test_reference_chain_round_trips_a_report_sequence(self):
-        enc, dec = FrameCodec(), FrameCodec()
-        rng = np.random.default_rng(7)
-        clock = np.zeros(16, dtype=np.int64)
-        for seq in range(40):
-            clock = clock + rng.integers(0, 3, size=16)
-            report = IntervalReport(
-                origin=1,
-                dest=0,
-                interval=Interval(owner=1, seq=seq, lo=clock.copy(), hi=clock + 1),
-                transport_seq=seq,
-            )
-            out = dec.decode(enc.encode(report))
-            assert out.interval.lo.tolist() == report.interval.lo.tolist()
-            assert out.interval.hi.tolist() == report.interval.hi.tolist()
-        # Slowly advancing clocks must actually trigger the cheap schemes.
-        assert enc.encodings["differential"] + enc.encodings["sparse"] > 0
-
-    def test_compression_beats_raw_for_slow_clocks(self):
-        compressed, raw = FrameCodec(), FrameCodec(compress=False)
-        clock = np.zeros(64, dtype=np.int64)
-        small = big = 0
-        for seq in range(20):
-            clock[seq % 3] += 1
-            report = IntervalReport(
-                origin=1,
-                dest=0,
-                interval=Interval(owner=1, seq=seq, lo=clock.copy(), hi=clock.copy()),
-                transport_seq=seq,
-            )
-            small += len(compressed.encode(report))
-            big += len(raw.encode(report))
-        assert small < big
-
-    def test_parts_survive_by_default_and_strip_when_lean(self):
-        part = _interval(owner=2, seq=0)
-        aggregate = Interval(
-            owner=1,
-            seq=0,
-            lo=part.lo,
-            hi=part.hi,
-            members=frozenset({1, 2}),
-            parts=(part,),
-        )
-        report = IntervalReport(origin=1, dest=0, interval=aggregate)
-
-        fat = FrameCodec().decode(FrameCodec().encode(report))
-        assert [p.key() for p in fat.interval.parts] == [part.key()]
-
-        lean_codec = FrameCodec(include_parts=False)
-        lean = FrameCodec().decode(lean_codec.encode(report))
-        assert lean.interval.parts == ()
-        assert lean.interval.members == aggregate.members
-
-    def test_shape_change_resets_reference(self):
-        enc, dec = FrameCodec(), FrameCodec()
-        for n in (3, 5, 3):
-            report = _report(lo=[1] * n, hi=[2] * n)
-            out = dec.decode(enc.encode(report))
-            assert out.interval.lo.tolist() == [1] * n
+        with pytest.raises(ValueError, match="max_frame"):
+            dec.feed(_frame(2, b"")[:3] + (65).to_bytes(4, "big"))
 
 
 class TestMetaSidecar:
@@ -180,12 +120,10 @@ class TestMetaSidecar:
         with pytest.raises(ValueError):
             codec.encode({"type": HELLO_TYPE, "node": 1}, meta={"span": [0, 0]})
 
-    @pytest.mark.parametrize("wire", ["binary", "json"])
-    def test_epoch_ids_ride_the_sidecar(self, wire):
+    def test_epoch_ids_ride_the_sidecar(self):
         # The epoch ledger's ids travel next to span coordinates; the
-        # packed wire must hand them back bit-identical and typed.
-        tx = FrameCodec(wire=wire)
-        rx = FrameCodec(wire=wire)
+        # packed sidecar must hand them back bit-identical and typed.
+        tx, rx = FrameCodec(), FrameCodec()
         meta = {"span": [1, 5], "sampled": True, "epochs": [0, 3, 17]}
         ((message, got),) = rx.feed_meta(tx.encode(_report(), meta=meta))
         assert isinstance(message, IntervalReport)
@@ -193,22 +131,11 @@ class TestMetaSidecar:
         assert got["epochs"] == [0, 3, 17]
 
     def test_epoch_sidecar_respects_max_meta(self):
-        tx = FrameCodec(wire="binary", max_meta=64)
+        tx = FrameCodec(max_meta=64)
         small = {"epochs": [1]}
         assert tx.encode(_report(), meta=small)
         with pytest.raises(ValueError, match="max_meta"):
             tx.encode(_report(seq=1, ts=1), meta={"epochs": list(range(1000))})
-
-    def test_meta_survives_compression_chain(self):
-        tx, rx = FrameCodec(), FrameCodec()
-        for seq in range(4):
-            frame = tx.encode(
-                _report(seq=seq, ts=seq, lo=(seq + 1, 0, 0), hi=(seq + 3, 1, 0)),
-                meta={"span": [1, seq]},
-            )
-            ((message, meta),) = rx.feed_meta(frame)
-            assert meta == {"span": [1, seq]}
-            assert message.interval.seq == seq
 
 
 class TestMetaBounds:
@@ -249,17 +176,13 @@ class TestMetaBounds:
         assert meta == {"span": [0, 1]}
 
 
-def _binary():
-    return FrameCodec(wire="binary")
-
-
 class TestBinaryWire:
-    """The packed wire: struct header + varint bodies, self-describing
-    frame by frame so either end may still speak legacy JSON."""
+    """The packed wire: struct header + varint bodies, one frame per
+    message, each decodable on its own."""
 
     @pytest.mark.parametrize("message", ALL_MESSAGES, ids=lambda m: type(m).__name__)
     def test_every_message_type_round_trips(self, message):
-        enc, dec = _binary(), _binary()
+        enc, dec = FrameCodec(), FrameCodec()
         frame = enc.encode(message)
         assert frame[0] == 0xB1
         out = dec.decode(frame)
@@ -273,27 +196,8 @@ class TestBinaryWire:
         else:
             assert out == message
 
-    def test_binary_stream_is_smaller_than_json(self):
-        # One byte per component (offsets from the frame's base row)
-        # against JSON digits and punctuation, even with the JSON
-        # wire's reference chain doing its best on a slow clock.
-        bin_codec, json_codec = _binary(), FrameCodec()
-        packed = plain = 0
-        clock = np.zeros(32, dtype=np.int64)
-        for seq in range(20):
-            clock[seq % 5] += 1
-            report = IntervalReport(
-                origin=1,
-                dest=0,
-                interval=Interval(owner=1, seq=seq, lo=clock.copy(), hi=clock + 1),
-                transport_seq=seq,
-            )
-            packed += len(bin_codec.encode(report))
-            plain += len(json_codec.encode(report))
-        assert packed < plain
-
     def test_byte_by_byte_feed_reassembles(self):
-        enc, dec = _binary(), _binary()
+        enc, dec = FrameCodec(), FrameCodec()
         frames = b"".join(enc.encode(Heartbeat(sender=i)) for i in range(3))
         got = []
         for i in range(len(frames)):
@@ -302,79 +206,54 @@ class TestBinaryWire:
         assert dec.pending_bytes == 0
 
     def test_truncated_header_waits_for_more_bytes(self):
-        dec = _binary()
-        frame = _binary().encode(Heartbeat(sender=9))
+        dec = FrameCodec()
+        frame = FrameCodec().encode(Heartbeat(sender=9))
         assert dec.feed(frame[:3]) == []
         assert dec.pending_bytes == 3
         (out,) = dec.feed(frame[3:])
         assert out.sender == 9
 
-    def test_mixed_wire_stream_interoperates(self):
-        # One decoder, alternating senders: frames are self-describing,
-        # so a json peer and a binary peer can share a buffer.
-        json_tx, bin_tx, rx = FrameCodec(), _binary(), FrameCodec()
-        stream = (
-            json_tx.encode(Heartbeat(sender=1))
-            + bin_tx.encode(Heartbeat(sender=2))
-            + json_tx.encode(DetachNotice(child=3))
-            + bin_tx.encode(AttachAccept(parent=4))
-        )
-        out = rx.feed(stream)
-        assert [type(m).__name__ for m in out] == [
-            "Heartbeat",
-            "Heartbeat",
-            "DetachNotice",
-            "AttachAccept",
-        ]
-
-    def test_hello_stays_legacy_json_on_binary_wire(self):
-        frame = _binary().encode(
-            {"type": HELLO_TYPE, "node": 3, "wire": "binary", "codec": 1}
-        )
-        assert not frame[0] & 0x80  # legacy length prefix, readable by v0 peers
-        out = FrameCodec().decode(frame)
-        assert out["wire"] == "binary"
+    def test_hello_is_a_tag_0_frame(self):
+        hello = {"type": HELLO_TYPE, "node": 3, "codec": 4}
+        frame = FrameCodec().encode(hello)
+        assert frame[:3] == b"\xb1\x00\x00"  # magic, TAG_JSON, no flags
+        assert FrameCodec().decode(frame) == hello
 
     def test_ack_goes_packed_on_binary_wire(self):
-        frame = _binary().encode({"type": ACK_TYPE, "n": 1 << 20})
+        frame = FrameCodec().encode({"type": ACK_TYPE, "n": 1 << 20})
         assert frame[0] == 0xB1
         assert len(frame) < 16
-        assert _binary().decode(frame) == {"type": ACK_TYPE, "n": 1 << 20}
-
-    def test_ack_stays_json_on_json_wire(self):
-        frame = FrameCodec().encode({"type": ACK_TYPE, "n": 5})
-        assert not frame[0] & 0x80
-        assert _binary().decode(frame) == {"type": ACK_TYPE, "n": 5}
+        assert FrameCodec().decode(frame) == {"type": ACK_TYPE, "n": 1 << 20}
 
     def test_unsupported_version_byte_poisons_stream(self):
         with pytest.raises(ValueError, match="version"):
-            _binary().feed(b"\xb2\x00\x00\x00\x00\x00\x00")
+            FrameCodec().feed(b"\xb2\x00\x00\x00\x00\x00\x00")
 
     def test_unknown_flags_poison_stream(self):
         import struct
 
         frame = struct.pack(">BBBI", 0xB1, 2, 0x04, 1) + b"\x02"
         with pytest.raises(ValueError, match="flags"):
-            _binary().feed(frame)
+            FrameCodec().feed(frame)
 
     def test_trailing_garbage_after_body_poisons_stream(self):
         import struct
 
-        good = _binary().encode(Heartbeat(sender=1))
+        good = FrameCodec().encode(Heartbeat(sender=1))
         _, tag, flags, length = struct.unpack_from(">BBBI", good)
         bad = struct.pack(">BBBI", 0xB1, tag, flags, length + 2) + good[7:] + b"\x00\x00"
         with pytest.raises(ValueError, match="trailing"):
-            _binary().feed(bad)
+            FrameCodec().feed(bad)
 
     def test_oversized_body_rejected_on_encode(self):
-        codec = FrameCodec(wire="binary", max_frame=64)
+        codec = FrameCodec(max_frame=64)
         with pytest.raises(ValueError, match="max_frame"):
             codec.encode(AppMessage(payload="x" * 256, piggyback=np.zeros(1, np.int64)))
 
     def test_oversized_declared_length_poisons_stream(self):
         import struct
 
-        dec = FrameCodec(wire="binary", max_frame=64)
+        dec = FrameCodec(max_frame=64)
         with pytest.raises(ValueError, match="max_frame"):
             dec.feed(struct.pack(">BBBI", 0xB1, 2, 0, 1 << 20) + b"x" * 8)
 
@@ -384,15 +263,15 @@ class TestBinaryWire:
         import repro.net.codec as codec_mod
 
         monkeypatch.setattr(codec_mod, "pack_message", lambda *a, **k: None)
-        enc = _binary()
+        enc = FrameCodec()
         frame = enc.encode(Heartbeat(sender=7))
         assert frame[0] == 0xB1 and frame[1] == 0  # TAG_JSON
         monkeypatch.undo()
-        out = _binary().decode(frame)
+        out = FrameCodec().decode(frame)
         assert isinstance(out, Heartbeat) and out.sender == 7
 
     def test_reference_chain_round_trips_a_report_sequence(self):
-        enc, dec = _binary(), _binary()
+        enc, dec = FrameCodec(), FrameCodec()
         rng = np.random.default_rng(11)
         clock = np.zeros(16, dtype=np.int64)
         for seq in range(40):
@@ -406,10 +285,9 @@ class TestBinaryWire:
             out = dec.decode(enc.encode(report))
             assert out.interval.lo.tolist() == report.interval.lo.tolist()
             assert out.interval.hi.tolist() == report.interval.hi.tolist()
-        assert not enc.encodings  # no scheme is chosen: there is no chain
 
     def test_shape_change_resets_reference(self):
-        enc, dec = _binary(), _binary()
+        enc, dec = FrameCodec(), FrameCodec()
         for n in (3, 5, 3):
             report = _report(lo=[1] * n, hi=[2] * n)
             out = dec.decode(enc.encode(report))
@@ -427,26 +305,20 @@ class TestBinaryWire:
         )
         report = IntervalReport(origin=1, dest=0, interval=aggregate)
 
-        fat = _binary().decode(_binary().encode(report))
+        fat = FrameCodec().decode(FrameCodec().encode(report))
         assert [p.key() for p in fat.interval.parts] == [part.key()]
 
-        lean = _binary().decode(
-            FrameCodec(wire="binary", include_parts=False).encode(report)
-        )
+        lean = FrameCodec().decode(FrameCodec(include_parts=False).encode(report))
         assert lean.interval.parts == ()
         assert lean.interval.members == aggregate.members
-
-    def test_invalid_wire_name_rejected(self):
-        with pytest.raises(ValueError, match="wire"):
-            FrameCodec(wire="protobuf")
 
 
 class TestBinaryMeta:
     """The ``_meta`` sidecar on the packed path: a flag bit plus a
-    length-prefixed packed sidecar, bounded exactly like the JSON path."""
+    length-prefixed packed sidecar, bounded by ``max_meta``."""
 
     def test_meta_round_trips(self):
-        tx, rx = _binary(), _binary()
+        tx, rx = FrameCodec(), FrameCodec()
         frame = tx.encode(_report(), meta={"span": [1, 5]})
         assert frame[0] == 0xB1 and frame[2] & 0x01
         ((message, meta),) = rx.feed_meta(frame)
@@ -454,25 +326,19 @@ class TestBinaryMeta:
         assert meta == {"span": [1, 5]}
 
     def test_absent_meta_decodes_as_none(self):
-        tx, rx = _binary(), _binary()
+        tx, rx = FrameCodec(), FrameCodec()
         frame = tx.encode(Heartbeat(sender=2))
         assert not frame[2] & 0x01
         ((_, meta),) = rx.feed_meta(frame)
         assert meta is None
 
-    def test_meta_survives_json_receiver(self):
-        # A binary sender's sidecar reaches a receiver built for json.
-        tx, rx = _binary(), FrameCodec()
-        ((_, meta),) = rx.feed_meta(tx.encode(_report(), meta={"span": [3, 7]}))
-        assert meta == {"span": [3, 7]}
-
     def test_oversized_meta_rejected_on_encode(self):
-        codec = FrameCodec(wire="binary", max_meta=64)
+        codec = FrameCodec(max_meta=64)
         with pytest.raises(ValueError, match="max_meta"):
             codec.encode(_report(), meta={"blob": "x" * 256})
 
     def test_oversized_meta_poisons_frame_on_decode(self):
-        tx = FrameCodec(wire="binary", max_meta=1 << 20)
+        tx = FrameCodec(max_meta=1 << 20)
         rx = FrameCodec(max_meta=64)
         frame = tx.encode(_report(), meta={"blob": "x" * 256})
         with pytest.raises(ValueError, match="max_meta"):
@@ -481,7 +347,7 @@ class TestBinaryMeta:
     def test_truncated_sidecar_poisons_frame(self):
         import struct
 
-        tx = _binary()
+        tx = FrameCodec()
         frame = tx.encode(_report(), meta={"span": [1, 2]})
         _, tag, flags, length = struct.unpack_from(">BBBI", frame)
         # Chop the last sidecar byte and re-declare the shorter length:
@@ -489,11 +355,11 @@ class TestBinaryMeta:
         body = frame[7:-1]
         bad = struct.pack(">BBBI", 0xB1, tag, flags, len(body)) + body
         with pytest.raises(ValueError, match="truncated _meta"):
-            _binary().feed_meta(bad)
+            FrameCodec().feed_meta(bad)
 
     def test_meta_frames_reject_meta(self):
         with pytest.raises(ValueError):
-            _binary().encode({"type": ACK_TYPE, "n": 1}, meta={"span": [0, 0]})
+            FrameCodec().encode({"type": ACK_TYPE, "n": 1}, meta={"span": [0, 0]})
 
 
 def _with_sidecar(sidecar: bytes, message=None):
@@ -501,7 +367,7 @@ def _with_sidecar(sidecar: bytes, message=None):
     *sidecar* verbatim behind the flags-bit-0 length prefix."""
     from repro.sim.wirepack import write_uvarint
 
-    frame = _binary().encode(_report() if message is None else message)
+    frame = FrameCodec().encode(_report() if message is None else message)
     body = bytearray(frame[7:])
     write_uvarint(body, len(sidecar))
     return _frame(frame[1], body + sidecar, flags=0x01)
@@ -514,12 +380,12 @@ class TestPackedSidecar:
     RUNTIME_META = {"span": [3, 1], "sampled": True, "epochs": [0]}
 
     def test_runtime_sidecar_is_a_few_bytes(self):
-        lean = len(_binary().encode(_report()))
-        frame = _binary().encode(_report(), meta=self.RUNTIME_META)
+        lean = len(FrameCodec().encode(_report()))
+        frame = FrameCodec().encode(_report(), meta=self.RUNTIME_META)
         # length byte + field bits + node + sid + count + one gap
         assert len(frame) - lean == 1 + 5
         assert frame[lean:] == bytes([5, 0x0F, 6, 1, 1, 0])
-        ((_, meta),) = _binary().feed_meta(frame)
+        ((_, meta),) = FrameCodec().feed_meta(frame)
         assert meta == self.RUNTIME_META
         assert type(meta["span"]) is list and type(meta["sampled"]) is bool
 
@@ -532,7 +398,7 @@ class TestPackedSidecar:
 
         monkeypatch.setattr(codec_mod, "json", NoJson())
         meta = {"span": [-4, 2**40], "sampled": False, "epochs": [7, 9, 2**62]}
-        ((_, got),) = _binary().feed_meta(_binary().encode(_report(), meta=meta))
+        ((_, got),) = FrameCodec().feed_meta(FrameCodec().encode(_report(), meta=meta))
         assert got == meta
 
     @pytest.mark.parametrize(
@@ -557,16 +423,16 @@ class TestPackedSidecar:
     def test_other_shapes_ride_the_json_tail(self, meta):
         import json
 
-        frame = _binary().encode(_report(), meta=meta)
+        frame = FrameCodec().encode(_report(), meta=meta)
         assert frame[2] & 0x01
-        ((_, got),) = _binary().feed_meta(frame)
+        ((_, got),) = FrameCodec().feed_meta(frame)
         assert got == json.loads(json.dumps(meta))
 
     def test_codec_2_json_sidecar_is_refused(self):
         # The v2 sidecar was the bare JSON object: '{' = 0x7B sets field
         # bits no codec-3 encoder writes.
         with pytest.raises(ValueError, match="field bits"):
-            _binary().feed_meta(_with_sidecar(b'{"span":[1,5]}'))
+            FrameCodec().feed_meta(_with_sidecar(b'{"span":[1,5]}'))
 
     @pytest.mark.parametrize(
         "sidecar, complaint",
@@ -585,28 +451,22 @@ class TestPackedSidecar:
     )
     def test_malformed_sidecar_poisons_the_frame(self, sidecar, complaint):
         with pytest.raises(ValueError, match=complaint):
-            _binary().feed_meta(_with_sidecar(sidecar))
+            FrameCodec().feed_meta(_with_sidecar(sidecar))
 
     def test_max_meta_bounds_the_packed_bytes_on_both_ends(self):
         import json
 
         meta = {"span": [1, 5], "sampled": True, "epochs": list(range(20))}
-        packed = len(_binary()._pack_meta(meta))
+        packed = len(FrameCodec()._pack_meta(meta))
         assert packed == 1 + 2 + 1 + 20 < len(json.dumps(meta))
-        at_bound = FrameCodec(wire="binary", max_meta=packed)
+        at_bound = FrameCodec(max_meta=packed)
         frame = at_bound.encode(_report(), meta=meta)  # JSON would not fit
         ((_, got),) = FrameCodec(max_meta=packed).feed_meta(frame)
         assert got == meta
         with pytest.raises(ValueError, match="max_meta"):
-            FrameCodec(wire="binary", max_meta=packed - 1).encode(_report(), meta=meta)
+            FrameCodec(max_meta=packed - 1).encode(_report(), meta=meta)
         with pytest.raises(ValueError, match="max_meta"):
             FrameCodec(max_meta=packed - 1).feed_meta(frame)
-
-    def test_json_wire_sidecar_bytes_are_unchanged(self):
-        frame = FrameCodec().encode(_report(), meta=self.RUNTIME_META)
-        assert frame.endswith(b',"_meta":{"span":[3,1],"sampled":true,"epochs":[0]}}')
-        ((_, got),) = _binary().feed_meta(frame)
-        assert got == self.RUNTIME_META
 
 
 def _frame(tag, body, flags=0):
@@ -642,10 +502,10 @@ class TestBoundsBlock:
     row, and a decoder that believes nothing the bytes do not back."""
 
     def test_reports_are_tag_8_and_tag_1_is_retired(self):
-        frame = _binary().encode(_report())
+        frame = FrameCodec().encode(_report())
         assert frame[1] == 8
         with pytest.raises(ValueError, match="unknown packed message tag 1"):
-            _binary().feed(_frame(1, frame[7:]))
+            FrameCodec().feed(_frame(1, frame[7:]))
 
     def test_decoded_bounds_are_frozen_owned_int64(self):
         part = _interval(owner=2, seq=4, lo=(300, 0, 7), hi=(300, 2, 7))
@@ -654,7 +514,7 @@ class TestBoundsBlock:
             members=frozenset({1, 2}), parts=(part,),
         )
         sent = IntervalReport(origin=1, dest=0, interval=head, transport_seq=3)
-        got = _binary().decode(_binary().encode(sent))
+        got = FrameCodec().decode(FrameCodec().encode(sent))
         for mine, theirs in ((got.interval, head), (got.interval.parts[0], part)):
             assert mine.key() == theirs.key()  # same bytes as the sender's
             for bound in (mine.lo, mine.hi):
@@ -669,12 +529,12 @@ class TestBoundsBlock:
     def test_base_row_takes_the_narrowest_width_that_fits(self, value, base_width):
         n = 5
         report = _report(lo=[value] * n, hi=[value + 1] * n)
-        frame = _binary().encode(report)
-        lean = _binary().encode(_report(lo=[0] * n, hi=[1] * n))
+        frame = FrameCodec().encode(report)
+        lean = FrameCodec().encode(_report(lo=[0] * n, hi=[1] * n))
         # Same frame but for the base row: offsets stay one byte wide
         # however large the clock.
         assert len(frame) - len(lean) == (base_width - 1) * n
-        got = _binary().decode(frame)
+        got = FrameCodec().decode(frame)
         assert got.interval.lo.tolist() == [value] * n
         assert got.interval.hi.tolist() == [value + 1] * n
 
@@ -683,38 +543,38 @@ class TestBoundsBlock:
     )
     def test_offsets_take_the_narrowest_width_that_fits(self, span, off_width):
         n = 3
-        frame = _binary().encode(_report(lo=[10] * n, hi=[10 + span] * n))
-        lean = _binary().encode(_report(lo=[10] * n, hi=[11] * n))
+        frame = FrameCodec().encode(_report(lo=[10] * n, hi=[10 + span] * n))
+        lean = FrameCodec().encode(_report(lo=[10] * n, hi=[11] * n))
         assert len(frame) - len(lean) == (off_width - 1) * 2 * n
-        assert _binary().decode(frame).interval.hi.tolist() == [10 + span] * n
+        assert FrameCodec().decode(frame).interval.hi.tolist() == [10 + span] * n
 
     def test_negative_component_falls_back_to_signed_rows(self):
         lo, hi = [-(2**63), -1, 5], [2**63 - 1, -1, 5]
-        frame = _binary().encode(_report(lo=lo, hi=hi))
+        frame = FrameCodec().encode(_report(lo=lo, hi=hi))
         assert frame[1] == 8 and frame[-2 * 3 * 8 - 2 : -2 * 3 * 8] == b"\x00\x08"
-        got = _binary().decode(frame)
+        got = FrameCodec().decode(frame)
         assert got.interval.lo.tolist() == lo and got.interval.hi.tolist() == hi
 
     def test_mixed_widths_ride_the_json_escape_hatch(self):
         part = _interval(owner=2, seq=0, lo=(1, 0), hi=(2, 0))
         head = _interval(owner=1, seq=0, members=frozenset({1, 2}), parts=(part,))
         sent = IntervalReport(origin=1, dest=0, interval=head)
-        frame = _binary().encode(sent, meta={"span": [1, 2]})
+        frame = FrameCodec().encode(sent, meta={"span": [1, 2]})
         assert frame[0] == 0xB1 and frame[1] == 0  # TAG_JSON
-        ((got, meta),) = _binary().feed_meta(frame)
+        ((got, meta),) = FrameCodec().feed_meta(frame)
         assert got.interval.key() == head.key()
         assert got.interval.parts[0].key() == part.key()
         assert meta == {"span": [1, 2]}
         # Lean frames drop the odd part and pack as usual.
-        assert FrameCodec(wire="binary", include_parts=False).encode(sent)[1] == 8
+        assert FrameCodec(include_parts=False).encode(sent)[1] == 8
 
     def test_deep_provenance_needs_no_recursion(self):
         depth = 3000  # past the interpreter's default recursion limit
         interval = _interval(owner=0, seq=0)
         for level in range(1, depth):
             interval = _interval(owner=level, seq=0, parts=(interval,))
-        frame = _binary().encode(IntervalReport(origin=1, dest=0, interval=interval))
-        got = _binary().decode(frame).interval
+        frame = FrameCodec().encode(IntervalReport(origin=1, dest=0, interval=interval))
+        got = FrameCodec().decode(frame).interval
         for level in range(depth - 1, 0, -1):
             assert got.owner == level and len(got.parts) == 1
             (got,) = got.parts
@@ -728,7 +588,7 @@ class TestBoundsBlock:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="overruns"):
-                _binary().feed(_frame(8, body))
+                FrameCodec().feed(_frame(8, body))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -740,7 +600,7 @@ class TestBoundsBlock:
     def test_unknown_width_codes_poison_stream(self, widths):
         body = _block_body(1, [(1, 0, 0)], widths, b"\x00" * 24)
         with pytest.raises(ValueError, match="width codes"):
-            _binary().feed(_frame(8, body))
+            FrameCodec().feed(_frame(8, body))
 
     @pytest.mark.parametrize(
         "tree, complaint",
@@ -754,13 +614,13 @@ class TestBoundsBlock:
     def test_provenance_tree_must_use_exactly_its_intervals(self, tree, complaint):
         body = _block_body(1, tree, (1, 1), b"\x00" * (1 + 2 * len(tree)))
         with pytest.raises(ValueError, match=complaint):
-            _binary().feed(_frame(8, body))
+            FrameCodec().feed(_frame(8, body))
 
     def test_trailing_bytes_after_the_block_poison_stream(self):
         body = _block_body(1, [(1, 0, 0)], (1, 1), b"\x00" * 3)
-        assert _binary().decode(_frame(8, body)).interval.lo.tolist() == [0]
+        assert FrameCodec().decode(_frame(8, body)).interval.lo.tolist() == [0]
         with pytest.raises(ValueError, match="trailing"):
-            _binary().feed(_frame(8, body + b"\x00"))
+            FrameCodec().feed(_frame(8, body + b"\x00"))
 
     @pytest.mark.parametrize(
         "widths, payload",
@@ -776,57 +636,12 @@ class TestBoundsBlock:
     def test_eight_byte_components_cannot_wrap(self, widths, payload):
         body = _block_body(1, [(1, 0, 0)], widths, payload)
         with pytest.raises(ValueError, match="overflows int64"):
-            _binary().feed(_frame(8, body))
-
-
-class TestCompressedJsonBounds:
-    """The JSON wire's pair payloads name their own indices and width:
-    both are checked before they are used."""
-
-    @staticmethod
-    def _report_frame(lo, n):
-        import json
-        import struct
-
-        body = json.dumps(
-            {
-                "type": "IntervalReport", "origin": 1, "dest": 0,
-                "transport_seq": 0,
-                "interval": {
-                    "owner": 1, "seq": 0, "members": [1], "n": n,
-                    "lo": lo, "hi": {"e": "raw", "p": [9] * min(n, 3)},
-                },
-            },
-            separators=(",", ":"),
-        ).encode()
-        return struct.pack(">I", len(body)) + body
-
-    def test_well_formed_frame_decodes(self):
-        out = FrameCodec().decode(self._report_frame({"e": "sparse", "p": [[2, 5]]}, 3))
-        assert out.interval.lo.tolist() == [0, 0, 5]
-
-    @pytest.mark.parametrize("scheme", ["sparse", "differential"])
-    @pytest.mark.parametrize("index", [3, 2**40, -1, -3])
-    def test_pair_index_outside_the_vector_poisons_stream(self, scheme, index):
-        # -1 used to wrap around to component n-1 and decode "fine".
-        dec = FrameCodec()
-        dec.decode(self._report_frame({"e": "sparse", "p": []}, 3))  # a reference
-        with pytest.raises(ValueError, match="pair index"):
-            dec.feed(self._report_frame({"e": scheme, "p": [[index, 5]]}, 3))
-
-    def test_declared_width_no_frame_could_carry_is_refused(self):
-        # 2**40 components would be an 8 TiB allocation.
-        with pytest.raises(ValueError, match="max_frame"):
-            FrameCodec().feed(self._report_frame({"e": "sparse", "p": []}, 2**40))
-        small = FrameCodec(max_frame=256)
-        with pytest.raises(ValueError, match="max_frame"):
-            small.feed(self._report_frame({"e": "sparse", "p": []}, 129))
+            FrameCodec().feed(_frame(8, body))
 
 
 def _golden_stream(count=50, n=12):
-    """A fixed report stream on one channel that visits every scheme:
-    sparse early (mostly-zero clocks), differential while one or two
-    components tick, raw after a burst touches every component, a
+    """A fixed report stream: mostly-zero clocks early, one or two
+    components ticking between bursts that move every component, a
     2**62 component, a vector-width change mid-stream, provenance on
     every third report and a ``_meta`` sidecar on every fifth."""
     rng = np.random.default_rng(20130520)
@@ -834,7 +649,7 @@ def _golden_stream(count=50, n=12):
     stream = []
     for seq in range(count):
         if seq == 30:
-            n += 3  # membership grew: the reference chain must reset
+            n += 3  # membership grew
             lo = np.concatenate([lo, np.zeros(3, dtype=np.int64)])
         if seq % 10 == 9:
             lo = lo + rng.integers(1, 4, size=n)  # burst: everything moved
@@ -862,76 +677,44 @@ def _golden_stream(count=50, n=12):
 
 class TestGoldenFrames:
     """The wire format did not move: sha256 over the concatenated frames
-    of :func:`_golden_stream`.  The ``json`` rows were recorded before
-    the count-only cost kernel replaced the payload-building one and
-    have not changed since; the ``binary`` rows were re-recorded when
-    the tag-8 bounds block replaced the per-bound scheme payloads
-    (``compress`` is JSON-only, so both of its values give one stream)
-    and again when codec 3 packed the sidecar."""
+    of :func:`_golden_stream`.  Re-recorded when the tag-8 bounds block
+    replaced the per-bound scheme payloads and again when codec 3 packed
+    the sidecar; codec 4 changed only the hello, which the stream does
+    not hold."""
 
-    #: include_parts -> total bytes of the binary golden stream at the
-    #: parent of the bounds block, whose tag-1 bodies priced each bound
-    #: on its own: (with the per-channel chain — the default; with it
-    #: off, all raw — what the chain chose for all but 4 of 6,576 head
-    #: bounds on benchmark traffic, and always for provenance).  The
-    #: block's own totals are the ``binary`` rows of :attr:`GOLDEN`.
+    #: include_parts -> total bytes of the golden stream at the parent
+    #: of the bounds block, whose tag-1 bodies priced each bound on its
+    #: own: (with the per-channel chain — the default; with it off, all
+    #: raw — what the chain chose for all but 4 of 6,576 head bounds on
+    #: benchmark traffic, and always for provenance).  The block's own
+    #: totals are in :attr:`GOLDEN`.
     PARENT_BINARY_BYTES = {True: (10856, 19316), False: (3384, 11844)}
 
-    #: include_parts -> total bytes of the binary golden stream under
-    #: codec 2 (bounds block, JSON sidecar); codec 3 is 126 bytes less.
+    #: include_parts -> total bytes of the golden stream under codec 2
+    #: (bounds block, JSON sidecar); codec 3 is 126 bytes less.
     CODEC_2_BINARY_BYTES = {True: 5434, False: 4364}
 
+    #: include_parts -> (total bytes, sha256) of the golden stream.
     GOLDEN = {
-        ("binary", True, True): (
+        True: (
             5308,  # codec 2: 5434
             "62754db51d98c33f472661f113719ce48a1d703fe44dfe0bfc79ef7718405380",
         ),
-        ("binary", True, False): (
+        False: (
             4238,  # codec 2: 4364
             "3c58d7de434da04e8242e176fe29aa726321e5e8013b644181145033b4e8dbcd",
-        ),
-        ("binary", False, True): (
-            5308,  # codec 2: 5434
-            "62754db51d98c33f472661f113719ce48a1d703fe44dfe0bfc79ef7718405380",
-        ),
-        ("binary", False, False): (
-            4238,  # codec 2: 4364
-            "3c58d7de434da04e8242e176fe29aa726321e5e8013b644181145033b4e8dbcd",
-        ),
-        ("json", True, True): (
-            15457,
-            "de5c728db769bdebffbfe621876f2a07f405ab380d31aabb8360d05ba7320dcb",
-        ),
-        ("json", True, False): (
-            11423,
-            "dcfd93c167c929536cb6ce8169afe00cd53a77ad87fdfc7b3677f3639e49f4c1",
-        ),
-        ("json", False, True): (
-            14251,
-            "6ef219102c0585eca0017ad0b5418d2f543769db5d1c0e6c01ee12b87fc71f29",
-        ),
-        ("json", False, False): (
-            10217,
-            "aedca34f70499a1239476477850d339b3fddcd09419a263490a1bd15722b6754",
         ),
     }
 
-    @pytest.mark.parametrize("wire", ["binary", "json"])
-    @pytest.mark.parametrize("compress", [True, False])
     @pytest.mark.parametrize("include_parts", [True, False])
-    def test_frames_are_byte_identical(self, wire, compress, include_parts):
+    def test_frames_are_byte_identical(self, include_parts):
         import hashlib
 
-        enc = FrameCodec(wire=wire, compress=compress, include_parts=include_parts)
+        enc = FrameCodec(include_parts=include_parts)
         frames = b"".join(enc.encode(report, meta) for report, meta in _golden_stream())
         digest = hashlib.sha256(frames).hexdigest()
-        assert (len(frames), digest) == self.GOLDEN[wire, compress, include_parts]
-        if wire == "binary":
-            assert not enc.encodings
-        elif compress:
-            assert set(enc.encodings) == {"raw", "sparse", "differential"}
-        dec = FrameCodec(wire=wire, compress=compress, include_parts=include_parts)
-        decoded = dec.feed_meta(frames)
+        assert (len(frames), digest) == self.GOLDEN[include_parts]
+        decoded = FrameCodec(include_parts=include_parts).feed_meta(frames)
         assert [m for _, m in decoded] == [m for _, m in _golden_stream()]
         for (got, _), (sent, _) in zip(decoded, _golden_stream()):
             assert got.interval.key() == sent.interval.key()
@@ -944,7 +727,7 @@ class TestGoldenFrames:
         # and ten of its frames pay an 8-byte base row for one 2**62
         # component; lean, the chain's own regime, the chain was smaller.
         def total(include_parts):
-            enc = FrameCodec(wire="binary", include_parts=include_parts)
+            enc = FrameCodec(include_parts=include_parts)
             return sum(len(enc.encode(r, meta)) for r, meta in _golden_stream())
 
         chained, raw = self.PARENT_BINARY_BYTES[True]
@@ -959,7 +742,7 @@ class TestGoldenFrames:
         def sized(stream, include_parts):
             """(codec 3 bytes, codec 2 bytes) of *stream*: codec 2 wrote
             the sidecar as a length byte plus its compact JSON."""
-            enc = FrameCodec(wire="binary", include_parts=include_parts)
+            enc = FrameCodec(include_parts=include_parts)
             new = old = 0
             for report, meta in stream:
                 new += len(enc.encode(report, meta))

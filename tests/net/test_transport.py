@@ -5,12 +5,33 @@ import asyncio
 
 import pytest
 
-from repro.net import AsyncClock, LoopbackHub, LoopbackTransport, TcpTransport
+from repro.net import (
+    AsyncClock,
+    FrameCodec,
+    LoopbackHub,
+    LoopbackTransport,
+    TcpTransport,
+)
 from repro.sim.messages import Heartbeat
 
 
 def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=30))
+
+
+def _hello(**fields) -> bytes:
+    return FrameCodec().encode({"type": "__hello__", **fields})
+
+
+def _legacy_hello() -> bytes:
+    """The hello as codec 3 and earlier framed it: a bare 4-byte length
+    and a JSON body, with no 0xB1 header."""
+    body = b'{"type":"__hello__","node":0,"wire":"binary","codec":3}'
+    return len(body).to_bytes(4, "big") + body
+
+
+def _tag_0(body: bytes) -> bytes:
+    return bytes([0xB1, 0, 0]) + len(body).to_bytes(4, "big") + body
 
 
 class TestLoopback:
@@ -116,7 +137,6 @@ class TestTcp:
         assert clock.telemetry.registry.get("repro_net_reconnects_total")[0] >= 2
 
     def test_corrupt_frame_poisons_the_stream_loudly_and_is_retransmitted(self):
-        from repro.net import FrameCodec
         from repro.sim.messages import IntervalReport
 
         class CorruptsItsFirstReport(FrameCodec):
@@ -146,7 +166,7 @@ class TestTcp:
                 0,
                 clock,
                 backoff_base=0.01,
-                codec_factory=lambda: CorruptsItsFirstReport(wire="binary"),
+                codec_factory=CorruptsItsFirstReport,
             )
             b = TcpTransport(1, clock)
             got = []
@@ -180,8 +200,8 @@ class TestTcp:
         (poisoned,) = clock.log.of_kind("net_stream_poisoned")
         assert poisoned.node == 1 and poisoned.get("src") == 0
         assert "width codes" in poisoned.get("error")
-        # ... the sender saw the close, redialled with a fresh codec and
-        # sent the unacked report again: delivered once, intact.
+        # ... the sender saw the close, redialled and sent the unacked
+        # report again: delivered once, intact.
         assert clock.log.of_kind("net_connection_lost")
         assert clock.telemetry.registry.get("repro_net_reconnects_total")[0] == 2
         assert [type(m).__name__ for m in got] == ["Heartbeat", "IntervalReport"]
@@ -192,17 +212,17 @@ class TestTcp:
         assert latency.count == 2
 
     @pytest.mark.parametrize(
-        "hello",
+        "first, complaint",
         [
-            {"type": "__hello__", "wire": "binary", "codec": 3},
-            {"type": "__hello__", "node": None, "wire": "binary", "codec": 3},
-            {"type": "__hello__", "node": "0", "wire": "binary", "codec": 3},
+            (_hello(codec=4), "__hello__ needs an integer node"),
+            (_hello(node=None, codec=4), "__hello__ needs an integer node"),
+            (_hello(node="0", codec=4), "__hello__ needs an integer node"),
+            (_legacy_hello(), "version byte 0x00"),
+            (_tag_0(b"[" * 100_000), "nests too deeply"),
         ],
-        ids=["missing-node", "none-node", "string-node"],
+        ids=["missing-node", "none-node", "string-node", "codec-3-framing", "deep-json"],
     )
-    def test_bad_hello_poisons_the_stream(self, hello):
-        from repro.net import FrameCodec
-
+    def test_bad_hello_poisons_the_stream(self, first, complaint):
         async def scenario():
             loop = asyncio.get_running_loop()
             unhandled = []
@@ -213,8 +233,7 @@ class TestTcp:
             b.set_receiver(lambda src, msg: got.append(msg))
             await b.start()
             reader, writer = await asyncio.open_connection(*b.address)
-            codec = FrameCodec(wire="binary")
-            writer.write(codec.encode(hello) + codec.encode(Heartbeat(sender=0)))
+            writer.write(first + FrameCodec().encode(Heartbeat(sender=0)))
             await writer.drain()
             # The handler hangs up: EOF, and no ack for the heartbeat.
             tail = await asyncio.wait_for(reader.read(), 10)
@@ -226,8 +245,48 @@ class TestTcp:
         clock, got, tail, unhandled = run(scenario())
         (poisoned,) = clock.log.of_kind("net_stream_poisoned")
         assert poisoned.node == 1 and poisoned.get("src") is None
-        assert "__hello__ needs an integer node" in poisoned.get("error")
+        assert complaint in poisoned.get("error")
         assert got == [] and tail == b""
+        assert unhandled == []
+
+    def test_poisoned_ack_stream_is_reported_by_the_dialer(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _, context: unhandled.append(context))
+            clock = AsyncClock()
+            accepted, tails = [], []
+
+            async def listener(reader, writer):
+                await reader.read(65536)  # the hello
+                accepted.append(writer)
+                if len(accepted) == 1:
+                    writer.write(b"\x00")  # no frame starts with 0x00
+                tails.append(await reader.read())  # until the dialer hangs up
+                writer.close()
+
+            server = await asyncio.start_server(listener, "127.0.0.1", 0)
+            a = TcpTransport(0, clock, backoff_base=0.01)
+            await a.start()
+            a.set_peers({1: server.sockets[0].getsockname()[:2]})
+            deadline = loop.time() + 10
+            while not (tails and len(accepted) >= 2):
+                assert loop.time() < deadline, (accepted, tails)
+                await asyncio.sleep(0.005)
+            await a.stop()
+            server.close()
+            await server.wait_closed()
+            return clock, tails, unhandled
+
+        clock, tails, unhandled = run(scenario())
+        # The dialer said why it hung up, once, naming itself and the peer ...
+        (poisoned,) = clock.log.of_kind("net_stream_poisoned")
+        assert poisoned.node == 0 and poisoned.get("src") == 1
+        assert "0x00" in poisoned.get("error")
+        # ... closed that connection (EOF on the listener's side) and
+        # redialled; the second connection stayed healthy.
+        assert tails[0] == b""
+        assert clock.telemetry.registry.get("repro_net_reconnects_total")[0] >= 2
         assert unhandled == []
 
     def test_outbox_hard_cap_drops_and_counts(self):
@@ -485,15 +544,11 @@ class TestSustainedOverload:
 
 
 class TestNegotiation:
-    def test_hello_records_peer_wire_and_codec(self):
-        from repro.net import CODEC_VERSION, FrameCodec
-
+    def test_hello_records_peer_node_and_codec(self):
         async def scenario():
             clock = AsyncClock()
-            a = TcpTransport(
-                0, clock, codec_factory=lambda: FrameCodec(wire="binary")
-            )
-            b = TcpTransport(1, clock)  # default json wire
+            a = TcpTransport(0, clock)
+            b = TcpTransport(1, clock)
             got = []
             b.set_receiver(lambda src, msg: got.append(msg))
             await a.start()
@@ -509,8 +564,8 @@ class TestNegotiation:
             return a.negotiated, b.negotiated
 
         a_saw, b_saw = run(scenario())
-        assert b_saw[0] == {"node": 0, "wire": "binary", "codec": CODEC_VERSION}
-        assert a_saw[1] == {"node": 1, "wire": "json", "codec": CODEC_VERSION}
+        assert b_saw[0] == {"node": 0, "codec": 4}
+        assert a_saw[1] == {"node": 1, "codec": 4}
 
     def test_bytes_accounted_per_frame_type(self):
         async def scenario():

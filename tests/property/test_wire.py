@@ -5,18 +5,17 @@ same thing the JSON layer promises: every control-plane dataclass comes
 back identical, for any field values the runtime can produce — int64
 timestamp components on either side of every bounds-block width, empty
 and all-zero vectors, negative ids, aggregation provenance nested as
-deep as the paper's h=4 tree nests it, and the JSON wire's per-channel
-compression reference chains (including the fresh-codec re-encode a
-transport performs on reconnect) — and every JSON-object ``_meta``
-sidecar, packed or not.  Binary frames promise two things more: each
-decodes on its own, and a damaged one (sidecar included) raises
+deep as the paper's h=4 tree nests it — and every JSON-object
+``_meta`` sidecar, packed or not.  Frames promise two things more:
+each decodes on its own, and a damaged one (sidecar included) raises
 :class:`ValueError` and nothing else."""
 
 from __future__ import annotations
 
-from collections import Counter
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,19 +241,9 @@ class TestPackedBodies:
 
 class TestCodecRoundTrip:
     @SETTINGS
-    @given(MESSAGES, st.sampled_from(["json", "binary"]))
-    def test_every_message_round_trips(self, message, wire):
-        enc = FrameCodec(wire=wire)
-        out = FrameCodec().decode(enc.encode(message))
-        assert_messages_equal(message, out)
-
-    @SETTINGS
-    @given(MESSAGES, st.sampled_from(["json", "binary"]))
-    def test_round_trip_is_wire_agnostic(self, message, wire):
-        # The decoder's own wire= must not matter: frames self-describe.
-        enc = FrameCodec(wire=wire)
-        other = "binary" if wire == "json" else "json"
-        out = FrameCodec(wire=other).decode(enc.encode(message))
+    @given(MESSAGES)
+    def test_every_message_round_trips(self, message):
+        out = FrameCodec().decode(FrameCodec().encode(message))
         assert_messages_equal(message, out)
 
 
@@ -297,38 +286,14 @@ def report_streams(draw):
     return reports
 
 
-class TestReferenceChains:
-    @SETTINGS
-    @given(report_streams(), st.sampled_from(["json", "binary"]))
-    def test_chained_references_stay_in_lockstep(self, reports, wire):
-        enc, dec = FrameCodec(wire=wire), FrameCodec()
-        for report in reports:
-            out = dec.decode(enc.encode(report))
-            assert_messages_equal(report, out)
-
-    @SETTINGS
-    @given(report_streams(), st.integers(0, 9), st.sampled_from(["json", "binary"]))
-    def test_reconnect_reencode_resets_the_chain(self, reports, cut_raw, wire):
-        # A transport reconnect builds a fresh codec pair and re-encodes
-        # every unacked message: the new chain must round-trip no matter
-        # where the old one was cut.
-        cut = cut_raw % (len(reports) + 1)
-        enc, dec = FrameCodec(wire=wire), FrameCodec()
-        for report in reports[:cut]:
-            assert_messages_equal(report, dec.decode(enc.encode(report)))
-        enc, dec = FrameCodec(wire=wire), FrameCodec()  # reconnect
-        for report in reports[cut:]:
-            assert_messages_equal(report, dec.decode(enc.encode(report)))
-
-
 class TestStatelessBinaryFrames:
-    """Nothing in a binary frame refers to an earlier one, so any frame
-    decodes on its own — with any decoder, after any loss."""
+    """Nothing in a frame refers to an earlier one, so any frame decodes
+    on its own — with any decoder, after any loss or reconnect."""
 
     @SETTINGS
     @given(report_streams(), st.integers(0, 9))
     def test_any_suffix_of_a_stream_decodes_alone(self, reports, cut_raw):
-        enc = FrameCodec(wire="binary")
+        enc = FrameCodec()
         frames = [enc.encode(report) for report in reports]
         cut = cut_raw % len(reports)
         got = FrameCodec().feed(b"".join(frames[cut:]))
@@ -339,7 +304,7 @@ class TestStatelessBinaryFrames:
     @SETTINGS
     @given(report_streams())
     def test_every_frame_decodes_with_a_fresh_decoder(self, reports):
-        enc = FrameCodec(wire="binary")
+        enc = FrameCodec()
         for frame, report in [(enc.encode(r), r) for r in reports]:
             assert_messages_equal(report, FrameCodec().decode(frame))
 
@@ -395,19 +360,61 @@ def _sidecar_report() -> IntervalReport:
 
 class TestSidecars:
     """Whatever JSON object rides as a frame's ``_meta``, the peer gets
-    the same object back — on both wires, through the packed form or its
-    JSON tail."""
+    the same object back, through the packed form or its JSON tail."""
 
     @settings(max_examples=120, deadline=None)
-    @given(SIDECARS, st.sampled_from(["binary", "json"]))
-    def test_every_json_object_sidecar_round_trips(self, meta, wire):
+    @given(SIDECARS)
+    def test_every_json_object_sidecar_round_trips(self, meta):
         import json
 
-        frame = FrameCodec(wire=wire).encode(_sidecar_report(), meta)
+        frame = FrameCodec().encode(_sidecar_report(), meta)
         ((_, got),) = FrameCodec().feed_meta(frame)
         assert got == meta
         # == cannot tell True from 1; the JSON text can.
         assert json.dumps(got, sort_keys=True) == json.dumps(meta, sort_keys=True)
+
+
+def _frame(tag: int, body: bytes, flags: int = 0) -> bytes:
+    return bytes([0xB1, tag, flags]) + len(body).to_bytes(4, "big") + body
+
+
+def _sidecar_frame(sidecar: bytes) -> bytes:
+    """A report frame carrying *sidecar* verbatim behind flags bit 0."""
+    body = bytearray(FrameCodec().encode(_sidecar_report())[7:])
+    write_uvarint(body, len(sidecar))
+    return _frame(8, bytes(body + sidecar), flags=0x01)
+
+
+def _app_message_frame(payload: bytes) -> bytes:
+    """A tag-3 frame whose JSON payload is *payload*, no piggyback."""
+    body = bytearray()
+    write_uvarint(body, len(payload))
+    body += payload
+    write_uvarint(body, 0)
+    return _frame(3, bytes(body))
+
+
+_LEGACY_HELLO_BODY = b'{"type":"__hello__","node":0,"wire":"binary","codec":3}'
+_LEGACY_HELLO = len(_LEGACY_HELLO_BODY).to_bytes(4, "big") + _LEGACY_HELLO_BODY
+
+#: Well-framed input no encoder writes, and what the decoder says about it.
+UNWRITTEN_FRAMES = {
+    # JSON nested past the interpreter's stack, in each place a frame
+    # holds JSON (the sidecar's tail fits inside the 64 KiB max_meta).
+    "deep-tag-0-body": (_frame(0, b"[" * 100_000), "nests too deeply"),
+    "deep-sidecar-tail": (_sidecar_frame(b"\x10" + b"[" * 60_000), "nests too deeply"),
+    "deep-app-payload": (_app_message_frame(b"[" * 100_000), "nests too deeply"),
+    # flags bit 0 belongs to message tags only
+    "ack-with-sidecar-flag": (_frame(7, b"\x05", flags=0x01), "flags 0x01 on tag 7"),
+    "tag-0-with-sidecar-flag": (
+        _frame(0, b'{"type":"Heartbeat","sender":1}', flags=0x01),
+        "flags 0x01 on tag 0",
+    ),
+    # acks are tag 7; a tag-0 meta frame is the hello or nothing
+    "tag-0-ack": (_frame(0, b'{"type":"__ack__"}'), "'__ack__' in a tag-0 frame"),
+    # codec 3's hello: a bare 4-byte length, then JSON
+    "legacy-framing": (_LEGACY_HELLO, "version byte 0x00"),
+}
 
 
 class TestDamagedBinaryFrames:
@@ -424,7 +431,7 @@ class TestDamagedBinaryFrames:
     @given(SIDECARS, st.randoms(use_true_random=False))
     def test_damaged_sidecar_raises_only_value_error(self, meta, rng):
         report = _sidecar_report()
-        enc = FrameCodec(wire="binary")
+        enc = FrameCodec()
         body = enc.encode(report)[7:]
         framed = enc.encode(report, meta)[7:]
         size, start = read_uvarint(framed, len(body))
@@ -460,7 +467,6 @@ class TestDamagedBinaryFrames:
     @settings(max_examples=40, deadline=None)
     @given(
         MESSAGES,
-        st.sampled_from(["binary", "json"]),
         st.booleans(),
         st.sampled_from(
             [
@@ -472,17 +478,13 @@ class TestDamagedBinaryFrames:
         st.randoms(use_true_random=False),
     )
     def test_truncation_and_corruption_raise_only_value_error(
-        self, message, wire, include_parts, meta, rng
+        self, message, include_parts, meta, rng
     ):
         import tracemalloc
 
-        frame = FrameCodec(wire=wire, include_parts=include_parts).encode(
-            message, meta
-        )
-        # Legacy JSON framing is a bare 4-byte length; the binary header
-        # puts magic, tag and flags in front of it.
-        lead = frame[:3] if frame[0] & 0x80 else b""
-        body = frame[len(lead) + 4 :]
+        frame = FrameCodec(include_parts=include_parts).encode(message, meta)
+        lead = frame[:3]  # magic, tag, flags; the body length follows
+        body = frame[7:]
         damaged = [
             # every truncation point, re-framed at the shorter length
             lead + len(body[:cut]).to_bytes(4, "big") + body[:cut]
@@ -502,31 +504,32 @@ class TestDamagedBinaryFrames:
             tracemalloc.stop()
         assert peak < self.MEMORY_CAP
 
+    @pytest.mark.parametrize(
+        "frame, complaint", UNWRITTEN_FRAMES.values(), ids=UNWRITTEN_FRAMES.keys()
+    )
+    def test_frames_no_encoder_writes_raise_value_error(self, frame, complaint):
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            FrameCodec().feed_meta(frame)
+
 
 class TestCountOnlyPricing:
-    """JSON codec (the socket-side owner of a reference chain) and
-    simulator price a chained report stream through the same count-only
-    kernel: per bound, the scheme and the entry count
-    are exactly what building both payloads and reading their lengths
-    gave, and the simulator charges what the codec's choices cost."""
+    """The simulator prices a chained report stream through the
+    count-only kernel: what ``WireCodec`` charges for each report is
+    exactly what building both payloads per bound and reading their
+    lengths gave.  This is ``sim85_paper``'s byte-pricing kernel."""
 
     @SETTINGS
     @given(report_streams())
-    def test_codec_and_simulator_agree_with_built_payloads(self, reports):
+    def test_simulator_agrees_with_built_payloads(self, reports):
         from repro.sim.network import WireCodec
 
-        enc, priced = FrameCodec(wire="json"), WireCodec()
+        priced = WireCodec()
         refs = [None, None]
         for report in reports:
-            before = dict(enc.encodings)
-            enc.encode(report)
             bounds = (report.interval.lo, report.interval.hi)
             picks = [
                 _built_best_encoding(ts, channel_reference(ref, ts))
                 for ts, ref in zip(bounds, refs)
             ]
             refs = list(bounds)
-            chosen = Counter(enc.encodings)
-            chosen.subtract(before)
-            assert +chosen == Counter(name for name, _ in picks)
             assert priced.entries(report) == sum(cost for _, cost in picks) + 3

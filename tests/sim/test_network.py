@@ -190,15 +190,10 @@ class TestWireEncoding:
 
     def test_repricing_after_vector_width_change(self):
         # Membership grew between two reports on one channel: the old
-        # bounds are no reference for the wider vectors (the JSON frame
-        # codec, the socket-side owner of such a chain, restarts there),
-        # so the report prices from scratch instead of failing on a
-        # shape mismatch.
-        from repro.net import FrameCodec
-
+        # bounds are no reference for the wider vectors, so the report
+        # prices from scratch instead of failing on a shape mismatch.
         sim = Simulator(seed=0)
         net = Network(sim, line_graph(), uniform_delay(), wire_encoding=True)
-        frames = FrameCodec(wire="json")
         narrow = self._report(0, 1, 0, [3, 0, 0, 0], [4, 0, 0, 0])
         wide = self._report(0, 1, 1, [3, 0, 0, 0, 0, 0], [4, 0, 0, 0, 0, 0])
         again = self._report(0, 1, 2, [3, 0, 0, 0, 0, 1], [4, 0, 0, 0, 0, 1])
@@ -206,7 +201,6 @@ class TestWireEncoding:
         for report in (narrow, wide, again):
             before = net.bandwidth_entries("control")
             net.send(0, 1, report, plane="control")
-            frames.encode(report)
             costs.append(net.bandwidth_entries("control") - before)
         fresh = Network(
             Simulator(seed=0), line_graph(), uniform_delay(), wire_encoding=True
@@ -215,7 +209,6 @@ class TestWireEncoding:
         assert costs[1] == fresh.bandwidth_entries("control") == (1 + 2) * 2 + 3
         # ...and the chain resumes at the new width: one changed component.
         assert costs[2] == (1 + 2) * 2 + 3
-        assert frames.encodings == {"sparse": 4, "differential": 2}
 
     def test_recycled_transport_seq_is_never_a_memo_hit(self):
         # transport_seq restarts at 0 on a re-attachment; the memo holds

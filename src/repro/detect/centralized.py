@@ -50,10 +50,6 @@ class CentralizedSinkCore:
     def stats(self) -> CoreStats:
         return self._core.stats
 
-    @property
-    def solutions(self) -> List[Solution]:
-        return self._core.solutions
-
     def queue_sizes(self):
         return self._core.queue_sizes()
 

@@ -118,7 +118,6 @@ class RepeatedDetectionCore:
         self.on_pair_tests = on_pair_tests
         self._matrix = HeadMatrix(self.queues)
         self.stats = CoreStats()
-        self.solutions: List[Solution] = []
         self._halted = False
 
     def add_observer(self, fn) -> None:
@@ -175,7 +174,10 @@ class RepeatedDetectionCore:
         """Deliver one interval from source *key* (Algorithm 1, line 1).
 
         Returns the solutions detected as a consequence (possibly more
-        than one: a single arrival can unblock a cascade).
+        than one: a single arrival can unblock a cascade).  The return
+        value is the only place a solution appears: the core keeps its
+        queues and counters, never its history, so repeated detection
+        runs in memory bounded by Table I's queue space.
         """
         if self._halted:
             return []
@@ -242,10 +244,9 @@ class RepeatedDetectionCore:
             heads = {key: q.head for key, q in queues.items()}
             solution = Solution(
                 detector=self.detector_id,
-                index=len(self.solutions),
+                index=self.stats.detections,
                 heads=heads,
             )
-            self.solutions.append(solution)
             self.stats.detections += 1
             found.append(solution)
             if not self.repeated:

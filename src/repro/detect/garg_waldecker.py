@@ -32,15 +32,12 @@ class OneShotDefinitelyCore:
         self._core = RepeatedDetectionCore(
             list(process_ids), detector_id=sink_id, repeated=False
         )
+        #: The single detected occurrence, once the core halts on it.
+        self.detection: Optional[Solution] = None
 
     @property
     def stats(self) -> CoreStats:
         return self._core.stats
-
-    @property
-    def detection(self) -> Optional[Solution]:
-        """The single detected occurrence, if any."""
-        return self._core.solutions[0] if self._core.solutions else None
 
     @property
     def halted(self) -> bool:
@@ -58,4 +55,7 @@ class OneShotDefinitelyCore:
         return self._core.peak_queue_space()
 
     def offer(self, process_id: int, interval: Interval) -> List[Solution]:
-        return self._core.offer(process_id, interval)
+        found = self._core.offer(process_id, interval)
+        if found:
+            (self.detection,) = found
+        return found

@@ -14,7 +14,8 @@ rooted at itself.  On each solution it
   surviving processes.
 
 The core is pure (no I/O, no clock): it consumes intervals and returns
-:class:`Emission` records.  The simulation role in
+:class:`Emission` records, and keeps none of them — the caller owns
+every emission it is handed.  The simulation role in
 :mod:`repro.detect.roles` wraps it with messaging, reordering and
 heartbeats, and the fault layer rewires children on tree repair.
 """
@@ -89,7 +90,6 @@ class HierarchicalNodeCore:
             on_pair_tests=on_pair_tests,
         )
         self._next_agg_seq = 0
-        self.emissions: List[Emission] = []
 
     # ------------------------------------------------------------------
     @property
@@ -99,10 +99,6 @@ class HierarchicalNodeCore:
     @property
     def stats(self) -> CoreStats:
         return self._core.stats
-
-    @property
-    def solutions(self) -> List[Solution]:
-        return self._core.solutions
 
     def queue_sizes(self):
         return self._core.queue_sizes()
@@ -147,11 +143,7 @@ class HierarchicalNodeCore:
 
     # ------------------------------------------------------------------
     def _emit_all(self, solutions: List[Solution]) -> List[Emission]:
-        out = []
-        for solution in solutions:
-            out.append(self._emit(solution))
-        self.emissions.extend(out)
-        return out
+        return [self._emit(solution) for solution in solutions]
 
     def _emit(self, solution: Solution) -> Emission:
         agg = aggregate(

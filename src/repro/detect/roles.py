@@ -111,7 +111,7 @@ class HierarchicalRole:
         self._extra_core_observers: List = []
         self._buffers: Dict[int, ReorderBuffer] = {}
         self._out_seq = 0
-        self._pending: List[Interval] = []  # aggregates emitted while orphaned
+        self._pending: List[Emission] = []  # reports emitted while orphaned
         self._telemetry = None
 
     # ------------------------------------------------------------------
@@ -296,7 +296,7 @@ class HierarchicalRole:
             else:
                 self._record_report_span(emission.aggregate)
                 self._h_reports()
-                self._report(emission.aggregate)
+                self._report(emission)
 
     def _record_detection(self, solution: Solution, aggregate: Interval) -> None:
         record = DetectionRecord(
@@ -358,15 +358,15 @@ class HierarchicalRole:
             for interval in record.solution.intervals:
                 telemetry.spans.adopt(alarm, interval_key(interval))
 
-    def _report(self, aggregate: Interval) -> None:
+    def _report(self, emission: Emission) -> None:
         if self.parent_id is None:
             # Orphaned mid-repair: hold reports for the next parent.
-            self._pending.append(aggregate)
+            self._pending.append(emission)
             return
         message = IntervalReport(
             origin=self.process.pid,
             dest=self.parent_id,
-            interval=aggregate,
+            interval=emission.aggregate,
             transport_seq=self._out_seq,
         )
         self._out_seq += 1
@@ -422,8 +422,8 @@ class HierarchicalRole:
         self.core.is_root = False
         self._out_seq = 0  # new attachment epoch: receiver has a fresh buffer
         pending, self._pending = self._pending, []
-        for aggregate in pending:
-            self._report(aggregate)
+        for emission in pending:
+            self._report(emission)
 
     def become_root(self) -> None:
         """Promoted (root died) or partitioned: solutions are now
@@ -433,12 +433,9 @@ class HierarchicalRole:
             self._release_peer(old_parent)
         self.core.is_root = True
         pending, self._pending = self._pending, []
-        for aggregate in pending:
+        for emission in pending:
             # These solutions were detected while orphaned; announce them.
-            matching = [
-                s for s in self.core.solutions if s.index == aggregate.seq
-            ]
-            self._record_detection(matching[0], aggregate)
+            self._record_detection(emission.solution, emission.aggregate)
 
     def rebirth(self, parent: int) -> None:
         """Restart after recovery: fresh detector state (queues are soft

@@ -15,12 +15,12 @@ exactly the regime the paper's WSN motivation lives in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List
 
 from ..clocks import best_encoding
+from ..intervals import Interval
 from ..topology.spanning_tree import SpanningTree
 from ..workload.generator import EpochConfig
-from .harness import run_hierarchical
 
 __all__ = ["CompressionResult", "compression_ablation"]
 
@@ -42,45 +42,60 @@ class CompressionResult:
         return 1.0 - self.adaptive_entries / self.raw_entries
 
 
-def _run_local_workload(d: int, h: int, duration: float, seed: int):
-    """A hierarchical run over *localized* traffic: random predicate
-    toggles with chatter confined to tree neighbours.  Causality — and
-    therefore timestamp growth — stays local, the regime where
-    differential encoding pays."""
+def _report_streams(
+    tree: SpanningTree, *, seed: int, workload: str, p: int, sync_prob: float
+) -> Dict[int, List[Interval]]:
+    """Run the hierarchy and return every aggregate each non-root node
+    reported, in emission order, as the roles hand them out
+    (``on_subtree_solution``; cores keep no emission history).  The root
+    announces locally: nothing it emits goes on the wire.
+
+    ``"epoch"`` is :func:`~repro.experiments.harness.run_hierarchical`'s
+    fault-free run.  ``"local"`` is random predicate toggles with chatter
+    confined to tree neighbours: causality — and therefore timestamp
+    growth — stays local, the regime where differential encoding pays."""
     from ..detect.roles import HierarchicalRole
     from ..sim.kernel import Simulator
     from ..sim.network import Network, uniform_delay
     from ..sim.process import MonitoredProcess
     from ..sim.trace import ExecutionTrace
-    from ..workload.generator import RandomWorkload
-    from .harness import RunResult
-    from ..analysis.metrics import collect_hierarchical
+    from ..workload.generator import EpochProcess, EpochWorkload, RandomWorkload
+    from .harness import DELAY_HIGH, DELAY_LOW
 
-    tree = SpanningTree.regular(d, h)
+    if workload not in ("epoch", "local"):
+        raise ValueError(f"unknown workload {workload!r}")
     sim = Simulator(seed=seed)
-    network = Network(sim, tree.as_graph(), uniform_delay())
+    network = Network(sim, tree.as_graph(), uniform_delay(DELAY_LOW, DELAY_HIGH))
     trace = ExecutionTrace(tree.n)
+    emitted: Dict[int, List[Interval]] = {pid: [] for pid in tree.nodes}
+
+    def collect(pid: int, emission) -> None:
+        emitted[pid].append(emission.aggregate)
+
     roles = {
-        pid: HierarchicalRole(tree.parent_of(pid), tree.children(pid))
+        pid: HierarchicalRole(
+            tree.parent_of(pid), tree.children(pid), on_subtree_solution=collect
+        )
         for pid in tree.nodes
     }
-    processes = {
-        pid: MonitoredProcess(pid, sim, network, trace, roles[pid])
-        for pid in tree.nodes
-    }
-    RandomWorkload(sim, processes, duration=duration, msg_rate=0.6).install()
+    if workload == "epoch":
+        processes = {
+            pid: EpochProcess(pid, sim, network, trace, roles[pid], tree)
+            for pid in tree.nodes
+        }
+        config = EpochConfig(epochs=p, sync_prob=sync_prob)
+        driver = EpochWorkload(sim, processes, tree, config, max_delay=DELAY_HIGH)
+    else:
+        processes = {
+            pid: MonitoredProcess(pid, sim, network, trace, roles[pid])
+            for pid in tree.nodes
+        }
+        driver = RandomWorkload(sim, processes, duration=12.0 * p, msg_rate=0.6)
+    driver.install()
     for process in processes.values():
         process.start()
-    sim.run(until=duration + 60.0)
-    return RunResult(
-        metrics=collect_hierarchical(network, tree, roles),
-        detections=[],
-        trace=trace,
-        tree=tree,
-        sim=sim,
-        network=network,
-        roles=roles,
-    )
+    sim.run(until=driver.end_time if workload == "epoch" else 12.0 * p + 60.0)
+    return {pid: emitted[pid] for pid in tree.nodes if roles[pid].parent_id is not None}
 
 
 def compression_ablation(
@@ -92,25 +107,14 @@ def compression_ablation(
     seed: int = 19,
     workload: str = "epoch",
 ) -> CompressionResult:
-    if workload == "epoch":
-        result = run_hierarchical(
-            SpanningTree.regular(d, h),
-            seed=seed,
-            config=EpochConfig(epochs=p, sync_prob=sync_prob),
-        )
-    elif workload == "local":
-        result = _run_local_workload(d, h, duration=12.0 * p, seed=seed)
-    else:
-        raise ValueError(f"unknown workload {workload!r}")
-    n = result.tree.n
+    tree = SpanningTree.regular(d, h)
+    streams = _report_streams(tree, seed=seed, workload=workload, p=p, sync_prob=sync_prob)
+    n = tree.n
     raw = adaptive = reports = 0
     picks: dict = {"raw": 0, "sparse": 0, "differential": 0}
-    for pid, role in result.roles.items():
-        if role.parent_id is None:
-            continue  # the root announces locally; nothing on the wire
+    for aggregates in streams.values():
         prev_lo = prev_hi = None
-        for emission in role.core.emissions:
-            aggregate = emission.aggregate
+        for aggregate in aggregates:
             reports += 1
             for bound, prev in ((aggregate.lo, prev_lo), (aggregate.hi, prev_hi)):
                 raw += n

@@ -55,7 +55,7 @@ def level_breakdown(
         level = tree.level(pid)
         nodes_by_level[level] = nodes_by_level.get(level, 0) + 1
         emissions_by_level[level] = (
-            emissions_by_level.get(level, 0) + len(role.core.emissions)
+            emissions_by_level.get(level, 0) + role.core.stats.detections
         )
     upper = [
         a for lvl, a in result.metrics.realized_alpha_by_level.items() if lvl >= 2

@@ -21,7 +21,30 @@ import numpy as np
 
 from ..clocks import Timestamp, freeze, vc_le
 
-__all__ = ["Interval"]
+__all__ = ["Interval", "MEMBERS_INTERN_CAP"]
+
+#: Most distinct member sets the intern table keeps.  A tree of
+#: ``n`` nodes yields one member set per subtree (plus a few per
+#: repair), far below this; the cap only stops a peer that sends frames
+#: with arbitrary member lists from growing the table without bound.
+MEMBERS_INTERN_CAP = 1024
+
+_MEMBERS: dict = {}
+
+
+def _intern(members: frozenset) -> frozenset:
+    """The one shared frozenset equal to *members*.
+
+    Every interval holds its member set, and a tcp7 epoch builds ~34
+    intervals whose sets are one of a handful of subtrees, so each
+    distinct set is kept once.  Past :data:`MEMBERS_INTERN_CAP` distinct
+    sets a new one is used as built."""
+    shared = _MEMBERS.get(members)
+    if shared is not None:
+        return shared
+    if len(_MEMBERS) < MEMBERS_INTERN_CAP:
+        _MEMBERS[members] = members
+    return members
 
 
 @dataclass(frozen=True)
@@ -70,8 +93,8 @@ class Interval:
                 f"interval bounds out of order: lo={self.lo.tolist()} "
                 f"hi={self.hi.tolist()}"
             )
-        if not self.members:
-            object.__setattr__(self, "members", frozenset({self.owner}))
+        members = self.members or (self.owner,)
+        object.__setattr__(self, "members", _intern(frozenset(members)))
         object.__setattr__(self, "_key_cache", None)
 
     @property

@@ -26,11 +26,12 @@ makes cross-cycle pairs strictly ordered — prunable, never falsely
 overlapping.
 
 **Reference oracle.**  Because admission records the exact admitted
-per-source order, the session can replay precisely the admitted subset
-through the centralized sink detector (reference [12]) and compare
-solution signatures against the live root detections — the
-reference-match check that holds *under shedding*, not just for full
-replays.
+order — as targets only; each target's *k*-th interval is a pure
+function of the supply (:meth:`IntervalSupply.interval_at`) — the
+session can replay precisely the admitted subset through the
+centralized sink detector (reference [12]) and compare solution
+signatures against the live root detections — the reference-match
+check that holds *under shedding*, not just for full replays.
 """
 
 from __future__ import annotations
@@ -157,21 +158,24 @@ class IntervalSupply:
             pid: max(iv.seq for iv in stream) + 1
             for pid, stream in self._base.items()
         }
-        self._pos: Dict[int, int] = {pid: 0 for pid in self._base}
-        self._cycle: Dict[int, int] = {pid: 0 for pid in self._base}
+        self._taken: Dict[int, int] = {pid: 0 for pid in self._base}
 
     @property
     def pids(self) -> List[int]:
         return sorted(self._base)
 
     def next_for(self, pid: int) -> Interval:
+        interval = self.interval_at(pid, self._taken[pid])
+        self._taken[pid] += 1
+        return interval
+
+    def interval_at(self, pid: int, k: int) -> Interval:
+        """*pid*'s *k*-th interval (0-based) — what the *k*-th
+        :meth:`next_for` call returns, computed without touching any
+        state, so a replay can regenerate what was handed out."""
         stream = self._base[pid]
-        cycle = self._cycle[pid]
-        interval = stream[self._pos[pid]]
-        self._pos[pid] += 1
-        if self._pos[pid] >= len(stream):
-            self._pos[pid] = 0
-            self._cycle[pid] += 1
+        cycle, pos = divmod(k, len(stream))
+        interval = stream[pos]
         if cycle == 0:
             return interval
         shift = self._shift * cycle
@@ -309,7 +313,9 @@ class LoadSession:
         # key -> (offer, target) for admitted-but-undetected offers
         self._in_flight: Dict[Key, Tuple[Offer, int]] = {}
         self._outstanding_by_target: Dict[int, int] = {pid: 0 for pid in self.pids}
-        self._admitted_log: List[Tuple[int, Interval]] = []
+        # admission order as targets: the reference replay regenerates
+        # each target's intervals from the supply (``interval_at``)
+        self._admitted_log: List[int] = []
         self._deferred_in_flight = 0
         self._sweep_handle: Optional[object] = None
         self._stopped = False
@@ -396,7 +402,7 @@ class LoadSession:
         self._in_flight[key] = (offer, target)
         self.epochs.note_admitted(self._epoch_id(offer), offer.index, key, target, now)
         self._outstanding_by_target[target] = self._outstanding_by_target.get(target, 0) + 1
-        self._admitted_log.append((target, interval))
+        self._admitted_log.append(target)
         self.counts["admitted"] += 1
         self.admission.count_admit(target)
         self.admission.set_outstanding(self.latency.outstanding)
@@ -512,7 +518,7 @@ class LoadSession:
 
     def admitted_by_target(self) -> Dict[int, int]:
         counts: Dict[int, int] = {}
-        for target, _ in self._admitted_log:
+        for target in self._admitted_log:
             counts[target] = counts.get(target, 0) + 1
         return counts
 
@@ -524,9 +530,11 @@ class LoadSession:
         through the centralized sink detector [12] — the ground truth
         for what the live hierarchy should have detected."""
         sink = CentralizedSinkCore(self.pids[0], self.pids)
+        taken = dict.fromkeys(self.pids, 0)
         solutions = []
-        for pid, interval in self._admitted_log:
-            solutions.extend(sink.offer(pid, interval))
+        for pid in self._admitted_log:
+            solutions.extend(sink.offer(pid, self.supply.interval_at(pid, taken[pid])))
+            taken[pid] += 1
         return solutions
 
     def reference_match(

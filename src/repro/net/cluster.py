@@ -68,6 +68,7 @@ from ..obs.epochs import StrandingWatchdog
 from ..obs.export import _jsonable
 from ..obs.flight import FlightRecorder
 from ..obs.profile import SamplingProfiler
+from ..obs.registry import count_error
 from ..obs.sampling import TraceSampler
 from ..topology.spanning_tree import SpanningTree
 from .clock import AsyncClock, ClockScope
@@ -788,6 +789,7 @@ class LocalCluster:
                     request = json.loads(line)
                     response = self._admin_dispatch(request)
                 except Exception as exc:  # noqa: BLE001 — report, don't die
+                    count_error(self.clock.telemetry.registry, "net.admin")
                     response = {"ok": False, "error": repr(exc)}
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()

@@ -44,6 +44,7 @@ import asyncio
 import inspect
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
+from ..obs.registry import count_error
 from .codec import ACK_TYPE, CODEC_VERSION, HELLO_TYPE, FrameCodec
 
 __all__ = [
@@ -828,6 +829,9 @@ class TcpTransport:
                         try:
                             self.receiver(src, message, meta)
                         except Exception as exc:  # noqa: BLE001 — keep the link up
+                            # The frame still counts as received (acks are
+                            # cumulative), so the number is what survives.
+                            count_error(self.clock.telemetry.registry, "net.receiver")
                             self.clock.emit(
                                 "net_receiver_error",
                                 node=self.node_id,

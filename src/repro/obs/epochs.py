@@ -18,9 +18,12 @@ events into one per-epoch state machine
 with dwell-time histograms per stage, a ``cause``-labelled stranding
 counter (``shed-sibling`` / ``dead-target`` / ``pending-timeout``) and
 per-process queue-age/depth watermarks.  Everything is online and
-bounded: O(1) dict work per transition, detail retained only for
-stranded epochs (capped), so the ledger stays cheap enough to leave on
-under the PR 6 sampling regime.
+bounded: O(1) dict work per transition, and an epoch's record lives
+only until it resolves — then it folds into the counters and the
+state gauge, and only the oldest :data:`MAX_STRANDED_DETAIL` stranded
+epochs keep their detail row.  Memory follows the epochs in flight,
+not the length of the run, so the ledger stays cheap enough to leave
+on for as long as the detector runs.
 
 Terminal states
 ---------------
@@ -49,6 +52,7 @@ cluster emits as ``slo_breach`` (tripping the flight recorder).
 from __future__ import annotations
 
 import math
+from bisect import insort
 from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -98,7 +102,7 @@ class _Epoch:
     """One epoch's ledger row (not exported; JSON forms are dicts)."""
 
     __slots__ = (
-        "epoch", "expected", "offered", "admitted", "shed",
+        "epoch", "expected", "offers", "keys", "admitted", "shed",
         "completed", "abandoned", "stage", "stage_since", "opened_at",
         "state", "cause", "sheds", "abandons",
     )
@@ -106,7 +110,10 @@ class _Epoch:
     def __init__(self, epoch: int, expected: int, now: float) -> None:
         self.epoch = epoch
         self.expected = expected
-        self.offered = 0
+        #: offer indices seen (a deferred offer re-enters intake under
+        #: the same index) and admitted interval keys
+        self.offers: set = set()
+        self.keys: List[Key] = []
         self.admitted = 0
         self.shed = 0
         self.completed = 0
@@ -121,6 +128,10 @@ class _Epoch:
         self.sheds: List[Tuple[str, Optional[int]]] = []
         #: ``(key, reason, target)`` per abandoned member.
         self.abandons: List[Tuple[Key, str, int]] = []
+
+    @property
+    def offered(self) -> int:
+        return len(self.offers)
 
     @property
     def resolved_members(self) -> int:
@@ -171,9 +182,18 @@ class EpochLedger:
             raise ValueError("total_offers must be >= 1")
         self.stride = stride
         self.total_offers = total_offers
+        # Unresolved epochs and their admitted keys only: a resolved
+        # epoch leaves both and lives on in the counters below (and, if
+        # stranded and among the oldest, in ``_stranded``).
         self._epochs: Dict[int, _Epoch] = {}
         self._key_epoch: Dict[Key, int] = {}
-        self._seen_offers: set = set()
+        self._stranded: List[_Epoch] = []  # oldest stranded, by epoch, capped
+        self._states: Dict[str, int] = dict.fromkeys(
+            (*EPOCH_STAGES, *EPOCH_TERMINAL_STATES), 0
+        )
+        self._offered_epochs = 0
+        self._admitted_epochs = 0
+        self._in_flight = 0
         # (key -> (target, admitted_at)) for admitted-unresolved members;
         # the watermark family and expiry classification read it.
         self._pending: Dict[Key, Tuple[int, float]] = {}
@@ -253,35 +273,39 @@ class EpochLedger:
         if record is None:
             record = _Epoch(epoch, self.expected_members(epoch), now)
             self._epochs[epoch] = record
-            self._g_state["offered"] = self._g_state.get("offered", 0) + 1
+            self._offered_epochs += 1
+            self._enter("offered")
             self._c_offered.inc()
         return record
+
+    def _enter(self, state: str, delta: int = 1) -> None:
+        """Count an epoch into (or, with ``delta=-1``, out of) a state:
+        the ledger's own tally and the ``repro_epoch_state`` gauge."""
+        self._states[state] += delta
+        self._g_state[state] = self._g_state.get(state, 0) + delta
 
     def _advance(self, record: _Epoch, stage: str, now: float) -> None:
         """Move a live epoch forward (stages are ranked; regressions are
         ignored — a second member enqueueing must not pull the epoch
         back from ``matched``)."""
-        if record.state is not None:
-            return
         if _STAGE_RANK[stage] <= _STAGE_RANK[record.stage]:
             return
         self._leave_stage(record, now)
-        self._g_state[stage] = self._g_state.get(stage, 0) + 1
+        self._enter(stage)
         record.stage = stage
         record.stage_since = now
 
     def _leave_stage(self, record: _Epoch, now: float) -> None:
         self._dwell[record.stage].observe(max(0.0, now - record.stage_since))
-        self._g_state[record.stage] = self._g_state.get(record.stage, 0) - 1
+        self._enter(record.stage, -1)
 
     def note_offered(self, epoch: int, index: int, now: float) -> None:
         """A generator issued member *index*; idempotent per index (a
         deferred offer re-enters intake under the same index)."""
-        if index in self._seen_offers:
-            return
-        self._seen_offers.add(index)
         record = self._get(epoch, now)
-        record.offered += 1
+        if index in record.offers:
+            return
+        record.offers.add(index)
         # A deferred retry can be the last member to *offer* after its
         # siblings already resolved — the epoch may complete right here.
         self._maybe_resolve(record, now)
@@ -299,7 +323,11 @@ class EpochLedger:
         self, epoch: int, index: int, key: Key, target: int, now: float
     ) -> None:
         record = self._get(epoch, now)
+        if not record.admitted:
+            self._admitted_epochs += 1
+            self._in_flight += 1
         record.admitted += 1
+        record.keys.append(key)
         self._key_epoch[key] = epoch
         self._pending[key] = (target, now)
         depth = self._pending_by_target.get(target, 0) + 1
@@ -378,7 +406,7 @@ class EpochLedger:
                 return
             epoch = pending.get((owner, interval.seq))
             if epoch is None:
-                return
+                return  # never admitted, or its epoch already resolved
             self._c_queue_events[event] += 1
             record = self._epochs[epoch]
             now = clock.now
@@ -393,8 +421,6 @@ class EpochLedger:
     # resolution
     # ------------------------------------------------------------------
     def _maybe_resolve(self, record: _Epoch, now: float) -> None:
-        if record.state is not None:
-            return
         if record.offered < record.expected:
             return
         if record.resolved_members < record.expected:
@@ -410,9 +436,26 @@ class EpochLedger:
             cause = self._stranding_cause(record)
             self._c_stranded[cause] += 1
         self._leave_stage(record, now)
-        self._g_state[state] = self._g_state.get(state, 0) + 1
+        self._enter(state)
         record.state = state
         record.cause = cause
+        self._fold(record)
+
+    def _fold(self, record: _Epoch) -> None:
+        """Forget a resolved epoch: it lives on in the counters, and a
+        stranded one among the oldest :data:`MAX_STRANDED_DETAIL` keeps
+        its detail row (the same rows :meth:`stranded_details` always
+        reported, oldest epoch first)."""
+        del self._epochs[record.epoch]
+        for key in record.keys:
+            del self._key_epoch[key]
+        if record.admitted:
+            self._in_flight -= 1
+        if record.state == "stranded":
+            kept = self._stranded
+            if len(kept) < MAX_STRANDED_DETAIL or record.epoch < kept[-1].epoch:
+                insort(kept, record, key=lambda r: r.epoch)
+                del kept[MAX_STRANDED_DETAIL:]
 
     @staticmethod
     def _stranding_cause(record: _Epoch) -> str:
@@ -455,11 +498,7 @@ class EpochLedger:
     @property
     def in_flight(self) -> int:
         """Admitted epochs not yet terminal."""
-        return sum(
-            1
-            for record in self._epochs.values()
-            if record.state is None and record.admitted > 0
-        )
+        return self._in_flight
 
     def stranded_by_cause(self) -> Dict[str, int]:
         return {
@@ -469,34 +508,21 @@ class EpochLedger:
 
     def stranded_details(self, limit: int = MAX_STRANDED_DETAIL) -> List[dict]:
         """The stranding report rows, oldest epoch first, detail capped
-        at *limit* (the summary counts always cover every epoch)."""
-        rows = [
-            record.detail()
-            for _, record in sorted(self._epochs.items())
-            if record.state == "stranded"
-        ]
-        return rows[:limit]
+        at *limit* (at most :data:`MAX_STRANDED_DETAIL` are kept; the
+        summary counts always cover every epoch)."""
+        return [record.detail() for record in self._stranded[:limit]]
 
     def summary(self) -> dict:
         """The run summary's ``epochs`` block — the ledger line that
         explains the goodput cliff.  ``admitted_epochs == solved +
         stranded + in_flight`` holds at every instant; ``in_flight``
         is 0 once the session drains."""
-        states = {
-            state: sum(
-                1 for r in self._epochs.values()
-                if (r.state or r.stage) == state
-            )
-            for state in (*EPOCH_STAGES, *EPOCH_TERMINAL_STATES)
-        }
-        admitted_epochs = sum(
-            1 for r in self._epochs.values() if r.admitted > 0
-        )
+        states = dict(self._states)
         return {
             "stride": self.stride,
             "total": math.ceil(self.total_offers / self.stride),
-            "offered_epochs": len(self._epochs),
-            "admitted_epochs": admitted_epochs,
+            "offered_epochs": self._offered_epochs,
+            "admitted_epochs": self._admitted_epochs,
             "solved": states["solved"],
             "stranded": states["stranded"],
             "expired": states["expired"],
@@ -516,9 +542,7 @@ class EpochLedger:
             "summary": self.summary(),
             "stranded_detail": self.stranded_details(),
             "stranded_detail_truncated": max(
-                0,
-                sum(1 for r in self._epochs.values() if r.state == "stranded")
-                - MAX_STRANDED_DETAIL,
+                0, self._states["stranded"] - MAX_STRANDED_DETAIL
             ),
         }
 

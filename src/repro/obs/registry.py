@@ -41,6 +41,7 @@ __all__ = [
     "GaugeVec",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
+    "count_error",
 ]
 
 #: Generic duration buckets in simulated time units.
@@ -500,3 +501,15 @@ class MetricsRegistry:
         """All registered metrics, sorted by name (exposition order)."""
         self._flush()
         return [self._metrics[name] for name in sorted(self._metrics)]
+
+
+def count_error(registry: MetricsRegistry, site: str) -> None:
+    """Count one exception a handler caught and survived at *site* into
+    ``repro_errors_total`` — the number every run asserts is zero.  A
+    handler that keeps a link or an endpoint up must still leave a
+    number behind, not only an event."""
+    registry.counter_vec(
+        "repro_errors_total",
+        "Exceptions caught and survived, by site.",
+        ("site",),
+    )[site] += 1

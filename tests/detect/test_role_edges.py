@@ -110,7 +110,10 @@ class TestTransportEpochs:
     def test_aggregate_seq_survives_reattachment(self):
         """Interval.seq (Theorem 2 order) keeps increasing across
         parents even though transport numbering restarts."""
-        role = HierarchicalRole(parent=1, children=[])
+        emitted = []
+        role = HierarchicalRole(
+            parent=1, children=[], on_subtree_solution=lambda pid, e: emitted.append(e)
+        )
         sim, net, process = make_host(role)
         x1, y1, x2, y2 = intervals()
         role.on_local_interval(x1)
@@ -120,5 +123,5 @@ class TestTransportEpochs:
         role.on_local_interval(
             type(x1)(owner=0, seq=1, lo=x1.hi + 1, hi=x1.hi + 2)
         )
-        aggs = [e.aggregate.seq for e in role.core.emissions]
+        aggs = [e.aggregate.seq for e in emitted]
         assert aggs == [0, 1]

@@ -5,6 +5,8 @@ import asyncio
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.load import IntervalSupply, LoadSession, LoadSpec, solution_keyset
 from repro.monitor import HeartbeatSpec
@@ -72,6 +74,23 @@ class TestIntervalSupply:
             assert (np.asarray(cyc.lo) == np.asarray(orig.lo) + shift).all()
             assert (np.asarray(cyc.hi) == np.asarray(orig.hi) + shift).all()
             assert (np.asarray(cyc.lo) > global_hi).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(1, 4), pick=st.integers(0, 6), cycles=st.integers(3, 5))
+    def test_interval_at_is_the_kth_next_for(self, seed, pick, cycles):
+        """The reference replay regenerates admitted intervals from
+        ``interval_at``; it must match what ``next_for`` handed out,
+        across several cycles of the script."""
+        streams = small_streams(seed)
+        supply = IntervalSupply(streams)
+        pid = supply.pids[pick % len(supply.pids)]
+        handed = [supply.next_for(pid) for _ in range(cycles * len(streams[pid]))]
+        fresh = IntervalSupply(streams)
+        for k, interval in enumerate(handed):
+            again = fresh.interval_at(pid, k)
+            assert again == interval and again.members == interval.members
+        # pure: asking never advances the stream
+        assert fresh.next_for(pid) is streams[pid][0]
 
     def test_rejects_empty_streams(self):
         with pytest.raises(ValueError):

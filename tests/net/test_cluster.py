@@ -183,8 +183,10 @@ class TestTcpSmall:
         assert summary["negotiated"]
         assert all(h == {"codec": 4} for h in summary["negotiated"].values())
         assert summary["bytes_by_type"].get("IntervalReport", 0) > 0
-        # A healthy run never has a decoder hang up on its peer.
+        # A healthy run never has a decoder hang up on its peer, nor a
+        # receiver raise into the transport's catch-all.
         assert not cluster.log.of_kind("net_stream_poisoned")
+        assert sum((registry.get("repro_errors_total") or {}).values()) == 0
 
 
 class TestSpecValidation:

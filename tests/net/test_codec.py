@@ -176,6 +176,46 @@ class TestMetaBounds:
         assert meta == {"span": [0, 1]}
 
 
+class TestMemberInterning:
+    """Decoded intervals share one frozenset per distinct member set, and
+    a peer sending arbitrary member lists cannot grow that table past its
+    cap."""
+
+    def test_decoded_member_sets_are_shared(self):
+        tx, rx = FrameCodec(), FrameCodec()
+        members = frozenset({1, 2, 3})
+        frame = tx.encode(_report(members=members))
+        (a,), (b,) = rx.feed(frame), rx.feed(frame)
+        assert a.interval.members == members
+        assert a.interval.members is b.interval.members
+
+    def test_distinct_member_sets_leave_the_table_at_its_cap(self):
+        from types import SimpleNamespace
+
+        from repro.intervals import interval as module
+
+        # A peer's frames, built without this process's Interval (and so
+        # without touching the table): 100 reports x 1000 parts, every
+        # part with a member set never seen before.
+        lo, hi = np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)
+
+        def wire_interval(owner, seq, members, parts=()):
+            return SimpleNamespace(
+                owner=owner, seq=seq, lo=lo, hi=hi, n=1, members=members, parts=parts
+            )
+
+        tx, rx = FrameCodec(), FrameCodec()
+        per_frame, frames = 1000, 100
+        for f in range(frames):
+            sets = [frozenset({f * per_frame + i}) for i in range(per_frame)]
+            parts = tuple(wire_interval(0, i, m) for i, m in enumerate(sets))
+            head = wire_interval(1, f, frozenset({-1}), parts)
+            report = IntervalReport(origin=1, dest=0, interval=head, transport_seq=f)
+            ((got, _),) = rx.feed_meta(tx.encode(report))
+            assert [part.members for part in got.interval.parts] == sets
+        assert len(module._MEMBERS) == module.MEMBERS_INTERN_CAP
+
+
 class TestBinaryWire:
     """The packed wire: struct header + varint bodies, one frame per
     message, each decodable on its own."""

@@ -103,17 +103,21 @@ class TestLoadThroughRepair:
                 if len(solution_keyset(d.solution)) == NODES
             ]
             prefix_ok = session.reference_match(full, allow_prefix=True)
+            errors = cluster.telemetry.registry.get("repro_errors_total") or {}
             await cluster.stop()
             poisoned = cluster.log.of_kind("net_stream_poisoned")
-            return summary, admitted_at_kill[0], admitted_after, prefix_ok, poisoned
+            return summary, admitted_at_kill[0], admitted_after, prefix_ok, poisoned, errors
 
-        summary, admitted_at_kill, admitted_after, prefix_ok, poisoned = run(
+        summary, admitted_at_kill, admitted_after, prefix_ok, poisoned, errors = run(
             scenario()
         )
 
         # A kill closes connections; it never makes a decoder refuse a
-        # frame (reconnect churn from a codec bug would show here).
+        # frame (reconnect churn from a codec bug would show here), nor a
+        # receiver raise into the transport's catch-all (a ledger or core
+        # bug would be swallowed there but counted).
         assert not poisoned
+        assert sum(errors.values()) == 0
 
         # Dispatch dropped the dead target the instant it died.
         assert admitted_after == admitted_at_kill

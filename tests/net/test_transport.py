@@ -136,6 +136,41 @@ class TestTcp:
         assert len(got) == 4
         assert clock.telemetry.registry.get("repro_net_reconnects_total")[0] >= 2
 
+    def test_raising_receiver_is_counted_and_the_link_stays_up(self):
+        async def scenario():
+            clock = AsyncClock()
+            a = TcpTransport(0, clock)
+            b = TcpTransport(1, clock)
+            got = []
+
+            def receiver(src, msg):
+                got.append(msg)
+                if len(got) == 1:
+                    raise RuntimeError("receiver bug")
+
+            b.set_receiver(receiver)
+            await a.start()
+            await b.start()
+            addresses = {0: a.address, 1: b.address}
+            a.set_peers(addresses)
+            b.set_peers(addresses)
+            for _ in range(3):
+                a.send(1, Heartbeat(sender=0))
+            await a.drain()
+            while len(got) < 3:
+                await asyncio.sleep(0.01)
+            await a.stop()
+            await b.stop()
+            return clock
+
+        clock = run(scenario())
+        registry = clock.telemetry.registry
+        assert registry.get("repro_errors_total") == {"net.receiver": 1}
+        assert len(clock.log.of_kind("net_receiver_error")) == 1
+        # the same connection carried all three frames
+        assert registry.get("repro_net_reconnects_total")[0] == 1
+        assert not clock.log.of_kind("net_stream_poisoned")
+
     def test_corrupt_frame_poisons_the_stream_loudly_and_is_retransmitted(self):
         from repro.sim.messages import IntervalReport
 

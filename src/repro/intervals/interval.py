@@ -14,7 +14,7 @@ verify Eq. (2) end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -47,9 +47,26 @@ def _intern(members: frozenset) -> frozenset:
     return members
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _fill(self, owner, seq, lo, hi, members, parts) -> None:
+    _set(self, "owner", owner)
+    _set(self, "seq", seq)
+    _set(self, "lo", lo)
+    _set(self, "hi", hi)
+    _set(self, "members", _intern(frozenset(members or (owner,))))
+    _set(self, "parts", parts)
+    _set(self, "_key_cache", None)
+
+
 class Interval:
     """A concrete or aggregated interval.
+
+    Immutable: assigning an attribute raises
+    :class:`~dataclasses.FrozenInstanceError`, and the bounds are
+    read-only arrays.
 
     Attributes
     ----------
@@ -72,30 +89,70 @@ class Interval:
         The intervals aggregated into this one (empty for concrete).
     """
 
+    __slots__ = ("owner", "seq", "lo", "hi", "members", "parts", "_key_cache")
+
     owner: int
     seq: int
     lo: Timestamp
     hi: Timestamp
-    members: frozenset = field(default_factory=frozenset)
-    parts: Tuple["Interval", ...] = ()
+    members: frozenset
+    parts: Tuple["Interval", ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", freeze(self.lo))
-        object.__setattr__(self, "hi", freeze(self.hi))
-        if self.lo.shape != self.hi.shape:
+    def __init__(
+        self,
+        owner: int,
+        seq: int,
+        lo: Timestamp,
+        hi: Timestamp,
+        members: frozenset = frozenset(),
+        parts: Tuple["Interval", ...] = (),
+    ) -> None:
+        lo = freeze(lo)
+        hi = freeze(hi)
+        if lo.shape != hi.shape:
             raise ValueError("lo and hi must have the same number of components")
-        if not vc_le(self.lo, self.hi):
+        if not vc_le(lo, hi):
             # For concrete intervals min(x) precedes max(x) by local order;
             # for aggregated ones Theorem 2 proves lo <= hi whenever the
             # aggregated set satisfied overlap.  Violations indicate a bug
             # upstream, so fail loudly.
             raise ValueError(
-                f"interval bounds out of order: lo={self.lo.tolist()} "
-                f"hi={self.hi.tolist()}"
+                f"interval bounds out of order: lo={lo.tolist()} hi={hi.tolist()}"
             )
-        members = self.members or (self.owner,)
-        object.__setattr__(self, "members", _intern(frozenset(members)))
-        object.__setattr__(self, "_key_cache", None)
+        _fill(self, owner, seq, lo, hi, members, parts)
+
+    @classmethod
+    def _checked(
+        cls,
+        owner: int,
+        seq: int,
+        lo: Timestamp,
+        hi: Timestamp,
+        members: frozenset,
+        parts: Tuple["Interval", ...],
+    ) -> "Interval":
+        """Build from bounds its caller has already checked in bulk.
+
+        *lo* and *hi* must be read-only ``int64`` rows of one shape with
+        ``lo <= hi`` — e.g. views of a decoded frame's bounds block after
+        one block-wide check, or the reductions of ``⊓``.  The public
+        constructor passes every bound through
+        :func:`~repro.clocks.freeze`, which copies views, so this is the
+        only way a view becomes an interval's bound."""
+        self = _new(cls)
+        _fill(self, owner, seq, lo, hi, members, parts)
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Through the public constructor: a slotted class whose
+        # __setattr__ raises cannot be rebuilt from its state.
+        return Interval, (self.owner, self.seq, self.lo, self.hi, self.members, self.parts)
 
     @property
     def n(self) -> int:
@@ -121,13 +178,13 @@ class Interval:
         Computed lazily and cached: ``key()`` backs ``__hash__``, so it
         is called once per set/dict operation on the detection hot path,
         and ``tobytes()`` copies both timestamps each time.  The bounds
-        are immutable (frozen in ``__post_init__``), so the cache can
-        never go stale.
+        are read-only and the interval immutable, so the cache can never
+        go stale.
         """
         cached = self._key_cache
         if cached is None:
             cached = (self.owner, self.seq, self.lo.tobytes(), self.hi.tobytes())
-            object.__setattr__(self, "_key_cache", cached)
+            _set(self, "_key_cache", cached)
         return cached
 
     def __eq__(self, other: object) -> bool:

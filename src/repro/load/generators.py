@@ -27,7 +27,7 @@ offline :class:`~repro.experiments.parallel.ShardedRunner` sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..workload.distributions import InterarrivalSampler
 from .popularity import ZipfSampler
@@ -79,7 +79,8 @@ class OpenLoopGenerator:
         self._sampler = InterarrivalSampler(arrival, 1.0 / rate, burstiness=burstiness)
         self._zipf = ZipfSampler(len(self.pids), zipf_s)
         self._plan: Optional[List[Tuple[float, int]]] = None
-        self._handles: List[object] = []
+        self._handle: Optional[object] = None
+        self._base = 0.0
         self._emitted = 0
         self._stopped = False
 
@@ -100,24 +101,42 @@ class OpenLoopGenerator:
         return self._plan
 
     def start(self, at: float = 0.0) -> None:
-        base = at
-        for index, (offset, home) in enumerate(self.plan()):
-            self._handles.append(
-                self.clock.schedule_at(
-                    base + offset,
-                    lambda i=index, h=home: self._emit(i, h),
-                )
-            )
+        """Walk the plan from clock time *at*.  One timer is pending at a
+        time: it fires at the next offer's due time and emits every offer
+        due by then, in plan order — the offers a loop iteration's worth
+        of per-offer timers would have run back to back."""
+        self.plan()
+        self._base = at
+        self._arm()
 
-    def _emit(self, index: int, home: int) -> None:
-        if self._stopped:
+    def _arm(self) -> None:
+        if self._stopped or self._emitted >= self.total_offers:
+            self._handle = None
             return
+        due = self._base + self._plan[self._emitted][0]
+        self._handle = self.clock.schedule_at(due, self._fire)
+
+    def _fire(self) -> None:
+        plan, base, now = self._plan, self._base, self.clock.now
+        # The offer this timer was armed for is due even if the clock
+        # reads a hair early; every later one only if it is due by now.
+        self._emit()
+        while (
+            not self._stopped
+            and self._emitted < self.total_offers
+            and base + plan[self._emitted][0] <= now
+        ):
+            self._emit()
+        self._arm()
+
+    def _emit(self) -> None:
+        index = self._emitted
         self._emitted += 1
         self.intake(
             Offer(
                 index=index,
                 user=-1,
-                home=home,
+                home=self._plan[index][1],
                 issued_at=self.clock.now,
                 epoch=index // len(self.pids),
             )
@@ -132,9 +151,9 @@ class OpenLoopGenerator:
 
     def stop(self) -> None:
         self._stopped = True
-        for handle in self._handles:
-            handle.cancel()
-        self._handles.clear()
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
 
 
 @dataclass
@@ -177,7 +196,8 @@ class ClosedLoopGenerator:
         ]
         self._issued = 0
         self._stopped = False
-        self._handles: List[object] = []
+        #: uid -> the user's pending think timer; a user has at most one.
+        self._handles: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
     def start(self, at: float = 0.0) -> None:
@@ -191,11 +211,12 @@ class ClosedLoopGenerator:
         # the seed alone, independent of completion interleaving.
         gap = float(self.clock.rng(f"load-think-{user.uid}").exponential(self.think_time))
         at = (base if base is not None else self.clock.now) + gap
-        self._handles.append(
-            self.clock.schedule_at(at, lambda u=user: self._issue(u))
+        self._handles[user.uid] = self.clock.schedule_at(
+            at, lambda u=user: self._issue(u)
         )
 
     def _issue(self, user: _User) -> None:
+        self._handles.pop(user.uid, None)
         if self._stopped or self._issued >= self.total_offers or user.in_flight:
             return
         index = self._issued
@@ -231,6 +252,6 @@ class ClosedLoopGenerator:
 
     def stop(self) -> None:
         self._stopped = True
-        for handle in self._handles:
+        for handle in self._handles.values():
             handle.cancel()
         self._handles.clear()

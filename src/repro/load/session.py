@@ -179,11 +179,17 @@ class IntervalSupply:
         if cycle == 0:
             return interval
         shift = self._shift * cycle
+        # The sums are fresh arrays: read-only, ``freeze`` passes them
+        # through instead of copying them again.
+        lo = interval.lo + shift
+        hi = interval.hi + shift
+        lo.setflags(write=False)
+        hi.setflags(write=False)
         return Interval(
             owner=interval.owner,
             seq=interval.seq + cycle * self._stride[pid],
-            lo=interval.lo + shift,
-            hi=interval.hi + shift,
+            lo=lo,
+            hi=hi,
             members=interval.members,
         )
 

@@ -127,6 +127,10 @@ def read_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
     ``(value, new_offset)``.  Truncated or over-long runs raise
     :class:`ValueError` (the frame layer treats that as a poisoned
     stream)."""
+    if offset < len(data):
+        byte = data[offset]
+        if byte < 0x80:  # one byte: most counts, ids and sequence numbers
+            return byte, offset + 1
     value = 0
     shift = 0
     limit = len(data)
@@ -286,10 +290,22 @@ def _unpack_report(data: bytes, offset: int) -> Tuple[object, int]:
             min(base.min(initial=0), off.min(initial=0), block.min(initial=0)) < 0
         ):
             raise ValueError("bounds block overflows int64")
+    # The block is the frame's own copy (never the receive buffer), made
+    # read-only and checked once: every row pair in order, which is the
+    # check each interval's constructor would repeat row by row.
+    block.setflags(write=False)
+    los, his = block[0::2], block[1::2]
+    if np.count_nonzero(los > his):
+        bad = int(np.flatnonzero((los > his).any(axis=1))[0])
+        raise ValueError(
+            f"interval bounds out of order in packed frame body: row {bad} "
+            f"lo={los[bad].tolist()} hi={his[bad].tolist()}"
+        )
 
     # Pre-order, read backwards: when interval i is reached every later
     # subtree is finished, and its parts are the #parts most recent
     # ones.  Iterative, so a deep chain cannot exhaust the stack.
+    build = Interval._checked
     done: List[Interval] = []
     for i in range(m - 1, -1, -1):
         owner, seq, members, nparts = tree[i]
@@ -298,18 +314,8 @@ def _unpack_report(data: bytes, offset: int) -> Tuple[object, int]:
             raise ValueError("provenance tree overruns the frame's intervals")
         parts = tuple(reversed(done[cut:]))
         del done[cut:]
-        # Row views: the constructor's ``freeze`` copies each into an
-        # owned array, so no interval pins the block.
-        done.append(
-            Interval(
-                owner=owner,
-                seq=seq,
-                lo=block[2 * i],
-                hi=block[2 * i + 1],
-                members=members,
-                parts=parts,
-            )
-        )
+        # Read-only row views: the intervals of one frame share its block.
+        done.append(build(owner, seq, los[i], his[i], members, parts))
     if len(done) != 1:
         raise ValueError("provenance tree does not use the frame's intervals")
     report = IntervalReport(

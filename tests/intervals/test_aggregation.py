@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.clocks import join, meet
 from repro.intervals import Interval, aggregate, can_aggregate, overlap, overlap_pair
 from repro.workload.scenarios import figure3_execution
 
@@ -29,6 +32,42 @@ class TestEquations5And6:
         assert agg.lo.tolist() == x.lo.tolist()
         assert agg.hi.tolist() == x.hi.tolist()
         assert agg.members == x.members
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.lists(st.integers(0, 2**62), min_size=n, max_size=n),
+                    st.lists(st.integers(0, 2**40), min_size=n, max_size=n),
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_bounds_equal_join_of_los_and_meet_of_his(self, rows):
+        """The reference is the lattice's own join/meet; a set whose
+        meet falls below its join is refused, never built."""
+        parts = [
+            Interval(owner=i, seq=0, lo=np.array(lo), hi=np.array(lo) + np.array(span))
+            for i, (lo, span) in enumerate(rows)
+        ]
+        lo, hi = join(*(x.lo for x in parts)), meet(*(x.hi for x in parts))
+        if not (lo <= hi).all():
+            with pytest.raises(ValueError, match="out of order"):
+                aggregate(parts, owner=9, seq=0)
+            return
+        agg = aggregate(parts, owner=9, seq=0)
+        assert agg.lo.tolist() == lo.tolist() and agg.hi.tolist() == hi.tolist()
+        assert not agg.lo.flags.writeable and not agg.hi.flags.writeable
+        assert agg.parts == tuple(parts)
+
+    def test_mixed_widths_rejected(self):
+        x = make_interval(0, 0, [1], [2])
+        y = make_interval(1, 0, [0, 1], [3, 4])
+        for parts in ([x, y], [y, x]):
+            with pytest.raises(ValueError, match="widths"):
+                aggregate(parts, owner=0, seq=0)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
 """Unit tests: the Interval data type."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -93,3 +97,60 @@ class TestProvenance:
         outer = aggregate([inner, z], owner=6, seq=0)
         assert set(outer.concrete_leaves()) == {x, y, z}
         assert outer.members == frozenset({0, 1, 2})
+
+
+class TestImmutability:
+    def test_assignment_raises(self):
+        iv = make_interval(0, 0, [1, 0], [2, 0])
+        for name, value in (("seq", 7), ("lo", np.array([0, 0])), ("members", frozenset())):
+            with pytest.raises(FrozenInstanceError):
+                setattr(iv, name, value)
+        with pytest.raises(AttributeError):
+            iv.extra = 1  # no __dict__ to put it in either
+        with pytest.raises(FrozenInstanceError):
+            del iv.owner
+        assert iv.seq == 0 and iv.lo.tolist() == [1, 0]
+
+    def test_public_constructor_copies_views_and_checks(self):
+        block = np.array([[1, 0], [2, 0]])
+        block.setflags(write=False)
+        iv = Interval(owner=0, seq=0, lo=block[0], hi=block[1])
+        assert iv.lo.base is None and iv.hi.base is None
+        with pytest.raises(ValueError, match="out of order"):
+            Interval(owner=0, seq=0, lo=block[1], hi=block[0])
+
+
+class TestPickling:
+    """Intervals cross process boundaries (``ShardedRunner`` workers)."""
+
+    def _round_trips(self, iv):
+        for rebuilt in (pickle.loads(pickle.dumps(iv)), copy.deepcopy(iv)):
+            assert rebuilt == iv and rebuilt.key() == iv.key()
+            assert rebuilt.members == iv.members and rebuilt.parts == iv.parts
+            assert not rebuilt.lo.flags.writeable and not rebuilt.hi.flags.writeable
+            with pytest.raises(FrozenInstanceError):
+                rebuilt.seq = 1
+
+    def test_concrete(self):
+        self._round_trips(make_interval(3, 4, [1, 0, 2], [2, 5, 2]))
+
+    def test_aggregate_keeps_its_provenance(self):
+        x = make_interval(0, 0, [1, 0], [3, 2])
+        y = make_interval(1, 0, [0, 1], [2, 3])
+        agg = aggregate([x, y], owner=9, seq=2)
+        self._round_trips(agg)
+        rebuilt = pickle.loads(pickle.dumps(agg))
+        assert set(rebuilt.concrete_leaves()) == {x, y}
+
+    def test_decoded_interval_round_trips_owned(self):
+        from repro.net import FrameCodec
+        from repro.sim.messages import IntervalReport
+
+        x = make_interval(0, 0, [1, 0], [3, 2])
+        agg = aggregate([x, make_interval(1, 0, [0, 1], [2, 3])], owner=9, seq=2)
+        codec = FrameCodec()
+        got = codec.decode(codec.encode(IntervalReport(origin=1, dest=0, interval=agg)))
+        assert got.interval.lo.base is not None  # a view of the frame's block
+        self._round_trips(got.interval)
+        rebuilt = pickle.loads(pickle.dumps(got.interval))
+        assert rebuilt.lo.base is None and rebuilt == agg

@@ -1,5 +1,8 @@
 """Open- and closed-loop generators against the virtual-time clock."""
 
+import asyncio
+import time
+
 import pytest
 
 from repro.load import ClosedLoopGenerator, OpenLoopGenerator
@@ -12,6 +15,181 @@ def drain(sim, limit=100_000):
     while sim.step():
         steps += 1
         assert steps < limit, "simulator did not drain"
+
+
+class CountingClock:
+    """A clock front that counts timers: armed, fired, and pending (armed
+    but neither fired nor cancelled) — with the peak of the last."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.armed = self.fired = self.pending = self.peak = 0
+
+    @property
+    def now(self):
+        return self.inner.now
+
+    def rng(self, name):
+        return self.inner.rng(name)
+
+    def schedule_at(self, at, action):
+        self.armed += 1
+        self.pending += 1
+        self.peak = max(self.peak, self.pending)
+        token = _Pending(self)
+
+        def fire():
+            token.settle()
+            self.fired += 1
+            action()
+
+        token.handle = self.inner.schedule_at(at, fire)
+        return token
+
+
+class _Pending:
+    def __init__(self, clock):
+        self.clock = clock
+        self.handle = None
+        self.settled = False
+
+    def settle(self):
+        if not self.settled:
+            self.settled = True
+            self.clock.pending -= 1
+
+    def cancel(self):
+        self.settle()
+        self.handle.cancel()
+
+
+class ManualClock:
+    """Time moves only when the test says so; timers fire only when the
+    test fires them."""
+
+    def __init__(self, seed):
+        self._rngs = Simulator(seed=seed)
+        self.now = 0.0
+        self.timers = []
+
+    def rng(self, name):
+        return self._rngs.rng(name)
+
+    def schedule_at(self, at, action):
+        timer = [at, action, False]
+        self.timers.append(timer)
+
+        class Handle:
+            def cancel(self):
+                timer[2] = True
+
+        return Handle()
+
+    def live(self):
+        return [t for t in self.timers if not t[2]]
+
+    def fire_next(self):
+        timer = min(self.live(), key=lambda t: t[0])
+        self.timers.remove(timer)
+        timer[1]()
+
+
+def expected(gen):
+    n = len(gen.pids)
+    return [(i, home, i // n) for i, (_, home) in enumerate(gen.plan())]
+
+
+def emitted(offers):
+    return [(o.index, o.home, o.epoch) for o in offers]
+
+
+class TestOneTimer:
+    """The open-loop generator keeps one timer pending over its plan,
+    however many offers the plan holds."""
+
+    def test_one_pending_timer_in_virtual_time(self):
+        clock = CountingClock(Simulator(seed=2))
+        seen = []
+        gen = OpenLoopGenerator(
+            clock, [0, 1, 2], seen.append, rate=1000.0, total_offers=300
+        )
+        gen.start(at=0.5)
+        assert clock.pending == 1
+        drain(clock.inner)
+        assert clock.peak == 1 and clock.pending == 0
+        assert emitted(seen) == expected(gen)
+        # Virtual time fires each timer exactly when its offer is due.
+        assert [o.issued_at for o in seen] == [0.5 + at for at, _ in gen.plan()]
+        assert gen.done
+
+    def test_stalled_loop_catches_up_in_one_firing(self):
+        clock = ManualClock(seed=3)
+        seen = []
+        gen = OpenLoopGenerator(
+            clock, [0, 1], seen.append, rate=200.0, total_offers=50
+        )
+        gen.start(at=0.0)
+        plan = gen.plan()
+        (armed,) = clock.live()
+        assert armed[0] == plan[0][0]
+        # The loop stalls well past the first due time: one firing emits
+        # every offer due by now, in plan order, and arms the next one.
+        clock.now = plan[9][0] + 1e-6
+        clock.fire_next()
+        assert emitted(seen) == expected(gen)[:10]
+        assert all(o.issued_at == clock.now for o in seen)
+        (armed,) = clock.live()
+        assert armed[0] == plan[10][0]
+        # Caught up, it walks the rest one due time at a time.
+        while clock.live():
+            clock.now = clock.live()[0][0]
+            clock.fire_next()
+        assert emitted(seen) == expected(gen)
+        assert gen.done
+
+    def test_stalled_event_loop_keeps_one_timer(self):
+        async def scenario():
+            clock = CountingClock(AsyncClock(seed=5))
+            seen = []
+            batches = []
+            drained = asyncio.get_running_loop().create_future()
+
+            def intake(offer):
+                seen.append(offer)
+                batches.append(clock.fired)
+                if gen.done:
+                    drained.set_result(None)
+
+            gen = OpenLoopGenerator(
+                clock, [0, 1, 2], intake, rate=2000.0, total_offers=100
+            )
+            gen.start(at=clock.now + 0.001)
+            time.sleep(0.03)  # stall the loop past ~60 due times
+            await asyncio.wait_for(drained, 10)
+            return clock, gen, seen, batches
+
+        clock, gen, seen, batches = asyncio.run(scenario())
+        assert clock.peak == 1 and clock.pending == 0
+        assert emitted(seen) == expected(gen)
+        # The stall was caught up by the first firing, in one go.
+        assert batches.count(1) >= 2
+        assert clock.fired < len(seen)
+
+    def test_stop_cancels_the_pending_timer(self):
+        clock = CountingClock(Simulator(seed=4))
+        seen = []
+        gen = OpenLoopGenerator(
+            clock, [0, 1], seen.append, rate=100.0, total_offers=40
+        )
+        gen.start(at=0.0)
+        for _ in range(5):
+            clock.inner.step()
+        assert emitted(seen) == expected(gen)[:5]
+        assert clock.pending == 1
+        gen.stop()
+        assert clock.pending == 0 and gen.done
+        drain(clock.inner)
+        assert len(seen) == 5 and clock.armed == 6
 
 
 class TestOpenLoop:
@@ -185,6 +363,24 @@ class TestClosedLoop:
                 offer = seen.pop()
                 assert offer.home == homes[offer.user]
                 gen.offer_resolved(offer, "completed")
+
+    def test_keeps_only_pending_handles(self):
+        sim = Simulator(seed=6)
+        pending = []
+        gen = ClosedLoopGenerator(
+            sim, [0, 1, 2], pending.append,
+            users=3, total_offers=200, think_time=0.01,
+        )
+        gen.start(at=0.0)
+        resolved = 0
+        while sim.step():
+            while pending:
+                gen.offer_resolved(pending.pop(), "completed")
+                resolved += 1
+            # one think timer per user at most, however many offers ran
+            assert len(gen._handles) <= 3
+        assert resolved == 200 and gen.done
+        assert not gen._handles
 
     def test_validation(self):
         sim = Simulator(seed=1)

@@ -547,19 +547,29 @@ class TestBoundsBlock:
         with pytest.raises(ValueError, match="unknown packed message tag 1"):
             FrameCodec().feed(_frame(1, frame[7:]))
 
-    def test_decoded_bounds_are_frozen_owned_int64(self):
+    def test_decoded_bounds_are_read_only_int64_views_of_one_block(self):
         part = _interval(owner=2, seq=4, lo=(300, 0, 7), hi=(300, 2, 7))
         head = _interval(
             owner=1, seq=9, lo=(300, 1, 7), hi=(300, 2, 7),
             members=frozenset({1, 2}), parts=(part,),
         )
         sent = IntervalReport(origin=1, dest=0, interval=head, transport_seq=3)
-        got = FrameCodec().decode(FrameCodec().encode(sent))
+        fed = bytearray(FrameCodec().encode(sent))
+        (got,) = FrameCodec().feed(fed)
+        block = got.interval.lo.base
+        assert block is not None and not block.flags.writeable
         for mine, theirs in ((got.interval, head), (got.interval.parts[0], part)):
             assert mine.key() == theirs.key()  # same bytes as the sender's
             for bound in (mine.lo, mine.hi):
-                assert bound.dtype == np.int64
-                assert bound.base is None and not bound.flags.writeable
+                assert bound.dtype == np.int64 and bound.shape == (3,)
+                assert bound.base is block and not bound.flags.writeable
+                with pytest.raises(ValueError):
+                    bound[0] = 0
+        # The block is the decoder's own copy, not the receive buffer.
+        fed[7:] = b"\xff" * (len(fed) - 7)
+        assert got.interval.lo.tolist() == [300, 1, 7]
+        assert got.interval.parts[0].lo.tolist() == [300, 0, 7]
+        assert got.interval.key() == head.key()
 
     @pytest.mark.parametrize(
         "value, base_width",

@@ -511,6 +511,73 @@ class TestDamagedBinaryFrames:
         with pytest.raises(ValueError, match=re.escape(complaint)):
             FrameCodec().feed_meta(frame)
 
+    #: Provenance depth of :meth:`_chain_frame`'s report.
+    DEPTH = 6
+
+    @classmethod
+    def _chain_frame(cls, swapped=None) -> bytes:
+        """A report frame whose head carries a provenance chain
+        :attr:`DEPTH` deep.  Interval ``i`` of the pre-order (0 = head)
+        has ``lo = (i, 0)`` and ``hi = (i, 5)``, so the block is a
+        zero base row and one-byte offsets at the end of the frame.
+        *swapped* exchanges interval ``i``'s two rows: ``lo > hi``."""
+        interval = None
+        for level in range(cls.DEPTH - 1, -1, -1):
+            interval = Interval(
+                owner=level,
+                seq=0,
+                lo=np.array([level, 0]),
+                hi=np.array([level, 5]),
+                parts=() if interval is None else (interval,),
+            )
+        frame = bytearray(FrameCodec().encode(IntervalReport(origin=1, dest=0, interval=interval)))
+        if swapped is not None:
+            at = len(frame) - 4 * cls.DEPTH + 4 * swapped
+            frame[at : at + 4] = frame[at + 2 : at + 4] + frame[at : at + 2]
+        return bytes(frame)
+
+    @pytest.mark.parametrize("row", [0, 1, DEPTH - 1], ids=["head", "part", "deepest"])
+    def test_out_of_order_row_is_refused(self, row):
+        (good,) = FrameCodec().feed(self._chain_frame())
+        assert [leaf.owner for leaf in good.interval.concrete_leaves()] == [self.DEPTH - 1]
+        bad = self._chain_frame(swapped=row)
+        with pytest.raises(ValueError, match="interval bounds out of order"):
+            FrameCodec().feed(bad)
+
+    @pytest.mark.parametrize("row", [0, DEPTH - 1], ids=["head", "deepest"])
+    def test_out_of_order_row_poisons_the_stream(self, row):
+        import asyncio
+
+        from repro.net import AsyncClock, TcpTransport
+
+        async def scenario():
+            clock = AsyncClock()
+            b = TcpTransport(1, clock)
+            got = []
+            arrived = asyncio.Event()
+            b.set_receiver(lambda src, msg: (got.append(msg), arrived.set()))
+            await b.start()
+            reader, writer = await asyncio.open_connection(*b.address)
+            codec = FrameCodec()
+            hello = codec.encode({"type": "__hello__", "node": 0, "codec": 4})
+            writer.write(hello + codec.encode(Heartbeat(sender=0)))
+            # the session is up before it is poisoned
+            await asyncio.wait_for(arrived.wait(), 10)
+            writer.write(self._chain_frame(swapped=row))
+            await writer.drain()
+            # The handler hangs up: EOF.
+            await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            await writer.wait_closed()
+            await b.stop()
+            return clock, got
+
+        clock, got = asyncio.run(asyncio.wait_for(scenario(), 30))
+        (poisoned,) = clock.log.of_kind("net_stream_poisoned")
+        assert poisoned.node == 1 and poisoned.get("src") == 0
+        assert "out of order" in poisoned.get("error")
+        assert [type(m).__name__ for m in got] == ["Heartbeat"]
+
 
 class TestCountOnlyPricing:
     """The simulator prices a chained report stream through the

@@ -92,6 +92,15 @@ class HeartbeatMonitor:
     def is_suspected(self, peer: int) -> bool:
         return peer in self._suspected
 
+    def forgive(self, peer: int) -> None:
+        """The suspicion of *peer* was wrong (it is alive): watch it
+        again, with a fresh grace period from now.  A late heartbeat is
+        not enough to clear a suspicion — a dead peer's last beat can
+        still be in flight — so only whoever knows better says so."""
+        if peer in self._last_seen:
+            self._last_seen[peer] = self.sim.now
+            self._suspected.discard(peer)
+
     # ------------------------------------------------------------------
     def start(self) -> None:
         if self._running:

@@ -18,7 +18,7 @@ Builders cover the common cases:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Mapping, Optional
 
 __all__ = ["LocalClause", "ConjunctivePredicate", "HeartbeatSpec", "SLOSpec"]
@@ -142,24 +142,11 @@ class SLOSpec:
     @property
     def enabled(self) -> bool:
         """Whether any threshold is configured."""
-        return any(
-            getattr(self, name) is not None
-            for name in (
-                "detection_latency_p99",
-                "repair_duration",
-                "outbox_depth",
-                "stranded_epoch_rate",
-            )
-        )
+        return any(value is not None for value in self.as_dict().values())
 
     def as_dict(self) -> dict:
-        """JSON-safe form (run summaries, flight snapshot headers)."""
-        return {
-            "detection_latency_p99": self.detection_latency_p99,
-            "repair_duration": self.repair_duration,
-            "outbox_depth": self.outbox_depth,
-            "stranded_epoch_rate": self.stranded_epoch_rate,
-        }
+        """JSON-safe form: every threshold by field name."""
+        return asdict(self)
 
 
 #: A local clause: variables of one process -> bool.

@@ -2,13 +2,18 @@
 
 Subcommands:
 
-* ``run`` — build an n-node tree, launch every node on its own TCP (or
-  loopback) transport inside one process, replay a simulator-derived
-  interval script and wait for live ``Definitely(Φ)`` detections.  With
-  ``--kill-node`` it additionally crash-stops a node mid-run and only
-  exits 0 if the tree repaired itself *and* detection continued over
-  the survivors — the paper's fault-tolerance claim, demonstrated on
-  real sockets (this is what CI's ``net-smoke`` job runs).
+* ``run --spec FILE`` — build the cluster a JSON
+  :class:`~repro.net.cluster.ClusterSpec` describes, launch every node
+  on its own TCP (or loopback) transport inside one process, replay a
+  simulator-derived interval script (or drive the spec's load plane)
+  and wait for live ``Definitely(Φ)`` detections.  With ``--kill-node``
+  it additionally crash-stops a node mid-run and only exits 0 if the
+  tree repaired itself *and* detection continued over the survivors —
+  the paper's fault-tolerance claim, demonstrated on real sockets.
+  Flags only control the run and its exports; everything about the
+  cluster is in the file (``examples/clusters/`` holds CI's scenarios).
+  A file that cannot be read or loaded exits 2 with one line saying
+  which key is wrong.
 * ``status`` — query a running cluster's admin endpoint.
 * ``kill-node`` — crash a node in a running cluster via its admin
   endpoint.
@@ -18,11 +23,12 @@ Subcommands:
   (per-node alarms/reports, realized α by level, reconnects, outbox
   depths); ``--interval`` re-polls until interrupted.
 * ``profile`` — fetch a running cluster's continuous-profiler state
-  (armed by ``run --profile``): the JSON summary, or ``--collapsed``
-  flamegraph stacks ready for speedscope / ``flamegraph.pl``.
+  (armed by a spec with ``"profile": true``): the JSON summary, or
+  ``--collapsed`` flamegraph stacks ready for speedscope /
+  ``flamegraph.pl``.
 * ``postmortem`` — reconstruct the crash → repair → recovery timeline
   from a directory of flight-recorder snapshots
-  (:mod:`repro.obs.flight`), as written by ``run --flight-dir``.
+  (:mod:`repro.obs.flight`), as written under a spec's ``flight_dir``.
 
 Exports mirror ``repro-trace``: ``--prom`` / ``--jsonl`` / ``--chrome``
 write the *aggregated* cluster telemetry — per-node registries merged,
@@ -53,105 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="launch a cluster and wait for detections")
-    shape = run.add_argument_group("cluster shape")
-    shape.add_argument("--nodes", type=int, default=7, help="tree size (default 7)")
-    shape.add_argument("--degree", type=int, default=2, help="tree fan-out (default 2)")
-    shape.add_argument("--seed", type=int, default=1, help="master RNG seed")
-    shape.add_argument(
-        "--transport",
-        choices=("tcp", "loopback"),
-        default="tcp",
-        help="real sockets, or the in-process loopback hub",
-    )
-    shape.add_argument(
-        "--epochs", type=int, default=4, help="reference-workload epochs (default 4)"
-    )
-    shape.add_argument(
-        "--sync-prob",
-        type=float,
-        default=1.0,
-        help="probability an epoch is a global occurrence (default 1.0; "
-        "rates < 1 mix in intervals that never join a solution)",
-    )
-    shape.add_argument(
-        "--interval-spacing",
-        type=float,
-        default=0.02,
-        help="wall seconds between a node's successive interval offers",
-    )
-    load = run.add_argument_group("traffic plane (repro.load)")
-    load.add_argument(
-        "--load",
-        choices=("open", "closed"),
-        default=None,
-        help="drive offers through the load plane — open (rate-driven) or "
-        "closed (virtual users) — instead of the fixed-spacing replay",
-    )
-    load.add_argument(
-        "--load-rate",
-        type=float,
-        default=200.0,
-        metavar="PER_S",
-        help="open loop: offered load in offers/second (default 200)",
-    )
-    load.add_argument(
-        "--load-arrival",
-        choices=("poisson", "uniform", "bursty"),
-        default="poisson",
-        help="open loop: interarrival model (default poisson)",
-    )
-    load.add_argument(
-        "--load-users",
-        type=int,
-        default=8,
-        help="closed loop: virtual user count (default 8)",
-    )
-    load.add_argument(
-        "--load-think",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="closed loop: mean think time between offers (default 0.05)",
-    )
-    load.add_argument(
-        "--load-offers",
-        type=int,
-        default=200,
-        help="total offers to issue (default 200)",
-    )
-    load.add_argument(
-        "--load-zipf",
-        type=float,
-        default=1.1,
-        metavar="S",
-        help="popularity skew exponent (0 = uniform; default 1.1)",
-    )
-    load.add_argument(
-        "--load-dispatch",
-        choices=("round_robin", "least_outstanding", "weighted", "affinity"),
-        default="round_robin",
-        help="dispatch policy routing offers to nodes (default round_robin)",
-    )
-    load.add_argument(
-        "--load-policy",
-        choices=("shed", "defer"),
-        default="shed",
-        help="what admission does at saturation (default shed)",
-    )
-    load.add_argument(
-        "--load-max-outstanding",
-        type=int,
-        default=64,
-        metavar="N",
-        help="admission high watermark on outstanding offers (default 64; "
-        "must be at least the node count)",
-    )
-    load.add_argument(
-        "--load-pending-timeout",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="abandon admitted offers undetected after this long (default 5)",
+    run.add_argument(
+        "--spec",
+        metavar="FILE",
+        required=True,
+        help="the cluster as a JSON object of ClusterSpec fields, with nested "
+        "heartbeat / load / slo objects; a missing key takes its default",
     )
     stop = run.add_argument_group("stopping conditions")
     stop.add_argument(
@@ -161,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--until-detections",
         type=int,
         default=1,
-        help="wait for at least this many detections (default 1)",
+        help="wait for at least this many detections (default 1; "
+        "a spec with a load plane waits for the session to drain instead)",
     )
     stop.add_argument(
         "--timeout",
@@ -183,77 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="inject the kill once this many detections have fired (default 1)",
     )
-    obs = run.add_argument_group("observability")
-    obs.add_argument(
-        "--sample-rate",
-        type=float,
-        default=1.0,
-        help="head-sample span traces at this rate per node (default 1.0: keep all)",
-    )
-    obs.add_argument(
-        "--span-capacity",
-        type=int,
-        default=None,
-        metavar="ROWS",
-        help="bound each node's span table to a ring of ROWS (default: unbounded)",
-    )
-    obs.add_argument(
-        "--profile",
-        action="store_true",
-        help="run a continuous stack-sampling profiler over the cluster loop",
-    )
-    obs.add_argument(
-        "--profile-interval",
-        type=float,
-        default=0.005,
-        metavar="SECONDS",
-        help="seconds between profiler samples (default 0.005)",
-    )
-    obs.add_argument(
-        "--flight-dir",
-        metavar="DIR",
-        default=None,
-        help="arm flight recorders; crash/repair/SLO snapshots land here",
-    )
-    obs.add_argument(
-        "--flight-capacity",
-        type=int,
-        default=256,
-        help="flight-recorder ring size (default 256)",
-    )
-    obs.add_argument(
-        "--slo-latency-p99",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="SLO: breach when any node's detection-latency p99 exceeds this",
-    )
-    obs.add_argument(
-        "--slo-repair-duration",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="SLO: breach when a repair takes longer than this",
-    )
-    obs.add_argument(
-        "--slo-stranded-rate",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "SLO: breach when stranded epochs exceed this fraction of "
-            "admitted epochs (needs --load; see the epoch ledger docs)"
-        ),
-    )
-    obs.add_argument(
-        "--slo-outbox-depth",
-        type=int,
-        default=None,
-        metavar="MESSAGES",
-        help="SLO: breach when any peer outbox exceeds this depth",
-    )
     out = run.add_argument_group("exports")
-    out.add_argument("--admin-port", type=int, default=None, help="serve the admin endpoint")
     out.add_argument("--prom", metavar="PATH", help="write a Prometheus text exposition")
     out.add_argument("--jsonl", metavar="PATH", help="write the event log as JSON lines")
     out.add_argument(
@@ -316,61 +160,34 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # run
 # ----------------------------------------------------------------------
-async def _run_cluster(args) -> dict:
-    from ..load import LoadSpec
-    from ..monitor.spec import SLOSpec
-    from .cluster import ClusterSpec, LocalCluster
+def _load_spec(path: str):
+    """The :class:`~repro.net.cluster.ClusterSpec` in the JSON file
+    *path*; raises :class:`ValueError` saying what is wrong with it."""
+    from .cluster import ClusterSpec
 
-    slo = SLOSpec(
-        detection_latency_p99=args.slo_latency_p99,
-        repair_duration=args.slo_repair_duration,
-        outbox_depth=args.slo_outbox_depth,
-        stranded_epoch_rate=args.slo_stranded_rate,
-    )
-    load_spec = None
-    if args.load is not None:
-        load_spec = LoadSpec(
-            mode=args.load,
-            rate=args.load_rate,
-            arrival=args.load_arrival,
-            users=args.load_users,
-            think_time=args.load_think,
-            total_offers=args.load_offers,
-            zipf_s=args.load_zipf,
-            dispatch=args.load_dispatch,
-            policy=args.load_policy,
-            max_outstanding=args.load_max_outstanding,
-            pending_timeout=args.load_pending_timeout,
-        )
-    spec = ClusterSpec(
-        nodes=args.nodes,
-        degree=args.degree,
-        seed=args.seed,
-        transport=args.transport,
-        epochs=args.epochs,
-        sync_prob=args.sync_prob,
-        interval_spacing=args.interval_spacing,
-        admin_port=args.admin_port,
-        flight_dir=args.flight_dir,
-        flight_capacity=args.flight_capacity,
-        slo=slo if slo.enabled else None,
-        sample_rate=args.sample_rate,
-        span_capacity=args.span_capacity,
-        profile=args.profile,
-        profile_interval=args.profile_interval,
-        load=load_spec,
-    )
+    try:
+        with open(path, encoding="utf-8") as fp:
+            data = json.load(fp)
+    except OSError as exc:
+        raise ValueError(exc.strerror or str(exc)) from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    return ClusterSpec.from_dict(data)
+
+
+async def _run_cluster(args, spec) -> dict:
+    from .cluster import LocalCluster
+
     cluster = LocalCluster(spec)
-    summary: dict = {"spec": {"nodes": spec.nodes, "degree": spec.degree,
-                              "seed": spec.seed, "transport": spec.transport}}
+    summary: dict = {"spec": spec.to_dict()}
     try:
         await cluster.start()
         await cluster.run(
             duration=args.duration,
             # With a load session, "done" is the session draining (every
             # offer issued and resolved), not a fixed detection count.
-            until_detections=None if load_spec else args.until_detections,
-            until_load_drained=load_spec is not None,
+            until_detections=None if spec.load else args.until_detections,
+            until_load_drained=spec.load is not None,
             timeout=args.timeout,
         )
         summary["detections_before_kill"] = len(cluster.detections)
@@ -391,10 +208,7 @@ async def _run_cluster(args) -> dict:
                 if cluster.clock.now > deadline:
                     raise TimeoutError(f"no repair of node {killed} within timeout")
                 await asyncio.sleep(0.01)
-            while True:
-                fresh = cluster.detections[before:]
-                if any(killed not in d.members for d in fresh):
-                    break
+            while not any(killed not in d.members for d in cluster.detections[before:]):
                 if cluster.clock.now > deadline:
                     raise TimeoutError(
                         f"no post-kill detection excluding node {killed} within timeout"
@@ -408,14 +222,16 @@ async def _run_cluster(args) -> dict:
 
     view = cluster.view()
     registry = view.registry
-    frames = registry.get("repro_net_frames_total")
+
+    def total(name: str) -> int:
+        vec = registry.get(name)
+        return int(sum(vec.values())) if vec else 0
+
     summary.update(
         detections=len(cluster.detections),
         solutions=[sorted(d.members) for d in cluster.detections[:16]],
-        frames_total=int(sum(frames.values())) if frames else 0,
-        reconnects=int(sum(registry.get("repro_net_reconnects_total").values()))
-        if registry.get("repro_net_reconnects_total")
-        else 0,
+        frames_total=total("repro_net_frames_total"),
+        reconnects=total("repro_net_reconnects_total"),
         false_suspicions=len(cluster.log.of_kind("false_suspicion")),
         cross_node_alarms=len(view.cross_node_alarms()),
         stitched_hops=view.stitched_hops,
@@ -439,17 +255,14 @@ async def _run_cluster(args) -> dict:
     # Sampling accounting + per-alarm trace completeness, so a sampled
     # run can be asserted on ("the kill's alarm still explains down to
     # leaf intervals") without re-scraping.
-    span_stats = [
-        scope.telemetry.spans.stats()
-        for _, scope in sorted(cluster.scopes.items())
-    ]
+    span_stats = [scope.telemetry.spans.stats() for scope in cluster.scopes.values()]
     recorded = sum(s["recorded"] for s in span_stats)
     exported = sum(s["materialized"] for s in span_stats)
-    summary["sample_rate"] = spec.sample_rate
-    summary["spans_recorded"] = recorded
-    summary["spans_exported"] = exported
-    summary["sampled_fraction"] = (
-        round(exported / recorded, 4) if recorded else 1.0
+    summary.update(
+        sample_rate=spec.sample_rate,
+        spans_recorded=recorded,
+        spans_exported=exported,
+        sampled_fraction=round(exported / recorded, 4) if recorded else 1.0,
     )
     summary["alarm_leaf_intervals"] = [
         sum(1 for _, s in view.spans.walk(alarm) if s.name == "interval")
@@ -461,7 +274,7 @@ async def _run_cluster(args) -> dict:
             "unique_stacks": len(cluster.profiler.stacks),
             "interval": cluster.profiler.interval,
         }
-    if args.flight_dir:
+    if spec.flight_dir:
         summary["flight_snapshots"] = sum(
             len(recorder.snapshots)
             for recorder in cluster.flight_recorders.values()
@@ -485,7 +298,12 @@ async def _run_cluster(args) -> dict:
 
 def _cmd_run(args) -> int:
     try:
-        summary = asyncio.run(_run_cluster(args))
+        spec = _load_spec(args.spec)
+    except ValueError as exc:
+        print(f"repro-cluster: --spec {args.spec}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        summary = asyncio.run(_run_cluster(args, spec))
     except TimeoutError as exc:
         print(f"repro-cluster: {exc}", file=sys.stderr)
         return 1
@@ -581,7 +399,8 @@ def _cmd_profile(args) -> int:
     if profile is None:
         print(
             "repro-cluster: cluster is not profiling "
-            f"(launch with --profile; available={response.get('available')})",
+            '(launch with "profile": true in its spec; '
+            f"available={response.get('available')})",
             file=sys.stderr,
         )
         return 1

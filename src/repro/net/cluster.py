@@ -56,8 +56,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..detect.roles import DetectionRecord
 from ..fault.coordinator import RepairCoordinator
@@ -150,11 +151,11 @@ class ClusterSpec:
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
-            raise ValueError("a cluster needs at least one node")
+            raise ValueError("nodes must be >= 1")
         if self.degree < 1:
-            raise ValueError("tree degree must be >= 1")
+            raise ValueError("degree must be >= 1")
         if self.transport not in ("tcp", "loopback"):
-            raise ValueError(f"unknown transport {self.transport!r}")
+            raise ValueError(f"transport must be 'tcp' or 'loopback', got {self.transport!r}")
         if self.wire != "binary":
             raise ValueError(f"wire must be 'binary', got {self.wire!r}")
         if self.flight_capacity < 1:
@@ -175,12 +176,75 @@ class ClusterSpec:
         if self.profile_interval <= 0:
             raise ValueError("profile_interval must be positive")
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "ClusterSpec":
+        """The spec a JSON object describes (``repro-cluster run --spec``).
+
+        Nested ``heartbeat``, ``load`` and ``slo`` objects become their
+        specs, a list becomes the ``weights`` tuple, and
+        ``node_sample_rates`` keys are decimal pids.  A missing key
+        takes the dataclass default.  An unknown key or a value of the
+        wrong JSON type raises :class:`ValueError` naming its dotted
+        path (``load.rat``); ranges are the specs' own checks.
+        """
+        return _from_json(cls, data, "")
+
+    def to_dict(self) -> dict:
+        """Every field as parsed JSON (tuples are lists, pids are
+        strings); :meth:`from_dict` inverts it."""
+        return json.loads(json.dumps(asdict(self)))
+
     def tree(self) -> SpanningTree:
         """Breadth-first ``degree``-ary tree over ``nodes`` nodes."""
         parent: Dict[int, Optional[int]] = {0: None}
         for i in range(1, self.nodes):
             parent[i] = (i - 1) // self.degree if self.degree > 1 else i - 1
         return SpanningTree(0, parent)
+
+
+#: how a strict-load error names the JSON type a field needs
+_JSON_TYPES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    list: "an array", dict: "an object",
+}
+
+
+def _dotted(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _from_json(hint, value, path: str):
+    """*value* (parsed JSON) as the type *hint* names, strictly."""
+    where = f"{path}: " if path else ""
+    if typing.get_origin(hint) is Union:  # Optional[X]
+        if value is None:
+            return None
+        hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    want = {tuple: list, dict: dict}.get(origin, dict if is_dataclass(hint) else hint)
+    if want is float and type(value) is int:
+        value = float(value)
+    if type(value) is not want:  # a JSON true is no integer
+        shown = _JSON_TYPES[type(value)] if type(value) in (list, dict) else json.dumps(value)
+        raise ValueError(f"{where}expected {_JSON_TYPES[want]}, got {shown}")
+    if origin is tuple:  # Tuple[X, ...]
+        return tuple(_from_json(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is dict:  # Dict[int, X]: JSON object keys are decimal pids
+        for key in value:
+            if not key.isdecimal():
+                raise ValueError(f"{path}.{key}: expected a decimal node id as key")
+        return {int(k): _from_json(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    if not is_dataclass(hint):
+        return value
+    for key in value:
+        if key not in hint.__dataclass_fields__:
+            raise ValueError(f"{_dotted(path, key)}: unknown key")
+    hints = typing.get_type_hints(hint)
+    kwargs = {k: _from_json(hints[k], v, _dotted(path, k)) for k, v in value.items()}
+    try:
+        return hint(**kwargs)
+    except ValueError as exc:  # the spec's own range checks
+        raise ValueError(f"{where}{exc}") from None
 
 
 class _ClusterCoordinator(RepairCoordinator):
@@ -190,7 +254,8 @@ class _ClusterCoordinator(RepairCoordinator):
 
     * a suspicion against a live node is *forgiven* (event
       ``false_suspicion``) instead of raising — on real machines a GC
-      pause or CI stall can outlast any sane heartbeat timeout;
+      pause or CI stall can outlast any sane heartbeat timeout — and
+      the reporter's monitor is told to watch that peer afresh;
     * a plan still waiting out its repair latency when
       :meth:`LocalCluster.stop` is called is abandoned with the nodes
       it would have rewired;
@@ -212,6 +277,11 @@ class _ClusterCoordinator(RepairCoordinator):
     def report_failure(self, failed: int, reporter: int) -> None:
         if failed not in self._handled and self._is_alive(failed):
             self.sim.emit("false_suspicion", node=reporter, suspect=failed)
+            # Forgiving must let the reporter suspect *failed* again, or
+            # its later real crash would never be reported.
+            monitor = getattr(self.roles.get(reporter), "monitor", None)
+            if monitor is not None:
+                monitor.forgive(failed)
             return
         if failed not in self._planned_at:
             self._planned_at[failed] = self.sim.now

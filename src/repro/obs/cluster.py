@@ -510,7 +510,7 @@ def render_epoch_table(payload: Optional[dict]) -> str:
     by ``repro-cluster watch --epochs`` and ``repro-trace epochs``."""
     summary = (payload or {}).get("summary")
     if payload is None or summary is None:
-        return "no epoch ledger (cluster running without --load)"
+        return "no epoch ledger (cluster running without a load spec)"
     lines = [
         f"epochs: offered={summary.get('offered_epochs', 0)} "
         f"admitted={summary.get('admitted_epochs', 0)} "

@@ -4,7 +4,6 @@ and the paper's scripted figure scenarios."""
 from .distributions import ARRIVAL_KINDS, InterarrivalSampler, exponential_gap
 from .generator import EpochConfig, EpochProcess, EpochWorkload, RandomWorkload
 from .predicates import PeriodicPhases, RandomToggle, ThresholdSensor
-from .regional import RegionalConfig, RegionalProcess, RegionalWorkload
 from .scenarios import (
     ScriptedExecution,
     figure1_nested_execution,
@@ -23,9 +22,6 @@ __all__ = [
     "PeriodicPhases",
     "RandomToggle",
     "RandomWorkload",
-    "RegionalConfig",
-    "RegionalProcess",
-    "RegionalWorkload",
     "ScriptedExecution",
     "ThresholdSensor",
     "exponential_gap",

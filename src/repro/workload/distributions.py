@@ -29,7 +29,7 @@ import numpy as np
 __all__ = ["ARRIVAL_KINDS", "InterarrivalSampler", "exponential_gap"]
 
 #: Arrival models understood by :class:`InterarrivalSampler` (and by the
-#: ``--load-arrival`` CLI knob).
+#: ``LoadSpec.arrival``).
 ARRIVAL_KINDS: Tuple[str, ...] = ("poisson", "uniform", "bursty")
 
 

@@ -82,6 +82,27 @@ class TestHeartbeats:
             HeartbeatMonitor(sim, 0, lambda d, m: None, lambda p: None,
                              period=5.0, timeout=5.0)
 
+    def test_forgiven_peer_is_suspected_again_after_fresh_silence(self):
+        sim, net, monitors, suspects = make_monitors()
+        monitors[0].add_peer(1)
+        monitors[0].start()  # peer 1 never answers
+        sim.run(until=10.0)
+        assert suspects[0] == [1]
+        monitors[0].forgive(1)
+        assert not monitors[0].is_suspected(1)
+        # Grace restarts at the forgiveness: no suspicion inside it ...
+        sim.run(until=10.0 + 7.0 - 0.5)
+        assert suspects[0] == [1]
+        # ... and the continued silence is suspected a second time.
+        sim.run(until=30.0)
+        assert suspects[0] == [1, 1]
+        assert [r.get("peer") for r in sim.log.of_kind("suspect")] == [1, 1]
+
+    def test_forgiving_a_non_neighbour_is_ignored(self):
+        sim, net, monitors, suspects = make_monitors()
+        monitors[0].forgive(1)
+        assert monitors[0].peers == set()
+
     def test_stop_halts_ticks(self):
         sim, net, monitors, suspects = make_monitors()
         monitors[0].add_peer(1)

@@ -1,7 +1,9 @@
 """The docs agree with the tree: every path, test id and console script
-they name exists, and the metric catalogue lists exactly the metrics
-``src/repro`` registers."""
+they name exists, every ``repro-cluster`` flag they show is accepted,
+and the metric catalogue lists exactly the metrics ``src/repro``
+registers."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -67,6 +69,41 @@ def test_everything_a_doc_names_exists(doc):
         if name not in scripts
     ]
     assert not missing, f"{doc} names things that do not exist: {sorted(set(missing))}"
+
+
+def _cluster_subcommand_flags():
+    from repro.net.cli import build_parser
+
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: set(parser._option_string_actions)
+        for name, parser in subparsers.choices.items()
+    }
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_cluster_flag_a_doc_shows_is_accepted(doc):
+    """A ``repro-cluster <subcommand>`` command line — up to the end of
+    its backtick span, or of its shell line with ``\\`` continuations —
+    names only flags that subcommand takes, so a deleted flag cannot
+    live on in the docs."""
+    accepted = _cluster_subcommand_flags()
+    text = (ROOT / doc).read_text()
+    unknown = []
+    for command, rest in re.findall(
+        r"repro-cluster ([a-z-]+)((?:\\\n|[^`\n])*)", text
+    ):
+        if command in accepted:
+            unknown += [
+                f"repro-cluster {command} {flag}"
+                for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", rest)
+                if flag not in accepted[command]
+            ]
+    assert not unknown, f"{doc} shows flags the CLI does not take: {sorted(set(unknown))}"
 
 
 # ----------------------------------------------------------------------

@@ -23,11 +23,16 @@ report and declares the peer suspected through the same code the tick
 uses — under crash-stop it is accurate and needs no synchrony bound, so
 it can only be earlier than the timeout, never different from it.  The
 ``suspect`` event's ``cause`` says which of the two fired.
+
+A peer's grace starts when it is added, but never before the monitor's
+first tick after :meth:`HeartbeatMonitor.start`: neighbours are added
+while a host is still being built, and a stall between that and its
+loop's first turn is not the peer's silence.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Set
 
 from ..sim.kernel import Simulator
 from ..sim.messages import Heartbeat
@@ -59,6 +64,7 @@ class HeartbeatMonitor:
         self._last_seen: Dict[int, float] = {}
         self._suspected: Set[int] = set()
         self._running = False
+        self._first_tick = False
         registry = sim.telemetry.registry
         self._c_beats = registry.counter_vec(
             "repro_heartbeats_sent_total",
@@ -77,7 +83,8 @@ class HeartbeatMonitor:
         return set(self._last_seen)
 
     def add_peer(self, peer: int) -> None:
-        """Start exchanging heartbeats with *peer* (grace starts now)."""
+        """Start exchanging heartbeats with *peer* (grace starts now, or
+        at the first tick if the monitor has not ticked yet)."""
         self._last_seen.setdefault(peer, self.sim.now)
         self._suspected.discard(peer)
 
@@ -106,6 +113,7 @@ class HeartbeatMonitor:
         if self._running:
             return
         self._running = True
+        self._first_tick = True
         # Desynchronize ticks across nodes deterministically.
         offset = float(self.sim.rng("heartbeat").uniform(0, self.period))
         self.sim.schedule(offset, self._tick)
@@ -138,6 +146,10 @@ class HeartbeatMonitor:
     def _tick(self) -> None:
         if not self._running:
             return
+        if self._first_tick:
+            self._first_tick = False
+            for peer in self._last_seen:
+                self._last_seen[peer] = self.sim.now
         beat = Heartbeat(sender=self.owner)
         peers = list(self._last_seen)
         for peer in peers:

@@ -12,8 +12,8 @@ TCP frames instead of the discrete-event simulator:
   ``rng`` / ``emit`` / ``telemetry``) backed by the asyncio loop;
 * :class:`FrameCodec` — the wire protocol: stateless binary frames
   (struct header + varint-packed bodies from
-  :mod:`repro.sim.wirepack`, with a per-frame JSON escape hatch); a
-  report's timestamps travel in one per-frame bounds block;
+  :mod:`repro.sim.wirepack`, one packed form per message); a report's
+  timestamps travel in one per-frame bounds block;
 * :class:`TcpTransport` / :class:`LoopbackTransport` — the
   :class:`Transport` implementations (sockets, and an in-process hub so
   unit tests need no ports);

@@ -73,7 +73,7 @@ from ..obs.registry import count_error
 from ..obs.sampling import TraceSampler
 from ..topology.spanning_tree import SpanningTree
 from .clock import AsyncClock, ClockScope
-from .codec import CODEC_VERSION, FrameCodec
+from .codec import CODEC_VERSION
 from .runtime import NodeRuntime
 from .script import IntervalScript, simulation_script
 from .transport import LoopbackHub, LoopbackTransport, TcpTransport
@@ -104,7 +104,6 @@ class ClusterSpec:
         default_factory=lambda: HeartbeatSpec(period=0.25, loss_tolerance=7)
     )
     repair_latency: float = 0.05
-    include_parts: bool = True
     #: frame encoding.  ``"binary"`` is the only wire there is; the
     #: field stays because callers still pass it
     #: (``benchmarks/e2e/live.py`` among them).
@@ -385,9 +384,6 @@ class LocalCluster:
         runtime = self.runtimes.get(pid)
         return runtime is not None and runtime.alive
 
-    def _codec_factory(self) -> FrameCodec:
-        return FrameCodec(include_parts=self.spec.include_parts)
-
     def wire_summary(self) -> dict:
         """What actually moved on the wire: the codec version, the
         per-peer negotiated hellos (TCP only — loopback has no
@@ -438,16 +434,9 @@ class LocalCluster:
             )
             self.scopes[pid] = scope
             if self._hub is not None:
-                transport = LoopbackTransport(
-                    pid, self._hub, scope, codec_factory=self._codec_factory
-                )
+                transport = LoopbackTransport(pid, self._hub, scope)
             else:
-                transport = TcpTransport(
-                    pid,
-                    scope,
-                    host=self.spec.host,
-                    codec_factory=self._codec_factory,
-                )
+                transport = TcpTransport(pid, scope, host=self.spec.host)
             transports[pid] = transport
             self.runtimes[pid] = NodeRuntime(
                 pid,

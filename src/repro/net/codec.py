@@ -1,4 +1,4 @@
-"""The wire protocol: versioned binary frames with a JSON escape hatch.
+"""The wire protocol: versioned binary frames, one packed form per message.
 
 Every frame on every connection has one layout::
 
@@ -13,17 +13,15 @@ The sidecar is a uvarint length followed by that many bytes::
 
     uvarint field bits     bit 0 span · bit 1 sampled present
                            bit 2 sampled value · bit 3 epochs
-                           bit 4 JSON tail (any other bit: corrupt)
+                           (any other bit: corrupt)
     [svarint node · uvarint sid]                  when bit 0
     [uvarint count · count × uvarint gap]         when bit 3; a strictly
                            increasing list, gap = e - previous - 1 from -1
-    [UTF-8 JSON object of every other key]        when bit 4, to the end
 
-A known key whose value has another shape (a negative sid, unsorted
-epochs, a non-bool ``sampled``) travels in the JSON tail unchanged, so
-any JSON-object sidecar round-trips and unknown keys still reach the
-peer; only a sidecar with such keys costs a ``json.dumps``.  Flags bit 0
-is legal on message tags only.
+Those three keys, in those shapes, are the whole sidecar: the encoder
+raises ``ValueError`` on any other key or shape (a negative sid,
+unsorted epochs, a non-bool ``sampled``).  Flags bit 0 is legal on
+message tags only.
 
 The first byte doubles as magic and envelope version: a frame starts
 with ``0xB1``, and the decoder refuses any other first byte as a
@@ -35,10 +33,8 @@ Type tags (see :mod:`repro.sim.wirepack` for body layouts):
 ====  ==================  =============================================
 tag   body                notes
 ====  ==================  =============================================
-0     JSON escape hatch   UTF-8 JSON object: the ``__hello__``, message
-                          types the packer does not know, and reports
-                          whose provenance mixes vector widths (their
-                          sidecar is the body's ``_meta`` key)
+0     ``__hello__``       UTF-8 JSON object; any other tag-0 body is
+                          corrupt
 1     *retired*           codec v1's IntervalReport (one scheme-tagged
                           payload per bound); rejected, never reused
 2     Heartbeat           svarint sender
@@ -55,8 +51,9 @@ Meta frames (``type`` starts with ``__``) stay plain dicts consumed by
 the transport before messages reach a role.  There are two: the
 ``__hello__`` that opens every dialed connection (a tag-0 frame
 carrying the sender's ``node`` and ``codec`` version) and the
-``__ack__`` (tag 7).  A tag-0 frame holding any other ``__`` type is
-corrupt.
+``__ack__`` (tag 7).  Every message has exactly one packed form
+(:func:`repro.sim.wirepack.pack_message` raises for anything else), so
+there is no second encoding to fall back to.
 
 Timestamp compression
 ---------------------
@@ -78,10 +75,9 @@ import json
 import struct
 from typing import List, Optional, Tuple, Union
 
-from ..sim.serialize import message_from_dict, message_to_dict
 from ..sim.wirepack import (
     TAG_ACK,
-    TAG_JSON,
+    TAG_HELLO,
     pack_message,
     read_svarint,
     read_uvarint,
@@ -113,8 +109,8 @@ MAGIC_BINARY_V1 = 0xB1
 
 #: Protocol version advertised in ``__hello__``.  2: ``IntervalReport``
 #: bodies are tag 8 (one bounds block per frame); tag 1 is retired.
-#: 3: the ``_meta`` sidecar is packed (field bits + varints + an
-#: optional JSON tail) instead of a JSON object.  4: one framing — the
+#: 3: the ``_meta`` sidecar is packed (field bits + varints) instead
+#: of a JSON object.  4: one framing — the
 #: hello is a tag-0 frame, and a legacy length-prefixed JSON frame
 #: (which codec 3 and earlier sent the hello in) is refused.
 CODEC_VERSION = 4
@@ -130,8 +126,7 @@ _META_SPAN = 0x01
 _META_SAMPLED = 0x02
 _META_SAMPLED_TRUE = 0x04
 _META_EPOCHS = 0x08
-_META_TAIL = 0x10
-_META_FIELDS = 0x1F
+_META_FIELDS = 0x0F
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -166,36 +161,30 @@ class FrameCodec:
     connections.  Decoding buffers a partial frame, so each inbound
     byte stream needs an instance of its own.
 
+    Interval bodies always carry their aggregation provenance
+    (``parts``), so the socket runtime delivers exactly what the
+    simulator's in-memory channels deliver — root alarms unfold
+    solutions down to concrete intervals and the span tracer parents
+    alarms over reports.
+
     Parameters
     ----------
-    include_parts:
-        Ship aggregation provenance (``parts``) inside interval bodies.
-        ``True`` (default) makes the socket runtime deliver exactly what
-        the simulator's in-memory channels deliver — root alarms can
-        unfold solutions down to concrete intervals and the span tracer
-        parents alarms over reports.  ``False`` is the paper-faithful
-        lean wire (bounds only; see ``payload_entries``).
     max_frame:
         Hard bound on body size; oversized frames fail loudly on encode
         and poison the stream on decode (the transport drops the
         connection).
     max_meta:
-        Hard bound on the serialized ``_meta`` sidecar (its packed
-        bytes; in a tag-0 body, its JSON bytes).  The sidecar is a
-        forward-compatible extension point — decoders tolerate keys
-        they do not understand — so its size must be bounded
-        independently of the body: an oversized (or non-object) sidecar
-        poisons the frame exactly like an oversized body.
+        Hard bound on the packed ``_meta`` sidecar, checked on both
+        ends: an oversized sidecar poisons the frame exactly like an
+        oversized body.
     """
 
     def __init__(
         self,
         *,
-        include_parts: bool = True,
         max_frame: int = 8 * 1024 * 1024,
         max_meta: int = 64 * 1024,
     ) -> None:
-        self.include_parts = include_parts
         self.max_frame = max_frame
         self.max_meta = max_meta
         self._buffer = bytearray()
@@ -208,11 +197,13 @@ class FrameCodec:
     ) -> bytes:
         """One message (or meta dict) -> one framed byte string.
 
-        ``meta`` is an optional JSON-safe sidecar dict carried in the
-        frame — transport-level annotations (the sender's span id, for
-        cross-node trace stitching) that never touch the message
-        dataclass itself.  The decoder hands it back via
-        :meth:`feed_meta`."""
+        ``meta`` is an optional sidecar dict carried in the frame —
+        transport-level annotations (the sender's span coordinates, its
+        sampling decision and the epoch ids a report covers) that never
+        touch the message dataclass itself.  The decoder hands it back
+        via :meth:`feed_meta`.  A message type with no packed form
+        raises ``TypeError``; a sidecar key or shape outside the packed
+        layout raises ``ValueError``."""
         if isinstance(message, dict):
             kind = message.get("type")
             if kind not in (HELLO_TYPE, ACK_TYPE):
@@ -226,14 +217,9 @@ class FrameCodec:
                 body = bytearray()
                 write_uvarint(body, int(message["n"]))
                 return self._frame(TAG_ACK, 0, bytes(body))
-            return self._frame(TAG_JSON, 0, self._json_body(message))
-        packed = pack_message(message, include_parts=self.include_parts)
-        if packed is None:
-            # Escape hatch: a message the packer has no packed form for
-            # rides as JSON behind the same header.
-            data = message_to_dict(message, include_parts=self.include_parts)
-            return self._frame(TAG_JSON, 0, self._json_body(data, meta))
-        tag, body = packed
+            hello = json.dumps(message, separators=(",", ":")).encode("utf-8")
+            return self._frame(TAG_HELLO, 0, hello)
+        tag, body = pack_message(message)
         if meta is None:
             return self._frame(tag, 0, body)
         sidecar = self._pack_meta(meta)
@@ -242,19 +228,6 @@ class FrameCodec:
         framed += sidecar
         return self._frame(tag, _FLAG_META, framed)
 
-    def _json_body(self, data: dict, meta: Optional[dict] = None) -> bytes:
-        """*data* (never empty: it carries ``type``) as compact JSON,
-        with the sidecar as its last key ``_meta``.  The sidecar's bytes
-        are spliced in rather than dumped again inside *data*, so an
-        encode serializes (and measures) it exactly once."""
-        body = json.dumps(data, separators=(",", ":")).encode("utf-8")
-        if meta is not None:
-            self._require_meta_object(meta)
-            sidecar = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-            self._bound_meta(len(sidecar))
-            body = body[:-1] + b',"_meta":' + sidecar + b"}"
-        return body
-
     def _frame(self, tag: int, flags: int, body: bytes) -> bytes:
         if len(body) > self.max_frame:
             raise ValueError(
@@ -262,18 +235,6 @@ class FrameCodec:
                 f"({self.max_frame})"
             )
         return _HEADER.pack(MAGIC_BINARY_V1, tag, flags, len(body)) + body
-
-    # -- ``_meta`` sidecar hygiene, either side of the wire -------------
-    # Only the *shape* (a JSON object) and *size* are checked — never the
-    # keys, so newer peers may attach sidecar fields older peers simply
-    # ignore.  The size is measured on bytes the caller already holds.
-    @staticmethod
-    def _require_meta_object(meta) -> None:
-        if not isinstance(meta, dict):
-            raise ValueError(
-                f"frame _meta sidecar must be a JSON object, got "
-                f"{type(meta).__name__}"
-            )
 
     def _bound_meta(self, size: int) -> None:
         if size > self.max_meta:
@@ -285,9 +246,12 @@ class FrameCodec:
     def _pack_meta(self, meta) -> bytes:
         """The validated packed sidecar bytes (layout in the module
         docstring); ``max_meta`` bounds the packed size."""
-        self._require_meta_object(meta)
+        if not isinstance(meta, dict):
+            raise ValueError(
+                f"frame _meta sidecar must be a dict, got {type(meta).__name__}"
+            )
         bits = 0
-        span = epochs = tail = None
+        span = epochs = None
         for key, value in meta.items():
             if key == "span" and _packable_span(value):
                 bits |= _META_SPAN
@@ -298,10 +262,10 @@ class FrameCodec:
                 bits |= _META_EPOCHS
                 epochs = value
             else:
-                if tail is None:
-                    tail = {}
-                    bits |= _META_TAIL
-                tail[key] = value
+                raise ValueError(
+                    f"_meta sidecar key {key!r} with value {value!r} has no "
+                    f"packed form"
+                )
         sidecar = bytearray((bits,))
         if span is not None:
             write_svarint(sidecar, span[0])
@@ -312,8 +276,6 @@ class FrameCodec:
             for epoch in epochs:
                 write_uvarint(sidecar, epoch - previous - 1)
                 previous = epoch
-        if tail is not None:
-            sidecar += json.dumps(tail, separators=(",", ":")).encode("utf-8")
         self._bound_meta(len(sidecar))
         return bytes(sidecar)
 
@@ -345,16 +307,7 @@ class FrameCodec:
                 previous += gap + 1
                 epochs.append(previous)
             meta["epochs"] = epochs
-        if bits & _META_TAIL:
-            tail = json.loads(data[offset:].decode("utf-8"))
-            self._require_meta_object(tail)
-            if not tail or not meta.keys().isdisjoint(tail):
-                raise ValueError(
-                    "_meta sidecar tail is empty or repeats a packed key; "
-                    "stream is corrupt"
-                )
-            meta.update(tail)
-        elif offset != len(data):
+        if offset != len(data):
             raise ValueError(
                 f"{len(data) - offset} trailing bytes in _meta sidecar; "
                 f"stream is corrupt"
@@ -398,10 +351,10 @@ class FrameCodec:
             try:
                 out.append(self._decode_frame(tag, flags, body))
             except RecursionError as exc:
-                # JSON in a frame (a tag-0 body, a sidecar tail, an
-                # AppMessage payload) nested past the interpreter's
-                # stack: corrupt like any other malformed frame, and it
-                # must reach the transport as the one error it closes on.
+                # JSON in a frame (a hello body, an AppMessage payload)
+                # nested past the interpreter's stack: corrupt like any
+                # other malformed frame, and it must reach the transport
+                # as the one error it closes on.
                 raise ValueError(
                     f"tag-{tag} frame nests too deeply to decode; "
                     f"stream is corrupt"
@@ -418,7 +371,7 @@ class FrameCodec:
     def _decode_frame(
         self, tag: int, flags: int, body: bytes
     ) -> Tuple[object, Optional[dict]]:
-        if flags & ~_FLAG_META or (flags and tag in (TAG_ACK, TAG_JSON)):
+        if flags & ~_FLAG_META or (flags and tag in (TAG_ACK, TAG_HELLO)):
             raise ValueError(
                 f"frame flags 0x{flags:02x} on tag {tag}; stream is corrupt"
             )
@@ -427,8 +380,8 @@ class FrameCodec:
             if offset != len(body):
                 raise ValueError("trailing bytes after packed ack frame")
             return {"type": ACK_TYPE, "n": n}, None
-        if tag == TAG_JSON:
-            return self._decode_json(body)
+        if tag == TAG_HELLO:
+            return self._decode_hello(body), None
         message, offset = unpack_message(tag, body)
         meta: Optional[dict] = None
         if flags & _FLAG_META:
@@ -446,32 +399,16 @@ class FrameCodec:
             )
         return message, meta
 
-    def _decode_json(self, body: bytes) -> Tuple[object, Optional[dict]]:
+    @staticmethod
+    def _decode_hello(body: bytes) -> dict:
         data = json.loads(body.decode("utf-8"))
-        if not isinstance(data, dict):
+        kind = data.get("type") if isinstance(data, dict) else None
+        if kind != HELLO_TYPE:
             raise ValueError(
-                f"frame body must be a JSON object, got {type(data).__name__}"
+                f"tag-0 frame carries {kind!r}, not a {HELLO_TYPE}; "
+                f"stream is corrupt"
             )
-        kind = data.get("type")
-        if kind == HELLO_TYPE:
-            return data, None
-        if str(kind).startswith("__"):
-            raise ValueError(f"meta type {kind!r} in a tag-0 frame; stream is corrupt")
-        meta = data.pop("_meta", None)
-        if meta is not None:
-            self._require_meta_object(meta)
-            # The sidecar is a substring of the body in hand, so a body
-            # within max_meta cannot hold an oversized one; only a longer
-            # body needs the sidecar measured on its own.
-            if len(body) > self.max_meta:
-                self._bound_meta(len(json.dumps(meta, separators=(",", ":"))))
-        # The body is schemaless JSON from outside: a missing key or a
-        # value of the wrong shape is a corrupt stream like any other,
-        # and must reach the transport as the one error it closes on.
-        try:
-            return message_from_dict(data), meta
-        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
-            raise ValueError(f"malformed {kind} frame body: {exc!r}") from exc
+        return data
 
     # ------------------------------------------------------------------
     @property

@@ -146,8 +146,9 @@ class NodeRuntime:
         """Frame sidecar for trace stitching: the local span coordinates
         of an outbound report's aggregate (see module docstring), plus
         the sender's head-sampling decision for that artifact so the
-        receiving hop honors it (decoders ignore keys they don't know —
-        the sidecar is the protocol's forward-compatible slot)."""
+        receiving hop honors it, and the epoch ids it covers.  These
+        three keys are the whole packed sidecar (:mod:`repro.net.codec`);
+        the codec refuses any other."""
         if not isinstance(message, IntervalReport):
             return None
         spans = self.sim.telemetry.spans

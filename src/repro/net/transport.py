@@ -41,7 +41,6 @@ metrics use their own distinct names (``repro_net_bytes_sent_total``,
 from __future__ import annotations
 
 import asyncio
-import inspect
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..obs.registry import count_error
@@ -63,29 +62,10 @@ SEND_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, float("inf"),
 )
 
-#: Inbound dispatch callback.  Transports call receivers as
-#: ``(src, message, meta)`` where ``meta`` is the frame's optional
-#: ``_meta`` sidecar; two-argument callables are adapted automatically
-#: (:func:`_adapt_receiver`), so simple ``lambda src, msg: …`` receivers
-#: keep working.
-Receiver = Callable[..., None]
-
-
-def _adapt_receiver(receiver: Receiver) -> Callable[[int, object, Optional[dict]], None]:
-    """Wrap a 2-arg receiver so transports can always pass the frame
-    meta sidecar as a third argument."""
-    try:
-        parameters = inspect.signature(receiver).parameters.values()
-    except (TypeError, ValueError):  # builtins, C callables: assume modern
-        return receiver
-    if any(p.kind == p.VAR_POSITIONAL for p in parameters):
-        return receiver
-    positional = [
-        p for p in parameters if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if len(positional) >= 3:
-        return receiver
-    return lambda src, message, meta=None: receiver(src, message)
+#: Inbound dispatch callback, called as ``(src, message, meta)`` where
+#: ``meta`` is the frame's optional ``_meta`` sidecar (``None`` when the
+#: frame carried none).
+Receiver = Callable[[int, object, Optional[dict]], None]
 
 
 def _negotiated(hello: dict) -> Dict[str, object]:
@@ -109,7 +89,7 @@ class Transport(Protocol):
     node_id: int
 
     def set_receiver(self, receiver: Receiver) -> None:
-        """Install the inbound dispatch callback ``(src, message[, meta])``."""
+        """Install the inbound dispatch callback ``(src, message, meta)``."""
 
     def set_peer_down_handler(self, handler: Callable[[int], None]) -> None:
         """Install the peer-death callback ``(peer)``: called once per
@@ -306,7 +286,7 @@ class LoopbackTransport:
         self._running = False
 
     def set_receiver(self, receiver: Receiver) -> None:
-        self.receiver = _adapt_receiver(receiver)
+        self.receiver = receiver
 
     def set_peer_down_handler(self, handler: Callable[[int], None]) -> None:
         self.peer_down_handler = handler
@@ -698,7 +678,7 @@ class TcpTransport:
 
     # ------------------------------------------------------------------
     def set_receiver(self, receiver: Receiver) -> None:
-        self.receiver = _adapt_receiver(receiver)
+        self.receiver = receiver
 
     def set_peer_down_handler(self, handler: Callable[[int], None]) -> None:
         self.peer_down_handler = handler

@@ -47,7 +47,7 @@ from .flight import (
     reconstruct_timeline,
     render_postmortem,
 )
-from .profile import ProfileSection, SamplingProfiler, profile_block
+from .profile import SamplingProfiler
 from .registry import (
     DEFAULT_BUCKETS,
     CounterMetric,
@@ -81,7 +81,6 @@ __all__ = [
     "LATENCY_BUCKETS",
     "MetricsRegistry",
     "NodeScrape",
-    "ProfileSection",
     "SamplingProfiler",
     "STRANDING_CAUSES",
     "Span",
@@ -93,7 +92,6 @@ __all__ = [
     "chrome_trace",
     "eventlog_to_jsonl",
     "interval_key",
-    "profile_block",
     "load_snapshot",
     "load_snapshots",
     "postmortem",

@@ -1,45 +1,37 @@
-"""Continuous profiling: signal-driven stack sampling + cProfile blocks.
+"""Continuous profiling: signal-driven stack sampling.
 
-The observability plane can now stay on at <10% overhead — which makes
-"where do the remaining cycles go?" the next operator question.  Two
-complementary tools answer it:
+The observability plane can stay on at <10% overhead — which makes
+"where do the remaining cycles go?" the next operator question.
+:class:`SamplingProfiler` answers it: a low-overhead, always-on
+profiler in the style of py-spy/perf.  A POSIX interval timer
+(``setitimer``) delivers a signal every ``interval`` seconds and the
+handler walks the interrupted frame stack into a collapsed-stack
+counter.  Cost is O(stack depth) per *sample*, not per function call,
+so it can ride along with a live cluster node (``ClusterSpec.profile``,
+read by ``repro-cluster profile``).  ``wall`` mode (``ITIMER_REAL``)
+samples elapsed time — including waits in the asyncio selector — while
+``cpu`` mode (``ITIMER_PROF``) samples only CPU time.
 
-* :class:`SamplingProfiler` — a low-overhead, always-on profiler in the
-  style of py-spy/perf: a POSIX interval timer (``setitimer``) delivers
-  a signal every ``interval`` seconds and the handler walks the
-  interrupted frame stack into a collapsed-stack counter.  Cost is
-  O(stack depth) per *sample*, not per function call, so it can ride
-  along with a live cluster node.  ``wall`` mode (``ITIMER_REAL``)
-  samples elapsed time — including waits in the asyncio selector —
-  while ``cpu`` mode (``ITIMER_PROF``) samples only CPU time.
-* :func:`profile_block` — an exact (deterministic, cProfile-based)
-  section profiler for benches and offline analysis, where per-call
-  overhead is acceptable in exchange for call counts.
-
-Both emit the two interchange forms the rest of ``repro.obs`` already
+It emits the two interchange forms the rest of ``repro.obs`` already
 speaks: collapsed flamegraph stacks (``a;b;c 42`` lines, ready for
 ``flamegraph.pl`` / speedscope) and chrome-trace events for
 ``chrome://tracing``.
 
 Signal handlers can only be installed from the main thread of the main
 interpreter on POSIX, so availability is gated — callers check
-:meth:`SamplingProfiler.available` and degrade to ``profile_block`` or
-nothing.  A cluster runs its asyncio loop on the main thread, so the
+:meth:`SamplingProfiler.available` and go without.  A cluster runs its asyncio loop on the main thread, so the
 gate passes exactly where continuous profiling matters.
 """
 
 from __future__ import annotations
 
-import cProfile
-import pstats
 import signal
 import threading
 import time
 from collections import Counter, deque
-from contextlib import contextmanager
 from typing import Deque, Dict, List, Optional, Tuple
 
-__all__ = ["SamplingProfiler", "ProfileSection", "profile_block"]
+__all__ = ["SamplingProfiler"]
 
 _MODES: Dict[str, Tuple[int, int]] = {}
 if hasattr(signal, "setitimer"):  # POSIX only
@@ -208,82 +200,3 @@ class SamplingProfiler:
             }
             for t, stack in self._trace
         ]
-
-
-class ProfileSection:
-    """The result of one :func:`profile_block`: exact cProfile stats."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.elapsed: float = 0.0
-        self._stats: Optional[pstats.Stats] = None
-
-    def _load(self, profiler: cProfile.Profile) -> None:
-        self._stats = pstats.Stats(profiler, stream=_NullStream())
-
-    def top(self, n: int = 10) -> List[dict]:
-        """The *n* hottest functions by cumulative time."""
-        if self._stats is None:
-            return []
-        rows = []
-        for (filename, line, func), (cc, nc, tt, ct, _callers) in self._stats.stats.items():
-            rows.append(
-                {
-                    "func": f"{func} ({filename.rsplit('/', 1)[-1]}:{line})",
-                    "calls": nc,
-                    "tottime": tt,
-                    "cumtime": ct,
-                }
-            )
-        rows.sort(key=lambda r: (-r["cumtime"], r["func"]))
-        return rows[:n]
-
-    def collapsed(self, n: int = 50) -> str:
-        """Two-level collapsed stacks (``section;func µs``) by self time
-        — coarse, but feeds the same flamegraph tooling as the sampler."""
-        rows = []
-        for entry in self.top(n):
-            micros = int(round(entry["tottime"] * 1e6))
-            if micros > 0:
-                rows.append((micros, f"{self.name};{entry['func']} {micros}"))
-        rows.sort(key=lambda r: (-r[0], r[1]))
-        return "\n".join(line for _, line in rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "elapsed": self.elapsed,
-            "top": self.top(10),
-        }
-
-
-class _NullStream:
-    def write(self, *_args) -> None:  # pragma: no cover - pstats plumbing
-        pass
-
-    def flush(self) -> None:  # pragma: no cover - pstats plumbing
-        pass
-
-
-@contextmanager
-def profile_block(name: str):
-    """Profile a code block exactly (cProfile) and yield its section::
-
-        with profile_block("stitch") as section:
-            view = aggregator.fold(scrape)
-        print(section.top(5))
-
-    Unlike :class:`SamplingProfiler` this is deterministic and carries
-    call counts, at the price of tracing every call — bench and offline
-    use only.
-    """
-    section = ProfileSection(name)
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    try:
-        yield section
-    finally:
-        profiler.disable()
-        section.elapsed = time.perf_counter() - start
-        section._load(profiler)

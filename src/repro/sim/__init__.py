@@ -19,18 +19,7 @@ from .network import (
     uniform_delay,
 )
 from .process import DetectorRole, MonitoredProcess
-from .serialize import (
-    detection_from_dict,
-    detection_to_dict,
-    detections_from_dicts,
-    detections_to_dicts,
-    interval_from_dict,
-    interval_to_dict,
-    load_trace,
-    save_trace,
-    trace_from_dict,
-    trace_to_dict,
-)
+from .serialize import load_trace, save_trace, trace_from_dict, trace_to_dict
 from .trace import EventKind, ExecutionTrace, ProcessEvent
 
 __all__ = [
@@ -56,12 +45,6 @@ __all__ = [
     "lognormal_delay",
     "load_trace",
     "save_trace",
-    "detection_to_dict",
-    "detection_from_dict",
-    "detections_to_dicts",
-    "detections_from_dicts",
-    "interval_to_dict",
-    "interval_from_dict",
     "trace_from_dict",
     "trace_to_dict",
     "uniform_delay",

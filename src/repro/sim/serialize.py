@@ -1,12 +1,9 @@
-"""Trace and detection (de)serialization.
+"""Trace archives.
 
 Executions are valuable artifacts: a trace captured from a live run (or
 a scripted scenario) can be archived, shipped in a bug report, replayed
-through any detector offline, and diffed across library versions.
-Detection records round-trip too — the sharded experiment runner
-returns them across process boundaries, so both the JSON forms here and
-plain pickling must reproduce them exactly (the test-suite pins both).
-The JSON schema is deliberately flat and stable:
+through any detector offline, and diffed across library versions.  The
+JSON schema is deliberately flat and stable:
 
 ```json
 {
@@ -29,26 +26,17 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Union
+from typing import Union
 
-from .trace import ExecutionTrace, ProcessEvent
-from .wirepack import pack_message, unpack_message
+import numpy as np
+
+from .trace import ExecutionTrace
 
 __all__ = [
     "trace_to_dict",
     "trace_from_dict",
     "save_trace",
     "load_trace",
-    "interval_to_dict",
-    "interval_from_dict",
-    "detection_to_dict",
-    "detection_from_dict",
-    "detections_to_dicts",
-    "detections_from_dicts",
-    "message_to_dict",
-    "message_from_dict",
-    "pack_message",
-    "unpack_message",
 ]
 
 _SCHEMA_VERSION = 1
@@ -83,8 +71,6 @@ def trace_from_dict(data: dict) -> ExecutionTrace:
     if version != _SCHEMA_VERSION:
         raise ValueError(f"unsupported trace schema version: {version!r}")
     trace = ExecutionTrace(int(data["n"]), data.get("initial_predicate"))
-    import numpy as np
-
     for entry in data["events"]:
         trace.record(
             int(entry["p"]),
@@ -94,212 +80,6 @@ def trace_from_dict(data: dict) -> ExecutionTrace:
             time=float(entry.get("t", 0.0)),
         )
     return trace
-
-
-# ----------------------------------------------------------------------
-# intervals and detection records
-# ----------------------------------------------------------------------
-def interval_to_dict(interval) -> dict:
-    """JSON-ready form of an :class:`~repro.intervals.Interval`,
-    recursing through aggregation provenance (``parts``)."""
-    out = {
-        "owner": interval.owner,
-        "seq": interval.seq,
-        "lo": interval.lo.tolist(),
-        "hi": interval.hi.tolist(),
-        "members": sorted(interval.members),
-    }
-    if interval.parts:
-        out["parts"] = [interval_to_dict(part) for part in interval.parts]
-    return out
-
-
-def interval_from_dict(data: dict):
-    import numpy as np
-
-    from ..intervals import Interval
-
-    return Interval(
-        owner=int(data["owner"]),
-        seq=int(data["seq"]),
-        lo=np.array(data["lo"], dtype=np.int64),
-        hi=np.array(data["hi"], dtype=np.int64),
-        members=frozenset(int(m) for m in data["members"]),
-        parts=tuple(interval_from_dict(part) for part in data.get("parts", ())),
-    )
-
-
-def _key_to_json(key):
-    """Queue keys are ints (pids / the local-queue 0) or strings; encode
-    the type so ``0`` and ``"0"`` survive distinctly."""
-    if isinstance(key, bool) or not isinstance(key, (int, str)):
-        raise TypeError(f"unserializable queue key {key!r} (want int or str)")
-    return ["i", key] if isinstance(key, int) else ["s", key]
-
-
-def _key_from_json(tagged):
-    tag, value = tagged
-    if tag == "i":
-        return int(value)
-    if tag == "s":
-        return str(value)
-    raise ValueError(f"unknown queue-key tag {tag!r}")
-
-
-def detection_to_dict(record) -> dict:
-    """JSON-ready form of a
-    :class:`~repro.detect.roles.DetectionRecord`."""
-    solution = record.solution
-    return {
-        "time": record.time,
-        "detector": record.detector,
-        "solution": {
-            "detector": solution.detector,
-            "index": solution.index,
-            "heads": [
-                [_key_to_json(key), interval_to_dict(interval)]
-                for key, interval in solution.heads.items()
-            ],
-        },
-        "aggregate": (
-            interval_to_dict(record.aggregate)
-            if record.aggregate is not None
-            else None
-        ),
-    }
-
-
-def detection_from_dict(data: dict):
-    from ..detect.base import Solution
-    from ..detect.roles import DetectionRecord
-
-    payload = data["solution"]
-    solution = Solution(
-        detector=int(payload["detector"]),
-        index=int(payload["index"]),
-        heads={
-            _key_from_json(key): interval_from_dict(interval)
-            for key, interval in payload["heads"]
-        },
-    )
-    aggregate = data.get("aggregate")
-    return DetectionRecord(
-        time=float(data["time"]),
-        detector=int(data["detector"]),
-        solution=solution,
-        aggregate=interval_from_dict(aggregate) if aggregate is not None else None,
-    )
-
-
-def detections_to_dicts(records) -> List[dict]:
-    return [detection_to_dict(record) for record in records]
-
-
-def detections_from_dicts(data) -> list:
-    return [detection_from_dict(entry) for entry in data]
-
-
-# ----------------------------------------------------------------------
-# control/application-plane messages
-# ----------------------------------------------------------------------
-def message_to_dict(message, *, include_parts: bool = True) -> dict:
-    """JSON-ready form of any :mod:`repro.sim.messages` dataclass.
-
-    Every message type round-trips exactly through
-    :func:`message_from_dict`; this is the JSON payload layer of the
-    :class:`repro.net.FrameCodec` wire protocol, so the ``type`` tag is
-    part of the stable schema (the packed twin lives in
-    :mod:`repro.sim.wirepack` — same information, same round-trip
-    contract).  ``include_parts=False`` strips aggregation provenance
-    from interval payloads (the paper's wire model ships bounds only;
-    see ``payload_entries``).
-    """
-    from .messages import (
-        AppMessage,
-        AttachAccept,
-        AttachRequest,
-        DetachNotice,
-        Heartbeat,
-        IntervalReport,
-    )
-
-    if isinstance(message, AppMessage):
-        return {
-            "type": "AppMessage",
-            "payload": message.payload,
-            "piggyback": message.piggyback.tolist(),
-        }
-    if isinstance(message, IntervalReport):
-        interval = message.interval
-        if not include_parts and interval.parts:
-            from ..intervals import Interval
-
-            interval = Interval(
-                owner=interval.owner,
-                seq=interval.seq,
-                lo=interval.lo,
-                hi=interval.hi,
-                members=interval.members,
-            )
-        return {
-            "type": "IntervalReport",
-            "origin": message.origin,
-            "dest": message.dest,
-            "transport_seq": message.transport_seq,
-            "interval": interval_to_dict(interval),
-        }
-    if isinstance(message, Heartbeat):
-        return {"type": "Heartbeat", "sender": message.sender}
-    if isinstance(message, AttachRequest):
-        return {
-            "type": "AttachRequest",
-            "child": message.child,
-            "subtree": sorted(int(m) for m in message.subtree),
-        }
-    if isinstance(message, AttachAccept):
-        return {"type": "AttachAccept", "parent": message.parent}
-    if isinstance(message, DetachNotice):
-        return {"type": "DetachNotice", "child": message.child}
-    raise TypeError(f"unserializable message type {type(message).__name__}")
-
-
-def message_from_dict(data: dict):
-    import numpy as np
-
-    from .messages import (
-        AppMessage,
-        AttachAccept,
-        AttachRequest,
-        DetachNotice,
-        Heartbeat,
-        IntervalReport,
-    )
-
-    kind = data.get("type")
-    if kind == "AppMessage":
-        return AppMessage(
-            payload=data["payload"],
-            piggyback=np.array(data["piggyback"], dtype=np.int64),
-        )
-    if kind == "IntervalReport":
-        return IntervalReport(
-            origin=int(data["origin"]),
-            dest=int(data["dest"]),
-            interval=interval_from_dict(data["interval"]),
-            transport_seq=int(data["transport_seq"]),
-        )
-    if kind == "Heartbeat":
-        return Heartbeat(sender=int(data["sender"]))
-    if kind == "AttachRequest":
-        return AttachRequest(
-            child=int(data["child"]),
-            subtree=frozenset(int(m) for m in data["subtree"]),
-        )
-    if kind == "AttachAccept":
-        return AttachAccept(parent=int(data["parent"]))
-    if kind == "DetachNotice":
-        return DetachNotice(child=int(data["child"]))
-    raise ValueError(f"unknown message type tag {kind!r}")
 
 
 def save_trace(trace: ExecutionTrace, path: Union[str, Path]) -> None:

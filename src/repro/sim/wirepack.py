@@ -1,11 +1,9 @@
 """Packed binary bodies for the control-plane message dataclasses.
 
-:mod:`repro.sim.serialize` defines the canonical *JSON* forms of every
-:mod:`repro.sim.messages` dataclass; this module defines the equivalent
-*packed* forms — the payload layer of the wire protocol
-(:class:`repro.net.FrameCodec`).  Both layers serialize exactly the
-same information, so the round-trip contract is shared:
-``unpack_message(*pack_message(m)) == m`` for every message type,
+Every :mod:`repro.sim.messages` dataclass has exactly one wire form, the
+packed body defined here — the payload layer of the wire protocol
+(:class:`repro.net.FrameCodec`).  The round-trip contract
+``unpack_message(*pack_message(m)) == m`` holds for every message type,
 pinned by the property suite in ``tests/property/test_wire.py``.
 
 Layout conventions
@@ -22,19 +20,17 @@ Layout conventions
   provenance) travels in one block at the end of the body, written and
   read in a single numpy pass; see :func:`_pack_report`.
 
-Message tags are part of the stable wire schema, mirroring the JSON
-``type`` strings one-to-one (:data:`MESSAGE_TAGS`).  Tag 0 is reserved
-by the frame layer for the JSON escape hatch (meta frames, message
-types unknown to the packer, and reports whose provenance mixes vector
-widths).  Tag 1 was the per-bound scheme-tagged ``IntervalReport`` body
-of codec version 1; it is retired — nothing emits it and the decoder
-rejects it — and never reused.
+Message tags are part of the stable wire schema.  Tag 0 is reserved by
+the frame layer for the ``__hello__`` that opens a connection.  Tag 1
+was the per-bound scheme-tagged ``IntervalReport`` body of codec
+version 1; it is retired — nothing emits it and the decoder rejects it
+— and never reused.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -49,7 +45,7 @@ from .messages import (
 )
 
 __all__ = [
-    "TAG_JSON",
+    "TAG_HELLO",
     "TAG_HEARTBEAT",
     "TAG_APP_MESSAGE",
     "TAG_ATTACH_REQUEST",
@@ -57,7 +53,6 @@ __all__ = [
     "TAG_DETACH_NOTICE",
     "TAG_ACK",
     "TAG_INTERVAL_REPORT_BLOCK",
-    "MESSAGE_TAGS",
     "write_uvarint",
     "read_uvarint",
     "write_svarint",
@@ -66,9 +61,9 @@ __all__ = [
     "unpack_message",
 ]
 
-#: Frame-layer escape hatch: the body is a JSON object (a ``__``-meta
-#: frame, or a message this packer has no packed form for).
-TAG_JSON = 0
+#: The ``__hello__`` meta frame: a JSON object, written and read by the
+#: frame codec itself.
+TAG_HELLO = 0
 TAG_HEARTBEAT = 2
 TAG_APP_MESSAGE = 3
 TAG_ATTACH_REQUEST = 4
@@ -80,16 +75,6 @@ TAG_DETACH_NOTICE = 6
 TAG_ACK = 7
 #: ``IntervalReport`` with all its timestamps in one bounds block.
 TAG_INTERVAL_REPORT_BLOCK = 8
-
-#: JSON ``type`` string -> packed tag, one-to-one.
-MESSAGE_TAGS = {
-    "IntervalReport": TAG_INTERVAL_REPORT_BLOCK,
-    "Heartbeat": TAG_HEARTBEAT,
-    "AppMessage": TAG_APP_MESSAGE,
-    "AttachRequest": TAG_ATTACH_REQUEST,
-    "AttachAccept": TAG_ATTACH_ACCEPT,
-    "DetachNotice": TAG_DETACH_NOTICE,
-}
 
 #: Hard cap on varint length: 10 bytes covers 70 bits, enough for any
 #: zigzagged int64.  Longer runs indicate a corrupt or hostile stream.
@@ -170,7 +155,7 @@ def _width(peak: int) -> int:
     return 8
 
 
-def _pack_report(message, include_parts: bool) -> Optional[bytes]:
+def _pack_report(message) -> bytes:
     """The :data:`TAG_INTERVAL_REPORT_BLOCK` body::
 
         svarint origin, dest · uvarint transport_seq · uvarint n · uvarint m
@@ -191,9 +176,8 @@ def _pack_report(message, include_parts: bool) -> Optional[bytes]:
     and carries plain signed 8-byte rows, so the whole int64 range
     round-trips.  Nothing refers to an earlier frame.
 
-    Returns ``None`` when the provenance mixes vector widths (no single
-    ``n``): the caller sends such a report through the JSON escape
-    hatch."""
+    A provenance that mixes vector widths (no single ``n``) raises
+    ``ValueError``; ``⊓`` never builds one."""
     head = message.interval
     n = head.n
     tree = bytearray()
@@ -202,16 +186,18 @@ def _pack_report(message, include_parts: bool) -> Optional[bytes]:
     while pending:
         interval = pending.pop()
         if interval.n != n:
-            return None
+            raise ValueError(
+                f"report provenance mixes vector widths ({interval.n} in a "
+                f"width-{n} report); it has no packed form"
+            )
         write_svarint(tree, interval.owner)
         write_uvarint(tree, interval.seq)
         members = sorted(interval.members)
         write_uvarint(tree, len(members))
         for member in members:
             write_svarint(tree, int(member))
-        parts = interval.parts if include_parts else ()
-        write_uvarint(tree, len(parts))
-        pending.extend(reversed(parts))
+        write_uvarint(tree, len(interval.parts))
+        pending.extend(reversed(interval.parts))
         rows += (interval.lo, interval.hi)
     buf = bytearray()
     write_svarint(buf, message.origin)
@@ -327,16 +313,12 @@ def _unpack_report(data: bytes, offset: int) -> Tuple[object, int]:
 # ----------------------------------------------------------------------
 # messages
 # ----------------------------------------------------------------------
-def pack_message(
-    message: object, *, include_parts: bool = True
-) -> Optional[Tuple[int, bytes]]:
-    """One dataclass -> ``(tag, packed body)``, or ``None`` when it has
-    no packed form — an unknown type, or a report whose provenance mixes
-    vector widths (the caller falls back to the JSON escape hatch, so
-    those keep working on a binary wire)."""
+def pack_message(message: object) -> Tuple[int, bytes]:
+    """One dataclass -> ``(tag, packed body)``.  A type with no packed
+    form raises ``TypeError``; a report whose provenance mixes vector
+    widths raises ``ValueError``."""
     if isinstance(message, IntervalReport):
-        body = _pack_report(message, include_parts)
-        return None if body is None else (TAG_INTERVAL_REPORT_BLOCK, body)
+        return TAG_INTERVAL_REPORT_BLOCK, _pack_report(message)
     buf = bytearray()
     if isinstance(message, Heartbeat):
         write_svarint(buf, message.sender)
@@ -363,7 +345,7 @@ def pack_message(
     if isinstance(message, DetachNotice):
         write_svarint(buf, message.child)
         return TAG_DETACH_NOTICE, bytes(buf)
-    return None
+    raise TypeError(f"unserializable message type {type(message).__name__}")
 
 
 def unpack_message(tag: int, data: bytes, offset: int = 0) -> Tuple[object, int]:

@@ -76,6 +76,24 @@ class TestHeartbeats:
         sim.run(until=33.0)
         assert suspects[0] == []
 
+    def test_grace_starts_at_the_first_tick_not_at_add_peer(self):
+        # The peer is added at t=0 but the monitor only starts at t=20,
+        # past a whole timeout: that wait is the host's, not the peer's.
+        sim, net, monitors, suspects = make_monitors(timeout=16.0)
+        ticks = []
+        send = monitors[0]._send
+        monitors[0]._send = lambda dst, msg: (ticks.append(sim.now), send(dst, msg))
+        monitors[0].add_peer(1)  # peer 1 never answers
+        sim.schedule_at(20.0, monitors[0].start)
+        sim.run(until=20.0 + monitors[0].period)
+        assert len(ticks) == 1 and suspects[0] == []
+        # Silence after that first tick is still suspected, one timeout on.
+        sim.run(until=ticks[0] + 16.0 + monitors[0].period)
+        assert suspects[0] == [1]
+        (record,) = sim.log.of_kind("suspect")
+        assert ticks[0] + 16.0 < record.time <= ticks[0] + 16.0 + monitors[0].period
+        assert record.get("last_seen") == round(ticks[0], 3)
+
     def test_timeout_must_exceed_period(self):
         sim = Simulator()
         with pytest.raises(ValueError):

@@ -136,7 +136,6 @@ class TestSpecDicts:
         host="localhost",
         heartbeat=HeartbeatSpec(period=0.1, loss_tolerance=4, timeout=0.7),
         repair_latency=0.03,
-        include_parts=False,
         epochs=6,
         sync_prob=0.5,
         interval_spacing=0.01,

@@ -17,6 +17,7 @@ CI's ``net-smoke`` job.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -183,10 +184,33 @@ class TestTcpSmall:
         assert summary["negotiated"]
         assert all(h == {"codec": 4} for h in summary["negotiated"].values())
         assert summary["bytes_by_type"].get("IntervalReport", 0) > 0
+        # The census of frame types on the wire: one packed type per
+        # message, nothing riding an escape hatch.
+        assert set(summary["bytes_by_type"]) == {"Heartbeat", "IntervalReport", "__ack__"}
         # A healthy run never has a decoder hang up on its peer, nor a
         # receiver raise into the transport's catch-all.
         assert not cluster.log.of_kind("net_stream_poisoned")
         assert sum((registry.get("repro_errors_total") or {}).values()) == 0
+
+
+class TestStartupStall:
+    def test_a_stall_after_start_is_not_a_silent_peer(self):
+        # Neighbours are added while the nodes are built; a loop that
+        # blocks past the suspicion timeout before the monitors' first
+        # tick must not read as every peer falling silent.
+        spec = _spec(heartbeat=HeartbeatSpec(period=0.05, loss_tolerance=3))
+        assert spec.heartbeat.resolved_timeout < 0.3
+
+        async def scenario():
+            cluster = LocalCluster(spec)
+            await cluster.start()
+            time.sleep(0.3)  # blocking: no tick and no beat runs
+            await asyncio.sleep(0.1)
+            await cluster.stop()
+            return cluster
+
+        cluster = run(scenario())
+        assert cluster.log.of_kind("false_suspicion") == []
 
 
 class TestSpecValidation:

@@ -138,16 +138,21 @@ class TestMetaSidecar:
             tx.encode(_report(seq=1, ts=1), meta={"epochs": list(range(1000))})
 
 
-class TestMetaBounds:
-    """Sidecar hygiene: unknown keys tolerated for forward compat, but
-    the sidecar's size is bounded on both sides of the wire so a rogue
-    peer cannot smuggle unbounded payload past ``max_frame`` policy."""
+#: A sidecar the packed layout carries, about 100 bytes packed: past a
+#: 64-byte ``max_meta``.
+LONG_META = {"span": [1, 5], "epochs": list(range(100))}
 
-    def test_unknown_meta_keys_round_trip(self):
-        tx, rx = FrameCodec(), FrameCodec()
+
+class TestMetaBounds:
+    """Sidecar hygiene: the sidecar holds the three keys the runtime
+    writes and nothing else, and its size is bounded on both sides of
+    the wire so a rogue peer cannot smuggle unbounded payload past
+    ``max_frame`` policy."""
+
+    def test_unknown_meta_keys_are_refused_on_encode(self):
         meta = {"span": [1, 5], "sampled": True, "future_field": {"x": 1}}
-        ((_, got),) = rx.feed_meta(tx.encode(_report(), meta=meta))
-        assert got == meta
+        with pytest.raises(ValueError, match="'future_field'.*no packed form"):
+            FrameCodec().encode(_report(), meta=meta)
 
     def test_non_dict_meta_rejected_on_encode(self):
         codec = FrameCodec()
@@ -158,14 +163,14 @@ class TestMetaBounds:
     def test_oversized_meta_rejected_on_encode(self):
         codec = FrameCodec(max_meta=64)
         with pytest.raises(ValueError, match="max_meta"):
-            codec.encode(_report(), meta={"blob": "x" * 256})
+            codec.encode(_report(), meta=LONG_META)
 
     def test_oversized_meta_poisons_frame_on_decode(self):
         # A permissive sender vs a strict receiver: the decode-side
         # check fires even though the frame itself framed fine.
         tx = FrameCodec(max_meta=1 << 20)
         rx = FrameCodec(max_meta=64)
-        frame = tx.encode(_report(), meta={"blob": "x" * 256})
+        frame = tx.encode(_report(), meta=LONG_META)
         with pytest.raises(ValueError, match="max_meta"):
             rx.feed_meta(frame)
 
@@ -256,7 +261,7 @@ class TestBinaryWire:
     def test_hello_is_a_tag_0_frame(self):
         hello = {"type": HELLO_TYPE, "node": 3, "codec": 4}
         frame = FrameCodec().encode(hello)
-        assert frame[:3] == b"\xb1\x00\x00"  # magic, TAG_JSON, no flags
+        assert frame[:3] == b"\xb1\x00\x00"  # magic, TAG_HELLO, no flags
         assert FrameCodec().decode(frame) == hello
 
     def test_ack_goes_packed_on_binary_wire(self):
@@ -297,18 +302,15 @@ class TestBinaryWire:
         with pytest.raises(ValueError, match="max_frame"):
             dec.feed(struct.pack(">BBBI", 0xB1, 2, 0, 1 << 20) + b"x" * 8)
 
-    def test_escape_hatch_carries_unknown_types_as_json(self, monkeypatch):
-        # Simulate a message type the packer does not know: the frame
-        # must still go out behind a binary header, tagged TAG_JSON.
-        import repro.net.codec as codec_mod
+    def test_unknown_types_are_refused_on_encode(self):
+        # Every message has one packed form; there is no second encoding
+        # for a type the packer does not know.
+        class Gremlin:
+            pass
 
-        monkeypatch.setattr(codec_mod, "pack_message", lambda *a, **k: None)
-        enc = FrameCodec()
-        frame = enc.encode(Heartbeat(sender=7))
-        assert frame[0] == 0xB1 and frame[1] == 0  # TAG_JSON
-        monkeypatch.undo()
-        out = FrameCodec().decode(frame)
-        assert isinstance(out, Heartbeat) and out.sender == 7
+        for message in (Gremlin(), "not a message"):
+            with pytest.raises(TypeError, match="unserializable message type"):
+                FrameCodec().encode(message)
 
     def test_reference_chain_round_trips_a_report_sequence(self):
         enc, dec = FrameCodec(), FrameCodec()
@@ -333,7 +335,7 @@ class TestBinaryWire:
             out = dec.decode(enc.encode(report))
             assert out.interval.lo.tolist() == [1] * n
 
-    def test_parts_survive_by_default_and_strip_when_lean(self):
+    def test_parts_survive(self):
         part = _interval(owner=2, seq=0)
         aggregate = Interval(
             owner=1,
@@ -345,12 +347,9 @@ class TestBinaryWire:
         )
         report = IntervalReport(origin=1, dest=0, interval=aggregate)
 
-        fat = FrameCodec().decode(FrameCodec().encode(report))
-        assert [p.key() for p in fat.interval.parts] == [part.key()]
-
-        lean = FrameCodec().decode(FrameCodec(include_parts=False).encode(report))
-        assert lean.interval.parts == ()
-        assert lean.interval.members == aggregate.members
+        got = FrameCodec().decode(FrameCodec().encode(report))
+        assert [p.key() for p in got.interval.parts] == [part.key()]
+        assert got.interval.members == aggregate.members
 
 
 class TestBinaryMeta:
@@ -375,12 +374,12 @@ class TestBinaryMeta:
     def test_oversized_meta_rejected_on_encode(self):
         codec = FrameCodec(max_meta=64)
         with pytest.raises(ValueError, match="max_meta"):
-            codec.encode(_report(), meta={"blob": "x" * 256})
+            codec.encode(_report(), meta=LONG_META)
 
     def test_oversized_meta_poisons_frame_on_decode(self):
         tx = FrameCodec(max_meta=1 << 20)
         rx = FrameCodec(max_meta=64)
-        frame = tx.encode(_report(), meta={"blob": "x" * 256})
+        frame = tx.encode(_report(), meta=LONG_META)
         with pytest.raises(ValueError, match="max_meta"):
             rx.feed_meta(frame)
 
@@ -414,8 +413,8 @@ def _with_sidecar(sidecar: bytes, message=None):
 
 
 class TestPackedSidecar:
-    """Codec 3: the binary sidecar is field bits, varints for the three
-    keys the runtime writes, and a JSON tail for everything else."""
+    """The binary sidecar is field bits and varints for the three keys
+    the runtime writes; any other key or shape has no encoding."""
 
     RUNTIME_META = {"span": [3, 1], "sampled": True, "epochs": [0]}
 
@@ -446,7 +445,7 @@ class TestPackedSidecar:
         [
             {"span": [1, -1]},  # negative sid
             {"span": [1, 2, 3]},
-            {"span": (1, 2)},  # a tuple goes out as JSON, as it always did
+            {"span": (1, 2)},  # the runtime writes a list
             {"span": [True, 2]},
             {"span": [2**63, 0]},
             {"sampled": None},
@@ -460,13 +459,9 @@ class TestPackedSidecar:
         ],
         ids=repr,
     )
-    def test_other_shapes_ride_the_json_tail(self, meta):
-        import json
-
-        frame = FrameCodec().encode(_report(), meta=meta)
-        assert frame[2] & 0x01
-        ((_, got),) = FrameCodec().feed_meta(frame)
-        assert got == json.loads(json.dumps(meta))
+    def test_other_shapes_are_refused_on_encode(self, meta):
+        with pytest.raises(ValueError, match="no packed form"):
+            FrameCodec().encode(_report(), meta=meta)
 
     def test_codec_2_json_sidecar_is_refused(self):
         # The v2 sidecar was the bare JSON object: '{' = 0x7B sets field
@@ -483,10 +478,9 @@ class TestPackedSidecar:
             (b"\x01\x02", "truncated varint"),  # span without its sid
             (b"\x08\x03\x00\x00", "truncated epoch list"),
             (b"\x00\x00", "trailing bytes"),
-            (b"\x10{}", "empty or repeats"),
-            (b'\x11\x02\x01{"span":[1,1]}', "empty or repeats"),
-            (b"\x10[1]", "JSON object"),
-            (b"\x10{", "Expecting"),
+            # bit 4 was the JSON tail of codecs 3 and 4; no peer set it
+            (b'\x10{"x":1}', "field bits"),
+            (b'\x11\x02\x01{"x":1}', "field bits"),
         ],
     )
     def test_malformed_sidecar_poisons_the_frame(self, sidecar, complaint):
@@ -605,18 +599,14 @@ class TestBoundsBlock:
         got = FrameCodec().decode(frame)
         assert got.interval.lo.tolist() == lo and got.interval.hi.tolist() == hi
 
-    def test_mixed_widths_ride_the_json_escape_hatch(self):
+    def test_mixed_widths_are_refused_on_encode(self):
+        # One bounds block has one width; ``⊓`` never builds a report
+        # whose provenance mixes them, so it has no packed form.
         part = _interval(owner=2, seq=0, lo=(1, 0), hi=(2, 0))
         head = _interval(owner=1, seq=0, members=frozenset({1, 2}), parts=(part,))
         sent = IntervalReport(origin=1, dest=0, interval=head)
-        frame = FrameCodec().encode(sent, meta={"span": [1, 2]})
-        assert frame[0] == 0xB1 and frame[1] == 0  # TAG_JSON
-        ((got, meta),) = FrameCodec().feed_meta(frame)
-        assert got.interval.key() == head.key()
-        assert got.interval.parts[0].key() == part.key()
-        assert meta == {"span": [1, 2]}
-        # Lean frames drop the odd part and pack as usual.
-        assert FrameCodec(include_parts=False).encode(sent)[1] == 8
+        with pytest.raises(ValueError, match="mixes vector widths"):
+            FrameCodec().encode(sent, meta={"span": [1, 2]})
 
     def test_deep_provenance_needs_no_recursion(self):
         depth = 3000  # past the interpreter's default recursion limit
@@ -693,7 +683,8 @@ def _golden_stream(count=50, n=12):
     """A fixed report stream: mostly-zero clocks early, one or two
     components ticking between bursts that move every component, a
     2**62 component, a vector-width change mid-stream, provenance on
-    every third report and a ``_meta`` sidecar on every fifth."""
+    every third report and, on every fifth, a ``_meta`` sidecar of the
+    shape the runtime writes."""
     rng = np.random.default_rng(20130520)
     lo = np.zeros(n, dtype=np.int64)
     stream = []
@@ -720,7 +711,13 @@ def _golden_stream(count=50, n=12):
             owner=3, seq=seq, lo=lo, hi=hi, members=frozenset({3, 7, 8}), parts=parts
         )
         report = IntervalReport(origin=3, dest=1, interval=interval, transport_seq=seq)
-        meta = {"span": seq, "epochs": [seq, seq + 1]} if seq % 5 == 0 else None
+        meta = None
+        if seq % 5 == 0:
+            meta = {
+                "span": [3, 1000 + seq],
+                "sampled": seq % 10 == 0,
+                "epochs": [seq, seq + 1],
+            }
         stream.append((report, meta))
     return stream
 
@@ -728,94 +725,67 @@ def _golden_stream(count=50, n=12):
 class TestGoldenFrames:
     """The wire format did not move: sha256 over the concatenated frames
     of :func:`_golden_stream`.  Re-recorded when the tag-8 bounds block
-    replaced the per-bound scheme payloads and again when codec 3 packed
-    the sidecar; codec 4 changed only the hello, which the stream does
-    not hold."""
+    replaced the per-bound scheme payloads, again when codec 3 packed
+    the sidecar, and once more when the stream's sidecars took the
+    runtime's shape (its ``span`` had been a bare int, which only the
+    since-deleted JSON tail could carry) — that recording was made with
+    the encoder that still had the tail, and this one reproduces it."""
 
-    #: include_parts -> total bytes of the golden stream at the parent
-    #: of the bounds block, whose tag-1 bodies priced each bound on its
-    #: own: (with the per-channel chain — the default; with it off, all
-    #: raw — what the chain chose for all but 4 of 6,576 head bounds on
-    #: benchmark traffic, and always for provenance).  The block's own
-    #: totals are in :attr:`GOLDEN`.
-    PARENT_BINARY_BYTES = {True: (10856, 19316), False: (3384, 11844)}
+    #: Total bytes of the golden stream at the parent of the bounds
+    #: block, whose tag-1 bodies priced each bound on its own: (with the
+    #: per-channel chain; with it off, all raw — what the chain chose
+    #: for all but 4 of 6,576 head bounds on benchmark traffic, and
+    #: always for provenance).  Measured on the stream's earlier
+    #: sidecars: a bare-int ``span`` and the epochs.
+    PARENT_BINARY_BYTES = (10856, 19316)
 
-    #: include_parts -> total bytes of the golden stream under codec 2
-    #: (bounds block, JSON sidecar); codec 3 is 126 bytes less.
-    CODEC_2_BINARY_BYTES = {True: 5434, False: 4364}
+    #: Total bytes of the golden stream under codec 2 (bounds block, a
+    #: length byte plus compact JSON per sidecar).
+    CODEC_2_BINARY_BYTES = 5651
 
-    #: include_parts -> (total bytes, sha256) of the golden stream.
-    GOLDEN = {
-        True: (
-            5308,  # codec 2: 5434
-            "62754db51d98c33f472661f113719ce48a1d703fe44dfe0bfc79ef7718405380",
-        ),
-        False: (
-            4238,  # codec 2: 4364
-            "3c58d7de434da04e8242e176fe29aa726321e5e8013b644181145033b4e8dbcd",
-        ),
-    }
+    #: (total bytes, sha256) of the golden stream.
+    GOLDEN = (
+        5230,  # codec 2: 5651
+        "12aeed56cd9a8bb71f3e82a5ec9a3a51d851d7a96ef89fdcfb956dea703c1564",
+    )
 
-    @pytest.mark.parametrize("include_parts", [True, False])
-    def test_frames_are_byte_identical(self, include_parts):
+    def test_frames_are_byte_identical(self):
         import hashlib
 
-        enc = FrameCodec(include_parts=include_parts)
+        enc = FrameCodec()
         frames = b"".join(enc.encode(report, meta) for report, meta in _golden_stream())
         digest = hashlib.sha256(frames).hexdigest()
-        assert (len(frames), digest) == self.GOLDEN[include_parts]
-        decoded = FrameCodec(include_parts=include_parts).feed_meta(frames)
+        assert (len(frames), digest) == self.GOLDEN
+        decoded = FrameCodec().feed_meta(frames)
         assert [m for _, m in decoded] == [m for _, m in _golden_stream()]
         for (got, _), (sent, _) in zip(decoded, _golden_stream()):
             assert got.interval.key() == sent.interval.key()
 
     def test_block_keeps_its_byte_budget(self):
-        # So a later change cannot quietly give the bytes back.  With
-        # provenance on (the shipped default) the block is 0.28x the
-        # parent's raw stream and 0.50x its chained one — this stream
-        # was built to walk the chain through sparse and differential,
-        # and ten of its frames pay an 8-byte base row for one 2**62
-        # component; lean, the chain's own regime, the chain was smaller.
-        def total(include_parts):
-            enc = FrameCodec(include_parts=include_parts)
-            return sum(len(enc.encode(r, meta)) for r, meta in _golden_stream())
-
-        chained, raw = self.PARENT_BINARY_BYTES[True]
-        assert total(True) <= 0.45 * raw
-        assert total(True) <= 0.51 * chained
-        _, raw = self.PARENT_BINARY_BYTES[False]
-        assert total(False) <= 0.45 * raw
+        # So a later change cannot quietly give the bytes back: the
+        # block is under 0.45x the parent's raw stream and 0.51x its
+        # chained one — this stream was built to walk the chain through
+        # sparse and differential, and ten of its frames pay an 8-byte
+        # base row for one 2**62 component.
+        enc = FrameCodec()
+        total = sum(len(enc.encode(r, meta)) for r, meta in _golden_stream())
+        chained, raw = self.PARENT_BINARY_BYTES
+        assert total <= 0.45 * raw
+        assert total <= 0.51 * chained
 
     def test_packed_sidecar_keeps_its_byte_budget(self):
         import json
 
-        def sized(stream, include_parts):
-            """(codec 3 bytes, codec 2 bytes) of *stream*: codec 2 wrote
-            the sidecar as a length byte plus its compact JSON."""
-            enc = FrameCodec(include_parts=include_parts)
-            new = old = 0
-            for report, meta in stream:
-                new += len(enc.encode(report, meta))
-                old += len(enc.encode(report))
-                if meta is not None:
-                    old += 1 + len(json.dumps(meta, separators=(",", ":")))
-            return new, old
-
+        # Codec 2 wrote the sidecar as a length byte plus its compact
+        # JSON; the packed one saves at least 30 bytes a frame.
+        enc = FrameCodec()
+        new = old = 0
         golden = _golden_stream()
+        for report, meta in golden:
+            new += len(enc.encode(report, meta))
+            old += len(enc.encode(report))
+            if meta is not None:
+                old += 1 + len(json.dumps(meta, separators=(",", ":")))
+        assert old == self.CODEC_2_BINARY_BYTES
         with_meta = sum(meta is not None for _, meta in golden)
-        # The golden sidecars carry ``span`` as a bare int, not the
-        # runtime's ``[node, sid]``, so it rides the JSON tail: only the
-        # epochs are packed there.
-        for include_parts in (True, False):
-            new, old = sized(golden, include_parts)
-            assert old == self.CODEC_2_BINARY_BYTES[include_parts]
-            assert new <= old - 12 * with_meta
-        # The sidecar the runtime writes, on the same reports.
-        shipped = [
-            (r, None if m is None else {"span": [3, 1000 + r.interval.seq],
-                                        "sampled": True, "epochs": m["epochs"]})
-            for r, m in golden
-        ]
-        for include_parts in (True, False):
-            new, old = sized(shipped, include_parts)
-            assert new <= old - 30 * with_meta
+        assert new <= old - 30 * with_meta

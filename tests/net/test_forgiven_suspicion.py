@@ -37,7 +37,10 @@ async def _stall_then_kill(transport: str, victim: int):
     neighbours = set(tree.children(victim)) | {tree.parent_of(victim)}
     await cluster.start()
     try:
-        # Block the loop for longer than the 0.16 s suspicion timeout.
+        # Let every monitor tick (a stall before the first tick is the
+        # host's own startup, not a peer's silence), then block the
+        # loop for longer than the 0.16 s suspicion timeout.
+        await asyncio.sleep(0.1)
         time.sleep(0.3)
         await asyncio.sleep(0.3)
         forgiven = {

@@ -42,7 +42,7 @@ class TestLoopback:
             a = LoopbackTransport(0, hub, clock)
             b = LoopbackTransport(1, hub, clock)
             got = []
-            b.set_receiver(lambda src, msg: got.append((src, msg)))
+            b.set_receiver(lambda src, msg, meta: got.append((src, msg)))
             await a.start()
             await b.start()
             for i in range(3):
@@ -81,7 +81,7 @@ class TestTcp:
             a = TcpTransport(0, clock)
             b = TcpTransport(1, clock)
             got = []
-            b.set_receiver(lambda src, msg: got.append((src, msg)))
+            b.set_receiver(lambda src, msg, meta: got.append((src, msg)))
             await a.start()
             await b.start()
             addresses = {0: a.address, 1: b.address}
@@ -108,7 +108,7 @@ class TestTcp:
             a = TcpTransport(0, clock, backoff_base=0.02)
             b = TcpTransport(1, clock)
             got = []
-            b.set_receiver(lambda src, msg: got.append(msg))
+            b.set_receiver(lambda src, msg, meta: got.append(msg))
             await a.start()
             await b.start()
             b_address = b.address
@@ -124,7 +124,7 @@ class TestTcp:
             for _ in range(3):
                 a.send(1, Heartbeat(sender=0))
             b2 = TcpTransport(1, clock, port=b_address[1])
-            b2.set_receiver(lambda src, msg: got.append(msg))
+            b2.set_receiver(lambda src, msg, meta: got.append(msg))
             await b2.start()
             while len(got) < 4:
                 await asyncio.sleep(0.01)
@@ -143,7 +143,7 @@ class TestTcp:
             b = TcpTransport(1, clock)
             got = []
 
-            def receiver(src, msg):
+            def receiver(src, msg, meta):
                 got.append(msg)
                 if len(got) == 1:
                     raise RuntimeError("receiver bug")
@@ -205,7 +205,7 @@ class TestTcp:
             )
             b = TcpTransport(1, clock)
             got = []
-            b.set_receiver(lambda src, msg: got.append(msg))
+            b.set_receiver(lambda src, msg, meta: got.append(msg))
             await a.start()
             await b.start()
             a.set_peers({1: b.address})
@@ -265,7 +265,7 @@ class TestTcp:
             clock = AsyncClock()
             b = TcpTransport(1, clock)
             got = []
-            b.set_receiver(lambda src, msg: got.append(msg))
+            b.set_receiver(lambda src, msg, meta: got.append(msg))
             await b.start()
             reader, writer = await asyncio.open_connection(*b.address)
             writer.write(first + FrameCodec().encode(Heartbeat(sender=0)))
@@ -375,7 +375,7 @@ class TestAckCoalescing:
             a = TcpTransport(0, clock)
             b = TcpTransport(1, clock)
             got = []
-            b.set_receiver(lambda src, msg: got.append(msg))
+            b.set_receiver(lambda src, msg, meta: got.append(msg))
             await a.start()
             await b.start()
             a.set_peers({1: b.address})
@@ -402,7 +402,7 @@ class TestAckCoalescing:
             a = TcpTransport(0, clock)
             b = TcpTransport(1, clock, ack_delay=0.01)
             got = []
-            b.set_receiver(lambda src, msg: got.append(msg))
+            b.set_receiver(lambda src, msg, meta: got.append(msg))
             await a.start()
             await b.start()
             a.set_peers({1: b.address})
@@ -430,7 +430,7 @@ class TestAckCoalescing:
             a = TcpTransport(0, clock)
             b = TcpTransport(1, clock)
             got = []
-            b.set_receiver(lambda src, msg: got.append(msg))
+            b.set_receiver(lambda src, msg, meta: got.append(msg))
             await a.start()
             await b.start()
             a.set_peers({1: b.address})
@@ -486,7 +486,7 @@ class TestSustainedOverload:
             )
             b = LoopbackTransport(1, hub, clock)
             got = []
-            b.set_receiver(lambda src, msg: got.append(msg))
+            b.set_receiver(lambda src, msg, meta: got.append(msg))
             await a.start()
             await b.start()
             # Blast without yielding: the flush callback cannot run, so
@@ -548,7 +548,7 @@ class TestSustainedOverload:
             # writer redials, acks pop the backlog below low water.
             got = []
             b2 = TcpTransport(1, clock, port=address[1])
-            b2.set_receiver(lambda src, msg: got.append(msg))
+            b2.set_receiver(lambda src, msg, meta: got.append(msg))
             await b2.start()
             while a.congested_peers():
                 await asyncio.sleep(0.01)
@@ -585,7 +585,7 @@ class TestNegotiation:
             a = TcpTransport(0, clock)
             b = TcpTransport(1, clock)
             got = []
-            b.set_receiver(lambda src, msg: got.append(msg))
+            b.set_receiver(lambda src, msg, meta: got.append(msg))
             await a.start()
             await b.start()
             a.set_peers({1: b.address})
@@ -608,7 +608,7 @@ class TestNegotiation:
             a = TcpTransport(0, clock)
             b = TcpTransport(1, clock)
             got = []
-            b.set_receiver(lambda src, msg: got.append(msg))
+            b.set_receiver(lambda src, msg, meta: got.append(msg))
             await a.start()
             await b.start()
             a.set_peers({1: b.address})
@@ -645,7 +645,7 @@ class TestPeerDownEvidence:
             b = TcpTransport(1, clock)
             down, got = [], []
             a.set_peer_down_handler(down.append)
-            b.set_receiver(lambda src, msg: got.append(msg))
+            b.set_receiver(lambda src, msg, meta: got.append(msg))
             await a.start()
             await b.start()
             address = b.address
@@ -662,7 +662,7 @@ class TestPeerDownEvidence:
             # The peer returns on the same port, a new session forms and
             # dies again: that is a new episode, reported again.
             b2 = TcpTransport(1, clock, port=address[1])
-            b2.set_receiver(lambda src, msg: got.append(msg))
+            b2.set_receiver(lambda src, msg, meta: got.append(msg))
             await b2.start()
             a.send(1, Heartbeat(sender=0))
             await self._until(lambda: len(got) >= 2, "no second session")
@@ -683,7 +683,7 @@ class TestPeerDownEvidence:
             b = TcpTransport(1, clock)
             down, got = [], []
             a.set_peer_down_handler(down.append)
-            b.set_receiver(lambda src, msg: got.append(msg))
+            b.set_receiver(lambda src, msg, meta: got.append(msg))
             await a.start()
             await b.start()
             a.set_peers({1: b.address})
@@ -722,7 +722,7 @@ class TestPeerDownEvidence:
             a.send(1, Heartbeat(sender=0))
             await asyncio.sleep(0.15)  # a handful of refused dials
             b2 = TcpTransport(1, clock, port=address[1])
-            b2.set_receiver(lambda src, msg: got.append(msg))
+            b2.set_receiver(lambda src, msg, meta: got.append(msg))
             await b2.start()
             await self._until(lambda: got, "late peer never reached")
             await a.stop()
@@ -738,7 +738,7 @@ class TestPeerDownEvidence:
             b = TcpTransport(1, clock)
             down, got = [], []
             a.set_peer_down_handler(down.append)
-            b.set_receiver(lambda src, msg: got.append(msg))
+            b.set_receiver(lambda src, msg, meta: got.append(msg))
             await a.start()
             await b.start()
             a.set_peers({1: b.address})

@@ -3,8 +3,7 @@
 Signal-based sampling needs ``setitimer`` and the main thread, so every
 test that actually arms a timer is gated on
 :meth:`SamplingProfiler.available` — on platforms without POSIX timers
-the suite still exercises validation, bookkeeping and the exact
-cProfile path.
+the suite still exercises validation and bookkeeping.
 """
 
 import signal
@@ -12,7 +11,7 @@ import time
 
 import pytest
 
-from repro.obs import ProfileSection, SamplingProfiler, profile_block
+from repro.obs import SamplingProfiler
 
 
 def _busy(deadline: float) -> int:
@@ -20,45 +19,6 @@ def _busy(deadline: float) -> int:
     while time.perf_counter() < deadline:
         total += sum(range(200))
     return total
-
-
-class TestProfileBlock:
-    def test_records_elapsed_and_hot_functions(self):
-        with profile_block("bench") as section:
-            _busy(time.perf_counter() + 0.05)
-        assert isinstance(section, ProfileSection)
-        assert section.name == "bench"
-        assert section.elapsed > 0.0
-        top = section.top(5)
-        assert top and all(
-            {"func", "calls", "tottime", "cumtime"} <= set(row) for row in top
-        )
-        assert any("_busy" in row["func"] for row in section.top(50))
-
-    def test_collapsed_lines_are_flamegraph_shaped(self):
-        with profile_block("hot") as section:
-            _busy(time.perf_counter() + 0.05)
-        lines = section.collapsed().splitlines()
-        assert lines
-        for line in lines:
-            stack, _, count = line.rpartition(" ")
-            assert stack.startswith("hot;")
-            assert int(count) > 0
-
-    def test_to_dict_is_json_shaped(self):
-        with profile_block("x") as section:
-            sum(range(1000))
-        data = section.to_dict()
-        assert data["name"] == "x"
-        assert data["elapsed"] >= 0.0
-        assert isinstance(data["top"], list)
-
-    def test_section_survives_exceptions(self):
-        with pytest.raises(RuntimeError):
-            with profile_block("boom") as section:
-                raise RuntimeError("inside")
-        assert section.elapsed > 0.0
-        assert isinstance(section.top(3), list)
 
 
 class TestSamplingProfilerValidation:

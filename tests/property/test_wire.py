@@ -1,14 +1,15 @@
 """Property-based tests of the wire protocol round-trip contract.
 
-:mod:`repro.sim.wirepack` and :class:`repro.net.FrameCodec` promise the
-same thing the JSON layer promises: every control-plane dataclass comes
-back identical, for any field values the runtime can produce — int64
-timestamp components on either side of every bounds-block width, empty
-and all-zero vectors, negative ids, aggregation provenance nested as
-deep as the paper's h=4 tree nests it — and every JSON-object
-``_meta`` sidecar, packed or not.  Frames promise two things more:
-each decodes on its own, and a damaged one (sidecar included) raises
-:class:`ValueError` and nothing else."""
+:mod:`repro.sim.wirepack` and :class:`repro.net.FrameCodec` promise that
+every control-plane dataclass comes back identical, for any field values
+the runtime can produce — int64 timestamp components on either side of
+every bounds-block width, empty and all-zero vectors, negative ids,
+aggregation provenance nested as deep as the paper's h=4 tree nests it —
+and so does every ``_meta`` sidecar the runtime writes.  What the
+runtime cannot produce (provenance of mixed vector widths, a sidecar
+key or shape outside the packed layout) raises on encode.  Frames
+promise two things more: each decodes on its own, and a damaged one
+(sidecar included) raises :class:`ValueError` and nothing else."""
 
 from __future__ import annotations
 
@@ -79,20 +80,27 @@ def timestamp_pairs(draw, n):
 
 
 @st.composite
-def intervals(draw, n=None, depth=3):
+def intervals(draw, n=None, depth=3, odd_width=False):
     """An interval carrying up to *depth* further levels of provenance
     (3: head -> part -> part -> part, the nesting a level-1 report of the
-    paper's h=4 tree carries).  One part in sixteen has a vector width
-    of its own — a report the packer hands to the JSON escape
-    hatch."""
+    paper's h=4 tree carries), all of one vector width as ``⊓`` builds
+    them.  With *odd_width* (and *depth* >= 1), one part somewhere in
+    the tree has a width of its own — a report with no packed form."""
     if n is None:
         n = draw(st.integers(0, 8))
     lo, hi = draw(timestamp_pairs(n))
     parts = []
     if depth:
-        for _ in range(draw(st.integers(0, 2))):
-            own_width = draw(st.integers(0, 15)) == 0
-            parts.append(draw(intervals(None if own_width else n, depth - 1)))
+        count = draw(st.integers(1 if odd_width else 0, 2))
+        odd_at = draw(st.integers(0, count - 1)) if odd_width else -1
+        for i in range(count):
+            if i != odd_at:
+                parts.append(draw(intervals(n, depth - 1)))
+            elif depth == 1 or draw(st.booleans()):  # this part's width differs
+                width = draw(st.integers(0, 8).filter(lambda m: m != n))
+                parts.append(draw(intervals(width, depth - 1)))
+            else:  # or one further down does
+                parts.append(draw(intervals(n, depth - 1, odd_width=True)))
     return Interval(
         owner=draw(PROCESS_ID),
         seq=draw(st.integers(0, 2**32)),
@@ -108,11 +116,11 @@ def vector_widths(interval: Interval) -> set:
 
 
 @st.composite
-def interval_reports(draw):
+def interval_reports(draw, odd_width=False):
     return IntervalReport(
         origin=draw(PROCESS_ID),
         dest=draw(PROCESS_ID),
-        interval=draw(intervals()),
+        interval=draw(intervals(odd_width=odd_width)),
         transport_seq=draw(st.integers(0, 2**48)),
     )
 
@@ -220,23 +228,19 @@ class TestPackedBodies:
     @SETTINGS
     @given(MESSAGES)
     def test_every_message_round_trips(self, message):
-        packed = pack_message(message)
-        if packed is None:  # no packed form: only ever mixed vector widths
-            assert len(vector_widths(message.interval)) > 1
-            return
-        tag, body = packed
+        tag, body = pack_message(message)
         out, offset = unpack_message(tag, body)
         assert offset == len(body)
         assert_messages_equal(message, out)
 
     @SETTINGS
-    @given(interval_reports())
-    def test_lean_packing_strips_parts_only(self, report):
-        tag, body = pack_message(report, include_parts=False)
-        out, _ = unpack_message(tag, body)
-        assert out.interval.parts == ()
-        assert out.interval == report.interval
-        assert out.interval.members == report.interval.members
+    @given(interval_reports(odd_width=True))
+    def test_mixed_vector_widths_raise(self, report):
+        assert len(vector_widths(report.interval)) > 1
+        with pytest.raises(ValueError, match="mixes vector widths"):
+            pack_message(report)
+        with pytest.raises(ValueError, match="mixes vector widths"):
+            FrameCodec().encode(report)
 
 
 class TestCodecRoundTrip:
@@ -309,7 +313,20 @@ class TestStatelessBinaryFrames:
             assert_messages_equal(report, FrameCodec().decode(frame))
 
 
-_KNOWN_META_KEYS = ("span", "sampled", "epochs")
+#: Every sidecar the runtime writes: any subset of its three keys, each
+#: in the one shape the packed layout carries, out to the int64 edges.
+SIDECARS = st.fixed_dictionaries(
+    {},
+    optional={
+        "span": st.tuples(
+            st.integers(-(2**63), 2**63 - 1), st.integers(0, 2**63 - 1)
+        ).map(list),
+        "sampled": st.booleans(),
+        "epochs": st.lists(
+            st.integers(0, 2**63 - 1), max_size=8, unique=True
+        ).map(sorted),
+    },
+)
 _JSON_LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.text(max_size=8)
 )
@@ -321,34 +338,38 @@ _EDGY_INTS = st.one_of(
     st.integers(-(2**63) - 1, -(2**63) + 1),
     st.integers(-(2**70), 2**70),
 )
-SPANS = st.one_of(
-    st.tuples(st.integers(-(2**63), 2**63 - 1), st.integers(0, 2**63 - 1)).map(list),
-    st.tuples(st.integers(-5, 5), st.integers(-(2**63), -1)).map(list),  # bad sid
-    st.lists(_EDGY_INTS, max_size=3),
-    _JSON_LEAVES,
-)
-EPOCHS = st.one_of(
-    st.lists(st.integers(0, 2**63 - 1), max_size=8, unique=True).map(sorted),
-    st.lists(_EDGY_INTS, max_size=8),  # unsorted, duplicated, negative, >= 2**63
-    st.lists(st.integers(0, 4), min_size=2, max_size=5),  # duplicates likely
-    _JSON_LEAVES,
-)
-#: Every JSON-object sidecar: the three keys the runtime writes, in and
-#: out of the shapes the binary wire packs, plus keys nobody knows yet.
-SIDECARS = st.fixed_dictionaries(
-    {},
-    optional={
-        "span": SPANS,
-        "sampled": st.sampled_from([True, False, None, 1]),
-        "epochs": EPOCHS,
-    },
-).flatmap(
-    lambda known: st.dictionaries(
-        st.text(max_size=8).filter(lambda key: key not in _KNOWN_META_KEYS),
-        st.one_of(_JSON_LEAVES, st.lists(_JSON_LEAVES, max_size=3)),
-        max_size=3,
-    ).map(lambda extra: {**known, **extra})
-)
+#: Values of each known key the packed layout has no form for.
+_BAD_VALUES = {
+    "span": st.one_of(
+        st.tuples(st.integers(-5, 5), st.integers(-(2**63), -1)).map(list),  # bad sid
+        st.tuples(st.integers(2**63, 2**70), st.integers(0, 5)).map(list),
+        st.lists(_EDGY_INTS, max_size=3).filter(lambda v: len(v) != 2),
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),  # a tuple, not a list
+        _JSON_LEAVES,
+    ),
+    "sampled": st.one_of(st.none(), st.integers(0, 1), st.text(max_size=3)),
+    "epochs": st.one_of(
+        # unsorted, duplicated, negative or past int64
+        st.lists(_EDGY_INTS, min_size=1, max_size=8).filter(
+            lambda v: v != sorted(set(v)) or not all(0 <= e < 2**63 for e in v)
+        ),
+        _JSON_LEAVES,
+    ),
+}
+#: A sidecar the runtime never writes: a runtime sidecar with one known
+#: key spoiled, or one unknown key added.
+BAD_SIDECARS = st.tuples(
+    SIDECARS,
+    st.one_of(
+        st.sampled_from(sorted(_BAD_VALUES)).flatmap(
+            lambda key: _BAD_VALUES[key].map(lambda value: (key, value))
+        ),
+        st.tuples(
+            st.text(max_size=8).filter(lambda key: key not in _BAD_VALUES),
+            st.one_of(_JSON_LEAVES, st.lists(_JSON_LEAVES, max_size=3)),
+        ),
+    ),
+).map(lambda pair: {**pair[0], pair[1][0]: pair[1][1]})
 
 
 def _sidecar_report() -> IntervalReport:
@@ -359,19 +380,25 @@ def _sidecar_report() -> IntervalReport:
 
 
 class TestSidecars:
-    """Whatever JSON object rides as a frame's ``_meta``, the peer gets
-    the same object back, through the packed form or its JSON tail."""
+    """Whatever sidecar the runtime writes, the peer gets the same dict
+    back; anything else has no packed form and raises on encode."""
 
     @settings(max_examples=120, deadline=None)
     @given(SIDECARS)
-    def test_every_json_object_sidecar_round_trips(self, meta):
-        import json
-
+    def test_every_runtime_sidecar_round_trips(self, meta):
         frame = FrameCodec().encode(_sidecar_report(), meta)
         ((_, got),) = FrameCodec().feed_meta(frame)
         assert got == meta
-        # == cannot tell True from 1; the JSON text can.
-        assert json.dumps(got, sort_keys=True) == json.dumps(meta, sort_keys=True)
+        # == cannot tell True from 1; the types can.
+        assert {k: type(v) for k, v in got.items()} == {
+            k: type(v) for k, v in meta.items()
+        }
+
+    @settings(max_examples=120, deadline=None)
+    @given(BAD_SIDECARS)
+    def test_every_other_sidecar_raises_on_encode(self, meta):
+        with pytest.raises(ValueError, match="no packed form"):
+            FrameCodec().encode(_sidecar_report(), meta)
 
 
 def _frame(tag: int, body: bytes, flags: int = 0) -> bytes:
@@ -397,21 +424,35 @@ def _app_message_frame(payload: bytes) -> bytes:
 _LEGACY_HELLO_BODY = b'{"type":"__hello__","node":0,"wire":"binary","codec":3}'
 _LEGACY_HELLO = len(_LEGACY_HELLO_BODY).to_bytes(4, "big") + _LEGACY_HELLO_BODY
 
+#: JSON messages behind tag 0, which carries only the hello.
+_TAG_0_REPORT = _frame(
+    0,
+    b'{"type":"IntervalReport","origin":1,"dest":0,"transport_seq":0,'
+    b'"interval":{"owner":1,"seq":0,"lo":[3,1,4],"hi":[4,2,5],"members":[]}}',
+)
+_TAG_0_HEARTBEAT = _frame(0, b'{"type":"Heartbeat","sender":0}')
+#: Sidecar field bit 4, once a JSON tail, ahead of a JSON object.
+_SIDECAR_BIT_4 = _sidecar_frame(b'\x10{"x":1}')
+
 #: Well-framed input no encoder writes, and what the decoder says about it.
 UNWRITTEN_FRAMES = {
     # JSON nested past the interpreter's stack, in each place a frame
-    # holds JSON (the sidecar's tail fits inside the 64 KiB max_meta).
+    # holds JSON
     "deep-tag-0-body": (_frame(0, b"[" * 100_000), "nests too deeply"),
-    "deep-sidecar-tail": (_sidecar_frame(b"\x10" + b"[" * 60_000), "nests too deeply"),
     "deep-app-payload": (_app_message_frame(b"[" * 100_000), "nests too deeply"),
+    # tag 0 is the hello and nothing else; the sidecar has no bit 4
+    "tag-0-report": (_TAG_0_REPORT, "'IntervalReport', not a __hello__"),
+    "tag-0-heartbeat": (_TAG_0_HEARTBEAT, "'Heartbeat', not a __hello__"),
+    "sidecar-bit-4": (_SIDECAR_BIT_4, "field bits 0x10"),
     # flags bit 0 belongs to message tags only
     "ack-with-sidecar-flag": (_frame(7, b"\x05", flags=0x01), "flags 0x01 on tag 7"),
     "tag-0-with-sidecar-flag": (
         _frame(0, b'{"type":"Heartbeat","sender":1}', flags=0x01),
         "flags 0x01 on tag 0",
     ),
-    # acks are tag 7; a tag-0 meta frame is the hello or nothing
-    "tag-0-ack": (_frame(0, b'{"type":"__ack__"}'), "'__ack__' in a tag-0 frame"),
+    # acks are tag 7
+    "tag-0-ack": (_frame(0, b'{"type":"__ack__"}'), "'__ack__', not a __hello__"),
+    "tag-0-array": (_frame(0, b'[{"type":"__hello__"}]'), "None, not a __hello__"),
     # codec 3's hello: a bare 4-byte length, then JSON
     "legacy-framing": (_LEGACY_HELLO, "version byte 0x00"),
 }
@@ -467,22 +508,21 @@ class TestDamagedBinaryFrames:
     @settings(max_examples=40, deadline=None)
     @given(
         MESSAGES,
-        st.booleans(),
         st.sampled_from(
             [
                 None,
                 {"span": [1, 5], "sampled": True, "epochs": [3, 4]},
-                {"span": [1, 5], "sampled": None, "epochs": [4, 3], "x": ["y", 1]},
+                {"sampled": False, "epochs": [0, 2**62]},
             ]
         ),
         st.randoms(use_true_random=False),
     )
     def test_truncation_and_corruption_raise_only_value_error(
-        self, message, include_parts, meta, rng
+        self, message, meta, rng
     ):
         import tracemalloc
 
-        frame = FrameCodec(include_parts=include_parts).encode(message, meta)
+        frame = FrameCodec().encode(message, meta)
         lead = frame[:3]  # magic, tag, flags; the body length follows
         body = frame[7:]
         damaged = [
@@ -544,8 +584,10 @@ class TestDamagedBinaryFrames:
         with pytest.raises(ValueError, match="interval bounds out of order"):
             FrameCodec().feed(bad)
 
-    @pytest.mark.parametrize("row", [0, DEPTH - 1], ids=["head", "deepest"])
-    def test_out_of_order_row_poisons_the_stream(self, row):
+    @staticmethod
+    def _poison(frame: bytes):
+        """Open a session to a live TCP transport, then send *frame*: the
+        clock's log and the messages its receiver got."""
         import asyncio
 
         from repro.net import AsyncClock, TcpTransport
@@ -555,7 +597,7 @@ class TestDamagedBinaryFrames:
             b = TcpTransport(1, clock)
             got = []
             arrived = asyncio.Event()
-            b.set_receiver(lambda src, msg: (got.append(msg), arrived.set()))
+            b.set_receiver(lambda src, msg, meta: (got.append(msg), arrived.set()))
             await b.start()
             reader, writer = await asyncio.open_connection(*b.address)
             codec = FrameCodec()
@@ -563,7 +605,7 @@ class TestDamagedBinaryFrames:
             writer.write(hello + codec.encode(Heartbeat(sender=0)))
             # the session is up before it is poisoned
             await asyncio.wait_for(arrived.wait(), 10)
-            writer.write(self._chain_frame(swapped=row))
+            writer.write(frame)
             await writer.drain()
             # The handler hangs up: EOF.
             await asyncio.wait_for(reader.read(), 10)
@@ -573,10 +615,21 @@ class TestDamagedBinaryFrames:
             return clock, got
 
         clock, got = asyncio.run(asyncio.wait_for(scenario(), 30))
+        assert [type(m).__name__ for m in got] == ["Heartbeat"]
         (poisoned,) = clock.log.of_kind("net_stream_poisoned")
         assert poisoned.node == 1 and poisoned.get("src") == 0
-        assert "out of order" in poisoned.get("error")
-        assert [type(m).__name__ for m in got] == ["Heartbeat"]
+        return poisoned.get("error")
+
+    @pytest.mark.parametrize("row", [0, DEPTH - 1], ids=["head", "deepest"])
+    def test_out_of_order_row_poisons_the_stream(self, row):
+        assert "out of order" in self._poison(self._chain_frame(swapped=row))
+
+    @pytest.mark.parametrize(
+        "name", ["tag-0-report", "tag-0-heartbeat", "sidecar-bit-4"]
+    )
+    def test_tag_0_messages_and_sidecar_bit_4_poison_the_stream(self, name):
+        frame, complaint = UNWRITTEN_FRAMES[name]
+        assert complaint in self._poison(frame)
 
 
 class TestCountOnlyPricing:

@@ -72,8 +72,8 @@ class TestValidation:
 
 
 class TestDetectionRoundTrip:
-    """Detection records cross process boundaries (sharded runner) and
-    archive as JSON — both representations must reproduce exactly."""
+    """Detection records cross process boundaries (the sharded runner
+    pickles them) and must come back exactly."""
 
     @staticmethod
     def _detections():
@@ -102,28 +102,6 @@ class TestDetectionRoundTrip:
             record.aggregate.key() if record.aggregate is not None else None,
         )
 
-    def test_json_round_trip(self):
-        import json
-
-        from repro.sim import detections_from_dicts, detections_to_dicts
-
-        records = self._detections()
-        payload = json.loads(json.dumps(detections_to_dicts(records)))
-        rebuilt = detections_from_dicts(payload)
-        assert [self._signature(r) for r in rebuilt] == [
-            self._signature(r) for r in records
-        ]
-        # aggregation provenance must survive, recursively
-        assert [
-            len(list(r.aggregate.concrete_leaves()))
-            for r in rebuilt
-            if r.aggregate is not None
-        ] == [
-            len(list(r.aggregate.concrete_leaves()))
-            for r in records
-            if r.aggregate is not None
-        ]
-
     def test_pickle_round_trip(self):
         import pickle
 
@@ -141,104 +119,3 @@ class TestDetectionRoundTrip:
         assert rebuilt.n == trace.n
         assert rebuilt.event_count() == trace.event_count()
         assert trace_to_dict(rebuilt) == trace_to_dict(trace)
-
-    def test_queue_key_tagging_keeps_types(self):
-        from repro.sim.serialize import _key_from_json, _key_to_json
-
-        assert _key_from_json(_key_to_json(0)) == 0
-        assert _key_from_json(_key_to_json("0")) == "0"
-        assert _key_to_json(0) != _key_to_json("0")
-        with pytest.raises(TypeError):
-            _key_to_json(True)
-        with pytest.raises(TypeError):
-            _key_to_json(1.5)
-
-
-class TestMessageRoundTrip:
-    """Every control/app message dataclass survives the JSON wire form
-    (the payload layer of repro.net's frame codec)."""
-
-    def _interval(self, owner=1, seq=2, parts=()):
-        import numpy as np
-
-        from repro.intervals import Interval
-
-        return Interval(
-            owner=owner,
-            seq=seq,
-            lo=np.array([1, 0, 2], dtype=np.int64),
-            hi=np.array([4, 1, 2], dtype=np.int64),
-            members=frozenset({owner}),
-            parts=tuple(parts),
-        )
-
-    def _messages(self):
-        import numpy as np
-
-        from repro.sim.messages import (
-            AppMessage,
-            AttachAccept,
-            AttachRequest,
-            DetachNotice,
-            Heartbeat,
-            IntervalReport,
-        )
-
-        return [
-            AppMessage(payload={"k": [1, 2]}, piggyback=np.array([7, 0, 3], dtype=np.int64)),
-            IntervalReport(origin=1, dest=0, interval=self._interval(), transport_seq=9),
-            Heartbeat(sender=2),
-            AttachRequest(child=4, subtree=frozenset({4, 5, 6})),
-            AttachAccept(parent=1),
-            DetachNotice(child=4),
-        ]
-
-    def test_every_type_round_trips_through_json(self):
-        from repro.sim.messages import AppMessage, IntervalReport
-        from repro.sim.serialize import message_from_dict, message_to_dict
-
-        for message in self._messages():
-            data = json.loads(json.dumps(message_to_dict(message)))
-            rebuilt = message_from_dict(data)
-            assert type(rebuilt) is type(message)
-            if isinstance(message, AppMessage):
-                assert rebuilt.payload == message.payload
-                assert rebuilt.piggyback.tolist() == message.piggyback.tolist()
-            elif isinstance(message, IntervalReport):
-                assert rebuilt.interval.key() == message.interval.key()
-                assert (rebuilt.origin, rebuilt.dest, rebuilt.transport_seq) == (
-                    message.origin, message.dest, message.transport_seq,
-                )
-            else:
-                assert rebuilt == message
-
-    def test_aggregated_report_keeps_provenance(self):
-        from repro.sim.messages import IntervalReport
-        from repro.sim.serialize import message_from_dict, message_to_dict
-
-        part = self._interval(owner=2, seq=0)
-        aggregate = self._interval(owner=1, seq=3, parts=[part])
-        report = IntervalReport(origin=1, dest=0, interval=aggregate)
-        rebuilt = message_from_dict(message_to_dict(report))
-        assert [p.key() for p in rebuilt.interval.parts] == [part.key()]
-
-    def test_include_parts_false_ships_bounds_only(self):
-        from repro.sim.messages import IntervalReport
-        from repro.sim.serialize import message_from_dict, message_to_dict
-
-        part = self._interval(owner=2, seq=0)
-        aggregate = self._interval(owner=1, seq=3, parts=[part])
-        report = IntervalReport(origin=1, dest=0, interval=aggregate)
-        data = message_to_dict(report, include_parts=False)
-        assert "parts" not in data["interval"]
-        rebuilt = message_from_dict(data)
-        assert rebuilt.interval.parts == ()
-        assert rebuilt.interval.key() == aggregate.key()
-
-    def test_unknown_inputs_rejected(self):
-        from repro.sim.serialize import message_from_dict, message_to_dict
-
-        with pytest.raises(TypeError, match="unserializable"):
-            message_to_dict("not a message")
-        with pytest.raises(ValueError, match="unknown message type"):
-            message_from_dict({"type": "Gremlin"})

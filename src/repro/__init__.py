@@ -31,7 +31,7 @@ from .analysis import (
     table1_rows,
     tree_nodes,
 )
-from .clocks import Cut, Timestamp, VectorClock, freeze, join, meet, vc_less
+from .clocks import Timestamp, VectorClock, freeze, join, meet, vc_less
 from .detect import (
     CentralizedSinkCore,
     DetectionRecord,
@@ -71,7 +71,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CentralizedSinkCore",
     "ConjunctivePredicate",
-    "Cut",
     "DetectionRecord",
     "DistributedMonitor",
     "EpochConfig",

@@ -1,7 +1,6 @@
-"""Vector clocks, timestamps and cuts (paper Section II-A)."""
+"""Vector clocks and timestamps (paper Section II-A)."""
 
 from .compare import HeadMatrix
-from .cut import Cut, cut_of_events, is_consistent_cut
 from .encoding import (
     best_encoding,
     decode_differential,
@@ -23,7 +22,6 @@ from .vector_clock import (
 )
 
 __all__ = [
-    "Cut",
     "HeadMatrix",
     "best_encoding",
     "decode_differential",
@@ -32,9 +30,7 @@ __all__ = [
     "encode_sparse",
     "Timestamp",
     "VectorClock",
-    "cut_of_events",
     "freeze",
-    "is_consistent_cut",
     "join",
     "meet",
     "vc_concurrent",

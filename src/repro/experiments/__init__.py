@@ -16,7 +16,6 @@ from .availability import (
     format_availability,
 )
 from .compression import CompressionResult, compression_ablation
-from .deploy import run_zero_assumptions
 from .design_space import (
     AlgorithmProfile,
     design_space_comparison,
@@ -94,7 +93,6 @@ __all__ = [
     "run_centralized",
     "run_hierarchical",
     "run_possibly",
-    "run_zero_assumptions",
     "run_token",
     "run_table1",
     "run_validation",

@@ -1,7 +1,6 @@
 """Failure injection, heartbeat detection and tree-repair coordination."""
 
 from .coordinator import RepairableRole, RepairCoordinator
-from .discovery import SelfHealingRole
 from .heartbeat import HeartbeatMonitor
 from .injector import FailureInjector
 from .rejoin import RejoinManager
@@ -12,5 +11,4 @@ __all__ = [
     "RejoinManager",
     "RepairCoordinator",
     "RepairableRole",
-    "SelfHealingRole",
 ]

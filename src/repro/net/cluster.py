@@ -66,7 +66,7 @@ from ..load import LoadSession, LoadSpec
 from ..monitor.spec import HeartbeatSpec, SLOSpec
 from ..obs.cluster import ClusterView, TelemetryAggregator, scrape_local
 from ..obs.epochs import StrandingWatchdog
-from ..obs.export import _jsonable
+from ..obs.export import event_dict
 from ..obs.flight import FlightRecorder
 from ..obs.profile import SamplingProfiler
 from ..obs.registry import count_error
@@ -771,18 +771,6 @@ class LocalCluster:
             "uptime": round(self.clock.now, 3),
         }
 
-    @staticmethod
-    def _event_dicts(log) -> List[dict]:
-        return [
-            {
-                "time": record.time,
-                "kind": record.kind,
-                "node": record.node,
-                "fields": _jsonable(record.as_dict()),
-            }
-            for record in list(log.records)
-        ]
-
     def _telemetry_payload(self) -> dict:
         return {
             "nodes": {
@@ -803,10 +791,10 @@ class LocalCluster:
     def _eventlog_payload(self) -> dict:
         return {
             "nodes": {
-                str(pid): self._event_dicts(scope.log)
+                str(pid): [event_dict(r) for r in scope.log.records]
                 for pid, scope in sorted(self.scopes.items())
             },
-            "cluster": self._event_dicts(self.clock.log),
+            "cluster": [event_dict(r) for r in self.clock.log.records],
         }
 
     def _epochs_payload(self) -> Optional[dict]:

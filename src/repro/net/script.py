@@ -45,10 +45,6 @@ class IntervalScript:
     #: the simulator run's detections, in announcement order
     reference: List[DetectionRecord] = field(default_factory=list)
 
-    @property
-    def total_intervals(self) -> int:
-        return sum(len(stream) for stream in self.streams.values())
-
 
 def simulation_script(
     tree: SpanningTree,

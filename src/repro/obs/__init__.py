@@ -34,7 +34,9 @@ from .epochs import (
 )
 from .export import (
     chrome_trace,
+    event_dict,
     eventlog_to_jsonl,
+    merge_events,
     prometheus_text,
     write_chrome_trace,
 )
@@ -90,10 +92,12 @@ __all__ = [
     "TelemetryAggregator",
     "TraceSampler",
     "chrome_trace",
+    "event_dict",
     "eventlog_to_jsonl",
     "interval_key",
     "load_snapshot",
     "load_snapshots",
+    "merge_events",
     "postmortem",
     "prometheus_text",
     "reconstruct_timeline",

@@ -48,6 +48,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .export import merge_events
 from .registry import MetricsRegistry
 from .spans import Span, SpanTracker
 from .telemetry import Telemetry
@@ -282,24 +283,9 @@ class TelemetryAggregator:
     def _merge_events(scrape: ClusterScrape) -> List[dict]:
         """Node + cluster event streams, content-deduplicated (scoped
         clocks forward node events to the cluster log) and time-sorted."""
-        seen = set()
-        merged: List[dict] = []
         streams = [scrape.nodes[pid].events for pid in sorted(scrape.nodes)]
         streams.append(scrape.cluster_events)
-        for stream in streams:
-            for event in stream:
-                identity = (
-                    event.get("time"),
-                    event.get("kind"),
-                    event.get("node"),
-                    json.dumps(event.get("fields", {}), sort_keys=True),
-                )
-                if identity in seen:
-                    continue
-                seen.add(identity)
-                merged.append(event)
-        merged.sort(key=lambda e: (e.get("time") or 0.0, e.get("kind") or ""))
-        return merged
+        return merge_events(streams)
 
     # -- derived cluster metrics ---------------------------------------
     def _publish_cluster_metrics(
@@ -490,13 +476,6 @@ class ClusterView:
         return "\n".join(lines)
 
     # -- epoch ledger --------------------------------------------------
-    def epoch_summary(self) -> Optional[dict]:
-        """The scraped ledger's summary block (``None`` when the
-        cluster ran without a load session)."""
-        if self.epochs is None:
-            return None
-        return self.epochs.get("summary")
-
     def epoch_table(self) -> str:
         """The ``repro-cluster watch --epochs`` surface: the ledger's
         accounting line, per-target queue watermarks and one row per

@@ -24,13 +24,15 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, Dict, Iterable, List, Optional, Union
 
 from .registry import MetricsRegistry
 from .spans import SpanTracker
 
 __all__ = [
+    "event_dict",
     "eventlog_to_jsonl",
+    "merge_events",
     "prometheus_text",
     "chrome_trace",
     "write_chrome_trace",
@@ -70,26 +72,53 @@ def _jsonable(value):
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
-def eventlog_to_jsonl(log, destination: Union[str, Path, IO[str]]) -> int:
-    """Write the event log as JSON Lines; returns the record count.
+def event_dict(record) -> dict:
+    """One event record in its wire form:
+    ``{"time": …, "kind": …, "node": …, "fields": {…}}`` — the shape of
+    JSONL lines, flight-snapshot events and scraped event logs alike."""
+    return {
+        "time": record.time,
+        "kind": record.kind,
+        "node": record.node,
+        "fields": _jsonable(record.as_dict()),
+    }
 
-    Each line is ``{"time": …, "kind": …, "node": …, "fields": {…}}``.
+
+def merge_events(streams: Iterable[Iterable[dict]]) -> List[dict]:
+    """Merge event streams (wire form) into one deduplicated,
+    time-sorted timeline.
+
+    The same record legitimately appears in several streams — in a
+    node's repair snapshot *and* its shutdown snapshot, or in a node's
+    log and the cluster's (scoped clocks forward) — so identity is the
+    record's content, not its stream of origin.
     """
+    seen = set()
+    merged: List[dict] = []
+    for stream in streams:
+        for event in stream:
+            identity = (
+                event.get("time"),
+                event.get("kind"),
+                event.get("node"),
+                json.dumps(event.get("fields", {}), sort_keys=True),
+            )
+            if identity in seen:
+                continue
+            seen.add(identity)
+            merged.append(event)
+    merged.sort(key=lambda e: (e.get("time") or 0.0, e.get("kind") or ""))
+    return merged
+
+
+def eventlog_to_jsonl(log, destination: Union[str, Path, IO[str]]) -> int:
+    """Write the event log as JSON Lines (one :func:`event_dict` per
+    line); returns the record count."""
 
     def _write(fp) -> int:
         count = 0
         for record in log.records:
-            fp.write(
-                json.dumps(
-                    {
-                        "time": record.time,
-                        "kind": record.kind,
-                        "node": record.node,
-                        "fields": _jsonable(record.as_dict()),
-                    },
-                    sort_keys=True,
-                )
-            )
+            fp.write(json.dumps(event_dict(record), sort_keys=True))
             fp.write("\n")
             count += 1
         return count

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Union
 
-from .export import _jsonable
+from .export import _jsonable, event_dict, merge_events
 from .spans import SpanTracker
 
 __all__ = [
@@ -149,16 +149,7 @@ class FlightRecorder:
         ]
         for record in self._ring:
             lines.append(
-                json.dumps(
-                    {
-                        "record": "event",
-                        "time": record.time,
-                        "kind": record.kind,
-                        "node": record.node,
-                        "fields": _jsonable(record.as_dict()),
-                    },
-                    sort_keys=True,
-                )
+                json.dumps({"record": "event", **event_dict(record)}, sort_keys=True)
             )
         if self.spans is not None:
             # Content-hash dedup: a snapshot taken while the tracker's
@@ -248,30 +239,9 @@ def load_snapshots(directory: Union[str, Path]) -> List[FlightSnapshot]:
 
 
 def reconstruct_timeline(snapshots: List[FlightSnapshot]) -> List[dict]:
-    """Merge every snapshot's events into one deduplicated, time-sorted
-    timeline.
-
-    The same record legitimately appears several times — in a node's
-    repair snapshot *and* its shutdown snapshot, or in a node's log and
-    the cluster's (scoped clocks forward) — so identity is the record's
-    content, not its snapshot of origin.
-    """
-    seen = set()
-    merged: List[dict] = []
-    for snapshot in snapshots:
-        for event in snapshot.events:
-            identity = (
-                event.get("time"),
-                event.get("kind"),
-                event.get("node"),
-                json.dumps(event.get("fields", {}), sort_keys=True),
-            )
-            if identity in seen:
-                continue
-            seen.add(identity)
-            merged.append(event)
-    merged.sort(key=lambda e: (e.get("time") or 0.0, e.get("kind") or ""))
-    return merged
+    """Every snapshot's events as one deduplicated, time-sorted timeline
+    (see :func:`~repro.obs.export.merge_events`)."""
+    return merge_events(snapshot.events for snapshot in snapshots)
 
 
 def postmortem(

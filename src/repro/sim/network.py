@@ -312,9 +312,6 @@ class Network:
             return sum(self.sent.values())
         return sum(v for (p, _t), v in self.sent.items() if p == plane)
 
-    def messages_by_type(self) -> Dict[tuple, int]:
-        return dict(self.sent)
-
     def bandwidth_entries(self, plane: Optional[str] = None) -> int:
         """Total transmitted volume in vector entries (hop-counted),
         optionally restricted to one plane."""

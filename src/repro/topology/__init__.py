@@ -8,7 +8,6 @@ from .graphs import (
     small_world_topology,
     tree_with_chords,
 )
-from .protocol import TreeBuilder, TreeBuildMessage
 from .repair import Attachment, RepairPlan, apply_repair, plan_repair
 from .spanning_tree import SpanningTree, regular_tree_size
 
@@ -16,8 +15,6 @@ __all__ = [
     "Attachment",
     "RepairPlan",
     "SpanningTree",
-    "TreeBuildMessage",
-    "TreeBuilder",
     "apply_repair",
     "complete_topology",
     "grid_topology",

@@ -122,6 +122,22 @@ class TestPartition:
         assert frozenset({0, 2, 5, 6}) in post_members
 
 
+class TestHealthyRunWithHeartbeats:
+    def test_no_suspicion_no_repair_every_epoch_detected(self):
+        """Heartbeats on, nothing fails: no peer is ever suspected, no
+        repair is planned, and every epoch is still detected."""
+        tree, graph = chordful_tree(2, 4, extra=14, seed=3)
+        epochs = 8
+        result = run_hierarchical(
+            tree, graph=graph, seed=5, heartbeat=(5.0, 16.0),
+            config=EpochConfig(epochs=epochs, sync_prob=1.0),
+        )
+        assert not result.sim.log.of_kind("suspect")
+        coordinator = result.roles[tree.root].coordinator
+        assert coordinator is not None and coordinator.plans == {}
+        assert result.metrics.root_detections == epochs
+
+
 class TestDeterminismUnderFailures:
     def test_same_seed_same_outcome(self):
         def run():

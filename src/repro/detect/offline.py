@@ -82,21 +82,27 @@ def holds_definitely(intervals_by_process: Dict[int, List[Interval]]) -> bool:
 # ----------------------------------------------------------------------
 # lattice oracle
 # ----------------------------------------------------------------------
+def _stamps(trace: ExecutionTrace) -> List[List[List[int]]]:
+    """Every event's timestamp as a list, per process (built once per
+    walk: the walk reads each of them many times)."""
+    return [[event.timestamp.tolist() for event in lane] for lane in trace.events]
+
+
 def _next_states(
-    cut: Tuple[int, ...], trace: ExecutionTrace
+    cut: Tuple[int, ...], stamps: List[List[List[int]]]
 ) -> Iterator[Tuple[int, ...]]:
     """Consistent cuts reachable by executing one more event."""
-    for i in range(trace.n):
+    n = len(stamps)
+    for i in range(n):
         k = cut[i]
-        events = trace.events[i]
-        if k >= len(events):
+        if k >= len(stamps[i]):
             continue
-        ts = events[k].timestamp
+        ts = stamps[i][k]
         # The next event of P_i is enabled iff all events it causally
         # depends on are inside the cut.
         ok = True
-        for j in range(trace.n):
-            if j != i and int(ts[j]) > cut[j]:
+        for j in range(n):
+            if j != i and ts[j] > cut[j]:
                 ok = False
                 break
         if ok:
@@ -115,16 +121,17 @@ def lattice_definitely(trace: ExecutionTrace) -> bool:
     ``Definitely`` holds iff the final cut is unreachable this way.
     """
     initial = tuple(0 for _ in range(trace.n))
-    final = tuple(len(evts) for evts in trace.events)
+    final = tuple(len(lane) for lane in trace.events)
     if _phi(initial, trace):
         return True
+    stamps = _stamps(trace)
     seen = {initial}
     stack = [initial]
     while stack:
         cut = stack.pop()
         if cut == final:
             return False
-        for nxt in _next_states(cut, trace):
+        for nxt in _next_states(cut, stamps):
             if nxt in seen or _phi(nxt, trace):
                 continue
             seen.add(nxt)
@@ -137,11 +144,12 @@ def lattice_possibly(trace: ExecutionTrace) -> bool:
     initial = tuple(0 for _ in range(trace.n))
     if _phi(initial, trace):
         return True
+    stamps = _stamps(trace)
     seen = {initial}
     stack = [initial]
     while stack:
         cut = stack.pop()
-        for nxt in _next_states(cut, trace):
+        for nxt in _next_states(cut, stamps):
             if nxt in seen:
                 continue
             if _phi(nxt, trace):

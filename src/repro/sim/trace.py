@@ -13,23 +13,42 @@ Traces come from two producers: the discrete-event simulator
 (:mod:`repro.sim.kernel` / :mod:`repro.sim.process`) and the scripted
 scenario builder (:mod:`repro.workload.scenarios`) used to reproduce
 the paper's figures exactly.
+
+Storage is columnar and keeps only the timestamps the clock rules do
+not imply.  By rules 1–2 of Section II-A an internal or send event
+changes only its own component, so its timestamp is its predecessor's
+with the own component +1.  :meth:`ExecutionTrace.record` keeps a
+timestamp only when it differs from that (in practice: receive events,
+and a first event that already knows a foreign component); every other
+event's timestamp is rebuilt on demand from the nearest kept one before
+it.  On an epoch workload that drops all but the receive rows.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
-from ..clocks import Timestamp
+import numpy as np
+
+from ..clocks import Timestamp, freeze
 from ..intervals import Interval
 
-__all__ = ["EventKind", "ProcessEvent", "ExecutionTrace"]
+__all__ = ["EventKind", "ProcessEvent", "ProcessEvents", "ExecutionTrace"]
 
 
 class EventKind:
     INTERNAL = "internal"
     SEND = "send"
     RECV = "recv"
+
+
+#: kind code (the index stored per event) → kind
+_KINDS = (EventKind.INTERNAL, EventKind.SEND, EventKind.RECV)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -53,13 +72,127 @@ class ProcessEvent:
     global_order: int
     time: float = 0.0
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProcessEvent):
+            return NotImplemented
+        return (
+            self.process,
+            self.index,
+            self.kind,
+            self.predicate,
+            self.global_order,
+            self.time,
+        ) == (
+            other.process,
+            other.index,
+            other.kind,
+            other.predicate,
+            other.global_order,
+            other.time,
+        ) and np.array_equal(self.timestamp, other.timestamp)
+
+
+class ProcessEvents(Sequence):
+    """One process's recorded events: a read-only sequence over columns.
+
+    Per event it stores a kind code, the predicate, the global order and
+    the time; timestamps only where :meth:`ExecutionTrace.record` kept
+    one (``_kept``, at the event indices in ``_kept_at``).  Indexing
+    builds a :class:`ProcessEvent` on demand; a kept timestamp comes back
+    as the same object, any other as a frozen copy of the nearest kept
+    row before it (or of the zero vector) with the own component set.
+    """
+
+    __slots__ = (
+        "_process",
+        "_base",
+        "_zero",
+        "_kinds",
+        "_predicates",
+        "_orders",
+        "_times",
+        "_kept",
+        "_kept_at",
+    )
+
+    def __init__(self, process: int, zero: Timestamp) -> None:
+        self._process = process
+        self._zero = zero
+        #: the latest kept timestamp (the zero vector before the first)
+        self._base = zero
+        self._kinds = bytearray()
+        self._predicates = bytearray()
+        self._orders = array("q")
+        self._times = array("d")
+        self._kept: List[Timestamp] = []
+        self._kept_at = array("q")
+
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+    def _timestamp(self, k: int) -> Timestamp:
+        """Timestamp of the event at 0-based position *k* (``k >= 0``)."""
+        row = bisect_right(self._kept_at, k) - 1
+        if row >= 0 and self._kept_at[row] == k:
+            return self._kept[row]
+        stamp = (self._kept[row] if row >= 0 else self._zero).copy()
+        stamp[self._process] = k + 1
+        stamp.setflags(write=False)
+        return stamp
+
+    def _event(self, k: int) -> ProcessEvent:
+        return ProcessEvent(
+            process=self._process,
+            index=k + 1,
+            timestamp=self._timestamp(k),
+            kind=_KINDS[self._kinds[k]],
+            predicate=bool(self._predicates[k]),
+            global_order=self._orders[k],
+            time=self._times[k],
+        )
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self._event(k) for k in range(*key.indices(len(self)))]
+        k = key + len(self) if key < 0 else key
+        if not 0 <= k < len(self):
+            raise IndexError("event index out of range")
+        return self._event(k)
+
+    def __iter__(self):
+        return map(self._event, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (ProcessEvents, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __setstate__(self, state) -> None:
+        # numpy unpickles arrays writable: freeze the timestamps again
+        # (in place, so ``_base`` stays the last kept row).
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        for stamp in (self._zero, *self._kept):
+            stamp.setflags(write=False)
+
+    def __repr__(self) -> str:
+        return f"<ProcessEvents P{self._process}: {len(self)} events, {len(self._kept)} kept timestamps>"
+
 
 class ExecutionTrace:
-    """The recorded events of one distributed execution."""
+    """The recorded events of one distributed execution.
 
-    def __init__(self, n: int, initial_predicate: Optional[Sequence[bool]] = None):
+    ``events[p]`` is process *p*'s :class:`ProcessEvents`, a read-only
+    sequence of :class:`ProcessEvent`.
+    """
+
+    def __init__(self, n: int, initial_predicate: Optional[Sequence] = None):
         self.n = n
-        self.events: List[List[ProcessEvent]] = [[] for _ in range(n)]
+        zero = np.zeros(n, dtype=np.int64)
+        zero.setflags(write=False)
+        self.events: Tuple[ProcessEvents, ...] = tuple(
+            ProcessEvents(p, zero) for p in range(n)
+        )
         self.initial_predicate: List[bool] = (
             list(initial_predicate) if initial_predicate is not None else [False] * n
         )
@@ -74,69 +207,73 @@ class ExecutionTrace:
         kind: str,
         predicate: bool,
         time: float = 0.0,
-    ) -> ProcessEvent:
-        """Append one event to *process*'s local sequence."""
-        seq = self.events[process]
-        index = len(seq) + 1
+    ) -> None:
+        """Append one event to *process*'s local sequence.
+
+        The timestamp is kept (as a frozen copy unless it already is
+        frozen) only when it is not the previous event's with the own
+        component +1 — decided by comparing, whatever *kind* says.
+        """
+        lane = self.events[process]
+        index = len(lane) + 1
+        if len(timestamp) != self.n:
+            raise ValueError(
+                f"timestamp has {len(timestamp)} components, trace has {self.n}"
+            )
         if int(timestamp[process]) != index:
             raise ValueError(
                 f"timestamp component {int(timestamp[process])} does not match "
                 f"local event index {index} at P{process}"
             )
-        event = ProcessEvent(
-            process=process,
-            index=index,
-            timestamp=timestamp,
-            kind=kind,
-            predicate=predicate,
-            global_order=self._order,
-            time=time,
-        )
+        code = _KIND_CODES.get(kind)
+        if code is None:
+            raise ValueError(f"unknown event kind {kind!r}")
+        # The own component always differs from the base's; any other
+        # difference means the clock rules do not imply this timestamp.
+        if np.count_nonzero(timestamp != lane._base) != 1:
+            stamp = freeze(timestamp)
+            lane._kept.append(stamp)
+            lane._kept_at.append(index - 1)
+            lane._base = stamp
+        lane._kinds.append(code)
+        lane._predicates.append(1 if predicate else 0)
+        lane._orders.append(self._order)
+        lane._times.append(time)
         self._order += 1
-        seq.append(event)
-        return event
 
     # ------------------------------------------------------------------
     def event_count(self) -> int:
-        return sum(len(seq) for seq in self.events)
+        return sum(len(lane) for lane in self.events)
+
+    def kept_timestamps(self) -> int:
+        """How many timestamps the trace stores (the rest are implied)."""
+        return sum(len(lane._kept) for lane in self.events)
 
     def predicate_after(self, process: int, k: int) -> bool:
         """Local predicate value after *process* executed ``k`` events."""
         if k == 0:
             return self.initial_predicate[process]
-        return self.events[process][k - 1].predicate
+        return bool(self.events[process]._predicates[k - 1])
 
     def intervals(self, process: int) -> List[Interval]:
         """Maximal runs of predicate-true events at *process*, in order."""
+        lane = self.events[process]
+        predicates = lane._predicates
         out: List[Interval] = []
-        run_start: Optional[ProcessEvent] = None
-        last_true: Optional[ProcessEvent] = None
-        for event in self.events[process]:
-            if event.predicate:
-                if run_start is None:
-                    run_start = event
-                last_true = event
-            else:
-                if run_start is not None:
-                    out.append(
-                        Interval(
-                            owner=process,
-                            seq=len(out),
-                            lo=run_start.timestamp,
-                            hi=last_true.timestamp,
-                        )
-                    )
-                    run_start = None
-                    last_true = None
-        if run_start is not None:
+        start = predicates.find(1)
+        while start >= 0:
+            end = predicates.find(0, start)
+            if end < 0:
+                end = len(predicates)
             out.append(
                 Interval(
                     owner=process,
                     seq=len(out),
-                    lo=run_start.timestamp,
-                    hi=last_true.timestamp,
+                    lo=lane._timestamp(start),
+                    hi=lane._timestamp(end - 1),
                 )
             )
+            start = predicates.find(1, end)
         return out
 
     def all_intervals(self) -> Dict[int, List[Interval]]:
@@ -145,8 +282,8 @@ class ExecutionTrace:
     def interval_close_time(self, interval: Interval) -> float:
         """Wall time of the event at which *interval*'s predicate run
         ended (its ``max(x)`` event)."""
-        events = self.events[interval.owner]
-        return events[int(interval.hi[interval.owner]) - 1].time
+        owner = interval.owner
+        return self.events[owner]._times[int(interval.hi[owner]) - 1]
 
     def intervals_in_completion_order(self) -> List[Interval]:
         """All processes' intervals ordered by the global order of their
@@ -154,9 +291,9 @@ class ExecutionTrace:
         sink replay with instantaneous channels."""
 
         def close_order(interval: Interval) -> int:
-            events = self.events[interval.owner]
+            owner = interval.owner
             # hi component at owner is the 1-based index of the closing event
-            return events[int(interval.hi[interval.owner]) - 1].global_order
+            return self.events[owner]._orders[int(interval.hi[owner]) - 1]
 
         flat = [iv for p in range(self.n) for iv in self.intervals(p)]
         flat.sort(key=close_order)

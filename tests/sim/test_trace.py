@@ -1,10 +1,25 @@
 """Unit tests: execution traces."""
 
+import json
+from contextlib import contextmanager
+from typing import List, Optional
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clocks import freeze
-from repro.sim import ExecutionTrace
+from repro.detect import lattice_definitely
+from repro.experiments import run_hierarchical
+from repro.intervals import Interval
+from repro.sim import ExecutionTrace, ProcessEvent, trace_from_dict, trace_to_dict
+from repro.topology import SpanningTree
+from repro.workload.generator import EpochConfig
 from repro.workload.scenarios import ScriptedExecution, figure2_execution
+
+from ..conftest import random_execution
 
 
 class TestRecording:
@@ -25,6 +40,30 @@ class TestRecording:
     def test_initial_predicate_validation(self):
         with pytest.raises(ValueError):
             ExecutionTrace(3, initial_predicate=[True])
+
+    def test_unknown_kind_is_refused(self):
+        trace = ExecutionTrace(1)
+        with pytest.raises(ValueError, match="kind"):
+            trace.record(0, freeze([1]), "change", False)
+
+    def test_wrong_width_is_refused(self):
+        trace = ExecutionTrace(2)
+        with pytest.raises(ValueError, match="components"):
+            trace.record(0, freeze([1, 0, 0]), "internal", False)
+
+    def test_caller_mutation_does_not_reach_the_trace(self):
+        # A writable timestamp the trace keeps (a receive that learned a
+        # foreign component) and one it implies (the next internal
+        # event) are both mutated after recording.
+        trace = ExecutionTrace(2)
+        received = np.array([1, 3], dtype=np.int64)
+        trace.record(0, received, "recv", True)
+        ticked = np.array([2, 3], dtype=np.int64)
+        trace.record(0, ticked, "internal", False)
+        received[1] = 9
+        ticked[1] = 9
+        assert [e.timestamp.tolist() for e in trace.events[0]] == [[1, 3], [2, 3]]
+        assert trace.intervals(0)[0].lo.tolist() == [1, 3]
 
     def test_predicate_after(self):
         trace = ExecutionTrace(1, initial_predicate=[True])
@@ -66,3 +105,234 @@ class TestIntervalExtraction:
         assert order[0] == (1, 0)
         assert set(order) == {(0, 0), (1, 0), (1, 1), (2, 0), (3, 0)}
         assert order.index((2, 0)) < order.index((0, 0))
+
+
+class TestEventsView:
+    @staticmethod
+    def _trace() -> ExecutionTrace:
+        ex = ScriptedExecution(2)
+        ex.set_pred(0, True)
+        ex.send(0, "m")
+        ex.recv(1, "m")
+        ex.internal(1)
+        ex.set_pred(0, False)
+        return ex.trace
+
+    def test_sequence_protocol(self):
+        trace = self._trace()
+        lane = trace.events[1]
+        assert len(lane) == 2
+        assert [e.index for e in lane] == [1, 2]
+        assert lane[-1] == lane[1] and lane[-2] == lane[0]
+        assert lane[1:] == [lane[1]]
+        assert lane[::-1] == [lane[1], lane[0]]
+        assert lane == list(lane) and lane == tuple(lane)
+        assert lane != trace.events[0]
+        assert trace.events[0][0] in trace.events[0]
+        with pytest.raises(IndexError):
+            lane[2]
+        with pytest.raises(IndexError):
+            lane[-3]
+
+    def test_view_is_read_only(self):
+        lane = self._trace().events[0]
+        with pytest.raises(TypeError):
+            lane[0] = lane[1]
+        assert not hasattr(lane, "append")
+        with pytest.raises(ValueError):
+            lane[0].timestamp[0] = 5
+
+    def test_implied_timestamps_are_rebuilt_and_kept_ones_shared(self):
+        trace = self._trace()
+        recv, after = trace.events[1]
+        assert recv.timestamp.tolist() == [2, 1]
+        assert after.timestamp.tolist() == [2, 2]
+        # The receive row is stored: the same object on every read.
+        assert trace.events[1][0].timestamp is recv.timestamp
+        assert trace.kept_timestamps() == 1
+
+    def test_timestamps_stay_frozen_across_pickling(self):
+        import pickle
+
+        trace = pickle.loads(pickle.dumps(self._trace()))
+        assert all(not e.timestamp.flags.writeable for lane in trace.events for e in lane)
+        assert trace.events[1][0].timestamp.tolist() == [2, 1]
+
+    def test_a_kept_row_is_the_recorded_frozen_object(self):
+        trace = ExecutionTrace(2)
+        stamp = freeze([1, 4])
+        trace.record(0, stamp, "recv", False)
+        assert trace.events[0][0].timestamp is stamp
+
+
+# ----------------------------------------------------------------------
+# the columns against the list-of-events storage they replaced
+# ----------------------------------------------------------------------
+class ListTrace:
+    """Reference: every event kept as a :class:`ProcessEvent` with its
+    own timestamp, and the trace queries written over those lists."""
+
+    def __init__(self, n: int, initial_predicate: List[bool]) -> None:
+        self.n = n
+        self.initial_predicate = list(initial_predicate)
+        self.events: List[List[ProcessEvent]] = [[] for _ in range(n)]
+
+    def add(self, process, timestamp, kind, predicate, order, time) -> None:
+        seq = self.events[process]
+        seq.append(
+            ProcessEvent(
+                process=process,
+                index=len(seq) + 1,
+                timestamp=freeze(np.array(timestamp, dtype=np.int64)),
+                kind=kind,
+                predicate=bool(predicate),
+                global_order=order,
+                time=float(time),
+            )
+        )
+
+    def predicate_after(self, process: int, k: int) -> bool:
+        if k == 0:
+            return self.initial_predicate[process]
+        return self.events[process][k - 1].predicate
+
+    def intervals(self, process: int) -> List[Interval]:
+        out: List[Interval] = []
+        start: Optional[ProcessEvent] = None
+        last: Optional[ProcessEvent] = None
+        for event in self.events[process] + [None]:
+            if event is not None and event.predicate:
+                start = start or event
+                last = event
+            elif start is not None:
+                out.append(
+                    Interval(owner=process, seq=len(out), lo=start.timestamp, hi=last.timestamp)
+                )
+                start = last = None
+        return out
+
+    def closing_event(self, interval: Interval) -> ProcessEvent:
+        return self.events[interval.owner][int(interval.hi[interval.owner]) - 1]
+
+    def intervals_in_completion_order(self) -> List[Interval]:
+        flat = [iv for p in range(self.n) for iv in self.intervals(p)]
+        flat.sort(key=lambda iv: self.closing_event(iv).global_order)
+        return flat
+
+
+@contextmanager
+def recording_reference():
+    """Mirror every ``ExecutionTrace.record`` into a :class:`ListTrace`;
+    yields trace → its reference."""
+    references = {}
+    original = ExecutionTrace.record
+
+    def record(trace, process, timestamp, kind, predicate, time=0.0):
+        if trace not in references:
+            references[trace] = ListTrace(trace.n, trace.initial_predicate)
+        order = trace._order
+        original(trace, process, timestamp, kind, predicate, time)
+        references[trace].add(process, timestamp, kind, predicate, order, time)
+
+    with mock.patch.object(ExecutionTrace, "record", record):
+        yield references
+
+
+def _interval_rows(intervals):
+    return [(iv.owner, iv.seq, iv.lo.tolist(), iv.hi.tolist()) for iv in intervals]
+
+
+def assert_equivalent(trace: ExecutionTrace, ref: ListTrace, *, lattice: bool) -> None:
+    assert trace.event_count() == sum(len(seq) for seq in ref.events)
+    for p in range(trace.n):
+        lane = trace.events[p]
+        assert len(lane) == len(ref.events[p])
+        for got, want in zip(lane, ref.events[p]):
+            assert got.timestamp.tolist() == want.timestamp.tolist()
+            assert not got.timestamp.flags.writeable
+            assert (got.process, got.index, got.kind, got.predicate, got.global_order, got.time) == (
+                want.process, want.index, want.kind, want.predicate, want.global_order, want.time,
+            )
+            assert type(got.predicate) is bool and type(got.time) is float
+        assert lane == ref.events[p]
+        for k in range(len(lane) + 1):
+            assert trace.predicate_after(p, k) == ref.predicate_after(p, k)
+        assert _interval_rows(trace.intervals(p)) == _interval_rows(ref.intervals(p))
+    ordered = trace.intervals_in_completion_order()
+    assert _interval_rows(ordered) == _interval_rows(ref.intervals_in_completion_order())
+    assert [trace.interval_close_time(iv) for iv in ordered] == [
+        ref.closing_event(iv).time for iv in ordered
+    ]
+    if lattice:
+        assert lattice_definitely(trace) == lattice_definitely(ref)
+    assert json.dumps(trace_to_dict(trace)) == json.dumps(trace_to_dict(ref))
+
+
+class TestColumnsMatchEventLists:
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 4),
+        steps=st.integers(0, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scripted_executions(self, n, steps, seed):
+        with recording_reference() as refs:
+            ex = random_execution(n, steps, np.random.default_rng(seed))
+        trace = ex.trace
+        ref = refs.get(trace, ListTrace(n, trace.initial_predicate))
+        assert_equivalent(trace, ref, lattice=True)
+        rebuilt = trace_from_dict(trace_to_dict(trace))
+        assert_equivalent(rebuilt, ref, lattice=False)
+
+    @settings(max_examples=6)
+    @given(seed=st.integers(0, 1000), height=st.integers(1, 3))
+    def test_small_hierarchical_runs(self, seed, height):
+        with recording_reference() as refs:
+            result = run_hierarchical(
+                SpanningTree.regular(2, height),
+                seed=seed,
+                config=EpochConfig(epochs=3, sync_prob=0.7),
+            )
+        assert_equivalent(result.trace, refs[result.trace], lattice=False)
+
+    def test_internal_event_that_changes_a_foreign_component(self):
+        # Not a clock-rule execution, but an archive may hold one: P1's
+        # second event is "internal" and still learns P0's first, and its
+        # third is a "recv" that learns nothing.  Only comparing the
+        # timestamps (never the kind) keeps the right rows.
+        data = {
+            "version": 1,
+            "n": 2,
+            "initial_predicate": [False, True],
+            "events": [
+                {"p": 0, "ts": [1, 0], "kind": "send", "pred": True, "t": 0.5},
+                {"p": 1, "ts": [0, 1], "kind": "internal", "pred": True, "t": 1.0},
+                {"p": 1, "ts": [1, 2], "kind": "internal", "pred": False, "t": 2.0},
+                {"p": 1, "ts": [1, 3], "kind": "recv", "pred": True, "t": 3.0},
+                {"p": 0, "ts": [2, 3], "kind": "recv", "pred": False, "t": 4.0},
+                {"p": 1, "ts": [1, 4], "kind": "send", "pred": False, "t": 5.0},
+            ],
+        }
+        with recording_reference() as refs:
+            trace = trace_from_dict(data)
+        assert trace.kept_timestamps() == 2  # P1's second event, P0's receive
+        assert_equivalent(trace, refs[trace], lattice=True)
+        assert trace_to_dict(trace) == data
+
+
+class TestRetainedTimestamps:
+    # Seed 0's epoch run on a binary tree: only the receive events keep a
+    # timestamp, about two per interval, where keeping every event's
+    # timestamp held six (events / intervals).
+    @pytest.mark.parametrize(
+        "height, events, kept, intervals, bytes_per_interval",
+        [(7, 3032, 1008, 508, 2016.0), (8, 6104, 2032, 1020, 4064.0)],
+    )
+    def test_only_receive_rows_are_kept(self, height, events, kept, intervals, bytes_per_interval):
+        result = run_hierarchical(SpanningTree.regular(2, height), config=EpochConfig(epochs=4))
+        trace = result.trace
+        receives = sum(e.kind == "recv" for lane in trace.events for e in lane)
+        assert trace.kept_timestamps() == receives == kept
+        assert trace.event_count() == events
+        assert sum(len(trace.intervals(p)) for p in range(trace.n)) == intervals
+        assert trace.kept_timestamps() * 8 * trace.n / intervals == bytes_per_interval

@@ -13,11 +13,14 @@ Keeping the two planes separate mirrors the theory: detection traffic
 must not perturb the happens-before structure of the monitored
 computation, so control messages never touch the application vector
 clock.
+
+A process keeps no completed interval: its role received each one, and
+the trace rebuilds them (:meth:`ExecutionTrace.intervals`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol
+from typing import Optional, Protocol
 
 from ..clocks import Timestamp, VectorClock
 from ..intervals import Interval
@@ -68,7 +71,6 @@ class MonitoredProcess:
         self._run_start_time: Optional[float] = None
         self._run_last: Optional[Timestamp] = None
         self._interval_seq = 0
-        self.local_intervals: List[Interval] = []
         self._count_interval = sim.telemetry.registry.counter_handle(
             "repro_intervals_total",
             "Local predicate intervals completed, per node.",
@@ -86,6 +88,13 @@ class MonitoredProcess:
         network.attach(pid, self._on_message)
         if role is not None:
             role.bind(self)
+
+    @property
+    def local_intervals(self) -> range:
+        """The sequence numbers of the intervals completed so far (their
+        ``len()`` is the count); the intervals themselves went to the
+        role and are rebuilt by ``trace.intervals(pid)``."""
+        return range(self._interval_seq)
 
     # ------------------------------------------------------------------
     # application-plane events
@@ -110,7 +119,6 @@ class MonitoredProcess:
         self._interval_seq += 1
         self._run_start = None
         self._run_last = None
-        self.local_intervals.append(interval)
         # Every interval opens a span keyed by its identity, so the
         # detection layers can parent reports and alarms back onto it.
         # ``record_interval`` is the tracker's queued fast path; the

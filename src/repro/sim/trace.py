@@ -22,6 +22,11 @@ timestamp only when it differs from that (in practice: receive events,
 and a first event that already knows a foreign component); every other
 event's timestamp is rebuilt on demand from the nearest kept one before
 it.  On an epoch workload that drops all but the receive rows.
+
+A process's kept rows share one buffer at the narrowest width that
+holds every component so far: unsigned 1, 2 or 4 bytes, widened in
+place when a row needs more, and signed 8 bytes once any component is
+negative or 2**32 or more.  Reads return read-only ``int64`` copies.
 """
 
 from __future__ import annotations
@@ -92,51 +97,81 @@ class ProcessEvent:
         ) and np.array_equal(self.timestamp, other.timestamp)
 
 
+#: (row dtype, exclusive bound of its components read as uint64), narrowest
+#: first; a negative component reads as 2**63 or more and lands on int64
+_WIDTHS = (
+    (np.dtype(np.uint8), 1 << 8),
+    (np.dtype(np.uint16), 1 << 16),
+    (np.dtype(np.uint32), 1 << 32),
+    (np.dtype(np.int64), 1 << 64),
+)
+
+
 class ProcessEvents(Sequence):
     """One process's recorded events: a read-only sequence over columns.
 
     Per event it stores a kind code, the predicate, the global order and
     the time; timestamps only where :meth:`ExecutionTrace.record` kept
-    one (``_kept``, at the event indices in ``_kept_at``).  Indexing
-    builds a :class:`ProcessEvent` on demand; a kept timestamp comes back
-    as the same object, any other as a frozen copy of the nearest kept
-    row before it (or of the zero vector) with the own component set.
+    one, as rows of ``_rows`` (at the event indices in ``_kept_at``).
+    Indexing builds a :class:`ProcessEvent` on demand; its timestamp is
+    a frozen ``int64`` copy of the nearest kept row at or before it (or
+    of the zero vector), with the own component set.
     """
 
     __slots__ = (
         "_process",
         "_base",
-        "_zero",
         "_kinds",
         "_predicates",
         "_orders",
         "_times",
-        "_kept",
+        "_rows",
+        "_bound",
         "_kept_at",
     )
 
     def __init__(self, process: int, zero: Timestamp) -> None:
         self._process = process
-        self._zero = zero
         #: the latest kept timestamp (the zero vector before the first)
         self._base = zero
         self._kinds = bytearray()
         self._predicates = bytearray()
         self._orders = array("q")
         self._times = array("d")
-        self._kept: List[Timestamp] = []
+        #: kept rows; capacity grows ahead of ``len(_kept_at)``
+        dtype, self._bound = _WIDTHS[0]
+        self._rows = np.empty((0, len(zero)), dtype)
         self._kept_at = array("q")
 
     def __len__(self) -> int:
         return len(self._kinds)
 
+    def _keep(self, stamp: Timestamp, k: int) -> None:
+        """Store frozen ``int64`` *stamp* as the timestamp of event *k*."""
+        rows = self._rows
+        count = len(self._kept_at)
+        # the largest component read as unsigned: a negative one is 2**63+
+        top = int(np.maximum.reduce(stamp, dtype=np.uint64))
+        if top >= self._bound:
+            dtype, self._bound = next(w for w in _WIDTHS if top < w[1])
+            rows = self._rows = rows.astype(dtype)
+        if count == len(rows):
+            grown = np.empty((count + count // 4 + 4, rows.shape[1]), rows.dtype)
+            grown[:count] = rows
+            rows = self._rows = grown
+        rows[count] = stamp
+        self._kept_at.append(k)
+        self._base = stamp
+
     def _timestamp(self, k: int) -> Timestamp:
         """Timestamp of the event at 0-based position *k* (``k >= 0``)."""
         row = bisect_right(self._kept_at, k) - 1
-        if row >= 0 and self._kept_at[row] == k:
-            return self._kept[row]
-        stamp = (self._kept[row] if row >= 0 else self._zero).copy()
-        stamp[self._process] = k + 1
+        if row < 0:
+            stamp = np.zeros(self._rows.shape[1], dtype=np.int64)
+        else:
+            stamp = self._rows[row].astype(np.int64)
+        if row < 0 or self._kept_at[row] != k:
+            stamp[self._process] = k + 1
         stamp.setflags(write=False)
         return stamp
 
@@ -167,16 +202,8 @@ class ProcessEvents(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
-    def __setstate__(self, state) -> None:
-        # numpy unpickles arrays writable: freeze the timestamps again
-        # (in place, so ``_base`` stays the last kept row).
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        for stamp in (self._zero, *self._kept):
-            stamp.setflags(write=False)
-
     def __repr__(self) -> str:
-        return f"<ProcessEvents P{self._process}: {len(self)} events, {len(self._kept)} kept timestamps>"
+        return f"<ProcessEvents P{self._process}: {len(self)} events, {len(self._kept_at)} kept timestamps>"
 
 
 class ExecutionTrace:
@@ -210,9 +237,10 @@ class ExecutionTrace:
     ) -> None:
         """Append one event to *process*'s local sequence.
 
-        The timestamp is kept (as a frozen copy unless it already is
-        frozen) only when it is not the previous event's with the own
-        component +1 — decided by comparing, whatever *kind* says.
+        The timestamp is kept (copied into the lane's row buffer) only
+        when it is not the previous event's with the own component +1 —
+        decided by comparing with the last kept row, whatever *kind*
+        says.
         """
         lane = self.events[process]
         index = len(lane) + 1
@@ -231,10 +259,7 @@ class ExecutionTrace:
         # The own component always differs from the base's; any other
         # difference means the clock rules do not imply this timestamp.
         if np.count_nonzero(timestamp != lane._base) != 1:
-            stamp = freeze(timestamp)
-            lane._kept.append(stamp)
-            lane._kept_at.append(index - 1)
-            lane._base = stamp
+            lane._keep(freeze(timestamp), index - 1)
         lane._kinds.append(code)
         lane._predicates.append(1 if predicate else 0)
         lane._orders.append(self._order)
@@ -247,7 +272,12 @@ class ExecutionTrace:
 
     def kept_timestamps(self) -> int:
         """How many timestamps the trace stores (the rest are implied)."""
-        return sum(len(lane._kept) for lane in self.events)
+        return sum(len(lane._kept_at) for lane in self.events)
+
+    def kept_timestamp_bytes(self) -> int:
+        """Bytes of the kept timestamps at their lanes' widths (not
+        counting the buffers' spare capacity)."""
+        return sum(len(lane._kept_at) * lane._rows.itemsize * self.n for lane in self.events)
 
     def predicate_after(self, process: int, k: int) -> bool:
         """Local predicate value after *process* executed ``k`` events."""

@@ -65,9 +65,13 @@ class EpochProcess(MonitoredProcess):
         self.tree = tree
         self.current_epoch = -1
         self.is_defector = False
+        # Wave state of the epochs in flight only: an epoch leaves
+        # ``_began`` (so no second up-message goes out) and
+        # ``_up_count`` once its up-message is sent.  Only an up that
+        # arrives after that (from a child adopted by tree repair)
+        # leaves a count behind, which nothing reads.
         self._began: Set[int] = set()
         self._up_count: Dict[int, int] = {}
-        self._up_sent: Set[int] = set()
 
     # ------------------------------------------------------------------
     def begin_epoch(self, epoch: int, defector: bool) -> None:
@@ -109,11 +113,12 @@ class EpochProcess(MonitoredProcess):
     def _maybe_send_up(self, epoch: int) -> None:
         """Forward the convergecast once our subtree has reported and we
         have begun the epoch ourselves."""
-        if epoch not in self._began or epoch in self._up_sent:
+        if epoch not in self._began:
             return
         if self._up_count.get(epoch, 0) < len(self._children()):
             return
-        self._up_sent.add(epoch)
+        self._began.discard(epoch)
+        self._up_count.pop(epoch, None)
         parent = self._wave_parent()
         if parent is None:
             # Root: the convergecast is complete; start the broadcast.

@@ -36,8 +36,9 @@ def _provenance(interval, into: set) -> None:
 
 def _unexplained(epochs: int, before: dict) -> dict:
     """Objects alive after a 7-node simulated run beyond what the test
-    itself pins: the root detections (with their full provenance) and
-    each process's record of its own local intervals."""
+    itself pins: the root detections with their full provenance.  The
+    processes keep no record of their own intervals (the trace rebuilds
+    them)."""
     result = run_hierarchical(
         SpanningTree.regular(2, 3),
         seed=3,
@@ -52,8 +53,6 @@ def _unexplained(epochs: int, before: dict) -> dict:
         for head in record.solution.heads.values():
             _provenance(head, pinned)
         _provenance(record.aggregate, pinned)
-    for role in result.roles.values():
-        pinned.update(id(iv) for iv in role.process.local_intervals)
     records = len(_live(Solution)) + len(_live(Emission)) - before["records"]
     intervals = len(_live(Interval)) - before["intervals"]
     return {
@@ -74,8 +73,8 @@ class TestSimulatedHierarchy:
         for run in (_unexplained(N, before), _unexplained(2 * N, before)):
             # Solution/Emission objects: exactly the root's detections.
             assert run["records"] == 0
-            # Intervals: the detections' provenance, the processes' own
-            # records, and at most what is still queued (Table I's bound).
+            # Intervals: the detections' provenance and at most what is
+            # still queued (Table I's bound).
             assert run["intervals"] <= run["queued"]
 
 

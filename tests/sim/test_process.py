@@ -6,14 +6,35 @@ import pytest
 from repro.sim import ExecutionTrace, MonitoredProcess, Network, Simulator, uniform_delay
 
 
+class Recorder:
+    """A detector role that keeps every interval its process hands on."""
+
+    def __init__(self):
+        self.intervals = []
+
+    def bind(self, process):
+        pass
+
+    def on_local_interval(self, interval):
+        self.intervals.append(interval)
+
+    def on_control_message(self, src, message):
+        pass
+
+    def on_start(self):
+        pass
+
+
 def make_pair():
+    """Two linked processes; ``p.role.intervals`` holds each one's
+    completed intervals."""
     sim = Simulator(seed=0)
     g = nx.Graph()
     g.add_edge(0, 1)
     net = Network(sim, g, uniform_delay(0.5, 0.6))
     trace = ExecutionTrace(2)
-    p0 = MonitoredProcess(0, sim, net, trace)
-    p1 = MonitoredProcess(1, sim, net, trace)
+    p0 = MonitoredProcess(0, sim, net, trace, Recorder())
+    p1 = MonitoredProcess(1, sim, net, trace, Recorder())
     return sim, net, trace, p0, p1
 
 
@@ -46,43 +67,31 @@ class TestIntervalExtraction:
         p0.set_predicate(True)
         p0.internal_event()
         p0.set_predicate(False)
-        assert len(p0.local_intervals) == 1
-        interval = p0.local_intervals[0]
+        assert len(p0.role.intervals) == 1
+        interval = p0.role.intervals[0]
         assert interval.lo.tolist() == [1, 0]
         assert interval.hi.tolist() == [2, 0]
         assert interval.owner == 0 and interval.seq == 0
+        # the process keeps only the count; the trace rebuilds the interval
+        assert len(p0.local_intervals) == 1
+        assert trace.intervals(0)[0] == interval
 
     def test_events_during_interval_extend_it(self):
         sim, net, trace, p0, p1 = make_pair()
         p0.set_predicate(True)
         p0.send_app(1, "m")  # send inside the interval
         p0.set_predicate(False)
-        assert p0.local_intervals[0].hi.tolist() == [2, 0]
+        assert p0.role.intervals[0].hi.tolist() == [2, 0]
 
     def test_multiple_intervals_sequence_numbers(self):
         sim, net, trace, p0, p1 = make_pair()
         for _ in range(3):
             p0.set_predicate(True)
             p0.set_predicate(False)
-        assert [iv.seq for iv in p0.local_intervals] == [0, 1, 2]
+        assert [iv.seq for iv in p0.role.intervals] == [0, 1, 2]
+        assert list(p0.local_intervals) == [0, 1, 2]
 
     def test_interval_reported_to_role(self):
-        class Recorder:
-            def __init__(self):
-                self.intervals = []
-
-            def bind(self, process):
-                pass
-
-            def on_local_interval(self, interval):
-                self.intervals.append(interval)
-
-            def on_control_message(self, src, message):
-                pass
-
-            def on_start(self):
-                pass
-
         sim = Simulator()
         g = nx.Graph()
         g.add_node(0)
@@ -97,16 +106,16 @@ class TestIntervalExtraction:
     def test_finish_closes_open_interval(self):
         sim, net, trace, p0, p1 = make_pair()
         p0.set_predicate(True)
-        assert p0.local_intervals == []
+        assert p0.role.intervals == []
         p0.finish()
-        assert len(p0.local_intervals) == 1
+        assert len(p0.role.intervals) == 1
 
     def test_finish_noop_when_closed(self):
         sim, net, trace, p0, p1 = make_pair()
         p0.set_predicate(True)
         p0.set_predicate(False)
         p0.finish()
-        assert len(p0.local_intervals) == 1
+        assert len(p0.role.intervals) == 1
 
 
 class TestCrash:

@@ -2,6 +2,7 @@
 
 import json
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import List, Optional
 from unittest import mock
 
@@ -142,14 +143,14 @@ class TestEventsView:
         with pytest.raises(ValueError):
             lane[0].timestamp[0] = 5
 
-    def test_implied_timestamps_are_rebuilt_and_kept_ones_shared(self):
+    def test_implied_timestamps_are_rebuilt_and_kept_ones_stored(self):
         trace = self._trace()
         recv, after = trace.events[1]
         assert recv.timestamp.tolist() == [2, 1]
         assert after.timestamp.tolist() == [2, 2]
-        # The receive row is stored: the same object on every read.
-        assert trace.events[1][0].timestamp is recv.timestamp
+        # Only the receive row is stored, at one byte per component.
         assert trace.kept_timestamps() == 1
+        assert trace.kept_timestamp_bytes() == 2
 
     def test_timestamps_stay_frozen_across_pickling(self):
         import pickle
@@ -158,11 +159,40 @@ class TestEventsView:
         assert all(not e.timestamp.flags.writeable for lane in trace.events for e in lane)
         assert trace.events[1][0].timestamp.tolist() == [2, 1]
 
-    def test_a_kept_row_is_the_recorded_frozen_object(self):
+    def test_a_kept_row_reads_as_a_read_only_int64_copy(self):
         trace = ExecutionTrace(2)
-        stamp = freeze([1, 4])
-        trace.record(0, stamp, "recv", False)
-        assert trace.events[0][0].timestamp is stamp
+        frozen = freeze([1, 4])
+        trace.record(0, frozen, "recv", False)
+        writable = np.array([2, 7], dtype=np.int64)
+        trace.record(0, writable, "recv", True)
+        writable[1] = 9
+        first, second = (lane_event.timestamp for lane_event in trace.events[0])
+        assert first.tolist() == [1, 4] and second.tolist() == [2, 7]
+        for stamp in (first, second):
+            assert stamp.dtype == np.int64 and not stamp.flags.writeable
+        # every read is its own copy: nothing a reader holds is the row
+        assert first is not frozen and second is not writable
+        assert trace.events[0][0].timestamp is not first
+        assert trace.kept_timestamps() == 2
+
+    def test_pickled_widened_lane(self):
+        import pickle
+
+        trace = ExecutionTrace(2)
+        trace.record(1, freeze([300, 1]), "recv", True)
+        trace.record(1, freeze([70_000, 2]), "recv", False)
+        assert trace.kept_timestamp_bytes() == 2 * 2 * 4  # widened to uint32
+        copy = pickle.loads(pickle.dumps(trace))
+        assert copy.events[1] == trace.events[1]
+        assert copy.kept_timestamp_bytes() == trace.kept_timestamp_bytes()
+        # the copy goes on recording: its last kept row is the base again
+        copy.record(1, freeze([70_000, 3]), "internal", True)
+        copy.record(1, freeze([70_001, 4]), "recv", True)
+        assert copy.kept_timestamps() == 3
+        assert [e.timestamp.tolist() for e in copy.events[1]][2:] == [
+            [70_000, 3],
+            [70_001, 4],
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -319,20 +349,89 @@ class TestColumnsMatchEventLists:
         assert_equivalent(trace, refs[trace], lattice=True)
         assert trace_to_dict(trace) == data
 
+    def test_lanes_widen_past_one_and_two_bytes(self):
+        # P0 sends after 299 internal events: P1's receive learns 300.
+        ex = ScriptedExecution(2)
+        with recording_reference() as refs:
+            ex.set_pred(1, True)
+            for _ in range(299):
+                ex.internal(0)
+            ex.send(0, "m")
+            ex.recv(1, "m")
+            ex.set_pred(1, False)
+        assert ex.trace.kept_timestamp_bytes() == 2 * 2
+        assert_equivalent(ex.trace, refs[ex.trace], lattice=True)
+        # An archive whose receives learn 200, then 70,000: one byte,
+        # then two, then four per component on the same lane.
+        data = _archive(
+            [(0, [1, 0], "send"), (1, [200, 1], "recv"), (1, [200, 2], "internal"),
+             (1, [70_000, 3], "recv"), (1, [70_000, 4], "send")]
+        )
+        with recording_reference() as refs:
+            trace = trace_from_dict(data)
+        assert trace.kept_timestamps() == 2
+        assert trace.kept_timestamp_bytes() == 2 * 2 * 4
+        assert_equivalent(trace, refs[trace], lattice=False)
+        assert trace_to_dict(trace) == data
+
+    @pytest.mark.parametrize("foreign", [-1, 2**32, 2**40 + 3])
+    def test_archive_outside_four_unsigned_bytes(self, foreign):
+        # Not a clock-rule execution either, but an archive may hold a
+        # negative component or one of 2**32 or more: the lane turns to
+        # signed 8-byte rows, and every value reads back as recorded.
+        data = _archive(
+            [(1, [0, 1], "internal"), (1, [300, 2], "recv"), (1, [foreign, 3], "recv"),
+             (1, [foreign, 4], "internal"), (0, [1, 4], "recv")]
+        )
+        with recording_reference() as refs:
+            trace = trace_from_dict(data)
+        assert trace.kept_timestamps() == 3  # P1's two receives, P0's receive
+        assert trace.kept_timestamp_bytes() == 2 * 2 * 8 + 2 * 1
+        assert_equivalent(trace, refs[trace], lattice=False)
+        assert trace_to_dict(trace) == data
+        assert trace.events[1][3].timestamp.tolist() == [foreign, 4]
+
+
+def _archive(events) -> dict:
+    """A ``trace_to_dict`` document for two processes from
+    ``(process, timestamp, kind)`` rows; the predicate alternates."""
+    return {
+        "version": 1,
+        "n": 2,
+        "initial_predicate": [False, False],
+        "events": [
+            {"p": p, "ts": ts, "kind": kind, "pred": i % 2 == 0, "t": float(i)}
+            for i, (p, ts, kind) in enumerate(events)
+        ],
+    }
+
+
+@lru_cache(maxsize=None)
+def _epoch_trace(height: int) -> ExecutionTrace:
+    return run_hierarchical(SpanningTree.regular(2, height), config=EpochConfig(epochs=4)).trace
+
 
 class TestRetainedTimestamps:
     # Seed 0's epoch run on a binary tree: only the receive events keep a
     # timestamp, about two per interval, where keeping every event's
-    # timestamp held six (events / intervals).
+    # timestamp held six (events / intervals).  ``bytes_per_interval``
+    # is what those rows would take at 8 bytes per component.
     @pytest.mark.parametrize(
         "height, events, kept, intervals, bytes_per_interval",
         [(7, 3032, 1008, 508, 2016.0), (8, 6104, 2032, 1020, 4064.0)],
     )
     def test_only_receive_rows_are_kept(self, height, events, kept, intervals, bytes_per_interval):
-        result = run_hierarchical(SpanningTree.regular(2, height), config=EpochConfig(epochs=4))
-        trace = result.trace
+        trace = _epoch_trace(height)
         receives = sum(e.kind == "recv" for lane in trace.events for e in lane)
         assert trace.kept_timestamps() == receives == kept
         assert trace.event_count() == events
         assert sum(len(trace.intervals(p)) for p in range(trace.n)) == intervals
         assert trace.kept_timestamps() * 8 * trace.n / intervals == bytes_per_interval
+
+    # Four epochs keep every component under 256: the rows are stored at
+    # one byte per component, an eighth of the above.
+    @pytest.mark.parametrize("height, bytes_per_interval", [(7, 252.0), (8, 508.0)])
+    def test_kept_rows_take_one_byte_per_component(self, height, bytes_per_interval):
+        trace = _epoch_trace(height)
+        intervals = sum(len(trace.intervals(p)) for p in range(trace.n))
+        assert trace.kept_timestamp_bytes() / intervals == bytes_per_interval

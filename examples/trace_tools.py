@@ -18,11 +18,7 @@ from pathlib import Path
 
 from repro import EpochConfig, SpanningTree, run_hierarchical
 from repro.analysis import render_timeline
-from repro.detect import (
-    OneShotDefinitelyCore,
-    TokenDefinitelyDetector,
-    replay_centralized,
-)
+from repro.detect import RepeatedDetectionCore, replay_centralized
 from repro.detect.offline import replay_hierarchical
 from repro.obs import write_chrome_trace
 from repro.sim import load_trace, save_trace
@@ -62,22 +58,19 @@ def main() -> None:
     centralized = replay_centralized(reloaded, sink=0)
     hierarchical = replay_hierarchical(reloaded, tree)[0]
 
-    one_shot = OneShotDefinitelyCore(0, range(reloaded.n))
-    token = TokenDefinitelyDetector(range(reloaded.n))
-    token.start()
+    one_shot = RepeatedDetectionCore(range(reloaded.n), repeated=False)
+    first = []
     for interval in reloaded.intervals_in_completion_order():
-        one_shot.offer(interval.owner, interval)
-        token.offer(interval.owner, interval)
+        first.extend(one_shot.offer(interval.owner, interval))
 
     print(f"   live hierarchical run    : {len(result.detections)} occurrences")
     print(f"   centralized replay [12]  : {len(centralized)} occurrences")
     print(f"   hierarchical replay      : {len(hierarchical)} occurrences")
     print(f"   one-shot replay [7]      : "
-          f"{1 if one_shot.detection else 0} (first only, then hangs)")
-    print(f"   token replay (≈[11])     : "
-          f"{1 if token.detection else 0} (first only, "
-          f"{token.token.hops} token hops)")
+          f"{len(first)} (first only, then hangs)")
     assert len(centralized) == len(hierarchical) == len(result.detections)
+    assert [s.heads for s in first] == [s.heads for s in centralized[:1]]
+    assert one_shot.halted == bool(first)
     print()
     print("Replays agree with the live run — detection is a pure function")
     print("of the recorded causality, so archived traces are full repro-")

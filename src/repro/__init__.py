@@ -36,13 +36,10 @@ from .detect import (
     CentralizedSinkCore,
     DetectionRecord,
     HierarchicalNodeCore,
-    OneShotDefinitelyCore,
-    PossiblyCore,
     RepeatedDetectionCore,
     Solution,
     holds_definitely,
     lattice_definitely,
-    lattice_possibly,
     replay_centralized,
 )
 from .experiments import run_centralized, run_hierarchical, run_table1
@@ -81,8 +78,6 @@ __all__ = [
     "MetricsRegistry",
     "MonitoredProcess",
     "Network",
-    "OneShotDefinitelyCore",
-    "PossiblyCore",
     "RepeatedDetectionCore",
     "RunMetrics",
     "ScriptedExecution",
@@ -106,7 +101,6 @@ __all__ = [
     "holds_definitely",
     "join",
     "lattice_definitely",
-    "lattice_possibly",
     "meet",
     "overlap",
     "plan_repair",

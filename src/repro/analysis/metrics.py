@@ -101,8 +101,9 @@ class RunMetrics:
                 if offers
             }
         else:
-            # Collectors that don't tally per-level offers (token,
-            # possibly): keep whatever α maps the parts carried.
+            # A collector that tallies no per-level offers
+            # (collect_centralized): keep whatever α maps the parts
+            # carried.
             self.realized_alpha_by_level.update(other.realized_alpha_by_level)
 
     @classmethod

@@ -1,28 +1,22 @@
 """Predicate-detection algorithms: the hierarchical detector (paper),
-the centralized repeated baseline [12], one-shot baselines [7], [8],
+the centralized repeated baseline [12] (and its one-shot mode [7]),
 and offline ground-truth oracles."""
 
 from .base import CoreStats, Solution
 from .centralized import CentralizedSinkCore
 from .core import RepeatedDetectionCore
-from .garg_waldecker import OneShotDefinitelyCore
 from .hierarchical import Emission, EmissionKind, HierarchicalNodeCore
 from .offline import (
     enumerate_solution_sets,
     holds_definitely,
     lattice_definitely,
-    lattice_possibly,
     replay_centralized,
 )
-from .possibly import PossiblyCore
-from .roles_token import TokenMessage, TokenRole
-from .token import TokenDefinitelyDetector, TokenState
 from .roles import (
     CentralizedReporterRole,
     CentralizedSinkRole,
     DetectionRecord,
     HierarchicalRole,
-    PossiblySinkRole,
 )
 
 __all__ = [
@@ -34,18 +28,10 @@ __all__ = [
     "Emission",
     "EmissionKind",
     "HierarchicalNodeCore",
-    "OneShotDefinitelyCore",
-    "PossiblyCore",
-    "PossiblySinkRole",
     "RepeatedDetectionCore",
     "Solution",
-    "TokenDefinitelyDetector",
-    "TokenMessage",
-    "TokenRole",
-    "TokenState",
     "enumerate_solution_sets",
     "holds_definitely",
     "lattice_definitely",
-    "lattice_possibly",
     "replay_centralized",
 ]

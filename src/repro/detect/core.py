@@ -82,9 +82,14 @@ class RepeatedDetectionCore:
         Node id stamped on emitted :class:`Solution` records.
     repeated:
         When ``False``, the core stops after its first solution and
-        ignores all later input — modelling the one-shot baselines the
-        paper contrasts against (Section I: they "hang after the
-        initial detection").
+        ignores all later input: the one-shot Garg–Waldecker detector
+        [7] (Garg & Waldecker, "Detection of strong unstable predicates
+        in distributed programs", IEEE TPDS 7(12), 1996).  Section I of
+        the paper observes that such algorithms "can detect predicates
+        only once and will hang after the initial detection"; rerunning
+        them naively is unsafe, and Figure 2 shows why hierarchical
+        detection is impossible on top of them.  ``halted`` reports the
+        stop.
     observer:
         Optional ``observer(event, key, interval)`` lifecycle callback
         with events ``"enqueue"``, ``"prune_incompat"`` and

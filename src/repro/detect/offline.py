@@ -24,8 +24,7 @@ Four oracles used by the test-suite to validate the online detectors:
    conditions are therefore *sound* but very slightly conservative
    w.r.t. state semantics — the convention this whole literature
    implements.  Empirically ``Definitely`` agrees exactly on random
-   executions; ``Possibly`` shows the documented one-sided slack.
-   Tests assert the sound directions unconditionally.
+   executions; tests assert the sound direction unconditionally.
 3. :func:`replay_centralized` — the centralized repeated-detection
    algorithm [12] replayed over a recorded trace with deterministic
    delivery order; its solution sequence is the reference the
@@ -55,7 +54,6 @@ __all__ = [
     "enumerate_solution_sets",
     "holds_definitely",
     "lattice_definitely",
-    "lattice_possibly",
     "replay_centralized",
 ]
 
@@ -137,26 +135,6 @@ def lattice_definitely(trace: ExecutionTrace) -> bool:
             seen.add(nxt)
             stack.append(nxt)
     return True
-
-
-def lattice_possibly(trace: ExecutionTrace) -> bool:
-    """``Possibly(Φ)``: some consistent cut satisfies ``Φ``."""
-    initial = tuple(0 for _ in range(trace.n))
-    if _phi(initial, trace):
-        return True
-    stamps = _stamps(trace)
-    seen = {initial}
-    stack = [initial]
-    while stack:
-        cut = stack.pop()
-        for nxt in _next_states(cut, stamps):
-            if nxt in seen:
-                continue
-            if _phi(nxt, trace):
-                return True
-            seen.add(nxt)
-            stack.append(nxt)
-    return False
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,7 @@ from ..sim.messages import Heartbeat, IntervalReport
 from ..sim.process import MonitoredProcess
 from .base import Solution
 from .centralized import CentralizedSinkCore
-from .garg_waldecker import OneShotDefinitelyCore
-from .possibly import PossiblyCore
+from .core import RepeatedDetectionCore
 from .hierarchical import Emission, HierarchicalNodeCore
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "HierarchicalRole",
     "CentralizedReporterRole",
     "CentralizedSinkRole",
-    "PossiblySinkRole",
 ]
 
 
@@ -508,7 +506,9 @@ class CentralizedSinkRole:
     def bind(self, process: MonitoredProcess) -> None:
         self.process = process
         if self.one_shot:
-            self.core = OneShotDefinitelyCore(process.pid, self.process_ids)
+            self.core = RepeatedDetectionCore(
+                self.process_ids, detector_id=process.pid, repeated=False
+            )
         else:
             self.core = CentralizedSinkCore(process.pid, self.process_ids)
         self._buffers = {
@@ -540,56 +540,3 @@ class CentralizedSinkRole:
                     aggregate=None,
                 )
             )
-
-
-class PossiblySinkRole:
-    """Sink role for the weak-modality baseline [8]: one-shot
-    ``Possibly(Φ)`` detection over reports routed like the centralized
-    Definitely baseline's."""
-
-    def __init__(self, process_ids: Sequence[int]) -> None:
-        self.process_ids = list(process_ids)
-        self.process: Optional[MonitoredProcess] = None
-        self.core: Optional[PossiblyCore] = None
-        self.detections: List[DetectionRecord] = []
-        self._buffers: Dict[int, ReorderBuffer] = {}
-
-    def bind(self, process: MonitoredProcess) -> None:
-        self.process = process
-        self.core = PossiblyCore(process.pid, self.process_ids)
-        self._buffers = {
-            pid: ReorderBuffer() for pid in self.process_ids if pid != process.pid
-        }
-
-    def on_start(self) -> None:
-        pass
-
-    def on_crash(self) -> None:
-        pass
-
-    def on_local_interval(self, interval: Interval) -> None:
-        self._record(self.core.offer(self.process.pid, interval))
-
-    def on_control_message(self, src: int, message: object) -> None:
-        if not isinstance(message, IntervalReport):
-            return
-        buffer = self._buffers.get(message.origin)
-        if buffer is None:
-            return
-        for interval in buffer.push(message.transport_seq, message.interval):
-            self._record(self.core.offer(message.origin, interval))
-
-    def _record(self, solution) -> None:
-        if solution is None:
-            return
-        self.detections.append(
-            DetectionRecord(
-                time=self.process.sim.now,
-                detector=self.process.pid,
-                solution=solution,
-                aggregate=None,
-            )
-        )
-        self.process.sim.emit(
-            "possibly_detection", node=self.process.pid, members=len(solution.members)
-        )

@@ -31,8 +31,6 @@ from .harness import (
     RunResult,
     run_centralized,
     run_hierarchical,
-    run_possibly,
-    run_token,
 )
 from .levels import LevelRow, format_levels, level_breakdown
 from .parallel import (
@@ -92,8 +90,6 @@ __all__ = [
     "replay_with_eq9",
     "run_centralized",
     "run_hierarchical",
-    "run_possibly",
-    "run_token",
     "run_table1",
     "run_validation",
     "ScalingPoint",

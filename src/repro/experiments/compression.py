@@ -55,18 +55,13 @@ def _report_streams(
     confined to tree neighbours: causality — and therefore timestamp
     growth — stays local, the regime where differential encoding pays."""
     from ..detect.roles import HierarchicalRole
-    from ..sim.kernel import Simulator
-    from ..sim.network import Network, uniform_delay
     from ..sim.process import MonitoredProcess
-    from ..sim.trace import ExecutionTrace
-    from ..workload.generator import EpochProcess, EpochWorkload, RandomWorkload
-    from .harness import DELAY_HIGH, DELAY_LOW
+    from ..workload.generator import RandomWorkload
+    from .harness import _build_common, _run_epochs
 
     if workload not in ("epoch", "local"):
         raise ValueError(f"unknown workload {workload!r}")
-    sim = Simulator(seed=seed)
-    network = Network(sim, tree.as_graph(), uniform_delay(DELAY_LOW, DELAY_HIGH))
-    trace = ExecutionTrace(tree.n)
+    sim, network, trace, _ = _build_common(tree, None, seed)
     emitted: Dict[int, List[Interval]] = {pid: [] for pid in tree.nodes}
 
     def collect(pid: int, emission) -> None:
@@ -79,22 +74,17 @@ def _report_streams(
         for pid in tree.nodes
     }
     if workload == "epoch":
-        processes = {
-            pid: EpochProcess(pid, sim, network, trace, roles[pid], tree)
-            for pid in tree.nodes
-        }
         config = EpochConfig(epochs=p, sync_prob=sync_prob)
-        driver = EpochWorkload(sim, processes, tree, config, max_delay=DELAY_HIGH)
+        _run_epochs(sim, network, trace, tree, roles, config, 0.0)
     else:
         processes = {
             pid: MonitoredProcess(pid, sim, network, trace, roles[pid])
             for pid in tree.nodes
         }
-        driver = RandomWorkload(sim, processes, duration=12.0 * p, msg_rate=0.6)
-    driver.install()
-    for process in processes.values():
-        process.start()
-    sim.run(until=driver.end_time if workload == "epoch" else 12.0 * p + 60.0)
+        RandomWorkload(sim, processes, duration=12.0 * p, msg_rate=0.6).install()
+        for process in processes.values():
+            process.start()
+        sim.run(until=12.0 * p + 60.0)
     return {pid: emitted[pid] for pid in tree.nodes if roles[pid].parent_id is not None}
 
 

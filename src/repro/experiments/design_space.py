@@ -1,11 +1,10 @@
 """Experiment: the detection-algorithm design space, measured.
 
-Section I of the paper positions the hierarchical algorithm against two
-families of prior work: centralized detectors (all queues, time and
-risk at a sink [7], [8], [12]) and distributed one-shot detectors
-(queues at their owners, token/control circulation, [9]–[11]).  This
-experiment runs one representative of each family over the *identical*
-workload and measures the three axes the paper argues about:
+Section I of the paper positions the hierarchical algorithm against
+centralized detectors (all queues, time and risk at a sink [7], [8],
+[12]).  This experiment runs the hierarchical detector, the centralized
+repeated detector [12] and its one-shot mode [7] over the *identical*
+workload and measures the axes the paper argues about:
 
 * control messages (hop-counted),
 * where comparison work lands (max per node vs total),
@@ -13,9 +12,9 @@ workload and measures the three axes the paper argues about:
 * and what each can actually deliver: every occurrence (repeated) vs
   the first one only.
 
-The hierarchical algorithm is the only one delivering repeated
-detection, and it does so with one-hop traffic and bounded per-node
-load — the measured version of the paper's Contributions list.
+Of the two repeated detectors, the hierarchical algorithm is the one
+that does it with one-hop traffic and bounded per-node load — the
+measured version of the paper's Contributions list.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import List, Optional
 from ..analysis.report import render_table
 from ..topology.spanning_tree import SpanningTree
 from ..workload.generator import EpochConfig
-from .harness import run_centralized, run_hierarchical, run_token
+from .harness import run_centralized, run_hierarchical
 
 __all__ = ["AlgorithmProfile", "design_space_comparison", "format_design_space"]
 
@@ -58,7 +57,6 @@ def design_space_comparison(
     one_shot = run_centralized(
         SpanningTree.regular(d, h), seed=seed, config=config, one_shot=True
     )
-    token = run_token(SpanningTree.regular(d, h), seed=seed, config=config)
 
     def profile(name, result, *, repeated, survives):
         return AlgorithmProfile(
@@ -76,7 +74,6 @@ def design_space_comparison(
         profile("hierarchical (this paper)", hier, repeated=True, survives=True),
         profile("centralized repeated [12]", cent, repeated=True, survives=False),
         profile("centralized one-shot [7]", one_shot, repeated=False, survives=False),
-        profile("distributed token (≈[11])", token, repeated=False, survives=False),
     ]
 
 

@@ -11,13 +11,14 @@ measured differences are attributable to the algorithms alone:
   (:class:`~repro.detect.HierarchicalRole`); reports travel one hop.
 * :func:`run_centralized` — the baseline [12]: every non-sink node
   reports raw intervals hop-by-hop to the sink (the tree root), which
-  runs the repeated-detection machinery alone.
+  runs the repeated-detection machinery alone (or, with ``one_shot``,
+  stops at the first solution as [7] does).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -40,8 +41,6 @@ __all__ = [
     "RunResult",
     "run_hierarchical",
     "run_centralized",
-    "run_possibly",
-    "run_token",
 ]
 
 #: Default one-hop delay bounds (non-FIFO: each message samples its own).
@@ -74,6 +73,33 @@ def _build_common(
     network = Network(sim, graph, uniform_delay(DELAY_LOW, DELAY_HIGH))
     trace = ExecutionTrace(tree.n)
     return sim, network, trace, graph
+
+
+def _run_epochs(
+    sim: Simulator,
+    network: Network,
+    trace: ExecutionTrace,
+    tree: SpanningTree,
+    roles: Dict[int, object],
+    config: EpochConfig,
+    extra_time: float,
+    arm: Callable[[Dict[int, EpochProcess]], None] = lambda processes: None,
+) -> EpochWorkload:
+    """Give every node an :class:`EpochProcess` running its role, install
+    the epoch workload, let ``arm`` schedule anything that must precede
+    the processes' start (crashes, rejoins), start every process and run
+    to the workload's end plus ``extra_time``."""
+    processes = {
+        pid: EpochProcess(pid, sim, network, trace, roles[pid], tree)
+        for pid in tree.nodes
+    }
+    workload = EpochWorkload(sim, processes, tree, config, max_delay=DELAY_HIGH)
+    workload.install()
+    arm(processes)
+    for process in processes.values():
+        process.start()
+    sim.run(until=workload.end_time + extra_time)
+    return workload
 
 
 def run_hierarchical(
@@ -114,25 +140,21 @@ def run_hierarchical(
             coordinator=coordinator,
             level=tree.level(pid),
         )
-    processes = {
-        pid: EpochProcess(pid, sim, network, trace, roles[pid], tree)
-        for pid in tree.nodes
-    }
-    workload = EpochWorkload(sim, processes, tree, config, max_delay=DELAY_HIGH)
-    workload.install()
-    injector = FailureInjector(sim, processes)
-    for time, pid in failures:
-        injector.crash_at(time, pid)
-    if revivals:
-        from ..fault.rejoin import RejoinManager
+    injector: Optional[FailureInjector] = None
 
-        rejoin_manager = RejoinManager(coordinator, processes)
-        for time, pid in revivals:
-            rejoin_manager.schedule_rejoin(time, pid)
-    for process in processes.values():
-        process.start()
+    def arm(processes: Dict[int, EpochProcess]) -> None:
+        nonlocal injector
+        injector = FailureInjector(sim, processes)
+        for time, pid in failures:
+            injector.crash_at(time, pid)
+        if revivals:
+            from ..fault.rejoin import RejoinManager
 
-    sim.run(until=workload.end_time + extra_time)
+            rejoin_manager = RejoinManager(coordinator, processes)
+            for time, pid in revivals:
+                rejoin_manager.schedule_rejoin(time, pid)
+
+    workload = _run_epochs(sim, network, trace, tree, roles, config, extra_time, arm)
 
     metrics = collect_hierarchical(network, tree, roles)
     detections: List[DetectionRecord] = []
@@ -173,150 +195,10 @@ def run_centralized(
             continue
         route = tree.path_to_root(pid)
         roles[pid] = CentralizedReporterRole(route)
-    processes = {
-        pid: EpochProcess(pid, sim, network, trace, roles[pid], tree)
-        for pid in tree.nodes
-    }
-    workload = EpochWorkload(sim, processes, tree, config, max_delay=DELAY_HIGH)
-    workload.install()
-    for process in processes.values():
-        process.start()
-
-    sim.run(until=workload.end_time + extra_time)
+    workload = _run_epochs(sim, network, trace, tree, roles, config, extra_time)
 
     reporter_pids = [pid for pid in tree.nodes if pid != sink]
     metrics = collect_centralized(network, tree, sink_role, reporter_pids)
-    return RunResult(
-        metrics=metrics,
-        detections=list(sink_role.detections),
-        trace=trace,
-        tree=tree,
-        sim=sim,
-        network=network,
-        roles=roles,
-        workload=workload,
-    )
-
-
-def run_token(
-    tree: SpanningTree,
-    *,
-    graph=None,
-    seed: int = 0,
-    config: Optional[EpochConfig] = None,
-    initiator: Optional[int] = None,
-    extra_time: float = 0.0,
-) -> "RunResult":
-    """Run the token-based distributed one-shot baseline (≈[11]) over
-    the epoch workload.  Queues stay at their owners; the only control
-    traffic is the token, routed along the tree between holders."""
-    from ..detect.roles_token import TokenRole
-
-    config = config or EpochConfig()
-    sim, network, trace, graph = _build_common(tree, graph, seed)
-    initiator = tree.root if initiator is None else initiator
-    roles: Dict[int, TokenRole] = {
-        pid: TokenRole(tree, has_token=(pid == initiator)) for pid in tree.nodes
-    }
-    processes = {
-        pid: EpochProcess(pid, sim, network, trace, roles[pid], tree)
-        for pid in tree.nodes
-    }
-    workload = EpochWorkload(sim, processes, tree, config, max_delay=DELAY_HIGH)
-    workload.install()
-    for process in processes.values():
-        process.start()
-
-    sim.run(until=workload.end_time + extra_time)
-
-    detections = []
-    from ..detect.roles import DetectionRecord
-
-    for pid, role in roles.items():
-        if role.detection is not None:
-            detections.append(
-                DetectionRecord(
-                    time=role.detection_time,
-                    detector=pid,
-                    solution=role.detection,
-                    aggregate=None,
-                )
-            )
-    from ..analysis.metrics import RunMetrics, NodeMetrics
-
-    metrics = RunMetrics(
-        control_messages=sum(
-            count
-            for (plane, mtype), count in network.sent.items()
-            if plane == "control" and mtype == "TokenMessage"
-        ),
-        app_messages=network.messages_sent("app"),
-    )
-    for pid, role in roles.items():
-        metrics.per_node.append(
-            NodeMetrics(
-                pid=pid,
-                level=tree.level(pid),
-                comparisons=role.stats.comparisons,
-                detections=role.stats.detections,
-                peak_queue_intervals=role.queue.peak_size,
-                messages_sent=network.per_node_sent.get(pid, 0),
-            )
-        )
-    metrics.root_detections = len(detections)
-    return RunResult(
-        metrics=metrics,
-        detections=detections,
-        trace=trace,
-        tree=tree,
-        sim=sim,
-        network=network,
-        roles=roles,
-        workload=workload,
-    )
-
-
-def run_possibly(
-    tree: SpanningTree,
-    *,
-    graph=None,
-    seed: int = 0,
-    config: Optional[EpochConfig] = None,
-    extra_time: float = 0.0,
-) -> RunResult:
-    """Run the one-shot ``Possibly(Φ)`` baseline [8]: reporters route
-    raw intervals to the sink, which searches for the weak-modality
-    condition (Eq. 1) and halts at the first satisfaction."""
-    from ..detect.roles import PossiblySinkRole
-
-    config = config or EpochConfig()
-    sim, network, trace, graph = _build_common(tree, graph, seed)
-    sink = tree.root
-    sink_role = PossiblySinkRole(tree.nodes)
-    roles: Dict[int, object] = {sink: sink_role}
-    for pid in tree.nodes:
-        if pid != sink:
-            roles[pid] = CentralizedReporterRole(tree.path_to_root(pid))
-    processes = {
-        pid: EpochProcess(pid, sim, network, trace, roles[pid], tree)
-        for pid in tree.nodes
-    }
-    workload = EpochWorkload(sim, processes, tree, config, max_delay=DELAY_HIGH)
-    workload.install()
-    for process in processes.values():
-        process.start()
-
-    sim.run(until=workload.end_time + extra_time)
-
-    metrics = RunMetrics(
-        control_messages=sum(
-            count
-            for (plane, mtype), count in network.sent.items()
-            if plane == "control" and mtype == "IntervalReport"
-        ),
-        app_messages=network.messages_sent("app"),
-    )
-    metrics.root_detections = len(sink_role.detections)
     return RunResult(
         metrics=metrics,
         detections=list(sink_role.detections),

@@ -101,21 +101,10 @@ def payload_entries(message: object) -> int:
       aggregated intervals ship only their bounds, which is the whole
       point of ``⊓`` (provenance is a simulation artifact, not wire
       data);
-    * token messages (see roles_token): present candidates (2n each) +
-      the needs set (n) — counted via duck typing to avoid an import
-      cycle;
     * everything else (heartbeats, repair handshakes): O(1).
     """
     if isinstance(message, AppMessage):
         return int(message.piggyback.shape[0]) + 1
     if isinstance(message, IntervalReport):
         return 2 * message.interval.n + 3
-    state = getattr(message, "state", None)
-    if state is not None and hasattr(state, "heads"):
-        n = len(state.heads)
-        present = sum(1 for iv in state.heads.values() if iv is not None)
-        vector_len = next(
-            (iv.n for iv in state.heads.values() if iv is not None), n
-        )
-        return 2 * vector_len * present + n + 2
     return 2

@@ -1,13 +1,10 @@
-"""Unit tests: the centralized [12], one-shot [7] and Possibly [8]
-baselines."""
+"""Unit tests: the centralized baseline [12] and its one-shot mode [7]."""
 
 import pytest
 
 from repro.detect import (
     CentralizedSinkCore,
-    OneShotDefinitelyCore,
-    PossiblyCore,
-    lattice_possibly,
+    RepeatedDetectionCore,
     replay_centralized,
 )
 from repro.workload.scenarios import figure2_execution, figure3_execution
@@ -53,53 +50,16 @@ class TestOneShot:
         {x1, x2} and never sees the {x1, x3} occurrence."""
         ivs = figure2_execution().intervals()
         x1, x2, x3 = ivs[0][0], ivs[1][0], ivs[1][1]
-        core = OneShotDefinitelyCore(sink_id=0, process_ids=[0, 1])
-        core.offer(1, x2)
-        core.offer(1, x3)
-        core.offer(0, x1)
+        core = RepeatedDetectionCore([0, 1], repeated=False)
+        assert core.offer(1, x2) == []
+        assert core.offer(1, x3) == []
+        (detection,) = core.offer(0, x1)
         assert core.halted
-        detection = core.detection
         assert set(detection.heads.values()) == {x1, x2}
         # Feeding more intervals does nothing.
         assert core.offer(0, make_interval(0, 5, [9, 0, 0, 0], [9, 0, 0, 0])) == []
 
     def test_no_detection_before_occurrence(self):
-        core = OneShotDefinitelyCore(sink_id=0, process_ids=[0, 1])
-        core.offer(0, make_interval(0, 0, [1, 0], [2, 0]))
-        assert core.detection is None
+        core = RepeatedDetectionCore([0, 1], repeated=False)
+        assert core.offer(0, make_interval(0, 0, [1, 0], [2, 0])) == []
         assert not core.halted
-
-
-class TestPossibly:
-    def test_concurrent_intervals_satisfy_possibly(self):
-        # No messages at all: Definitely fails, Possibly succeeds.
-        x = make_interval(0, 0, [1, 0], [2, 0])
-        y = make_interval(1, 0, [0, 1], [0, 2])
-        core = PossiblyCore(sink_id=0, process_ids=[0, 1])
-        assert core.offer(0, x) is None
-        solution = core.offer(1, y)
-        assert solution is not None
-        assert core.halted
-
-    def test_sequential_intervals_pruned(self):
-        x = make_interval(0, 0, [1, 0], [2, 0])
-        y = make_interval(1, 0, [3, 1], [3, 2])  # x wholly precedes y
-        core = PossiblyCore(sink_id=0, process_ids=[0, 1])
-        core.offer(0, x)
-        assert core.offer(1, y) is None
-        # x was discarded; a later concurrent interval pairs with y.
-        x2 = make_interval(0, 1, [4, 0], [5, 0])
-        assert core.offer(0, x2) is not None
-
-    def test_figure3_possibly_holds(self):
-        ex = figure3_execution()
-        core = PossiblyCore(sink_id=0, process_ids=range(4))
-        result = None
-        for interval in ex.trace.intervals_in_completion_order():
-            result = result or core.offer(interval.owner, interval)
-        assert result is not None
-        assert lattice_possibly(ex.trace)
-
-    def test_needs_processes(self):
-        with pytest.raises(ValueError):
-            PossiblyCore(sink_id=0, process_ids=[])

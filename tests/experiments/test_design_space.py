@@ -10,28 +10,25 @@ class TestDesignSpace:
         hier = profiles["hierarchical (this paper)"]
         cent = profiles["centralized repeated [12]"]
         one_shot = profiles["centralized one-shot [7]"]
-        token = profiles["distributed token (≈[11])"]
+        assert len(profiles) == 3
 
         # Only the repeated detectors see every occurrence; the two
         # repeated detectors agree on the count.
         assert hier.detections == cent.detections > 1
-        assert one_shot.detections == token.detections == 1
+        assert one_shot.detections == 1
 
-        # Message economics: hierarchical << centralized; the one-shot
-        # token barely talks at all (but then it's done forever).
+        # Message economics: hierarchical << centralized.
         assert hier.control_messages < cent.control_messages
-        assert token.control_messages < hier.control_messages
 
         # Load placement: the sink is the hot spot in both centralized
-        # variants; hierarchical and token spread work and space.
+        # variants; hierarchical spreads work and space.
         assert cent.cmp_max_node > hier.cmp_max_node
         assert cent.queue_max_node > hier.queue_max_node
-        assert token.queue_max_node <= hier.queue_max_node + 2
 
         # Fault tolerance is unique to the hierarchical algorithm.
         assert hier.survives_any_single_crash
         assert not cent.survives_any_single_crash
-        assert not token.survives_any_single_crash
+        assert not one_shot.survives_any_single_crash
 
     def test_rendering(self):
         text = format_design_space(design_space_comparison(p=6, seed=3))

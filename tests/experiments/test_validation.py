@@ -10,7 +10,7 @@ class TestValidation:
         assert report.ok
         assert report.checks["hierarchical == centralized detections"] == 25
         assert report.checks["every solution satisfies Eq. (2)"] == 25
-        assert report.checks["one-shot == token first occurrence"] == 25
+        assert report.checks["one-shot == first repeated detection"] == 25
         assert "all checks passed" in report.render()
 
     def test_different_seeds_pass_too(self):

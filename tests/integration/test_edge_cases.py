@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import run_hierarchical, run_token
+from repro.experiments import run_hierarchical
 from repro.experiments.cli import main as cli_main
 from repro.topology import SpanningTree
 from repro.workload import EpochConfig
@@ -58,17 +58,6 @@ class TestRejoinEdges:
         tree.remove_node(1)
         with pytest.raises(RuntimeError):
             manager.rejoin(1)
-
-
-class TestTokenEdges:
-    def test_custom_initiator(self):
-        tree = SpanningTree.regular(2, 3)
-        leaf = tree.leaves()[0]
-        result = run_token(
-            tree, seed=2, config=EpochConfig(epochs=4, sync_prob=1.0),
-            initiator=leaf,
-        )
-        assert len(result.detections) == 1
 
 
 class TestCliEdges:

@@ -4,8 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.clocks import best_encoding, freeze
-from repro.experiments import run_possibly, run_token
-from repro.experiments.harness import run_hierarchical
+from repro.experiments.harness import run_centralized, run_hierarchical
 from repro.monitor import ConjunctivePredicate, DistributedMonitor
 from repro.sim import Network, Simulator, lognormal_delay, uniform_delay
 from repro.topology import SpanningTree
@@ -44,21 +43,15 @@ class TestNetworkEdges:
 
 
 class TestHarnessVariants:
-    def test_token_metrics_fields(self):
-        result = run_token(
+    def test_one_shot_metrics_fields(self):
+        result = run_centralized(
             SpanningTree.regular(2, 2), seed=1,
-            config=EpochConfig(epochs=3, sync_prob=1.0),
+            config=EpochConfig(epochs=3, sync_prob=1.0), one_shot=True,
         )
         assert result.metrics.root_detections == len(result.detections) == 1
         assert result.metrics.total_comparisons > 0
         assert result.metrics.max_queue_per_node >= 1
-
-    def test_possibly_counts_report_messages(self):
-        result = run_possibly(
-            SpanningTree.regular(2, 2), seed=1,
-            config=EpochConfig(epochs=2, sync_prob=1.0),
-        )
-        assert result.metrics.control_messages > 0
+        assert result.roles[0].core.halted
 
     def test_workload_start_time_offsets_everything(self):
         tree = SpanningTree.regular(2, 2)

@@ -9,14 +9,21 @@ execution and *any* spanning tree over its processes,
   repeated-detection reference [12] (completeness/equivalence),
 * a detection exists iff brute-force ground truth says Definitely(Φ)
   holds (first-occurrence correctness),
-* successive aggregates from one node are ``succ``-ordered (Theorem 2).
+* successive aggregates from one node are ``succ``-ordered (Theorem 2),
+* the one-shot mode [7] returns exactly the repeated core's first
+  occurrence and nothing after it.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clocks import vc_le, vc_less
-from repro.detect import holds_definitely, lattice_definitely, replay_centralized
+from repro.detect import (
+    RepeatedDetectionCore,
+    holds_definitely,
+    lattice_definitely,
+    replay_centralized,
+)
 from repro.detect.hierarchical import EmissionKind
 from repro.detect.offline import replay_hierarchical
 from repro.intervals import overlap
@@ -98,40 +105,33 @@ class TestOracleSoundness:
         assert bool(solutions) == holds_definitely(ex.trace.all_intervals())
 
 
-class TestTokenEquivalence:
-    """The distributed token detector finds exactly the first occurrence
-    the centralized one-shot finds, on any execution and delivery order
-    compatible with completion order."""
+class TestOneShotEquivalence:
+    """The one-shot detector [7] — the repeated core with
+    ``repeated=False`` — finds exactly the repeated core's first
+    occurrence on any execution, then ignores every later offer."""
 
     @SETTINGS
     @given(executions())
     def test_first_occurrence_identical(self, ex):
-        from repro.detect import OneShotDefinitelyCore, TokenDefinitelyDetector
-
-        reference = OneShotDefinitelyCore(0, range(ex.n))
-        token = TokenDefinitelyDetector(range(ex.n))
-        token.start()
+        one_shot = RepeatedDetectionCore(range(ex.n), repeated=False)
+        repeated = RepeatedDetectionCore(range(ex.n))
+        first, reference = [], []
         for interval in ex.trace.intervals_in_completion_order():
-            reference.offer(interval.owner, interval)
-            token.offer(interval.owner, interval)
-
-        def key(solution):
-            if solution is None:
-                return None
-            return tuple(
-                sorted((iv.owner, iv.seq) for iv in solution.heads.values())
-            )
-
-        assert key(token.detection) == key(reference.detection)
+            was_halted = one_shot.halted
+            found = one_shot.offer(interval.owner, interval)
+            assert not (was_halted and found)
+            first.extend(found)
+            reference.extend(repeated.offer(interval.owner, interval))
+        assert [s.heads for s in first] == [s.heads for s in reference[:1]]
+        assert one_shot.halted == bool(first)
+        assert bool(first) == holds_definitely(ex.trace.all_intervals())
 
     @SETTINGS
     @given(executions(max_n=3))
-    def test_token_detection_is_sound(self, ex):
-        from repro.detect import TokenDefinitelyDetector
-
-        token = TokenDefinitelyDetector(range(ex.n))
-        token.start()
+    def test_one_shot_detection_is_sound(self, ex):
+        one_shot = RepeatedDetectionCore(range(ex.n), repeated=False)
+        first = []
         for interval in ex.trace.intervals_in_completion_order():
-            token.offer(interval.owner, interval)
-        if token.detection is not None:
-            assert overlap(token.detection.intervals)
+            first.extend(one_shot.offer(interval.owner, interval))
+        for solution in first:
+            assert overlap(solution.intervals)

@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.clocks import freeze
-from repro.detect import TokenMessage, TokenState
 from repro.intervals import Interval
 from repro.sim.messages import AppMessage, Heartbeat, IntervalReport, payload_entries
 
@@ -24,13 +23,6 @@ class TestPayloadEntries:
 
     def test_heartbeat_is_constant(self):
         assert payload_entries(Heartbeat(sender=3)) == 2
-
-    def test_token_counts_present_candidates(self):
-        state = TokenState.initial(range(4))
-        assert payload_entries(TokenMessage(state)) == 0 + 4 + 2  # no candidates yet
-        state.heads[1] = interval(4)
-        state.needs.discard(1)
-        assert payload_entries(TokenMessage(state)) == 2 * 4 + 4 + 2
 
     def test_report_size_independent_of_provenance(self):
         """Aggregated intervals ship only their bounds: the wire size of

@@ -1,10 +1,11 @@
-"""The docs agree with the tree: every path, test id and console script
-they name exists, every ``repro-cluster`` flag they show is accepted,
-and the metric catalogue lists exactly the metrics ``src/repro``
-registers."""
+"""The docs agree with the tree: every path, test id, console script
+and dotted ``repro.…`` name they show exists, every ``repro-cluster``
+flag they show is accepted, and the metric catalogue lists exactly the
+metrics ``src/repro`` registers."""
 
 import argparse
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -69,6 +70,55 @@ def test_everything_a_doc_names_exists(doc):
         if name not in scripts
     ]
     assert not missing, f"{doc} names things that do not exist: {sorted(set(missing))}"
+
+
+#: a dotted name under the package, as the docs write one in backticks
+DOTTED = re.compile(r"(?<![\w/.-])repro(?:\.[A-Za-z_]\w*)+")
+
+
+def _dotted_names(text):
+    """Every dotted ``repro.…`` name in a backtick span of *text*.  A
+    bare identifier span that continues a comma list after one (as in
+    ``repro.detect.A``, ``B``) names ``repro.detect.B``."""
+    for line in text.splitlines():
+        module, end = None, 0
+        for match in re.finditer(r"`([^`]+)`", line):
+            span, gap = match.group(1), line[end:match.start()]
+            found = DOTTED.findall(span)
+            if found:
+                yield from found
+                module = found[-1].rsplit(".", 1)[0]
+            elif module and re.fullmatch(r"[A-Za-z_]\w*", span) and re.fullmatch(
+                r",\s*(?:and\s+)?", gap
+            ):
+                yield f"{module}.{span}"
+            else:
+                module = None
+            end = match.end()
+
+
+def _resolves(name):
+    """Import the longest importable prefix of *name*, then ``getattr``
+    the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_dotted_name_a_doc_shows_resolves(doc):
+    names = set(_dotted_names((ROOT / doc).read_text()))
+    unresolved = sorted(name for name in names if not _resolves(name))
+    assert not unresolved, f"{doc} shows names that do not resolve: {unresolved}"
 
 
 def _cluster_subcommand_flags():

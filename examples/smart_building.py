@@ -15,8 +15,6 @@ and keeps working when a controller dies mid-run.
 Run:  python examples/smart_building.py
 """
 
-import networkx as nx
-
 from repro.monitor import ConjunctivePredicate, DistributedMonitor
 from repro.topology import grid_topology
 

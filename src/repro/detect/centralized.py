@@ -37,18 +37,28 @@ class CentralizedSinkCore:
     process_ids:
         All monitored processes, including the sink itself — one queue
         each.
+    repeated:
+        ``False`` runs the one-shot sink [7]: it halts after its first
+        detection (see :attr:`halted`).
     """
 
-    def __init__(self, sink_id: int, process_ids: Iterable[int]) -> None:
+    def __init__(
+        self, sink_id: int, process_ids: Iterable[int], *, repeated: bool = True
+    ) -> None:
         self.sink_id = sink_id
         ids = list(process_ids)
         if sink_id not in ids:
             raise ValueError("sink must be one of the monitored processes")
-        self._core = RepeatedDetectionCore(ids, detector_id=sink_id)
+        self._core = RepeatedDetectionCore(ids, detector_id=sink_id, repeated=repeated)
 
     @property
     def stats(self) -> CoreStats:
         return self._core.stats
+
+    @property
+    def halted(self) -> bool:
+        """True once a one-shot sink has made its detection."""
+        return self._core.halted
 
     def queue_sizes(self):
         return self._core.queue_sizes()

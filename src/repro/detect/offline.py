@@ -38,9 +38,7 @@ Four oracles used by the test-suite to validate the online detectors:
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterator, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, List, Tuple
 
 from ..clocks import vc_less
 from ..intervals import Interval, overlap

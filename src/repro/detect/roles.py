@@ -29,7 +29,6 @@ from ..sim.messages import Heartbeat, IntervalReport
 from ..sim.process import MonitoredProcess
 from .base import Solution
 from .centralized import CentralizedSinkCore
-from .core import RepeatedDetectionCore
 from .hierarchical import Emission, HierarchicalNodeCore
 
 __all__ = [
@@ -148,8 +147,9 @@ class HierarchicalRole:
         )
         # Bound increment handles: label keys resolve once here instead
         # of on every event.  The per-offer counters (enqueued, pruned)
-        # are folded in batches from the span tracker's pending queue —
-        # the observer itself does no metric work (see _fold_counts).
+        # are counted in batches from the span tracker's mark log on
+        # flush — the observer itself does no metric work (see
+        # _fold_counts).
         pid = process.pid
         self._h_enqueued = self._c_enqueued.handle(pid)
         self._h_reports = self._c_reports.handle(pid)
@@ -228,13 +228,13 @@ class HierarchicalRole:
     # telemetry (spans + counters; see repro.obs)
     # ------------------------------------------------------------------
     def _observe_core(self, event: str, key, interval: Interval) -> None:
-        """Core lifecycle hook: enqueue one span mark and nothing else.
+        """Core lifecycle hook: log one span mark and nothing else.
 
         This runs ~2× per offered interval, inside the loop the
-        telemetry measures.  The mark entry doubles as the counting
-        record — per-node enqueued/pruned counters are derived from the
-        queued marks when the tracker folds (see :meth:`_fold_counts`),
-        so the hot path is a single bounded append."""
+        telemetry measures.  The mark doubles as the counting record —
+        per-node enqueued/pruned counters are derived from the mark log
+        when the tracker flushes (see :meth:`_fold_counts`), so the hot
+        path is a single append."""
         self._mark(
             interval,
             self.process.sim.now,
@@ -243,8 +243,8 @@ class HierarchicalRole:
         )
 
     def _fold_counts(self, counts: Dict) -> None:
-        """Batch counter fold, called by the span tracker per queue
-        flush with this node's ``{event_or_None: count}``.  ``None``
+        """Batch counter fold, called by the span tracker per flush
+        with this node's ``{event_or_None: count}``.  ``None``
         keys are completed-interval records (counted by the process);
         prune reasons arrive verbatim from the core observer."""
         for event, amount in counts.items():
@@ -505,12 +505,9 @@ class CentralizedSinkRole:
 
     def bind(self, process: MonitoredProcess) -> None:
         self.process = process
-        if self.one_shot:
-            self.core = RepeatedDetectionCore(
-                self.process_ids, detector_id=process.pid, repeated=False
-            )
-        else:
-            self.core = CentralizedSinkCore(process.pid, self.process_ids)
+        self.core = CentralizedSinkCore(
+            process.pid, self.process_ids, repeated=not self.one_shot
+        )
         self._buffers = {
             pid: ReorderBuffer() for pid in self.process_ids if pid != process.pid
         }

@@ -32,7 +32,7 @@ from ..intervals import Interval
 from ..sim.trace import ExecutionTrace
 from ..topology.spanning_tree import SpanningTree
 from ..workload.generator import EpochConfig
-from .harness import run_centralized, run_hierarchical
+from .harness import run_hierarchical
 
 __all__ = [
     "ShapeResult",

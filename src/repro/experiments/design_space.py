@@ -20,7 +20,7 @@ measured version of the paper's Contributions list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..analysis.report import render_table
 from ..topology.spanning_tree import SpanningTree

@@ -28,7 +28,7 @@ an aging policy, which the paper does not discuss).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..analysis.report import render_table
 from ..topology.spanning_tree import SpanningTree

@@ -9,7 +9,7 @@ new hardware, or with different seeds.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..analysis.report import render_table
 from .ablation import (

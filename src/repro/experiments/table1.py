@@ -23,13 +23,12 @@ growing multiple of the hierarchical message count as ``h`` grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..analysis.complexity import (
     centralized_messages,
     hierarchical_messages,
     table1_rows,
-    tree_nodes,
 )
 from ..analysis.report import render_table
 from ..topology.spanning_tree import SpanningTree

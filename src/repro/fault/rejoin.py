@@ -22,8 +22,6 @@ the memberships that existed when they were announced.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .coordinator import RepairCoordinator
 
 __all__ = ["RejoinManager"]

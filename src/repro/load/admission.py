@@ -32,7 +32,7 @@ never see a completion and converts the workload into pure shedding.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Optional, Set
 
 __all__ = ["AdmissionController"]
 

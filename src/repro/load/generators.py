@@ -26,7 +26,7 @@ offline :class:`~repro.experiments.parallel.ShardedRunner` sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..workload.distributions import InterarrivalSampler

@@ -106,7 +106,7 @@ class NodeRuntime:
             ("node",),
             key=node_id,
         )
-        # Folded in batches from the span queue (``None`` = record entry).
+        # Counted in batches on span-tracker flush (``None`` = record entry).
         clock.telemetry.spans.on_flush(
             node_id,
             lambda counts, _inc=self._count_interval: (

@@ -307,7 +307,7 @@ Metric = Union[CounterMetric, Gauge, Histogram, CounterVec, GaugeVec]
 class MetricsRegistry:
     """Named metrics with get-or-create registration.
 
-    Some counters are folded lazily from batched telemetry queues (see
+    Some counters are folded lazily from batched telemetry sources (see
     :meth:`~repro.obs.spans.SpanTracker.on_flush`); *flush hooks* let
     those sources drain before any read, so ``get``/``metrics``/
     pickling always observe up-to-date values."""

@@ -1,4 +1,4 @@
-"""Causal span tracing for detection artifacts — lazy, sampled, bounded.
+"""Causal span tracing for detection artifacts — columnar, sampled, bounded.
 
 Every artifact of the detection pipeline gets a *span* — a named,
 timed record with an optional parent:
@@ -22,37 +22,34 @@ Hot-path design
 ---------------
 The recording path runs once per predicate interval — inside the same
 loop whose latency the telemetry exists to measure — so it must do
-near-zero work:
+near-zero work and leave nothing for the garbage collector to walk:
 
-* :meth:`SpanTracker.record_interval` and
-  :meth:`SpanTracker.mark_interval` only append one small tuple to a
-  pending queue; row construction, key registration, mark attachment
-  and per-node event counting all happen in :meth:`SpanTracker.flush`,
-  which runs off the latency path — on any read of the table (scrape,
-  export, tree query), when an eager span is opened, or when the queue
-  reaches its bound;
-* flush folding also drives the *counter subscribers*
-  (:meth:`SpanTracker.on_flush`): per-offer counters (enqueued, pruned,
-  intervals completed) are derived from the queued lifecycle entries in
-  one batched pass instead of two dict updates per core event, so the
-  observer callback does no metric work at all;
+* the table is flat columns — sid, name code, node, start, end, parent
+  (``array``), the tri-state ``sampled`` flag (``bytearray``) and the
+  registry keys — with ``attrs`` dicts only on rows that have any, and
+  marks in one log of ``(row, time, event, node)`` columns, formatted
+  to ``"event@Pnode"`` labels only when read.  A span owns no Python
+  object, so the tracker's GC-tracked object count is O(1);
+* every call writes into the columns when it is made; rows append in
+  call order, so sids are chronological and an interval is adoptable
+  the moment it is recorded — there is no queue and nothing to fold;
+* per-node *counter subscribers* (:meth:`SpanTracker.on_flush`) get
+  counts (intervals completed, enqueued, pruned) derived from what the
+  columns gained since the last :meth:`SpanTracker.flush`, in one
+  batched pass, so the recording path does no metric work;
 * a row is registered under its artifact's identity
   (:func:`interval_key`: owner and sequence number, never the bounds),
-  so naming a span copies no timestamp and costs the same at any
-  system size;
-* marks fold as raw ``(time, event, node)`` tuples and are only
-  formatted to ``"event@Pnode"`` labels when someone reads them;
-* :class:`Span` is a lazy **view** over a row, materialized on demand
-  (export, scrape, flight snapshot, tree queries) and cached per row so
-  object identity is stable;
+  so naming a span copies no timestamp at any system size;
+* :class:`Span` is a **view** over a row, built on demand; a
+  weak-valued cache keeps ``get(key) is span`` while the view is held;
 * an optional :class:`~repro.obs.sampling.TraceSampler` filters the
   materialized table: head-dropped ``interval`` rows vanish from
   ``spans`` / ``to_dicts`` unless *promoted* — adopted into a retained
   explanation (alarms, reports and hops are always retained), so alarm
   traces stay complete at any rate;
-* an optional ``capacity`` turns the row table into a bounded ring:
-  the oldest rows are evicted in chunks, and their key registrations
-  dropped, so long-running cluster nodes hold O(capacity) memory.
+* an optional ``capacity`` makes the table a ring: the oldest rows are
+  cut off the column prefixes in chunks, with their marks, attrs and
+  key registrations, so long-running cluster nodes hold O(capacity).
 
 Span ids are sequential, so a deterministic simulation produces a
 byte-identical span table on every run.
@@ -60,7 +57,12 @@ byte-identical span table on every run.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from weakref import KeyedRef
+
+import numpy as np
 
 from .sampling import TraceSampler
 
@@ -85,174 +87,126 @@ def interval_key(interval) -> tuple:
     return (interval.owner, interval.seq)
 
 
-# Row slots.  A row is one fixed-shape list — cheap to allocate, cheap
-# to mutate in place (parent adoption, lazy mark/attr creation).
-_SID, _NAME, _NODE, _START, _END, _PARENT, _ATTRS, _MARKS, _KEY, _FLAG, _VIEW = range(11)
+#: Column value for "none": no node, no parent, a literal-label mark
+#: (no node to format) or a mark whose span was never traced.
+_NIL = -(1 << 63)
+
+#: Name code of rows written by :meth:`SpanTracker.record_interval`.
+#: Other names are interned from code 1 on, so :meth:`SpanTracker.flush`
+#: counts the hot path's interval records from the name column alone.
+_RECORDED = 0
+
+#: ``sampled`` flag column values (``None`` / ``True`` / ``False``).
+_FLAG = {None: 0, True: 1, False: 2}
 
 #: Span names subject to head sampling; everything else is always
 #: retained (tail bias: derived artifacts are rare and load-bearing).
 _SAMPLED_NAMES = frozenset({"interval"})
 
-#: Pending-queue bound: the hot path batches this many record/mark
-#: entries before folding them into rows itself.  Any read folds the
-#: queue first, so in a scraped deployment this only caps memory
-#: between scrapes (~100 bytes per entry).
-_QUEUE_LIMIT = 65536
-
-
-def _format_marks(raw) -> List[Tuple[float, str]]:
-    """Materialize raw mark tuples: 3-tuples ``(t, event, node)`` were
-    recorded lazily and format here; 2-tuples carried a literal label."""
-    if not raw:
-        return []
-    out = []
-    for mark in raw:
-        if len(mark) == 2:
-            out.append((mark[0], mark[1]))
-        else:
-            out.append((mark[0], f"{mark[1]}@P{mark[2]}"))
-    return out
-
 
 class Span:
     """One timed, attributed node of a causal trace tree.
 
-    A lazy view over a tracker row: attribute access reads the row, so
-    a ``Span`` obtained before more marks arrived still sees them.  At
-    most one view exists per row (cached in the row), so identity
-    comparisons (``get(key) is span``) keep working.
+    A view over a tracker row: attribute access reads the columns, so a
+    ``Span`` obtained before more marks arrived still sees them.  The
+    tracker hands out at most one live view per row, so identity
+    comparisons (``get(key) is span``) keep working while it is held.
+    Reading a view whose row the capacity ring evicted raises
+    :class:`LookupError`.
     """
 
-    __slots__ = ("_row", "_tracker")
+    __slots__ = ("_tracker", "_row", "__weakref__")
 
-    def __init__(
-        self,
-        sid: int,
-        name: str,
-        start: float,
-        *,
-        node: Optional[int] = None,
-        parent: Optional[int] = None,
-        attrs: Optional[dict] = None,
-    ) -> None:
-        row = [sid, name, node, start, None, parent, dict(attrs) if attrs else {}, None, None, None, None]
-        row[_VIEW] = self
+    def __init__(self, tracker: "SpanTracker", row: int) -> None:
+        self._tracker = tracker
         self._row = row
-        self._tracker = None
 
-    @classmethod
-    def _of_row(cls, row: list, tracker: Optional["SpanTracker"]) -> "Span":
-        span = cls.__new__(cls)
-        span._row = row
-        span._tracker = tracker
-        return span
+    def _at(self) -> int:
+        return self._tracker._index(self._row)
 
     # ------------------------------------------------------------------
     @property
     def sid(self) -> int:
-        return self._row[_SID]
+        return self._tracker._sid[self._at()]
 
     @property
     def name(self) -> str:
-        return self._row[_NAME]
+        tracker = self._tracker
+        return tracker._names[tracker._name[self._at()]]
 
     @property
     def node(self) -> Optional[int]:
-        return self._row[_NODE]
+        node = self._tracker._node[self._at()]
+        return None if node == _NIL else node
 
     @property
     def start(self) -> float:
-        return self._row[_START]
+        return self._tracker._start[self._at()]
 
     @property
     def end(self) -> Optional[float]:
-        return self._row[_END]
+        end = self._tracker._end[self._at()]
+        return None if end != end else end
 
     @end.setter
     def end(self, value: Optional[float]) -> None:
-        self._row[_END] = value
+        self._tracker._end[self._at()] = float("nan") if value is None else value
 
     @property
     def parent(self) -> Optional[int]:
-        return self._row[_PARENT]
+        parent = self._tracker._parent[self._at()]
+        return None if parent == _NIL else parent
 
     @parent.setter
     def parent(self, value: Optional[int]) -> None:
-        self._row[_PARENT] = value
-        if self._tracker is not None:
-            self._tracker._links += 1
+        tracker = self._tracker
+        tracker._parent[self._at()] = _NIL if value is None else value
+        tracker._links += 1
 
     @property
     def attrs(self) -> dict:
-        row = self._row
-        attrs = row[_ATTRS]
+        tracker = self._tracker
+        attrs = tracker._attrs.get(self._row)
         if attrs is None:
-            attrs = {}
-            key = row[_KEY]
-            if row[_NAME] == "interval" and type(key) is tuple and len(key) == 2:
-                # Fast-path interval rows skip the attrs dict at record
-                # time; the identity key *is* (owner, seq).
-                attrs = {"owner": key[0], "seq": key[1]}
-            row[_ATTRS] = attrs
+            attrs = tracker._attrs[self._row] = tracker._derived_attrs(self._at())
         return attrs
 
     @property
     def marks(self) -> List[Tuple[float, str]]:
-        return _format_marks(self._row[_MARKS])
+        self._at()
+        return self._tracker._marks_of(self._row)
 
     @marks.setter
     def marks(self, value) -> None:
-        self._row[_MARKS] = [tuple(mark) for mark in value]
+        tracker = self._tracker
+        self._at()
+        tracker.flush()
+        tracker._keep_marks(np.frombuffer(tracker._mrow, np.int64) != self._row)
+        for t, label in value:
+            tracker._log_mark(self._row, t, label, _NIL)
 
     @property
     def duration(self) -> float:
-        row = self._row
-        end = row[_END]
-        return (end if end is not None else row[_START]) - row[_START]
+        end = self.end
+        return (end if end is not None else self.start) - self.start
 
     def mark(self, time: float, label: str) -> None:
         """Record a lifecycle point (``enqueued``, ``pruned``, …)."""
-        row = self._row
-        marks = row[_MARKS]
-        if marks is None:
-            marks = row[_MARKS] = []
-        marks.append((time, label))
+        self._at()
+        self._tracker._log_mark(self._row, time, label, _NIL)
 
     def to_dict(self) -> dict:
         """JSON-safe form (attrs must already be JSON-safe; the detection
         stack only stores scalars and small lists there)."""
-        row = self._row
-        return {
-            "sid": row[_SID],
-            "name": row[_NAME],
-            "node": row[_NODE],
-            "start": row[_START],
-            "end": row[_END],
-            "parent": row[_PARENT],
-            "attrs": dict(self.attrs),
-            "marks": [[t, label] for t, label in self.marks],
-        }
+        return self._tracker._to_dict(self._at(), self._tracker._mark_index())
 
     @classmethod
     def from_dict(cls, data: dict) -> "Span":
-        span = cls(
-            int(data["sid"]),
-            data["name"],
-            data["start"],
-            node=data.get("node"),
-            parent=data.get("parent"),
-            attrs=dict(data.get("attrs") or {}),
-        )
-        span._row[_END] = data.get("end")
-        span._row[_MARKS] = [(t, label) for t, label in data.get("marks", [])]
-        return span
+        return SpanTracker.from_dicts([data]).spans[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        who = f"P{self.node}" if self.node is not None else "-"
-        return (
-            f"Span#{self.sid}({self.name} @{who} "
-            f"[{self.start:.2f}, {self.end if self.end is not None else '…'}])"
-        )
+        end = self.end if self.end is not None else "…"
+        return f"Span#{self.sid}({self.name} @P{self.node} [{self.start:.2f}, {end}])"
 
 
 class SpanTracker:
@@ -264,8 +218,7 @@ class SpanTracker:
         Optional :class:`~repro.obs.sampling.TraceSampler`.  When set,
         the materialized table (``spans``, ``to_dicts``, tree queries)
         drops head-unsampled ``interval`` rows that were never promoted
-        into a retained explanation.  Recording cost is unaffected —
-        the decision is evaluated lazily at materialization time.
+        into a retained explanation; recording cost is unaffected.
     capacity:
         Optional ring bound on retained rows.  Eviction runs in chunks
         (amortized O(1) per record), so the table may transiently hold
@@ -283,235 +236,303 @@ class SpanTracker:
             raise ValueError("span tracker capacity must be >= 1")
         self.sampler = sampler
         self.capacity = capacity
-        self._rows: List[list] = []
-        self._by_key: Dict[tuple, list] = {}
-        self._next_sid = 0
-        self._links = 0
-        self._evicted = 0
-        self._cache: Optional[tuple] = None
-        # Pending record/mark entries (see record_interval / flush).
-        self._queue: List[tuple] = []
+        # Row columns; row r (absolute, never reused) sits at r - _base.
+        self._sid, self._node, self._parent = array("q"), array("q"), array("q")
+        self._start, self._end, self._name = array("d"), array("d"), array("H")
+        self._flag = bytearray()
+        self._keys: List[Optional[tuple]] = []
+        self._attrs: Dict[int, dict] = {}
+        self._base = 0
+        self._names: List[str] = ["interval"]
+        self._name_codes: Dict[str, int] = {}
+        # Mark log columns: row, time, event/label code, node.
+        self._mrow, self._mtime = array("q"), array("d")
+        self._mevent, self._mnode = array("i"), array("q")
+        self._labels: List[str] = []
+        self._label_codes: Dict[str, int] = {}
+        self._by_key: Dict[tuple, int] = {}
+        # row -> weak reference to its live view (dropped with the view).
+        self._views: Dict[int, KeyedRef] = {}
+        self._next_sid = self._links = self._evicted = 0
+        self._cache = self._tree = self._mark_cache = None  # _memo slots
+        # Column lengths (rows, marks) already counted for subscribers.
+        self._flushed = (0, 0)
         # node -> [fn(counts)] counter subscribers notified per flush.
         self._subscribers: Dict[int, List[Callable[[dict], None]]] = {}
-        # Eviction chunk: let the table overshoot a little so eviction
-        # amortizes instead of shifting the list on every append.
+        # Eviction chunk: overshoot a little so eviction amortizes.
         self._bound = None if capacity is None else capacity + max(32, capacity // 8)
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._retained())
 
     # ------------------------------------------------------------------
     # materialization
     # ------------------------------------------------------------------
     @property
     def spans(self) -> List[Span]:
-        """The retained span table as (cached) :class:`Span` views."""
-        if self._queue:
-            self.flush()
-        stamp = (self._next_sid, self._links, self._evicted)
-        cache = self._cache
-        if cache is not None and cache[0] == stamp:
-            return cache[1]
-        out = [self._view(row) for row in self._retained_rows()]
-        self._cache = (stamp, out)
-        return out
+        """The retained span table as :class:`Span` views."""
+        base, view = self._base, self._view
+        return [view(base + i) for i in self._retained()]
 
-    def _view(self, row: list) -> Span:
-        view = row[_VIEW]
+    def _index(self, row: int) -> int:
+        i = row - self._base
+        if i < 0:
+            raise LookupError(f"span row {row} was evicted by the capacity ring")
+        return i
+
+    def _view(self, row: int) -> Span:
+        ref = self._views.get(row)
+        view = None if ref is None else ref()
         if view is None:
-            view = Span._of_row(row, self)
-            row[_VIEW] = view
+            view = Span(self, row)
+            self._views[row] = KeyedRef(view, self._forget, row)
         return view
 
-    def _retained_rows(self) -> List[list]:
-        rows = self._rows
-        sampler = self.sampler
+    def _forget(self, ref: KeyedRef) -> None:
+        if self._views.get(ref.key) is ref:
+            del self._views[ref.key]
+
+    def _memo(self, slot: str, stamp: tuple, build: Callable[[], object]):
+        cache = getattr(self, slot)
+        if cache is None or cache[0] != stamp:
+            cache = (stamp, build())
+            setattr(self, slot, cache)
+        return cache[1]
+
+    def _stamp(self) -> tuple:
+        return (self._base + len(self._sid), self._links, self._evicted, self.sampler)
+
+    def _retained(self):
+        """Column indices of the materialized rows, in row order."""
+        return self._memo("_cache", self._stamp(), self._select)
+
+    def _select(self):
+        n, sampler = len(self._sid), self.sampler
         if sampler is None:
-            return rows
+            return range(n)
         # Tail promotion: anything linked into an explanation tree is
         # retained regardless of its head decision — that keeps alarm
         # traces complete down to the concrete leaf intervals.
-        has_children = {row[_PARENT] for row in rows if row[_PARENT] is not None}
-        keep = sampler.keep
-        out = []
-        for row in rows:
-            flag = row[_FLAG]
-            if (
-                row[_PARENT] is not None
-                or row[_SID] in has_children
-                or flag is True
-                or (
-                    flag is None
-                    and (row[_NAME] not in _SAMPLED_NAMES or keep(row[_KEY]))
-                )
-            ):
-                out.append(row)
-        return out
+        parents, sids, flags = self._parent, self._sid, self._flag
+        names, codes, keys, keep = self._names, self._name, self._keys, sampler.keep
+        has_children = set(parents)
+        return [
+            i
+            for i in range(n)
+            if parents[i] != _NIL
+            or sids[i] in has_children
+            or flags[i] == 1
+            or (flags[i] == 0 and (names[codes[i]] not in _SAMPLED_NAMES or keep(keys[i])))
+        ]
+
+    @staticmethod
+    def _group(pairs) -> Dict[int, List[int]]:
+        groups: Dict[int, List[int]] = {}
+        for key, value in pairs:
+            groups.setdefault(key, []).append(value)
+        return groups
+
+    def _children(self) -> Dict[int, List[int]]:
+        """Parent sid -> column indices of its retained children."""
+        parents = self._parent
+        pairs = ((parents[i], i) for i in self._retained() if parents[i] != _NIL)
+        return self._memo("_tree", self._stamp(), lambda: self._group(pairs))
+
+    def _mark_index(self) -> Dict[int, List[int]]:
+        """Row -> positions of its marks in the log, in log order."""
+        base = self._base
+        pairs = ((row, k) for k, row in enumerate(self._mrow) if row >= base)
+        stamp = (len(self._mrow), self._evicted)
+        return self._memo("_mark_cache", stamp, lambda: self._group(pairs))
+
+    def _marks_of(self, row: int, index: Optional[dict] = None) -> List[Tuple[float, str]]:
+        times, events, nodes, labels = self._mtime, self._mevent, self._mnode, self._labels
+        return [
+            (times[k], labels[events[k]] + ("" if nodes[k] == _NIL else f"@P{nodes[k]}"))
+            for k in (self._mark_index() if index is None else index).get(row, ())
+        ]
+
+    def _derived_attrs(self, i: int) -> dict:
+        # Hot-path interval rows store no attrs: their key *is* (owner, seq).
+        key = self._keys[i]
+        if self._names[self._name[i]] == "interval" and type(key) is tuple and len(key) == 2:
+            return {"owner": key[0], "seq": key[1]}
+        return {}
+
+    def _to_dict(self, i: int, marks: dict) -> dict:
+        row = self._base + i
+        node, end, parent = self._node[i], self._end[i], self._parent[i]
+        attrs = self._attrs.get(row)
+        return {
+            "sid": self._sid[i],
+            "name": self._names[self._name[i]],
+            "node": None if node == _NIL else node,
+            "start": self._start[i],
+            "end": None if end != end else end,
+            "parent": None if parent == _NIL else parent,
+            "attrs": dict(attrs) if attrs is not None else self._derived_attrs(i),
+            "marks": [[t, label] for t, label in self._marks_of(row, marks)],
+        }
 
     def stats(self) -> dict:
         """Recording vs materialization accounting (bench/scrape aid)."""
-        materialized = len(self.spans)  # flushes the queue first
+        materialized = len(self._retained())
         return {
             "recorded": self._next_sid,
-            "retained_rows": len(self._rows),
+            "retained_rows": len(self._sid),
             "evicted": self._evicted,
             "materialized": materialized,
-            "sampled_fraction": (
-                materialized / self._next_sid if self._next_sid else 1.0
-            ),
+            "sampled_fraction": materialized / self._next_sid if self._next_sid else 1.0,
         }
 
     # ------------------------------------------------------------------
     # creation
     # ------------------------------------------------------------------
-    def begin(
-        self,
-        name: str,
-        start: float,
-        *,
-        node: Optional[int] = None,
-        key: Optional[tuple] = None,
-        sampled: Optional[bool] = None,
-        **attrs,
-    ) -> Span:
-        """Open a new span; ``key`` (e.g. ``interval_key`` output)
-        registers it for later :meth:`get` / :meth:`adopt` lookups.
-        ``sampled`` forces the retention decision (``True``: always
-        keep, ``False``: drop unless promoted — e.g. a hop honoring its
-        sender's head decision)."""
-        if self._queue:
-            # Queued interval rows precede this span chronologically;
-            # folding first keeps sids in true recording order (and
-            # makes the intervals adoptable right away).
-            self.flush()
-        sid = self._next_sid
-        self._next_sid = sid + 1
-        row = [sid, name, node, start, None, None, attrs or None, None, key, sampled, None]
-        self._rows.append(row)
+    def _append(self, code, node, start, end, flag, key, attrs, sid=None, parent=None) -> int:
+        if sid is None:
+            sid = self._next_sid
+            self._next_sid = sid + 1
+        row = self._base + len(self._sid)
+        self._sid.append(sid)
+        self._name.append(code)
+        self._node.append(_NIL if node is None else node)
+        self._start.append(start)
+        self._end.append(float("nan") if end is None else end)
+        self._parent.append(_NIL if parent is None else parent)
+        self._flag.append(flag)
+        self._keys.append(key)
+        if attrs:
+            self._attrs[row] = attrs
         if key is not None:
             self._by_key[key] = row
         bound = self._bound
-        if bound is not None and len(self._rows) > bound:
+        if bound is not None and len(self._sid) > bound:
             self._compact()
-        return self._view(row)
+        return row
+
+    @staticmethod
+    def _intern(codes: Dict[str, int], table: List[str], text: str) -> int:
+        code = codes.get(text)
+        if code is None:
+            code = codes[text] = len(table)
+            table.append(text)
+        return code
+
+    def begin(self, name: str, start: float, **kwargs) -> Span:
+        """Open a span with no end yet; takes :meth:`record`'s keywords."""
+        return self.record(name, start, None, **kwargs)
 
     def record(
         self,
         name: str,
         start: float,
-        end: float,
+        end: Optional[float],
         *,
         node: Optional[int] = None,
         key: Optional[tuple] = None,
         sampled: Optional[bool] = None,
         **attrs,
     ) -> Span:
-        """Create an already-finished span (the common case: the artifact
-        completed at creation time)."""
-        span = self.begin(name, start, node=node, key=key, sampled=sampled, **attrs)
-        span._row[_END] = end
-        return span
+        """Create a span, finished at *end* (the common case: the
+        artifact completed at creation time).  ``key`` (e.g.
+        ``interval_key`` output) registers it for later :meth:`get` /
+        :meth:`adopt` lookups.  ``sampled`` forces the retention
+        decision (``True``: always keep, ``False``: drop unless promoted
+        — e.g. a hop honoring its sender's head decision)."""
+        code = self._intern(self._name_codes, self._names, name)
+        return self._view(self._append(code, node, start, end, _FLAG[sampled], key, attrs))
 
     def record_interval(self, interval, start: float, end: float, node: int) -> None:
         """Hot path: one finished ``interval`` span for a *concrete*
-        predicate interval.  Only enqueues ``(interval, start, end,
-        node)``; the row is built when the queue folds (:meth:`flush`)."""
-        queue = self._queue
-        queue.append((interval, start, end, node))
-        if len(queue) >= _QUEUE_LIMIT:
-            self.flush()
+        predicate interval, written straight into the columns (no view,
+        no attrs: they derive from the key when read)."""
+        self._append(_RECORDED, node, start, end, 0, interval_key(interval), None)
 
     def mark_interval(self, interval, time: float, event: str, node: int) -> None:
-        """Hot path: enqueue a raw lifecycle mark for *interval*'s span
-        (attached at fold time, formatted to ``"event@Pnode"`` only when
-        read).  No-op at fold time when the interval was never traced or
-        its row was evicted.
+        """Hot path: log a raw lifecycle mark for *interval*'s span.
+        Invisible when the interval was never traced or its row was
+        evicted, but still counted for the node's subscribers."""
+        self._log_mark(self._by_key.get(interval_key(interval), _NIL), time, event, node)
 
-        Queue entries share one shape with :meth:`record_interval`;
-        slot 2 disambiguates — a mark carries its ``str`` event where a
-        record carries its ``float`` end time."""
-        queue = self._queue
-        queue.append((interval, time, event, node))
-        if len(queue) >= _QUEUE_LIMIT:
-            self.flush()
+    def _log_mark(self, row: int, time: float, label: str, node: int) -> None:
+        code = self._intern(self._label_codes, self._labels, label)
+        self._mrow.append(row)
+        self._mtime.append(time)
+        self._mevent.append(code)
+        self._mnode.append(node)
 
     # ------------------------------------------------------------------
-    # queue folding
+    # counter subscribers
     # ------------------------------------------------------------------
     def on_flush(self, node: int, fn: Callable[[dict], None]) -> None:
         """Subscribe *fn* to per-flush event counts for *node*.
 
-        After each fold, *fn* receives ``{event_or_None: count}`` for
-        the batch just folded: mark entries count under their event
-        string, record entries under ``None``.  This is how the per-node
-        counters (intervals completed, enqueued, pruned) are derived
-        without any metric work on the recording path."""
+        On each :meth:`flush`, *fn* receives ``{event_or_None: count}``
+        for what *node* recorded since the previous one: marks under
+        their event, :meth:`record_interval` rows under ``None`` — the
+        per-node counters with no metric work on the recording path."""
         self._subscribers.setdefault(node, []).append(fn)
 
     def flush(self) -> None:
-        """Fold the pending queue into rows, marks and subscriber
-        counts.  Runs on any table read; idempotent and re-entrancy
-        safe (the queue is detached before folding)."""
-        queue = self._queue
-        if not queue:
+        """Count the rows and marks appended since the last flush and
+        hand each subscribed node its batch.  Runs on every registry
+        read (Telemetry's flush hook); idempotent and re-entrancy safe
+        (the counted lengths advance before any subscriber runs)."""
+        rows, marks = self._flushed
+        n, m = len(self._sid), len(self._mrow)
+        if rows == n and marks == m:
             return
-        self._queue = []
-        by_key = self._by_key
-        rows = self._rows
-        sid = self._next_sid
+        self._flushed = (n, m)
         subscribers = self._subscribers
-        counts: Optional[Dict[int, Dict[Optional[str], int]]] = (
-            {} if subscribers else None
-        )
-        for interval, t0, tail, node in queue:
-            if type(tail) is str:
-                row = by_key.get(interval_key(interval))
-                if row is not None:
-                    marks = row[_MARKS]
-                    if marks is None:
-                        marks = row[_MARKS] = []
-                    marks.append((t0, tail, node))
-                event = tail
-            else:
-                key = interval_key(interval)
-                row = [sid, "interval", node, t0, tail, None, None, None, key, None, None]
-                sid += 1
-                rows.append(row)
-                by_key[key] = row
-                event = None
-            if counts is not None:
-                per_node = counts.get(node)
-                if per_node is None:
-                    per_node = counts[node] = {}
-                per_node[event] = per_node.get(event, 0) + 1
-        self._next_sid = sid
-        bound = self._bound
-        if bound is not None and len(rows) > bound:
-            self._compact()
-        if counts:
-            for node, per_node in counts.items():
-                for fn in subscribers.get(node, ()):
-                    fn(per_node)
+        if not subscribers:
+            return
+        counts: Dict[int, Dict[Optional[str], int]] = {}
+        recorded = zip(self._node[rows:n], self._name[rows:n])
+        for node, count in Counter(nd for nd, code in recorded if code == _RECORDED).items():
+            counts.setdefault(node, {})[None] = count
+        logged = Counter(zip(self._mnode[marks:m], self._mevent[marks:m]))
+        for (node, code), count in logged.items():
+            if node != _NIL:
+                counts.setdefault(node, {})[self._labels[code]] = count
+        for node, per_node in counts.items():
+            for fn in subscribers.get(node, ()):
+                fn(per_node)
 
     def _compact(self) -> None:
-        excess = len(self._rows) - self.capacity
+        excess = len(self._sid) - self.capacity
         if excess <= 0:
             return
-        old = self._rows[:excess]
-        del self._rows[:excess]
-        self._evicted += excess
+        self.flush()  # count what is about to go
+        base = self._base
+        cut = base + excess
         by_key = self._by_key
-        for row in old:
-            key = row[_KEY]
-            if key is not None and by_key.get(key) is row:
+        for row, key in enumerate(self._keys[:excess], base):
+            if key is not None and by_key.get(key) == row:
                 del by_key[key]
+        for column in (
+            self._sid, self._name, self._node, self._start,
+            self._end, self._parent, self._flag, self._keys,
+        ):
+            del column[:excess]
+        self._attrs = {row: a for row, a in self._attrs.items() if row >= cut}
+        self._base = cut
+        self._evicted += excess
+        self._keep_marks(np.frombuffer(self._mrow, np.int64) >= cut)
+
+    def _keep_marks(self, mask: np.ndarray) -> None:
+        """Keep only the logged marks where *mask* is true (after a
+        :meth:`flush`, so no uncounted mark is lost)."""
+        self._mrow, self._mtime, self._mevent, self._mnode = (
+            array(c.typecode, np.frombuffer(c, c.typecode)[mask].tobytes())
+            for c in (self._mrow, self._mtime, self._mevent, self._mnode)
+        )
+        self._flushed = (len(self._sid), len(self._mrow))
+        self._mark_cache = None
 
     # ------------------------------------------------------------------
     # lookup & parentage
     # ------------------------------------------------------------------
     def get(self, key: tuple) -> Optional[Span]:
-        if self._queue:
-            self.flush()
         row = self._by_key.get(key)
         return None if row is None else self._view(row)
 
@@ -528,31 +549,34 @@ class SpanTracker:
         (first parent wins — an artifact is explained by the first
         announcement that consumed it).  Returns True when a link was
         created."""
-        if self._queue:
-            self.flush()
-        child = self._by_key.get(child_key)
-        if child is None or child[_PARENT] is not None or child is parent._row:
+        row = self._by_key.get(child_key)
+        if row is None or row == parent._row:
             return False
-        child[_PARENT] = parent._row[_SID]
+        i = row - self._base
+        if self._parent[i] != _NIL:
+            return False
+        self._parent[i] = self._sid[self._index(parent._row)]
         self._links += 1
         return True
 
     def reparent(self, child: Span, parent_sid: int) -> bool:
         """Late re-parenting by sid (cluster trace stitching); first
         parent wins, self-links refused."""
-        row = child._row
-        if row[_PARENT] is not None or row[_SID] == parent_sid:
+        i = child._at()
+        if self._parent[i] != _NIL or self._sid[i] == parent_sid:
             return False
-        row[_PARENT] = parent_sid
+        self._parent[i] = parent_sid
         self._links += 1
         return True
 
     def children_of(self, span: Span) -> List[Span]:
-        sid = span.sid
-        return [s for s in self.spans if s.parent == sid]
+        base, view = self._base, self._view
+        return [view(base + i) for i in self._children().get(span.sid, ())]
 
     def named(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
+        base, view = self._base, self._view
+        names, codes = self._names, self._name
+        return [view(base + i) for i in self._retained() if names[codes[i]] == name]
 
     def alarms(self) -> List[Span]:
         """Root announcement spans, in detection order."""
@@ -595,8 +619,11 @@ class SpanTracker:
         the newest *tail* spans — the flight recorder's bounded ring).
         Sampling applies here: head-dropped, unpromoted intervals never
         reach a scrape payload or snapshot file."""
-        spans = self.spans if tail is None else self.spans[-tail:]
-        return [span.to_dict() for span in spans]
+        rows = self._retained()
+        if tail is not None:
+            rows = rows[-tail:]
+        marks = self._mark_index()
+        return [self._to_dict(i, marks) for i in rows]
 
     @classmethod
     def from_dicts(cls, rows: List[dict]) -> "SpanTracker":
@@ -606,66 +633,37 @@ class SpanTracker:
         0), so do not :meth:`begin` new spans on the result — key-based
         lookups are not restored either, only the tree structure."""
         tracker = cls()
-        top = 0
         for data in rows:
-            sid = int(data["sid"])
-            top = max(top, sid + 1)
-            tracker._rows.append(
-                [
-                    sid,
-                    data["name"],
-                    data.get("node"),
-                    data["start"],
-                    data.get("end"),
-                    data.get("parent"),
-                    dict(data.get("attrs") or {}),
-                    [(t, label) for t, label in data.get("marks", [])],
-                    None,
-                    True,
-                    None,
-                ]
-            )
-        tracker._next_sid = top
+            tracker._import(data, int(data["sid"]), data.get("parent"))
         return tracker
+
+    def _import(self, data: dict, sid: int, parent: Optional[int]) -> int:
+        self._next_sid = max(self._next_sid, sid + 1)
+        code = self._intern(self._name_codes, self._names, data["name"])
+        attrs = dict(data.get("attrs") or {})
+        row = self._append(
+            code, data.get("node"), data["start"], data.get("end"), 1, None, attrs, sid, parent
+        )
+        for t, label in data.get("marks", []):
+            self._log_mark(row, t, label, _NIL)
+        return row
 
     def append_imported(self, data: dict, *, sid: int) -> Span:
         """Append one wire-form row under a caller-chosen sid (cluster
         aggregation renumbers node-local tables into one namespace)."""
-        if self._queue:
-            self.flush()
-        self._next_sid = max(self._next_sid, sid + 1)
-        row = [
-            sid,
-            data["name"],
-            data.get("node"),
-            data["start"],
-            data.get("end"),
-            None,
-            dict(data.get("attrs") or {}),
-            [(t, label) for t, label in data.get("marks", [])],
-            None,
-            True,
-            None,
-        ]
-        self._rows.append(row)
-        self._links += 1  # invalidate any cached materialization
-        return self._view(row)
+        return self._view(self._import(data, sid, None))
 
     def by_sid(self, sid: int) -> Optional[Span]:
         """Span with the given id, tolerating non-contiguous tables
         (deserialized snapshots, stitched cluster traces)."""
-        spans = self.spans
-        if 0 <= sid < len(spans) and spans[sid].sid == sid:
-            return spans[sid]
-        for span in spans:
-            if span.sid == sid:
-                return span
-        return None
+        rows, sids = self._retained(), self._sid
+        if 0 <= sid < len(rows) and sids[rows[sid]] == sid:
+            return self._view(self._base + rows[sid])
+        i = next((i for i in rows if sids[i] == sid), None)
+        return None if i is None else self._view(self._base + i)
 
     def detection_latencies(self) -> List[float]:
         """Per-alarm detection latency (simulated time from the last
         solution interval's open to the announcement), for alarms that
         recorded one."""
-        return [
-            s.attrs["latency"] for s in self.alarms() if "latency" in s.attrs
-        ]
+        return [s.attrs["latency"] for s in self.alarms() if "latency" in s.attrs]

@@ -45,8 +45,9 @@ class Telemetry:
     ) -> None:
         self.registry = MetricsRegistry()
         self.spans = SpanTracker(sampler=sampler, capacity=span_capacity)
-        # Per-offer counters fold from the span tracker's pending queue
-        # (see SpanTracker.on_flush); reading any metric must drain it.
+        # Per-offer counters are counted from the span tracker's columns
+        # on flush (see SpanTracker.on_flush); reading any metric must
+        # flush it first.
         self.registry.add_flush_hook(self.spans.flush)
 
     @property

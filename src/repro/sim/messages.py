@@ -22,7 +22,6 @@ vector clocks):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..clocks import Timestamp
 from ..intervals import Interval

@@ -77,8 +77,8 @@ class MonitoredProcess:
             ("node",),
             key=pid,
         )
-        # Completed intervals are counted when the span queue folds —
-        # record entries arrive under the ``None`` event key.
+        # Completed intervals are counted when the span tracker flushes —
+        # recorded intervals arrive under the ``None`` event key.
         sim.telemetry.spans.on_flush(
             pid,
             lambda counts, _inc=self._count_interval: (
@@ -121,8 +121,8 @@ class MonitoredProcess:
         self._run_last = None
         # Every interval opens a span keyed by its identity, so the
         # detection layers can parent reports and alarms back onto it.
-        # ``record_interval`` is the tracker's queued fast path; the
-        # per-node interval counter folds from the same queue entry.
+        # ``record_interval`` is the tracker's column-append fast path;
+        # the per-node interval counter is counted from the same row.
         now = self.sim.now
         self.sim.telemetry.spans.record_interval(
             interval,

@@ -27,7 +27,7 @@ the underlying communication graph:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import networkx as nx
 

@@ -22,13 +22,11 @@ Two drivers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..sim.kernel import Simulator
-from ..sim.network import Network
-from ..sim.process import DetectorRole, MonitoredProcess
-from ..sim.trace import ExecutionTrace
+from ..sim.process import MonitoredProcess
 from ..topology.spanning_tree import SpanningTree
 from .distributions import exponential_gap
 

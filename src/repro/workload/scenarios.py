@@ -9,7 +9,6 @@ tests assert the interval relations the paper derives from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..clocks import Timestamp, VectorClock

@@ -1,6 +1,8 @@
 """Unit tests: detector roles embedded in small simulations."""
 
-import networkx as nx
+from types import SimpleNamespace
+
+import pytest
 
 from repro.detect import CentralizedReporterRole, CentralizedSinkRole, HierarchicalRole
 from repro.sim import ExecutionTrace, MonitoredProcess, Network, Simulator, uniform_delay
@@ -133,6 +135,13 @@ class TestCentralizedRoles:
             if plane == "control" and t == "IntervalReport"
         )
         assert reports == 3
+
+    @pytest.mark.parametrize("one_shot", [False, True])
+    def test_sink_outside_process_ids_is_rejected(self, one_shot):
+        # Both sink modes build the same validated core.
+        role = CentralizedSinkRole([1, 2], one_shot=one_shot)
+        with pytest.raises(ValueError, match="sink must be one of"):
+            role.bind(SimpleNamespace(pid=0))
 
     def test_one_shot_sink_halts(self):
         tree = SpanningTree.regular(1, 2)

@@ -1,7 +1,5 @@
 """Integration tests: table/figure/ablation experiment runners + CLI."""
 
-import pytest
-
 from repro.experiments import (
     alpha_sweep,
     empirical_message_sweep,

@@ -9,7 +9,6 @@ exposition.
 
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.analysis.metrics import RunMetrics

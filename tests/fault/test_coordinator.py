@@ -1,6 +1,5 @@
 """Unit tests: the repair coordinator driving role rewiring."""
 
-import networkx as nx
 import pytest
 
 from repro.fault import RepairCoordinator

@@ -74,8 +74,6 @@ class TestRootFailure:
         # Kill the sink (root 0) mid-run by re-running with a failure.
         # run_centralized has no failure hook (the baseline has no
         # repair story), so emulate: crash via the network at t=90.
-        import networkx as nx
-
         from repro.detect.roles import CentralizedReporterRole, CentralizedSinkRole
         from repro.fault.injector import FailureInjector
         from repro.sim import ExecutionTrace, Network, Simulator, uniform_delay

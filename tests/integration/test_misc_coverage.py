@@ -1,7 +1,6 @@
 """Coverage for smaller paths exercised only indirectly elsewhere."""
 
 import networkx as nx
-import pytest
 
 from repro.clocks import best_encoding, freeze
 from repro.experiments.harness import run_centralized, run_hierarchical

@@ -1,7 +1,5 @@
 """Unit tests: the Possibly/Definitely interval conditions (Eq. 1–2)."""
 
-import numpy as np
-
 from repro.clocks import vc_less
 from repro.intervals import (
     overlap,

@@ -203,7 +203,12 @@ class TestSampledCluster:
                 materialized = {
                     s.sid for s in tracker.spans if s.name == "interval"
                 }
-                for span in map(tracker._view, tracker._rows):
+                # Without its sampler the tracker materializes every
+                # recorded row, kept or not.
+                sampler, tracker.sampler = tracker.sampler, None
+                recorded = tracker.spans
+                tracker.sampler = sampler
+                for span in recorded:
                     if span.name != "interval":
                         continue
                     # The head decision depends only on the key's

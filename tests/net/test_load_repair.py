@@ -13,8 +13,6 @@ prefix of the centralized replay.
 
 import asyncio
 
-import pytest
-
 from repro.load import LoadSpec, solution_keyset
 from repro.monitor import HeartbeatSpec
 from repro.net import ClusterSpec, LocalCluster

@@ -302,8 +302,8 @@ class TestWireForm:
 
 
 class TestFlushHooks:
-    """Registry reads drain deferred sources (the span queue) first, so
-    counters folded from queued entries are never stale at scrape time."""
+    """Registry reads flush deferred sources (the span tracker) first,
+    so counters folded from them are never stale at scrape time."""
 
     def test_reads_invoke_hooks(self):
         registry = MetricsRegistry()
@@ -351,6 +351,6 @@ class TestFlushHooks:
             owner, seq, parts = 0, 1, ()
 
         telemetry.spans.record_interval(_Ivl, 0.0, 1.0, 0)
-        # A registry read alone must fold the span queue.
+        # A registry read alone must flush the span tracker's counts.
         telemetry.registry.metrics()
         assert counts == [{None: 1}]

@@ -6,6 +6,8 @@ the concrete leaf intervals — the tentpole guarantee of the tracing
 layer.
 """
 
+import gc
+
 from repro.experiments import run_hierarchical
 from repro.obs import SpanTracker, interval_key
 from repro.topology import SpanningTree
@@ -60,7 +62,7 @@ class TestSpanTracker:
 
 
 class _FakeInterval:
-    """Minimal interval surface for queue tests: identity + parts.
+    """Minimal interval surface for tracker tests: identity + parts.
     It has no ``key`` method: the telemetry plane must name an interval
     without the one that copies both timestamps."""
 
@@ -70,30 +72,71 @@ class _FakeInterval:
         self.parts = parts
 
 
-class TestQueueFold:
-    """The deferred hot path: record/mark enqueue tuples; any read folds."""
+class TestColumnarTable:
+    """Every record and mark lands in the columns when it is made."""
 
-    def test_reads_fold_the_queue(self):
+    def test_recorded_interval_is_readable_at_once(self):
         tracker = SpanTracker()
         ivl = _FakeInterval(1, 0)
         tracker.record_interval(ivl, 0.0, 1.0, 1)
         tracker.mark_interval(ivl, 0.5, "enqueued", 1)
-        # Nothing materialized yet — both entries still queued.
-        assert tracker._queue and not tracker._rows
         spans = tracker.spans
         assert [s.name for s in spans] == ["interval"]
         assert spans[0].marks == [(0.5, "enqueued@P1")]
         assert tracker.get(interval_key(ivl)) is spans[0]
 
-    def test_begin_folds_first_so_sids_stay_chronological(self):
+    def test_sids_follow_call_order(self):
         tracker = SpanTracker()
         tracker.record_interval(_FakeInterval(1, 0), 0.0, 1.0, 1)
         report = tracker.begin("report", 2.0, node=0, key=("rep", 1))
-        # The queued interval was recorded earlier, so it folds to the
-        # lower sid — and is adoptable by the report right away.
+        tracker.record_interval(_FakeInterval(1, 1), 2.5, 3.0, 1)
+        # The interval recorded just before the report holds the lower
+        # sid and is adoptable by it right away.
         assert report.sid == 1
         assert tracker.adopt(report, interval_key(_FakeInterval(1, 0)))
-        assert tracker.spans[0].parent == report.sid
+        assert [(s.sid, s.name, s.parent) for s in tracker.spans] == [
+            (0, "interval", 1),
+            (1, "report", None),
+            (2, "interval", None),
+        ]
+
+    def test_marks_are_visible_before_any_flush(self):
+        tracker = SpanTracker()
+        seen = []
+        tracker.on_flush(1, seen.append)
+        ivl = _FakeInterval(1, 0)
+        tracker.record_interval(ivl, 0.0, 1.0, 1)
+        for i in range(1000):
+            tracker.mark_interval(ivl, float(i), "enqueued", 1)
+        # The table needs no flush; only the counters wait for one.
+        assert len(tracker.get(interval_key(ivl)).marks) == 1000
+        assert seen == []
+        tracker.flush()
+        assert seen == [{None: 1, "enqueued": 1000}]
+
+    def test_tracker_adds_o1_gc_tracked_objects(self):
+        tracker = SpanTracker()
+        gc.collect()
+        before = len(gc.get_objects())
+        for seq in range(10_000):
+            ivl = _FakeInterval(1, seq)
+            tracker.record_interval(ivl, 0.0, 1.0, 1)
+            tracker.mark_interval(ivl, 0.5, "enqueued", 1)
+            tracker.mark_interval(ivl, 0.7, "prune_solution", 1)
+            report = tracker.record("report", 1.0, 1.0, node=1, key=("agg", 1, seq))
+            tracker.adopt(report, interval_key(ivl))
+        del ivl, report
+        gc.collect()
+        # No list, marks list or cached view per span: the columns,
+        # the key registry and the mark log are a fixed set of objects.
+        assert len(gc.get_objects()) - before < 100
+        assert tracker.stats()["recorded"] == 20_000
+
+
+class TestQueueFold:
+    """The recording hot path: marks find their span by identity key,
+    flushes hand subscribers batched counts, the ring and the sampler
+    bound what is kept."""
 
     def test_marks_on_aggregated_intervals_use_prefixed_key(self):
         tracker = SpanTracker()
@@ -125,19 +168,6 @@ class TestQueueFold:
         # An empty flush notifies nobody.
         tracker.flush()
         assert len(seen[1]) == 1
-
-    def test_queue_limit_triggers_self_fold(self):
-        from repro.obs.spans import _QUEUE_LIMIT
-
-        tracker = SpanTracker()
-        ivl = _FakeInterval(1, 0)
-        tracker.record_interval(ivl, 0.0, 1.0, 1)
-        for _ in range(_QUEUE_LIMIT - 1):
-            tracker.mark_interval(ivl, 0.5, "enqueued", 1)
-        # The bound was hit inside the hot path itself: queue drained
-        # without any read.
-        assert not tracker._queue
-        assert len(tracker._rows) == 1
 
     def test_ring_eviction_drops_key_registration(self):
         tracker = SpanTracker(capacity=4)

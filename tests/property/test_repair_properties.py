@@ -11,7 +11,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.topology import SpanningTree, plan_repair
+from repro.topology import plan_repair
 
 from .strategies import trees
 

@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.detect import replay_centralized
-from repro.experiments.harness import run_hierarchical
 from repro.sim import (
     distance_delay,
     exponential_delay,
@@ -49,10 +48,8 @@ class TestDetectionUnderHeavyTails:
     def test_hierarchical_correct_under_lognormal_reordering(self):
         """Heavy-tailed delays stress the transport reorder buffers;
         detections must still match the offline reference exactly."""
-        import networkx as nx
-
         from repro.detect.roles import HierarchicalRole
-        from repro.sim import ExecutionTrace, MonitoredProcess, Network, Simulator
+        from repro.sim import ExecutionTrace, Network, Simulator
         from repro.workload.generator import EpochProcess, EpochWorkload
 
         tree = SpanningTree.regular(2, 3)

@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.topology import SpanningTree, random_geometric_topology, scale_free_topology
+from repro.topology import SpanningTree, random_geometric_topology
 
 
 class TestBfsBounded:

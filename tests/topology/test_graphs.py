@@ -1,7 +1,6 @@
 """Unit tests: topology generators."""
 
 import networkx as nx
-import pytest
 
 from repro.topology import (
     complete_topology,

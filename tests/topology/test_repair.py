@@ -1,6 +1,5 @@
 """Unit tests: spanning-tree repair plans (Section III-F)."""
 
-import networkx as nx
 import pytest
 
 from repro.topology import SpanningTree, plan_repair, tree_with_chords

@@ -1,6 +1,5 @@
 """Unit tests: the epoch and random workload generators."""
 
-from repro.detect import holds_definitely
 from repro.experiments.harness import run_centralized, run_hierarchical
 from repro.sim import ExecutionTrace, MonitoredProcess, Network, Simulator, uniform_delay
 from repro.topology import SpanningTree

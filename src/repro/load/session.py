@@ -68,7 +68,8 @@ class LoadSpec:
     arrival: str = "poisson"
     #: bursty arrivals: burst-phase rate multiplier
     burstiness: float = 8.0
-    #: closed loop: virtual user count
+    #: closed loop: virtual user count; a session refuses fewer users
+    #: than processes (one epoch stride)
     users: int = 8
     #: closed loop: mean think seconds between a resolution and the
     #: user's next offer
@@ -255,6 +256,13 @@ class LoadSession:
                 f"epoch stride ({len(self.pids)} processes): Definitely(Phi) "
                 "completes offers one whole epoch at a time, so a tighter gate "
                 "can only shed or time out"
+            )
+        if load.mode == "closed" and load.users < len(self.pids):
+            raise ValueError(
+                f"closed-loop users ({load.users}) must cover at least one epoch "
+                f"stride ({len(self.pids)} processes): each user holds one offer "
+                "at a time, so fewer users than processes can never complete "
+                "an epoch before pending_timeout abandons its offers"
             )
         weights = None
         if load.dispatch == "weighted":

@@ -22,10 +22,6 @@ Subcommands:
   (:mod:`repro.obs.cluster`) and print the live cluster status table
   (per-node alarms/reports, realized α by level, reconnects, outbox
   depths); ``--interval`` re-polls until interrupted.
-* ``profile`` — fetch a running cluster's continuous-profiler state
-  (armed by a spec with ``"profile": true``): the JSON summary, or
-  ``--collapsed`` flamegraph stacks ready for speedscope /
-  ``flamegraph.pl``.
 * ``postmortem`` — reconstruct the crash → repair → recovery timeline
   from a directory of flight-recorder snapshots
   (:mod:`repro.obs.flight`), as written under a spec's ``flight_dir``.
@@ -112,18 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     watch = sub.add_parser(
         "watch", help="scrape + merge a running cluster's telemetry"
     )
-    profile = sub.add_parser(
-        "profile", help="fetch a running cluster's continuous-profiler state"
-    )
-    for sp in (status, kill, watch, profile):
+    for sp in (status, kill, watch):
         sp.add_argument("--host", default="127.0.0.1")
         sp.add_argument("--admin-port", type=int, required=True)
     kill.add_argument("--node", type=int, required=True)
-    profile.add_argument(
-        "--collapsed",
-        action="store_true",
-        help="print collapsed flamegraph stacks instead of the JSON summary",
-    )
     watch.add_argument(
         "--interval",
         type=float,
@@ -252,28 +240,16 @@ async def _run_cluster(args, spec) -> dict:
                 cluster.detections
             )
         summary["load"] = load_block
-    # Sampling accounting + per-alarm trace completeness, so a sampled
-    # run can be asserted on ("the kill's alarm still explains down to
-    # leaf intervals") without re-scraping.
-    span_stats = [scope.telemetry.spans.stats() for scope in cluster.scopes.values()]
-    recorded = sum(s["recorded"] for s in span_stats)
-    exported = sum(s["materialized"] for s in span_stats)
-    summary.update(
-        sample_rate=spec.sample_rate,
-        spans_recorded=recorded,
-        spans_exported=exported,
-        sampled_fraction=round(exported / recorded, 4) if recorded else 1.0,
+    # Per-alarm trace completeness, so a run can be asserted on ("the
+    # kill's alarm still explains down to leaf intervals") without
+    # re-scraping.
+    summary["spans_recorded"] = sum(
+        scope.telemetry.spans.stats()["recorded"] for scope in cluster.scopes.values()
     )
     summary["alarm_leaf_intervals"] = [
         sum(1 for _, s in view.spans.walk(alarm) if s.name == "interval")
         for alarm in view.cross_node_alarms()[:16]
     ]
-    if cluster.profiler is not None:
-        summary["profiler"] = {
-            "samples": cluster.profiler.samples,
-            "unique_stacks": len(cluster.profiler.stacks),
-            "interval": cluster.profiler.interval,
-        }
     if spec.flight_dir:
         summary["flight_snapshots"] = sum(
             len(recorder.snapshots)
@@ -384,37 +360,6 @@ def _cmd_watch(args) -> int:
         return 0
 
 
-def _cmd_profile(args) -> int:
-    try:
-        response = asyncio.run(
-            _admin_request(args.host, args.admin_port, {"cmd": "profile"})
-        )
-    except (ConnectionError, OSError) as exc:
-        print(f"repro-cluster: cannot reach admin endpoint: {exc}", file=sys.stderr)
-        return 1
-    if not response.get("ok"):
-        print(json.dumps(response, indent=2, sort_keys=True))
-        return 1
-    profile = response.get("profile")
-    if profile is None:
-        print(
-            "repro-cluster: cluster is not profiling "
-            '(launch with "profile": true in its spec; '
-            f"available={response.get('available')})",
-            file=sys.stderr,
-        )
-        return 1
-    if args.collapsed:
-        for stack, count in sorted(
-            (profile.get("stacks") or {}).items(), key=lambda kv: (-kv[1], kv[0])
-        ):
-            print(f"{stack} {count}")
-        return 0
-    print(json.dumps({k: v for k, v in profile.items() if k != "stacks"},
-                     indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_postmortem(args) -> int:
     from ..obs.flight import postmortem, render_postmortem
 
@@ -446,8 +391,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_admin(args, {"cmd": "kill-node", "node": args.node})
     if args.command == "watch":
         return _cmd_watch(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
     if args.command == "postmortem":
         return _cmd_postmortem(args)
     raise SystemExit(2)

@@ -130,19 +130,13 @@ class AsyncClock:
         node: int,
         *,
         log_capacity: Optional[int] = 65536,
-        sampler=None,
         span_capacity: Optional[int] = None,
     ) -> "ClockScope":
         """A per-node telemetry island over this clock (see
-        :class:`ClockScope`).  ``sampler`` and ``span_capacity``
-        configure the island's span tracker — the always-on deployment
-        shape pairs head sampling with a bounded span ring."""
+        :class:`ClockScope`).  ``span_capacity`` bounds the island's
+        span tracker to a ring."""
         return ClockScope(
-            self,
-            node,
-            log_capacity=log_capacity,
-            sampler=sampler,
-            span_capacity=span_capacity,
+            self, node, log_capacity=log_capacity, span_capacity=span_capacity
         )
 
 
@@ -164,13 +158,12 @@ class ClockScope:
         node: int,
         *,
         log_capacity: Optional[int] = 65536,
-        sampler=None,
         span_capacity: Optional[int] = None,
     ) -> None:
         self.parent = parent
         self.node = node
         self.seed = parent.seed
-        self.telemetry = Telemetry(sampler=sampler, span_capacity=span_capacity)
+        self.telemetry = Telemetry(span_capacity=span_capacity)
         self.log = EventLog(capacity=log_capacity)
 
     # -- delegated surface ---------------------------------------------

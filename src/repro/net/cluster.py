@@ -68,9 +68,7 @@ from ..obs.cluster import ClusterView, TelemetryAggregator, scrape_local
 from ..obs.epochs import StrandingWatchdog
 from ..obs.export import event_dict
 from ..obs.flight import FlightRecorder
-from ..obs.profile import SamplingProfiler
 from ..obs.registry import count_error
-from ..obs.sampling import TraceSampler
 from ..topology.spanning_tree import SpanningTree
 from .clock import AsyncClock, ClockScope
 from .codec import CODEC_VERSION
@@ -112,8 +110,7 @@ class ClusterSpec:
     epochs: int = 4
     #: probability an epoch is a global occurrence (a detection); the
     #: default 1.0 keeps every kill test observable, while rates < 1
-    #: produce intervals that never join a solution — the workload a
-    #: sampled cluster needs for head drops to actually show up
+    #: produce intervals that never join a solution
     sync_prob: float = 1.0
     #: wall seconds between consecutive offers of one node's stream
     interval_spacing: float = 0.02
@@ -133,20 +130,8 @@ class ClusterSpec:
     slo: Optional[SLOSpec] = None
     #: wall seconds between SLO watchdog checks
     slo_check_interval: float = 0.5
-    #: head-sampling rate for every node's span tracker; 1.0 keeps
-    #: every span (no sampler installed — trace tables byte-identical
-    #: to pre-sampling clusters)
-    sample_rate: float = 1.0
-    #: per-node overrides of ``sample_rate`` (``{pid: rate}``) — e.g.
-    #: trace a suspect node fully while the fleet samples at 10%
-    node_sample_rates: Optional[Dict[int, float]] = None
     #: bounded span-ring size per node (None = unbounded)
     span_capacity: Optional[int] = None
-    #: run a continuous :class:`~repro.obs.profile.SamplingProfiler`
-    #: over the cluster loop (``repro-cluster profile`` scrapes it)
-    profile: bool = False
-    #: seconds between profiler stack samples
-    profile_interval: float = 0.005
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -161,27 +146,17 @@ class ClusterSpec:
             raise ValueError("flight_capacity must be >= 1")
         if self.slo_check_interval <= 0:
             raise ValueError("slo_check_interval must be positive")
-        if not 0.0 <= self.sample_rate <= 1.0:
-            raise ValueError("sample_rate must be in [0, 1]")
         if not 0.0 <= self.sync_prob <= 1.0:
             raise ValueError("sync_prob must be in [0, 1]")
-        for pid, rate in (self.node_sample_rates or {}).items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"node_sample_rates[{pid}] must be in [0, 1], got {rate}"
-                )
         if self.span_capacity is not None and self.span_capacity < 1:
             raise ValueError("span_capacity must be >= 1")
-        if self.profile_interval <= 0:
-            raise ValueError("profile_interval must be positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterSpec":
         """The spec a JSON object describes (``repro-cluster run --spec``).
 
         Nested ``heartbeat``, ``load`` and ``slo`` objects become their
-        specs, a list becomes the ``weights`` tuple, and
-        ``node_sample_rates`` keys are decimal pids.  A missing key
+        specs, and a list becomes the ``weights`` tuple.  A missing key
         takes the dataclass default.  An unknown key or a value of the
         wrong JSON type raises :class:`ValueError` naming its dotted
         path (``load.rat``); ranges are the specs' own checks.
@@ -189,8 +164,8 @@ class ClusterSpec:
         return _from_json(cls, data, "")
 
     def to_dict(self) -> dict:
-        """Every field as parsed JSON (tuples are lists, pids are
-        strings); :meth:`from_dict` inverts it."""
+        """Every field as parsed JSON (tuples are lists);
+        :meth:`from_dict` inverts it."""
         return json.loads(json.dumps(asdict(self)))
 
     def tree(self) -> SpanningTree:
@@ -220,7 +195,7 @@ def _from_json(hint, value, path: str):
             return None
         hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    want = {tuple: list, dict: dict}.get(origin, dict if is_dataclass(hint) else hint)
+    want = list if origin is tuple else dict if is_dataclass(hint) else hint
     if want is float and type(value) is int:
         value = float(value)
     if type(value) is not want:  # a JSON true is no integer
@@ -228,11 +203,6 @@ def _from_json(hint, value, path: str):
         raise ValueError(f"{where}expected {_JSON_TYPES[want]}, got {shown}")
     if origin is tuple:  # Tuple[X, ...]
         return tuple(_from_json(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
-    if origin is dict:  # Dict[int, X]: JSON object keys are decimal pids
-        for key in value:
-            if not key.isdecimal():
-                raise ValueError(f"{path}.{key}: expected a decimal node id as key")
-        return {int(k): _from_json(args[1], v, f"{path}.{k}") for k, v in value.items()}
     if not is_dataclass(hint):
         return value
     for key in value:
@@ -345,21 +315,9 @@ class LocalCluster:
         self._slo_handle: Optional[object] = None
         self._slo_latched: set = set()
         self._stranding_watchdog: Optional[StrandingWatchdog] = None
-        self.profiler: Optional[SamplingProfiler] = None
         #: the traffic plane, when ``spec.load`` asked for one
         self.load_session: Optional[LoadSession] = None
         self._congestion_unsubs: List = []
-
-    def _sampler_for(self, pid: int) -> Optional[TraceSampler]:
-        """The node's head sampler — ``None`` at rate 1.0 (keep all).
-        All samplers share the cluster seed, so every node reaches the
-        same decision for the same artifact key (what makes sampled
-        cross-node traces stitchable)."""
-        rates = self.spec.node_sample_rates or {}
-        rate = rates.get(pid, self.spec.sample_rate)
-        if rate >= 1.0:
-            return None
-        return TraceSampler(rate, seed=self.spec.seed)
 
     # ------------------------------------------------------------------
     @property
@@ -427,11 +385,7 @@ class LocalCluster:
         for pid in self.tree.nodes:
             # Each node records into its own telemetry island — the
             # deployment-realistic shape the observability plane scrapes.
-            scope = self.clock.scope(
-                pid,
-                sampler=self._sampler_for(pid),
-                span_capacity=self.spec.span_capacity,
-            )
+            scope = self.clock.scope(pid, span_capacity=self.spec.span_capacity)
             self.scopes[pid] = scope
             if self._hub is not None:
                 transport = LoopbackTransport(pid, self._hub, scope)
@@ -457,14 +411,6 @@ class LocalCluster:
             addresses = {pid: t.address for pid, t in transports.items()}
             for transport in transports.values():
                 transport.set_peers(addresses)
-
-        if self.spec.profile and SamplingProfiler.available():
-            # One profiler covers the whole cluster: every node shares
-            # this asyncio loop, so one stack sampler sees them all.
-            self.profiler = SamplingProfiler(self.spec.profile_interval)
-            self.profiler.start()
-            for runtime in self.runtimes.values():
-                runtime.profiler = self.profiler
 
         for runtime in self.runtimes.values():
             runtime.activate()
@@ -681,8 +627,6 @@ class LocalCluster:
             self._admin_server.close()
             await self._admin_server.wait_closed()
             self._admin_server = None
-        if self.profiler is not None:
-            self.profiler.stop()
         killed = await asyncio.gather(
             *self._kill_tasks.values(), return_exceptions=True
         )
@@ -861,14 +805,6 @@ class LocalCluster:
             return {"ok": True, **self._eventlog_payload()}
         if cmd == "epochs":
             return {"ok": True, "epochs": self._epochs_payload()}
-        if cmd == "profile":
-            return {
-                "ok": True,
-                "available": SamplingProfiler.available(),
-                "profile": (
-                    self.profiler.to_dict() if self.profiler is not None else None
-                ),
-            }
         if cmd == "kill-node":
             pid = int(request["node"])
             if pid not in self.runtimes:

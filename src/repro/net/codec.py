@@ -11,17 +11,17 @@ Every frame on every connection has one layout::
 
 The sidecar is a uvarint length followed by that many bytes::
 
-    uvarint field bits     bit 0 span · bit 1 sampled present
-                           bit 2 sampled value · bit 3 epochs
-                           (any other bit: corrupt)
+    uvarint field bits     bit 0 span · bit 3 epochs
+                           (any other bit, retired bits 1–2
+                           included: corrupt)
     [svarint node · uvarint sid]                  when bit 0
     [uvarint count · count × uvarint gap]         when bit 3; a strictly
                            increasing list, gap = e - previous - 1 from -1
 
-Those three keys, in those shapes, are the whole sidecar: the encoder
+Those two keys, in those shapes, are the whole sidecar: the encoder
 raises ``ValueError`` on any other key or shape (a negative sid,
-unsorted epochs, a non-bool ``sampled``).  Flags bit 0 is legal on
-message tags only.
+unsorted epochs).  Bits 1–2 once carried a head-sampling decision and
+are never reused.  Flags bit 0 is legal on message tags only.
 
 The first byte doubles as magic and envelope version: a frame starts
 with ``0xB1``, and the decoder refuses any other first byte as a
@@ -123,10 +123,8 @@ _FLAG_META = 0x01
 
 #: Packed sidecar field bits (see the module docstring).
 _META_SPAN = 0x01
-_META_SAMPLED = 0x02
-_META_SAMPLED_TRUE = 0x04
 _META_EPOCHS = 0x08
-_META_FIELDS = 0x0F
+_META_FIELDS = _META_SPAN | _META_EPOCHS
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -198,9 +196,9 @@ class FrameCodec:
         """One message (or meta dict) -> one framed byte string.
 
         ``meta`` is an optional sidecar dict carried in the frame —
-        transport-level annotations (the sender's span coordinates, its
-        sampling decision and the epoch ids a report covers) that never
-        touch the message dataclass itself.  The decoder hands it back
+        transport-level annotations (the sender's span coordinates and
+        the epoch ids a report covers) that never touch the message
+        dataclass itself.  The decoder hands it back
         via :meth:`feed_meta`.  A message type with no packed form
         raises ``TypeError``; a sidecar key or shape outside the packed
         layout raises ``ValueError``."""
@@ -256,8 +254,6 @@ class FrameCodec:
             if key == "span" and _packable_span(value):
                 bits |= _META_SPAN
                 span = value
-            elif key == "sampled" and value.__class__ is bool:
-                bits |= _META_SAMPLED | (_META_SAMPLED_TRUE if value else 0)
             elif key == "epochs" and _packable_epochs(value):
                 bits |= _META_EPOCHS
                 epochs = value
@@ -283,9 +279,7 @@ class FrameCodec:
         """Inverse of :meth:`_pack_meta`; anything it would not have
         written raises ``ValueError``."""
         bits, offset = read_uvarint(data, 0)
-        if bits & ~_META_FIELDS or (
-            bits & _META_SAMPLED_TRUE and not bits & _META_SAMPLED
-        ):
+        if bits & ~_META_FIELDS:
             raise ValueError(
                 f"unknown _meta sidecar field bits 0x{bits:x}; stream is corrupt"
             )
@@ -294,8 +288,6 @@ class FrameCodec:
             node, offset = read_svarint(data, offset)
             sid, offset = read_uvarint(data, offset)
             meta["span"] = [node, sid]
-        if bits & _META_SAMPLED:
-            meta["sampled"] = bool(bits & _META_SAMPLED_TRUE)
         if bits & _META_EPOCHS:
             count, offset = read_uvarint(data, offset)
             if count > len(data) - offset:  # at least one byte per gap

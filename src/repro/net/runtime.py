@@ -91,10 +91,6 @@ class NodeRuntime:
         self.sim = clock  # the role-facing name for the clock handle
         self.transport = transport
         self.alive = True
-        #: Optional :class:`~repro.obs.profile.SamplingProfiler` the
-        #: cluster attaches when launched with profiling enabled; the
-        #: ``profile`` admin command reads it back.
-        self.profiler = None
         #: Optional ``key -> epoch`` resolver the cluster attaches when
         #: a load session is active (``LoadSession.epoch_of``); outbound
         #: report sidecars then carry the epoch ids of the concrete
@@ -145,21 +141,14 @@ class NodeRuntime:
     def _span_meta(self, message: object) -> Optional[dict]:
         """Frame sidecar for trace stitching: the local span coordinates
         of an outbound report's aggregate (see module docstring), plus
-        the sender's head-sampling decision for that artifact so the
-        receiving hop honors it, and the epoch ids it covers.  These
-        three keys are the whole packed sidecar (:mod:`repro.net.codec`);
-        the codec refuses any other."""
+        the epoch ids it covers.  These two keys are the whole packed
+        sidecar (:mod:`repro.net.codec`); the codec refuses any other."""
         if not isinstance(message, IntervalReport):
             return None
-        spans = self.sim.telemetry.spans
-        key = interval_key(message.interval)
-        span = spans.get(key)
+        span = self.sim.telemetry.spans.get(interval_key(message.interval))
         if span is None:
             return None
-        meta = {
-            "span": [self.pid, span.sid],
-            "sampled": spans.head_decision(key),
-        }
+        meta = {"span": [self.pid, span.sid]}
         epochs = self._meta_epochs(message.interval)
         if epochs is not None:
             meta["epochs"] = epochs
@@ -286,7 +275,6 @@ class NodeRuntime:
         ):
             return
         now = self.sim.now
-        sampled = meta.get("sampled")
         attrs = {}
         epochs = meta.get("epochs")
         if isinstance(epochs, list) and epochs:
@@ -300,7 +288,6 @@ class NodeRuntime:
             now,
             node=self.pid,
             key=key,
-            sampled=None if sampled is None else bool(sampled),
             src=src,
             remote_node=remote_node,
             remote_sid=remote_sid,

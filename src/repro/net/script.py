@@ -60,9 +60,7 @@ def simulation_script(
     The default ``sync_prob=1.0`` makes every epoch a global
     occurrence, so detections keep coming even after a subtree is
     killed — which is what the kill tests need to observe.  Rates < 1
-    mix in epochs whose intervals never join any solution; sampled
-    clusters use that to exercise real head drops (an always-matching
-    workload promotes every span via trace adoption).
+    mix in epochs whose intervals never join any solution.
     """
     config = config or EpochConfig(epochs=epochs, sync_prob=sync_prob)
     result = run_hierarchical(tree, seed=seed, config=config)

@@ -49,7 +49,6 @@ from .flight import (
     reconstruct_timeline,
     render_postmortem,
 )
-from .profile import SamplingProfiler
 from .registry import (
     DEFAULT_BUCKETS,
     CounterMetric,
@@ -59,7 +58,6 @@ from .registry import (
     Histogram,
     MetricsRegistry,
 )
-from .sampling import DEFAULT_SAMPLE_RATE, TraceSampler
 from .spans import Span, SpanTracker, interval_key
 from .telemetry import LATENCY_BUCKETS, Telemetry
 
@@ -70,7 +68,6 @@ __all__ = [
     "CounterMetric",
     "CounterVec",
     "DEFAULT_BUCKETS",
-    "DEFAULT_SAMPLE_RATE",
     "EPOCH_DWELL_BUCKETS",
     "EPOCH_STAGES",
     "EPOCH_TERMINAL_STATES",
@@ -83,14 +80,12 @@ __all__ = [
     "LATENCY_BUCKETS",
     "MetricsRegistry",
     "NodeScrape",
-    "SamplingProfiler",
     "STRANDING_CAUSES",
     "Span",
     "SpanTracker",
     "StrandingWatchdog",
     "Telemetry",
     "TelemetryAggregator",
-    "TraceSampler",
     "chrome_trace",
     "event_dict",
     "eventlog_to_jsonl",

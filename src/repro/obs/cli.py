@@ -125,7 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="rate-driven or user-driven traffic",
     )
     epochs.add_argument(
-        "--users", type=int, default=8, help="closed loop: virtual user count"
+        "--users",
+        type=int,
+        default=8,
+        help="closed loop: virtual user count, at least the process count",
     )
     epochs.add_argument(
         "--max-outstanding",

@@ -1,4 +1,4 @@
-"""Causal span tracing for detection artifacts — columnar, sampled, bounded.
+"""Causal span tracing for detection artifacts — columnar and bounded.
 
 Every artifact of the detection pipeline gets a *span* — a named,
 timed record with an optional parent:
@@ -25,11 +25,11 @@ loop whose latency the telemetry exists to measure — so it must do
 near-zero work and leave nothing for the garbage collector to walk:
 
 * the table is flat columns — sid, name code, node, start, end, parent
-  (``array``), the tri-state ``sampled`` flag (``bytearray``) and the
-  registry keys — with ``attrs`` dicts only on rows that have any, and
-  marks in one log of ``(row, time, event, node)`` columns, formatted
-  to ``"event@Pnode"`` labels only when read.  A span owns no Python
-  object, so the tracker's GC-tracked object count is O(1);
+  (``array``) and the registry keys — with ``attrs`` dicts only on rows
+  that have any, and marks in one log of ``(row, time, event, node)``
+  columns, formatted to ``"event@Pnode"`` labels only when read.  A
+  span owns no Python object, so the tracker's GC-tracked object count
+  is O(1);
 * every call writes into the columns when it is made; rows append in
   call order, so sids are chronological and an interval is adoptable
   the moment it is recorded — there is no queue and nothing to fold;
@@ -42,11 +42,6 @@ near-zero work and leave nothing for the garbage collector to walk:
   so naming a span copies no timestamp at any system size;
 * :class:`Span` is a **view** over a row, built on demand; a
   weak-valued cache keeps ``get(key) is span`` while the view is held;
-* an optional :class:`~repro.obs.sampling.TraceSampler` filters the
-  materialized table: head-dropped ``interval`` rows vanish from
-  ``spans`` / ``to_dicts`` unless *promoted* — adopted into a retained
-  explanation (alarms, reports and hops are always retained), so alarm
-  traces stay complete at any rate;
 * an optional ``capacity`` makes the table a ring: the oldest rows are
   cut off the column prefixes in chunks, with their marks, attrs and
   key registrations, so long-running cluster nodes hold O(capacity).
@@ -63,8 +58,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from weakref import KeyedRef
 
 import numpy as np
-
-from .sampling import TraceSampler
 
 __all__ = ["Span", "SpanTracker", "interval_key"]
 
@@ -95,13 +88,6 @@ _NIL = -(1 << 63)
 #: Other names are interned from code 1 on, so :meth:`SpanTracker.flush`
 #: counts the hot path's interval records from the name column alone.
 _RECORDED = 0
-
-#: ``sampled`` flag column values (``None`` / ``True`` / ``False``).
-_FLAG = {None: 0, True: 1, False: 2}
-
-#: Span names subject to head sampling; everything else is always
-#: retained (tail bias: derived artifacts are rare and load-bearing).
-_SAMPLED_NAMES = frozenset({"interval"})
 
 
 class Span:
@@ -148,20 +134,10 @@ class Span:
         end = self._tracker._end[self._at()]
         return None if end != end else end
 
-    @end.setter
-    def end(self, value: Optional[float]) -> None:
-        self._tracker._end[self._at()] = float("nan") if value is None else value
-
     @property
     def parent(self) -> Optional[int]:
         parent = self._tracker._parent[self._at()]
         return None if parent == _NIL else parent
-
-    @parent.setter
-    def parent(self, value: Optional[int]) -> None:
-        tracker = self._tracker
-        tracker._parent[self._at()] = _NIL if value is None else value
-        tracker._links += 1
 
     @property
     def attrs(self) -> dict:
@@ -175,15 +151,6 @@ class Span:
     def marks(self) -> List[Tuple[float, str]]:
         self._at()
         return self._tracker._marks_of(self._row)
-
-    @marks.setter
-    def marks(self, value) -> None:
-        tracker = self._tracker
-        self._at()
-        tracker.flush()
-        tracker._keep_marks(np.frombuffer(tracker._mrow, np.int64) != self._row)
-        for t, label in value:
-            tracker._log_mark(self._row, t, label, _NIL)
 
     @property
     def duration(self) -> float:
@@ -200,10 +167,6 @@ class Span:
         stack only stores scalars and small lists there)."""
         return self._tracker._to_dict(self._at(), self._tracker._mark_index())
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        return SpanTracker.from_dicts([data]).spans[0]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         end = self.end if self.end is not None else "…"
         return f"Span#{self.sid}({self.name} @P{self.node} [{self.start:.2f}, {end}])"
@@ -214,11 +177,6 @@ class SpanTracker:
 
     Parameters
     ----------
-    sampler:
-        Optional :class:`~repro.obs.sampling.TraceSampler`.  When set,
-        the materialized table (``spans``, ``to_dicts``, tree queries)
-        drops head-unsampled ``interval`` rows that were never promoted
-        into a retained explanation; recording cost is unaffected.
     capacity:
         Optional ring bound on retained rows.  Eviction runs in chunks
         (amortized O(1) per record), so the table may transiently hold
@@ -226,20 +184,13 @@ class SpanTracker:
         key registration.
     """
 
-    def __init__(
-        self,
-        *,
-        sampler: Optional[TraceSampler] = None,
-        capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, *, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("span tracker capacity must be >= 1")
-        self.sampler = sampler
         self.capacity = capacity
         # Row columns; row r (absolute, never reused) sits at r - _base.
         self._sid, self._node, self._parent = array("q"), array("q"), array("q")
         self._start, self._end, self._name = array("d"), array("d"), array("H")
-        self._flag = bytearray()
         self._keys: List[Optional[tuple]] = []
         self._attrs: Dict[int, dict] = {}
         self._base = 0
@@ -254,7 +205,7 @@ class SpanTracker:
         # row -> weak reference to its live view (dropped with the view).
         self._views: Dict[int, KeyedRef] = {}
         self._next_sid = self._links = self._evicted = 0
-        self._cache = self._tree = self._mark_cache = None  # _memo slots
+        self._tree = self._mark_cache = None  # _memo slots
         # Column lengths (rows, marks) already counted for subscribers.
         self._flushed = (0, 0)
         # node -> [fn(counts)] counter subscribers notified per flush.
@@ -263,7 +214,7 @@ class SpanTracker:
         self._bound = None if capacity is None else capacity + max(32, capacity // 8)
 
     def __len__(self) -> int:
-        return len(self._retained())
+        return len(self._sid)
 
     # ------------------------------------------------------------------
     # materialization
@@ -272,7 +223,7 @@ class SpanTracker:
     def spans(self) -> List[Span]:
         """The retained span table as :class:`Span` views."""
         base, view = self._base, self._view
-        return [view(base + i) for i in self._retained()]
+        return [view(base + i) for i in range(len(self._sid))]
 
     def _index(self, row: int) -> int:
         i = row - self._base
@@ -299,32 +250,6 @@ class SpanTracker:
             setattr(self, slot, cache)
         return cache[1]
 
-    def _stamp(self) -> tuple:
-        return (self._base + len(self._sid), self._links, self._evicted, self.sampler)
-
-    def _retained(self):
-        """Column indices of the materialized rows, in row order."""
-        return self._memo("_cache", self._stamp(), self._select)
-
-    def _select(self):
-        n, sampler = len(self._sid), self.sampler
-        if sampler is None:
-            return range(n)
-        # Tail promotion: anything linked into an explanation tree is
-        # retained regardless of its head decision — that keeps alarm
-        # traces complete down to the concrete leaf intervals.
-        parents, sids, flags = self._parent, self._sid, self._flag
-        names, codes, keys, keep = self._names, self._name, self._keys, sampler.keep
-        has_children = set(parents)
-        return [
-            i
-            for i in range(n)
-            if parents[i] != _NIL
-            or sids[i] in has_children
-            or flags[i] == 1
-            or (flags[i] == 0 and (names[codes[i]] not in _SAMPLED_NAMES or keep(keys[i])))
-        ]
-
     @staticmethod
     def _group(pairs) -> Dict[int, List[int]]:
         groups: Dict[int, List[int]] = {}
@@ -335,8 +260,9 @@ class SpanTracker:
     def _children(self) -> Dict[int, List[int]]:
         """Parent sid -> column indices of its retained children."""
         parents = self._parent
-        pairs = ((parents[i], i) for i in self._retained() if parents[i] != _NIL)
-        return self._memo("_tree", self._stamp(), lambda: self._group(pairs))
+        pairs = ((p, i) for i, p in enumerate(parents) if p != _NIL)
+        stamp = (self._base + len(parents), self._links, self._evicted)
+        return self._memo("_tree", stamp, lambda: self._group(pairs))
 
     def _mark_index(self) -> Dict[int, List[int]]:
         """Row -> positions of its marks in the log, in log order."""
@@ -375,20 +301,17 @@ class SpanTracker:
         }
 
     def stats(self) -> dict:
-        """Recording vs materialization accounting (bench/scrape aid)."""
-        materialized = len(self._retained())
+        """Recording vs retention accounting (bench/scrape aid)."""
         return {
             "recorded": self._next_sid,
             "retained_rows": len(self._sid),
             "evicted": self._evicted,
-            "materialized": materialized,
-            "sampled_fraction": materialized / self._next_sid if self._next_sid else 1.0,
         }
 
     # ------------------------------------------------------------------
     # creation
     # ------------------------------------------------------------------
-    def _append(self, code, node, start, end, flag, key, attrs, sid=None, parent=None) -> int:
+    def _append(self, code, node, start, end, key, attrs, sid=None, parent=None) -> int:
         if sid is None:
             sid = self._next_sid
             self._next_sid = sid + 1
@@ -399,7 +322,6 @@ class SpanTracker:
         self._start.append(start)
         self._end.append(float("nan") if end is None else end)
         self._parent.append(_NIL if parent is None else parent)
-        self._flag.append(flag)
         self._keys.append(key)
         if attrs:
             self._attrs[row] = attrs
@@ -430,23 +352,20 @@ class SpanTracker:
         *,
         node: Optional[int] = None,
         key: Optional[tuple] = None,
-        sampled: Optional[bool] = None,
         **attrs,
     ) -> Span:
         """Create a span, finished at *end* (the common case: the
         artifact completed at creation time).  ``key`` (e.g.
         ``interval_key`` output) registers it for later :meth:`get` /
-        :meth:`adopt` lookups.  ``sampled`` forces the retention
-        decision (``True``: always keep, ``False``: drop unless promoted
-        — e.g. a hop honoring its sender's head decision)."""
+        :meth:`adopt` lookups."""
         code = self._intern(self._name_codes, self._names, name)
-        return self._view(self._append(code, node, start, end, _FLAG[sampled], key, attrs))
+        return self._view(self._append(code, node, start, end, key, attrs))
 
     def record_interval(self, interval, start: float, end: float, node: int) -> None:
         """Hot path: one finished ``interval`` span for a *concrete*
         predicate interval, written straight into the columns (no view,
         no attrs: they derive from the key when read)."""
-        self._append(_RECORDED, node, start, end, 0, interval_key(interval), None)
+        self._append(_RECORDED, node, start, end, interval_key(interval), None)
 
     def mark_interval(self, interval, time: float, event: str, node: int) -> None:
         """Hot path: log a raw lifecycle mark for *interval*'s span.
@@ -511,7 +430,7 @@ class SpanTracker:
                 del by_key[key]
         for column in (
             self._sid, self._name, self._node, self._start,
-            self._end, self._parent, self._flag, self._keys,
+            self._end, self._parent, self._keys,
         ):
             del column[:excess]
         self._attrs = {row: a for row, a in self._attrs.items() if row >= cut}
@@ -535,14 +454,6 @@ class SpanTracker:
     def get(self, key: tuple) -> Optional[Span]:
         row = self._by_key.get(key)
         return None if row is None else self._view(row)
-
-    def head_decision(self, key: tuple) -> bool:
-        """The sampler's head decision for *key* (``True`` without a
-        sampler) — what a sender advertises in the frame sidecar."""
-        sampler = self.sampler
-        if sampler is None:
-            return True
-        return sampler.keep(key)
 
     def adopt(self, parent: Span, child_key: tuple) -> bool:
         """Parent the span registered under *child_key* beneath *parent*
@@ -575,8 +486,8 @@ class SpanTracker:
 
     def named(self, name: str) -> List[Span]:
         base, view = self._base, self._view
-        names, codes = self._names, self._name
-        return [view(base + i) for i in self._retained() if names[codes[i]] == name]
+        names = self._names
+        return [view(base + i) for i, code in enumerate(self._name) if names[code] == name]
 
     def alarms(self) -> List[Span]:
         """Root announcement spans, in detection order."""
@@ -616,10 +527,8 @@ class SpanTracker:
     # ------------------------------------------------------------------
     def to_dicts(self, *, tail: Optional[int] = None) -> List[dict]:
         """The retained span table as JSON-safe dicts (optionally only
-        the newest *tail* spans — the flight recorder's bounded ring).
-        Sampling applies here: head-dropped, unpromoted intervals never
-        reach a scrape payload or snapshot file."""
-        rows = self._retained()
+        the newest *tail* spans — the flight recorder's bounded ring)."""
+        rows = range(len(self._sid))
         if tail is not None:
             rows = rows[-tail:]
         marks = self._mark_index()
@@ -642,7 +551,7 @@ class SpanTracker:
         code = self._intern(self._name_codes, self._names, data["name"])
         attrs = dict(data.get("attrs") or {})
         row = self._append(
-            code, data.get("node"), data["start"], data.get("end"), 1, None, attrs, sid, parent
+            code, data.get("node"), data["start"], data.get("end"), None, attrs, sid, parent
         )
         for t, label in data.get("marks", []):
             self._log_mark(row, t, label, _NIL)
@@ -656,10 +565,10 @@ class SpanTracker:
     def by_sid(self, sid: int) -> Optional[Span]:
         """Span with the given id, tolerating non-contiguous tables
         (deserialized snapshots, stitched cluster traces)."""
-        rows, sids = self._retained(), self._sid
-        if 0 <= sid < len(rows) and sids[rows[sid]] == sid:
-            return self._view(self._base + rows[sid])
-        i = next((i for i in rows if sids[i] == sid), None)
+        sids = self._sid
+        if 0 <= sid < len(sids) and sids[sid] == sid:
+            return self._view(self._base + sid)
+        i = next((i for i, s in enumerate(sids) if s == sid), None)
         return None if i is None else self._view(self._base + i)
 
     def detection_latencies(self) -> List[float]:

@@ -15,7 +15,6 @@ import math
 from typing import List, Optional, Tuple
 
 from .registry import Histogram, MetricsRegistry
-from .sampling import TraceSampler
 from .spans import SpanTracker
 
 __all__ = ["Telemetry", "LATENCY_BUCKETS"]
@@ -31,20 +30,15 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
 class Telemetry:
     """Everything one run records about itself.
 
-    ``sampler`` and ``span_capacity`` pass straight to the
-    :class:`~repro.obs.spans.SpanTracker`: simulations default to
-    unsampled, unbounded tracing (full determinism-checked tables);
-    long-running cluster nodes enable both.
+    ``span_capacity`` passes straight to the
+    :class:`~repro.obs.spans.SpanTracker`: simulations default to an
+    unbounded table (full determinism-checked tables); long-running
+    cluster nodes may bound it to a ring.
     """
 
-    def __init__(
-        self,
-        *,
-        sampler: Optional[TraceSampler] = None,
-        span_capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, *, span_capacity: Optional[int] = None) -> None:
         self.registry = MetricsRegistry()
-        self.spans = SpanTracker(sampler=sampler, capacity=span_capacity)
+        self.spans = SpanTracker(capacity=span_capacity)
         # Per-offer counters are counted from the span tracker's columns
         # on flush (see SpanTracker.on_flush); reading any metric must
         # flush it first.

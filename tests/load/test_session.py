@@ -2,6 +2,7 @@
 loopback cluster integration (``ClusterSpec(load=...)``)."""
 
 import asyncio
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,15 +186,17 @@ class TestAccounting:
 
 class TestLiveCluster:
     def _spec(self, **load_overrides):
-        load = LoadSpec(
-            mode="closed",
-            users=6,
-            think_time=0.01,
-            total_offers=36,
-            max_outstanding=12,
-            resume_outstanding=6,
-            pending_timeout=2.0,
-            start_delay=0.05,
+        load = replace(
+            LoadSpec(
+                mode="closed",
+                users=7,
+                think_time=0.01,
+                total_offers=35,
+                max_outstanding=12,
+                resume_outstanding=6,
+                pending_timeout=2.0,
+                start_delay=0.05,
+            ),
             **load_overrides,
         )
         return ClusterSpec(
@@ -230,9 +233,29 @@ class TestLiveCluster:
         assert epochs["admitted_epochs"] == (
             epochs["solved"] + epochs["stranded"] + epochs["in_flight"]
         )
+        # one user per process and 35 = 5 x 7 offers: every epoch is
+        # whole, so closed-loop load solves all of them
+        assert epochs["solved"] > 0
+        assert epochs["stranded"] == 0
         # the acceptance property: live detections == centralized replay
         # of exactly the admitted subset
         assert session.reference_match(cluster.detections)
+
+    def test_closed_loop_below_the_stride_is_refused(self):
+        # One offer per user at a time: with 6 users on 7 processes no
+        # epoch could complete before pending_timeout abandons it.
+        spec = self._spec(users=6)
+
+        async def scenario():
+            cluster = LocalCluster(spec)
+            try:
+                with pytest.raises(ValueError, match="closed-loop users"):
+                    await cluster.start()
+            finally:
+                await cluster.stop()
+            return cluster
+
+        assert run(scenario()).load_session is None
 
     def test_run_until_load_drained_requires_spec(self):
         spec = ClusterSpec(

@@ -93,15 +93,16 @@ class TestRejectsABadFile:
         [
             ('{"nodes": 7, "nodez": 7}', "nodez: unknown key"),
             ('{"load": {"rat": 100}}', "load.rat: unknown key"),
+            ('{"sample_rate": 0.1}', "sample_rate: unknown key"),
             ('{"nodes": "7"}', "nodes: expected an integer"),
             ('{"nodes": true}', "nodes: expected an integer"),
-            ('{"sample_rate": 2}', "sample_rate must be in [0, 1]"),
+            ('{"sync_prob": 2}', "sync_prob must be in [0, 1]"),
             ('{"heartbeat": {"period": -1}}', "heartbeat: heartbeat period must be positive"),
             ("[7]", "expected an object, got an array"),
             ('{"nodes": 7,', "invalid JSON"),
         ],
         ids=[
-            "unknown-key", "unknown-nested-key", "string-for-int",
+            "unknown-key", "unknown-nested-key", "retired-key", "string-for-int",
             "bool-for-int", "out-of-range", "nested-range", "array", "not-json",
         ],
     )
@@ -164,11 +165,7 @@ class TestSpecDicts:
             stranded_epoch_rate=0.2,
         ),
         slo_check_interval=0.25,
-        sample_rate=0.1,
-        node_sample_rates={3: 1.0, 11: 0.0},
         span_capacity=1000,
-        profile=True,
-        profile_interval=0.01,
     )
 
     @pytest.mark.parametrize("spec", [ClusterSpec(), FULL], ids=["default", "full"])
@@ -182,7 +179,6 @@ class TestSpecDicts:
         assert set(data["heartbeat"]) == set(HeartbeatSpec.__dataclass_fields__)
         assert set(data["load"]) == set(LoadSpec.__dataclass_fields__)
         assert set(data["slo"]) == set(SLOSpec.__dataclass_fields__)
-        assert data["node_sample_rates"] == {"3": 1.0, "11": 0.0}
         assert data["load"]["weights"] == [1.0, 2.0, 0.5]
 
     def test_a_missing_key_takes_the_default(self):
@@ -235,16 +231,6 @@ CI_SCENARIOS = {
         flight_dir="flight",
         slo=SLOSpec(detection_latency_p99=0.000001),
     ),
-    "sampled-kill": ClusterSpec(
-        nodes=7,
-        degree=2,
-        seed=1,
-        transport="tcp",
-        epochs=16,
-        interval_spacing=0.05,
-        sync_prob=0.5,
-        sample_rate=0.1,
-    ),
     "stranding": ClusterSpec(
         nodes=7,
         degree=2,
@@ -255,9 +241,11 @@ CI_SCENARIOS = {
         slo=SLOSpec(stranded_epoch_rate=0.25),
         load=LoadSpec(
             mode="closed",
-            users=5,
+            users=10,
             think_time=0.01,
             total_offers=42,
+            dispatch="weighted",
+            weights=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0),
             max_outstanding=12,
             pending_timeout=1.5,
         ),

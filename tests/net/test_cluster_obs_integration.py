@@ -136,157 +136,3 @@ def test_scrape_merge_stitch_and_postmortem(tmp_path):
     assert all(d["time"] >= repair["applied_at"] for d in recovered)
     # The breach the watchdog latched reached the recorders too.
     assert report["slo_breaches"]
-
-
-class TestSampledCluster:
-    """The same observability plane at ``sample_rate=0.1``: most
-    interval spans are head-dropped, yet cross-node alarm traces stay
-    complete down to concrete leaf intervals (tail promotion), and the
-    socket world's keep/drop decisions match the pure sim-side sampler."""
-
-    def _spec(self, **overrides) -> ClusterSpec:
-        base = dict(
-            nodes=7,
-            degree=2,
-            seed=1,
-            transport="loopback",
-            interval_spacing=0.005,
-            start_delay=0.05,
-            repair_latency=0.02,
-            heartbeat=HeartbeatSpec(period=0.05, loss_tolerance=5),
-            epochs=12,
-            sample_rate=0.1,
-        )
-        base.update(overrides)
-        return ClusterSpec(**base)
-
-    def test_sampled_traces_still_stitch_to_leaves(self):
-        from repro.obs import TraceSampler, scrape_local
-
-        async def scenario():
-            cluster = LocalCluster(self._spec())
-            await cluster.start()
-            await cluster.run(until_detections=2, timeout=60)
-            scrape = scrape_local(cluster)
-            # Feed one node a batch of intervals that never join a
-            # solution (fresh seqs, no further detection traffic): with
-            # everything earlier potentially promoted, these guarantee
-            # the head decision is actually exercised — including drops.
-            import numpy as np
-
-            from repro.intervals import Interval
-
-            victim = max(cluster.scopes)
-            tail_tracker = cluster.scopes[victim].telemetry.spans
-            bounds = np.ones(7, dtype=np.int64)
-            for seq in range(10_000, 10_100):
-                tail_tracker.record_interval(
-                    Interval(owner=victim, seq=seq, lo=bounds, hi=bounds),
-                    0.0,
-                    0.0,
-                    victim,
-                )
-
-            # sim↔socket agreement: a socket node's materialized,
-            # *unpromoted* interval spans are exactly the ones the pure
-            # decision function keeps — a fresh TraceSampler with the
-            # cluster's (rate, seed), as a simulator-side run would
-            # construct, reaches the same verdict from the identity key.
-            reference = TraceSampler(0.1, seed=1)
-            stats = {
-                pid: scope.telemetry.spans.stats()
-                for pid, scope in cluster.scopes.items()
-            }
-            agree = drop = 0
-            for scope in cluster.scopes.values():
-                tracker = scope.telemetry.spans
-                materialized = {
-                    s.sid for s in tracker.spans if s.name == "interval"
-                }
-                # Without its sampler the tracker materializes every
-                # recorded row, kept or not.
-                sampler, tracker.sampler = tracker.sampler, None
-                recorded = tracker.spans
-                tracker.sampler = sampler
-                for span in recorded:
-                    if span.name != "interval":
-                        continue
-                    # The head decision depends only on the key's
-                    # leading (owner, seq) integers, recoverable from
-                    # the span's identity attrs; promotion (adoption
-                    # into an explanation) overrides a head drop.
-                    head = reference.keep(
-                        (span.attrs["owner"], span.attrs["seq"])
-                    )
-                    expected = span.parent is not None or head
-                    assert expected == (span.sid in materialized), (
-                        "socket node disagreed with the sim-side "
-                        "sampler's head decision"
-                    )
-                    agree += 1
-                    drop += not expected
-            await cluster.stop()
-            return scrape, stats, agree, drop
-
-        scrape, stats, agree, drop = asyncio.run(
-            asyncio.wait_for(scenario(), timeout=120)
-        )
-        # The agreement check saw real decisions, including drops.
-        assert agree > 0 and drop > 0
-        view = TelemetryAggregator().fold(scrape)
-
-        # Sampling actually happened: recorded > materialized somewhere.
-        total_recorded = sum(s["recorded"] for s in stats.values())
-        total_materialized = sum(s["materialized"] for s in stats.values())
-        assert total_recorded > 0
-        assert total_materialized < total_recorded
-
-        # … and the stitched plane still explains an alarm end to end.
-        cross = view.cross_node_alarms()
-        assert cross, "sampled cluster lost its cross-node alarm traces"
-        alarm = cross[0]
-        trace_nodes = {
-            span.node
-            for _, span in view.spans.walk(alarm)
-            if span.node is not None
-        }
-        leaves = [
-            span
-            for _, span in view.spans.walk(alarm)
-            if span.name == "interval"
-        ]
-        assert len(trace_nodes) >= 2 and leaves
-
-    def test_spec_validates_sampling_and_profile_knobs(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            self._spec(sample_rate=1.5)
-        with pytest.raises(ValueError):
-            self._spec(sync_prob=1.5)
-        with pytest.raises(ValueError):
-            self._spec(node_sample_rates={3: -0.2})
-        with pytest.raises(ValueError):
-            self._spec(profile_interval=0.0)
-
-    def test_profile_admin_command(self):
-        async def scenario():
-            cluster = LocalCluster(self._spec(profile=True))
-            await cluster.start()
-            await cluster.run(until_detections=1, timeout=60)
-            response = cluster._admin_dispatch({"cmd": "profile"})
-            await cluster.stop()
-            return response
-
-        response = asyncio.run(asyncio.wait_for(scenario(), timeout=120))
-        assert response["ok"]
-        from repro.obs import SamplingProfiler
-
-        if SamplingProfiler.available():
-            profile = response["profile"]
-            assert profile is not None
-            assert profile["mode"] == "wall"
-            assert profile["samples"] >= 0
-            assert isinstance(profile["top"], list)
-        else:
-            assert response["available"] is False

@@ -124,7 +124,7 @@ class TestMetaSidecar:
         # The epoch ledger's ids travel next to span coordinates; the
         # packed sidecar must hand them back bit-identical and typed.
         tx, rx = FrameCodec(), FrameCodec()
-        meta = {"span": [1, 5], "sampled": True, "epochs": [0, 3, 17]}
+        meta = {"span": [1, 5], "epochs": [0, 3, 17]}
         ((message, got),) = rx.feed_meta(tx.encode(_report(), meta=meta))
         assert isinstance(message, IntervalReport)
         assert got == meta
@@ -144,13 +144,13 @@ LONG_META = {"span": [1, 5], "epochs": list(range(100))}
 
 
 class TestMetaBounds:
-    """Sidecar hygiene: the sidecar holds the three keys the runtime
+    """Sidecar hygiene: the sidecar holds the two keys the runtime
     writes and nothing else, and its size is bounded on both sides of
     the wire so a rogue peer cannot smuggle unbounded payload past
     ``max_frame`` policy."""
 
     def test_unknown_meta_keys_are_refused_on_encode(self):
-        meta = {"span": [1, 5], "sampled": True, "future_field": {"x": 1}}
+        meta = {"span": [1, 5], "future_field": {"x": 1}}
         with pytest.raises(ValueError, match="'future_field'.*no packed form"):
             FrameCodec().encode(_report(), meta=meta)
 
@@ -413,20 +413,20 @@ def _with_sidecar(sidecar: bytes, message=None):
 
 
 class TestPackedSidecar:
-    """The binary sidecar is field bits and varints for the three keys
+    """The binary sidecar is field bits and varints for the two keys
     the runtime writes; any other key or shape has no encoding."""
 
-    RUNTIME_META = {"span": [3, 1], "sampled": True, "epochs": [0]}
+    RUNTIME_META = {"span": [3, 1], "epochs": [0]}
 
     def test_runtime_sidecar_is_a_few_bytes(self):
         lean = len(FrameCodec().encode(_report()))
         frame = FrameCodec().encode(_report(), meta=self.RUNTIME_META)
         # length byte + field bits + node + sid + count + one gap
         assert len(frame) - lean == 1 + 5
-        assert frame[lean:] == bytes([5, 0x0F, 6, 1, 1, 0])
+        assert frame[lean:] == bytes([5, 0x09, 6, 1, 1, 0])
         ((_, meta),) = FrameCodec().feed_meta(frame)
         assert meta == self.RUNTIME_META
-        assert type(meta["span"]) is list and type(meta["sampled"]) is bool
+        assert type(meta["span"]) is list and type(meta["epochs"]) is list
 
     def test_known_keys_never_touch_json(self, monkeypatch):
         import repro.net.codec as codec_mod
@@ -436,7 +436,7 @@ class TestPackedSidecar:
                 raise AssertionError(f"json.{name} on the binary report path")
 
         monkeypatch.setattr(codec_mod, "json", NoJson())
-        meta = {"span": [-4, 2**40], "sampled": False, "epochs": [7, 9, 2**62]}
+        meta = {"span": [-4, 2**40], "epochs": [7, 9, 2**62]}
         ((_, got),) = FrameCodec().feed_meta(FrameCodec().encode(_report(), meta=meta))
         assert got == meta
 
@@ -448,6 +448,8 @@ class TestPackedSidecar:
             {"span": (1, 2)},  # the runtime writes a list
             {"span": [True, 2]},
             {"span": [2**63, 0]},
+            # the head-sampling decision is retired: no value has a form
+            {"sampled": True},
             {"sampled": None},
             {"sampled": 1},
             {"epochs": [3, 1]},  # unsorted
@@ -455,7 +457,7 @@ class TestPackedSidecar:
             {"epochs": [-1, 2]},
             {"epochs": [2**63]},
             {"epochs": "0-3"},
-            {"future_field": {"x": 1}, "span": [1, 5], "sampled": True},
+            {"future_field": {"x": 1}, "span": [1, 5]},
         ],
         ids=repr,
     )
@@ -474,7 +476,13 @@ class TestPackedSidecar:
         [
             (b"\x20", "field bits"),  # bit 5
             (b"\x80\x01", "field bits"),  # bit 7, two-byte varint
-            (b"\x04", "field bits"),  # a sampled value without its presence bit
+            # bits 1-2 carried the retired head-sampling decision
+            (b"\x02", "field bits"),
+            (b"\x04", "field bits"),
+            (b"\x06", "field bits"),
+            # a sidecar as the sampling runtime wrote it: span, both
+            # sampled bits and one epoch
+            (b"\x0f\x06\x01\x01\x00", "field bits"),
             (b"\x01\x02", "truncated varint"),  # span without its sid
             (b"\x08\x03\x00\x00", "truncated epoch list"),
             (b"\x00\x00", "trailing bytes"),
@@ -490,7 +498,7 @@ class TestPackedSidecar:
     def test_max_meta_bounds_the_packed_bytes_on_both_ends(self):
         import json
 
-        meta = {"span": [1, 5], "sampled": True, "epochs": list(range(20))}
+        meta = {"span": [1, 5], "epochs": list(range(20))}
         packed = len(FrameCodec()._pack_meta(meta))
         assert packed == 1 + 2 + 1 + 20 < len(json.dumps(meta))
         at_bound = FrameCodec(max_meta=packed)
@@ -713,11 +721,7 @@ def _golden_stream(count=50, n=12):
         report = IntervalReport(origin=3, dest=1, interval=interval, transport_seq=seq)
         meta = None
         if seq % 5 == 0:
-            meta = {
-                "span": [3, 1000 + seq],
-                "sampled": seq % 10 == 0,
-                "epochs": [seq, seq + 1],
-            }
+            meta = {"span": [3, 1000 + seq], "epochs": [seq, seq + 1]}
         stream.append((report, meta))
     return stream
 
@@ -729,7 +733,10 @@ class TestGoldenFrames:
     the sidecar, and once more when the stream's sidecars took the
     runtime's shape (its ``span`` had been a bare int, which only the
     since-deleted JSON tail could carry) — that recording was made with
-    the encoder that still had the tail, and this one reproduces it."""
+    the encoder that still had the tail, and this one reproduces it.
+    Re-recorded once more when the sidecar's head-sampling bits were
+    retired: the stream's sidecars lost their ``sampled`` key, so the
+    field-bits byte changed and the length did not."""
 
     #: Total bytes of the golden stream at the parent of the bounds
     #: block, whose tag-1 bodies priced each bound on its own: (with the
@@ -740,13 +747,14 @@ class TestGoldenFrames:
     PARENT_BINARY_BYTES = (10856, 19316)
 
     #: Total bytes of the golden stream under codec 2 (bounds block, a
-    #: length byte plus compact JSON per sidecar).
-    CODEC_2_BINARY_BYTES = 5651
+    #: length byte plus compact JSON per sidecar).  5651 while the
+    #: sidecars still carried the retired ``sampled`` key.
+    CODEC_2_BINARY_BYTES = 5496
 
     #: (total bytes, sha256) of the golden stream.
     GOLDEN = (
         5230,  # codec 2: 5651
-        "12aeed56cd9a8bb71f3e82a5ec9a3a51d851d7a96ef89fdcfb956dea703c1564",
+        "133414c396df6542c46c4376d168f9d22784a4336d3ab1b7e7f3f4eded75b14e",
     )
 
     def test_frames_are_byte_identical(self):
@@ -777,7 +785,8 @@ class TestGoldenFrames:
         import json
 
         # Codec 2 wrote the sidecar as a length byte plus its compact
-        # JSON; the packed one saves at least 30 bytes a frame.
+        # JSON; the packed one saves at least 25 bytes a frame (30
+        # while the JSON also spelled out ``"sampled":true,``).
         enc = FrameCodec()
         new = old = 0
         golden = _golden_stream()
@@ -788,4 +797,4 @@ class TestGoldenFrames:
                 old += 1 + len(json.dumps(meta, separators=(",", ":")))
         assert old == self.CODEC_2_BINARY_BYTES
         with_meta = sum(meta is not None for _, meta in golden)
-        assert new <= old - 30 * with_meta
+        assert new <= old - 25 * with_meta

@@ -2,8 +2,8 @@
 never the bounds.
 
 What that must not change — the span table (pinned as hashes computed
-at the commit before the key scheme changed) and the head-sampled
-subset — and what it must change: the telemetry plane copies no
+at the commit before the key scheme changed) — and what it must
+change: the telemetry plane copies no
 timestamp, so a tracker costs the same at any system size, and a reborn
 detector (aggregate numbering back at 0) gets spans of its own because
 the registry is latest-wins and a hop is deduplicated by the sender's
@@ -11,12 +11,12 @@ span coordinates, not because two bounds happened to differ.
 """
 
 import asyncio
+import gc
 import hashlib
 import json
 import tracemalloc
 
 import numpy as np
-import pytest
 
 from repro.experiments import run_hierarchical
 from repro.intervals import Interval
@@ -29,7 +29,7 @@ from repro.net import (
     LoopbackTransport,
     NodeRuntime,
 )
-from repro.obs import SpanTracker, TraceSampler, interval_key
+from repro.obs import SpanTracker, interval_key
 from repro.topology import SpanningTree
 from repro.workload import EpochConfig
 
@@ -113,11 +113,9 @@ def _arrival_free(tables):
 
 
 class TestGoldenClusterTable:
-    # (d) rides along: at rate 0.1 the sidecar carries head decisions
-    # and every solved interval is tail-promoted, so the stitched trace
-    # must unfold to the same concrete leaves as the unsampled one.
-    @pytest.mark.parametrize("sample_rate", [1.0, 0.1])
-    def test_loopback_cluster_tables_and_stitched_alarm(self, sample_rate):
+    # The stitched cross-node alarm must unfold to one concrete leaf
+    # interval on every node.
+    def test_loopback_cluster_tables_and_stitched_alarm(self):
         spec = ClusterSpec(
             nodes=7,
             degree=2,
@@ -127,7 +125,6 @@ class TestGoldenClusterTable:
             start_delay=0.05,
             heartbeat=HeartbeatSpec(period=0.05, loss_tolerance=20),
             epochs=4,
-            sample_rate=sample_rate,
         )
 
         async def scenario():
@@ -154,40 +151,7 @@ class TestGoldenClusterTable:
 
 
 # ----------------------------------------------------------------------
-# (b) the head-sampled subset
-# ----------------------------------------------------------------------
-class TestSampledSubset:
-    def test_rate_tenth_keeps_the_same_intervals(self):
-        result = run_hierarchical(
-            SpanningTree.regular(2, 3), seed=3, config=EpochConfig(epochs=40, sync_prob=0.5)
-        )
-        spans = result.sim.telemetry.spans
-        assert len(spans.to_dicts()) == 519
-        # the decision is evaluated at materialization, so a sampler
-        # installed after the run filters exactly as one installed before
-        spans.sampler = TraceSampler(0.1, seed=7)
-        spans._cache = None
-        rows = spans.to_dicts()
-        kept = sorted(
-            (r["attrs"]["owner"], r["attrs"]["seq"])
-            for r in rows
-            if r["name"] == "interval" and r["parent"] is None
-        )
-        assert len(rows) == 485 and len(kept) == 7
-        assert digest(kept) == "0e0ef277c8dac5eb"
-        assert digest(rows) == "2e83f83397656473"
-
-    def test_decision_reads_only_the_two_leading_ints(self):
-        sampler = TraceSampler(0.1, seed=7)
-        for owner in range(5):
-            for seq in range(200):
-                assert sampler.keep((owner, seq)) == sampler.keep(
-                    (owner, seq, b"lo-bytes", b"hi-bytes")
-                )
-
-
-# ----------------------------------------------------------------------
-# (c) kill -> rejoin: the reborn node's aggregate 0 is not the dead one's
+# (b) kill -> rejoin: the reborn node's aggregate 0 is not the dead one's
 # ----------------------------------------------------------------------
 class TestRejoinedIncarnation:
     def test_first_aggregate_after_rejoin_gets_its_own_report_and_hop(self):
@@ -263,7 +227,7 @@ class TestRejoinedIncarnation:
 
 
 # ----------------------------------------------------------------------
-# (e) the telemetry plane copies no timestamp
+# (c) the telemetry plane copies no timestamp
 # ----------------------------------------------------------------------
 def _retained_bytes_per_interval(n, count=1500):
     lo = np.arange(n, dtype=np.int64)
@@ -272,7 +236,12 @@ def _retained_bytes_per_interval(n, count=1500):
         Interval(owner=1, seq=i, lo=iv.lo, hi=iv.hi, parts=(iv,))
         for i, iv in enumerate(intervals)
     ]
-    tracker = SpanTracker(sampler=TraceSampler(0.5))
+    tracker = SpanTracker()
+    # Earlier tests' cyclic garbage, and what its finalizers allocate,
+    # is not this tracker's: collect it first and keep the collector
+    # out of the measured window.
+    gc.collect()
+    gc.disable()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -284,17 +253,21 @@ def _retained_bytes_per_interval(n, count=1500):
             )
             tracker.adopt(report, interval_key(interval))
             tracker.mark_interval(aggregate, 1.5, "enqueued", 0)
-            tracker.head_decision(interval_key(aggregate))
         assert len(tracker.to_dicts()) == 2 * count
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        gc.enable()
     assert all(iv._key_cache is None for iv in intervals + aggregates)
     return (after - before) / count
 
 
 class TestNoTimestampCopies:
     def test_tracker_bytes_per_interval_do_not_grow_with_system_size(self):
+        # CPython's tuple free list hands out part of a call's keys
+        # without a traced allocation, depending on what ran before; a
+        # first run leaves both measured calls in the same state.
+        _retained_bytes_per_interval(8)
         small = _retained_bytes_per_interval(8)
         large = _retained_bytes_per_interval(128)
         # bounds-in-key cost 2 x 8n bytes per interval: +1.9 kB at n=128

@@ -53,8 +53,7 @@ class TestSpanTracker:
 
     def test_interval_key_namespaces_by_aggregation(self):
         # A leaf's first aggregate wraps concrete interval (owner, 0):
-        # same owner, same seq, distinct keys — and the concrete key's
-        # two leading ints are what the head sampler mixes.
+        # same owner, same seq, distinct keys.
         concrete = _FakeInterval(0, 1)
         aggregate = _FakeInterval(0, 1, parts=(concrete,))
         assert interval_key(concrete) == (0, 1)
@@ -135,8 +134,8 @@ class TestColumnarTable:
 
 class TestQueueFold:
     """The recording hot path: marks find their span by identity key,
-    flushes hand subscribers batched counts, the ring and the sampler
-    bound what is kept."""
+    flushes hand subscribers batched counts, the ring bounds what is
+    kept."""
 
     def test_marks_on_aggregated_intervals_use_prefixed_key(self):
         tracker = SpanTracker()
@@ -182,17 +181,6 @@ class TestQueueFold:
         # A late mark for an evicted interval is a no-op, not a crash.
         tracker.mark_interval(_FakeInterval(1, 0), 2.0, "enqueued", 1)
         tracker.flush()
-
-    def test_sampling_stats_report_materialized_fraction(self):
-        from repro.obs import TraceSampler
-
-        tracker = SpanTracker(sampler=TraceSampler(0.1))
-        for seq in range(1000):
-            tracker.record_interval(_FakeInterval(1, seq), 0.0, 1.0, 1)
-        stats = tracker.stats()
-        assert stats["recorded"] == 1000
-        assert stats["materialized"] < 200
-        assert stats["sampled_fraction"] == stats["materialized"] / 1000
 
 
 class TestEndToEndTracing:

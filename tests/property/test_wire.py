@@ -313,7 +313,7 @@ class TestStatelessBinaryFrames:
             assert_messages_equal(report, FrameCodec().decode(frame))
 
 
-#: Every sidecar the runtime writes: any subset of its three keys, each
+#: Every sidecar the runtime writes: any subset of its two keys, each
 #: in the one shape the packed layout carries, out to the int64 edges.
 SIDECARS = st.fixed_dictionaries(
     {},
@@ -321,7 +321,6 @@ SIDECARS = st.fixed_dictionaries(
         "span": st.tuples(
             st.integers(-(2**63), 2**63 - 1), st.integers(0, 2**63 - 1)
         ).map(list),
-        "sampled": st.booleans(),
         "epochs": st.lists(
             st.integers(0, 2**63 - 1), max_size=8, unique=True
         ).map(sorted),
@@ -347,7 +346,6 @@ _BAD_VALUES = {
         st.tuples(st.integers(0, 5), st.integers(0, 5)),  # a tuple, not a list
         _JSON_LEAVES,
     ),
-    "sampled": st.one_of(st.none(), st.integers(0, 1), st.text(max_size=3)),
     "epochs": st.one_of(
         # unsorted, duplicated, negative or past int64
         st.lists(_EDGY_INTS, min_size=1, max_size=8).filter(
@@ -511,8 +509,8 @@ class TestDamagedBinaryFrames:
         st.sampled_from(
             [
                 None,
-                {"span": [1, 5], "sampled": True, "epochs": [3, 4]},
-                {"sampled": False, "epochs": [0, 2**62]},
+                {"span": [1, 5], "epochs": [3, 4]},
+                {"epochs": [0, 2**62]},
             ]
         ),
         st.randoms(use_true_random=False),

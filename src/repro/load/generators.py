@@ -9,10 +9,10 @@ clock surface shared by the socket plane's
 ``rng(name)`` — so the same traffic model drives a live cluster and an
 offline :class:`~repro.experiments.parallel.ShardedRunner` sweep.
 
-* :class:`OpenLoopGenerator` — offers arrive at a configured rate
+* :class:`OpenLoopGenerator` — Poisson arrivals at a configured rate
   regardless of completions (the saturation-study model: offered load is
-  the independent variable).  The whole arrival schedule — gap sequence
-  from the shared :class:`~repro.workload.distributions.InterarrivalSampler`
+  the independent variable).  The whole arrival schedule — one
+  exponential gap (:func:`~repro.workload.distributions.exponential_gap`)
   plus a Zipf home draw per offer — is precomputed from two named rng
   streams (``load-arrivals``, ``load-popularity``), making the *offer
   schedule* a pure function of the seed: the determinism gate's anchor.
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..workload.distributions import InterarrivalSampler
+from ..workload.distributions import exponential_gap
 from .popularity import ZipfSampler
 
 __all__ = ["Offer", "OpenLoopGenerator", "ClosedLoopGenerator"]
@@ -43,7 +43,6 @@ class Offer:
     user: int  #: virtual user id (-1 for open-loop arrivals)
     home: int  #: Zipf-drawn home process (affinity dispatch honours it)
     issued_at: float  #: clock time the generator emitted the offer
-    attempts: int = 0  #: admission attempts so far (defers bump this)
     #: Epoch id, assigned at the source as ``index // len(pids)``.  A
     #: ``Definitely(Φ)`` solution needs one interval per process, so
     #: consecutive stride-of-n offers form the natural goodput unit;
@@ -54,7 +53,7 @@ class Offer:
 
 
 class OpenLoopGenerator:
-    """Rate-driven arrivals, blind to completions."""
+    """Poisson arrivals at ``rate``, blind to completions."""
 
     def __init__(
         self,
@@ -64,8 +63,6 @@ class OpenLoopGenerator:
         *,
         rate: float,
         total_offers: int,
-        arrival: str = "poisson",
-        burstiness: float = 8.0,
         zipf_s: float = 1.1,
     ) -> None:
         if rate <= 0:
@@ -76,7 +73,7 @@ class OpenLoopGenerator:
         self.pids = sorted(pids)
         self.intake = intake
         self.total_offers = total_offers
-        self._sampler = InterarrivalSampler(arrival, 1.0 / rate, burstiness=burstiness)
+        self._mean_gap = 1.0 / rate
         self._zipf = ZipfSampler(len(self.pids), zipf_s)
         self._plan: Optional[List[Tuple[float, int]]] = None
         self._handle: Optional[object] = None
@@ -95,7 +92,7 @@ class OpenLoopGenerator:
             t = 0.0
             schedule: List[Tuple[float, int]] = []
             for _ in range(self.total_offers):
-                t += self._sampler.next(arrivals)
+                t += exponential_gap(arrivals, self._mean_gap)
                 schedule.append((t, self.pids[self._zipf.sample(popularity)]))
             self._plan = schedule
         return self._plan

@@ -1,12 +1,15 @@
-"""Per-offer sojourn accounting for the traffic plane.
+"""The traffic plane's pending table and its sojourn accounting.
 
 An offer's *sojourn* is the wall (or virtual) time from admission — the
 moment the admission controller lets it through to a node runtime — to
 the root detection that consumes its interval.  :class:`LatencyStore`
-keeps the pending map keyed by ``(owner, seq)`` (the identity a concrete
-interval carries through hierarchical aggregation, so a root solution's
-``concrete_leaves`` match back to the admitted offers) and folds every
-completed sojourn into a ``repro_load_sojourn_seconds`` histogram.
+holds the one table of admitted-but-unresolved offers, keyed by
+``(owner, seq)`` (the identity a concrete interval carries through
+hierarchical aggregation, so a root solution's ``concrete_leaves``
+match back to the admitted offers), together with a per-target count
+of its entries: dispatch, the admission gate and the epoch ledger's
+depth and age watermarks all read this one table.  Every completed
+sojourn folds into a ``repro_load_sojourn_seconds`` histogram.
 
 Offers whose epoch never completes — a sibling was shed, a node died —
 must not pin the closed-loop generator forever: :meth:`expire` sweeps
@@ -22,12 +25,15 @@ dropping it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+from .generators import Offer
 
 __all__ = ["LOAD_SOJOURN_BUCKETS", "LatencyStore"]
 
 #: Sojourn histogram buckets (seconds): loopback epochs complete in
-#: milliseconds; the tail covers saturated queues and defer storms.
+#: milliseconds; the tail covers saturated queues and pending-timeout
+#: reaps.
 LOAD_SOJOURN_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
     0.5, 1.0, 2.5, 5.0, 10.0, 30.0, float("inf"),
@@ -53,55 +59,67 @@ class LatencyStore:
             "(shed-sibling / dead-target / pending-timeout).",
             ("reason",),
         )
-        self._pending: Dict[Key, float] = {}
+        #: key -> (offer, target, admitted_at), in admission order
+        self._pending: Dict[Key, Tuple[Offer, int, float]] = {}
+        #: target -> its entries in the table (what dispatch balances on)
+        self.by_target: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     @property
     def outstanding(self) -> int:
         return len(self._pending)
 
-    def admit(self, key: Key, now: float) -> None:
+    def admit(self, key: Key, offer: Offer, target: int, now: float) -> int:
+        """Enter *key*; returns *target*'s pending count including it."""
         if key in self._pending:
             raise ValueError(f"offer {key} already pending")
-        self._pending[key] = now
+        self._pending[key] = (offer, target, now)
+        depth = self.by_target.get(target, 0) + 1
+        self.by_target[target] = depth
+        return depth
 
-    def complete(self, key: Key, now: float) -> Optional[float]:
-        """Resolve *key* if pending; returns the observed sojourn (and
-        records it) or ``None`` for unknown/duplicate completions."""
-        admitted_at = self._pending.pop(key, None)
-        if admitted_at is None:
+    def _pop(self, key: Key) -> Tuple[Offer, int, float]:
+        entry = self._pending.pop(key)
+        self.by_target[entry[1]] -= 1
+        return entry
+
+    def complete(self, key: Key, now: float) -> Optional[Offer]:
+        """Resolve *key* if pending, recording its sojourn; returns its
+        offer, or ``None`` for unknown/duplicate completions."""
+        if key not in self._pending:
             return None
-        sojourn = max(0.0, now - admitted_at)
-        self.histogram.observe(sojourn)
-        return sojourn
+        offer, _, admitted_at = self._pop(key)
+        self.histogram.observe(max(0.0, now - admitted_at))
+        return offer
 
     def expire(
-        self,
-        now: float,
-        timeout: float,
-        classify: Optional[Callable[[Key], str]] = None,
-    ) -> List[Tuple[Key, str]]:
-        """Drop and return every pending key admitted more than
-        *timeout* ago (oldest first) as ``(key, reason)`` pairs.
+        self, now: float, timeout: float, classify: Callable[[Key, int], str]
+    ) -> List[Tuple[Key, Offer, int, str]]:
+        """Drop and return every pending entry admitted more than
+        *timeout* ago (oldest first) as ``(key, offer, target, reason)``.
 
-        *classify* maps a dying key to its expiry reason (why the entry
-        never completed: ``shed-sibling`` / ``dead-target`` /
-        ``pending-timeout``); without it every expiry is a plain
-        ``pending-timeout``.  Each reason is counted in
-        ``repro_load_expired_total``.  Expired sojourns are *not*
+        *classify* maps a dying key and its target to its expiry reason
+        (why the entry never completed: ``shed-sibling`` /
+        ``dead-target`` / ``pending-timeout``); each reason is counted
+        in ``repro_load_expired_total``.  Expired sojourns are *not*
         recorded — the histogram reports completed offers only."""
         expired = sorted(
             (admitted_at, key)
-            for key, admitted_at in self._pending.items()
+            for key, (_, _, admitted_at) in self._pending.items()
             if now - admitted_at > timeout
         )
-        reaped: List[Tuple[Key, str]] = []
+        reaped: List[Tuple[Key, Offer, int, str]] = []
         for _, key in expired:
-            del self._pending[key]
-            reason = classify(key) if classify is not None else "pending-timeout"
+            offer, target, _ = self._pop(key)
+            reason = classify(key, target)
             self.expired[reason] += 1
-            reaped.append((key, reason))
+            reaped.append((key, offer, target, reason))
         return reaped
+
+    def admissions(self) -> Iterator[Tuple[int, float]]:
+        """``(target, admitted_at)`` per pending entry."""
+        for _, target, admitted_at in self._pending.values():
+            yield target, admitted_at
 
     # ------------------------------------------------------------------
     def expired_by_reason(self) -> Dict[str, int]:

@@ -44,7 +44,6 @@ import numpy as np
 from ..detect.centralized import CentralizedSinkCore
 from ..intervals import Interval
 from ..obs.epochs import EpochLedger
-from ..workload.distributions import ARRIVAL_KINDS
 from .admission import AdmissionController
 from .dispatch import DISPATCH_POLICIES, LoadBalancer, make_policy
 from .generators import ClosedLoopGenerator, Offer, OpenLoopGenerator
@@ -64,10 +63,10 @@ class LoadSpec:
     mode: str = "open"
     #: open loop: offered load, offers/second
     rate: float = 200.0
-    #: open loop: arrival model (see :mod:`repro.workload.distributions`)
+    #: open loop: arrival model; Poisson is the only one.  The field
+    #: stays because callers still pass it (``benchmarks/e2e/live.py``
+    #: among them).
     arrival: str = "poisson"
-    #: bursty arrivals: burst-phase rate multiplier
-    burstiness: float = 8.0
     #: closed loop: virtual user count; a session refuses fewer users
     #: than processes (one epoch stride)
     users: int = 8
@@ -87,12 +86,10 @@ class LoadSpec:
     max_outstanding: int = 64
     #: admission low watermark (None = ``max_outstanding // 2``)
     resume_outstanding: Optional[int] = None
-    #: what saturation does to an offer: ``"shed"`` or ``"defer"``
+    #: what saturation does to an offer: ``"shed"`` is the only policy.
+    #: The field stays because callers still pass it
+    #: (``benchmarks/e2e/live.py`` among them).
     policy: str = "shed"
-    #: defer policy: retry delay in seconds
-    defer_delay: float = 0.05
-    #: defer policy: attempts before a defer degrades to a shed
-    max_defers: int = 3
     #: abandon admitted offers undetected after this many seconds (what
     #: keeps closed-loop users from deadlocking on a shed-broken epoch)
     pending_timeout: float = 5.0
@@ -102,22 +99,22 @@ class LoadSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("open", "closed"):
             raise ValueError(f"load mode must be 'open' or 'closed', got {self.mode!r}")
-        if self.arrival not in ARRIVAL_KINDS:
-            raise ValueError(f"arrival must be one of {ARRIVAL_KINDS}, got {self.arrival!r}")
+        if self.arrival != "poisson":
+            raise ValueError(f"arrival must be 'poisson', got {self.arrival!r}")
         if self.dispatch not in DISPATCH_POLICIES:
             raise ValueError(
                 f"dispatch must be one of {sorted(DISPATCH_POLICIES)}, got {self.dispatch!r}"
             )
-        if self.policy not in ("shed", "defer"):
-            raise ValueError(f"policy must be 'shed' or 'defer', got {self.policy!r}")
+        if self.policy != "shed":
+            raise ValueError(f"policy must be 'shed', got {self.policy!r}")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
         if self.users < 1:
             raise ValueError("users must be >= 1")
         if self.total_offers < 1:
             raise ValueError("total_offers must be >= 1")
-        if self.think_time <= 0 or self.defer_delay <= 0 or self.pending_timeout <= 0:
-            raise ValueError("think_time, defer_delay and pending_timeout must be positive")
+        if self.think_time <= 0 or self.pending_timeout <= 0:
+            raise ValueError("think_time and pending_timeout must be positive")
         if self.zipf_s < 0:
             raise ValueError("zipf_s must be >= 0")
         if self.max_outstanding < 1:
@@ -135,6 +132,24 @@ class LoadSpec:
     @property
     def resolved_resume(self) -> int:
         return self.resume_outstanding or max(1, self.max_outstanding // 2)
+
+    def check_stride(self, processes: int) -> None:
+        """Refuse a spec that can never complete an epoch on
+        *processes* processes: ``Definitely(Phi)`` completes offers one
+        whole epoch (one interval per process) at a time."""
+        if self.max_outstanding < processes:
+            raise ValueError(
+                f"load.max_outstanding ({self.max_outstanding}) must cover at "
+                f"least one epoch stride ({processes} processes): a tighter "
+                "gate can only shed or time out"
+            )
+        if self.mode == "closed" and self.users < processes:
+            raise ValueError(
+                f"load.users ({self.users}) must cover at least one epoch "
+                f"stride ({processes} processes): closed-loop users hold one "
+                "offer each at a time, so fewer users than processes can never "
+                "complete an epoch before pending_timeout abandons its offers"
+            )
 
 
 class IntervalSupply:
@@ -250,20 +265,7 @@ class LoadSession:
         self.submit = submit
         self.supply = IntervalSupply(streams)
         self.pids = self.supply.pids
-        if load.max_outstanding < len(self.pids):
-            raise ValueError(
-                f"max_outstanding ({load.max_outstanding}) must cover at least one "
-                f"epoch stride ({len(self.pids)} processes): Definitely(Phi) "
-                "completes offers one whole epoch at a time, so a tighter gate "
-                "can only shed or time out"
-            )
-        if load.mode == "closed" and load.users < len(self.pids):
-            raise ValueError(
-                f"closed-loop users ({load.users}) must cover at least one epoch "
-                f"stride ({len(self.pids)} processes): each user holds one offer "
-                "at a time, so fewer users than processes can never complete "
-                "an epoch before pending_timeout abandons its offers"
-            )
+        load.check_stride(len(self.pids))
         weights = None
         if load.dispatch == "weighted":
             if load.weights is not None:
@@ -283,8 +285,6 @@ class LoadSession:
             registry,
             max_outstanding=load.max_outstanding,
             resume_outstanding=load.resolved_resume,
-            policy=load.policy,
-            max_defers=load.max_defers,
             congestion_probe=congestion_probe,
         )
         self.latency = LatencyStore(registry)
@@ -310,8 +310,6 @@ class LoadSession:
                 self._intake,
                 rate=load.rate,
                 total_offers=load.total_offers,
-                arrival=load.arrival,
-                burstiness=load.burstiness,
                 zipf_s=load.zipf_s,
             )
         else:
@@ -324,13 +322,18 @@ class LoadSession:
                 think_time=load.think_time,
                 zipf_s=load.zipf_s,
             )
-        # key -> (offer, target) for admitted-but-undetected offers
-        self._in_flight: Dict[Key, Tuple[Offer, int]] = {}
-        self._outstanding_by_target: Dict[int, int] = {pid: 0 for pid in self.pids}
+            if load.dispatch == "affinity":
+                homes = {user.home for user in self.generator.users}
+                uncovered = [pid for pid in self.pids if pid not in homes]
+                if uncovered:
+                    raise ValueError(
+                        f"closed-loop affinity homes no user on processes "
+                        f"{uncovered}: they never receive an offer, so no "
+                        "epoch can complete"
+                    )
         # admission order as targets: the reference replay regenerates
         # each target's intervals from the supply (``interval_at``)
         self._admitted_log: List[int] = []
-        self._deferred_in_flight = 0
         self._sweep_handle: Optional[object] = None
         self._stopped = False
         # summary tallies (ints, independent of metric internals)
@@ -338,7 +341,6 @@ class LoadSession:
             "offered": 0,
             "admitted": 0,
             "shed": 0,
-            "deferred": 0,
             "completed": 0,
             "abandoned": 0,
         }
@@ -379,23 +381,15 @@ class LoadSession:
         self.counts["offered"] += 1
         epoch = self._epoch_id(offer)
         self.epochs.note_offered(epoch, offer.index, self.clock.now)
-        target = self.balancer.route(offer, self._outstanding_by_target)
+        target = self.balancer.route(offer, self.latency.by_target)
         if target is None:
             self.admission.offered["none"] += 1
             self.admission.count_shed("no-target")
             self._count_shed("no-target")
             self.epochs.note_shed(epoch, offer.index, "no-target", self.clock.now)
             self._resolve(offer, "shed")
-            return
-        decision = self.admission.decide(offer, target, self.latency.outstanding)
-        if decision == "admit":
-            self._admit(offer, target)
-        elif decision == "defer":
-            self.counts["deferred"] += 1
-            self.counts["offered"] -= 1  # the retry will count again
-            offer.attempts += 1
-            self._deferred_in_flight += 1
-            self.clock.schedule(self.load.defer_delay, lambda o=offer: self._retry(o))
+        elif self.admission.decide(target, self.latency.outstanding):
+            self._admit(offer, epoch, target)
         else:
             reason = self.admission.shed_reason
             self._count_shed(reason)
@@ -404,18 +398,12 @@ class LoadSession:
             )
             self._resolve(offer, "shed")
 
-    def _retry(self, offer: Offer) -> None:
-        self._deferred_in_flight -= 1
-        self._intake(offer)
-
-    def _admit(self, offer: Offer, target: int) -> None:
+    def _admit(self, offer: Offer, epoch: int, target: int) -> None:
         interval = self.supply.next_for(target)
         key = (interval.owner, interval.seq)
         now = self.clock.now
-        self.latency.admit(key, now)
-        self._in_flight[key] = (offer, target)
-        self.epochs.note_admitted(self._epoch_id(offer), offer.index, key, target, now)
-        self._outstanding_by_target[target] = self._outstanding_by_target.get(target, 0) + 1
+        depth = self.latency.admit(key, offer, target, now)
+        self.epochs.note_admitted(epoch, offer.index, key, target, now, depth)
         self._admitted_log.append(target)
         self.counts["admitted"] += 1
         self.admission.count_admit(target)
@@ -441,11 +429,9 @@ class LoadSession:
         for head in solution.heads.values():
             for leaf in head.concrete_leaves():
                 key = (leaf.owner, leaf.seq)
-                sojourn = self.latency.complete(key, now)
-                if sojourn is None:
+                offer = self.latency.complete(key, now)
+                if offer is None:
                     continue
-                offer, target = self._in_flight.pop(key)
-                self._outstanding_by_target[target] -= 1
                 self.counts["completed"] += 1
                 self._completed_counter.inc()
                 self.epochs.note_completed(key, now)
@@ -455,11 +441,10 @@ class LoadSession:
     def _schedule_sweep(self) -> None:
         self._sweep_handle = self.clock.schedule(self.SWEEP_INTERVAL, self._sweep)
 
-    def _expiry_cause(self, key: Key) -> str:
+    def _expiry_cause(self, key: Key, target: int) -> str:
         """Why a pending entry is dying: dead target beats shed sibling
         beats plain pending-timeout (the :class:`LatencyStore` expiry
         classifier)."""
-        _, target = self._in_flight[key]
         target_alive = self._alive(target) if self._alive is not None else True
         return self.epochs.expiry_cause(key, target_alive=target_alive)
 
@@ -467,16 +452,12 @@ class LoadSession:
         if self._stopped:
             return
         now = self.clock.now
-        self.epochs.tick(now)
-        expired = self.latency.expire(
-            now, self.load.pending_timeout, classify=self._expiry_cause
-        )
-        for key, reason in expired:
-            offer, target = self._in_flight.pop(key)
-            self._outstanding_by_target[target] -= 1
+        self.epochs.tick(now, self.latency.admissions())
+        expired = self.latency.expire(now, self.load.pending_timeout, self._expiry_cause)
+        for key, offer, target, reason in expired:
             self.counts["abandoned"] += 1
             self._abandoned_counter.inc()
-            self.epochs.note_abandoned(key, reason, now)
+            self.epochs.note_abandoned(key, reason, now, target)
             self.clock.emit("load_offer_abandoned", node=target, reason=reason)
             self._resolve(offer, "abandoned")
         if expired:
@@ -497,12 +478,8 @@ class LoadSession:
     @property
     def done(self) -> bool:
         """Every offer issued and resolved: nothing outstanding, nothing
-        deferred, nothing left for the generator to emit."""
-        return (
-            self.generator.done
-            and self.latency.outstanding == 0
-            and self._deferred_in_flight == 0
-        )
+        left for the generator to emit."""
+        return self.generator.done and self.latency.outstanding == 0
 
     def summary(self) -> dict:
         """The run's ``load`` block (mirrors the cluster summary's
@@ -516,7 +493,6 @@ class LoadSession:
             "admitted": self.counts["admitted"],
             "shed": self.counts["shed"],
             "shed_by_reason": dict(sorted(self._shed_by_reason.items())),
-            "deferred": self.counts["deferred"],
             "completed": self.counts["completed"],
             "abandoned": self.counts["abandoned"],
             "expired_by_reason": self.latency.expired_by_reason(),

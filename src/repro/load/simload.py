@@ -34,9 +34,8 @@ from .session import LoadSession, LoadSpec
 __all__ = ["run_traffic", "traffic_specs"]
 
 #: Hard event-count backstop for a single virtual-time run; generously
-#: above anything a sane spec produces (a 10k-offer defer storm stays
-#: under ~200k events) but finite, so a scheduling bug fails fast
-#: instead of spinning the worker.
+#: above anything a sane spec produces but finite, so a scheduling bug
+#: fails fast instead of spinning the worker.
 MAX_EVENTS = 2_000_000
 
 

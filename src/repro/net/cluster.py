@@ -150,6 +150,8 @@ class ClusterSpec:
             raise ValueError("sync_prob must be in [0, 1]")
         if self.span_capacity is not None and self.span_capacity < 1:
             raise ValueError("span_capacity must be >= 1")
+        if self.load is not None:
+            self.load.check_stride(self.nodes)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterSpec":
@@ -317,7 +319,6 @@ class LocalCluster:
         self._stranding_watchdog: Optional[StrandingWatchdog] = None
         #: the traffic plane, when ``spec.load`` asked for one
         self.load_session: Optional[LoadSession] = None
-        self._congestion_unsubs: List = []
 
     # ------------------------------------------------------------------
     @property
@@ -473,8 +474,8 @@ class LocalCluster:
         """Stand up the :class:`~repro.load.LoadSession` in place of the
         fixed-spacing replay: offers route through dispatch + admission
         into ``offer_local``, completions come back via
-        :meth:`_on_detection`, and the transports' congestion edges feed
-        the admission gate through the cluster log."""
+        :meth:`_on_detection`, and the admission gate probes each
+        target's transport for a congested uplink."""
         self.load_session = LoadSession(
             self.clock,
             self.spec.load,
@@ -498,39 +499,17 @@ class LocalCluster:
             self._stranding_watchdog = StrandingWatchdog(
                 self.load_session.epochs, self.spec.slo.stranded_epoch_rate
             )
-        # ClockScope.emit forwards every node's events to the cluster
-        # log, so one subscription sees all transports' watermark edges.
-        self._congestion_unsubs = [
-            self.clock.log.subscribe(
-                "net_congested", lambda r: self._note_congestion(r, True)
-            ),
-            self.clock.log.subscribe(
-                "net_uncongested", lambda r: self._note_congestion(r, False)
-            ),
-        ]
         self.load_session.start()
 
     def _uplink_congested(self, pid: int) -> bool:
         """Admission's snapshot probe: does *pid* currently hold any
         peer link above its high watermark?"""
         runtime = self.runtimes.get(pid)
-        if runtime is None:
-            return False
-        peers = getattr(runtime.transport, "congested_peers", None)
-        return bool(peers()) if peers is not None else False
-
-    def _note_congestion(self, record, congested: bool) -> None:
-        if self.load_session is None or record.node is None:
-            return
-        # A node with several peer links only leaves the congested set
-        # once the *last* backed-up link drains below low water.
-        if not congested and self._uplink_congested(record.node):
-            return
-        self.load_session.admission.note_congestion(record.node, congested)
+        return runtime is not None and bool(runtime.transport.congested_peers())
 
     def load_summary(self) -> Optional[dict]:
         """The run's traffic accounting (``None`` without a load spec):
-        offered/admitted/shed/deferred counts plus sojourn percentiles —
+        offered/admitted/shed counts plus sojourn percentiles —
         the summary's ``load`` block, next to ``wire``."""
         if self.load_session is None:
             return None
@@ -609,9 +588,6 @@ class LocalCluster:
             runtime.kill(reason="node_stopped")
         if self.load_session is not None:
             self.load_session.stop()
-        for unsubscribe in self._congestion_unsubs:
-            unsubscribe()
-        self._congestion_unsubs = []
         for handle in self._offer_handles:
             handle.cancel()
         if self._slo_handle is not None:

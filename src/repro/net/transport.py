@@ -113,6 +113,9 @@ class Transport(Protocol):
     def drop_peer(self, peer: int) -> None:
         """Forget *peer*: discard its outbox and stop redialling it."""
 
+    def congested_peers(self) -> Tuple[int, ...]:
+        """Peers whose outbound link sits above its high watermark now."""
+
 
 class _Instruments:
     """The socket-plane metric family, shared by both transports.
@@ -416,7 +419,7 @@ class _PeerLink:
         self.pending: List[list] = []
         self.wake = asyncio.Event()
         self.congested = False
-        self._congested_since: Optional[float] = None
+        self._congested_since = 0.0  # clock time the latest episode began
         self.task: Optional[asyncio.Task] = None
         self.closing = False
         #: True from a completed hello until the peer's death has been
@@ -444,24 +447,23 @@ class _PeerLink:
             )
         self.wake.set()
 
-    def _settle_congestion(self) -> None:
-        """Fold the current congestion episode into the per-link
-        ``repro_net_congested_seconds_total`` counter."""
+    def _uncongest(self) -> None:
+        """End the congestion episode: fold its duration into the
+        per-link ``repro_net_congested_seconds_total`` counter and emit
+        the ``net_uncongested`` edge."""
         owner = self.owner
-        if self._congested_since is not None:
-            owner.instruments.congested_seconds[(owner.node_id, self.peer)] += max(
-                0.0, owner.clock.now - self._congested_since
-            )
-            self._congested_since = None
+        self.congested = False
+        owner.instruments.congested_seconds[(owner.node_id, self.peer)] += max(
+            0.0, owner.clock.now - self._congested_since
+        )
+        owner.clock.emit("net_uncongested", node=owner.node_id, peer=self.peer)
 
     def _after_pop(self) -> None:
         owner = self.owner
         depth = len(self.pending)
         owner.instruments.outbox_depth[(owner.node_id, self.peer)] = depth
         if self.congested and depth <= owner.low_water:
-            self.congested = False
-            self._settle_congestion()
-            owner.clock.emit("net_uncongested", node=owner.node_id, peer=self.peer)
+            self._uncongest()
 
     # -- writer task ---------------------------------------------------
     async def run(self) -> None:
@@ -599,7 +601,8 @@ class _PeerLink:
 
     def close(self) -> None:
         self.closing = True
-        self._settle_congestion()
+        if self.congested:
+            self._uncongest()
         self.wake.set()
         if self.task is not None:
             self.task.cancel()

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "EPOCH_DWELL_BUCKETS",
@@ -102,7 +102,7 @@ class _Epoch:
     """One epoch's ledger row (not exported; JSON forms are dicts)."""
 
     __slots__ = (
-        "epoch", "expected", "offers", "keys", "admitted", "shed",
+        "epoch", "expected", "offered", "keys", "admitted", "shed",
         "completed", "abandoned", "stage", "stage_since", "opened_at",
         "state", "cause", "sheds", "abandons",
     )
@@ -110,9 +110,8 @@ class _Epoch:
     def __init__(self, epoch: int, expected: int, now: float) -> None:
         self.epoch = epoch
         self.expected = expected
-        #: offer indices seen (a deferred offer re-enters intake under
-        #: the same index) and admitted interval keys
-        self.offers: set = set()
+        #: members offered so far, and the admitted ones' interval keys
+        self.offered = 0
         self.keys: List[Key] = []
         self.admitted = 0
         self.shed = 0
@@ -128,10 +127,6 @@ class _Epoch:
         self.sheds: List[Tuple[str, Optional[int]]] = []
         #: ``(key, reason, target)`` per abandoned member.
         self.abandons: List[Tuple[Key, str, int]] = []
-
-    @property
-    def offered(self) -> int:
-        return len(self.offers)
 
     @property
     def resolved_members(self) -> int:
@@ -194,10 +189,6 @@ class EpochLedger:
         self._offered_epochs = 0
         self._admitted_epochs = 0
         self._in_flight = 0
-        # (key -> (target, admitted_at)) for admitted-unresolved members;
-        # the watermark family and expiry classification read it.
-        self._pending: Dict[Key, Tuple[int, float]] = {}
-        self._pending_by_target: Dict[int, int] = {}
 
         self._g_state = registry.gauge_vec(
             "repro_epoch_state",
@@ -300,14 +291,11 @@ class EpochLedger:
         self._enter(record.stage, -1)
 
     def note_offered(self, epoch: int, index: int, now: float) -> None:
-        """A generator issued member *index*; idempotent per index (a
-        deferred offer re-enters intake under the same index)."""
+        """A generator issued member *index* of *epoch*."""
         record = self._get(epoch, now)
-        if index in record.offers:
-            return
-        record.offers.add(index)
-        # A deferred retry can be the last member to *offer* after its
-        # siblings already resolved — the epoch may complete right here.
+        record.offered += 1
+        # Notes may arrive in any order: if this member's resolution was
+        # noted first, the epoch can complete right here.
         self._maybe_resolve(record, now)
 
     def note_shed(
@@ -320,8 +308,11 @@ class EpochLedger:
         self._maybe_resolve(record, now)
 
     def note_admitted(
-        self, epoch: int, index: int, key: Key, target: int, now: float
+        self, epoch: int, index: int, key: Key, target: int, now: float, depth: int
     ) -> None:
+        """Member *index* was admitted as *key* on *target*, which now
+        holds *depth* pending members (the load plane's pending table
+        keeps that count)."""
         record = self._get(epoch, now)
         if not record.admitted:
             self._admitted_epochs += 1
@@ -329,36 +320,20 @@ class EpochLedger:
         record.admitted += 1
         record.keys.append(key)
         self._key_epoch[key] = epoch
-        self._pending[key] = (target, now)
-        depth = self._pending_by_target.get(target, 0) + 1
-        self._pending_by_target[target] = depth
         if depth > self._g_depth.get(target, 0):
             self._g_depth[target] = depth
         self._advance(record, "admitted", now)
 
-    def note_completed(self, key: Key, now: float) -> Optional[int]:
-        """A detection consumed *key*; returns its epoch (``None`` if
-        the key was never admitted or already resolved)."""
-        entry = self._pending.pop(key, None)
-        if entry is None:
-            return None
-        target, _ = entry
-        self._pending_by_target[target] -= 1
-        epoch = self._key_epoch[key]
-        record = self._epochs[epoch]
+    def note_completed(self, key: Key, now: float) -> None:
+        """A detection consumed the admitted, still pending *key*."""
+        record = self._epochs[self._key_epoch[key]]
         record.completed += 1
         self._advance(record, "matched", now)
         self._maybe_resolve(record, now)
-        return epoch
 
-    def note_abandoned(self, key: Key, reason: str, now: float) -> None:
-        entry = self._pending.pop(key, None)
-        if entry is None:
-            return
-        target, _ = entry
-        self._pending_by_target[target] -= 1
-        epoch = self._key_epoch[key]
-        record = self._epochs[epoch]
+    def note_abandoned(self, key: Key, reason: str, now: float, target: int) -> None:
+        """The pending sweep reaped the admitted *key* from *target*."""
+        record = self._epochs[self._key_epoch[key]]
         record.abandoned += 1
         record.abandons.append((key, reason, target))
         self._maybe_resolve(record, now)
@@ -470,12 +445,13 @@ class EpochLedger:
     # ------------------------------------------------------------------
     # watermarks
     # ------------------------------------------------------------------
-    def tick(self, now: float) -> None:
+    def tick(self, now: float, admissions: Iterable[Tuple[int, float]]) -> None:
         """Refresh the per-target queue-age watermark from the pending
-        map (called from the session's sweep; depth watermarks update
+        members' ``(target, admitted_at)`` pairs (called from the
+        session's sweep with its pending table; depth watermarks update
         inline at admit time)."""
         oldest: Dict[int, float] = {}
-        for target, admitted_at in self._pending.values():
+        for target, admitted_at in admissions:
             age = now - admitted_at
             if age > oldest.get(target, 0.0):
                 oldest[target] = age

@@ -1,7 +1,7 @@
 """Workload generation: epoch waves, random chatter, predicate models,
 and the paper's scripted figure scenarios."""
 
-from .distributions import ARRIVAL_KINDS, InterarrivalSampler, exponential_gap
+from .distributions import exponential_gap
 from .generator import EpochConfig, EpochProcess, EpochWorkload, RandomWorkload
 from .predicates import PeriodicPhases, RandomToggle, ThresholdSensor
 from .scenarios import (
@@ -14,11 +14,9 @@ from .scenarios import (
 )
 
 __all__ = [
-    "ARRIVAL_KINDS",
     "EpochConfig",
     "EpochProcess",
     "EpochWorkload",
-    "InterarrivalSampler",
     "PeriodicPhases",
     "RandomToggle",
     "RandomWorkload",

@@ -1,8 +1,8 @@
-"""Admission controller: latched watermarks, congestion gate, defer."""
+"""Admission controller: latched watermarks and the congestion gate."""
 
 import pytest
 
-from repro.load import AdmissionController, Offer
+from repro.load import AdmissionController
 from repro.sim.kernel import Simulator
 
 
@@ -13,35 +13,31 @@ def controller(sim=None, **kwargs):
     return AdmissionController(sim, sim.telemetry.registry, **defaults), sim
 
 
-def offer(attempts=0):
-    return Offer(index=0, user=-1, home=0, issued_at=0.0, attempts=attempts)
-
-
 class TestWatermarks:
     def test_admits_below_high_water(self):
         ctrl, _ = controller()
-        assert ctrl.decide(offer(), 0, outstanding=0) == "admit"
-        assert ctrl.decide(offer(), 0, outstanding=7) == "admit"
+        assert ctrl.decide(0, outstanding=0)
+        assert ctrl.decide(0, outstanding=7)
         assert not ctrl.saturated
 
     def test_latches_at_high_water(self):
         ctrl, sim = controller()
-        assert ctrl.decide(offer(), 0, outstanding=8) == "shed"
+        assert not ctrl.decide(0, outstanding=8)
         assert ctrl.saturated
         kinds = [r.kind for r in sim.log.records]
         assert "load_shed_engaged" in kinds
 
     def test_hysteresis_holds_between_watermarks(self):
         ctrl, _ = controller()
-        ctrl.decide(offer(), 0, outstanding=8)  # latch
+        ctrl.decide(0, outstanding=8)  # latch
         # outstanding back under high water but above resume: still shed
-        assert ctrl.decide(offer(), 0, outstanding=6) == "shed"
+        assert not ctrl.decide(0, outstanding=6)
         assert ctrl.saturated
 
     def test_releases_at_resume_watermark(self):
         ctrl, sim = controller()
-        ctrl.decide(offer(), 0, outstanding=8)
-        assert ctrl.decide(offer(), 0, outstanding=4) == "admit"
+        ctrl.decide(0, outstanding=8)
+        assert ctrl.decide(0, outstanding=4)
         assert not ctrl.saturated
         kinds = [r.kind for r in sim.log.records]
         assert "load_shed_released" in kinds
@@ -51,49 +47,33 @@ class TestWatermarks:
             controller(max_outstanding=4, resume_outstanding=5)
         with pytest.raises(ValueError):
             controller(resume_outstanding=0)
-        with pytest.raises(ValueError):
-            controller(policy="drop")
 
 
 class TestCongestion:
     def test_congested_target_sheds_even_when_open(self):
-        ctrl, _ = controller()
-        ctrl.note_congestion(2, True)
-        assert ctrl.decide(offer(), 2, outstanding=0) == "shed"
-        assert ctrl.decide(offer(), 1, outstanding=0) == "admit"
-        ctrl.note_congestion(2, False)
-        assert ctrl.decide(offer(), 2, outstanding=0) == "admit"
+        backed_up = {2}
+        ctrl, _ = controller(congestion_probe=lambda pid: pid in backed_up)
+        assert not ctrl.decide(2, outstanding=0)
+        assert ctrl.decide(1, outstanding=0)
+        backed_up.clear()
+        assert ctrl.decide(2, outstanding=0)
 
     def test_probe_backs_the_event_feed(self):
         backed_up = {3}
         ctrl, _ = controller(congestion_probe=lambda pid: pid in backed_up)
-        assert ctrl.decide(offer(), 3, outstanding=0) == "shed"
+        assert not ctrl.decide(3, outstanding=0)
         backed_up.clear()
-        assert ctrl.decide(offer(), 3, outstanding=0) == "admit"
+        assert ctrl.decide(3, outstanding=0)
 
     def test_congestion_blocks_saturation_release(self):
-        ctrl, _ = controller()
-        ctrl.decide(offer(), 0, outstanding=8)
-        ctrl.note_congestion(0, True)
+        backed_up = set()
+        ctrl, _ = controller(congestion_probe=lambda pid: pid in backed_up)
+        ctrl.decide(0, outstanding=8)
+        backed_up.add(0)
         # under resume, but the target link is still backed up
-        assert ctrl.decide(offer(), 0, outstanding=2) == "shed"
-        ctrl.note_congestion(0, False)
-        assert ctrl.decide(offer(), 0, outstanding=2) == "admit"
-
-
-class TestDeferPolicy:
-    def test_defers_until_attempts_exhaust(self):
-        ctrl, _ = controller(policy="defer", max_defers=2)
-        assert ctrl.decide(offer(attempts=0), 0, outstanding=8) == "defer"
-        assert ctrl.decide(offer(attempts=1), 0, outstanding=8) == "defer"
-        assert ctrl.decide(offer(attempts=2), 0, outstanding=8) == "shed"
-
-    def test_exhausted_defer_counts_as_defer_exhausted(self):
-        ctrl, sim = controller(policy="defer", max_defers=1)
-        ctrl.decide(offer(attempts=1), 0, outstanding=8)
-        registry = sim.telemetry.registry
-        shed = registry.get("repro_load_shed_total")
-        assert shed["defer-exhausted"] == 1
+        assert not ctrl.decide(0, outstanding=2)
+        backed_up.clear()
+        assert ctrl.decide(0, outstanding=2)
 
 
 class TestShedReason:
@@ -110,35 +90,28 @@ class TestShedReason:
             return pid in backed_up
 
         ctrl, sim = controller(congestion_probe=probe)
-        assert ctrl.decide(offer(), 1, outstanding=0) == "admit"
+        assert ctrl.decide(1, outstanding=0)
         assert ctrl.shed_reason is None
         backed_up.add(1)
-        assert ctrl.decide(offer(), 1, outstanding=0) == "shed"
+        assert not ctrl.decide(1, outstanding=0)
         assert ctrl.shed_reason == "congested"
-        assert ctrl.decide(offer(), 0, outstanding=8) == "shed"
+        assert not ctrl.decide(0, outstanding=8)
         assert ctrl.shed_reason == "saturated"
         # gate latched *and* the target backed up: the session says
         # congested, the controller's own counter says saturated
-        assert ctrl.decide(offer(), 1, outstanding=8) == "shed"
+        assert not ctrl.decide(1, outstanding=8)
         assert ctrl.shed_reason == "congested"
         shed = sim.telemetry.registry.get("repro_load_shed_total")
         assert dict(shed) == {"congested": 1, "saturated": 2}
         assert probes == [1, 1, 0, 1]  # one probe per decision
 
-    def test_defer_policy_reasons(self):
-        ctrl, _ = controller(policy="defer", max_defers=1)
-        assert ctrl.decide(offer(attempts=0), 0, outstanding=8) == "defer"
-        assert ctrl.shed_reason is None
-        assert ctrl.decide(offer(attempts=1), 0, outstanding=8) == "shed"
-        assert ctrl.shed_reason == "defer-exhausted"
-
 
 class TestMetrics:
     def test_decision_counters(self):
         ctrl, sim = controller()
-        ctrl.decide(offer(), 1, outstanding=0)
+        ctrl.decide(1, outstanding=0)
         ctrl.count_admit(1)
-        ctrl.decide(offer(), 1, outstanding=8)
+        ctrl.decide(1, outstanding=8)
         ctrl.set_outstanding(5)
         registry = sim.telemetry.registry
         assert registry.get("repro_load_offered_total")[1] == 2

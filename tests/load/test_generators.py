@@ -204,6 +204,35 @@ class TestOpenLoop:
         assert build(7) == build(7)
         assert build(7) != build(8)
 
+    def test_plan_gaps_are_one_exponential_draw_each(self):
+        # Poisson arrivals: each gap is one draw of mean 1/rate from the
+        # ``load-arrivals`` stream, nothing else
+        gen = OpenLoopGenerator(
+            Simulator(seed=7), [0, 1, 2], lambda o: None, rate=50.0, total_offers=20
+        )
+        arrivals = Simulator(seed=7).rng("load-arrivals")
+        offsets = [offset for offset, _ in gen.plan()]
+        gaps = [b - a for a, b in zip([0.0] + offsets, offsets)]
+        assert gaps == pytest.approx(
+            [float(arrivals.exponential(0.02)) for _ in range(20)], rel=1e-12
+        )
+
+    def test_plan_is_pinned_for_seed_1(self):
+        # the offer schedule the benchmark's tcp7_steady rate draws on
+        # seed 1, as the arrival-model sampler drew it before it was cut
+        # down to the one Poisson draw per gap
+        gen = OpenLoopGenerator(
+            Simulator(seed=1), list(range(7)), lambda o: None, rate=700.0, total_offers=6
+        )
+        assert gen.plan() == [
+            (0.00010886242968645757, 1),
+            (0.00035374534408251593, 5),
+            (0.0006983398698672951, 4),
+            (0.0016545971948353057, 2),
+            (0.003078431155143975, 3),
+            (0.005567806330560476, 0),
+        ]
+
     def test_emits_exactly_total_offers_in_order(self):
         sim = Simulator(seed=1)
         seen = []

@@ -2,6 +2,7 @@
 loopback cluster integration (``ClusterSpec(load=...)``)."""
 
 import asyncio
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.load import IntervalSupply, LoadSession, LoadSpec, solution_keyset
+from repro.load import (
+    ClosedLoopGenerator,
+    IntervalSupply,
+    LoadSession,
+    LoadSpec,
+    solution_keyset,
+)
 from repro.monitor import HeartbeatSpec
 from repro.net import ClusterSpec, LocalCluster, simulation_script
 from repro.sim.kernel import Simulator
@@ -37,10 +44,26 @@ class TestLoadSpec:
             LoadSpec(arrival="pareto")
         with pytest.raises(ValueError):
             LoadSpec(dispatch="random")
-        with pytest.raises(ValueError):
-            LoadSpec(policy="queue")
+        for policy in ("queue", "defer"):
+            with pytest.raises(ValueError, match="policy must be 'shed'"):
+                LoadSpec(policy=policy)
         with pytest.raises(ValueError):
             LoadSpec(resume_outstanding=100, max_outstanding=10)
+
+    def test_arrival_kinds_cover_cli_surface(self):
+        # Poisson is the one arrival model a spec can name; the retired
+        # uniform and bursty models are refused by name
+        assert LoadSpec().arrival == "poisson"
+        for arrival in ("uniform", "bursty"):
+            with pytest.raises(ValueError, match="arrival must be 'poisson'"):
+                LoadSpec(arrival=arrival)
+
+    def test_arrival_validation(self):
+        with pytest.raises(ValueError, match="arrival must be 'poisson'"):
+            LoadSpec(arrival="pareto")
+        for rate in (0.0, -1.0):
+            with pytest.raises(ValueError, match="rate must be positive"):
+                LoadSpec(rate=rate)
 
     def test_explicit_resume_wins(self):
         assert LoadSpec(max_outstanding=20, resume_outstanding=3).resolved_resume == 3
@@ -112,6 +135,42 @@ class TestSessionGuards:
                 lambda pid, iv: None,
                 registry=sim.telemetry.registry,
             )
+
+    def test_closed_loop_affinity_must_home_a_user_on_every_process(self):
+        # Seed 1 draws the 7 users' Zipf(1.1) homes onto only some of
+        # the 7 processes: the rest would never get an offer, so no
+        # epoch could ever complete.
+        streams = simulation_script(SpanningTree.regular(2, 3), seed=1, epochs=3).streams
+        assert len(streams) == 7
+        pids = sorted(streams)
+        homes = {
+            user.home
+            for user in ClosedLoopGenerator(
+                Simulator(seed=1), pids, lambda o: None,
+                users=7, total_offers=200, zipf_s=1.1,
+            ).users
+        }
+        uncovered = [pid for pid in pids if pid not in homes]
+        assert uncovered
+        sim = Simulator(seed=1)
+        with pytest.raises(ValueError, match=re.escape(f"homes no user on processes {uncovered}")):
+            LoadSession(
+                sim,
+                LoadSpec(mode="closed", users=7, zipf_s=1.1, dispatch="affinity"),
+                streams,
+                lambda pid, iv: None,
+                registry=sim.telemetry.registry,
+            )
+        # the same users under a policy that spreads their offers are
+        # accepted
+        sim = Simulator(seed=1)
+        LoadSession(
+            sim,
+            LoadSpec(mode="closed", users=7, zipf_s=1.1, dispatch="round_robin"),
+            streams,
+            lambda pid, iv: None,
+            registry=sim.telemetry.registry,
+        )
 
     def test_weights_must_match_pid_count(self):
         streams = small_streams()
@@ -243,19 +302,10 @@ class TestLiveCluster:
 
     def test_closed_loop_below_the_stride_is_refused(self):
         # One offer per user at a time: with 6 users on 7 processes no
-        # epoch could complete before pending_timeout abandons it.
-        spec = self._spec(users=6)
-
-        async def scenario():
-            cluster = LocalCluster(spec)
-            try:
-                with pytest.raises(ValueError, match="closed-loop users"):
-                    await cluster.start()
-            finally:
-                await cluster.stop()
-            return cluster
-
-        assert run(scenario()).load_session is None
+        # epoch could complete before pending_timeout abandons it, so
+        # the spec itself is refused, before any cluster is built.
+        with pytest.raises(ValueError, match=r"load\.users \(6\).*closed-loop users"):
+            self._spec(users=6)
 
     def test_run_until_load_drained_requires_spec(self):
         spec = ClusterSpec(

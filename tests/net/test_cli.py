@@ -98,12 +98,24 @@ class TestRejectsABadFile:
             ('{"nodes": true}', "nodes: expected an integer"),
             ('{"sync_prob": 2}', "sync_prob must be in [0, 1]"),
             ('{"heartbeat": {"period": -1}}', "heartbeat: heartbeat period must be positive"),
+            ('{"load": {"policy": "defer"}}', "load: policy must be 'shed'"),
+            ('{"load": {"burstiness": 4}}', "load.burstiness: unknown key"),
+            (
+                '{"nodes": 7, "load": {"mode": "closed", "users": 5}}',
+                "load.users (5) must cover at least one epoch stride (7 processes)",
+            ),
+            (
+                '{"nodes": 7, "load": {"max_outstanding": 6}}',
+                "load.max_outstanding (6) must cover at least one epoch stride",
+            ),
             ("[7]", "expected an object, got an array"),
             ('{"nodes": 7,', "invalid JSON"),
         ],
         ids=[
             "unknown-key", "unknown-nested-key", "retired-key", "string-for-int",
-            "bool-for-int", "out-of-range", "nested-range", "array", "not-json",
+            "bool-for-int", "out-of-range", "nested-range", "retired-policy",
+            "retired-load-key", "users-below-stride", "gate-below-stride",
+            "array", "not-json",
         ],
     )
     def test_exits_2_with_one_line_naming_the_key(self, tmp_path, capsys, text, names):
@@ -144,15 +156,12 @@ class TestSpecDicts:
         load=LoadSpec(
             mode="open",
             rate=500.0,
-            arrival="bursty",
-            burstiness=4.0,
+            arrival="poisson",
             dispatch="weighted",
             weights=(1.0, 2.0, 0.5),
             max_outstanding=20,
             resume_outstanding=10,
-            policy="defer",
-            defer_delay=0.02,
-            max_defers=2,
+            policy="shed",
             start_delay=0.0,
         ),
         admin_port=9400,

@@ -570,6 +570,39 @@ class TestSustainedOverload:
         # The link sat congested across the 0.1s outage at minimum.
         assert registry.get("repro_net_congested_seconds_total")[(0, 1)] >= 0.05
 
+    def test_tcp_drop_peer_ends_the_congestion_episode(self):
+        # Repair drops a dead peer's link while its outbox is still above
+        # high water: the episode must end with its uncongest edge, or
+        # whoever tracks the edges keeps the node congested for good.
+        async def scenario():
+            clock = AsyncClock()
+            a = TcpTransport(
+                0, clock, max_outbox=8, high_water=4, low_water=2, backoff_base=0.02
+            )
+            b = TcpTransport(1, clock)
+            await b.start()
+            address = b.address
+            await b.stop()  # the peer is unreachable from the start
+            await a.start()
+            a.set_peers({1: address})
+            for _ in range(8):
+                a.send(1, Heartbeat(sender=0))
+            await asyncio.sleep(0.05)
+            a.drop_peer(1)
+            seconds = clock.telemetry.registry.get("repro_net_congested_seconds_total")
+            at_drop = seconds[(0, 1)]
+            congested_after_drop = a.congested_peers()
+            await a.stop()
+            return clock, at_drop, seconds[(0, 1)], congested_after_drop
+
+        clock, at_drop, at_stop, congested_after_drop = run(scenario())
+        assert congested_after_drop == ()
+        assert len(clock.log.of_kind("net_congested")) == 1
+        assert len(clock.log.of_kind("net_uncongested")) == 1
+        # settled once, at the drop: stopping the transport adds nothing
+        assert at_drop >= 0.04
+        assert at_stop == at_drop
+
     def test_loopback_watermark_validation(self):
         clock = AsyncClock()
         with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ class TestLifecycle:
         offer_epoch(ledger, 0, range(3))
         keys = [(pid, 0) for pid in range(3)]
         for m, key in enumerate(keys):
-            ledger.note_admitted(0, m, key, target=m, now=0.1)
+            ledger.note_admitted(0, m, key, target=m, now=0.1, depth=1)
         for key in keys:
             ledger.note_completed(key, 0.5)
         summary = ledger.summary()
@@ -68,11 +68,11 @@ class TestLifecycle:
     def test_shed_sibling_strands_admitted_members(self):
         ledger, registry = make_ledger()
         offer_epoch(ledger, 0, range(3))
-        ledger.note_admitted(0, 0, (0, 0), target=0, now=0.1)
-        ledger.note_admitted(0, 1, (1, 0), target=1, now=0.1)
+        ledger.note_admitted(0, 0, (0, 0), target=0, now=0.1, depth=1)
+        ledger.note_admitted(0, 1, (1, 0), target=1, now=0.1, depth=1)
         ledger.note_shed(0, 2, "saturated", 0.2, target=2)
-        ledger.note_abandoned((0, 0), "shed-sibling", 2.0)
-        ledger.note_abandoned((1, 0), "shed-sibling", 2.0)
+        ledger.note_abandoned((0, 0), "shed-sibling", 2.0, target=0)
+        ledger.note_abandoned((1, 0), "shed-sibling", 2.0, target=1)
         summary = ledger.summary()
         assert summary["stranded"] == 1
         assert summary["stranded_by_cause"] == {"shed-sibling": 1}
@@ -85,20 +85,20 @@ class TestLifecycle:
     def test_dead_target_beats_shed_sibling(self):
         ledger, _ = make_ledger()
         offer_epoch(ledger, 0, range(3))
-        ledger.note_admitted(0, 0, (0, 0), target=0, now=0.1)
+        ledger.note_admitted(0, 0, (0, 0), target=0, now=0.1, depth=1)
         ledger.note_shed(0, 1, "no-target", 0.2)
         ledger.note_shed(0, 2, "saturated", 0.2, target=2)
-        ledger.note_abandoned((0, 0), "dead-target", 2.0)
+        ledger.note_abandoned((0, 0), "dead-target", 2.0, target=0)
         assert ledger.stranded_by_cause() == {"dead-target": 1}
 
     def test_all_admitted_timeout_is_pending_timeout(self):
         ledger, _ = make_ledger()
         offer_epoch(ledger, 0, range(3))
         for m in range(3):
-            ledger.note_admitted(0, m, (m, 0), target=m, now=0.1)
+            ledger.note_admitted(0, m, (m, 0), target=m, now=0.1, depth=1)
         ledger.note_completed((0, 0), 0.5)
-        ledger.note_abandoned((1, 0), "pending-timeout", 2.5)
-        ledger.note_abandoned((2, 0), "pending-timeout", 2.5)
+        ledger.note_abandoned((1, 0), "pending-timeout", 2.5, target=1)
+        ledger.note_abandoned((2, 0), "pending-timeout", 2.5, target=2)
         assert ledger.stranded_by_cause() == {"pending-timeout": 1}
         (row,) = ledger.stranded_details()
         assert row["completed"] == 1
@@ -107,14 +107,13 @@ class TestLifecycle:
         ledger, _ = make_ledger(stride=3, total_offers=7)
         assert ledger.expected_members(2) == 1
         offer_epoch(ledger, 2, [0])
-        ledger.note_admitted(2, 6, (0, 9), target=0, now=0.0)
+        ledger.note_admitted(2, 6, (0, 9), target=0, now=0.0, depth=1)
         ledger.note_completed((0, 9), 0.2)
         assert ledger.summary()["solved"] == 1
 
     def test_note_offered_is_idempotent_per_index(self):
         ledger, _ = make_ledger()
         ledger.note_offered(0, 0, 0.0)
-        ledger.note_offered(0, 0, 0.1)  # deferred retry, same index
         ledger.note_offered(0, 1, 0.1)
         ledger.note_shed(0, 0, "saturated", 0.2)
         ledger.note_shed(0, 1, "saturated", 0.2)
@@ -126,7 +125,7 @@ class TestLifecycle:
     def test_unresolved_admitted_epoch_counts_in_flight(self):
         ledger, _ = make_ledger()
         offer_epoch(ledger, 0, range(3))
-        ledger.note_admitted(0, 0, (0, 0), target=0, now=0.1)
+        ledger.note_admitted(0, 0, (0, 0), target=0, now=0.1, depth=1)
         assert ledger.in_flight == 1
         summary = ledger.summary()
         assert summary["admitted_epochs"] == 1
@@ -144,7 +143,7 @@ class TestExpiryCause:
     def setup_method(self):
         self.ledger, _ = make_ledger()
         offer_epoch(self.ledger, 0, range(3))
-        self.ledger.note_admitted(0, 0, (0, 0), target=0, now=0.1)
+        self.ledger.note_admitted(0, 0, (0, 0), target=0, now=0.1, depth=1)
 
     def test_dead_target_wins(self):
         assert self.ledger.expiry_cause((0, 0), target_alive=False) == "dead-target"
@@ -169,7 +168,7 @@ class TestCoreObserver:
         ledger, registry = make_ledger()
         clock = FakeClock()
         offer_epoch(ledger, 0, range(3))
-        ledger.note_admitted(0, 0, (4, 7), target=4, now=0.0)
+        ledger.note_admitted(0, 0, (4, 7), target=4, now=0.0, depth=1)
         observe = ledger.core_observer(clock)
         clock.now = 0.2
         observe("enqueue", 4, FakeInterval(4, 7))
@@ -183,7 +182,7 @@ class TestCoreObserver:
     def test_sink_mode_ignores_aggregate_queues(self):
         ledger, registry = make_ledger()
         ledger.note_offered(0, 0, 0.0)
-        ledger.note_admitted(0, 0, (4, 7), target=4, now=0.0)
+        ledger.note_admitted(0, 0, (4, 7), target=4, now=0.0, depth=1)
         observe = ledger.core_observer(FakeClock())
         # queue key != owner: an interval filed under another process's
         # queue is aggregate bookkeeping, not this member's lifecycle
@@ -193,7 +192,7 @@ class TestCoreObserver:
     def test_node_mode_accepts_only_own_intervals(self):
         ledger, _ = make_ledger()
         ledger.note_offered(0, 0, 0.0)
-        ledger.note_admitted(0, 0, (4, 7), target=4, now=0.0)
+        ledger.note_admitted(0, 0, (4, 7), target=4, now=0.0, depth=1)
         observe = ledger.core_observer(FakeClock(), node=3)
         observe("enqueue", 4, FakeInterval(4, 7))  # owner 4 != node 3
         assert ledger.summary()["states"]["queued"] == 0
@@ -210,8 +209,8 @@ class TestWatermarks:
     def test_depth_watermark_is_sticky_high(self):
         ledger, _ = make_ledger(stride=2, total_offers=4)
         offer_epoch(ledger, 0, range(2))
-        ledger.note_admitted(0, 0, (0, 0), target=5, now=0.0)
-        ledger.note_admitted(0, 1, (1, 0), target=5, now=0.0)
+        ledger.note_admitted(0, 0, (0, 0), target=5, now=0.0, depth=1)
+        ledger.note_admitted(0, 1, (1, 0), target=5, now=0.0, depth=2)
         ledger.note_completed((0, 0), 0.1)
         ledger.note_completed((1, 0), 0.1)
         assert ledger.watermarks()[5]["depth"] == 2
@@ -219,10 +218,10 @@ class TestWatermarks:
     def test_tick_records_oldest_pending_age(self):
         ledger, _ = make_ledger()
         offer_epoch(ledger, 0, range(3))
-        ledger.note_admitted(0, 0, (0, 0), target=2, now=1.0)
-        ledger.tick(3.5)
+        ledger.note_admitted(0, 0, (0, 0), target=2, now=1.0, depth=1)
+        ledger.tick(3.5, [(2, 1.0)])
         assert ledger.watermarks()[2]["age_s"] == pytest.approx(2.5)
-        ledger.tick(2.0)  # lower instantaneous age must not regress it
+        ledger.tick(2.0, [(2, 1.0)])  # lower instantaneous age must not regress it
         assert ledger.watermarks()[2]["age_s"] == pytest.approx(2.5)
 
 
@@ -232,14 +231,14 @@ class TestWireForms:
         for epoch in range(3):
             offer_epoch(ledger, epoch, range(2))
         # epoch 0 solved, epoch 1 stranded, epoch 2 in flight
-        ledger.note_admitted(0, 0, (0, 0), target=0, now=0.0)
-        ledger.note_admitted(0, 1, (1, 0), target=1, now=0.0)
+        ledger.note_admitted(0, 0, (0, 0), target=0, now=0.0, depth=1)
+        ledger.note_admitted(0, 1, (1, 0), target=1, now=0.0, depth=1)
         ledger.note_completed((0, 0), 0.1)
         ledger.note_completed((1, 0), 0.1)
-        ledger.note_admitted(1, 2, (0, 1), target=0, now=0.0)
+        ledger.note_admitted(1, 2, (0, 1), target=0, now=0.0, depth=1)
         ledger.note_shed(1, 3, "saturated", 0.1, target=1)
-        ledger.note_abandoned((0, 1), "shed-sibling", 2.0)
-        ledger.note_admitted(2, 4, (0, 2), target=0, now=0.2)
+        ledger.note_abandoned((0, 1), "shed-sibling", 2.0, target=0)
+        ledger.note_admitted(2, 4, (0, 2), target=0, now=0.2, depth=1)
         summary = ledger.summary()
         assert summary["admitted_epochs"] == 3
         assert (
@@ -253,8 +252,8 @@ class TestWireForms:
         ledger, _ = make_ledger(stride=1, total_offers=total)
         for epoch in range(total):
             ledger.note_offered(epoch, epoch, 0.0)
-            ledger.note_admitted(epoch, epoch, (0, epoch), target=0, now=0.0)
-            ledger.note_abandoned((0, epoch), "pending-timeout", 5.0)
+            ledger.note_admitted(epoch, epoch, (0, epoch), target=0, now=0.0, depth=1)
+            ledger.note_abandoned((0, epoch), "pending-timeout", 5.0, target=0)
         payload = ledger.to_dict()
         assert payload["summary"]["stranded"] == total
         assert len(payload["stranded_detail"]) == MAX_STRANDED_DETAIL
@@ -273,9 +272,9 @@ class TestStrandingWatchdog:
         ledger, _ = make_ledger(stride=1, total_offers=stranded + solved)
         for epoch in range(stranded + solved):
             ledger.note_offered(epoch, epoch, 0.0)
-            ledger.note_admitted(epoch, epoch, (0, epoch), target=0, now=0.0)
+            ledger.note_admitted(epoch, epoch, (0, epoch), target=0, now=0.0, depth=1)
             if epoch < stranded:
-                ledger.note_abandoned((0, epoch), "pending-timeout", 5.0)
+                ledger.note_abandoned((0, epoch), "pending-timeout", 5.0, target=0)
             else:
                 ledger.note_completed((0, epoch), 0.5)
         return ledger

@@ -1,14 +1,10 @@
-"""The shared interarrival distribution helper (satellite of the load
-plane: one sampling funnel for sim workload and traffic generators)."""
+"""The shared exponential gap helper: one sampling funnel for the sim
+workload and the open-loop offer plan."""
 
 import numpy as np
 import pytest
 
-from repro.workload.distributions import (
-    ARRIVAL_KINDS,
-    InterarrivalSampler,
-    exponential_gap,
-)
+from repro.workload.distributions import exponential_gap
 
 
 class TestExponentialGap:
@@ -24,54 +20,3 @@ class TestExponentialGap:
         rng = np.random.default_rng(1)
         gaps = [exponential_gap(rng, 0.1) for _ in range(20000)]
         assert np.mean(gaps) == pytest.approx(0.1, rel=0.05)
-
-
-class TestInterarrivalSampler:
-    def test_kinds_cover_cli_surface(self):
-        assert ARRIVAL_KINDS == ("poisson", "uniform", "bursty")
-
-    def test_poisson_is_exponential(self):
-        sampler = InterarrivalSampler("poisson", 0.02)
-        a, b = np.random.default_rng(7), np.random.default_rng(7)
-        assert [sampler.next(a) for _ in range(20)] == [
-            float(b.exponential(0.02)) for _ in range(20)
-        ]
-
-    def test_uniform_bounds(self):
-        sampler = InterarrivalSampler("uniform", 0.1)
-        rng = np.random.default_rng(2)
-        gaps = [sampler.next(rng) for _ in range(5000)]
-        assert min(gaps) >= 0.05 and max(gaps) <= 0.15
-        assert np.mean(gaps) == pytest.approx(0.1, rel=0.05)
-
-    def test_bursty_preserves_long_run_mean(self):
-        sampler = InterarrivalSampler("bursty", 0.01, burstiness=8.0)
-        rng = np.random.default_rng(11)
-        gaps = [sampler.next(rng) for _ in range(60000)]
-        assert np.mean(gaps) == pytest.approx(0.01, rel=0.1)
-
-    def test_bursty_actually_clumps(self):
-        # burst-phase gaps are burstiness× shorter: the gap distribution
-        # must be visibly bimodal vs. plain poisson at the same mean
-        sampler = InterarrivalSampler("bursty", 0.01, burstiness=16.0)
-        rng = np.random.default_rng(4)
-        gaps = np.array([sampler.next(rng) for _ in range(30000)])
-        short = (gaps < 0.002).mean()
-        plain = np.random.default_rng(4).exponential(0.01, 30000)
-        assert short > (plain < 0.002).mean() + 0.05
-
-    def test_sampler_is_deterministic_per_stream(self):
-        s1 = InterarrivalSampler("bursty", 0.05)
-        s2 = InterarrivalSampler("bursty", 0.05)
-        a, b = np.random.default_rng(9), np.random.default_rng(9)
-        assert [s1.next(a) for _ in range(100)] == [s2.next(b) for _ in range(100)]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InterarrivalSampler("pareto", 0.1)
-        with pytest.raises(ValueError):
-            InterarrivalSampler("poisson", 0.0)
-        with pytest.raises(ValueError):
-            InterarrivalSampler("bursty", 0.1, burstiness=1.0)
-        with pytest.raises(ValueError):
-            InterarrivalSampler("bursty", 0.1, burst_frac=1.0)

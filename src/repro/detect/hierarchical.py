@@ -6,9 +6,11 @@ over one queue for its own local intervals plus one queue per child.
 The node thereby detects ``Definitely(Φ)`` restricted to the subtree
 rooted at itself.  On each solution it
 
-* if it has a parent: aggregates the solution set with ``⊓``
-  (Eq. 5–6) and reports the single aggregated interval one hop up
-  (Algorithm 1, lines 19–20);
+* if it has a parent: reports ``⊓`` of the solution set one hop up
+  (Algorithm 1, lines 19–20).  By Eq. 5–6 ``⊓`` of a one-interval
+  solution is that interval, so a leaf (or a node whose children are
+  all gone) forwards its local interval unchanged; two or more heads
+  are aggregated into one new interval;
 * if it is the root: announces a satisfaction of the global predicate
   (lines 21–22) — or, after failures, of the partial predicate over the
   surviving processes.
@@ -36,7 +38,7 @@ __all__ = ["EmissionKind", "Emission", "HierarchicalNodeCore"]
 class EmissionKind(Enum):
     """What a node does with a solution it detected."""
 
-    REPORT = "report"  # non-root: aggregated interval for the parent
+    REPORT = "report"  # non-root: ⊓ of the solution, for the parent
     DETECTION = "detection"  # root: global (or partial) predicate detected
 
 
@@ -89,7 +91,9 @@ class HierarchicalNodeCore:
             observer=observer,
             on_pair_tests=on_pair_tests,
         )
-        self._next_agg_seq = 0
+        # Seq of the last interval this node reported: a child queue at
+        # the parent takes strictly increasing seqs (IntervalQueue).
+        self._last_seq = -1
 
     # ------------------------------------------------------------------
     @property
@@ -146,9 +150,15 @@ class HierarchicalNodeCore:
         return [self._emit(solution) for solution in solutions]
 
     def _emit(self, solution: Solution) -> Emission:
-        agg = aggregate(
-            solution.intervals, owner=self.node_id, seq=self._next_agg_seq
-        )
-        self._next_agg_seq += 1
+        heads = solution.intervals
+        if len(heads) == 1 and heads[0].seq > self._last_seq:
+            out = heads[0]  # ⊓ of a singleton is the interval itself
+        else:
+            # Two or more heads; or a singleton whose seq is not above
+            # the last report (a leaf that had children, an internal
+            # node whose children are gone) is wrapped, numbered after
+            # that report.
+            out = aggregate(heads, owner=self.node_id, seq=self._last_seq + 1)
+        self._last_seq = out.seq
         kind = EmissionKind.DETECTION if self.is_root else EmissionKind.REPORT
-        return Emission(kind=kind, solution=solution, aggregate=agg)
+        return Emission(kind=kind, solution=solution, aggregate=out)

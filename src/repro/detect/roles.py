@@ -4,8 +4,9 @@ A role is the personality a :class:`~repro.sim.process.MonitoredProcess`
 runs on the control plane:
 
 * :class:`HierarchicalRole` — Algorithm 1 at one spanning-tree node:
-  detects over its subtree, reports ``⊓``-aggregates one hop to its
-  parent, exchanges heartbeats, and rewires itself under the repair
+  detects over its subtree, reports ``⊓`` of each solution one hop to
+  its parent (a one-interval solution is forwarded unchanged),
+  exchanges heartbeats, and rewires itself under the repair
   coordinator when the tree changes.
 * :class:`CentralizedReporterRole` — the baseline's per-node half:
   forwards every local interval hop-by-hop to the sink.
@@ -130,7 +131,7 @@ class HierarchicalRole:
         )
         self._c_reports = registry.counter_vec(
             "repro_reports_total",
-            "Aggregated intervals reported to parents, per node.",
+            "Intervals reported to parents (⊓ of each subtree solution), per node.",
             ("node",),
         )
         self._c_alarms = registry.counter_vec(
@@ -269,7 +270,7 @@ class HierarchicalRole:
         solution-set intervals it compresses (``⊓`` provenance)."""
         spans = self._telemetry.spans
         now = self.process.sim.now
-        span = spans.record(
+        sid = spans.record_sid(
             "report",
             now,
             now,
@@ -280,7 +281,7 @@ class HierarchicalRole:
             **self._span_attrs(),
         )
         for part in aggregate.parts:
-            spans.adopt(span, interval_key(part))
+            spans.adopt_sid(sid, interval_key(part))
 
     # ------------------------------------------------------------------
     # emission handling
@@ -292,7 +293,10 @@ class HierarchicalRole:
             if self.core.is_root:
                 self._record_detection(emission.solution, emission.aggregate)
             else:
-                self._record_report_span(emission.aggregate)
+                if emission.aggregate.parts:
+                    # A forwarded interval (no parts) is reported under
+                    # its own ``interval`` span.
+                    self._record_report_span(emission.aggregate)
                 self._h_reports()
                 self._report(emission)
 
@@ -325,15 +329,16 @@ class HierarchicalRole:
         traced fall back to 0.
         """
         telemetry = self._telemetry
+        spans = telemetry.spans
         now = self.process.sim.now
         opens = []
         for leaf in record.solution.concrete_intervals():
-            span = telemetry.spans.get(interval_key(leaf))
+            span = spans.get(interval_key(leaf))
             if span is not None:
                 opens.append(span.start)
         latency = max(0.0, now - max(opens)) if opens else 0.0
         telemetry.detection_latency.observe(latency)
-        alarm = telemetry.spans.record(
+        alarm = spans.record_sid(
             "alarm",
             now,
             now,
@@ -349,12 +354,12 @@ class HierarchicalRole:
             # A pending aggregate announced after promotion already has
             # a report span — adopt it; otherwise adopt the solution
             # heads directly.
-            if not telemetry.spans.adopt(alarm, interval_key(aggregate)):
+            if not spans.adopt_sid(alarm, interval_key(aggregate)):
                 for part in aggregate.parts:
-                    telemetry.spans.adopt(alarm, interval_key(part))
+                    spans.adopt_sid(alarm, interval_key(part))
         else:
             for interval in record.solution.intervals:
-                telemetry.spans.adopt(alarm, interval_key(interval))
+                spans.adopt_sid(alarm, interval_key(interval))
 
     def _report(self, emission: Emission) -> None:
         if self.parent_id is None:

@@ -52,18 +52,20 @@ def aggregate(
     check:
         Re-verify ``overlap(X)`` before aggregating.
 
-    Aggregating a singleton returns an interval with the same bounds —
-    which is why leaf nodes can run the same code path as interior
-    nodes: a leaf's every local interval is a solution for its
-    singleton subtree and is forwarded essentially unchanged.
+    By Eq. (5)-(6) ``⊓`` of a singleton has that interval's bounds, so a
+    detector reports a one-interval solution as the interval itself
+    (:class:`~repro.detect.HierarchicalNodeCore`) and calls this only
+    for two or more heads — or to wrap a singleton under a new *seq*,
+    when its own is not above the node's last report.  The result is
+    then a one-part aggregate with the part's bounds.
     """
     if not intervals:
         raise ValueError("cannot aggregate an empty set of intervals")
     if check and not overlap(intervals):
         raise ValueError("aggregation requires overlap(X) to hold")
     if len(intervals) == 1:
-        # A leaf's singleton solution aggregates to its own bounds, which
-        # its part's constructor already checked.
+        # A wrapped singleton keeps its part's bounds, which the part's
+        # constructor already checked.
         only = intervals[0]
         return Interval._checked(
             owner, seq, only.lo, only.hi, only.members, (only,)

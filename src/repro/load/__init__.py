@@ -27,7 +27,7 @@ from .dispatch import (
     Weighted,
     make_policy,
 )
-from .generators import ClosedLoopGenerator, Offer, OpenLoopGenerator
+from .generators import ClosedLoopGenerator, Offer, OpenLoopGenerator, user_homes
 from .latency import LOAD_SOJOURN_BUCKETS, LatencyStore
 from .popularity import ZipfSampler
 from .session import IntervalSupply, LoadSession, LoadSpec, solution_keyset
@@ -55,4 +55,5 @@ __all__ = [
     "run_traffic",
     "solution_keyset",
     "traffic_specs",
+    "user_homes",
 ]

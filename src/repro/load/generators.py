@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..workload.distributions import exponential_gap
 from .popularity import ZipfSampler
 
-__all__ = ["Offer", "OpenLoopGenerator", "ClosedLoopGenerator"]
+__all__ = ["Offer", "OpenLoopGenerator", "ClosedLoopGenerator", "user_homes"]
 
 
 @dataclass
@@ -153,6 +153,17 @@ class OpenLoopGenerator:
             self._handle = None
 
 
+def user_homes(
+    popularity, pids: Sequence[int], users: int, zipf_s: float
+) -> List[int]:
+    """Each closed-loop user's Zipf-drawn home process, in uid order:
+    one draw per user from the *popularity* stream (``load-popularity``),
+    so the homes are a pure function of the seed."""
+    ordered = sorted(pids)
+    zipf = ZipfSampler(len(ordered), zipf_s)
+    return [ordered[zipf.sample(popularity)] for _ in range(users)]
+
+
 @dataclass
 class _User:
     uid: int
@@ -185,12 +196,8 @@ class ClosedLoopGenerator:
         self.intake = intake
         self.total_offers = total_offers
         self.think_time = think_time
-        zipf = ZipfSampler(len(self.pids), zipf_s)
-        popularity = clock.rng("load-popularity")
-        self.users = [
-            _User(uid=u, home=self.pids[zipf.sample(popularity)])
-            for u in range(users)
-        ]
+        homes = user_homes(clock.rng("load-popularity"), self.pids, users, zipf_s)
+        self.users = [_User(uid=u, home=home) for u, home in enumerate(homes)]
         self._issued = 0
         self._stopped = False
         #: uid -> the user's pending think timer; a user has at most one.

@@ -151,6 +151,22 @@ class LoadSpec:
                 "complete an epoch before pending_timeout abandons its offers"
             )
 
+    def check_homes(self, pids: Sequence[int], homes: Sequence[int]) -> None:
+        """Refuse a closed loop under ``affinity`` dispatch whose users'
+        *homes* (:func:`~repro.load.generators.user_homes`) leave a
+        process out: that process never receives an offer, so no epoch
+        can complete."""
+        if self.mode != "closed" or self.dispatch != "affinity":
+            return
+        covered = set(homes)
+        uncovered = [pid for pid in sorted(pids) if pid not in covered]
+        if uncovered:
+            raise ValueError(
+                f"load.dispatch: closed-loop affinity homes no user on "
+                f"processes {uncovered}: they never receive an offer, so no "
+                "epoch can complete"
+            )
+
 
 class IntervalSupply:
     """Unbounded per-node interval streams from a finite script.
@@ -322,15 +338,7 @@ class LoadSession:
                 think_time=load.think_time,
                 zipf_s=load.zipf_s,
             )
-            if load.dispatch == "affinity":
-                homes = {user.home for user in self.generator.users}
-                uncovered = [pid for pid in self.pids if pid not in homes]
-                if uncovered:
-                    raise ValueError(
-                        f"closed-loop affinity homes no user on processes "
-                        f"{uncovered}: they never receive an offer, so no "
-                        "epoch can complete"
-                    )
+            load.check_homes(self.pids, [user.home for user in self.generator.users])
         # admission order as targets: the reference replay regenerates
         # each target's intervals from the supply (``interval_at``)
         self._admitted_log: List[int] = []

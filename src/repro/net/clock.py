@@ -37,7 +37,7 @@ import numpy as np
 from ..obs.telemetry import Telemetry
 from ..sim.eventlog import EventLog
 
-__all__ = ["AsyncClock", "ClockScope", "ClockHandle"]
+__all__ = ["AsyncClock", "ClockScope", "ClockHandle", "named_rng"]
 
 
 class ClockHandle:
@@ -54,6 +54,13 @@ class ClockHandle:
             return
         self.cancelled = True
         self._handle.cancel()
+
+
+def named_rng(seed: int, name: str) -> np.random.Generator:
+    """A fresh copy of the stream ``AsyncClock(seed).rng(name)`` starts
+    as: what a spec check can draw before any clock exists."""
+    key = zlib.crc32(name.encode("utf-8"))
+    return np.random.default_rng(np.random.SeedSequence([seed, key]))
 
 
 class AsyncClock:
@@ -105,9 +112,7 @@ class AsyncClock:
         the same stream whether the stack runs simulated or networked."""
         gen = self._rngs.get(name)
         if gen is None:
-            key = zlib.crc32(name.encode("utf-8"))
-            gen = np.random.default_rng(np.random.SeedSequence([self.seed, key]))
-            self._rngs[name] = gen
+            gen = self._rngs[name] = named_rng(self.seed, name)
         return gen
 
     # ------------------------------------------------------------------

@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..detect.roles import DetectionRecord
 from ..fault.coordinator import RepairCoordinator
-from ..load import LoadSession, LoadSpec
+from ..load import LoadSession, LoadSpec, user_homes
 from ..monitor.spec import HeartbeatSpec, SLOSpec
 from ..obs.cluster import ClusterView, TelemetryAggregator, scrape_local
 from ..obs.epochs import StrandingWatchdog
@@ -70,7 +70,7 @@ from ..obs.export import event_dict
 from ..obs.flight import FlightRecorder
 from ..obs.registry import count_error
 from ..topology.spanning_tree import SpanningTree
-from .clock import AsyncClock, ClockScope
+from .clock import AsyncClock, ClockScope, named_rng
 from .codec import CODEC_VERSION
 from .runtime import NodeRuntime
 from .script import IntervalScript, simulation_script
@@ -152,6 +152,13 @@ class ClusterSpec:
             raise ValueError("span_capacity must be >= 1")
         if self.load is not None:
             self.load.check_stride(self.nodes)
+            # The homes LocalCluster's session will draw, drawn here so
+            # a refused spec is refused before any socket opens.
+            pids = range(self.nodes)
+            popularity = named_rng(self.seed, "load-popularity")
+            self.load.check_homes(
+                pids, user_homes(popularity, pids, self.load.users, self.load.zipf_s)
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterSpec":

@@ -30,14 +30,16 @@ the causal chain interval → report → alarm breaks at every TCP hop: the
 sender's ``report`` span lives in the sender's tracker, invisible to
 the receiver.  The runtime repairs this at the transport boundary:
 
-* outbound ``IntervalReport`` frames carry the sender's report-span id
-  in the frame's ``_meta`` sidecar (``{"span": [node, sid]}``);
-* on receipt, if the aggregate's span key is unknown locally (or names
+* outbound ``IntervalReport`` frames carry the sender's span id for the
+  reported interval in the frame's ``_meta`` sidecar
+  (``{"span": [node, sid]}``): its ``report`` span for an aggregate,
+  its ``interval`` span for a forwarded one-interval solution;
+* on receipt, if the interval's span key is unknown locally (or names
   a hop for another sender span — a dead incarnation's), a ``hop``
   placeholder span is recorded under that key, holding the remote
   ``(node, sid)`` coordinates.  The receiving role's ordinary adoption
   then parents the *hop* span, and the cluster aggregator
-  (:mod:`repro.obs.cluster`) later re-parents the sender's report span
+  (:mod:`repro.obs.cluster`) later re-parents the sender's span
   beneath the hop — reconnecting the trace across process boundaries.
 
 Peer-death evidence
@@ -140,15 +142,15 @@ class NodeRuntime:
 
     def _span_meta(self, message: object) -> Optional[dict]:
         """Frame sidecar for trace stitching: the local span coordinates
-        of an outbound report's aggregate (see module docstring), plus
+        of an outbound report's interval (see module docstring), plus
         the epoch ids it covers.  These two keys are the whole packed
         sidecar (:mod:`repro.net.codec`); the codec refuses any other."""
         if not isinstance(message, IntervalReport):
             return None
-        span = self.sim.telemetry.spans.get(interval_key(message.interval))
-        if span is None:
+        sid = self.sim.telemetry.spans.sid_of(interval_key(message.interval))
+        if sid is None:
             return None
-        meta = {"span": [self.pid, span.sid]}
+        meta = {"span": [self.pid, sid]}
         epochs = self._meta_epochs(message.interval)
         if epochs is not None:
             meta["epochs"] = epochs
@@ -251,29 +253,30 @@ class NodeRuntime:
         self.sim.emit("net_stale_frame", node=self.pid, src=src, error=error)
 
     def _record_hop(self, src: int, message: object, meta: dict) -> None:
-        """Register the received aggregate under its span key as a
+        """Register the received interval under its span key as a
         ``hop`` placeholder carrying the sender's span coordinates.
 
         No-op when the key already names this artifact — either the
-        tracker is shared (the sender's report span is right there) or
-        this is an at-least-once redelivery of a frame we already
-        hopped.  A hop under the same key for a *different* sender span
-        is a dead incarnation's: a reborn detector numbers its
-        aggregates from 0 again, so the sender's span coordinates, not
-        the key, tell the two apart, and the new hop takes the key."""
+        tracker is shared (the sender's span is right there) or this is
+        an at-least-once redelivery of a frame we already hopped.  A hop
+        under the same key for a *different* sender span is a dead
+        incarnation's: a reborn detector numbers its aggregates from 0
+        again, so the sender's span coordinates, not the key, tell the
+        two apart, and the new hop takes the key."""
         remote = meta.get("span")
         if not (isinstance(message, IntervalReport) and isinstance(remote, list)):
             return
         remote_node, remote_sid = int(remote[0]), int(remote[1])
         spans = self.sim.telemetry.spans
         key = interval_key(message.interval)
-        known = spans.get(key)
-        if known is not None and (
-            known.name != "hop"
-            or (known.attrs["remote_node"], known.attrs["remote_sid"])
-            == (remote_node, remote_sid)
-        ):
-            return
+        known = spans.lookup(key)
+        if known is not None:
+            _, name, attrs = known
+            if name != "hop" or (attrs["remote_node"], attrs["remote_sid"]) == (
+                remote_node,
+                remote_sid,
+            ):
+                return
         now = self.sim.now
         attrs = {}
         epochs = meta.get("epochs")

@@ -21,7 +21,7 @@ from those islands, the way a fleet monitoring plane would:
   stitched**: each ``hop`` placeholder span (recorded by the receiving
   :class:`~repro.net.runtime.NodeRuntime` with the sender's span
   coordinates from the frame ``_meta`` sidecar) adopts the sender's
-  report span, reconnecting alarm → … → leaf-interval chains across
+  span (its ``report``, or the ``interval`` a leaf forwarded), reconnecting alarm → … → leaf-interval chains across
   process boundaries so ``render_tree`` explains an alarm end to end.
 
 The aggregator also *recomputes* the cluster truths no single island

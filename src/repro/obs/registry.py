@@ -29,7 +29,7 @@ Design notes
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import Counter as _Counter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -219,12 +219,14 @@ class Histogram:
     Bucket semantics follow Prometheus: an observation lands in the
     first bucket whose upper edge is ``>= value`` (``le`` — less than or
     equal), and exposition is cumulative.  The raw observations are kept
-    sorted so :meth:`percentile` is exact, not interpolated from
-    buckets.
+    so :meth:`percentile` is exact, not interpolated from buckets: an
+    observation is appended, and the list is sorted when next read.
     """
 
     kind = "histogram"
-    __slots__ = ("name", "help", "buckets", "bucket_counts", "sum", "_values")
+    __slots__ = (
+        "name", "help", "buckets", "bucket_counts", "sum", "_values", "_sorted"
+    )
 
     def __init__(
         self,
@@ -243,6 +245,7 @@ class Histogram:
         self.bucket_counts: List[int] = [0] * len(edges)
         self.sum: float = 0.0
         self._values: List[float] = []
+        self._sorted = True
 
     @property
     def count(self) -> int:
@@ -252,7 +255,16 @@ class Histogram:
         value = float(value)
         self.bucket_counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
-        insort(self._values, value)
+        self._values.append(value)
+        self._sorted = False
+
+    def _ordered(self) -> List[float]:
+        """The observations, sorted in place if any arrived since the
+        last read."""
+        if not self._sorted:
+            self._values.sort()
+            self._sorted = True
+        return self._values
 
     def cumulative_counts(self) -> List[int]:
         total, out = 0, []
@@ -269,15 +281,15 @@ class Histogram:
         if not 0 <= q <= 100:
             raise ValueError("percentile must be in [0, 100]")
         index = max(0, math.ceil(q / 100.0 * len(self._values)) - 1)
-        return self._values[index]
+        return self._ordered()[index]
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram's observations into this one.
 
         Requires identical bucket edges (merging differently bucketed
         histograms would silently misattribute counts).  The raw
-        observations are re-merged sorted, so exact percentiles keep
-        working on the combined population.
+        observations are pooled, so exact percentiles keep working on
+        the combined population.
         """
         if other.buckets != self.buckets:
             raise ValueError(
@@ -289,12 +301,13 @@ class Histogram:
             for mine, theirs in zip(self.bucket_counts, other.bucket_counts)
         ]
         self.sum += other.sum
-        self._values = sorted(self._values + other._values)
+        self._values = self._values + other._values
+        self._sorted = False
 
     @property
     def values(self) -> Tuple[float, ...]:
         """All observations, sorted ascending."""
-        return tuple(self._values)
+        return tuple(self._ordered())
 
     def samples(self) -> Iterator[Tuple[dict, float]]:
         for edge, cumulative in zip(self.buckets, self.cumulative_counts()):
@@ -442,7 +455,7 @@ class MetricsRegistry:
             entry: dict = {"kind": type(metric).__name__, "help": metric.help}
             if isinstance(metric, Histogram):
                 entry["buckets"] = [_edge_to_json(b) for b in metric.buckets]
-                entry["values"] = list(metric._values)
+                entry["values"] = list(metric.values)
                 entry["sum"] = metric.sum
             elif isinstance(metric, (CounterVec, GaugeVec)):
                 entry["labelnames"] = list(metric.labelnames)

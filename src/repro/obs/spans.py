@@ -5,8 +5,9 @@ timed record with an optional parent:
 
 * ``interval`` — a local-predicate interval at a process, from the
   event that opened it (``min(x)``) to the event that closed it;
-* ``report`` — an aggregated interval (``⊓`` of a subtree solution)
-  reported one hop up the spanning tree;
+* ``report`` — an aggregated interval (``⊓`` of a subtree solution of
+  two or more heads) reported one hop up the spanning tree; a leaf
+  forwards its interval under the ``interval`` span itself;
 * ``alarm`` — a ``Definitely(Φ)`` announcement at a (partition-)root;
 * ``hop`` — a report frame crossing a process boundary (cluster runs).
 
@@ -66,8 +67,8 @@ def interval_key(interval) -> tuple:
     """Span-registry key for a (possibly aggregated) interval: its
     identity ``(owner, seq)``, ``"agg"``-prefixed for an aggregate.
 
-    The prefix is the artifact kind: a leaf's first aggregate and the
-    concrete interval it wraps are both ``(owner, 0)``.  The key never
+    The prefix is the artifact kind: an internal node's first aggregate
+    and its own first interval are both ``(owner, 0)``.  The key never
     touches the bounds, so registering a span costs the same at any
     system size and keeps no timestamp alive.
 
@@ -361,6 +362,22 @@ class SpanTracker:
         code = self._intern(self._name_codes, self._names, name)
         return self._view(self._append(code, node, start, end, key, attrs))
 
+    def record_sid(
+        self,
+        name: str,
+        start: float,
+        end: Optional[float],
+        *,
+        node: Optional[int] = None,
+        key: Optional[tuple] = None,
+        **attrs,
+    ) -> int:
+        """:meth:`record` that returns the new span's sid instead of a
+        :class:`Span` view (the report path; pair with :meth:`adopt_sid`)."""
+        code = self._intern(self._name_codes, self._names, name)
+        row = self._append(code, node, start, end, key, attrs)
+        return self._sid[row - self._base]  # after any compaction
+
     def record_interval(self, interval, start: float, end: float, node: int) -> None:
         """Hot path: one finished ``interval`` span for a *concrete*
         predicate interval, written straight into the columns (no view,
@@ -455,18 +472,42 @@ class SpanTracker:
         row = self._by_key.get(key)
         return None if row is None else self._view(row)
 
+    def sid_of(self, key: tuple) -> Optional[int]:
+        """Sid of the span registered under *key*, read from the column
+        (no :class:`Span` view), or ``None``."""
+        row = self._by_key.get(key)
+        return None if row is None else self._sid[row - self._base]
+
+    def lookup(self, key: tuple) -> Optional[Tuple[int, str, dict]]:
+        """``(sid, name, attrs)`` of the span registered under *key*,
+        read from the columns (no :class:`Span` view), or ``None``."""
+        row = self._by_key.get(key)
+        if row is None:
+            return None
+        i = row - self._base
+        attrs = self._attrs.get(row)
+        return (
+            self._sid[i],
+            self._names[self._name[i]],
+            self._derived_attrs(i) if attrs is None else attrs,
+        )
+
     def adopt(self, parent: Span, child_key: tuple) -> bool:
         """Parent the span registered under *child_key* beneath *parent*
         (first parent wins — an artifact is explained by the first
         announcement that consumed it).  Returns True when a link was
         created."""
+        return self.adopt_sid(parent.sid, child_key)
+
+    def adopt_sid(self, parent_sid: int, child_key: tuple) -> bool:
+        """:meth:`adopt` under a parent named by its sid."""
         row = self._by_key.get(child_key)
-        if row is None or row == parent._row:
+        if row is None:
             return False
         i = row - self._base
-        if self._parent[i] != _NIL:
+        if self._parent[i] != _NIL or self._sid[i] == parent_sid:
             return False
-        self._parent[i] = self._sid[self._index(parent._row)]
+        self._parent[i] = parent_sid
         self._links += 1
         return True
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.detect import EmissionKind, HierarchicalNodeCore
 from repro.intervals import overlap
+from repro.net import FrameCodec
+from repro.sim.messages import IntervalReport
 from repro.workload.scenarios import figure2_execution, figure3_execution
 
 from ..conftest import make_interval
@@ -19,12 +21,11 @@ class TestLeafBehaviour:
             )
         assert len(emissions) == 3
         assert all(e.kind is EmissionKind.REPORT for e in emissions)
-        # A singleton aggregation preserves the interval it wraps.
+        # ⊓ of a singleton is the interval itself: forwarded, not wrapped.
         for seq, e in enumerate(emissions):
-            (leaf_interval,) = e.aggregate.concrete_leaves()
-            assert leaf_interval.seq == seq
-            assert e.aggregate.lo.tolist() == leaf_interval.lo.tolist()
-            assert e.aggregate.hi.tolist() == leaf_interval.hi.tolist()
+            (local,) = e.solution.intervals
+            assert e.aggregate is local
+            assert (local.seq, local.parts) == (seq, ())
 
     def test_leaf_aggregate_seq_increases(self):
         leaf = HierarchicalNodeCore(node_id=0)
@@ -119,3 +120,59 @@ class TestChildManagement:
         node.add_child(5)
         assert node.offer_local(make_interval(0, 0, [1], [2])) == []
         assert 5 in node.children
+
+
+def _decoded(interval):
+    """*interval* as the parent reads it off the wire."""
+    report = IntervalReport(origin=1, dest=0, interval=interval, transport_seq=0)
+    return FrameCodec().decode(FrameCodec().encode(report)).interval
+
+
+class TestReportShape:
+    def test_decoded_leaf_report_is_a_concrete_interval(self):
+        leaf = HierarchicalNodeCore(node_id=1)
+        local = make_interval(1, 0, [0, 1, 0], [0, 2, 0])
+        (emission,) = leaf.offer_local(local)
+        decoded = _decoded(emission.aggregate)
+        assert decoded.parts == ()
+        assert not decoded.is_aggregated
+        assert decoded.key() == local.key()
+
+    def test_internal_report_parts_are_its_solution_heads(self):
+        node = HierarchicalNodeCore(node_id=1, children=[2])
+        node.offer_local(make_interval(1, 0, [0, 1, 0], [0, 3, 3]))
+        (emission,) = node.offer_child(2, make_interval(2, 0, [0, 2, 1], [0, 4, 2]))
+        heads = tuple(emission.solution.intervals)
+        assert len(heads) == 2
+        assert emission.aggregate.parts == heads
+        decoded = _decoded(emission.aggregate)
+        assert [p.key() for p in decoded.parts] == [h.key() for h in heads]
+
+    def test_seqs_increase_when_a_leaf_gains_then_loses_a_child(self):
+        node = HierarchicalNodeCore(node_id=0)
+        out = node.offer_local(make_interval(0, 0, [1, 0], [2, 0]))
+        out += node.offer_local(make_interval(0, 1, [3, 0], [4, 0]))
+        node.add_child(1)
+        # One long local interval overlaps two short child intervals:
+        # two aggregates, so the report count runs ahead of local seqs.
+        out += node.offer_local(make_interval(0, 2, [5, 1], [20, 6]))
+        out += node.offer_child(1, make_interval(1, 0, [5, 2], [6, 3]))
+        out += node.offer_child(1, make_interval(1, 1, [6, 4], [7, 5]))
+        # Leaf again: local seqs 2 and 3 are not above the last report.
+        out += node.remove_child(1)
+        out += node.offer_local(make_interval(0, 3, [21, 6], [22, 6]))
+        seqs = [e.aggregate.seq for e in out]
+        assert seqs == [0, 1, 2, 3, 4, 5]
+        parts = [[(p.owner, p.seq) for p in e.aggregate.parts] for e in out]
+        assert parts == [
+            [],
+            [],
+            [(0, 2), (1, 0)],
+            [(0, 2), (1, 1)],
+            [(0, 2)],  # the wrapped singleton, numbered after report 3
+            [(0, 3)],
+        ]
+        # The parent's child queue accepts the whole sequence.
+        parent = HierarchicalNodeCore(node_id=9, children=[0], is_root=True)
+        for e in out:
+            parent.offer_child(0, e.aggregate)

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.load import LoadSpec
+from repro.load import ClosedLoopGenerator, LoadSpec
 from repro.monitor import HeartbeatSpec
 from repro.monitor.spec import SLOSpec
-from repro.net import ClusterSpec
+from repro.net import AsyncClock, ClusterSpec
 from repro.net.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -108,6 +108,11 @@ class TestRejectsABadFile:
                 '{"nodes": 7, "load": {"max_outstanding": 6}}',
                 "load.max_outstanding (6) must cover at least one epoch stride",
             ),
+            (
+                '{"nodes": 7, "transport": "loopback", "load": '
+                '{"mode": "closed", "users": 7, "dispatch": "affinity"}}',
+                "load.dispatch: closed-loop affinity homes no user on processes [6]",
+            ),
             ("[7]", "expected an object, got an array"),
             ('{"nodes": 7,', "invalid JSON"),
         ],
@@ -115,7 +120,7 @@ class TestRejectsABadFile:
             "unknown-key", "unknown-nested-key", "retired-key", "string-for-int",
             "bool-for-int", "out-of-range", "nested-range", "retired-policy",
             "retired-load-key", "users-below-stride", "gate-below-stride",
-            "array", "not-json",
+            "affinity-uncovered", "array", "not-json",
         ],
     )
     def test_exits_2_with_one_line_naming_the_key(self, tmp_path, capsys, text, names):
@@ -126,6 +131,24 @@ class TestRejectsABadFile:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"repro-cluster: --spec {path}: ")
         assert names in err
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spec_check_draws_the_homes_the_cluster_draws(self, seed):
+        # The spec is refused exactly when the users the cluster's own
+        # clock would home leave a process out.
+        # (12 users at zipf_s 0.5: seeds 0, 1 and 3 refused, 2, 4, 5 not)
+        load = LoadSpec(mode="closed", users=12, zipf_s=0.5, dispatch="affinity")
+        users = ClosedLoopGenerator(
+            AsyncClock(seed=seed), range(7), lambda offer: None,
+            users=load.users, total_offers=1, zipf_s=load.zipf_s,
+        ).users
+        covered = {user.home for user in users} == set(range(7))
+        try:
+            ClusterSpec(nodes=7, seed=seed, load=load)
+        except ValueError as exc:
+            assert not covered and "homes no user" in str(exc)
+        else:
+            assert covered
 
     def test_an_unreadable_file(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")

@@ -106,6 +106,47 @@ class TestHistogram:
         with pytest.raises(ValueError):
             h.percentile(101)
 
+    def test_interleaved_reads_match_sorted(self):
+        """Observations append and sort on read: every read between
+        observes, merges and a wire round trip sees what ``sorted``
+        of everything observed so far gives."""
+        import random
+
+        rng = random.Random(7)
+        edges = (0.5, 1.0, 5.0)
+        h, seen = Histogram("h", buckets=edges), []
+
+        def check():
+            assert h.values == tuple(sorted(seen))
+            for q in (0, 1, 25, 50, 90, 99, 100):
+                index = max(0, math.ceil(q / 100.0 * len(seen)) - 1)
+                assert h.percentile(q) == sorted(seen)[index]
+            assert h.count == len(seen)
+
+        for step in range(300):
+            value = rng.choice([rng.random() * 10, 1.0, 2.5, 0.0])
+            h.observe(value)
+            seen.append(value)
+            if step % 7 == 0:
+                check()
+            if step % 50 == 0:
+                other = Histogram("o", buckets=edges)
+                for _ in range(rng.randrange(5)):
+                    value = rng.random() * 10
+                    other.observe(value)
+                    seen.append(value)
+                h.merge(other)
+                check()
+            if step % 90 == 0:
+                registry = MetricsRegistry()
+                registry.histogram("h", "", edges).merge(h)
+                entry = registry.to_dict()["metrics"]["h"]
+                assert entry["values"] == sorted(seen)
+                rebuilt = MetricsRegistry.from_dict(registry.to_dict()).get("h")
+                assert rebuilt.values == tuple(sorted(seen))
+                assert rebuilt.bucket_counts == h.bucket_counts
+        check()
+
 
 class TestRegistry:
     def test_get_or_create_returns_same_object(self):

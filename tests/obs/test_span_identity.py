@@ -2,7 +2,8 @@
 never the bounds.
 
 What that must not change — the span table (pinned as hashes computed
-at the commit before the key scheme changed) — and what it must
+at the commit before the key scheme changed, re-recorded when leaves
+began forwarding their intervals unwrapped) — and what it must
 change: the telemetry plane copies no
 timestamp, so a tracker costs the same at any system size, and a reborn
 detector (aggregate numbering back at 0) gets spans of its own because
@@ -50,15 +51,20 @@ class TestGoldenSimTable:
         )
         spans = result.sim.telemetry.spans
         rows = spans.to_dicts()
-        assert len(rows) == 52
-        assert digest(rows) == "279c7e816af899b3"
-        assert digest(spans.render_tree(spans.alarms()[0])) == "f4683b6c152c7a26"
+        # Re-recorded when leaves stopped wrapping each interval in a
+        # one-part aggregate: the parent's table less the 16 leaf
+        # ``report`` rows, each leaf interval taking its report's parent
+        # and marks.
+        assert len(rows) == 36
+        assert digest(rows) == "66302bc320d0cdd7"
+        assert digest(spans.render_tree(spans.alarms()[0])) == "7dc23d3215aff279"
 
     def test_crash_and_rejoin_in_one_shared_tracker(self):
-        # P5 dies at t=60 and rejoins at t=150 with a fresh detector:
-        # its aggregate seqs run 0..3, then 0..20 again, in one tracker.
-        # Latest-wins registration must give every later report the
-        # parent, marks and sid the bounds-keyed table gave it.
+        # Leaf P5 dies at t=60 and rejoins at t=150 with a fresh
+        # detector.  It forwards its intervals, and a revived process
+        # keeps its interval numbering, so no key repeats in the one
+        # tracker (an aggregate numbering restart is covered by
+        # TestRejoinedIncarnation).
         result = run_hierarchical(
             SpanningTree.regular(2, 3),
             seed=3,
@@ -68,10 +74,13 @@ class TestGoldenSimTable:
             extra_time=60,
         )
         rows = result.sim.telemetry.spans.to_dicts()
-        seqs = [r["attrs"]["seq"] for r in rows if r["name"] == "report" and r["node"] == 5]
-        assert seqs[:6] == [0, 1, 2, 3, 0, 1], "scenario must restart P5's numbering"
-        assert len(rows) == 402
-        assert digest(rows) == "64aa3f24d5f3e9f8"
+        assert not [r for r in rows if r["name"] == "report" and r["node"] == 5]
+        seqs = [r["attrs"]["seq"] for r in rows if r["name"] == "interval" and r["node"] == 5]
+        assert seqs == list(range(len(seqs)))
+        # Re-recorded as above: the parent's 402 rows less 115 leaf
+        # ``report`` rows.
+        assert len(rows) == 287
+        assert digest(rows) == "b9b72b26f4f8a249"
 
 
 def _ident(row):
@@ -143,87 +152,116 @@ class TestGoldenClusterTable:
             return tables, tree
 
         tables, tree = asyncio.run(asyncio.wait_for(scenario(), timeout=90))
-        assert sum(len(rows) for rows in tables.values()) == 80
-        assert digest(_arrival_free(tables)) == "0c7d5ab14a8a8cd6"
-        assert len(tree) == 20
+        # Re-recorded when leaves stopped wrapping each interval: 16
+        # leaf ``report`` rows fewer (4 leaves x 4 epochs), and under
+        # each leaf's hop the alarm tree reaches its interval directly.
+        assert sum(len(rows) for rows in tables.values()) == 64
+        assert digest(_arrival_free(tables)) == "466c86b45554f18e"
+        assert len(tree) == 16
         assert sorted(node for _, name, node in tree if name == "interval") == list(range(7))
-        assert digest(tree) == "dfd56744b7037105"
+        assert digest(tree) == "6af10a6cff783028"
 
 
 # ----------------------------------------------------------------------
-# (b) kill -> rejoin: the reborn node's aggregate 0 is not the dead one's
+# (b) kill -> rejoin: the reborn node's report is not the dead one's
 # ----------------------------------------------------------------------
+def _kill_and_rejoin(children_of):
+    """Run one epoch on a loopback tree (root 0; ``children_of`` maps
+    each node to its children), crash-stop P1 and bring it back as a
+    fresh runtime (new role, new core) over its surviving telemetry
+    island, then run a second epoch.  Returns the per-node scopes."""
+    pids = sorted(children_of)
+    parent_of = {c: p for p, cs in children_of.items() for c in cs}
+
+    async def scenario():
+        clock = AsyncClock()
+        hub = LoopbackHub()
+        scopes = {pid: clock.scope(pid) for pid in pids}
+        detections = []
+
+        def runtime(pid):
+            parent = parent_of.get(pid)
+            return NodeRuntime(
+                pid,
+                LoopbackTransport(pid, hub, scopes[pid]),
+                scopes[pid],
+                parent=parent,
+                children=children_of[pid],
+                level=0 if parent is None else 1,
+                on_detection=detections.append if parent is None else None,
+            )
+
+        async def settle(count):
+            for _ in range(200):
+                if len(detections) >= count:
+                    return
+                await asyncio.sleep(0.005)
+            raise AssertionError(f"expected {count} detections, got {len(detections)}")
+
+        runtimes = {pid: runtime(pid) for pid in pids}
+        for node in runtimes.values():
+            await node.transport.start()
+            node.activate()
+        for pid in pids:
+            runtimes[pid].offer_local(make_interval(pid, 0, [1] * len(pids), [2] * len(pids)))
+        await settle(1)
+
+        await runtimes[1].shutdown()
+        runtimes[0].role.child_failed(1)
+        runtimes[1] = runtime(1)
+        await runtimes[1].transport.start()
+        runtimes[1].activate()
+        runtimes[0].role.gain_child(1)
+        for child in children_of[1]:
+            runtimes[child].role.set_parent(1)  # a new attachment epoch
+        for pid in pids:
+            runtimes[pid].offer_local(make_interval(pid, 1, [3] * len(pids), [4] * len(pids)))
+        await settle(2)
+        for node in runtimes.values():
+            await node.shutdown()
+        return scopes
+
+    return asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+
+
+def _hops_from_1(root):
+    hops = [s for s in root.spans if s.name == "hop" and s.attrs["src"] == 1]
+    assert [h.parent for h in hops] == [a.sid for a in root.alarms()]
+    # each report's queue lifecycle landed on its own hop
+    for hop in hops:
+        assert [label for _, label in hop.marks] == ["enqueued@P0", "prune_solution@P0"]
+    return [(h.attrs["seq"], h.attrs["remote_sid"]) for h in hops]
+
+
 class TestRejoinedIncarnation:
-    def test_first_aggregate_after_rejoin_gets_its_own_report_and_hop(self):
-        async def scenario():
-            clock = AsyncClock()
-            hub = LoopbackHub()
-            scopes = {pid: clock.scope(pid) for pid in (0, 1, 2)}
-            detections = []
-
-            def runtime(pid, parent, children):
-                return NodeRuntime(
-                    pid,
-                    LoopbackTransport(pid, hub, scopes[pid]),
-                    scopes[pid],
-                    parent=parent,
-                    children=children,
-                    level=0 if parent is None else 1,
-                    on_detection=detections.append if parent is None else None,
-                )
-
-            async def settle(count):
-                for _ in range(200):
-                    if len(detections) >= count:
-                        return
-                    await asyncio.sleep(0.005)
-                raise AssertionError(f"expected {count} detections, got {len(detections)}")
-
-            runtimes = {0: runtime(0, None, [1, 2]), 1: runtime(1, 0, []), 2: runtime(2, 0, [])}
-            for node in runtimes.values():
-                await node.transport.start()
-                node.activate()
-            for pid in (0, 1, 2):
-                runtimes[pid].offer_local(make_interval(pid, 0, [1] * 3, [2] * 3))
-            await settle(1)
-
-            # P1 crashes; the root drops its queue; P1 comes back as a
-            # fresh runtime (new role, new core: aggregate seq 0 again)
-            # over the node's surviving telemetry island.
-            await runtimes[1].shutdown()
-            runtimes[0].role.child_failed(1)
-            runtimes[1] = runtime(1, 0, [])
-            await runtimes[1].transport.start()
-            runtimes[1].activate()
-            runtimes[0].role.gain_child(1)
-            for pid in (0, 1, 2):
-                runtimes[pid].offer_local(make_interval(pid, 1, [3] * 3, [4] * 3))
-            await settle(2)
-            for node in runtimes.values():
-                await node.shutdown()
-            return scopes
-
-        scopes = asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+    def test_reborn_leaf_forward_gets_its_own_hop(self):
+        # A leaf forwards each interval under its ``interval`` span, and
+        # concrete numbering survives the rebirth: the reborn leaf's
+        # first forward is a new key, hopped at the root like any other.
+        scopes = _kill_and_rejoin({0: [1, 2], 1: [], 2: []})
         leaf = scopes[1].telemetry.spans
-        root = scopes[0].telemetry.spans
+        assert leaf.named("report") == []
+        intervals = {s.attrs["seq"]: s.sid for s in leaf.named("interval")}
+        assert _hops_from_1(scopes[0].telemetry.spans) == [
+            (0, intervals[0]),
+            (1, intervals[1]),
+        ]
 
-        reports = [s for s in leaf.spans if s.name == "report"]
+    def test_first_aggregate_after_rejoin_gets_its_own_report_and_hop(self):
+        # An internal node's reborn detector numbers its aggregates from
+        # 0 again: the same key, told apart by the sender's span.
+        scopes = _kill_and_rejoin({0: [1, 2], 1: [3], 2: [], 3: []})
+        node = scopes[1].telemetry.spans
+        reports = node.named("report")
         assert [s.attrs["seq"] for s in reports] == [0, 0]
         first, reborn = reports
         assert first.sid != reborn.sid
-        children = {s.attrs["seq"]: s.parent for s in leaf.spans if s.name == "interval"}
+        children = {s.attrs["seq"]: s.parent for s in node.named("interval")}
         assert children == {0: first.sid, 1: reborn.sid}
-
-        hops = [s for s in root.spans if s.name == "hop" and s.attrs["src"] == 1]
-        assert [(h.attrs["seq"], h.attrs["remote_sid"]) for h in hops] == [
+        assert _hops_from_1(scopes[0].telemetry.spans) == [
             (0, first.sid),
             (0, reborn.sid),
         ]
-        alarms = root.alarms()
-        assert [h.parent for h in hops] == [a.sid for a in alarms]
-        # the reborn aggregate's queue lifecycle landed on its own hop
-        assert [label for _, label in hops[1].marks] == ["enqueued@P0", "prune_solution@P0"]
-        assert [label for _, label in hops[0].marks] == ["enqueued@P0", "prune_solution@P0"]
 
 
 # ----------------------------------------------------------------------

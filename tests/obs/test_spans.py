@@ -99,6 +99,29 @@ class TestColumnarTable:
             (2, "interval", None),
         ]
 
+    def test_sid_lookups_read_the_columns_without_a_view(self):
+        tracker = SpanTracker()
+        ivl = _FakeInterval(1, 0)
+        tracker.record_interval(ivl, 0.0, 1.0, 1)
+        report = tracker.record_sid("report", 1.0, 1.0, node=0, key=("agg", 0, 0), seq=0)
+        hop = tracker.record_sid(
+            "hop", 2.0, 2.0, node=9, key=(0, 5), remote_node=0, remote_sid=7
+        )
+        assert (report, hop) == (1, 2)
+        assert tracker.sid_of(interval_key(ivl)) == 0
+        assert tracker.sid_of(("agg", 0, 0)) == report
+        assert tracker.sid_of(("agg", 0, 1)) is None
+        assert tracker.lookup(interval_key(ivl)) == (0, "interval", {"owner": 1, "seq": 0})
+        assert tracker.lookup((0, 5)) == (2, "hop", {"remote_node": 0, "remote_sid": 7})
+        assert tracker.lookup((0, 6)) is None
+        assert not tracker._views  # no Span view was built
+        # adopt_sid: first parent wins, self-links and unknown keys refused
+        assert tracker.adopt_sid(report, interval_key(ivl))
+        assert not tracker.adopt_sid(hop, interval_key(ivl))
+        assert not tracker.adopt_sid(report, ("agg", 0, 0))
+        assert not tracker.adopt_sid(report, ("agg", 0, 1))
+        assert tracker.get(interval_key(ivl)).parent == report
+
     def test_marks_are_visible_before_any_flush(self):
         tracker = SpanTracker()
         seen = []
@@ -201,11 +224,16 @@ class TestEndToEndTracing:
             for depth, span in tracker.walk(alarm):
                 names.setdefault(span.name, []).append(depth)
             # A 3-level tree: alarm at the root adopts level-2 reports,
-            # which adopt leaf reports/intervals — two levels of reports
-            # below the alarm, concrete intervals at the bottom.
+            # which adopt the intervals the leaves forwarded — one level
+            # of reports below the alarm, concrete intervals at the
+            # bottom (a leaf reports no aggregate of its own).
             assert "report" in names and "interval" in names
-            assert max(names["report"]) >= 2
-            assert max(names["interval"]) > max(names["report"])
+            assert set(names["report"]) == {1}
+            assert max(names["interval"]) == 2
+            assert not [
+                s for _, s in tracker.walk(alarm)
+                if s.name == "report" and result.tree.is_leaf(s.node)
+            ]
             # Every concrete solution interval is reachable from the alarm.
             leaf_nodes = {
                 s.node

@@ -18,8 +18,8 @@ Two saturation signals feed it:
 
 Every decision lands in ``repro_load_*`` metrics; the watermark edges
 are also emitted as ``load_shed_engaged`` / ``load_shed_released``
-events so the flight recorder and postmortem tooling can frame a
-saturation episode.
+events, so the cluster log (and the ``run --jsonl`` dump of it) frames
+a saturation episode.
 
 Sizing note: ``max_outstanding`` must comfortably exceed the cluster's
 node count.  ``Definitely(Φ)`` completes offers a whole epoch at a time

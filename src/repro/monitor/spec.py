@@ -95,40 +95,27 @@ class SLOSpec:
 
     * ``detection_latency_p99`` — wall seconds; breached when any node's
       ``repro_detection_latency`` histogram p99 exceeds it;
-    * ``repair_duration`` — wall seconds from a repair plan to its
-      application (``repro_cluster_repair_duration_seconds``);
-    * ``outbox_depth`` — messages; breached when any peer link's
-      ``repro_net_outbox_depth`` gauge exceeds it (sustained
-      backpressure: the socket plane cannot keep up with the detector);
     * ``stranded_epoch_rate`` — fraction in ``(0, 1]``; breached when
       the :class:`~repro.obs.epochs.StrandingWatchdog` sees stranded
       epochs exceed that fraction of admitted epochs (the goodput
       cliff: admitted work wasted because siblings were shed or a
       target died).
 
-    A breach does not stop anything — it trips the flight recorder, so
-    the window around the violation is persisted for postmortem
-    analysis (see :mod:`repro.obs.flight`).
+    A breach does not stop anything — it lands on the cluster log as a
+    latched ``slo_breach`` event, which ``repro-cluster run --jsonl``
+    dumps and ``repro-cluster postmortem`` reports.
     """
 
     detection_latency_p99: Optional[float] = None
-    repair_duration: Optional[float] = None
-    outbox_depth: Optional[int] = None
     stranded_epoch_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("detection_latency_p99", "repair_duration"):
-            value = getattr(self, name)
-            if value is not None:
-                if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                    raise ValueError(f"{name} must be finite, got {value!r}")
-                if value <= 0:
-                    raise ValueError(f"{name} must be positive, got {value}")
-        if self.outbox_depth is not None:
-            if not isinstance(self.outbox_depth, int) or self.outbox_depth < 1:
-                raise ValueError(
-                    f"outbox_depth must be an integer >= 1, got {self.outbox_depth!r}"
-                )
+        p99 = self.detection_latency_p99
+        if p99 is not None:
+            if not (isinstance(p99, (int, float)) and math.isfinite(p99)):
+                raise ValueError(f"detection_latency_p99 must be finite, got {p99!r}")
+            if p99 <= 0:
+                raise ValueError(f"detection_latency_p99 must be positive, got {p99}")
         if self.stranded_epoch_rate is not None:
             rate = self.stranded_epoch_rate
             if not (isinstance(rate, (int, float)) and math.isfinite(rate)):

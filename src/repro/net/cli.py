@@ -22,15 +22,17 @@ Subcommands:
   (:mod:`repro.obs.cluster`) and print the live cluster status table
   (per-node alarms/reports, realized α by level, reconnects, outbox
   depths); ``--interval`` re-polls until interrupted.
-* ``postmortem`` — reconstruct the crash → repair → recovery timeline
-  from a directory of flight-recorder snapshots
-  (:mod:`repro.obs.flight`), as written under a spec's ``flight_dir``.
+* ``postmortem EVENTS`` — reconstruct the crash → repair → recovery
+  timeline from the event dump ``run --jsonl`` wrote
+  (:func:`repro.obs.export.postmortem`).
 
 Exports mirror ``repro-trace``: ``--prom`` / ``--jsonl`` / ``--chrome``
 write the *aggregated* cluster telemetry — per-node registries merged,
 span trees stitched across TCP hops — so all ``repro_net_*`` socket
 metrics appear next to the ordinary detection metrics and alarm traces
-read end-to-end.
+read end-to-end.  The run summary's ``events_dropped`` counts the
+events the cluster log's ring evicted before the dump: non-zero means
+the ``--jsonl`` file (and so a postmortem) misses the run's start.
 """
 
 from __future__ import annotations
@@ -132,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     pm = sub.add_parser(
-        "postmortem", help="reconstruct a timeline from flight snapshots"
+        "postmortem", help="reconstruct a timeline from a run's event dump"
     )
-    pm.add_argument("directory", help="directory of flight-*.jsonl snapshots")
+    pm.add_argument("events", help="the JSON-lines file `run --jsonl` wrote")
     pm.add_argument(
         "--json", action="store_true", help="emit the full report as JSON"
     )
@@ -228,6 +230,7 @@ async def _run_cluster(args, spec) -> dict:
             for level, value in sorted(view.alpha_by_level().items())
         },
         slo_breaches=len(cluster.log.of_kind("slo_breach")),
+        events_dropped=cluster.log.dropped,
         uptime=round(cluster.clock.now, 3),
         wire=cluster.wire_summary(),
     )
@@ -250,11 +253,6 @@ async def _run_cluster(args, spec) -> dict:
         sum(1 for _, s in view.spans.walk(alarm) if s.name == "interval")
         for alarm in view.cross_node_alarms()[:16]
     ]
-    if spec.flight_dir:
-        summary["flight_snapshots"] = sum(
-            len(recorder.snapshots)
-            for recorder in cluster.flight_recorders.values()
-        )
 
     if args.prom:
         from ..obs.export import prometheus_text
@@ -361,18 +359,15 @@ def _cmd_watch(args) -> int:
 
 
 def _cmd_postmortem(args) -> int:
-    from ..obs.flight import postmortem, render_postmortem
+    from ..obs.export import postmortem, render_postmortem
 
     try:
-        report = postmortem(args.directory)
-    except (OSError, ValueError) as exc:
-        print(f"repro-cluster: cannot load snapshots: {exc}", file=sys.stderr)
+        report = postmortem(args.events)
+    except OSError as exc:
+        print(f"repro-cluster: {args.events}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-    if not report["snapshots"]:
-        print(
-            f"repro-cluster: no flight-*.jsonl snapshots in {args.directory}",
-            file=sys.stderr,
-        )
+    except ValueError as exc:
+        print(f"repro-cluster: {exc}", file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

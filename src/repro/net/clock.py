@@ -130,19 +130,10 @@ class AsyncClock:
         self.log.emit(self.now, kind, node, **fields)
 
     # ------------------------------------------------------------------
-    def scope(
-        self,
-        node: int,
-        *,
-        log_capacity: Optional[int] = 65536,
-        span_capacity: Optional[int] = None,
-    ) -> "ClockScope":
+    def scope(self, node: int, *, log_capacity: Optional[int] = 65536) -> "ClockScope":
         """A per-node telemetry island over this clock (see
-        :class:`ClockScope`).  ``span_capacity`` bounds the island's
-        span tracker to a ring."""
-        return ClockScope(
-            self, node, log_capacity=log_capacity, span_capacity=span_capacity
-        )
+        :class:`ClockScope`)."""
+        return ClockScope(self, node, log_capacity=log_capacity)
 
 
 class ClockScope:
@@ -163,12 +154,11 @@ class ClockScope:
         node: int,
         *,
         log_capacity: Optional[int] = 65536,
-        span_capacity: Optional[int] = None,
     ) -> None:
         self.parent = parent
         self.node = node
         self.seed = parent.seed
-        self.telemetry = Telemetry(span_capacity=span_capacity)
+        self.telemetry = Telemetry()
         self.log = EventLog(capacity=log_capacity)
 
     # -- delegated surface ---------------------------------------------

@@ -40,16 +40,13 @@ tables) and ``eventlog`` (per-node + cluster event streams) — which
 ``repro-cluster watch`` and :class:`repro.obs.cluster.ClusterScraper`
 poll.
 
-Two more operator surfaces ride on the same machinery:
-
-* a :class:`~repro.obs.flight.FlightRecorder` per node (plus one for
-  the cluster log) when ``flight_dir`` is set — crash/repair/SLO
-  events snapshot the surrounding telemetry window to JSONL for
-  ``repro-cluster postmortem``;
-* an :class:`~repro.monitor.spec.SLOSpec` watchdog that periodically
-  checks detection-latency p99, repair durations and outbox depths and
-  emits a latched ``slo_breach`` event on violation (tripping the
-  flight recorder).
+An optional :class:`~repro.monitor.spec.SLOSpec` watchdog checks
+detection-latency p99 and the stranded-epoch rate every
+:data:`SLO_CHECK_INTERVAL` seconds (and once more at :meth:`stop`) and
+emits a latched ``slo_breach`` event on violation.  Crashes, repairs,
+breaches and detections all land on the cluster log, which
+``repro-cluster run --jsonl`` dumps and ``repro-cluster postmortem``
+reads back (:func:`repro.obs.export.postmortem`).
 """
 
 from __future__ import annotations
@@ -67,7 +64,6 @@ from ..monitor.spec import HeartbeatSpec, SLOSpec
 from ..obs.cluster import ClusterView, TelemetryAggregator, scrape_local
 from ..obs.epochs import StrandingWatchdog
 from ..obs.export import event_dict
-from ..obs.flight import FlightRecorder
 from ..obs.registry import count_error
 from ..topology.spanning_tree import SpanningTree
 from .clock import AsyncClock, ClockScope, named_rng
@@ -76,12 +72,15 @@ from .runtime import NodeRuntime
 from .script import IntervalScript, simulation_script
 from .transport import LoopbackHub, LoopbackTransport, TcpTransport
 
-__all__ = ["ClusterSpec", "LocalCluster", "REPAIR_DURATION_BUCKETS"]
+__all__ = ["ClusterSpec", "LocalCluster", "REPAIR_DURATION_BUCKETS", "SLO_CHECK_INTERVAL"]
 
 #: Wall-second buckets for plan→application repair durations.
 REPAIR_DURATION_BUCKETS: Tuple[float, ...] = (
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, float("inf"),
 )
+
+#: Wall seconds between SLO watchdog checks.
+SLO_CHECK_INTERVAL = 0.5
 
 
 @dataclass(frozen=True)
@@ -122,16 +121,8 @@ class ClusterSpec:
     load: Optional[LoadSpec] = None
     #: TCP port for the admin endpoint (None disables it)
     admin_port: Optional[int] = None
-    #: directory for flight-recorder snapshots (None disables recording)
-    flight_dir: Optional[str] = None
-    #: flight-recorder ring size (newest events/spans kept per recorder)
-    flight_capacity: int = 256
     #: service-level thresholds the watchdog checks (None disables it)
     slo: Optional[SLOSpec] = None
-    #: wall seconds between SLO watchdog checks
-    slo_check_interval: float = 0.5
-    #: bounded span-ring size per node (None = unbounded)
-    span_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -142,14 +133,8 @@ class ClusterSpec:
             raise ValueError(f"transport must be 'tcp' or 'loopback', got {self.transport!r}")
         if self.wire != "binary":
             raise ValueError(f"wire must be 'binary', got {self.wire!r}")
-        if self.flight_capacity < 1:
-            raise ValueError("flight_capacity must be >= 1")
-        if self.slo_check_interval <= 0:
-            raise ValueError("slo_check_interval must be positive")
         if not 0.0 <= self.sync_prob <= 1.0:
             raise ValueError("sync_prob must be in [0, 1]")
-        if self.span_capacity is not None and self.span_capacity < 1:
-            raise ValueError("span_capacity must be >= 1")
         if self.load is not None:
             self.load.check_stride(self.nodes)
             # The homes LocalCluster's session will draw, drawn here so
@@ -242,14 +227,16 @@ class _ClusterCoordinator(RepairCoordinator):
     * repair milestones feed the observability plane: each plan's
       plan→application wall duration lands in the cluster registry's
       ``repro_cluster_repair_duration_seconds`` histogram, and a
-      ``repair_applied`` event (paired with ``repair_planned`` by the
-      postmortem tooling and watched by the SLO watchdog) is emitted.
+      ``repair_applied`` event (paired with ``repair_planned`` by
+      ``repro-cluster postmortem``) is emitted.
     """
 
     def __init__(self, *args, cluster: "LocalCluster", **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.cluster = cluster
         self._planned_at: Dict[int, float] = {}
+        #: failed pid -> wall seconds from its plan to its application
+        #: (``benchmarks/e2e`` reads it for the crash workload)
         self.durations: Dict[int, float] = {}
 
     def report_failure(self, failed: int, reporter: int) -> None:
@@ -320,7 +307,6 @@ class LocalCluster:
         self._started = False
         self._stopped = False
         self.scopes: Dict[int, ClockScope] = {}
-        self.flight_recorders: Dict[str, FlightRecorder] = {}
         self._slo_handle: Optional[object] = None
         self._slo_latched: set = set()
         self._stranding_watchdog: Optional[StrandingWatchdog] = None
@@ -393,7 +379,7 @@ class LocalCluster:
         for pid in self.tree.nodes:
             # Each node records into its own telemetry island — the
             # deployment-realistic shape the observability plane scrapes.
-            scope = self.clock.scope(pid, span_capacity=self.spec.span_capacity)
+            scope = self.clock.scope(pid)
             self.scopes[pid] = scope
             if self._hub is not None:
                 transport = LoopbackTransport(pid, self._hub, scope)
@@ -430,36 +416,9 @@ class LocalCluster:
             self._admin_server = await asyncio.start_server(
                 self._handle_admin, host=self.spec.host, port=self.spec.admin_port
             )
-        if self.spec.flight_dir is not None:
-            self._start_flight_recorders()
         if self.spec.slo is not None and self.spec.slo.enabled:
-            self._slo_handle = self.clock.schedule(
-                self.spec.slo_check_interval, self._slo_tick
-            )
+            self._slo_handle = self.clock.schedule(SLO_CHECK_INTERVAL, self._slo_tick)
         self.clock.emit("cluster_started", nodes=self.tree.n)
-
-    def _start_flight_recorders(self) -> None:
-        """One recorder per node island plus one on the cluster log, so
-        a node's dying telemetry and the cluster-wide storyline are both
-        persisted around crash/repair/SLO events."""
-        now = lambda: self.clock.now  # noqa: E731 — recorder clock stamp
-        for pid, scope in sorted(self.scopes.items()):
-            self.flight_recorders[f"node-{pid}"] = FlightRecorder(
-                scope.log,
-                scope.telemetry.spans,
-                self.spec.flight_dir,
-                source=f"node-{pid}",
-                capacity=self.spec.flight_capacity,
-                now=now,
-            )
-        self.flight_recorders["cluster"] = FlightRecorder(
-            self.clock.log,
-            None,
-            self.spec.flight_dir,
-            source="cluster",
-            capacity=self.spec.flight_capacity,
-            now=now,
-        )
 
     def _schedule_offers(self) -> None:
         """Replay each node's interval stream in order, offers paced by
@@ -600,9 +559,8 @@ class LocalCluster:
         if self._slo_handle is not None:
             self._slo_handle.cancel()
             self._slo_handle = None
-            # One final look, while the flight recorders are still open
-            # to snapshot a breach: strandings often resolve exactly at
-            # drain (the pending sweep reaping a shed-broken epoch's
+            # One final look: strandings often resolve exactly at drain
+            # (the pending sweep reaping a shed-broken epoch's
             # survivors), and a run shorter than one check interval
             # would otherwise never be checked at all.
             self._check_slo()
@@ -617,9 +575,6 @@ class LocalCluster:
             if pid not in self._kill_tasks:
                 await runtime.transport.stop()
         self.clock.emit("cluster_stopped", detections=len(self.detections))
-        for recorder in self.flight_recorders.values():
-            recorder.snapshot("shutdown")
-            recorder.close()
         for outcome in killed:
             if isinstance(outcome, BaseException):
                 raise outcome
@@ -628,8 +583,8 @@ class LocalCluster:
     # SLO watchdog
     # ------------------------------------------------------------------
     def _breach(self, slo: str, value: float, threshold, node=None) -> None:
-        """Emit one latched ``slo_breach`` per (check, node) pair — the
-        flight recorder snapshots it; repeats would only spam."""
+        """Emit one latched ``slo_breach`` per (check, node) pair —
+        repeats would only spam the log."""
         key = (slo, node)
         if key in self._slo_latched:
             return
@@ -646,9 +601,7 @@ class LocalCluster:
         if self._stopped:
             return
         self._check_slo()
-        self._slo_handle = self.clock.schedule(
-            self.spec.slo_check_interval, self._slo_tick
-        )
+        self._slo_handle = self.clock.schedule(SLO_CHECK_INTERVAL, self._slo_tick)
 
     def _check_slo(self) -> None:
         slo = self.spec.slo
@@ -664,18 +617,6 @@ class LocalCluster:
                         p99,
                         slo.detection_latency_p99,
                         node=pid,
-                    )
-        if slo.outbox_depth is not None:
-            for pid, scope in self.scopes.items():
-                vec = scope.telemetry.registry.get("repro_net_outbox_depth")
-                depth = max(vec.values(), default=0) if vec else 0
-                if depth > slo.outbox_depth:
-                    self._breach("outbox_depth", depth, slo.outbox_depth, node=pid)
-        if slo.repair_duration is not None:
-            for failed, duration in self.coordinator.durations.items():
-                if duration > slo.repair_duration:
-                    self._breach(
-                        "repair_duration", duration, slo.repair_duration, node=failed
                     )
         if self._stranding_watchdog is not None:
             breach = self._stranding_watchdog.check()

@@ -192,9 +192,9 @@ class NodeRuntime:
         ``kill-node`` admin command stays synchronous.
 
         ``reason`` is the emitted event kind — ``crash`` for a real
-        crash-stop (trips flight recorders), ``node_stopped`` for the
-        graceful-teardown path, so a clean shutdown never reads as a
-        fleet-wide crash in postmortems."""
+        crash-stop (the event ``repro-cluster postmortem`` reports),
+        ``node_stopped`` for the graceful-teardown path, so a clean
+        shutdown never reads as a fleet-wide crash in postmortems."""
         if not self.alive:
             return
         self.alive = False

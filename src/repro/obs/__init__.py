@@ -12,8 +12,8 @@ terminal.
 See ``docs/observability.md`` for metric names, the span schema and
 exporter formats, and ``docs/cluster-observability.md`` for the
 cluster plane: :mod:`repro.obs.cluster` (scraping, registry merging,
-cross-node trace stitching) and :mod:`repro.obs.flight` (the crash
-flight recorder and postmortem tooling).
+cross-node trace stitching) and :func:`postmortem`, which reads a run's
+JSONL event dump back as its crash → repair → recovery story.
 """
 
 from .cluster import (
@@ -36,18 +36,12 @@ from .export import (
     chrome_trace,
     event_dict,
     eventlog_to_jsonl,
+    load_events,
     merge_events,
-    prometheus_text,
-    write_chrome_trace,
-)
-from .flight import (
-    FlightRecorder,
-    FlightSnapshot,
-    load_snapshot,
-    load_snapshots,
     postmortem,
-    reconstruct_timeline,
+    prometheus_text,
     render_postmortem,
+    write_chrome_trace,
 )
 from .registry import (
     DEFAULT_BUCKETS,
@@ -72,8 +66,6 @@ __all__ = [
     "EPOCH_STAGES",
     "EPOCH_TERMINAL_STATES",
     "EpochLedger",
-    "FlightRecorder",
-    "FlightSnapshot",
     "Gauge",
     "GaugeVec",
     "Histogram",
@@ -90,12 +82,10 @@ __all__ = [
     "event_dict",
     "eventlog_to_jsonl",
     "interval_key",
-    "load_snapshot",
-    "load_snapshots",
+    "load_events",
     "merge_events",
     "postmortem",
     "prometheus_text",
-    "reconstruct_timeline",
     "render_postmortem",
     "scrape_local",
     "write_chrome_trace",

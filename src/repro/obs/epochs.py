@@ -46,7 +46,7 @@ per-offer identity ``offered == admitted + shed``.
 :class:`StrandingWatchdog` turns the ledger into an SLO check: when the
 stranded fraction of admitted epochs crosses a
 :class:`~repro.monitor.spec.SLOSpec` threshold it latches a breach the
-cluster emits as ``slo_breach`` (tripping the flight recorder).
+cluster emits as ``slo_breach`` on its event log.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ same :class:`~repro.obs.telemetry.Telemetry` and
 ``(seed, workload, topology)``:
 
 * :func:`eventlog_to_jsonl` — the structured event log, one JSON object
-  per line, for ``jq``/pandas post-processing;
+  per line, for ``jq``/pandas post-processing; :func:`load_events`
+  reads it back and :func:`postmortem` distils it into the crash →
+  repair → recovery story ``repro-cluster postmortem`` prints;
 * :func:`prometheus_text` — the metrics registry in the Prometheus text
   exposition format (counters, gauges, cumulative histograms);
 * :func:`chrome_trace` — the span table as Chrome trace-event JSON,
@@ -32,7 +34,10 @@ from .spans import SpanTracker
 __all__ = [
     "event_dict",
     "eventlog_to_jsonl",
+    "load_events",
     "merge_events",
+    "postmortem",
+    "render_postmortem",
     "prometheus_text",
     "chrome_trace",
     "write_chrome_trace",
@@ -75,7 +80,7 @@ def _jsonable(value):
 def event_dict(record) -> dict:
     """One event record in its wire form:
     ``{"time": …, "kind": …, "node": …, "fields": {…}}`` — the shape of
-    JSONL lines, flight-snapshot events and scraped event logs alike."""
+    JSONL lines and scraped event logs alike."""
     return {
         "time": record.time,
         "kind": record.kind,
@@ -89,9 +94,8 @@ def merge_events(streams: Iterable[Iterable[dict]]) -> List[dict]:
     time-sorted timeline.
 
     The same record legitimately appears in several streams — in a
-    node's repair snapshot *and* its shutdown snapshot, or in a node's
-    log and the cluster's (scoped clocks forward) — so identity is the
-    record's content, not its stream of origin.
+    node's log and the cluster's (scoped clocks forward) — so identity
+    is the record's content, not its stream of origin.
     """
     seen = set()
     merged: List[dict] = []
@@ -127,6 +131,120 @@ def eventlog_to_jsonl(log, destination: Union[str, Path, IO[str]]) -> int:
         return _write(destination)
     with open(destination, "w", encoding="utf-8") as fp:
         return _write(fp)
+
+
+def load_events(path: Union[str, Path]) -> List[dict]:
+    """The events :func:`eventlog_to_jsonl` wrote to *path*, in file
+    order; raises :class:`ValueError` naming the first malformed line."""
+    events: List[dict] = []
+    with open(path, encoding="utf-8") as fp:
+        for number, line in enumerate(fp, 1):
+            if not line.strip():
+                continue
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{number}: invalid JSON: {exc}") from None
+            if not (isinstance(event, dict) and isinstance(event.get("time"), (int, float))
+                    and isinstance(event.get("kind"), str)):
+                raise ValueError(f"{path}:{number}: not an event record")
+            events.append(event)
+    return events
+
+
+def postmortem(source: Union[str, Path, List[dict]]) -> dict:
+    """Distil a run's events — a :func:`eventlog_to_jsonl` file or a
+    list of event dicts — into the crash → repair → recovery story.
+
+    Returns a dict with the deduplicated, time-sorted ``timeline`` (see
+    :func:`merge_events`: *source* may hold a node's stream and the
+    cluster's) plus the extracted milestones: ``crashes`` (kind
+    ``crash``), ``repairs`` (``repair_planned`` / ``repair_applied``
+    pairs), ``slo_breaches`` and ``detections`` — every detection
+    event, tagged ``after_repair`` when it fired after the last applied
+    repair: the paper's continued-detection claim, checkable from the
+    run's telemetry alone.
+    """
+    events = source if isinstance(source, list) else load_events(source)
+    timeline = merge_events([events])
+    by_kind: Dict[str, List[dict]] = {}
+    for event in timeline:
+        by_kind.setdefault(event["kind"], []).append(event)
+    applied = by_kind.get("repair_applied", [])
+    repairs: List[dict] = []
+    for plan in by_kind.get("repair_planned", []):
+        failed = plan.get("fields", {}).get("failed")
+        match = next(
+            (
+                a
+                for a in applied
+                if a.get("fields", {}).get("failed") == failed
+                and a["time"] >= plan["time"]
+            ),
+            None,
+        )
+        repairs.append(
+            {
+                "failed": failed,
+                "planned_at": plan["time"],
+                "applied_at": match["time"] if match else None,
+                "duration": match["time"] - plan["time"] if match else None,
+            }
+        )
+    last_applied = max((a["time"] for a in applied), default=None)
+    detections = [
+        {
+            "time": e["time"],
+            "node": e["node"],
+            "members": e.get("fields", {}).get("members"),
+            "after_repair": last_applied is not None and e["time"] > last_applied,
+        }
+        for e in by_kind.get("detection", [])
+    ]
+    return {
+        "events": len(timeline),
+        "crashes": by_kind.get("crash", []),
+        "repairs": repairs,
+        "slo_breaches": by_kind.get("slo_breach", []),
+        "detections": detections,
+        "timeline": timeline,
+    }
+
+
+def render_postmortem(report: dict, *, limit: int = 40) -> str:
+    """Human-oriented text rendering of a :func:`postmortem` report."""
+    lines = [f"events: {report['events']}"]
+    for crash in report["crashes"]:
+        lines.append(f"  crash    t={crash['time']:.3f}s node={crash['node']}")
+    for repair in report["repairs"]:
+        applied = (
+            f"applied t={repair['applied_at']:.3f}s "
+            f"(took {repair['duration'] * 1000:.0f} ms)"
+            if repair["applied_at"] is not None
+            else "never applied"
+        )
+        lines.append(
+            f"  repair   failed={repair['failed']} "
+            f"planned t={repair['planned_at']:.3f}s, {applied}"
+        )
+    for breach in report["slo_breaches"]:
+        fields = breach.get("fields", {})
+        lines.append(
+            f"  slo      t={breach['time']:.3f}s {fields.get('slo')} "
+            f"value={fields.get('value')} threshold={fields.get('threshold')}"
+        )
+    after = [d for d in report["detections"] if d["after_repair"]]
+    lines.append(
+        f"detections: {len(report['detections'])} total, "
+        f"{len(after)} after the last repair"
+    )
+    for detection in report["detections"][:limit]:
+        marker = "post-repair" if detection["after_repair"] else "pre-repair "
+        lines.append(
+            f"  detect   t={detection['time']:.3f}s node={detection['node']} "
+            f"members={detection['members']} [{marker}]"
+        )
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +380,7 @@ def chrome_trace(
         if span.parent is not None:
             parent = by_sid.get(span.parent)
             if parent is None:
-                continue  # dangling link in a snapshot tail
+                continue  # dangling link: the parent is not in this table
             parent_ts = (
                 parent.end if parent.end is not None else parent.start
             ) * scale

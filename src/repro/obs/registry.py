@@ -443,7 +443,7 @@ class MetricsRegistry:
             mine.merge(theirs)
 
     # ------------------------------------------------------------------
-    # JSON wire form (cluster scrapes, flight snapshots)
+    # JSON wire form (cluster scrapes)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-safe snapshot of every metric, in exposition order.

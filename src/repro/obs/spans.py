@@ -1,4 +1,4 @@
-"""Causal span tracing for detection artifacts — columnar and bounded.
+"""Causal span tracing for detection artifacts — columnar.
 
 Every artifact of the detection pipeline gets a *span* — a named,
 timed record with an optional parent:
@@ -42,10 +42,7 @@ near-zero work and leave nothing for the garbage collector to walk:
   (:func:`interval_key`: owner and sequence number, never the bounds),
   so naming a span copies no timestamp at any system size;
 * :class:`Span` is a **view** over a row, built on demand; a
-  weak-valued cache keeps ``get(key) is span`` while the view is held;
-* an optional ``capacity`` makes the table a ring: the oldest rows are
-  cut off the column prefixes in chunks, with their marks, attrs and
-  key registrations, so long-running cluster nodes hold O(capacity).
+  weak-valued cache keeps ``get(key) is span`` while the view is held.
 
 Span ids are sequential, so a deterministic simulation produces a
 byte-identical span table on every run.
@@ -57,8 +54,6 @@ from array import array
 from collections import Counter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from weakref import KeyedRef
-
-import numpy as np
 
 __all__ = ["Span", "SpanTracker", "interval_key"]
 
@@ -98,8 +93,6 @@ class Span:
     ``Span`` obtained before more marks arrived still sees them.  The
     tracker hands out at most one live view per row, so identity
     comparisons (``get(key) is span``) keep working while it is held.
-    Reading a view whose row the capacity ring evicted raises
-    :class:`LookupError`.
     """
 
     __slots__ = ("_tracker", "_row", "__weakref__")
@@ -108,36 +101,33 @@ class Span:
         self._tracker = tracker
         self._row = row
 
-    def _at(self) -> int:
-        return self._tracker._index(self._row)
-
     # ------------------------------------------------------------------
     @property
     def sid(self) -> int:
-        return self._tracker._sid[self._at()]
+        return self._tracker._sid[self._row]
 
     @property
     def name(self) -> str:
         tracker = self._tracker
-        return tracker._names[tracker._name[self._at()]]
+        return tracker._names[tracker._name[self._row]]
 
     @property
     def node(self) -> Optional[int]:
-        node = self._tracker._node[self._at()]
+        node = self._tracker._node[self._row]
         return None if node == _NIL else node
 
     @property
     def start(self) -> float:
-        return self._tracker._start[self._at()]
+        return self._tracker._start[self._row]
 
     @property
     def end(self) -> Optional[float]:
-        end = self._tracker._end[self._at()]
+        end = self._tracker._end[self._row]
         return None if end != end else end
 
     @property
     def parent(self) -> Optional[int]:
-        parent = self._tracker._parent[self._at()]
+        parent = self._tracker._parent[self._row]
         return None if parent == _NIL else parent
 
     @property
@@ -145,12 +135,11 @@ class Span:
         tracker = self._tracker
         attrs = tracker._attrs.get(self._row)
         if attrs is None:
-            attrs = tracker._attrs[self._row] = tracker._derived_attrs(self._at())
+            attrs = tracker._attrs[self._row] = tracker._derived_attrs(self._row)
         return attrs
 
     @property
     def marks(self) -> List[Tuple[float, str]]:
-        self._at()
         return self._tracker._marks_of(self._row)
 
     @property
@@ -160,13 +149,12 @@ class Span:
 
     def mark(self, time: float, label: str) -> None:
         """Record a lifecycle point (``enqueued``, ``pruned``, …)."""
-        self._at()
         self._tracker._log_mark(self._row, time, label, _NIL)
 
     def to_dict(self) -> dict:
         """JSON-safe form (attrs must already be JSON-safe; the detection
         stack only stores scalars and small lists there)."""
-        return self._tracker._to_dict(self._at(), self._tracker._mark_index())
+        return self._tracker._to_dict(self._row, self._tracker._mark_index())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         end = self.end if self.end is not None else "…"
@@ -174,27 +162,14 @@ class Span:
 
 
 class SpanTracker:
-    """All spans of one run, with key-based lookup and tree queries.
+    """All spans of one run, with key-based lookup and tree queries."""
 
-    Parameters
-    ----------
-    capacity:
-        Optional ring bound on retained rows.  Eviction runs in chunks
-        (amortized O(1) per record), so the table may transiently hold
-        slightly more than *capacity* rows; evicted rows lose their
-        key registration.
-    """
-
-    def __init__(self, *, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("span tracker capacity must be >= 1")
-        self.capacity = capacity
-        # Row columns; row r (absolute, never reused) sits at r - _base.
+    def __init__(self) -> None:
+        # Row columns; a row is its index in every column.
         self._sid, self._node, self._parent = array("q"), array("q"), array("q")
         self._start, self._end, self._name = array("d"), array("d"), array("H")
         self._keys: List[Optional[tuple]] = []
         self._attrs: Dict[int, dict] = {}
-        self._base = 0
         self._names: List[str] = ["interval"]
         self._name_codes: Dict[str, int] = {}
         # Mark log columns: row, time, event/label code, node.
@@ -205,14 +180,12 @@ class SpanTracker:
         self._by_key: Dict[tuple, int] = {}
         # row -> weak reference to its live view (dropped with the view).
         self._views: Dict[int, KeyedRef] = {}
-        self._next_sid = self._links = self._evicted = 0
+        self._next_sid = self._links = 0
         self._tree = self._mark_cache = None  # _memo slots
         # Column lengths (rows, marks) already counted for subscribers.
         self._flushed = (0, 0)
         # node -> [fn(counts)] counter subscribers notified per flush.
         self._subscribers: Dict[int, List[Callable[[dict], None]]] = {}
-        # Eviction chunk: overshoot a little so eviction amortizes.
-        self._bound = None if capacity is None else capacity + max(32, capacity // 8)
 
     def __len__(self) -> int:
         return len(self._sid)
@@ -222,15 +195,8 @@ class SpanTracker:
     # ------------------------------------------------------------------
     @property
     def spans(self) -> List[Span]:
-        """The retained span table as :class:`Span` views."""
-        base, view = self._base, self._view
-        return [view(base + i) for i in range(len(self._sid))]
-
-    def _index(self, row: int) -> int:
-        i = row - self._base
-        if i < 0:
-            raise LookupError(f"span row {row} was evicted by the capacity ring")
-        return i
+        """The span table as :class:`Span` views."""
+        return [self._view(row) for row in range(len(self._sid))]
 
     def _view(self, row: int) -> Span:
         ref = self._views.get(row)
@@ -244,7 +210,7 @@ class SpanTracker:
         if self._views.get(ref.key) is ref:
             del self._views[ref.key]
 
-    def _memo(self, slot: str, stamp: tuple, build: Callable[[], object]):
+    def _memo(self, slot: str, stamp, build: Callable[[], object]):
         cache = getattr(self, slot)
         if cache is None or cache[0] != stamp:
             cache = (stamp, build())
@@ -259,17 +225,16 @@ class SpanTracker:
         return groups
 
     def _children(self) -> Dict[int, List[int]]:
-        """Parent sid -> column indices of its retained children."""
+        """Parent sid -> rows of its children."""
         parents = self._parent
         pairs = ((p, i) for i, p in enumerate(parents) if p != _NIL)
-        stamp = (self._base + len(parents), self._links, self._evicted)
+        stamp = (len(parents), self._links)
         return self._memo("_tree", stamp, lambda: self._group(pairs))
 
     def _mark_index(self) -> Dict[int, List[int]]:
         """Row -> positions of its marks in the log, in log order."""
-        base = self._base
-        pairs = ((row, k) for k, row in enumerate(self._mrow) if row >= base)
-        stamp = (len(self._mrow), self._evicted)
+        pairs = ((row, k) for k, row in enumerate(self._mrow) if row != _NIL)
+        stamp = len(self._mrow)
         return self._memo("_mark_cache", stamp, lambda: self._group(pairs))
 
     def _marks_of(self, row: int, index: Optional[dict] = None) -> List[Tuple[float, str]]:
@@ -279,35 +244,31 @@ class SpanTracker:
             for k in (self._mark_index() if index is None else index).get(row, ())
         ]
 
-    def _derived_attrs(self, i: int) -> dict:
+    def _derived_attrs(self, row: int) -> dict:
         # Hot-path interval rows store no attrs: their key *is* (owner, seq).
-        key = self._keys[i]
-        if self._names[self._name[i]] == "interval" and type(key) is tuple and len(key) == 2:
+        key = self._keys[row]
+        if self._names[self._name[row]] == "interval" and type(key) is tuple and len(key) == 2:
             return {"owner": key[0], "seq": key[1]}
         return {}
 
-    def _to_dict(self, i: int, marks: dict) -> dict:
-        row = self._base + i
-        node, end, parent = self._node[i], self._end[i], self._parent[i]
+    def _to_dict(self, row: int, marks: dict) -> dict:
+        node, end, parent = self._node[row], self._end[row], self._parent[row]
         attrs = self._attrs.get(row)
         return {
-            "sid": self._sid[i],
-            "name": self._names[self._name[i]],
+            "sid": self._sid[row],
+            "name": self._names[self._name[row]],
             "node": None if node == _NIL else node,
-            "start": self._start[i],
+            "start": self._start[row],
             "end": None if end != end else end,
             "parent": None if parent == _NIL else parent,
-            "attrs": dict(attrs) if attrs is not None else self._derived_attrs(i),
+            "attrs": dict(attrs) if attrs is not None else self._derived_attrs(row),
             "marks": [[t, label] for t, label in self._marks_of(row, marks)],
         }
 
     def stats(self) -> dict:
-        """Recording vs retention accounting (bench/scrape aid)."""
-        return {
-            "recorded": self._next_sid,
-            "retained_rows": len(self._sid),
-            "evicted": self._evicted,
-        }
+        """Recording accounting (bench/scrape aid); ``len(tracker)`` is
+        the rows held."""
+        return {"recorded": self._next_sid}
 
     # ------------------------------------------------------------------
     # creation
@@ -316,7 +277,7 @@ class SpanTracker:
         if sid is None:
             sid = self._next_sid
             self._next_sid = sid + 1
-        row = self._base + len(self._sid)
+        row = len(self._sid)
         self._sid.append(sid)
         self._name.append(code)
         self._node.append(_NIL if node is None else node)
@@ -328,9 +289,6 @@ class SpanTracker:
             self._attrs[row] = attrs
         if key is not None:
             self._by_key[key] = row
-        bound = self._bound
-        if bound is not None and len(self._sid) > bound:
-            self._compact()
         return row
 
     @staticmethod
@@ -375,8 +333,7 @@ class SpanTracker:
         """:meth:`record` that returns the new span's sid instead of a
         :class:`Span` view (the report path; pair with :meth:`adopt_sid`)."""
         code = self._intern(self._name_codes, self._names, name)
-        row = self._append(code, node, start, end, key, attrs)
-        return self._sid[row - self._base]  # after any compaction
+        return self._sid[self._append(code, node, start, end, key, attrs)]
 
     def record_interval(self, interval, start: float, end: float, node: int) -> None:
         """Hot path: one finished ``interval`` span for a *concrete*
@@ -386,8 +343,8 @@ class SpanTracker:
 
     def mark_interval(self, interval, time: float, event: str, node: int) -> None:
         """Hot path: log a raw lifecycle mark for *interval*'s span.
-        Invisible when the interval was never traced or its row was
-        evicted, but still counted for the node's subscribers."""
+        Invisible when the interval was never traced, but still counted
+        for the node's subscribers."""
         self._log_mark(self._by_key.get(interval_key(interval), _NIL), time, event, node)
 
     def _log_mark(self, row: int, time: float, label: str, node: int) -> None:
@@ -434,37 +391,6 @@ class SpanTracker:
             for fn in subscribers.get(node, ()):
                 fn(per_node)
 
-    def _compact(self) -> None:
-        excess = len(self._sid) - self.capacity
-        if excess <= 0:
-            return
-        self.flush()  # count what is about to go
-        base = self._base
-        cut = base + excess
-        by_key = self._by_key
-        for row, key in enumerate(self._keys[:excess], base):
-            if key is not None and by_key.get(key) == row:
-                del by_key[key]
-        for column in (
-            self._sid, self._name, self._node, self._start,
-            self._end, self._parent, self._keys,
-        ):
-            del column[:excess]
-        self._attrs = {row: a for row, a in self._attrs.items() if row >= cut}
-        self._base = cut
-        self._evicted += excess
-        self._keep_marks(np.frombuffer(self._mrow, np.int64) >= cut)
-
-    def _keep_marks(self, mask: np.ndarray) -> None:
-        """Keep only the logged marks where *mask* is true (after a
-        :meth:`flush`, so no uncounted mark is lost)."""
-        self._mrow, self._mtime, self._mevent, self._mnode = (
-            array(c.typecode, np.frombuffer(c, c.typecode)[mask].tobytes())
-            for c in (self._mrow, self._mtime, self._mevent, self._mnode)
-        )
-        self._flushed = (len(self._sid), len(self._mrow))
-        self._mark_cache = None
-
     # ------------------------------------------------------------------
     # lookup & parentage
     # ------------------------------------------------------------------
@@ -476,7 +402,7 @@ class SpanTracker:
         """Sid of the span registered under *key*, read from the column
         (no :class:`Span` view), or ``None``."""
         row = self._by_key.get(key)
-        return None if row is None else self._sid[row - self._base]
+        return None if row is None else self._sid[row]
 
     def lookup(self, key: tuple) -> Optional[Tuple[int, str, dict]]:
         """``(sid, name, attrs)`` of the span registered under *key*,
@@ -484,12 +410,11 @@ class SpanTracker:
         row = self._by_key.get(key)
         if row is None:
             return None
-        i = row - self._base
         attrs = self._attrs.get(row)
         return (
-            self._sid[i],
-            self._names[self._name[i]],
-            self._derived_attrs(i) if attrs is None else attrs,
+            self._sid[row],
+            self._names[self._name[row]],
+            self._derived_attrs(row) if attrs is None else attrs,
         )
 
     def adopt(self, parent: Span, child_key: tuple) -> bool:
@@ -502,33 +427,26 @@ class SpanTracker:
     def adopt_sid(self, parent_sid: int, child_key: tuple) -> bool:
         """:meth:`adopt` under a parent named by its sid."""
         row = self._by_key.get(child_key)
-        if row is None:
-            return False
-        i = row - self._base
-        if self._parent[i] != _NIL or self._sid[i] == parent_sid:
-            return False
-        self._parent[i] = parent_sid
-        self._links += 1
-        return True
+        return row is not None and self._link(row, parent_sid)
 
     def reparent(self, child: Span, parent_sid: int) -> bool:
         """Late re-parenting by sid (cluster trace stitching); first
         parent wins, self-links refused."""
-        i = child._at()
-        if self._parent[i] != _NIL or self._sid[i] == parent_sid:
+        return self._link(child._row, parent_sid)
+
+    def _link(self, row: int, parent_sid: int) -> bool:
+        if self._parent[row] != _NIL or self._sid[row] == parent_sid:
             return False
-        self._parent[i] = parent_sid
+        self._parent[row] = parent_sid
         self._links += 1
         return True
 
     def children_of(self, span: Span) -> List[Span]:
-        base, view = self._base, self._view
-        return [view(base + i) for i in self._children().get(span.sid, ())]
+        return [self._view(row) for row in self._children().get(span.sid, ())]
 
     def named(self, name: str) -> List[Span]:
-        base, view = self._base, self._view
         names = self._names
-        return [view(base + i) for i, code in enumerate(self._name) if names[code] == name]
+        return [self._view(row) for row, code in enumerate(self._name) if names[code] == name]
 
     def alarms(self) -> List[Span]:
         """Root announcement spans, in detection order."""
@@ -564,24 +482,21 @@ class SpanTracker:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # JSON wire form (cluster scrapes, flight snapshots)
+    # JSON wire form (cluster scrapes)
     # ------------------------------------------------------------------
-    def to_dicts(self, *, tail: Optional[int] = None) -> List[dict]:
-        """The retained span table as JSON-safe dicts (optionally only
-        the newest *tail* spans — the flight recorder's bounded ring)."""
-        rows = range(len(self._sid))
-        if tail is not None:
-            rows = rows[-tail:]
+    def to_dicts(self) -> List[dict]:
+        """The span table as JSON-safe dicts."""
         marks = self._mark_index()
-        return [self._to_dict(i, marks) for i in rows]
+        return [self._to_dict(row, marks) for row in range(len(self._sid))]
 
     @classmethod
     def from_dicts(cls, rows: List[dict]) -> "SpanTracker":
         """Rebuild a *read-only* tracker from :meth:`to_dicts` output.
 
-        Sids are preserved verbatim (a snapshot tail need not start at
-        0), so do not :meth:`begin` new spans on the result — key-based
-        lookups are not restored either, only the tree structure."""
+        Sids are preserved verbatim (a slice of a table need not start
+        at 0), so do not :meth:`begin` new spans on the result —
+        key-based lookups are not restored either, only the tree
+        structure."""
         tracker = cls()
         for data in rows:
             tracker._import(data, int(data["sid"]), data.get("parent"))
@@ -605,12 +520,12 @@ class SpanTracker:
 
     def by_sid(self, sid: int) -> Optional[Span]:
         """Span with the given id, tolerating non-contiguous tables
-        (deserialized snapshots, stitched cluster traces)."""
+        (deserialized slices, stitched cluster traces)."""
         sids = self._sid
         if 0 <= sid < len(sids) and sids[sid] == sid:
-            return self._view(self._base + sid)
-        i = next((i for i, s in enumerate(sids) if s == sid), None)
-        return None if i is None else self._view(self._base + i)
+            return self._view(sid)
+        row = next((row for row, s in enumerate(sids) if s == sid), None)
+        return None if row is None else self._view(row)
 
     def detection_latencies(self) -> List[float]:
         """Per-alarm detection latency (simulated time from the last

@@ -28,17 +28,11 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
 
 
 class Telemetry:
-    """Everything one run records about itself.
+    """Everything one run records about itself."""
 
-    ``span_capacity`` passes straight to the
-    :class:`~repro.obs.spans.SpanTracker`: simulations default to an
-    unbounded table (full determinism-checked tables); long-running
-    cluster nodes may bound it to a ring.
-    """
-
-    def __init__(self, *, span_capacity: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self.spans = SpanTracker(capacity=span_capacity)
+        self.spans = SpanTracker()
         # Per-offer counters are counted from the span tracker's columns
         # on flush (see SpanTracker.on_flush); reading any metric must
         # flush it first.

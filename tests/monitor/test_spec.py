@@ -134,15 +134,11 @@ class TestSLOSpec:
         assert not spec.enabled
         assert spec.as_dict() == {
             "detection_latency_p99": None,
-            "repair_duration": None,
-            "outbox_depth": None,
             "stranded_epoch_rate": None,
         }
 
     def test_any_threshold_enables(self):
         assert SLOSpec(detection_latency_p99=0.5).enabled
-        assert SLOSpec(repair_duration=1.0).enabled
-        assert SLOSpec(outbox_depth=64).enabled
         assert SLOSpec(stranded_epoch_rate=0.2).enabled
 
     def test_nonsense_values_rejected(self):
@@ -153,11 +149,7 @@ class TestSLOSpec:
         with pytest.raises(ValueError):
             SLOSpec(detection_latency_p99=-1.0)
         with pytest.raises(ValueError):
-            SLOSpec(repair_duration=math.inf)
-        with pytest.raises(ValueError):
-            SLOSpec(outbox_depth=0)
-        with pytest.raises(ValueError):
-            SLOSpec(outbox_depth=1.5)
+            SLOSpec(detection_latency_p99=math.inf)
         with pytest.raises(ValueError):
             SLOSpec(stranded_epoch_rate=0.0)
         with pytest.raises(ValueError):
@@ -166,10 +158,8 @@ class TestSLOSpec:
     def test_as_dict_is_json_safe(self):
         import json
 
-        spec = SLOSpec(detection_latency_p99=0.25, outbox_depth=128)
+        spec = SLOSpec(detection_latency_p99=0.25, stranded_epoch_rate=0.5)
         assert json.loads(json.dumps(spec.as_dict())) == {
             "detection_latency_p99": 0.25,
-            "repair_duration": None,
-            "outbox_depth": 128,
-            "stranded_epoch_rate": None,
+            "stranded_epoch_rate": 0.5,
         }

@@ -54,14 +54,30 @@ class TestRun:
         assert ClusterSpec.from_dict(summary["spec"]) == ClusterSpec.from_dict(QUICK)
         assert json.loads(capsys.readouterr().out) == summary
 
-    def test_a_kill_is_repaired_and_detection_continues_without_it(self, tmp_path):
+    def test_a_kill_is_repaired_and_detection_continues_without_it(
+        self, tmp_path, capsys
+    ):
+        events = tmp_path / "events.jsonl"
         code, summary = _run(
-            tmp_path, QUICK, "--kill-node", "5", "--kill-after-detections", "1"
+            tmp_path, QUICK, "--kill-node", "5", "--kill-after-detections", "1",
+            "--jsonl", str(events),
         )
         assert code == 0
         assert summary["killed"] == 5 and summary["repaired"] is True
         assert summary["detections_after_kill"] >= 1
         assert any(5 not in members for members in summary["solutions"])
+        # The cluster log's ring kept the whole run, so the dump does
+        # too, and the postmortem tells the same story from it.
+        assert summary["events_dropped"] == 0
+        capsys.readouterr()
+        assert main(["postmortem", str(events), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert any(c["node"] == 5 for c in report["crashes"])
+        (repair,) = [r for r in report["repairs"] if r["failed"] == 5]
+        assert repair["applied_at"] is not None
+        assert any(d["after_repair"] for d in report["detections"])
+        assert main(["postmortem", str(events)]) == 0
+        assert "crash    " in capsys.readouterr().out
 
     def test_closed_load_matches_the_reference_and_accounts_every_offer(
         self, tmp_path
@@ -87,6 +103,33 @@ class TestRun:
         assert load["outstanding"] == 0
 
 
+class TestPostmortemRefusesABadFile:
+    def test_a_missing_file_exits_1_with_one_line(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.jsonl")
+        assert main(["postmortem", missing]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"repro-cluster: {missing}: No such file or directory\n"
+
+    def test_a_malformed_line_exits_1_with_one_line(self, tmp_path, capsys):
+        path = _write(
+            tmp_path,
+            '{"time": 0.1, "kind": "crash", "node": 5, "fields": {}}\n{"time": 0.2,\n',
+            name="events.jsonl",
+        )
+        assert main(["postmortem", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"repro-cluster: {path}:2: invalid JSON")
+
+    def test_a_line_that_is_no_event_exits_1(self, tmp_path, capsys):
+        path = _write(tmp_path, '[1, 2]\n', name="events.jsonl")
+        assert main(["postmortem", path]) == 1
+        err = capsys.readouterr().err
+        assert err == f"repro-cluster: {path}:1: not an event record\n"
+
+
 class TestRejectsABadFile:
     @pytest.mark.parametrize(
         "text, names",
@@ -100,6 +143,12 @@ class TestRejectsABadFile:
             ('{"heartbeat": {"period": -1}}', "heartbeat: heartbeat period must be positive"),
             ('{"load": {"policy": "defer"}}', "load: policy must be 'shed'"),
             ('{"load": {"burstiness": 4}}', "load.burstiness: unknown key"),
+            ('{"flight_dir": "flight"}', "flight_dir: unknown key"),
+            ('{"flight_capacity": 64}', "flight_capacity: unknown key"),
+            ('{"span_capacity": 1000}', "span_capacity: unknown key"),
+            ('{"slo_check_interval": 0.1}', "slo_check_interval: unknown key"),
+            ('{"slo": {"repair_duration": 1.0}}', "slo.repair_duration: unknown key"),
+            ('{"slo": {"outbox_depth": 100}}', "slo.outbox_depth: unknown key"),
             (
                 '{"nodes": 7, "load": {"mode": "closed", "users": 5}}',
                 "load.users (5) must cover at least one epoch stride (7 processes)",
@@ -119,7 +168,9 @@ class TestRejectsABadFile:
         ids=[
             "unknown-key", "unknown-nested-key", "retired-key", "string-for-int",
             "bool-for-int", "out-of-range", "nested-range", "retired-policy",
-            "retired-load-key", "users-below-stride", "gate-below-stride",
+            "retired-load-key", "retired-flight-dir", "retired-flight-capacity",
+            "retired-span-capacity", "retired-slo-interval", "retired-slo-repair",
+            "retired-slo-outbox", "users-below-stride", "gate-below-stride",
             "affinity-uncovered", "array", "not-json",
         ],
     )
@@ -188,16 +239,7 @@ class TestSpecDicts:
             start_delay=0.0,
         ),
         admin_port=9400,
-        flight_dir="flight",
-        flight_capacity=64,
-        slo=SLOSpec(
-            detection_latency_p99=0.5,
-            repair_duration=1.0,
-            outbox_depth=100,
-            stranded_epoch_rate=0.2,
-        ),
-        slo_check_interval=0.25,
-        span_capacity=1000,
+        slo=SLOSpec(detection_latency_p99=0.5, stranded_epoch_rate=0.2),
     )
 
     @pytest.mark.parametrize("spec", [ClusterSpec(), FULL], ids=["default", "full"])
@@ -252,7 +294,7 @@ CI_SCENARIOS = {
             pending_timeout=3.0,
         ),
     ),
-    "kill-flight-slo": ClusterSpec(
+    "kill-slo": ClusterSpec(
         nodes=7,
         degree=2,
         seed=1,
@@ -260,7 +302,6 @@ CI_SCENARIOS = {
         epochs=16,
         interval_spacing=0.05,
         admin_port=9321,
-        flight_dir="flight",
         slo=SLOSpec(detection_latency_p99=0.000001),
     ),
     "stranding": ClusterSpec(
@@ -269,7 +310,6 @@ CI_SCENARIOS = {
         seed=1,
         transport="tcp",
         admin_port=9377,
-        flight_dir="flight-strand",
         slo=SLOSpec(stranded_epoch_rate=0.25),
         load=LoadSpec(
             mode="closed",

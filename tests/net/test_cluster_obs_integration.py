@@ -7,21 +7,21 @@ admin-endpoint scrapes:
     scrapes;
 (b) at least one alarm whose stitched span tree crosses ≥ 2 nodes and
     reaches concrete leaf intervals;
-(c) a flight snapshot from which ``postmortem`` reconstructs the
-    kill → repair → next-detection sequence.
+(c) an event dump (``run --jsonl``'s file) from which ``postmortem``
+    reconstructs the kill → repair → next-detection sequence.
 """
 
 import asyncio
 
 from repro.monitor import HeartbeatSpec, SLOSpec
 from repro.net import ClusterSpec, LocalCluster
-from repro.obs import ClusterScraper, TelemetryAggregator, postmortem
+from repro.obs import ClusterScraper, TelemetryAggregator, eventlog_to_jsonl, postmortem
 
 
 VICTIM = 5
 
 
-def _spec(tmp_path) -> ClusterSpec:
+def _spec() -> ClusterSpec:
     return ClusterSpec(
         nodes=7,
         degree=2,
@@ -38,16 +38,14 @@ def _spec(tmp_path) -> ClusterSpec:
         heartbeat=HeartbeatSpec(period=0.05, loss_tolerance=5),
         epochs=16,
         admin_port=0,
-        flight_dir=str(tmp_path / "flight"),
         # A sub-microsecond p99 target guarantees a breach, exercising
-        # the SLO watchdog → flight-recorder trigger path in the run.
+        # the SLO watchdog → cluster log path in the run.
         slo=SLOSpec(detection_latency_p99=1e-6),
-        slo_check_interval=0.1,
     )
 
 
-async def _scenario(tmp_path):
-    cluster = LocalCluster(_spec(tmp_path))
+async def _scenario():
+    cluster = LocalCluster(_spec())
     await cluster.start()
     admin_port = cluster._admin_server.sockets[0].getsockname()[1]
     scraper = ClusterScraper("127.0.0.1", admin_port)
@@ -67,7 +65,7 @@ async def _scenario(tmp_path):
         await asyncio.sleep(0.01)
 
     # Kill -> repair -> recovery can finish inside one
-    # slo_check_interval; the watchdog's breach must be on the log
+    # SLO_CHECK_INTERVAL; the watchdog's breach must be on the log
     # before the live scrape below can be expected to carry it.
     while not cluster.log.of_kind("slo_breach"):
         assert cluster.clock.now < deadline, "SLO watchdog never breached"
@@ -81,7 +79,7 @@ async def _scenario(tmp_path):
 
 def test_scrape_merge_stitch_and_postmortem(tmp_path):
     cluster, scrape = asyncio.run(
-        asyncio.wait_for(_scenario(tmp_path), timeout=120)
+        asyncio.wait_for(_scenario(), timeout=120)
     )
     view = TelemetryAggregator().fold(scrape)
 
@@ -121,8 +119,10 @@ def test_scrape_merge_stitch_and_postmortem(tmp_path):
     # The watchdog breached the (deliberately impossible) latency SLO.
     assert any(e["kind"] == "slo_breach" for e in view.events)
 
-    # (c) the flight snapshots reconstruct kill → repair → recovery.
-    report = postmortem(tmp_path / "flight")
+    # (c) the cluster log's dump reconstructs kill → repair → recovery.
+    events = tmp_path / "events.jsonl"
+    eventlog_to_jsonl(cluster.log, events)
+    report = postmortem(events)
     assert any(c["node"] == VICTIM for c in report["crashes"])
     (repair,) = [r for r in report["repairs"] if r["failed"] == VICTIM]
     assert repair["applied_at"] is not None
@@ -134,5 +134,5 @@ def test_scrape_merge_stitch_and_postmortem(tmp_path):
     recovered = [d for d in report["detections"] if d["after_repair"]]
     assert recovered
     assert all(d["time"] >= repair["applied_at"] for d in recovered)
-    # The breach the watchdog latched reached the recorders too.
+    # The breach the watchdog latched reached the dump too.
     assert report["slo_breaches"]

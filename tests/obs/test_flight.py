@@ -1,148 +1,36 @@
-"""Unit tests: the crash flight recorder and postmortem tooling."""
+"""Unit tests: the postmortem over a run's event dump — the crash →
+repair → recovery story ``repro-cluster postmortem`` prints."""
 
-import json
-
-import pytest
-
-from repro.obs import SpanTracker
-from repro.obs.flight import (
-    FlightRecorder,
-    load_snapshot,
-    load_snapshots,
+from repro.obs.export import (
+    event_dict,
+    eventlog_to_jsonl,
+    load_events,
     postmortem,
-    reconstruct_timeline,
     render_postmortem,
 )
 from repro.sim import EventLog
 
 
-def _recorder(tmp_path, **kwargs):
-    log = EventLog()
-    spans = SpanTracker()
-    recorder = FlightRecorder(
-        log, spans, tmp_path, source="node-1", now=lambda: 9.0, **kwargs
-    )
-    return log, spans, recorder
-
-
-class TestRing:
-    def test_bounded_ring_keeps_newest(self, tmp_path):
-        log, _, recorder = _recorder(tmp_path, capacity=3)
-        for i in range(5):
-            log.emit(float(i), "tick", node=1, i=i)
-        assert recorder.dropped == 2
-        path = recorder.snapshot("manual")
-        snapshot = load_snapshot(path)
-        assert [e["fields"]["i"] for e in snapshot.events] == [2, 3, 4]
-
-    def test_capacity_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            FlightRecorder(EventLog(), None, tmp_path, capacity=0)
-
-    def test_ring_survives_upstream_log_eviction(self, tmp_path):
-        # The recorder rides log.subscribe, so it may retain more than
-        # a tightly bounded upstream ring does.
-        log = EventLog(capacity=1)
-        recorder = FlightRecorder(log, None, tmp_path, capacity=8)
-        for i in range(4):
-            log.emit(float(i), "tick", i=i)
-        assert len(log) == 1
-        snapshot = load_snapshot(recorder.snapshot("manual"))
-        assert len(snapshot.events) == 4
-
-
-class TestTriggers:
-    def test_trigger_kinds_auto_snapshot(self, tmp_path):
-        log, _, recorder = _recorder(tmp_path)
-        log.emit(1.0, "tick", node=1)
-        assert recorder.snapshots == []
-        log.emit(2.0, "crash", node=1)
-        (path,) = recorder.snapshots
-        assert "crash" in path.name
-        snapshot = load_snapshot(path)
-        # The triggering event itself is inside its snapshot.
-        assert snapshot.events[-1]["kind"] == "crash"
-        assert snapshot.reason == "crash" and snapshot.source == "node-1"
-
-    def test_non_trigger_kinds_do_not_snapshot(self, tmp_path):
-        log, _, recorder = _recorder(tmp_path)
-        log.emit(1.0, "detection", node=0)
-        assert recorder.snapshots == []
-
-    def test_close_stops_recording(self, tmp_path):
-        log, _, recorder = _recorder(tmp_path)
-        recorder.close()
-        recorder.close()  # idempotent
-        log.emit(1.0, "crash", node=1)
-        assert recorder.snapshots == []
-
-
-class TestSnapshotFormat:
-    def test_header_events_spans_layout(self, tmp_path):
-        log, spans, recorder = _recorder(tmp_path)
-        spans.record("interval", 0.5, 1.0, node=1, key=("k",))
-        log.emit(1.0, "tick", node=1)
-        path = recorder.snapshot("manual")
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert rows[0]["record"] == "header"
-        assert rows[0]["time"] == 9.0
-        assert rows[1] == {
-            "record": "event", "time": 1.0, "kind": "tick", "node": 1,
-            "fields": {},
-        }
-        assert rows[2]["record"] == "span" and rows[2]["name"] == "interval"
-        snapshot = load_snapshot(path)
-        assert snapshot.span_tracker.spans[0].name == "interval"
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "flight-x-000-bad.jsonl"
-        path.write_text('{"record": "event", "time": 0, "kind": "t"}\n')
-        with pytest.raises(ValueError):
-            load_snapshot(path)
-
-    def test_unknown_record_rejected(self, tmp_path):
-        path = tmp_path / "flight-x-000-bad.jsonl"
-        path.write_text('{"record": "hologram"}\n')
-        with pytest.raises(ValueError):
-            load_snapshot(path)
+def _events(log):
+    return [event_dict(record) for record in log.records]
 
 
 class TestPostmortem:
-    def _story(self, tmp_path):
-        """Two recorders (a node and the cluster) living through
-        crash → repair → recovery, with overlapping event streams."""
-        node_log, cluster_log = EventLog(), EventLog()
-        node = FlightRecorder(node_log, None, tmp_path, source="node-5")
-        cluster = FlightRecorder(cluster_log, None, tmp_path, source="cluster")
-        for log in (node_log, cluster_log):
-            log.emit(1.0, "detection", node=0, members=7, index=0)
-            log.emit(2.0, "crash", node=5)
-        cluster_log.emit(2.5, "repair_planned", node=3, failed=5)
-        cluster_log.emit(3.0, "repair_applied", node=5, failed=5, duration=0.5)
-        cluster_log.emit(3.5, "slo_breach", node=None, slo="outbox_depth",
-                         value=12, threshold=8)
-        cluster_log.emit(4.0, "detection", node=0, members=6, index=1)
-        node.snapshot("shutdown")
-        cluster.snapshot("shutdown")
-        node.close()
-        cluster.close()
+    def _story(self):
+        """A cluster log living through crash → repair → recovery."""
+        log = EventLog()
+        log.emit(1.0, "detection", node=0, members=7, index=0)
+        log.emit(2.0, "crash", node=5)
+        log.emit(2.5, "repair_planned", node=3, failed=5)
+        log.emit(3.0, "repair_applied", node=5, failed=5, duration=0.5)
+        log.emit(3.5, "slo_breach", node=None, slo="detection_latency_p99",
+                 value=0.012, threshold=0.01)
+        log.emit(4.0, "detection", node=0, members=6, index=1)
+        return log
 
-    def test_timeline_deduplicates_shared_events(self, tmp_path):
-        self._story(tmp_path)
-        snapshots = load_snapshots(tmp_path)
-        assert len(snapshots) >= 4  # crash triggers + shutdowns
-        timeline = reconstruct_timeline(snapshots)
-        # crash@2.0 appears in the node's crash snapshot, the node's
-        # shutdown snapshot, the cluster's crash snapshot and the
-        # cluster's shutdown snapshot — once in the timeline.
-        assert sum(1 for e in timeline if e["kind"] == "crash") == 1
-        assert [e["time"] for e in timeline] == sorted(
-            e["time"] for e in timeline
-        )
-
-    def test_report_reconstructs_crash_repair_recovery(self, tmp_path):
-        self._story(tmp_path)
-        report = postmortem(tmp_path)
+    def test_report_reconstructs_crash_repair_recovery(self):
+        report = postmortem(_events(self._story()))
+        assert report["events"] == 6
         (crash,) = report["crashes"]
         assert crash["time"] == 2.0 and crash["node"] == 5
         (repair,) = report["repairs"]
@@ -151,95 +39,50 @@ class TestPostmortem:
             "duration": 0.5,
         }
         (breach,) = report["slo_breaches"]
-        assert breach["fields"]["slo"] == "outbox_depth"
+        assert breach["fields"]["slo"] == "detection_latency_p99"
         pre, post = report["detections"]
         assert not pre["after_repair"] and post["after_repair"]
 
-    def test_unapplied_repair_reported_open(self, tmp_path):
+    def test_timeline_deduplicates_shared_events(self):
+        # A node's log and the cluster's both hold the node's events
+        # (scoped clocks forward them); given both streams, the
+        # timeline holds each record once, in time order.
+        node_log = EventLog()
+        node_log.emit(2.0, "crash", node=5)
+        node_log.emit(0.5, "tick", node=5)
+        timeline = postmortem(_events(node_log) + _events(self._story()))["timeline"]
+        assert sum(1 for e in timeline if e["kind"] == "crash") == 1
+        assert len(timeline) == 7
+        assert [e["time"] for e in timeline] == sorted(e["time"] for e in timeline)
+
+    def test_jsonl_round_trip_gives_the_same_report(self, tmp_path):
+        log = self._story()
+        path = tmp_path / "events.jsonl"
+        assert eventlog_to_jsonl(log, path) == 6
+        assert load_events(path) == _events(log)
+        assert postmortem(path) == postmortem(_events(log))
+        assert postmortem(str(path)) == postmortem(_events(log))
+
+    def test_unapplied_repair_reported_open(self):
         log = EventLog()
-        recorder = FlightRecorder(log, None, tmp_path, source="cluster")
         log.emit(1.0, "crash", node=2)
         log.emit(1.5, "repair_planned", node=0, failed=2)
-        recorder.snapshot("shutdown")
-        recorder.close()
-        (repair,) = postmortem(tmp_path)["repairs"]
+        (repair,) = postmortem(_events(log))["repairs"]
         assert repair["applied_at"] is None and repair["duration"] is None
 
-    def test_render_is_human_readable(self, tmp_path):
-        self._story(tmp_path)
-        text = render_postmortem(postmortem(tmp_path))
+    def test_render_is_human_readable(self):
+        text = render_postmortem(postmortem(_events(self._story())))
+        assert "events: 6" in text
         assert "crash    t=2.000s node=5" in text
         assert "repair   failed=5" in text
         assert "(took 500 ms)" in text
-        assert "slo      t=3.500s outbox_depth" in text
+        assert "slo      t=3.500s detection_latency_p99" in text
         assert "1 after the last repair" in text
 
-    def test_render_respects_limit(self, tmp_path):
+    def test_render_respects_limit(self):
         log = EventLog()
-        recorder = FlightRecorder(log, None, tmp_path, source="cluster")
         for i in range(10):
             log.emit(float(i), "detection", node=0, members=3, index=i)
-        recorder.snapshot("shutdown")
-        recorder.close()
-        text = render_postmortem(postmortem(tmp_path), limit=2)
+        text = render_postmortem(postmortem(_events(log)), limit=2)
         assert text.count("detect   ") == 2
         assert "detections: 10 total" in text
-
-
-class TestSnapshotSpanHygiene:
-    """Snapshot files dedup identical span rows and skip torn rows —
-    a snapshot taken over a stitched/merged table must stay clean."""
-
-    class _StitchedSpans:
-        """A span source that surfaces duplicates and torn rows, the way
-        a mid-eviction ring or a merged cluster table can."""
-
-        def __init__(self, rows):
-            self._rows = rows
-
-        def to_dicts(self, *, tail=None):
-            rows = self._rows
-            return rows if tail is None else rows[-tail:]
-
-    def _span_row(self, sid, name="interval", **extra):
-        return {
-            "sid": sid, "name": name, "node": 1, "start": 0.0, "end": 1.0,
-            "parent": None, "attrs": {}, "marks": [], **extra,
-        }
-
-    def test_duplicate_span_rows_collapse(self, tmp_path):
-        log = EventLog()
-        dup = self._span_row(3)
-        spans = self._StitchedSpans([dup, self._span_row(4), dict(dup)])
-        recorder = FlightRecorder(log, spans, tmp_path, source="node-1")
-        path = recorder.snapshot("manual")
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        span_sids = [r["sid"] for r in rows if r["record"] == "span"]
-        assert span_sids == [3, 4]
-
-    def test_torn_rows_skipped(self, tmp_path):
-        log = EventLog()
-        spans = self._StitchedSpans(
-            [
-                self._span_row(None),  # lost its identity mid-eviction
-                self._span_row(7, name=""),  # torn: no name
-                self._span_row(8),
-            ]
-        )
-        recorder = FlightRecorder(log, spans, tmp_path, source="node-1")
-        path = recorder.snapshot("manual")
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        span_sids = [r["sid"] for r in rows if r["record"] == "span"]
-        assert span_sids == [8]
-        # The cleaned snapshot still loads.
-        snapshot = load_snapshot(path)
-        assert [s.sid for s in snapshot.span_tracker.spans] == [8]
-
-    def test_real_tracker_rows_not_deduplicated_by_accident(self, tmp_path):
-        log, spans, recorder = _recorder(tmp_path)
-        # Two distinct spans with identical payload except sid survive.
-        spans.record("interval", 0.0, 1.0, node=1)
-        spans.record("interval", 0.0, 1.0, node=1)
-        path = recorder.snapshot("manual")
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len([r for r in rows if r["record"] == "span"]) == 2

@@ -3,7 +3,7 @@
 The detection stack never imports the simulation kernel's event loop
 directly — roles, heartbeat monitors and the repair coordinator only
 touch a narrow surface of their ``sim`` handle: ``now``, ``schedule``,
-``schedule_at``, ``rng``, ``emit``, ``log`` and ``telemetry``.
+``schedule_at``, ``rng``, ``emit`` and ``telemetry``.
 :class:`AsyncClock` implements exactly that surface against the running
 asyncio loop, so the same classes run unmodified on a real network:
 
@@ -19,11 +19,13 @@ asyncio loop, so the same classes run unmodified on a real network:
 
 A clock can be shared whole (one ``Telemetry`` for every node — fine
 for unit tests) or fronted by per-node :class:`ClockScope` views: same
-time base, timers and rng streams, but a private registry, span tracker
-and event log per node.  Scoped telemetry is what a *real* deployment
-looks like — no process can read another's memory — and is what the
-cluster observability plane (:mod:`repro.obs.cluster`) scrapes and
-merges back into one cross-node view.
+time base, timers and rng streams, but a private registry and span
+tracker per node.  Scoped telemetry is what a *real* deployment looks
+like — no process can read another's memory — and is what the cluster
+observability plane (:mod:`repro.obs.cluster`) scrapes and merges back
+into one cross-node view.  Events are the exception: every scope emits
+into the one clock's log, so each record is held once and the log's
+order is emission order.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ from ..obs.telemetry import Telemetry
 from ..sim.eventlog import EventLog
 
 __all__ = ["AsyncClock", "ClockScope", "ClockHandle", "named_rng"]
+
+#: Ring size of the clock's event log: past it the oldest records go
+#: and ``EventLog.dropped`` counts them (``events_dropped``).
+LOG_CAPACITY = 65536
 
 
 class ClockHandle:
@@ -71,17 +77,10 @@ class AsyncClock:
     ``asyncio.run`` starts.  ``now`` is ``0.0`` until then.
     """
 
-    def __init__(
-        self,
-        *,
-        seed: int = 0,
-        telemetry: Optional[Telemetry] = None,
-        log: Optional[EventLog] = None,
-        log_capacity: Optional[int] = 65536,
-    ) -> None:
+    def __init__(self, *, seed: int = 0, telemetry: Optional[Telemetry] = None) -> None:
         self.seed = seed
         self.telemetry = telemetry or Telemetry()
-        self.log = log or EventLog(capacity=log_capacity)
+        self.log = EventLog(capacity=LOG_CAPACITY)
         self._rngs: Dict[str, np.random.Generator] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._origin: Optional[float] = None
@@ -130,36 +129,27 @@ class AsyncClock:
         self.log.emit(self.now, kind, node, **fields)
 
     # ------------------------------------------------------------------
-    def scope(self, node: int, *, log_capacity: Optional[int] = 65536) -> "ClockScope":
+    def scope(self, node: int) -> "ClockScope":
         """A per-node telemetry island over this clock (see
         :class:`ClockScope`)."""
-        return ClockScope(self, node, log_capacity=log_capacity)
+        return ClockScope(self, node)
 
 
 class ClockScope:
     """One node's private view of a shared :class:`AsyncClock`.
 
-    Time, timers and named rng streams delegate to the parent clock (so
-    heartbeat phases etc. stay exactly as deterministic as the shared
-    path), but ``telemetry`` and ``log`` are the node's own — the
-    telemetry island a separate OS process would have.  Events are also
-    forwarded to the parent clock's log, so the cluster-wide event
-    timeline stays whole for in-process consumers while each node's log
-    holds exactly what that node could know about itself.
+    Time, timers, named rng streams and events delegate to the parent
+    clock (so heartbeat phases etc. stay exactly as deterministic as the
+    shared path, and the cluster log holds each event once, in emission
+    order), but ``telemetry`` is the node's own — the telemetry island a
+    separate OS process would have.
     """
 
-    def __init__(
-        self,
-        parent: AsyncClock,
-        node: int,
-        *,
-        log_capacity: Optional[int] = 65536,
-    ) -> None:
+    def __init__(self, parent: AsyncClock, node: int) -> None:
         self.parent = parent
         self.node = node
         self.seed = parent.seed
         self.telemetry = Telemetry()
-        self.log = EventLog(capacity=log_capacity)
 
     # -- delegated surface ---------------------------------------------
     @property
@@ -175,8 +165,5 @@ class ClockScope:
     def schedule_at(self, time: float, action: Callable[[], None]) -> ClockHandle:
         return self.parent.schedule_at(time, action)
 
-    # -- scoped surface ------------------------------------------------
     def emit(self, kind: str, node=None, **fields) -> None:
-        now = self.now
-        self.log.emit(now, kind, node, **fields)
-        self.parent.log.emit(now, kind, node, **fields)
+        self.parent.emit(kind, node, **fields)

@@ -4,11 +4,12 @@
 per tree node inside a single asyncio loop — separate sockets, separate
 heartbeats, separate detector state, shared wall clock, and **separate
 telemetry**: every node gets a :class:`~repro.net.clock.ClockScope`, the
-private registry/span-tracker/event-log island a real OS process would
-hold.  The whole-cluster view is *reconstructed* the way a fleet
-monitor would build it — :attr:`LocalCluster.telemetry` scrapes every
-island (:func:`repro.obs.cluster.scrape_local`), merges the registries
-and stitches the per-node span trees back into cross-node alarm traces
+private registry/span-tracker island a real OS process would hold
+(events go once to the shared clock's log, in emission order).  The
+whole-cluster view is *reconstructed* the way a fleet monitor would
+build it — :attr:`LocalCluster.telemetry` scrapes every island
+(:func:`repro.obs.cluster.scrape_local`), merges the registries and
+stitches the per-node span trees back into cross-node alarm traces
 (:class:`repro.obs.cluster.TelemetryAggregator`), so an alarm is still
 explained down to leaf intervals on other nodes.
 
@@ -36,7 +37,7 @@ An optional admin endpoint (newline-delimited JSON over TCP) powers the
 ``repro-cluster status`` / ``kill-node`` commands against a running
 cluster, plus the observability plane's scrape commands —
 ``telemetry`` (per-node registry dumps), ``spans`` (per-node span
-tables) and ``eventlog`` (per-node + cluster event streams) — which
+tables) and ``eventlog`` (the cluster log, in emission order) — which
 ``repro-cluster watch`` and :class:`repro.obs.cluster.ClusterScraper`
 poll.
 
@@ -328,8 +329,8 @@ class LocalCluster:
 
     @property
     def log(self):
-        """The whole-cluster event log (scoped clocks forward every
-        node's events here)."""
+        """The whole-cluster event log: every node's scope emits here,
+        so it holds each event once, in emission order."""
         return self.clock.log
 
     def is_alive(self, pid: int) -> bool:
@@ -657,13 +658,7 @@ class LocalCluster:
         }
 
     def _eventlog_payload(self) -> dict:
-        return {
-            "nodes": {
-                str(pid): [event_dict(r) for r in scope.log.records]
-                for pid, scope in sorted(self.scopes.items())
-            },
-            "cluster": [event_dict(r) for r in self.clock.log.records],
-        }
+        return {"events": [event_dict(r) for r in self.clock.log.records]}
 
     def _epochs_payload(self) -> Optional[dict]:
         """The epoch ledger's wire form (``None`` without a load

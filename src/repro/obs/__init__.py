@@ -37,7 +37,6 @@ from .export import (
     event_dict,
     eventlog_to_jsonl,
     load_events,
-    merge_events,
     postmortem,
     prometheus_text,
     render_postmortem,
@@ -83,7 +82,6 @@ __all__ = [
     "eventlog_to_jsonl",
     "interval_key",
     "load_events",
-    "merge_events",
     "postmortem",
     "prometheus_text",
     "render_postmortem",

@@ -2,9 +2,11 @@
 
 A realistic deployment of the socket runtime gives every node its own
 telemetry island (:class:`~repro.net.clock.ClockScope`): a private
-metrics registry, span tracker and event log, exactly what a separate
-OS process would hold.  This module rebuilds the whole-cluster view
-from those islands, the way a fleet monitoring plane would:
+metrics registry and span tracker, exactly what a separate OS process
+would hold.  Events are not islanded: every scope emits into the
+cluster's one log, which the scrape carries once, in emission order.
+This module rebuilds the whole-cluster view from those islands, the
+way a fleet monitoring plane would:
 
 * :class:`ClusterScraper` polls a running cluster's admin endpoint
   (the newline-JSON protocol of :class:`~repro.net.cluster.LocalCluster`)
@@ -48,7 +50,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .export import merge_events
 from .registry import MetricsRegistry
 from .spans import Span, SpanTracker
 from .telemetry import Telemetry
@@ -85,7 +86,6 @@ class NodeScrape:
     level: Optional[int]
     registry: MetricsRegistry
     spans: List[dict] = field(default_factory=list)
-    events: List[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -95,7 +95,8 @@ class ClusterScrape:
     status: dict
     nodes: Dict[int, NodeScrape] = field(default_factory=dict)
     cluster_registry: Optional[MetricsRegistry] = None
-    cluster_events: List[dict] = field(default_factory=list)
+    #: The cluster log (wire form), in emission order.
+    events: List[dict] = field(default_factory=list)
     #: The epoch ledger payload (``EpochLedger.to_dict`` + watchdog
     #: state) — ``None`` when the cluster runs without a load session
     #: or predates the ``epochs`` admin command.
@@ -110,7 +111,6 @@ class ClusterScrape:
         alive = set(status.get("alive", []))
         telemetry = payload.get("telemetry", {})
         spans = payload.get("spans", {})
-        events = payload.get("eventlog", {})
         nodes: Dict[int, NodeScrape] = {}
         for key, registry_dict in (telemetry.get("nodes") or {}).items():
             pid = int(key)
@@ -120,7 +120,6 @@ class ClusterScrape:
                 level=levels.get(pid),
                 registry=MetricsRegistry.from_dict(registry_dict),
                 spans=list((spans.get("nodes") or {}).get(key, [])),
-                events=list((events.get("nodes") or {}).get(key, [])),
             )
         cluster_registry = None
         if telemetry.get("cluster") is not None:
@@ -129,7 +128,7 @@ class ClusterScrape:
             status=status,
             nodes=nodes,
             cluster_registry=cluster_registry,
-            cluster_events=list(events.get("cluster") or []),
+            events=list(payload.get("eventlog", {}).get("events") or []),
             epochs=payload.get("epochs") or None,
         )
 
@@ -210,11 +209,10 @@ class TelemetryAggregator:
             merged.merge(scrape.cluster_registry)
         spans, mapping = self._combine_spans(scrape)
         stitched = self._stitch(spans, mapping)
-        events = self._merge_events(scrape)
         view = ClusterView(
             registry=merged,
             spans=spans,
-            events=events,
+            events=scrape.events,
             status=scrape.status,
             nodes=scrape.nodes,
             stitched_hops=stitched,
@@ -278,15 +276,6 @@ class TelemetryAggregator:
                     stitched += 1
         return stitched
 
-    # -- events --------------------------------------------------------
-    @staticmethod
-    def _merge_events(scrape: ClusterScrape) -> List[dict]:
-        """Node + cluster event streams, content-deduplicated (scoped
-        clocks forward node events to the cluster log) and time-sorted."""
-        streams = [scrape.nodes[pid].events for pid in sorted(scrape.nodes)]
-        streams.append(scrape.cluster_events)
-        return merge_events(streams)
-
     # -- derived cluster metrics ---------------------------------------
     def _publish_cluster_metrics(
         self, merged: MetricsRegistry, view: "ClusterView", scrape: ClusterScrape
@@ -341,6 +330,7 @@ class ClusterView:
 
     registry: MetricsRegistry
     spans: SpanTracker
+    #: The cluster log (wire form), in emission order.
     events: List[dict]
     status: dict
     nodes: Dict[int, NodeScrape]

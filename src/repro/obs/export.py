@@ -6,9 +6,10 @@ same :class:`~repro.obs.telemetry.Telemetry` and
 ``(seed, workload, topology)``:
 
 * :func:`eventlog_to_jsonl` — the structured event log, one JSON object
-  per line, for ``jq``/pandas post-processing; :func:`load_events`
-  reads it back and :func:`postmortem` distils it into the crash →
-  repair → recovery story ``repro-cluster postmortem`` prints;
+  per line in emission order, for ``jq``/pandas post-processing;
+  :func:`load_events` reads it back and :func:`postmortem` distils it,
+  in that order, into the crash → repair → recovery story
+  ``repro-cluster postmortem`` prints;
 * :func:`prometheus_text` — the metrics registry in the Prometheus text
   exposition format (counters, gauges, cumulative histograms);
 * :func:`chrome_trace` — the span table as Chrome trace-event JSON,
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import IO, Dict, Iterable, List, Optional, Union
+from typing import IO, Dict, List, Optional, Union
 
 from .registry import MetricsRegistry
 from .spans import SpanTracker
@@ -35,7 +36,6 @@ __all__ = [
     "event_dict",
     "eventlog_to_jsonl",
     "load_events",
-    "merge_events",
     "postmortem",
     "render_postmortem",
     "prometheus_text",
@@ -89,32 +89,6 @@ def event_dict(record) -> dict:
     }
 
 
-def merge_events(streams: Iterable[Iterable[dict]]) -> List[dict]:
-    """Merge event streams (wire form) into one deduplicated,
-    time-sorted timeline.
-
-    The same record legitimately appears in several streams — in a
-    node's log and the cluster's (scoped clocks forward) — so identity
-    is the record's content, not its stream of origin.
-    """
-    seen = set()
-    merged: List[dict] = []
-    for stream in streams:
-        for event in stream:
-            identity = (
-                event.get("time"),
-                event.get("kind"),
-                event.get("node"),
-                json.dumps(event.get("fields", {}), sort_keys=True),
-            )
-            if identity in seen:
-                continue
-            seen.add(identity)
-            merged.append(event)
-    merged.sort(key=lambda e: (e.get("time") or 0.0, e.get("kind") or ""))
-    return merged
-
-
 def eventlog_to_jsonl(log, destination: Union[str, Path, IO[str]]) -> int:
     """Write the event log as JSON Lines (one :func:`event_dict` per
     line); returns the record count."""
@@ -156,50 +130,44 @@ def postmortem(source: Union[str, Path, List[dict]]) -> dict:
     """Distil a run's events — a :func:`eventlog_to_jsonl` file or a
     list of event dicts — into the crash → repair → recovery story.
 
-    Returns a dict with the deduplicated, time-sorted ``timeline`` (see
-    :func:`merge_events`: *source* may hold a node's stream and the
-    cluster's) plus the extracted milestones: ``crashes`` (kind
-    ``crash``), ``repairs`` (``repair_planned`` / ``repair_applied``
-    pairs), ``slo_breaches`` and ``detections`` — every detection
-    event, tagged ``after_repair`` when it fired after the last applied
-    repair: the paper's continued-detection claim, checkable from the
-    run's telemetry alone.
+    The events are read in the order they were emitted (the dump's line
+    order), and that order, not their timestamps, is the causality: two
+    records may share a time.  Returns a dict with that ``timeline``
+    plus the extracted milestones: ``crashes`` (kind ``crash``),
+    ``repairs`` (each ``repair_planned`` paired with the first later
+    ``repair_applied`` for the same failed node), ``slo_breaches`` and
+    ``detections`` — every detection event, tagged ``after_repair`` when
+    it comes after the last applied repair: the paper's
+    continued-detection claim, checkable from the run's telemetry alone.
     """
-    events = source if isinstance(source, list) else load_events(source)
-    timeline = merge_events([events])
+    timeline = source if isinstance(source, list) else load_events(source)
     by_kind: Dict[str, List[dict]] = {}
-    for event in timeline:
-        by_kind.setdefault(event["kind"], []).append(event)
-    applied = by_kind.get("repair_applied", [])
     repairs: List[dict] = []
-    for plan in by_kind.get("repair_planned", []):
-        failed = plan.get("fields", {}).get("failed")
-        match = next(
-            (
-                a
-                for a in applied
-                if a.get("fields", {}).get("failed") == failed
-                and a["time"] >= plan["time"]
-            ),
-            None,
-        )
-        repairs.append(
-            {
-                "failed": failed,
-                "planned_at": plan["time"],
-                "applied_at": match["time"] if match else None,
-                "duration": match["time"] - plan["time"] if match else None,
-            }
-        )
-    last_applied = max((a["time"] for a in applied), default=None)
+    unapplied: Dict[object, List[dict]] = {}
+    last_applied = -1
+    for position, event in enumerate(timeline):
+        kind = event["kind"]
+        by_kind.setdefault(kind, []).append(event)
+        failed = event.get("fields", {}).get("failed")
+        if kind == "repair_planned":
+            repair = {"failed": failed, "planned_at": event["time"],
+                      "applied_at": None, "duration": None}
+            repairs.append(repair)
+            unapplied.setdefault(failed, []).append(repair)
+        elif kind == "repair_applied":
+            last_applied = position
+            for repair in unapplied.pop(failed, []):
+                repair["applied_at"] = event["time"]
+                repair["duration"] = event["time"] - repair["planned_at"]
     detections = [
         {
             "time": e["time"],
             "node": e["node"],
             "members": e.get("fields", {}).get("members"),
-            "after_repair": last_applied is not None and e["time"] > last_applied,
+            "after_repair": position > last_applied >= 0,
         }
-        for e in by_kind.get("detection", [])
+        for position, e in enumerate(timeline)
+        if e["kind"] == "detection"
     ]
     return {
         "events": len(timeline),

@@ -72,7 +72,7 @@ class Simulator:
           streams apart by construction.
     """
 
-    def __init__(self, seed: SimSeed = 0, *, log_capacity: Optional[int] = None) -> None:
+    def __init__(self, seed: SimSeed = 0) -> None:
         from ..obs.telemetry import Telemetry
         from .eventlog import EventLog
 
@@ -87,9 +87,8 @@ class Simulator:
         self.heap_compactions = 0
         self._rngs: Dict[str, np.random.Generator] = {}
         self.events_executed = 0
-        #: structured observability log (see repro.sim.eventlog);
-        #: ``log_capacity`` bounds it to a ring buffer for long runs
-        self.log = EventLog(capacity=log_capacity)
+        #: structured observability log (see repro.sim.eventlog)
+        self.log = EventLog()
         #: metrics registry + causal span tracker (see repro.obs)
         self.telemetry = Telemetry()
 

@@ -17,6 +17,7 @@ CI's ``net-smoke`` job.
 """
 
 import asyncio
+import json
 import time
 
 import pytest
@@ -154,6 +155,45 @@ class TestKill:
         assert repaired["nodes"] == 6 and repaired["repairs"] == [6]
         assert set(repaired["alive"]) == {0, 1, 2, 3, 4, 5}
         assert repaired["false_suspicions"] == 0
+
+    def test_each_event_is_logged_once_and_fed_live(self):
+        # Every node scope emits into the one cluster log: a subscriber
+        # there sees a neighbour heartbeat's suspicion of the victim,
+        # and the admin ``eventlog`` command ships each record once.
+        spec = _spec(admin_port=0)
+        victim = 6
+
+        async def scenario():
+            cluster = LocalCluster(spec)
+            await cluster.start()
+            suspicions = []
+            cluster.log.subscribe("suspect", suspicions.append)
+            cluster.kill_node(victim)
+            deadline = cluster.clock.now + 60
+            while victim in cluster.tree.nodes:
+                assert cluster.clock.now < deadline, "repair never applied"
+                await asyncio.sleep(0.01)
+            port = cluster._admin_server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port, limit=1 << 24
+            )
+            writer.write(b'{"cmd": "eventlog"}\n')
+            await writer.drain()
+            payload = json.loads(await reader.readline())
+            logged = [(r.time, r.kind, r.node) for r in cluster.log.records]
+            writer.close()
+            await writer.wait_closed()
+            await cluster.stop()
+            return cluster, suspicions, payload, logged
+
+        cluster, suspicions, payload, logged = run(scenario())
+        assert suspicions
+        for record in suspicions:
+            assert record.get("peer") == victim
+            assert record.node in cluster.scopes and record.node != victim
+        assert payload["ok"] and set(payload) == {"ok", "events"}
+        assert [(e["time"], e["kind"], e["node"]) for e in payload["events"]] == logged
+        assert len(payload["events"]) == len(logged) > 0
 
 
 class TestTcpSmall:

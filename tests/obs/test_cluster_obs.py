@@ -79,18 +79,18 @@ def _payload() -> dict:
             },
         },
         "eventlog": {
-            "nodes": {
-                "0": [{"time": 3.0, "kind": "detection", "node": 0,
-                       "fields": {"index": 0}}],
-                "1": [{"time": 1.0, "kind": "tick", "node": 1, "fields": {}}],
-            },
-            "cluster": [
-                # The scoped clocks forward node events upward — the
-                # cluster stream repeats the detection verbatim.
-                {"time": 3.0, "kind": "detection", "node": 0,
-                 "fields": {"index": 0}},
+            # The cluster log, in emission order: records can share a
+            # time, and two identical records are two events.
+            "events": [
                 {"time": 0.0, "kind": "cluster_started", "node": None,
                  "fields": {}},
+                {"time": 1.0, "kind": "tick", "node": 1, "fields": {}},
+                {"time": 3.0, "kind": "repair_applied", "node": 1,
+                 "fields": {"failed": 2}},
+                {"time": 3.0, "kind": "detection", "node": 0,
+                 "fields": {"index": 0}},
+                {"time": 3.0, "kind": "detection", "node": 0,
+                 "fields": {"index": 0}},
             ],
         },
     }
@@ -103,7 +103,8 @@ class TestClusterScrape:
         leaf = scrape.nodes[1]
         assert leaf.alive and leaf.level == 1
         assert leaf.registry.get("repro_net_frames_sent_total").value == 10
-        assert len(leaf.spans) == 2 and len(leaf.events) == 1
+        assert len(leaf.spans) == 2
+        assert len(scrape.events) == 5
         assert scrape.cluster_registry is None
 
     def test_dead_node_and_missing_level(self):
@@ -197,11 +198,9 @@ class TestAggregatorEventsAndMetrics:
     def _view(self):
         return TelemetryAggregator().fold(ClusterScrape.from_payload(_payload()))
 
-    def test_events_deduplicated_and_sorted(self):
+    def test_events_keep_emission_order(self):
         events = self._view().events
-        assert [e["kind"] for e in events] == [
-            "cluster_started", "tick", "detection",
-        ]  # the forwarded detection collapses to one record
+        assert events == _payload()["eventlog"]["events"]
 
     def test_cluster_detection_latency_recomputed(self):
         view = self._view()

@@ -43,17 +43,32 @@ class TestPostmortem:
         pre, post = report["detections"]
         assert not pre["after_repair"] and post["after_repair"]
 
-    def test_timeline_deduplicates_shared_events(self):
-        # A node's log and the cluster's both hold the node's events
-        # (scoped clocks forward them); given both streams, the
-        # timeline holds each record once, in time order.
-        node_log = EventLog()
-        node_log.emit(2.0, "crash", node=5)
-        node_log.emit(0.5, "tick", node=5)
-        timeline = postmortem(_events(node_log) + _events(self._story()))["timeline"]
-        assert sum(1 for e in timeline if e["kind"] == "crash") == 1
-        assert len(timeline) == 7
-        assert [e["time"] for e in timeline] == sorted(e["time"] for e in timeline)
+    def test_timeline_keeps_emission_order(self):
+        # Two identical records at one time are two events, and records
+        # that share a time keep the order they were emitted in.
+        events = _events(self._story())
+        congested = {"time": 3.5, "kind": "net_congested", "node": 2,
+                     "fields": {"peer": 0}}
+        events.append(dict(congested))
+        events.append(dict(congested))
+        report = postmortem(events)
+        assert report["events"] == 8
+        assert report["timeline"] == events
+
+    def test_detection_logged_after_the_repair_is_after_repair(self):
+        # A detection emitted right after the repair applied, at the
+        # same timestamp: the order of the log, not its times, says
+        # that it came after.
+        log = EventLog()
+        log.emit(2.0, "crash", node=5)
+        log.emit(2.5, "repair_planned", node=3, failed=5)
+        log.emit(3.0, "repair_applied", node=5, failed=5, duration=0.5)
+        log.emit(3.0, "detection", node=0, members=6, index=1)
+        report = postmortem(_events(log))
+        (repair,) = report["repairs"]
+        assert repair["applied_at"] == 3.0
+        (detection,) = report["detections"]
+        assert detection["after_repair"]
 
     def test_jsonl_round_trip_gives_the_same_report(self, tmp_path):
         log = self._story()

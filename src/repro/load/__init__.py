@@ -1,9 +1,9 @@
 """repro.load — the traffic plane.
 
 Drives a detection cluster like a real fleet: open/closed-loop offer
-generators with Zipf popularity skew, pluggable dispatch policies behind
-a load balancer, and watermark+congestion admission control, all
-accounted through ``repro_load_*`` metrics.  One
+generators, pluggable dispatch policies behind a load balancer, and
+watermark+congestion admission control, all accounted through
+``repro_load_*`` metrics.  One
 :class:`~repro.load.session.LoadSession` implementation runs against
 both the live socket cluster (:mod:`repro.net.cluster` wires it) and the
 virtual-time simulator (:mod:`repro.load.simload`), which is what makes
@@ -19,7 +19,6 @@ does its import lazily.
 from .admission import AdmissionController
 from .dispatch import (
     DISPATCH_POLICIES,
-    Affinity,
     DispatchPolicy,
     LeastOutstanding,
     LoadBalancer,
@@ -27,15 +26,13 @@ from .dispatch import (
     Weighted,
     make_policy,
 )
-from .generators import ClosedLoopGenerator, Offer, OpenLoopGenerator, user_homes
+from .generators import ClosedLoopGenerator, Offer, OpenLoopGenerator
 from .latency import LOAD_SOJOURN_BUCKETS, LatencyStore
-from .popularity import ZipfSampler
 from .session import IntervalSupply, LoadSession, LoadSpec, solution_keyset
 from .simload import run_traffic, traffic_specs
 
 __all__ = [
     "AdmissionController",
-    "Affinity",
     "ClosedLoopGenerator",
     "DISPATCH_POLICIES",
     "DispatchPolicy",
@@ -50,10 +47,8 @@ __all__ = [
     "OpenLoopGenerator",
     "RoundRobin",
     "Weighted",
-    "ZipfSampler",
     "make_policy",
     "run_traffic",
     "solution_keyset",
     "traffic_specs",
-    "user_homes",
 ]

@@ -56,10 +56,10 @@ class AdmissionController:
         self.resume_outstanding = resume_outstanding
         self._probe = congestion_probe
         self.saturated = False
-        #: why the latest :meth:`decide` shed, as the session books it
-        #: (``None`` unless it shed): the target's
-        #: congestion outranks the global gate here, whereas
-        #: ``repro_load_shed_total`` names the gate that fired first
+        #: why the latest :meth:`decide` shed (``None`` unless it shed):
+        #: the target's congestion outranks the global gate.  The
+        #: session, the epoch ledger and ``repro_load_shed_total`` all
+        #: book this one reason.
         self.shed_reason: Optional[str] = None
 
         self.offered = registry.counter_vec(
@@ -99,20 +99,20 @@ class AdmissionController:
                 self.saturated = False
                 self.clock.emit("load_shed_released", outstanding=outstanding)
             else:
-                return self._shed("saturated", congested)
+                return self._shed(congested)
         if outstanding >= self.max_outstanding:
             self.saturated = True
             self.clock.emit(
                 "load_shed_engaged", outstanding=outstanding, reason="outstanding"
             )
-            return self._shed("saturated", congested)
+            return self._shed(congested)
         if congested:
-            return self._shed("congested", congested)
+            return self._shed(congested)
         return True
 
-    def _shed(self, reason: str, congested: bool) -> bool:
+    def _shed(self, congested: bool) -> bool:
         self.shed_reason = "congested" if congested else "saturated"
-        self.shed[reason] += 1
+        self.shed[self.shed_reason] += 1
         return False
 
     # ------------------------------------------------------------------

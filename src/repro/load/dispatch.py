@@ -3,7 +3,7 @@
 A :class:`DispatchPolicy` sees one offer plus the current per-target
 outstanding counts and names a target; the :class:`LoadBalancer` in
 front of it owns the live target list (dead nodes drop out when the
-cluster's repair machinery confirms a kill).  All four stock policies
+cluster's repair machinery confirms a kill).  All three stock policies
 are deterministic — no rng draws — so a fixed offer stream routes
 identically on every run:
 
@@ -14,16 +14,12 @@ identically on every run:
   each pick adds every target's weight to its current credit, takes the
   highest credit, and debits the picked target by the weight total.
   Over one weight period the pick counts match the weights exactly.
-* ``affinity`` — honour the offer's Zipf-drawn home process, so the
-  per-process offered rates carry the popularity skew end-to-end.
 
 Note the interplay with the detector: a ``Definitely(Φ)`` solution needs
-one interval from *every* process, so skewed routing (``affinity`` under
-a steep Zipf, or lopsided ``weighted`` tables) starves conjunctions —
-hot nodes race ahead through their interval supply while cold nodes lag,
-and sojourn latency is set by the *coldest* target (``docs/load.md``,
-"Popularity and dispatch"; ``tests/load/test_popularity.py`` pins the
-skew itself).
+one interval from *every* process, so skewed routing (a lopsided
+``weighted`` table) starves conjunctions — hot nodes race ahead through
+their interval supply while cold nodes lag, and sojourn latency is set
+by the *coldest* target (``docs/load.md``, "Dispatch").
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ __all__ = [
     "RoundRobin",
     "LeastOutstanding",
     "Weighted",
-    "Affinity",
     "make_policy",
 ]
 
@@ -96,27 +91,12 @@ class Weighted:
         return pick
 
 
-class Affinity:
-    """Route to the offer's Zipf-drawn home (fall back to round-robin
-    when the home process is gone)."""
-
-    def __init__(self) -> None:
-        self._fallback = RoundRobin()
-
-    def choose(self, offer, targets, outstanding) -> int:
-        home = getattr(offer, "home", None)
-        if home in targets:
-            return home
-        return self._fallback.choose(offer, targets, outstanding)
-
-
 #: Policy name → zero-config factory (``weighted`` needs a table and is
 #: special-cased by :func:`make_policy`).
 DISPATCH_POLICIES = {
     "round_robin": RoundRobin,
     "least_outstanding": LeastOutstanding,
     "weighted": Weighted,
-    "affinity": Affinity,
 }
 
 
@@ -130,8 +110,6 @@ def make_policy(
             f"dispatch must be one of {sorted(DISPATCH_POLICIES)}, got {name!r}"
         )
     if name == "weighted":
-        if not weights:
-            raise ValueError("weighted dispatch needs a weight table")
         return Weighted(weights)
     return DISPATCH_POLICIES[name]()
 

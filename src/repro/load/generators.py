@@ -13,9 +13,9 @@ offline :class:`~repro.experiments.parallel.ShardedRunner` sweep.
   regardless of completions (the saturation-study model: offered load is
   the independent variable).  The whole arrival schedule — one
   exponential gap (:func:`~repro.workload.distributions.exponential_gap`)
-  plus a Zipf home draw per offer — is precomputed from two named rng
-  streams (``load-arrivals``, ``load-popularity``), making the *offer
-  schedule* a pure function of the seed: the determinism gate's anchor.
+  per offer — is precomputed from one named rng stream
+  (``load-arrivals``), making the *offer schedule* a pure function of
+  the seed: the determinism gate's anchor.
 * :class:`ClosedLoopGenerator` — ``users`` virtual users; each thinks
   (exponential, per-user stream ``load-think-N``), submits one offer and
   only after that offer resolves (completed, shed or abandoned) thinks
@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..workload.distributions import exponential_gap
-from .popularity import ZipfSampler
 
-__all__ = ["Offer", "OpenLoopGenerator", "ClosedLoopGenerator", "user_homes"]
+__all__ = ["Offer", "OpenLoopGenerator", "ClosedLoopGenerator"]
 
 
 @dataclass
@@ -41,14 +40,12 @@ class Offer:
 
     index: int  #: global offer number (issue order)
     user: int  #: virtual user id (-1 for open-loop arrivals)
-    home: int  #: Zipf-drawn home process (affinity dispatch honours it)
     issued_at: float  #: clock time the generator emitted the offer
     #: Epoch id, assigned at the source as ``index // len(pids)``.  A
     #: ``Definitely(Φ)`` solution needs one interval per process, so
     #: consecutive stride-of-n offers form the natural goodput unit;
     #: being a pure function of the (seeded) offer index, the id is
-    #: identical across sharded workers and sim↔socket scopes and can
-    #: ride the frame ``_meta`` sidecar like span coordinates.
+    #: identical across sharded workers and sim↔socket scopes.
     epoch: int = -1
 
 
@@ -63,7 +60,6 @@ class OpenLoopGenerator:
         *,
         rate: float,
         total_offers: int,
-        zipf_s: float = 1.1,
     ) -> None:
         if rate <= 0:
             raise ValueError("open-loop rate must be positive")
@@ -74,7 +70,6 @@ class OpenLoopGenerator:
         self.intake = intake
         self.total_offers = total_offers
         self._mean_gap = 1.0 / rate
-        self._zipf = ZipfSampler(len(self.pids), zipf_s)
         self._plan: Optional[List[Tuple[float, int]]] = None
         self._handle: Optional[object] = None
         self._base = 0.0
@@ -83,17 +78,18 @@ class OpenLoopGenerator:
 
     # ------------------------------------------------------------------
     def plan(self) -> List[Tuple[float, int]]:
-        """The full arrival schedule as ``(offset_s, home_pid)`` pairs —
-        computed once, deterministically, from the clock's named rng
-        streams."""
+        """The full arrival schedule as ``(offset_s, epoch)`` pairs —
+        computed once, deterministically, from the clock's
+        ``load-arrivals`` stream.  Offer *i*'s epoch is ``i // n`` for
+        ``n`` processes (see :class:`Offer`)."""
         if self._plan is None:
             arrivals = self.clock.rng("load-arrivals")
-            popularity = self.clock.rng("load-popularity")
+            stride = len(self.pids)
             t = 0.0
             schedule: List[Tuple[float, int]] = []
-            for _ in range(self.total_offers):
+            for index in range(self.total_offers):
                 t += exponential_gap(arrivals, self._mean_gap)
-                schedule.append((t, self.pids[self._zipf.sample(popularity)]))
+                schedule.append((t, index // stride))
             self._plan = schedule
         return self._plan
 
@@ -133,9 +129,8 @@ class OpenLoopGenerator:
             Offer(
                 index=index,
                 user=-1,
-                home=self._plan[index][1],
                 issued_at=self.clock.now,
-                epoch=index // len(self.pids),
+                epoch=self._plan[index][1],
             )
         )
 
@@ -153,21 +148,9 @@ class OpenLoopGenerator:
             self._handle = None
 
 
-def user_homes(
-    popularity, pids: Sequence[int], users: int, zipf_s: float
-) -> List[int]:
-    """Each closed-loop user's Zipf-drawn home process, in uid order:
-    one draw per user from the *popularity* stream (``load-popularity``),
-    so the homes are a pure function of the seed."""
-    ordered = sorted(pids)
-    zipf = ZipfSampler(len(ordered), zipf_s)
-    return [ordered[zipf.sample(popularity)] for _ in range(users)]
-
-
 @dataclass
 class _User:
     uid: int
-    home: int
     in_flight: bool = False
 
 
@@ -183,7 +166,6 @@ class ClosedLoopGenerator:
         users: int,
         total_offers: int,
         think_time: float = 0.05,
-        zipf_s: float = 1.1,
     ) -> None:
         if users < 1:
             raise ValueError("closed loop needs at least one user")
@@ -196,8 +178,7 @@ class ClosedLoopGenerator:
         self.intake = intake
         self.total_offers = total_offers
         self.think_time = think_time
-        homes = user_homes(clock.rng("load-popularity"), self.pids, users, zipf_s)
-        self.users = [_User(uid=u, home=home) for u, home in enumerate(homes)]
+        self.users = [_User(uid=u) for u in range(users)]
         self._issued = 0
         self._stopped = False
         #: uid -> the user's pending think timer; a user has at most one.
@@ -230,7 +211,6 @@ class ClosedLoopGenerator:
             Offer(
                 index=index,
                 user=user.uid,
-                home=user.home,
                 issued_at=self.clock.now,
                 epoch=index // len(self.pids),
             )

@@ -2,7 +2,7 @@
 
 :class:`LoadSession` owns the whole pipeline for one run —
 
-    generator → popularity → dispatch → admission → interval supply
+    generator → dispatch → admission → interval supply
               → ``submit(pid, interval)`` → (detections) → completion
 
 — against an abstract *submit* callback and the common clock surface,
@@ -48,7 +48,6 @@ from .admission import AdmissionController
 from .dispatch import DISPATCH_POLICIES, LoadBalancer, make_policy
 from .generators import ClosedLoopGenerator, Offer, OpenLoopGenerator
 from .latency import LatencyStore
-from .popularity import ZipfSampler
 
 __all__ = ["LoadSpec", "IntervalSupply", "LoadSession", "solution_keyset"]
 
@@ -75,12 +74,10 @@ class LoadSpec:
     think_time: float = 0.05
     #: total offers to issue before the generator stops
     total_offers: int = 200
-    #: popularity skew exponent (0 = uniform)
-    zipf_s: float = 1.1
     #: dispatch policy name (see :mod:`repro.load.dispatch`)
     dispatch: str = "round_robin"
-    #: explicit per-target weights for ``weighted`` dispatch, aligned to
-    #: sorted pids (None = the Zipf pmf)
+    #: per-target weights, aligned to sorted pids: required by
+    #: ``weighted`` dispatch and refused by every other policy
     weights: Optional[Tuple[float, ...]] = None
     #: admission high watermark on cluster-wide outstanding offers
     max_outstanding: int = 64
@@ -105,6 +102,13 @@ class LoadSpec:
             raise ValueError(
                 f"dispatch must be one of {sorted(DISPATCH_POLICIES)}, got {self.dispatch!r}"
             )
+        if self.weights is None:
+            if self.dispatch == "weighted":
+                raise ValueError("weighted dispatch needs load.weights, one per process")
+        elif self.dispatch != "weighted":
+            raise ValueError(f"load.weights is for weighted dispatch, not {self.dispatch!r}")
+        elif any(w <= 0 for w in self.weights):
+            raise ValueError("load.weights must all be positive")
         if self.policy != "shed":
             raise ValueError(f"policy must be 'shed', got {self.policy!r}")
         if self.rate <= 0:
@@ -115,8 +119,6 @@ class LoadSpec:
             raise ValueError("total_offers must be >= 1")
         if self.think_time <= 0 or self.pending_timeout <= 0:
             raise ValueError("think_time and pending_timeout must be positive")
-        if self.zipf_s < 0:
-            raise ValueError("zipf_s must be >= 0")
         if self.max_outstanding < 1:
             raise ValueError("max_outstanding must be >= 1")
         if (
@@ -134,9 +136,15 @@ class LoadSpec:
         return self.resume_outstanding or max(1, self.max_outstanding // 2)
 
     def check_stride(self, processes: int) -> None:
-        """Refuse a spec that can never complete an epoch on
-        *processes* processes: ``Definitely(Phi)`` completes offers one
-        whole epoch (one interval per process) at a time."""
+        """Refuse a spec that cannot run on *processes* processes: a
+        weight table of another length, or a gate that can never
+        complete an epoch (``Definitely(Phi)`` completes offers one
+        whole epoch, one interval per process, at a time)."""
+        if self.weights is not None and len(self.weights) != processes:
+            raise ValueError(
+                f"load.weights: weighted dispatch needs one entry per "
+                f"process ({processes}), got {len(self.weights)}"
+            )
         if self.max_outstanding < processes:
             raise ValueError(
                 f"load.max_outstanding ({self.max_outstanding}) must cover at "
@@ -149,22 +157,6 @@ class LoadSpec:
                 f"stride ({processes} processes): closed-loop users hold one "
                 "offer each at a time, so fewer users than processes can never "
                 "complete an epoch before pending_timeout abandons its offers"
-            )
-
-    def check_homes(self, pids: Sequence[int], homes: Sequence[int]) -> None:
-        """Refuse a closed loop under ``affinity`` dispatch whose users'
-        *homes* (:func:`~repro.load.generators.user_homes`) leave a
-        process out: that process never receives an offer, so no epoch
-        can complete."""
-        if self.mode != "closed" or self.dispatch != "affinity":
-            return
-        covered = set(homes)
-        uncovered = [pid for pid in sorted(pids) if pid not in covered]
-        if uncovered:
-            raise ValueError(
-                f"load.dispatch: closed-loop affinity homes no user on "
-                f"processes {uncovered}: they never receive an offer, so no "
-                "epoch can complete"
             )
 
 
@@ -283,16 +275,8 @@ class LoadSession:
         self.pids = self.supply.pids
         load.check_stride(len(self.pids))
         weights = None
-        if load.dispatch == "weighted":
-            if load.weights is not None:
-                if len(load.weights) != len(self.pids):
-                    raise ValueError(
-                        f"weights must have one entry per process "
-                        f"({len(self.pids)}), got {len(load.weights)}"
-                    )
-                weights = dict(zip(self.pids, load.weights))
-            else:
-                weights = ZipfSampler(len(self.pids), load.zipf_s).weights_for(self.pids)
+        if load.weights is not None:
+            weights = dict(zip(self.pids, load.weights))
         self.balancer = LoadBalancer(
             make_policy(load.dispatch, weights=weights), self.pids, alive=alive
         )
@@ -326,7 +310,6 @@ class LoadSession:
                 self._intake,
                 rate=load.rate,
                 total_offers=load.total_offers,
-                zipf_s=load.zipf_s,
             )
         else:
             self.generator = ClosedLoopGenerator(
@@ -336,9 +319,7 @@ class LoadSession:
                 users=load.users,
                 total_offers=load.total_offers,
                 think_time=load.think_time,
-                zipf_s=load.zipf_s,
             )
-            load.check_homes(self.pids, [user.home for user in self.generator.users])
         # admission order as targets: the reference replay regenerates
         # each target's intervals from the supply (``interval_at``)
         self._admitted_log: List[int] = []
@@ -352,7 +333,6 @@ class LoadSession:
             "completed": 0,
             "abandoned": 0,
         }
-        self._shed_by_reason: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -393,14 +373,14 @@ class LoadSession:
         if target is None:
             self.admission.offered["none"] += 1
             self.admission.count_shed("no-target")
-            self._count_shed("no-target")
+            self.counts["shed"] += 1
             self.epochs.note_shed(epoch, offer.index, "no-target", self.clock.now)
             self._resolve(offer, "shed")
         elif self.admission.decide(target, self.latency.outstanding):
             self._admit(offer, epoch, target)
         else:
             reason = self.admission.shed_reason
-            self._count_shed(reason)
+            self.counts["shed"] += 1
             self.epochs.note_shed(
                 epoch, offer.index, reason, self.clock.now, target=target
             )
@@ -417,10 +397,6 @@ class LoadSession:
         self.admission.count_admit(target)
         self.admission.set_outstanding(self.latency.outstanding)
         self.submit(target, interval)
-
-    def _count_shed(self, reason: str) -> None:
-        self.counts["shed"] += 1
-        self._shed_by_reason[reason] = self._shed_by_reason.get(reason, 0) + 1
 
     def _resolve(self, offer: Offer, outcome: str) -> None:
         self.generator.offer_resolved(offer, outcome)
@@ -496,11 +472,10 @@ class LoadSession:
             "mode": self.load.mode,
             "dispatch": self.load.dispatch,
             "policy": self.load.policy,
-            "zipf_s": self.load.zipf_s,
             "offered": self.counts["offered"],
             "admitted": self.counts["admitted"],
             "shed": self.counts["shed"],
-            "shed_by_reason": dict(sorted(self._shed_by_reason.items())),
+            "shed_by_reason": dict(sorted(self.admission.shed.items())),
             "completed": self.counts["completed"],
             "abandoned": self.counts["abandoned"],
             "expired_by_reason": self.latency.expired_by_reason(),
@@ -510,8 +485,7 @@ class LoadSession:
         }
 
     def epoch_of(self, key: Key) -> Optional[int]:
-        """The epoch an admitted interval key belongs to (rides the
-        frame ``_meta`` sidecar next to span coordinates)."""
+        """The epoch an admitted interval key belongs to."""
         return self.epochs.epoch_of(key)
 
     def admitted_by_target(self) -> Dict[int, int]:

@@ -129,7 +129,6 @@ def run_traffic(
             "total_offers": load.total_offers,
             "dispatch": load.dispatch,
             "policy": load.policy,
-            "zipf_s": load.zipf_s,
             "max_outstanding": load.max_outstanding,
             "seed": seed,
             "nodes": len(pids),

@@ -39,7 +39,7 @@ import numpy as np
 from ..obs.telemetry import Telemetry
 from ..sim.eventlog import EventLog
 
-__all__ = ["AsyncClock", "ClockScope", "ClockHandle", "named_rng"]
+__all__ = ["AsyncClock", "ClockScope", "ClockHandle"]
 
 #: Ring size of the clock's event log: past it the oldest records go
 #: and ``EventLog.dropped`` counts them (``events_dropped``).
@@ -60,13 +60,6 @@ class ClockHandle:
             return
         self.cancelled = True
         self._handle.cancel()
-
-
-def named_rng(seed: int, name: str) -> np.random.Generator:
-    """A fresh copy of the stream ``AsyncClock(seed).rng(name)`` starts
-    as: what a spec check can draw before any clock exists."""
-    key = zlib.crc32(name.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence([seed, key]))
 
 
 class AsyncClock:
@@ -111,7 +104,9 @@ class AsyncClock:
         the same stream whether the stack runs simulated or networked."""
         gen = self._rngs.get(name)
         if gen is None:
-            gen = self._rngs[name] = named_rng(self.seed, name)
+            key = zlib.crc32(name.encode("utf-8"))
+            gen = np.random.default_rng(np.random.SeedSequence([self.seed, key]))
+            self._rngs[name] = gen
         return gen
 
     # ------------------------------------------------------------------

@@ -60,14 +60,14 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..detect.roles import DetectionRecord
 from ..fault.coordinator import RepairCoordinator
-from ..load import LoadSession, LoadSpec, user_homes
+from ..load import LoadSession, LoadSpec
 from ..monitor.spec import HeartbeatSpec, SLOSpec
 from ..obs.cluster import ClusterView, TelemetryAggregator, scrape_local
 from ..obs.epochs import StrandingWatchdog
 from ..obs.export import event_dict
 from ..obs.registry import count_error
 from ..topology.spanning_tree import SpanningTree
-from .clock import AsyncClock, ClockScope, named_rng
+from .clock import AsyncClock, ClockScope
 from .codec import CODEC_VERSION
 from .runtime import NodeRuntime
 from .script import IntervalScript, simulation_script
@@ -137,14 +137,8 @@ class ClusterSpec:
         if not 0.0 <= self.sync_prob <= 1.0:
             raise ValueError("sync_prob must be in [0, 1]")
         if self.load is not None:
+            # refused here, before any socket opens
             self.load.check_stride(self.nodes)
-            # The homes LocalCluster's session will draw, drawn here so
-            # a refused spec is refused before any socket opens.
-            pids = range(self.nodes)
-            popularity = named_rng(self.seed, "load-popularity")
-            self.load.check_homes(
-                pids, user_homes(popularity, pids, self.load.users, self.load.zipf_s)
-            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterSpec":
@@ -452,13 +446,10 @@ class LocalCluster:
             alive=self.is_alive,
             congestion_probe=self._uplink_congested,
         )
-        # Epoch plumbing: every runtime resolves admitted keys to epoch
-        # ids for its report sidecars, and every node core's queue
-        # lifecycle (enqueue / prune) feeds the ledger's queued→matched
-        # transitions — concrete local intervals only, so child
-        # aggregates at internal nodes never collide.
+        # Every node core's queue lifecycle (enqueue / prune) feeds the
+        # ledger's queued→matched transitions — concrete local intervals
+        # only, so child aggregates at internal nodes never collide.
         for pid, runtime in self.runtimes.items():
-            runtime.epoch_lookup = self.load_session.epoch_of
             runtime.role.add_core_observer(
                 self.load_session.epochs.core_observer(self.clock, node=pid)
             )

@@ -11,17 +11,14 @@ Every frame on every connection has one layout::
 
 The sidecar is a uvarint length followed by that many bytes::
 
-    uvarint field bits     bit 0 span · bit 3 epochs
-                           (any other bit, retired bits 1–2
+    uvarint field bits     bit 0 span (any other bit, retired bits 1–3
                            included: corrupt)
     [svarint node · uvarint sid]                  when bit 0
-    [uvarint count · count × uvarint gap]         when bit 3; a strictly
-                           increasing list, gap = e - previous - 1 from -1
 
-Those two keys, in those shapes, are the whole sidecar: the encoder
-raises ``ValueError`` on any other key or shape (a negative sid,
-unsorted epochs).  Bits 1–2 once carried a head-sampling decision and
-are never reused.  Flags bit 0 is legal on message tags only.
+That one key, in that shape, is the whole sidecar: the encoder raises
+``ValueError`` on any other key or shape (a negative sid).  Bits 1–2
+once carried a head-sampling decision and bit 3 a report's epoch ids;
+none is reused.  Flags bit 0 is legal on message tags only.
 
 The first byte doubles as magic and envelope version: a frame starts
 with ``0xB1``, and the decoder refuses any other first byte as a
@@ -121,10 +118,8 @@ _HEADER = struct.Struct(">BBBI")
 #: follows the packed body.
 _FLAG_META = 0x01
 
-#: Packed sidecar field bits (see the module docstring).
+#: The one packed sidecar field bit (see the module docstring).
 _META_SPAN = 0x01
-_META_EPOCHS = 0x08
-_META_FIELDS = _META_SPAN | _META_EPOCHS
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -138,18 +133,6 @@ def _packable_span(value) -> bool:
         and _INT64_MIN <= value[0] <= _INT64_MAX
         and 0 <= value[1] <= _INT64_MAX
     )
-
-
-def _packable_epochs(value) -> bool:
-    """A list of ints, strictly increasing, inside ``[0, 2**63)``."""
-    if value.__class__ is not list:
-        return False
-    previous = -1
-    for epoch in value:
-        if epoch.__class__ is not int or not previous < epoch <= _INT64_MAX:
-            return False
-        previous = epoch
-    return True
 
 
 class FrameCodec:
@@ -196,9 +179,8 @@ class FrameCodec:
         """One message (or meta dict) -> one framed byte string.
 
         ``meta`` is an optional sidecar dict carried in the frame —
-        transport-level annotations (the sender's span coordinates and
-        the epoch ids a report covers) that never touch the message
-        dataclass itself.  The decoder hands it back
+        a transport-level annotation (the sender's span coordinates)
+        that never touches the message dataclass itself.  The decoder hands it back
         via :meth:`feed_meta`.  A message type with no packed form
         raises ``TypeError``; a sidecar key or shape outside the packed
         layout raises ``ValueError``."""
@@ -248,30 +230,16 @@ class FrameCodec:
             raise ValueError(
                 f"frame _meta sidecar must be a dict, got {type(meta).__name__}"
             )
-        bits = 0
-        span = epochs = None
+        sidecar = bytearray((0,))
         for key, value in meta.items():
-            if key == "span" and _packable_span(value):
-                bits |= _META_SPAN
-                span = value
-            elif key == "epochs" and _packable_epochs(value):
-                bits |= _META_EPOCHS
-                epochs = value
-            else:
+            if key != "span" or not _packable_span(value):
                 raise ValueError(
                     f"_meta sidecar key {key!r} with value {value!r} has no "
                     f"packed form"
                 )
-        sidecar = bytearray((bits,))
-        if span is not None:
-            write_svarint(sidecar, span[0])
-            write_uvarint(sidecar, span[1])
-        if epochs is not None:
-            write_uvarint(sidecar, len(epochs))
-            previous = -1
-            for epoch in epochs:
-                write_uvarint(sidecar, epoch - previous - 1)
-                previous = epoch
+            sidecar[0] = _META_SPAN
+            write_svarint(sidecar, value[0])
+            write_uvarint(sidecar, value[1])
         self._bound_meta(len(sidecar))
         return bytes(sidecar)
 
@@ -279,7 +247,7 @@ class FrameCodec:
         """Inverse of :meth:`_pack_meta`; anything it would not have
         written raises ``ValueError``."""
         bits, offset = read_uvarint(data, 0)
-        if bits & ~_META_FIELDS:
+        if bits & ~_META_SPAN:
             raise ValueError(
                 f"unknown _meta sidecar field bits 0x{bits:x}; stream is corrupt"
             )
@@ -288,17 +256,6 @@ class FrameCodec:
             node, offset = read_svarint(data, offset)
             sid, offset = read_uvarint(data, offset)
             meta["span"] = [node, sid]
-        if bits & _META_EPOCHS:
-            count, offset = read_uvarint(data, offset)
-            if count > len(data) - offset:  # at least one byte per gap
-                raise ValueError("truncated epoch list in _meta sidecar")
-            epochs = []
-            previous = -1
-            for _ in range(count):
-                gap, offset = read_uvarint(data, offset)
-                previous += gap + 1
-                epochs.append(previous)
-            meta["epochs"] = epochs
         if offset != len(data):
             raise ValueError(
                 f"{len(data) - offset} trailing bytes in _meta sidecar; "

@@ -31,7 +31,7 @@ sender's ``report`` span lives in the sender's tracker, invisible to
 the receiver.  The runtime repairs this at the transport boundary:
 
 * outbound ``IntervalReport`` frames carry the sender's span id for the
-  reported interval in the frame's ``_meta`` sidecar
+  reported interval in the frame's ``_meta`` sidecar, and nothing else
   (``{"span": [node, sid]}``): its ``report`` span for an aggregate,
   its ``interval`` span for a forwarded one-interval solution;
 * on receipt, if the interval's span key is unknown locally (or names
@@ -93,11 +93,6 @@ class NodeRuntime:
         self.sim = clock  # the role-facing name for the clock handle
         self.transport = transport
         self.alive = True
-        #: Optional ``key -> epoch`` resolver the cluster attaches when
-        #: a load session is active (``LoadSession.epoch_of``); outbound
-        #: report sidecars then carry the epoch ids of the concrete
-        #: intervals they cover, next to the span coordinates.
-        self.epoch_lookup = None
         self._count_interval = clock.telemetry.registry.counter_handle(
             "repro_intervals_total",
             "Local intervals produced, per node.",
@@ -142,41 +137,14 @@ class NodeRuntime:
 
     def _span_meta(self, message: object) -> Optional[dict]:
         """Frame sidecar for trace stitching: the local span coordinates
-        of an outbound report's interval (see module docstring), plus
-        the epoch ids it covers.  These two keys are the whole packed
-        sidecar (:mod:`repro.net.codec`); the codec refuses any other."""
+        of an outbound report's interval (see module docstring) — the
+        whole packed sidecar (:mod:`repro.net.codec`)."""
         if not isinstance(message, IntervalReport):
             return None
         sid = self.sim.telemetry.spans.sid_of(interval_key(message.interval))
         if sid is None:
             return None
-        meta = {"span": [self.pid, sid]}
-        epochs = self._meta_epochs(message.interval)
-        if epochs is not None:
-            meta["epochs"] = epochs
-        return meta
-
-    #: Distinct epoch ids carried per report sidecar — a report covers
-    #: at most ``max_outstanding`` in-flight offers, but the sidecar is
-    #: bounded regardless so a pathological aggregate cannot bloat the
-    #: frame toward the codec's ``max_meta`` ceiling.
-    META_EPOCH_LIMIT = 8
-
-    def _meta_epochs(self, interval) -> Optional[list]:
-        """Epoch ids of the concrete intervals an outbound aggregate
-        covers (sorted, bounded), or ``None`` when no load session is
-        attached / none of the leaves map to an admitted offer."""
-        lookup = self.epoch_lookup
-        if lookup is None:
-            return None
-        found = set()
-        for leaf in interval.concrete_leaves():
-            epoch = lookup((leaf.owner, leaf.seq))
-            if epoch is not None:
-                found.add(epoch)
-        if not found:
-            return None
-        return sorted(found)[: self.META_EPOCH_LIMIT]
+        return {"span": [self.pid, sid]}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -278,13 +246,6 @@ class NodeRuntime:
             ):
                 return
         now = self.sim.now
-        attrs = {}
-        epochs = meta.get("epochs")
-        if isinstance(epochs, list) and epochs:
-            # The sender's epoch ids stick to the hop span, so stitched
-            # cross-node traces can name the epoch(s) a report carried —
-            # the ledger's stranding rows become explainable hop by hop.
-            attrs["epochs"] = [int(e) for e in epochs]
         spans.record(
             "hop",
             now,
@@ -295,5 +256,4 @@ class NodeRuntime:
             remote_node=remote_node,
             remote_sid=remote_sid,
             seq=message.interval.seq,
-            **attrs,
         )

@@ -98,8 +98,7 @@ class ClusterScrape:
     #: The cluster log (wire form), in emission order.
     events: List[dict] = field(default_factory=list)
     #: The epoch ledger payload (``EpochLedger.to_dict`` + watchdog
-    #: state) — ``None`` when the cluster runs without a load session
-    #: or predates the ``epochs`` admin command.
+    #: state) — ``None`` when the cluster runs without a load session.
     epochs: Optional[dict] = None
 
     @classmethod
@@ -147,8 +146,7 @@ class ClusterScraper:
 
     Speaks the newline-delimited JSON protocol: one connection, five
     requests (``status``, ``telemetry``, ``spans``, ``eventlog``,
-    ``epochs`` — the last tolerated missing on older clusters), one
-    :class:`ClusterScrape` back.
+    ``epochs``), one :class:`ClusterScrape` back.
     """
 
     #: StreamReader line limit — span/telemetry responses of a long run
@@ -170,10 +168,6 @@ class ClusterScraper:
                 await writer.drain()
                 response = json.loads(await reader.readline())
                 if not response.get("ok"):
-                    if cmd == "epochs":
-                        # Older clusters don't serve the epoch ledger;
-                        # a scrape without it is still a full scrape.
-                        continue
                     raise RuntimeError(
                         f"admin {cmd!r} failed: {response.get('error')}"
                     )

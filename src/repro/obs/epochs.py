@@ -252,8 +252,7 @@ class EpochLedger:
 
     def epoch_of(self, key: Key) -> Optional[int]:
         """The epoch an admitted interval key belongs to (``None`` for
-        keys the ledger never admitted) — what rides the frame ``_meta``
-        sidecar next to span coordinates."""
+        keys the ledger never admitted)."""
         return self._key_epoch.get(key)
 
     # ------------------------------------------------------------------

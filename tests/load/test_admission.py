@@ -77,9 +77,9 @@ class TestCongestion:
 
 
 class TestShedReason:
-    """``decide`` names the shed reason the session books, from the one
-    congestion probe it made: congestion outranks the global gate
-    there, while ``repro_load_shed_total`` keeps the gate that fired."""
+    """``decide`` names one shed reason, from the one congestion probe
+    it made: congestion outranks the global gate, and
+    ``repro_load_shed_total`` books the reason the session books."""
 
     def test_reason_follows_the_single_probe(self):
         probes = []
@@ -97,12 +97,12 @@ class TestShedReason:
         assert ctrl.shed_reason == "congested"
         assert not ctrl.decide(0, outstanding=8)
         assert ctrl.shed_reason == "saturated"
-        # gate latched *and* the target backed up: the session says
-        # congested, the controller's own counter says saturated
+        # gate latched *and* the target backed up: booked once, as
+        # congested, by the reason and the counter alike
         assert not ctrl.decide(1, outstanding=8)
         assert ctrl.shed_reason == "congested"
         shed = sim.telemetry.registry.get("repro_load_shed_total")
-        assert dict(shed) == {"congested": 1, "saturated": 2}
+        assert dict(shed) == {"congested": 2, "saturated": 1}
         assert probes == [1, 1, 0, 1]  # one probe per decision
 
 

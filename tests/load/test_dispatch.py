@@ -3,7 +3,6 @@
 import pytest
 
 from repro.load import (
-    Affinity,
     LeastOutstanding,
     LoadBalancer,
     Offer,
@@ -13,8 +12,8 @@ from repro.load import (
 )
 
 
-def offer(home=0):
-    return Offer(index=0, user=-1, home=home, issued_at=0.0)
+def offer():
+    return Offer(index=0, user=-1, issued_at=0.0)
 
 
 class TestRoundRobin:
@@ -68,23 +67,10 @@ class TestWeighted:
             Weighted({1: 0.0})
 
 
-class TestAffinity:
-    def test_routes_to_home(self):
-        policy = Affinity()
-        assert policy.choose(offer(home=2), [1, 2, 3], {}) == 2
-
-    def test_falls_back_when_home_gone(self):
-        policy = Affinity()
-        first = policy.choose(offer(home=9), [1, 2], {})
-        second = policy.choose(offer(home=9), [1, 2], {})
-        assert [first, second] == [1, 2]  # round-robin fallback
-
-
 class TestMakePolicy:
     def test_builds_stock_policies(self):
         assert isinstance(make_policy("round_robin"), RoundRobin)
         assert isinstance(make_policy("least_outstanding"), LeastOutstanding)
-        assert isinstance(make_policy("affinity"), Affinity)
         assert isinstance(make_policy("weighted", weights={1: 1.0}), Weighted)
 
     def test_unknown_or_missing_weights_raise(self):

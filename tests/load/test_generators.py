@@ -96,11 +96,12 @@ class ManualClock:
 
 def expected(gen):
     n = len(gen.pids)
-    return [(i, home, i // n) for i, (_, home) in enumerate(gen.plan())]
+    assert [epoch for _, epoch in gen.plan()] == [i // n for i in range(gen.total_offers)]
+    return [(i, epoch) for i, (_, epoch) in enumerate(gen.plan())]
 
 
 def emitted(offers):
-    return [(o.index, o.home, o.epoch) for o in offers]
+    return [(o.index, o.epoch) for o in offers]
 
 
 class TestOneTimer:
@@ -224,12 +225,13 @@ class TestOpenLoop:
         gen = OpenLoopGenerator(
             Simulator(seed=1), list(range(7)), lambda o: None, rate=700.0, total_offers=6
         )
+        # (six offers on seven processes: all of epoch 0)
         assert gen.plan() == [
-            (0.00010886242968645757, 1),
-            (0.00035374534408251593, 5),
-            (0.0006983398698672951, 4),
-            (0.0016545971948353057, 2),
-            (0.003078431155143975, 3),
+            (0.00010886242968645757, 0),
+            (0.00035374534408251593, 0),
+            (0.0006983398698672951, 0),
+            (0.0016545971948353057, 0),
+            (0.003078431155143975, 0),
             (0.005567806330560476, 0),
         ]
 
@@ -245,7 +247,7 @@ class TestOpenLoop:
         assert gen.done
         assert [o.index for o in seen] == list(range(40))
         assert all(o.user == -1 for o in seen)
-        assert all(o.home in (0, 1) for o in seen)
+        assert [o.epoch for o in seen] == [i // 2 for i in range(40)]
         # issued_at carries the virtual arrival time, monotone by plan
         times = [o.issued_at for o in seen]
         assert times == sorted(times)
@@ -319,16 +321,6 @@ class TestEpochIds:
         assert plan(Simulator(seed=11)) == plan(AsyncClock(seed=11))
         assert plan(Simulator(seed=11)) != plan(AsyncClock(seed=12))
 
-    def test_closed_loop_homes_identical_across_clock_scopes(self):
-        def homes(clock):
-            gen = ClosedLoopGenerator(
-                clock, [0, 1, 2, 3], lambda o: None,
-                users=5, total_offers=10, think_time=0.01,
-            )
-            return [u.home for u in gen.users]
-
-        assert homes(Simulator(seed=11)) == homes(AsyncClock(seed=11))
-
 
 class TestClosedLoop:
     def test_one_offer_in_flight_per_user(self):
@@ -373,25 +365,6 @@ class TestClosedLoop:
         drain(sim)
         gen.offer_resolved(pending.pop(), "completed")
         assert gen.done
-
-    def test_homes_are_fixed_per_user(self):
-        sim = Simulator(seed=9)
-        seen = []
-        gen = ClosedLoopGenerator(
-            sim, [0, 1, 2, 3], seen.append,
-            users=2, total_offers=10, think_time=0.005,
-        )
-        homes = {u.uid: u.home for u in gen.users}
-        assert set(homes) == {0, 1}
-        assert all(h in (0, 1, 2, 3) for h in homes.values())
-        gen.start(at=0.0)
-        while not gen.done:
-            if not sim.step() and not seen:
-                break
-            while seen:
-                offer = seen.pop()
-                assert offer.home == homes[offer.user]
-                gen.offer_resolved(offer, "completed")
 
     def test_keeps_only_pending_handles(self):
         sim = Simulator(seed=6)

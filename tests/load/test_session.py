@@ -2,7 +2,6 @@
 loopback cluster integration (``ClusterSpec(load=...)``)."""
 
 import asyncio
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.load import (
-    ClosedLoopGenerator,
     IntervalSupply,
     LoadSession,
     LoadSpec,
@@ -135,42 +133,6 @@ class TestSessionGuards:
                 lambda pid, iv: None,
                 registry=sim.telemetry.registry,
             )
-
-    def test_closed_loop_affinity_must_home_a_user_on_every_process(self):
-        # Seed 1 draws the 7 users' Zipf(1.1) homes onto only some of
-        # the 7 processes: the rest would never get an offer, so no
-        # epoch could ever complete.
-        streams = simulation_script(SpanningTree.regular(2, 3), seed=1, epochs=3).streams
-        assert len(streams) == 7
-        pids = sorted(streams)
-        homes = {
-            user.home
-            for user in ClosedLoopGenerator(
-                Simulator(seed=1), pids, lambda o: None,
-                users=7, total_offers=200, zipf_s=1.1,
-            ).users
-        }
-        uncovered = [pid for pid in pids if pid not in homes]
-        assert uncovered
-        sim = Simulator(seed=1)
-        with pytest.raises(ValueError, match=re.escape(f"homes no user on processes {uncovered}")):
-            LoadSession(
-                sim,
-                LoadSpec(mode="closed", users=7, zipf_s=1.1, dispatch="affinity"),
-                streams,
-                lambda pid, iv: None,
-                registry=sim.telemetry.registry,
-            )
-        # the same users under a policy that spreads their offers are
-        # accepted
-        sim = Simulator(seed=1)
-        LoadSession(
-            sim,
-            LoadSpec(mode="closed", users=7, zipf_s=1.1, dispatch="round_robin"),
-            streams,
-            lambda pid, iv: None,
-            registry=sim.telemetry.registry,
-        )
 
     def test_weights_must_match_pid_count(self):
         streams = small_streams()

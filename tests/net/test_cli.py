@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.load import ClosedLoopGenerator, LoadSpec
+from repro.load import LoadSpec
 from repro.monitor import HeartbeatSpec
 from repro.monitor.spec import SLOSpec
-from repro.net import AsyncClock, ClusterSpec
+from repro.net import ClusterSpec
 from repro.net.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -158,9 +158,16 @@ class TestRejectsABadFile:
                 "load.max_outstanding (6) must cover at least one epoch stride",
             ),
             (
-                '{"nodes": 7, "transport": "loopback", "load": '
-                '{"mode": "closed", "users": 7, "dispatch": "affinity"}}',
-                "load.dispatch: closed-loop affinity homes no user on processes [6]",
+                '{"nodes": 7, "load": {"dispatch": "weighted"}}',
+                "load: weighted dispatch needs load.weights, one per process",
+            ),
+            (
+                '{"nodes": 7, "load": {"dispatch": "weighted", "weights": [1, 2, 1]}}',
+                "load.weights: weighted dispatch needs one entry per process (7), got 3",
+            ),
+            (
+                '{"nodes": 3, "load": {"dispatch": "weighted", "weights": [1, 0, 1]}}',
+                "load: load.weights must all be positive",
             ),
             ("[7]", "expected an object, got an array"),
             ('{"nodes": 7,', "invalid JSON"),
@@ -171,7 +178,8 @@ class TestRejectsABadFile:
             "retired-load-key", "retired-flight-dir", "retired-flight-capacity",
             "retired-span-capacity", "retired-slo-interval", "retired-slo-repair",
             "retired-slo-outbox", "users-below-stride", "gate-below-stride",
-            "affinity-uncovered", "array", "not-json",
+            "weighted-without-weights", "weights-wrong-length", "weights-not-positive",
+            "array", "not-json",
         ],
     )
     def test_exits_2_with_one_line_naming_the_key(self, tmp_path, capsys, text, names):
@@ -182,24 +190,6 @@ class TestRejectsABadFile:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"repro-cluster: --spec {path}: ")
         assert names in err
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_spec_check_draws_the_homes_the_cluster_draws(self, seed):
-        # The spec is refused exactly when the users the cluster's own
-        # clock would home leave a process out.
-        # (12 users at zipf_s 0.5: seeds 0, 1 and 3 refused, 2, 4, 5 not)
-        load = LoadSpec(mode="closed", users=12, zipf_s=0.5, dispatch="affinity")
-        users = ClosedLoopGenerator(
-            AsyncClock(seed=seed), range(7), lambda offer: None,
-            users=load.users, total_offers=1, zipf_s=load.zipf_s,
-        ).users
-        covered = {user.home for user in users} == set(range(7))
-        try:
-            ClusterSpec(nodes=7, seed=seed, load=load)
-        except ValueError as exc:
-            assert not covered and "homes no user" in str(exc)
-        else:
-            assert covered
 
     def test_an_unreadable_file(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")
@@ -232,7 +222,7 @@ class TestSpecDicts:
             rate=500.0,
             arrival="poisson",
             dispatch="weighted",
-            weights=(1.0, 2.0, 0.5),
+            weights=(1.0, 2.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
             max_outstanding=20,
             resume_outstanding=10,
             policy="shed",
@@ -253,7 +243,7 @@ class TestSpecDicts:
         assert set(data["heartbeat"]) == set(HeartbeatSpec.__dataclass_fields__)
         assert set(data["load"]) == set(LoadSpec.__dataclass_fields__)
         assert set(data["slo"]) == set(SLOSpec.__dataclass_fields__)
-        assert data["load"]["weights"] == [1.0, 2.0, 0.5]
+        assert data["load"]["weights"] == [1.0, 2.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_a_missing_key_takes_the_default(self):
         assert ClusterSpec.from_dict({}) == ClusterSpec()

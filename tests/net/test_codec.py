@@ -120,31 +120,14 @@ class TestMetaSidecar:
         with pytest.raises(ValueError):
             codec.encode({"type": HELLO_TYPE, "node": 1}, meta={"span": [0, 0]})
 
-    def test_epoch_ids_ride_the_sidecar(self):
-        # The epoch ledger's ids travel next to span coordinates; the
-        # packed sidecar must hand them back bit-identical and typed.
-        tx, rx = FrameCodec(), FrameCodec()
-        meta = {"span": [1, 5], "epochs": [0, 3, 17]}
-        ((message, got),) = rx.feed_meta(tx.encode(_report(), meta=meta))
-        assert isinstance(message, IntervalReport)
-        assert got == meta
-        assert got["epochs"] == [0, 3, 17]
 
-    def test_epoch_sidecar_respects_max_meta(self):
-        tx = FrameCodec(max_meta=64)
-        small = {"epochs": [1]}
-        assert tx.encode(_report(), meta=small)
-        with pytest.raises(ValueError, match="max_meta"):
-            tx.encode(_report(seq=1, ts=1), meta={"epochs": list(range(1000))})
-
-
-#: A sidecar the packed layout carries, about 100 bytes packed: past a
-#: 64-byte ``max_meta``.
-LONG_META = {"span": [1, 5], "epochs": list(range(100))}
+#: A span sidecar with wide varints, 16 bytes packed: past an
+#: 8-byte ``max_meta``.
+LONG_META = {"span": [-(2**40), 2**62]}
 
 
 class TestMetaBounds:
-    """Sidecar hygiene: the sidecar holds the two keys the runtime
+    """Sidecar hygiene: the sidecar holds the one key the runtime
     writes and nothing else, and its size is bounded on both sides of
     the wire so a rogue peer cannot smuggle unbounded payload past
     ``max_frame`` policy."""
@@ -161,7 +144,7 @@ class TestMetaBounds:
                 codec.encode(_report(), meta=bad)
 
     def test_oversized_meta_rejected_on_encode(self):
-        codec = FrameCodec(max_meta=64)
+        codec = FrameCodec(max_meta=8)
         with pytest.raises(ValueError, match="max_meta"):
             codec.encode(_report(), meta=LONG_META)
 
@@ -169,7 +152,7 @@ class TestMetaBounds:
         # A permissive sender vs a strict receiver: the decode-side
         # check fires even though the frame itself framed fine.
         tx = FrameCodec(max_meta=1 << 20)
-        rx = FrameCodec(max_meta=64)
+        rx = FrameCodec(max_meta=8)
         frame = tx.encode(_report(), meta=LONG_META)
         with pytest.raises(ValueError, match="max_meta"):
             rx.feed_meta(frame)
@@ -372,13 +355,13 @@ class TestBinaryMeta:
         assert meta is None
 
     def test_oversized_meta_rejected_on_encode(self):
-        codec = FrameCodec(max_meta=64)
+        codec = FrameCodec(max_meta=8)
         with pytest.raises(ValueError, match="max_meta"):
             codec.encode(_report(), meta=LONG_META)
 
     def test_oversized_meta_poisons_frame_on_decode(self):
         tx = FrameCodec(max_meta=1 << 20)
-        rx = FrameCodec(max_meta=64)
+        rx = FrameCodec(max_meta=8)
         frame = tx.encode(_report(), meta=LONG_META)
         with pytest.raises(ValueError, match="max_meta"):
             rx.feed_meta(frame)
@@ -413,20 +396,20 @@ def _with_sidecar(sidecar: bytes, message=None):
 
 
 class TestPackedSidecar:
-    """The binary sidecar is field bits and varints for the two keys
-    the runtime writes; any other key or shape has no encoding."""
+    """The binary sidecar is field bits and varints for the one key the
+    runtime writes; any other key or shape has no encoding."""
 
-    RUNTIME_META = {"span": [3, 1], "epochs": [0]}
+    RUNTIME_META = {"span": [3, 1]}
 
     def test_runtime_sidecar_is_a_few_bytes(self):
         lean = len(FrameCodec().encode(_report()))
         frame = FrameCodec().encode(_report(), meta=self.RUNTIME_META)
-        # length byte + field bits + node + sid + count + one gap
-        assert len(frame) - lean == 1 + 5
-        assert frame[lean:] == bytes([5, 0x09, 6, 1, 1, 0])
+        # length byte + field bits + node + sid
+        assert len(frame) - lean == 1 + 3
+        assert frame[lean:] == bytes([3, 0x01, 6, 1])
         ((_, meta),) = FrameCodec().feed_meta(frame)
         assert meta == self.RUNTIME_META
-        assert type(meta["span"]) is list and type(meta["epochs"]) is list
+        assert type(meta["span"]) is list
 
     def test_known_keys_never_touch_json(self, monkeypatch):
         import repro.net.codec as codec_mod
@@ -436,7 +419,7 @@ class TestPackedSidecar:
                 raise AssertionError(f"json.{name} on the binary report path")
 
         monkeypatch.setattr(codec_mod, "json", NoJson())
-        meta = {"span": [-4, 2**40], "epochs": [7, 9, 2**62]}
+        meta = {"span": [-4, 2**40]}
         ((_, got),) = FrameCodec().feed_meta(FrameCodec().encode(_report(), meta=meta))
         assert got == meta
 
@@ -452,8 +435,9 @@ class TestPackedSidecar:
             {"sampled": True},
             {"sampled": None},
             {"sampled": 1},
-            {"epochs": [3, 1]},  # unsorted
-            {"epochs": [1, 1]},  # duplicated
+            # so is a report's epoch list: no value has a form
+            {"epochs": [3, 1]},
+            {"epochs": [1, 1]},
             {"epochs": [-1, 2]},
             {"epochs": [2**63]},
             {"epochs": "0-3"},
@@ -484,7 +468,9 @@ class TestPackedSidecar:
             # sampled bits and one epoch
             (b"\x0f\x06\x01\x01\x00", "field bits"),
             (b"\x01\x02", "truncated varint"),  # span without its sid
-            (b"\x08\x03\x00\x00", "truncated epoch list"),
+            # bit 3 carried a report's epoch ids
+            (b"\x08\x03\x00\x00", "field bits"),
+            (b"\x09\x06\x01\x01\x00", "field bits"),
             (b"\x00\x00", "trailing bytes"),
             # bit 4 was the JSON tail of codecs 3 and 4; no peer set it
             (b'\x10{"x":1}', "field bits"),
@@ -498,9 +484,9 @@ class TestPackedSidecar:
     def test_max_meta_bounds_the_packed_bytes_on_both_ends(self):
         import json
 
-        meta = {"span": [1, 5], "epochs": list(range(20))}
+        meta = {"span": [1, 5]}
         packed = len(FrameCodec()._pack_meta(meta))
-        assert packed == 1 + 2 + 1 + 20 < len(json.dumps(meta))
+        assert packed == 1 + 1 + 1 < len(json.dumps(meta))
         at_bound = FrameCodec(max_meta=packed)
         frame = at_bound.encode(_report(), meta=meta)  # JSON would not fit
         ((_, got),) = FrameCodec(max_meta=packed).feed_meta(frame)
@@ -721,7 +707,7 @@ def _golden_stream(count=50, n=12):
         report = IntervalReport(origin=3, dest=1, interval=interval, transport_seq=seq)
         meta = None
         if seq % 5 == 0:
-            meta = {"span": [3, 1000 + seq], "epochs": [seq, seq + 1]}
+            meta = {"span": [3, 1000 + seq]}
         stream.append((report, meta))
     return stream
 
@@ -736,7 +722,9 @@ class TestGoldenFrames:
     the encoder that still had the tail, and this one reproduces it.
     Re-recorded once more when the sidecar's head-sampling bits were
     retired: the stream's sidecars lost their ``sampled`` key, so the
-    field-bits byte changed and the length did not."""
+    field-bits byte changed and the length did not.  And again when the
+    epoch list (bit 3) was retired: each of the ten sidecars lost its
+    count and two gaps, 3 bytes."""
 
     #: Total bytes of the golden stream at the parent of the bounds
     #: block, whose tag-1 bodies priced each bound on its own: (with the
@@ -748,13 +736,14 @@ class TestGoldenFrames:
 
     #: Total bytes of the golden stream under codec 2 (bounds block, a
     #: length byte plus compact JSON per sidecar).  5651 while the
-    #: sidecars still carried the retired ``sampled`` key.
-    CODEC_2_BINARY_BYTES = 5496
+    #: sidecars still carried the retired ``sampled`` key, 5496 while
+    #: they carried the retired ``epochs``.
+    CODEC_2_BINARY_BYTES = 5330
 
     #: (total bytes, sha256) of the golden stream.
     GOLDEN = (
-        5230,  # codec 2: 5651
-        "133414c396df6542c46c4376d168f9d22784a4336d3ab1b7e7f3f4eded75b14e",
+        5200,  # codec 2: 5330; 5230 with the epoch lists
+        "ab05c53fedecb287175053f54fe167fd406c39fd8fd9a32eb7277964a7af17ac",
     )
 
     def test_frames_are_byte_identical(self):
@@ -785,8 +774,9 @@ class TestGoldenFrames:
         import json
 
         # Codec 2 wrote the sidecar as a length byte plus its compact
-        # JSON; the packed one saves at least 25 bytes a frame (30
-        # while the JSON also spelled out ``"sampled":true,``).
+        # JSON; the packed one saves at least 13 bytes a frame (25
+        # while the JSON also spelled out two epoch ids, 30 with
+        # ``"sampled":true,`` too).
         enc = FrameCodec()
         new = old = 0
         golden = _golden_stream()
@@ -797,4 +787,4 @@ class TestGoldenFrames:
                 old += 1 + len(json.dumps(meta, separators=(",", ":")))
         assert old == self.CODEC_2_BINARY_BYTES
         with_meta = sum(meta is not None for _, meta in golden)
-        assert new <= old - 25 * with_meta
+        assert new <= old - 13 * with_meta

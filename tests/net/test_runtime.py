@@ -4,9 +4,19 @@ the loopback transport."""
 import asyncio
 
 import numpy as np
+import pytest
 
 from repro.intervals import Interval
-from repro.net import AsyncClock, LoopbackHub, LoopbackTransport, NodeRuntime
+from repro.load import LoadSpec
+from repro.monitor import HeartbeatSpec
+from repro.net import (
+    AsyncClock,
+    ClusterSpec,
+    LocalCluster,
+    LoopbackHub,
+    LoopbackTransport,
+    NodeRuntime,
+)
 from repro.sim.messages import IntervalReport
 
 
@@ -46,52 +56,48 @@ def _three_node_cluster(clock, hub, on_detection):
     return runtimes
 
 
-class TestEpochSidecar:
-    """``_meta_epochs``: epoch ids of an outbound report's concrete
-    leaves, resolved through the cluster-attached lookup — bounded,
-    sorted, absent without a load session."""
+class TestReportSidecar:
+    """A report frame's sidecar is the sender's span coordinates and
+    nothing else, whether or not a load session drives the cluster."""
 
-    def _runtime(self):
-        clock = AsyncClock()
-        transport = LoopbackTransport(0, LoopbackHub(), clock)
-        return NodeRuntime(0, transport, clock, parent=None, children=[], level=0)
-
-    def test_absent_without_lookup(self):
-        runtime = self._runtime()
-        assert runtime.epoch_lookup is None
-        assert runtime._meta_epochs(_interval(0, 0, 1, 2)) is None
-
-    def test_aggregate_resolves_leaf_epochs_sorted_distinct(self):
-        runtime = self._runtime()
-        table = {(0, 0): 4, (1, 0): 2, (2, 0): 2}
-        runtime.epoch_lookup = table.get
-        parts = tuple(_interval(pid, 0, 1, 2) for pid in (0, 1, 2))
-        leaf = parts[0]
-        aggregate = Interval(
-            owner=0, seq=7, lo=leaf.lo, hi=leaf.hi, parts=parts
+    @pytest.mark.parametrize(
+        "load",
+        [
+            None,
+            LoadSpec(
+                mode="closed", users=7, think_time=0.01, total_offers=35,
+                max_outstanding=12, start_delay=0.05,
+            ),
+        ],
+        ids=["script", "load"],
+    )
+    def test_sidecar_is_the_span_alone(self, load):
+        spec = ClusterSpec(
+            nodes=7, degree=2, seed=1, transport="loopback",
+            heartbeat=HeartbeatSpec(period=0.1, loss_tolerance=10), load=load,
         )
-        assert runtime._meta_epochs(aggregate) == [2, 4]
-        # a concrete interval resolves through its own key
-        assert runtime._meta_epochs(parts[1]) == [2]
+        sidecars = []
 
-    def test_unknown_keys_yield_none(self):
-        runtime = self._runtime()
-        runtime.epoch_lookup = {}.get
-        assert runtime._meta_epochs(_interval(1, 9, 1, 2)) is None
+        async def scenario():
+            cluster = LocalCluster(spec)
+            await cluster.start()
+            for runtime in cluster.runtimes.values():
+                def receive(src, message, meta=None, _inner=runtime._on_message):
+                    if isinstance(message, IntervalReport):
+                        sidecars.append((src, meta))
+                    _inner(src, message, meta)
 
-    def test_epoch_list_is_bounded(self):
-        runtime = self._runtime()
-        runtime.epoch_lookup = lambda key: key[1]  # every seq its own epoch
-        parts = tuple(
-            _interval(1, seq, seq + 1, seq + 2)
-            for seq in range(NodeRuntime.META_EPOCH_LIMIT * 3)
-        )
-        aggregate = Interval(
-            owner=0, seq=1, lo=parts[0].lo, hi=parts[-1].hi, parts=parts
-        )
-        epochs = runtime._meta_epochs(aggregate)
-        assert len(epochs) == NodeRuntime.META_EPOCH_LIMIT
-        assert epochs == sorted(epochs)
+                runtime.transport.set_receiver(receive)
+            if load is None:
+                await cluster.run(until_detections=spec.epochs, timeout=20)
+            else:
+                await cluster.run(until_load_drained=True, timeout=20)
+            await cluster.stop()
+
+        run(scenario())
+        assert sidecars
+        for src, meta in sidecars:
+            assert list(meta) == ["span"] and meta["span"][0] == src
 
 
 class TestNodeRuntime:

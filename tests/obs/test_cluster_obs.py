@@ -271,11 +271,9 @@ class TestClusterScraper:
         def responses(cmd):
             if cmd == "status":
                 return {"ok": True, **payload["status"]}
-            if cmd not in payload:
-                # An older cluster without the epochs admin command —
-                # the scraper must tolerate it and still return a full
-                # scrape.
-                return {"ok": False, "error": f"unknown cmd {cmd!r}"}
+            if cmd == "epochs":
+                # a cluster without a load session
+                return {"ok": True, "epochs": None}
             return {"ok": True, **payload[cmd]}
 
         async def run():
@@ -330,11 +328,9 @@ class TestClusterScraper:
         def responses(cmd):
             if cmd == "status":
                 return {"ok": True, **payload["status"]}
-            if cmd not in payload:
-                # An older cluster without the epochs admin command —
-                # the scraper must tolerate it and still return a full
-                # scrape.
-                return {"ok": False, "error": f"unknown cmd {cmd!r}"}
+            if cmd == "epochs":
+                # a cluster without a load session
+                return {"ok": True, "epochs": None}
             return {"ok": True, **payload[cmd]}
 
         async def run():

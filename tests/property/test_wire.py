@@ -313,24 +313,21 @@ class TestStatelessBinaryFrames:
             assert_messages_equal(report, FrameCodec().decode(frame))
 
 
-#: Every sidecar the runtime writes: any subset of its two keys, each
-#: in the one shape the packed layout carries, out to the int64 edges.
+#: Every sidecar the runtime writes: its one key or none, in the one
+#: shape the packed layout carries, out to the int64 edges.
 SIDECARS = st.fixed_dictionaries(
     {},
     optional={
         "span": st.tuples(
             st.integers(-(2**63), 2**63 - 1), st.integers(0, 2**63 - 1)
         ).map(list),
-        "epochs": st.lists(
-            st.integers(0, 2**63 - 1), max_size=8, unique=True
-        ).map(sorted),
     },
 )
 _JSON_LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.text(max_size=8)
 )
-#: Around every edge of the packed forms: int64 for node and epochs,
-#: non-negative for sid and epochs.
+#: Around every edge of the packed form: int64 for node, non-negative
+#: for sid.
 _EDGY_INTS = st.one_of(
     st.integers(-3, 3),
     st.integers(2**63 - 2, 2**63 + 1),
@@ -346,13 +343,8 @@ _BAD_VALUES = {
         st.tuples(st.integers(0, 5), st.integers(0, 5)),  # a tuple, not a list
         _JSON_LEAVES,
     ),
-    "epochs": st.one_of(
-        # unsorted, duplicated, negative or past int64
-        st.lists(_EDGY_INTS, min_size=1, max_size=8).filter(
-            lambda v: v != sorted(set(v)) or not all(0 <= e < 2**63 for e in v)
-        ),
-        _JSON_LEAVES,
-    ),
+    # the retired epoch list: no value has a form
+    "epochs": st.one_of(st.lists(_EDGY_INTS, max_size=8), _JSON_LEAVES),
 }
 #: A sidecar the runtime never writes: a runtime sidecar with one known
 #: key spoiled, or one unknown key added.
@@ -431,6 +423,8 @@ _TAG_0_REPORT = _frame(
 _TAG_0_HEARTBEAT = _frame(0, b'{"type":"Heartbeat","sender":0}')
 #: Sidecar field bit 4, once a JSON tail, ahead of a JSON object.
 _SIDECAR_BIT_4 = _sidecar_frame(b'\x10{"x":1}')
+#: Span and the retired bit 3 epoch list, as codec 4 once wrote them.
+_SIDECAR_BIT_3 = _sidecar_frame(b"\x09\x06\x01\x01\x00")
 
 #: Well-framed input no encoder writes, and what the decoder says about it.
 UNWRITTEN_FRAMES = {
@@ -438,10 +432,11 @@ UNWRITTEN_FRAMES = {
     # holds JSON
     "deep-tag-0-body": (_frame(0, b"[" * 100_000), "nests too deeply"),
     "deep-app-payload": (_app_message_frame(b"[" * 100_000), "nests too deeply"),
-    # tag 0 is the hello and nothing else; the sidecar has no bit 4
+    # tag 0 is the hello and nothing else; the sidecar has no bit 3 or 4
     "tag-0-report": (_TAG_0_REPORT, "'IntervalReport', not a __hello__"),
     "tag-0-heartbeat": (_TAG_0_HEARTBEAT, "'Heartbeat', not a __hello__"),
     "sidecar-bit-4": (_SIDECAR_BIT_4, "field bits 0x10"),
+    "sidecar-bit-3": (_SIDECAR_BIT_3, "field bits 0x9"),
     # flags bit 0 belongs to message tags only
     "ack-with-sidecar-flag": (_frame(7, b"\x05", flags=0x01), "flags 0x01 on tag 7"),
     "tag-0-with-sidecar-flag": (
@@ -509,8 +504,8 @@ class TestDamagedBinaryFrames:
         st.sampled_from(
             [
                 None,
-                {"span": [1, 5], "epochs": [3, 4]},
-                {"epochs": [0, 2**62]},
+                {"span": [1, 5]},
+                {"span": [-(2**40), 2**62]},
             ]
         ),
         st.randoms(use_true_random=False),

@@ -22,7 +22,7 @@ numbers, which restart on every (re-)attachment epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..intervals import Interval, ReorderBuffer
 from ..obs.spans import interval_key
@@ -147,17 +147,17 @@ class HierarchicalRole:
             ("level",),
         )
         # Bound increment handles: label keys resolve once here instead
-        # of on every event.  The per-offer counters (enqueued, pruned)
-        # are counted in batches from the span tracker's mark log on
-        # flush — the observer itself does no metric work (see
-        # _fold_counts).
+        # of on every event.  Each core lifecycle event maps to its span
+        # mark label and its counter handle.
         pid = process.pid
-        self._h_enqueued = self._c_enqueued.handle(pid)
         self._h_reports = self._c_reports.handle(pid)
         self._h_alarms = self._c_alarms.handle(pid)
-        self._h_pruned: Dict[str, Callable[..., None]] = {}
+        self._on_core_event = {
+            "enqueue": ("enqueued", self._c_enqueued.handle(pid)),
+            "prune_incompat": ("prune_incompat", self._c_pruned.handle((pid, "prune_incompat"))),
+            "prune_solution": ("prune_solution", self._c_pruned.handle((pid, "prune_solution"))),
+        }
         self._mark = self._telemetry.spans.mark_interval
-        self._telemetry.spans.on_flush(pid, self._fold_counts)
         self.core = HierarchicalNodeCore(
             process.pid,
             self._init_children,
@@ -229,34 +229,13 @@ class HierarchicalRole:
     # telemetry (spans + counters; see repro.obs)
     # ------------------------------------------------------------------
     def _observe_core(self, event: str, key, interval: Interval) -> None:
-        """Core lifecycle hook: log one span mark and nothing else.
+        """Core lifecycle hook: log one span mark and count the event.
 
         This runs ~2× per offered interval, inside the loop the
-        telemetry measures.  The mark doubles as the counting record —
-        per-node enqueued/pruned counters are derived from the mark log
-        when the tracker flushes (see :meth:`_fold_counts`), so the hot
-        path is a single append."""
-        self._mark(
-            interval,
-            self.process.sim.now,
-            "enqueued" if event == "enqueue" else event,
-            self.process.pid,
-        )
-
-    def _fold_counts(self, counts: Dict) -> None:
-        """Batch counter fold, called by the span tracker per flush
-        with this node's ``{event_or_None: count}``.  ``None``
-        keys are completed-interval records (counted by the process);
-        prune reasons arrive verbatim from the core observer."""
-        for event, amount in counts.items():
-            if event == "enqueued":
-                self._h_enqueued(amount)
-            elif event is not None and event.startswith("prune"):
-                handle = self._h_pruned.get(event)
-                if handle is None:
-                    pid = self.process.pid
-                    handle = self._h_pruned[event] = self._c_pruned.handle((pid, event))
-                handle(amount)
+        telemetry measures: one mark append and one bound-handle bump."""
+        label, count = self._on_core_event[event]
+        self._mark(interval, self.process.sim.now, label, self.process.pid)
+        count()
 
     def _count_pair_tests(self, count: int) -> None:
         """Per-activation flush from the core (see ``on_pair_tests``)."""

@@ -93,27 +93,17 @@ class NodeRuntime:
         self.sim = clock  # the role-facing name for the clock handle
         self.transport = transport
         self.alive = True
-        self._count_interval = clock.telemetry.registry.counter_handle(
-            "repro_intervals_total",
-            "Local intervals produced, per node.",
-            ("node",),
-            key=node_id,
-        )
-        # Counted in batches on span-tracker flush (``None`` = record entry).
-        clock.telemetry.spans.on_flush(
-            node_id,
-            lambda counts, _inc=self._count_interval: (
-                counts.get(None) and _inc(counts[None])
-            ),
-        )
-        self._count_stale = clock.telemetry.registry.counter_handle(
+        registry = clock.telemetry.registry
+        self._count_interval = registry.counter_vec(
+            "repro_intervals_total", "Local intervals produced, per node.", ("node",)
+        ).handle(node_id)
+        self._count_stale = registry.counter_vec(
             "repro_net_stale_frames_total",
             "Frames dropped as stale: duplicates rejected by reorder "
             "buffers after reconnects, and reports from a node that is "
             "no longer a child.",
             ("node",),
-            key=node_id,
-        )
+        ).handle(node_id)
         self.role = HierarchicalRole(
             parent,
             children,
@@ -190,6 +180,7 @@ class NodeRuntime:
             now,
             self.pid,
         )
+        self._count_interval()
         self.role.on_local_interval(interval)
 
     # ------------------------------------------------------------------

@@ -226,13 +226,11 @@ class TelemetryAggregator:
         tracker = SpanTracker()
         mapping: Dict[Tuple[int, int], int] = {}
         imported: List[Tuple[Span, int, dict]] = []
-        new_sid = 0
         for pid in sorted(scrape.nodes):
             for row in scrape.nodes[pid].spans:
-                mapping[(pid, int(row["sid"]))] = new_sid
-                span = tracker.append_imported(row, sid=new_sid)
+                span = tracker.append_imported(row)
+                mapping[(pid, int(row["sid"]))] = span.sid
                 imported.append((span, pid, row))
-                new_sid += 1
         # Second pass: remap intra-node parent links (a parent's sid can
         # exceed its child's — alarms adopt earlier spans — so links can
         # only be resolved once the whole node table is loaded).

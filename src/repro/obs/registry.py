@@ -15,7 +15,11 @@ Design notes
 * :class:`CounterVec` subclasses :class:`collections.Counter`, so hot
   paths keep the idiomatic ``vec[key] += 1`` — a labelled metric *is* a
   Counter whose keys are label-value tuples (or a scalar when the vec
-  has a single label).
+  has a single label).  A hot path whose labels are fixed binds
+  :meth:`CounterVec.handle` once and calls it per event.
+* A counter counts when its event happens.  Nothing is folded in
+  later, so every read — ``get``, ``metrics``, ``merge``, a pickle —
+  sees current values with no work of its own.
 * :class:`Histogram` keeps both fixed buckets (for Prometheus
   exposition) and the raw observations (for exact percentiles at
   simulation scale).
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter as _Counter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "CounterMetric",
@@ -318,34 +322,14 @@ Metric = Union[CounterMetric, Gauge, Histogram, CounterVec, GaugeVec]
 
 
 class MetricsRegistry:
-    """Named metrics with get-or-create registration.
-
-    Some counters are folded lazily from batched telemetry sources (see
-    :meth:`~repro.obs.spans.SpanTracker.on_flush`); *flush hooks* let
-    those sources drain before any read, so ``get``/``metrics``/
-    pickling always observe up-to-date values."""
+    """Named metrics with get-or-create registration.  Every metric
+    holds its current value: counters count when their event happens,
+    so a read has nothing to bring up to date."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
-        self._flush_hooks: List[Callable[[], None]] = []
-
-    def add_flush_hook(self, hook: Callable[[], None]) -> None:
-        """Run *hook* before reads; hooks must be idempotent."""
-        self._flush_hooks.append(hook)
-
-    def _flush(self) -> None:
-        for hook in self._flush_hooks:
-            hook()
-
-    def __getstate__(self) -> dict:
-        # Hooks are closures over live telemetry objects — drain them,
-        # then drop them from the pickle (shard workers ship their
-        # registry back to the driver by value).
-        self._flush()
-        return {"_metrics": self._metrics, "_flush_hooks": []}
 
     def _get_or_create(self, name: str, cls, *args) -> Metric:
-        self._flush()  # callers may read the returned metric directly
         metric = self._metrics.get(name)
         if metric is not None:
             if not isinstance(metric, cls):
@@ -380,34 +364,6 @@ class MetricsRegistry:
     ) -> GaugeVec:
         return self._get_or_create(name, GaugeVec, help, labelnames)
 
-    def counter_handle(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        *,
-        key: Optional[LabelKey] = None,
-    ):
-        """Get-or-create a counter and return a bound increment callable.
-
-        With ``labelnames`` (and ``key``) this is
-        ``counter_vec(...).handle(key)``; without labels it binds the
-        scalar counter's :meth:`CounterMetric.inc`.  Either way the hot
-        path holds one callable and pays no per-call label handling.
-        """
-        if labelnames:
-            if key is None:
-                raise ValueError(
-                    f"metric {name!r}: counter_handle needs a label key "
-                    f"for labelnames {tuple(labelnames)}"
-                )
-            return self.counter_vec(name, help, labelnames).handle(key)
-        if key is not None:
-            raise ValueError(
-                f"metric {name!r}: key given but no labelnames declared"
-            )
-        return self.counter(name, help).inc
-
     # ------------------------------------------------------------------
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold every metric of *other* into this registry.
@@ -421,8 +377,6 @@ class MetricsRegistry:
         is fixed by the spec list, so the merged exposition is
         deterministic for any worker count.
         """
-        self._flush()
-        other._flush()
         for name in sorted(other._metrics):
             theirs = other._metrics[name]
             mine = self._metrics.get(name)
@@ -501,7 +455,6 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def get(self, name: str) -> Optional[Metric]:
-        self._flush()
         return self._metrics.get(name)
 
     def __contains__(self, name: str) -> bool:
@@ -512,7 +465,6 @@ class MetricsRegistry:
 
     def metrics(self) -> List[Metric]:
         """All registered metrics, sorted by name (exposition order)."""
-        self._flush()
         return [self._metrics[name] for name in sorted(self._metrics)]
 
 

@@ -34,10 +34,8 @@ near-zero work and leave nothing for the garbage collector to walk:
 * every call writes into the columns when it is made; rows append in
   call order, so sids are chronological and an interval is adoptable
   the moment it is recorded — there is no queue and nothing to fold;
-* per-node *counter subscribers* (:meth:`SpanTracker.on_flush`) get
-  counts (intervals completed, enqueued, pruned) derived from what the
-  columns gained since the last :meth:`SpanTracker.flush`, in one
-  batched pass, so the recording path does no metric work;
+* the tracker keeps no counters: the callers that record an interval
+  or log a mark bump their own bound metric handles at the same event;
 * a row is registered under its artifact's identity
   (:func:`interval_key`: owner and sequence number, never the bounds),
   so naming a span copies no timestamp at any system size;
@@ -51,7 +49,6 @@ byte-identical span table on every run.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from weakref import KeyedRef
 
@@ -79,11 +76,6 @@ def interval_key(interval) -> tuple:
 #: Column value for "none": no node, no parent, a literal-label mark
 #: (no node to format) or a mark whose span was never traced.
 _NIL = -(1 << 63)
-
-#: Name code of rows written by :meth:`SpanTracker.record_interval`.
-#: Other names are interned from code 1 on, so :meth:`SpanTracker.flush`
-#: counts the hot path's interval records from the name column alone.
-_RECORDED = 0
 
 
 class Span:
@@ -170,8 +162,9 @@ class SpanTracker:
         self._start, self._end, self._name = array("d"), array("d"), array("H")
         self._keys: List[Optional[tuple]] = []
         self._attrs: Dict[int, dict] = {}
+        # Name code 0 is "interval", the rows record_interval writes.
         self._names: List[str] = ["interval"]
-        self._name_codes: Dict[str, int] = {}
+        self._name_codes: Dict[str, int] = {"interval": 0}
         # Mark log columns: row, time, event/label code, node.
         self._mrow, self._mtime = array("q"), array("d")
         self._mevent, self._mnode = array("i"), array("q")
@@ -182,10 +175,6 @@ class SpanTracker:
         self._views: Dict[int, KeyedRef] = {}
         self._next_sid = self._links = 0
         self._tree = self._mark_cache = None  # _memo slots
-        # Column lengths (rows, marks) already counted for subscribers.
-        self._flushed = (0, 0)
-        # node -> [fn(counts)] counter subscribers notified per flush.
-        self._subscribers: Dict[int, List[Callable[[dict], None]]] = {}
 
     def __len__(self) -> int:
         return len(self._sid)
@@ -273,17 +262,16 @@ class SpanTracker:
     # ------------------------------------------------------------------
     # creation
     # ------------------------------------------------------------------
-    def _append(self, code, node, start, end, key, attrs, sid=None, parent=None) -> int:
-        if sid is None:
-            sid = self._next_sid
-            self._next_sid = sid + 1
+    def _append(self, code, node, start, end, key, attrs) -> int:
+        sid = self._next_sid
+        self._next_sid = sid + 1
         row = len(self._sid)
         self._sid.append(sid)
         self._name.append(code)
         self._node.append(_NIL if node is None else node)
         self._start.append(start)
         self._end.append(float("nan") if end is None else end)
-        self._parent.append(_NIL if parent is None else parent)
+        self._parent.append(_NIL)
         self._keys.append(key)
         if attrs:
             self._attrs[row] = attrs
@@ -339,12 +327,11 @@ class SpanTracker:
         """Hot path: one finished ``interval`` span for a *concrete*
         predicate interval, written straight into the columns (no view,
         no attrs: they derive from the key when read)."""
-        self._append(_RECORDED, node, start, end, interval_key(interval), None)
+        self._append(0, node, start, end, interval_key(interval), None)
 
     def mark_interval(self, interval, time: float, event: str, node: int) -> None:
-        """Hot path: log a raw lifecycle mark for *interval*'s span.
-        Invisible when the interval was never traced, but still counted
-        for the node's subscribers."""
+        """Hot path: log a raw lifecycle mark for *interval*'s span
+        (dropped when the interval was never traced)."""
         self._log_mark(self._by_key.get(interval_key(interval), _NIL), time, event, node)
 
     def _log_mark(self, row: int, time: float, label: str, node: int) -> None:
@@ -353,43 +340,6 @@ class SpanTracker:
         self._mtime.append(time)
         self._mevent.append(code)
         self._mnode.append(node)
-
-    # ------------------------------------------------------------------
-    # counter subscribers
-    # ------------------------------------------------------------------
-    def on_flush(self, node: int, fn: Callable[[dict], None]) -> None:
-        """Subscribe *fn* to per-flush event counts for *node*.
-
-        On each :meth:`flush`, *fn* receives ``{event_or_None: count}``
-        for what *node* recorded since the previous one: marks under
-        their event, :meth:`record_interval` rows under ``None`` — the
-        per-node counters with no metric work on the recording path."""
-        self._subscribers.setdefault(node, []).append(fn)
-
-    def flush(self) -> None:
-        """Count the rows and marks appended since the last flush and
-        hand each subscribed node its batch.  Runs on every registry
-        read (Telemetry's flush hook); idempotent and re-entrancy safe
-        (the counted lengths advance before any subscriber runs)."""
-        rows, marks = self._flushed
-        n, m = len(self._sid), len(self._mrow)
-        if rows == n and marks == m:
-            return
-        self._flushed = (n, m)
-        subscribers = self._subscribers
-        if not subscribers:
-            return
-        counts: Dict[int, Dict[Optional[str], int]] = {}
-        recorded = zip(self._node[rows:n], self._name[rows:n])
-        for node, count in Counter(nd for nd, code in recorded if code == _RECORDED).items():
-            counts.setdefault(node, {})[None] = count
-        logged = Counter(zip(self._mnode[marks:m], self._mevent[marks:m]))
-        for (node, code), count in logged.items():
-            if node != _NIL:
-                counts.setdefault(node, {})[self._labels[code]] = count
-        for node, per_node in counts.items():
-            for fn in subscribers.get(node, ()):
-                fn(per_node)
 
     # ------------------------------------------------------------------
     # lookup & parentage
@@ -489,43 +439,21 @@ class SpanTracker:
         marks = self._mark_index()
         return [self._to_dict(row, marks) for row in range(len(self._sid))]
 
-    @classmethod
-    def from_dicts(cls, rows: List[dict]) -> "SpanTracker":
-        """Rebuild a *read-only* tracker from :meth:`to_dicts` output.
-
-        Sids are preserved verbatim (a slice of a table need not start
-        at 0), so do not :meth:`begin` new spans on the result —
-        key-based lookups are not restored either, only the tree
-        structure."""
-        tracker = cls()
-        for data in rows:
-            tracker._import(data, int(data["sid"]), data.get("parent"))
-        return tracker
-
-    def _import(self, data: dict, sid: int, parent: Optional[int]) -> int:
-        self._next_sid = max(self._next_sid, sid + 1)
+    def append_imported(self, data: dict) -> Span:
+        """Append one wire-form row under the next sid of this table,
+        unlinked (cluster aggregation renumbers node-local tables into
+        one namespace and remaps their links with :meth:`reparent`)."""
         code = self._intern(self._name_codes, self._names, data["name"])
         attrs = dict(data.get("attrs") or {})
-        row = self._append(
-            code, data.get("node"), data["start"], data.get("end"), None, attrs, sid, parent
-        )
+        row = self._append(code, data.get("node"), data["start"], data.get("end"), None, attrs)
         for t, label in data.get("marks", []):
             self._log_mark(row, t, label, _NIL)
-        return row
-
-    def append_imported(self, data: dict, *, sid: int) -> Span:
-        """Append one wire-form row under a caller-chosen sid (cluster
-        aggregation renumbers node-local tables into one namespace)."""
-        return self._view(self._import(data, sid, None))
+        return self._view(row)
 
     def by_sid(self, sid: int) -> Optional[Span]:
-        """Span with the given id, tolerating non-contiguous tables
-        (deserialized slices, stitched cluster traces)."""
-        sids = self._sid
-        if 0 <= sid < len(sids) and sids[sid] == sid:
-            return self._view(sid)
-        row = next((row for row, s in enumerate(sids) if s == sid), None)
-        return None if row is None else self._view(row)
+        """Span with the given id, or ``None``: sids are handed out
+        0..n-1 in row order, so a sid is its row."""
+        return self._view(sid) if 0 <= sid < len(self._sid) else None
 
     def detection_latencies(self) -> List[float]:
         """Per-alarm detection latency (simulated time from the last

@@ -4,7 +4,9 @@ Every :class:`~repro.sim.kernel.Simulator` owns a :class:`Telemetry`
 (``sim.telemetry``), so everything wired to the same simulation — the
 network, the detector roles, the heartbeat monitors — shares one
 registry and one span tracker, and a finished run can be exported as a
-whole (see :mod:`repro.obs.export`).
+whole (see :mod:`repro.obs.export`).  The two are independent: the
+tracker holds the causal record, the registry the counts, and a layer
+that records an artifact counts it in the same call.
 
 This module must not import :mod:`repro.sim` — the kernel imports it.
 """
@@ -33,10 +35,6 @@ class Telemetry:
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.spans = SpanTracker()
-        # Per-offer counters are counted from the span tracker's columns
-        # on flush (see SpanTracker.on_flush); reading any metric must
-        # flush it first.
-        self.registry.add_flush_hook(self.spans.flush)
 
     @property
     def detection_latency(self) -> Histogram:

@@ -71,20 +71,11 @@ class MonitoredProcess:
         self._run_start_time: Optional[float] = None
         self._run_last: Optional[Timestamp] = None
         self._interval_seq = 0
-        self._count_interval = sim.telemetry.registry.counter_handle(
+        self._count_interval = sim.telemetry.registry.counter_vec(
             "repro_intervals_total",
             "Local predicate intervals completed, per node.",
             ("node",),
-            key=pid,
-        )
-        # Completed intervals are counted when the span tracker flushes —
-        # recorded intervals arrive under the ``None`` event key.
-        sim.telemetry.spans.on_flush(
-            pid,
-            lambda counts, _inc=self._count_interval: (
-                counts.get(None) and _inc(counts[None])
-            ),
-        )
+        ).handle(pid)
         network.attach(pid, self._on_message)
         if role is not None:
             role.bind(self)
@@ -122,7 +113,7 @@ class MonitoredProcess:
         # Every interval opens a span keyed by its identity, so the
         # detection layers can parent reports and alarms back onto it.
         # ``record_interval`` is the tracker's column-append fast path;
-        # the per-node interval counter is counted from the same row.
+        # the per-node interval counter counts the same close.
         now = self.sim.now
         self.sim.telemetry.spans.record_interval(
             interval,
@@ -130,6 +121,7 @@ class MonitoredProcess:
             now,
             self.pid,
         )
+        self._count_interval()
         self._run_start_time = None
         if self.role is not None:
             self.role.on_local_interval(interval)

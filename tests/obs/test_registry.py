@@ -340,58 +340,3 @@ class TestWireForm:
             MetricsRegistry.from_dict(
                 {"metrics": {"x": {"kind": "Sparkline", "value": 1}}}
             )
-
-
-class TestFlushHooks:
-    """Registry reads flush deferred sources (the span tracker) first,
-    so counters folded from them are never stale at scrape time."""
-
-    def test_reads_invoke_hooks(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("lazy_total", "")
-        pending = [3, 2]
-        registry.add_flush_hook(
-            lambda: counter.inc(pending.pop()) if pending else None
-        )
-        assert registry.get("lazy_total").value == 2
-        assert {m.name for m in registry.metrics()} == {"lazy_total"}
-        assert registry.get("lazy_total").value == 5
-
-    def test_merge_flushes_both_sides(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        ca = a.counter("t", "")
-        cb = b.counter("t", "")
-        a.add_flush_hook(lambda: ca.value == 0 and ca.inc())
-        b.add_flush_hook(lambda: cb.value == 0 and cb.inc(10))
-        a.merge(b)
-        assert a.get("t").value == 11
-
-    def test_pickling_flushes_and_drops_hooks(self):
-        import pickle
-
-        registry = MetricsRegistry()
-        counter = registry.counter("t", "")
-        fired = []
-        registry.add_flush_hook(lambda: (counter.inc(), fired.append(1)))
-        # Hooks are typically unpicklable closures: __getstate__ runs
-        # them one last time, then strips them from the payload.
-        rebuilt = pickle.loads(pickle.dumps(registry))
-        assert fired == [1]
-        assert rebuilt.get("t").value >= 1
-        assert rebuilt._flush_hooks == []
-
-    def test_telemetry_wires_span_queue_to_registry(self):
-        from repro.obs import Telemetry
-
-        telemetry = Telemetry()
-        counts = []
-        telemetry.spans.on_flush(0, counts.append)
-        telemetry.spans.record("interval", 0.0, 1.0, node=0)
-
-        class _Ivl:
-            owner, seq, parts = 0, 1, ()
-
-        telemetry.spans.record_interval(_Ivl, 0.0, 1.0, 0)
-        # A registry read alone must flush the span tracker's counts.
-        telemetry.registry.metrics()
-        assert counts == [{None: 1}]

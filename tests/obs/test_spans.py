@@ -122,19 +122,13 @@ class TestColumnarTable:
         assert not tracker.adopt_sid(report, ("agg", 0, 1))
         assert tracker.get(interval_key(ivl)).parent == report
 
-    def test_marks_are_visible_before_any_flush(self):
+    def test_marks_are_visible_at_once(self):
         tracker = SpanTracker()
-        seen = []
-        tracker.on_flush(1, seen.append)
         ivl = _FakeInterval(1, 0)
         tracker.record_interval(ivl, 0.0, 1.0, 1)
         for i in range(1000):
             tracker.mark_interval(ivl, float(i), "enqueued", 1)
-        # The table needs no flush; only the counters wait for one.
         assert len(tracker.get(interval_key(ivl)).marks) == 1000
-        assert seen == []
-        tracker.flush()
-        assert seen == [{None: 1, "enqueued": 1000}]
 
     def test_tracker_adds_o1_gc_tracked_objects(self):
         tracker = SpanTracker()
@@ -156,9 +150,8 @@ class TestColumnarTable:
 
 
 class TestQueueFold:
-    """The recording hot path: marks find their span by identity key,
-    flushes hand subscribers batched counts, the ring bounds what is
-    kept."""
+    """The recording hot path: marks find their span by identity key
+    and are dropped when the interval was never traced."""
 
     def test_marks_on_aggregated_intervals_use_prefixed_key(self):
         tracker = SpanTracker()
@@ -172,24 +165,6 @@ class TestQueueFold:
         tracker = SpanTracker()
         tracker.mark_interval(_FakeInterval(9, 9), 1.0, "enqueued", 9)
         assert tracker.spans == []
-
-    def test_subscribers_receive_batched_counts_per_node(self):
-        tracker = SpanTracker()
-        seen = {1: [], 2: []}
-        tracker.on_flush(1, seen[1].append)
-        tracker.on_flush(2, seen[2].append)
-        for seq in range(3):
-            tracker.record_interval(_FakeInterval(1, seq), 0.0, 1.0, 1)
-        tracker.mark_interval(_FakeInterval(1, 0), 0.5, "enqueued", 1)
-        tracker.mark_interval(_FakeInterval(1, 0), 0.6, "prune_incompat", 1)
-        tracker.record_interval(_FakeInterval(2, 0), 0.0, 1.0, 2)
-        tracker.flush()
-        # Record entries fold under None; marks under their event.
-        assert seen[1] == [{None: 3, "enqueued": 1, "prune_incompat": 1}]
-        assert seen[2] == [{None: 1}]
-        # An empty flush notifies nobody.
-        tracker.flush()
-        assert len(seen[1]) == 1
 
 
 class TestEndToEndTracing:
@@ -297,7 +272,8 @@ class TestEndToEndTracing:
 
 
 class TestWireForm:
-    """to_dicts / from_dicts — the scrape and flight-snapshot forms."""
+    """to_dicts and append_imported — the scrape form, and the import a
+    cluster aggregator does with it."""
 
     def _tracker(self) -> SpanTracker:
         tracker = SpanTracker()
@@ -314,7 +290,13 @@ class TestWireForm:
 
         tracker = self._tracker()
         rows = json.loads(json.dumps(tracker.to_dicts()))
-        rebuilt = SpanTracker.from_dicts(rows)
+        rebuilt = SpanTracker()
+        imported = [rebuilt.append_imported(row) for row in rows]
+        # Parent links are remapped after the whole table is in, as the
+        # aggregator does: an alarm's sid exceeds its children's.
+        for span, row in zip(imported, rows):
+            if row["parent"] is not None:
+                assert rebuilt.reparent(span, row["parent"])
         assert len(rebuilt) == 2
         leaf, alarm = rebuilt.spans
         assert leaf.name == "interval" and leaf.parent == alarm.sid
@@ -323,11 +305,6 @@ class TestWireForm:
         assert rebuilt.render_tree(alarm) == tracker.render_tree(
             tracker.spans[1]
         )
-
-    def test_by_sid_tolerates_non_contiguous_tables(self):
-        tracker = self._tracker()
-        rebuilt = SpanTracker.from_dicts(tracker.to_dicts()[1:])
-        # Only the alarm (sid 1) survived the cut.
-        assert rebuilt.by_sid(1).name == "alarm"
-        assert rebuilt.by_sid(0) is None
-        assert rebuilt.by_sid(99) is None
+        assert rebuilt.by_sid(1) is alarm
+        assert rebuilt.by_sid(2) is None and rebuilt.by_sid(-1) is None
+        assert rebuilt.stats()["recorded"] == 2
